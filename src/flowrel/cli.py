@@ -9,7 +9,8 @@ Commands:
 Reports are JSON with sorted keys; identical (config, seed) gives
 byte-identical bytes.  ``--config FILE`` supplies defaults for any flag;
 explicit flags win.  The closure cap honors the FLOWREL_ELEMENT_CAP
-environment variable.
+environment variable; a cap that is not an integer of at least 1, from
+any source, is a usage error.
 
 Exit codes: 0 success, 1 failed checks or golden mismatch, 2 usage or
 parse error, 3 monoid too large.
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from . import reports
 from .circles import CirclePoint, asymptotic_class, center, pair_class
-from .finflow import FlowParseError, MonoidTooLarge, element_cap, parse_flow
+from .finflow import FlowParseError, MonoidTooLarge, checked_cap, element_cap, parse_flow
 from .fuzz import run_fuzz
 from .relations import analyze_flow
 from .subshift import (
@@ -293,8 +294,7 @@ def apply_config(args: argparse.Namespace) -> argparse.Namespace:
     for key, fallback in DEFAULTS.items():
         if getattr(args, key, None) is None and hasattr(args, key):
             setattr(args, key, config.get(key, fallback))
-    if getattr(args, "cap", None) is None:
-        args.cap = element_cap()
+    args.cap = element_cap() if args.cap is None else checked_cap(args.cap, "cap")
     return args
 
 
@@ -305,6 +305,9 @@ def main(argv: list[str] | None = None) -> int:
         args = apply_config(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     return args.func(args)
 

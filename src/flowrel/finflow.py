@@ -35,13 +35,21 @@ class NotAFactorMap(ValueError):
 
 
 def element_cap(default: int = DEFAULT_ELEMENT_CAP) -> int:
+    """The cap from FLOWREL_ELEMENT_CAP, or ``default`` when it is unset."""
     raw = os.environ.get(ELEMENT_CAP_ENV)
-    if raw is None:
-        return default
+    return default if raw is None else checked_cap(raw, ELEMENT_CAP_ENV)
+
+
+def checked_cap(value: object, source: str) -> int:
+    """``value`` (an integer, or its decimal text) as an element cap; a
+    ValueError naming ``source`` unless it is an integer of at least 1."""
     try:
-        return int(raw)
+        cap = int(value) if isinstance(value, str) else value
     except ValueError:
-        return default
+        cap = None
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"{source} must be an integer of at least 1, got {value!r}")
+    return cap
 
 
 @dataclass(frozen=True)

@@ -291,8 +291,8 @@ class Verdict:
 
 
 def proximal_verdict(m: TransMonoid, x: int, y: int) -> Verdict:
-    mats = _collapse_matrices(m)
-    hits = np.nonzero(mats[:, x, y])[0]
+    e = m.elements
+    hits = np.flatnonzero(e[:, x] == e[:, y])
     if hits.size:
         return Verdict("P", (x, y), "in", {"collapser": int(hits[0])})
     return Verdict("P", (x, y), "out", None)

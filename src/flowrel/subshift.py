@@ -13,7 +13,8 @@ distinction between "proved" and "evidenced" explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from threading import RLock
+from itertools import count
+from threading import Lock, RLock
 
 import numpy as np
 
@@ -39,7 +40,7 @@ class Substitution:
         return hash((self.alphabet, tuple(sorted(self.rule.items()))))
 
     def expand(self, word: str) -> str:
-        return "".join(self.rule[c] for c in word)
+        return "".join(map(self.rule.__getitem__, word))
 
     @property
     def is_dual_closed(self) -> bool:
@@ -62,8 +63,10 @@ class BiSeq:
     """A bi-infinite sequence evaluable on any finite window.
 
     ``segment(lo, hi)`` returns the letters at coordinates lo..hi
-    inclusive; ``window(n)`` is the block on [-n, n].  Instances memoize
-    grown cores and are intended to be confined to one thread each.
+    inclusive; ``window(n)`` is the block on [-n, n].  Windows are cut
+    from memoized cores by slicing.  Every memoized growth (a fixed point's
+    halves, the shared Chacon blocks) happens under a lock, and cores only
+    ever grow, so instances may be shared between threads.
     """
 
     alphabet: str = "01"
@@ -120,21 +123,16 @@ class SubstFixed(BiSeq):
         self._right = right_seed
         self._lock = RLock()
 
-    def _grow(self, need: int):
+    def _grow(self, need: int) -> tuple[str, str]:
         with self._lock:
             while len(self._left) < need:
                 self._left = self.sub.expand(self._left)
             while len(self._right) < need:
                 self._right = self.sub.expand(self._right)
+            return self._left, self._right
 
     def segment(self, lo: int, hi: int) -> str:
-        if hi < lo:
-            return ""
-        self._grow(max(-lo, hi + 1, 1))
-        out = []
-        for i in range(lo, hi + 1):
-            out.append(self._right[i] if i >= 0 else self._left[len(self._left) + i])
-        return "".join(out)
+        return _two_sided(*self._grow(max(-lo, hi + 1, 1)), lo, hi) if lo <= hi else ""
 
     def describe(self) -> dict:
         return {
@@ -143,6 +141,13 @@ class SubstFixed(BiSeq):
             "left_seed": self.left_seed,
             "right_seed": self.right_seed,
         }
+
+
+def _two_sided(left: str, right: str, lo: int, hi: int) -> str:
+    """Coordinates lo..hi (empty when hi < lo) of the sequence that reads
+    ``left`` up to coordinate -1 and ``right`` from coordinate 0 on."""
+    head = left[len(left) + lo:len(left) + min(hi, -1) + 1] if lo < 0 else ""
+    return head + right[max(lo, 0):hi + 1] if hi >= 0 else head
 
 
 def morse_fixed_points() -> dict[str, SubstFixed]:
@@ -161,6 +166,7 @@ def morse_fixed_points() -> dict[str, SubstFixed]:
 # Chacon system
 
 _BLOCK_CACHE: list[str] = ["0", "0010"]
+_BLOCK_LOCK = Lock()
 
 
 def chacon_block(k: int) -> str:
@@ -170,10 +176,11 @@ def chacon_block(k: int) -> str:
         raise ValueError("block index must be nonnegative")
     if (3 ** (k + 1) - 1) // 2 > MAX_BLOCK_LENGTH:
         raise OverflowError(f"block {k} exceeds the {MAX_BLOCK_LENGTH}-letter guard")
-    while len(_BLOCK_CACHE) <= k:
-        b = _BLOCK_CACHE[-1]
-        _BLOCK_CACHE.append(b + b + "1" + b)
-    return _BLOCK_CACHE[k]
+    with _BLOCK_LOCK:
+        while len(_BLOCK_CACHE) <= k:
+            b = _BLOCK_CACHE[-1]
+            _BLOCK_CACHE.append(b + b + "1" + b)
+        return _BLOCK_CACHE[k]
 
 
 def _block_index_for(need: int) -> int:
@@ -197,18 +204,10 @@ class ChaconPoint(BiSeq):
         if hi < lo:
             return ""
         b = chacon_block(_block_index_for(max(-lo, hi + 1, 1) + 1))
-        out = []
-        for i in range(lo, hi + 1):
-            if self.kind == "x1":
-                out.append(b[i] if i >= 0 else b[len(b) + i])
-            else:
-                if i == 0:
-                    out.append("1")
-                elif i > 0:
-                    out.append(b[i - 1])
-                else:
-                    out.append(b[len(b) + i])
-        return "".join(out)
+        if self.kind == "x1":
+            return _two_sided(b, b, lo, hi)
+        # x2: the spacer at coordinate 0, then the block from coordinate 1 on
+        return _two_sided(b, "1", lo, min(hi, 0)) + b[max(lo, 1) - 1:max(hi, 0)]
 
     def describe(self) -> dict:
         return {"type": "chacon_point", "kind": self.kind}
@@ -258,13 +257,10 @@ class ChaconXi(BiSeq):
             return self._reduction.segment(lo, hi)
         if hi < lo:
             return ""
-        k = len(self.prefix)
-        while True:
-            off = self._anchor_offset(k)
-            b = chacon_block(k)
+        for k in count(len(self.prefix)):
+            off, b = self._anchor_offset(k), chacon_block(k)
             if -off <= lo and hi <= len(b) - 1 - off:
-                return "".join(b[i + off] for i in range(lo, hi + 1))
-            k += 1
+                return b[lo + off:hi + off + 1]
 
     def describe(self) -> dict:
         d = {"type": "chacon_itinerary", "prefix": list(self.prefix), "tail": self.tail}
@@ -299,16 +295,9 @@ class EventuallyConstant(BiSeq):
         self.right_fill = right_fill
 
     def segment(self, lo: int, hi: int) -> str:
-        out = []
-        for i in range(lo, hi + 1):
-            j = i - self.start
-            if j < 0:
-                out.append(self.left_fill)
-            elif j < len(self.center):
-                out.append(self.center[j])
-            else:
-                out.append(self.right_fill)
-        return "".join(out)
+        a, b, c = lo - self.start, hi - self.start, self.center
+        return (self.left_fill * (min(b, -1) - a + 1) + c[max(a, 0):max(b + 1, 0)]
+                + self.right_fill * (b - max(a, len(c)) + 1))
 
     def describe(self) -> dict:
         return {
@@ -397,10 +386,8 @@ class AdicImage(BiSeq):
         self.alphabet = "01"
 
     def segment(self, lo: int, hi: int) -> str:
-        raw = self.inner.segment(lo, hi + 1)
-        return "".join(
-            str((int(raw[j]) + int(raw[j + 1])) % 2) for j in range(hi - lo + 1)
-        )
+        raw = np.frombuffer(self.inner.segment(lo, hi + 1).encode(), dtype=np.uint8)
+        return ((raw[:-1] ^ raw[1:]) + ord("0")).tobytes().decode()
 
     def describe(self) -> dict:
         return {"type": "adjacent_sum", "inner": self.inner.describe()}
@@ -439,16 +426,11 @@ class EvidenceVerdict:
     max_gap: int | None = None
 
     def as_json(self) -> dict:
-        d = {"outcome": self.outcome, "depth": self.depth, "horizon": self.horizon}
-        if self.gap_bound is not None:
-            d["gap_bound"] = self.gap_bound
-        if self.witness_time is not None:
-            d["witness_time"] = self.witness_time
-        if self.interval is not None:
-            d["interval"] = list(self.interval)
-        if self.max_gap is not None:
-            d["max_gap"] = self.max_gap
-        return d
+        d = {"outcome": self.outcome, "depth": self.depth, "horizon": self.horizon,
+             "gap_bound": self.gap_bound, "witness_time": self.witness_time,
+             "interval": None if self.interval is None else list(self.interval),
+             "max_gap": self.max_gap}
+        return {k: v for k, v in d.items() if v is not None}
 
 
 def agreement_times(x: BiSeq, y: BiSeq, n: int, horizon: int) -> np.ndarray:
@@ -466,37 +448,51 @@ def agreement_times(x: BiSeq, y: BiSeq, n: int, horizon: int) -> np.ndarray:
 def proximal_witness(x: BiSeq, y: BiSeq, n: int, horizon: int) -> EvidenceVerdict:
     """First shift time (smallest absolute value, positive preferred) at
     which the radius-n windows agree; dual pairs are provably distal."""
-    if n < 0 or horizon < 0:
-        raise ValueError("depth and horizon must be nonnegative")
-    if is_dual_pair(x, y):
-        return EvidenceVerdict("distal_at_all_shifts", n, horizon)
-    ts = agreement_times(x, y, n, horizon)
-    if ts.size == 0:
-        return EvidenceVerdict("inconclusive", n, horizon)
-    best = min(ts, key=lambda t: (abs(int(t)), int(t) < 0))
-    return EvidenceVerdict("proximal_witness", n, horizon, witness_time=int(best))
+    return _distal_verdict(x, y, n, horizon) or _witness_verdict(
+        agreement_times(x, y, n, horizon), n, horizon)
 
 
 def syndetic_check(x: BiSeq, y: BiSeq, n: int, gap_bound: int, horizon: int) -> EvidenceVerdict:
     """Scan the agreement times at depth n on [-H, H]: report the first
     agreement-free interval of length ``gap_bound``, or the maximum gap
     observed when none exists."""
+    _check_gap_bound(gap_bound, horizon)
+    return _gap_verdict(agreement_times(x, y, n, horizon), n, gap_bound, horizon)
+
+
+def _distal_verdict(x: BiSeq, y: BiSeq, n: int, horizon: int) -> EvidenceVerdict | None:
+    """Validate depth and horizon; the proof of distality for a dual pair."""
+    if n < 0 or horizon < 0:
+        raise ValueError("depth and horizon must be nonnegative")
+    return EvidenceVerdict("distal_at_all_shifts", n, horizon) if is_dual_pair(x, y) else None
+
+
+def _check_gap_bound(gap_bound: int, horizon: int) -> None:
     if not (0 < gap_bound <= horizon):
         raise ValueError("need 0 < gap_bound <= horizon")
-    ts = agreement_times(x, y, n, horizon)
+
+
+def _witness_verdict(ts: np.ndarray, n: int, horizon: int) -> EvidenceVerdict:
+    """The agreement time of smallest absolute value, positive preferred."""
+    if ts.size == 0:
+        return EvidenceVerdict("inconclusive", n, horizon)
+    best = int(np.abs(ts).min())
+    return EvidenceVerdict("proximal_witness", n, horizon,
+                           witness_time=best if (ts == best).any() else -best)
+
+
+def _gap_verdict(ts: np.ndarray, n: int, gap_bound: int, horizon: int) -> EvidenceVerdict:
+    """From the sorted agreement times on [-H, H]: the first run of
+    ``gap_bound`` shifts free of agreement, or else the largest gap."""
     bounds = np.concatenate(([-horizon - 1], ts, [horizon + 1]))
-    for left, right in zip(bounds[:-1], bounds[1:]):
-        free = int(right - left - 1)
-        if free >= gap_bound:
-            start = int(left + 1)
-            return EvidenceVerdict(
-                "gap_violation", n, horizon, gap_bound=gap_bound,
-                interval=(start, start + gap_bound - 1),
-            )
+    hits = np.flatnonzero(np.diff(bounds) > gap_bound)
+    if hits.size:
+        start = int(bounds[hits[0]]) + 1
+        return EvidenceVerdict("gap_violation", n, horizon, gap_bound=gap_bound,
+                               interval=(start, start + gap_bound - 1))
     max_gap = int(np.diff(ts).max()) if ts.size > 1 else 1
-    return EvidenceVerdict(
-        "syndetic_up_to_horizon", n, horizon, gap_bound=gap_bound, max_gap=max_gap,
-    )
+    return EvidenceVerdict("syndetic_up_to_horizon", n, horizon, gap_bound=gap_bound,
+                           max_gap=max_gap)
 
 
 @dataclass(frozen=True)
@@ -537,10 +533,13 @@ def classify_pair(x: BiSeq, y: BiSeq, params: ClassifyParams = ClassifyParams())
     gap bound; inconclusive otherwise.  Nothing stronger than the computed
     evidence is ever claimed.
     """
-    pw = proximal_witness(x, y, params.depth, params.horizon)
-    if pw.outcome == "distal_at_all_shifts":
-        return PairReport(x.describe(), y.describe(), params, pw, None, ("proven-D",))
-    syn = syndetic_check(x, y, params.depth, params.gap, params.horizon)
+    proof = _distal_verdict(x, y, params.depth, params.horizon)
+    if proof is not None:
+        return PairReport(x.describe(), y.describe(), params, proof, None, ("proven-D",))
+    _check_gap_bound(params.gap, params.horizon)
+    ts = agreement_times(x, y, params.depth, params.horizon)
+    pw = _witness_verdict(ts, params.depth, params.horizon)
+    syn = _gap_verdict(ts, params.depth, params.gap, params.horizon)
     labels: list[str] = []
     if pw.outcome == "proximal_witness":
         labels.append("evidence-P")

@@ -1,9 +1,24 @@
-"""Hand-derived expected values shared by the unit and acceptance tests.
+"""Hand-derived expected values and reference implementations shared by
+the unit and acceptance tests.
 
-These tables were worked out independently of the library code (by direct
+The tables were worked out independently of the library code (by direct
 reasoning about the sample points and the published proximality table)
-and act as the oracles the implementations are checked against.
+and act as the oracles the implementations are checked against.  The
+symbolic references at the end are the simple one-letter-at-a-time forms
+of the library's sliced and vectorized fast paths, kept as differential
+oracles for them.
 """
+
+from flowrel.subshift import (
+    AdicImage,
+    ChaconPoint,
+    ChaconXi,
+    Dual,
+    EventuallyConstant,
+    EvidenceVerdict,
+    Shift,
+    SubstFixed,
+)
 
 # -- ternary 12-point sample ------------------------------------------------
 # The z family is the single nontrivial mutual-agreeability class; the edge
@@ -56,3 +71,108 @@ def circle_table_says_proximal(t1, t2) -> bool:
     if {f1, f2} in ({"center", "in"}, {"center", "out"}):
         return True
     return False
+
+
+# -- symbolic sequences, one coordinate at a time ------------------------------
+
+
+def reference_expand(rule: dict[str, str], word: str) -> str:
+    return "".join(rule[c] for c in word)
+
+
+def reference_chacon_block(k: int) -> str:
+    b = "0"
+    for _ in range(k):
+        b = b + b + "1" + b
+    return b
+
+
+def _chacon_block_covering(need: int) -> str:
+    k = 0
+    while (3 ** (k + 1) - 1) // 2 < need:
+        k += 1
+    return reference_chacon_block(k)
+
+
+def reference_segment(seq, lo: int, hi: int) -> str:
+    """The letters of ``seq`` at coordinates lo..hi, read one coordinate at
+    a time from cores grown here, with no call into ``seq.segment``."""
+    coords = range(lo, hi + 1)
+    if isinstance(seq, SubstFixed):
+        left, right = seq.left_seed, seq.right_seed
+        while len(left) < max(-lo, 1) or len(right) < max(hi + 1, 1):
+            left = reference_expand(seq.sub.rule, left)
+            right = reference_expand(seq.sub.rule, right)
+        return "".join(right[i] if i >= 0 else left[len(left) + i] for i in coords)
+    if isinstance(seq, ChaconPoint):
+        b = _chacon_block_covering(max(-lo, hi + 1, 1) + 1)
+        out = []
+        for i in coords:
+            if seq.kind == "x1":
+                out.append(b[i] if i >= 0 else b[len(b) + i])
+            elif i == 0:
+                out.append("1")
+            else:
+                out.append(b[i - 1] if i > 0 else b[len(b) + i])
+        return "".join(out)
+    if isinstance(seq, ChaconXi):
+        if seq.tail != 2:
+            return reference_segment(seq.normalized(), lo, hi)
+        if hi < lo:
+            return ""
+        k = len(seq.prefix)
+        while True:
+            off = 0
+            for j in range(k):
+                step = seq.prefix[j] if j < len(seq.prefix) else seq.tail
+                blen = len(reference_chacon_block(j))
+                off += {1: 0, 2: blen, 3: 2 * blen + 1}[step]
+            b = reference_chacon_block(k)
+            if -off <= lo and hi <= len(b) - 1 - off:
+                return "".join(b[i + off] for i in coords)
+            k += 1
+    if isinstance(seq, EventuallyConstant):
+        out = []
+        for i in coords:
+            j = i - seq.start
+            if j < 0:
+                out.append(seq.left_fill)
+            elif j < len(seq.center):
+                out.append(seq.center[j])
+            else:
+                out.append(seq.right_fill)
+        return "".join(out)
+    if isinstance(seq, Shift):
+        return reference_segment(seq.inner, lo + seq.k, hi + seq.k)
+    if isinstance(seq, Dual):
+        return "".join({"0": "1", "1": "0"}[c] for c in reference_segment(seq.inner, lo, hi))
+    if isinstance(seq, AdicImage):
+        raw = reference_segment(seq.inner, lo, hi + 1)
+        return "".join(str((int(raw[j]) + int(raw[j + 1])) % 2) for j in range(hi - lo + 1))
+    raise TypeError(f"no reference for {type(seq).__name__}")
+
+
+# -- evidence read from sorted agreement times ---------------------------------
+
+
+def reference_witness_time(ts) -> int | None:
+    """Smallest |t|, the positive one on a tie; None without agreements."""
+    if len(ts) == 0:
+        return None
+    return int(min(ts, key=lambda t: (abs(int(t)), int(t) < 0)))
+
+
+def reference_gap_verdict(ts, n: int, gap_bound: int, horizon: int) -> EvidenceVerdict:
+    """The first agreement-free interval of ``gap_bound`` shifts in [-H, H],
+    found by walking the gaps between consecutive agreement times."""
+    bounds = [-horizon - 1, *(int(t) for t in ts), horizon + 1]
+    for left, right in zip(bounds[:-1], bounds[1:]):
+        if right - left - 1 >= gap_bound:
+            return EvidenceVerdict(
+                "gap_violation", n, horizon, gap_bound=gap_bound,
+                interval=(left + 1, left + gap_bound),
+            )
+    max_gap = max(b - a for a, b in zip(ts[:-1], ts[1:])) if len(ts) > 1 else 1
+    return EvidenceVerdict(
+        "syndetic_up_to_horizon", n, horizon, gap_bound=gap_bound, max_gap=int(max_gap),
+    )

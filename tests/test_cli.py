@@ -81,6 +81,52 @@ def test_element_cap_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "2.5", ""])
+def test_element_cap_env_rejects_bad_values(capsys, monkeypatch, raw):
+    monkeypatch.setenv("FLOWREL_ELEMENT_CAP", raw)
+    code, out, err = run(capsys, "analyze", str(FLOWS / "identity1.flow"))
+    assert code == 2 and out == ""
+    assert "FLOWREL_ELEMENT_CAP must be an integer of at least 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", str(FLOWS / "identity1.flow"), "--cap", "-1"],
+    ["analyze", str(FLOWS / "identity1.flow"), "--cap", "0"],
+    ["fuzz", "--count", "3", "--cap", "0"],
+])
+def test_cap_flag_rejects_values_below_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "cap must be an integer of at least 1" in err
+
+
+def test_cap_flag_rejects_non_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(FLOWS / "identity1.flow"), "--cap", "abc"])
+    assert exc.value.code == 2
+    assert "--cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", [0, -3, "abc", 2.5, True])
+def test_config_cap_rejects_bad_values(capsys, tmp_path, cap):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cap": cap}))
+    code, out, err = run(capsys, "--config", str(cfg), "analyze", str(FLOWS / "identity1.flow"))
+    assert code == 2 and out == ""
+    assert "cap must be an integer of at least 1" in err
+
+
+def test_valid_cap_from_config_and_env(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cap": 3}))
+    code, _, err = run(capsys, "--config", str(cfg), "analyze", str(FLOWS / "two_ideal.flow"))
+    assert code == 3 and "too large" in err
+    monkeypatch.setenv("FLOWREL_ELEMENT_CAP", " 9 ")
+    code, _, _ = run(capsys, "analyze", str(FLOWS / "two_ideal.flow"))
+    assert code == 0
+
+
 def test_fuzz_counts_cap_exceeding_instances(capsys):
     code, out, _ = run(capsys, "fuzz", "--count", "30", "--seed", "2", "--cap", "8")
     assert code == 0

@@ -1,4 +1,10 @@
+import os
+import sys
+import threading
+import time
+
 import pytest
+from oracles import reference_chacon_block
 
 from flowrel.subshift import (
     AdicImage,
@@ -35,13 +41,6 @@ def naive_fixed_segment(left_seed, right_seed, rule, lo, hi):
     for i in range(lo, hi + 1):
         out += right[i] if i >= 0 else left[len(left) + i]
     return out
-
-
-def naive_chacon_block(k):
-    b = "0"
-    for _ in range(k):
-        b = b + b + "1" + b
-    return b
 
 
 # --- substitutions and fixed points -------------------------------------
@@ -137,8 +136,44 @@ def test_chacon_blocks_published_values():
 
 def test_chacon_blocks_match_naive_recursion():
     for k in range(9):
-        assert chacon_block(k) == naive_chacon_block(k)
+        assert chacon_block(k) == reference_chacon_block(k)
         assert len(chacon_block(k)) == (3 ** (k + 1) - 1) // 2
+
+
+def test_chacon_block_growth_is_thread_safe():
+    """More threads than cores grow the shared block cache from scratch at
+    once, with a short switch interval; an unguarded check-then-append
+    would store some block twice and shift every later index."""
+    from flowrel import subshift
+
+    expect = [reference_chacon_block(k) for k in range(11)]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_threads = min((cores or 1) + 6, 64)
+    saved, interval = list(subshift._BLOCK_CACHE), sys.getswitchinterval()
+    deadline = time.monotonic() + 2.0
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(200):
+            if time.monotonic() > deadline:
+                break
+            subshift._BLOCK_CACHE[:] = expect[:2]
+            barrier = threading.Barrier(n_threads, timeout=30)
+            got = [None] * n_threads
+
+            def grow(i):
+                barrier.wait()
+                got[i] = [chacon_block(k) for k in (10, 7, 9)]
+
+            threads = [threading.Thread(target=grow, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert subshift._BLOCK_CACHE == expect
+            assert all(g == [expect[10], expect[7], expect[9]] for g in got)
+    finally:
+        sys.setswitchinterval(interval)
+        subshift._BLOCK_CACHE[:] = saved
 
 
 def test_chacon_block_guard():
