@@ -245,6 +245,11 @@ DEFAULTS = {
     "cap": None,
 }
 
+# JSON types a --config value may have, per flag (bool is not an integer
+# here); the cap is checked by checked_cap
+CONFIG_TYPES = {key: (int,) for key in ("count", "seed", "max_states", "depth", "gap", "horizon")}
+CONFIG_TYPES.update(format=(str,), out=(str, type(None)))
+
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="flowrel", description=__doc__,
@@ -287,10 +292,20 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def load_config(path: str) -> dict:
+    """The --config file: a JSON object whose values have their flags'
+    types, else a ValueError."""
+    config = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(config, dict):
+        raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
+    for key, value in config.items():
+        if key in CONFIG_TYPES and type(value) not in CONFIG_TYPES[key]:
+            raise ValueError(f"config value {key}={value!r} has the wrong type for --{key.replace('_', '-')}")
+    return config
+
+
 def apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    config = {}
-    if args.config:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    config = load_config(args.config) if args.config else {}
     for key, fallback in DEFAULTS.items():
         if getattr(args, key, None) is None and hasattr(args, key):
             setattr(args, key, config.get(key, fallback))

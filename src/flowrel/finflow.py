@@ -76,13 +76,6 @@ class FiniteFlow:
                 if not (0 <= v < self.n_states):
                     raise ValueError(f"generator {g} maps outside the state set")
 
-    @property
-    def states(self) -> range:
-        return range(self.n_states)
-
-    def apply(self, gen_index: int, state: int) -> int:
-        return self.generators[gen_index][state]
-
 
 def parse_flow(text: str) -> FiniteFlow:
     """Parse the flow text format: a ``states: N`` line, then one
@@ -126,10 +119,21 @@ def format_flow(flow: FiniteFlow, comment: str | None = None) -> str:
 
 
 def kernel_signature(row) -> tuple[int, ...]:
-    """First-occurrence labelling of a map's images; maps with equal
-    signatures induce the same partition of the state set."""
-    labels: dict[int, int] = {}
-    return tuple(labels.setdefault(int(v), len(labels)) for v in row)
+    """First-occurrence labelling of a row of hashable values: equal values
+    get equal labels, numbered in order of first appearance.  Maps with
+    equal signatures of their images induce the same partition of the
+    state set; zipped kernels label the common refinement."""
+    labels: dict = {}
+    values = row.tolist() if isinstance(row, np.ndarray) else row
+    return tuple(labels.setdefault(v, len(labels)) for v in values)
+
+
+def label_classes(labels) -> list[frozenset[int]]:
+    """The classes {x : labels[x] = c}, ordered by least member."""
+    classes: dict = {}
+    for x, c in enumerate(labels):
+        classes.setdefault(c, []).append(x)
+    return [frozenset(c) for c in classes.values()]
 
 
 class TransMonoid:
@@ -156,9 +160,6 @@ class TransMonoid:
     def size(self) -> int:
         return int(self.elements.shape[0])
 
-    def row(self, i: int) -> np.ndarray:
-        return self.elements[i]
-
     def image_tuple(self, i: int) -> tuple[int, ...]:
         return tuple(int(v) for v in self.elements[i])
 
@@ -175,9 +176,6 @@ class TransMonoid:
         if self.n_states == 1:
             return np.ones(self.size, dtype=int)
         return 1 + (np.diff(srt, axis=1) > 0).sum(axis=1)
-
-    def rank(self, i: int) -> int:
-        return len(set(self.image_tuple(i)))
 
     def is_idempotent(self, i: int) -> bool:
         return self.compose(i, i) == i
@@ -200,17 +198,6 @@ class TransMonoid:
     def as_flow(self) -> FiniteFlow:
         """The flow whose generators are all monoid elements (closure idempotence)."""
         return FiniteFlow(self.n_states, tuple(self.image_tuple(i) for i in range(self.size)))
-
-    def compose_table(self, limit: int = 2000) -> np.ndarray:
-        """Full index-based composition table; guarded because it is quadratic."""
-        if self.size > limit:
-            raise MonoidTooLarge(f"compose table for {self.size} elements exceeds limit {limit}")
-        table = np.empty((self.size, self.size), dtype=np.int32)
-        for i in range(self.size):
-            rows = self.elements[i][self.elements]
-            for j in range(self.size):
-                table[i, j] = self.index[tuple(rows[j].tolist())]
-        return table
 
 
 def close(flow: FiniteFlow, cap: int | None = None) -> TransMonoid:
@@ -252,11 +239,11 @@ def close(flow: FiniteFlow, cap: int | None = None) -> TransMonoid:
 @dataclass(frozen=True)
 class LeftIdeal:
     """A minimal left ideal: a kernel(-partition) class of the minimum-rank
-    elements.  ``kernel`` is the common partition signature of its members."""
+    elements.  ``kernel`` is the common partition signature of its members,
+    so x and y are collapsed by every member iff ``kernel[x] == kernel[y]``."""
 
     members: tuple[int, ...]
     kernel: tuple[int, ...]
-    is_minimal: bool = True
 
 
 @dataclass(frozen=True)
@@ -272,11 +259,12 @@ class IdealStructure:
     def kernel_elements(self) -> tuple[int, ...]:
         return tuple(i for ideal in self.ideals for i in ideal.members)
 
-    def ideal_of_element(self, p: int) -> int:
-        for k, ideal in enumerate(self.ideals):
-            if p in ideal.members:
-                return k
-        raise KeyError(p)
+    @property
+    def refinement_labels(self) -> tuple[int, ...]:
+        """First-occurrence labels of the common refinement of the ideal
+        kernels: x and y share a label iff every minimal ideal collapses
+        them."""
+        return kernel_signature(zip(*(ideal.kernel for ideal in self.ideals)))
 
 
 def minimal_left_ideals(m: TransMonoid) -> list[LeftIdeal]:
@@ -306,18 +294,6 @@ def minimal_left_ideals(m: TransMonoid) -> list[LeftIdeal]:
     return ideals
 
 
-def brute_minimal_left_ideals(m: TransMonoid) -> list[tuple[int, ...]]:
-    """Reference computation: form S¹p for every p and keep the
-    inclusion-minimal ones.  Quadratic; used as a cross-check oracle."""
-    all_ideals = {m.left_ideal_of(p) for p in range(m.size)}
-    minimal = []
-    for ideal in all_ideals:
-        s = set(ideal)
-        if not any(set(other) < s for other in all_ideals):
-            minimal.append(ideal)
-    return sorted(minimal)
-
-
 def idempotents(m: TransMonoid, ideal: LeftIdeal) -> tuple[int, ...]:
     """All u in the ideal with u ∘ u = u; nonempty for minimal ideals."""
     out = tuple(i for i in ideal.members if m.is_idempotent(i))
@@ -335,11 +311,10 @@ def ideal_structure(m: TransMonoid) -> IdealStructure:
 
 
 def equivalent_idempotents(m: TransMonoid) -> list[tuple[int, int]]:
-    """All cross-ideal pairs (u, u') with u∘u' = u' and u'∘u = u.
-
-    Also asserts the existence claim: every minimal idempotent has at least
-    one equivalent partner inside every other minimal ideal.
-    """
+    """All cross-ideal pairs (u, u') with u∘u' = u' and u'∘u = u, ordered
+    by (ideal of u < ideal of u', u, u').  The existence claim (every
+    minimal idempotent has a partner in every other minimal ideal) is
+    checked on these pairs by the relation check suite."""
     st = ideal_structure(m)
     pairs: list[tuple[int, int]] = []
     k = len(st.ideals)
@@ -349,18 +324,6 @@ def equivalent_idempotents(m: TransMonoid) -> list[tuple[int, int]]:
                 for v in st.idempotents_by_ideal[b]:
                     if m.compose(u, v) == v and m.compose(v, u) == u:
                         pairs.append((u, v))
-    for a in range(k):
-        for u in st.idempotents_by_ideal[a]:
-            for b in range(k):
-                if b == a:
-                    continue
-                if not any(
-                    (m.compose(u, v) == v and m.compose(v, u) == u)
-                    for v in st.idempotents_by_ideal[b]
-                ):
-                    raise AssertionError(
-                        f"idempotent {u} has no equivalent partner in ideal {b}"
-                    )
     return pairs
 
 
@@ -404,10 +367,6 @@ class FactorMap:
 
     def fiber(self, y: int) -> tuple[int, ...]:
         return tuple(x for x in range(self.source.n_states) if self.point_map[x] == y)
-
-
-def identity_factor(flow: FiniteFlow) -> FactorMap:
-    return FactorMap(flow, flow, tuple(range(flow.n_states)))
 
 
 def induced_theta(f: FactorMap, sm: TransMonoid, tm: TransMonoid) -> np.ndarray:

@@ -15,14 +15,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .finflow import LeftIdeal, TransMonoid, ideal_structure
-from .relations import CheckResult, ideal_kernel_matrix, proximal, strongly_proximal, _result
-
-
-@dataclass(frozen=True)
-class ProximalSet:
-    members: frozenset[int]
-    collapser: int
+from .finflow import LeftIdeal, TransMonoid, ideal_structure, label_classes
+from .relations import CheckResult, proximal, strongly_proximal, _result
 
 
 @dataclass(frozen=True)
@@ -34,7 +28,6 @@ class IProximalSet:
 @dataclass(frozen=True)
 class StronglyProximalSet:
     members: frozenset[int]
-    maximal: bool = True
 
 
 def is_proximal_set(m: TransMonoid, members) -> int | None:
@@ -73,69 +66,55 @@ def minimal_ideal_collapse(m: TransMonoid, members) -> LeftIdeal | None:
 
 
 def i_proximal_partition(m: TransMonoid, ideal: LeftIdeal) -> list[IProximalSet]:
-    """Classes of x ~ y iff p(x) = p(y) for every p in the ideal.
+    """Classes of x ~ y iff p(x) = p(y) for every p in the ideal, read
+    from the ideal's kernel labels and ordered by least member.
 
-    These are the maximal sets collapsed by every element of the ideal.
-    Asserts that distinct classes have distinct images under every ideal
-    element, that every class contains an almost periodic point, and that
-    every class is closed under the ideal's idempotents.
+    These are the maximal sets collapsed by every element of the ideal;
+    ``validate_partitions`` checks their structure.
     """
-    st = ideal_structure(m)
-    idx = st.ideals.index(ideal)
-    ker = ideal_kernel_matrix(m, ideal)
-    n = m.n_states
-    seen: set[int] = set()
-    classes: list[frozenset[int]] = []
-    for x in range(n):
-        if x not in seen:
-            c = frozenset(int(y) for y in np.nonzero(ker[x])[0])
-            seen |= c
-            classes.append(c)
-    for a, b in combinations(classes, 2):
-        xa, xb = min(a), min(b)
-        for p in ideal.members:
-            if m.apply(p, xa) == m.apply(p, xb):
-                raise AssertionError(
-                    f"distinct ideal-proximal classes share an image under element {p}"
-                )
-    js = st.idempotents_by_ideal[idx]
-    for c in classes:
-        if not any(m.apply(u, x) == x for u in js for x in c):
-            raise AssertionError(f"class {sorted(c)} has no almost periodic point")
-        for u in js:
-            if any(m.apply(u, x) not in c for x in c):
-                raise AssertionError(f"class {sorted(c)} not closed under idempotent {u}")
-    return [IProximalSet(idx, c) for c in classes]
+    idx = ideal_structure(m).ideals.index(ideal)
+    return [IProximalSet(idx, c) for c in label_classes(ideal.kernel)]
 
 
 def max_strongly_proximal_sets(m: TransMonoid) -> list[StronglyProximalSet]:
     """Classes of the common refinement x ~ y iff p(x) = p(y) for every
-    element of every minimal ideal.
+    element of every minimal ideal, ordered by least member;
+    ``validate_partitions`` checks their structure."""
+    return [StronglyProximalSet(c) for c in label_classes(ideal_structure(m).refinement_labels)]
 
-    Asserts that each class is an intersection of one class per ideal,
-    that distinct classes are disjoint, and that every minimal idempotent
-    maps each class to a singleton.
+
+def validate_partitions(m: TransMonoid) -> None:
+    """The structural assertions on the per-ideal partitions and their
+    common refinement.
+
+    Per ideal: distinct classes have distinct images under every ideal
+    element, every class contains an almost periodic point, and every
+    class is closed under the ideal's idempotents.  Refinement: each class
+    is an intersection of one class per ideal, distinct classes are
+    disjoint, and every minimal idempotent maps each class to a singleton.
     """
     st = ideal_structure(m)
-    n = m.n_states
-    common = np.ones((n, n), dtype=bool)
-    partitions = []
-    for ideal in st.ideals:
-        ker = ideal_kernel_matrix(m, ideal)
-        partitions.append(ker)
-        common &= ker
-    seen: set[int] = set()
-    classes: list[frozenset[int]] = []
-    for x in range(n):
-        if x not in seen:
-            c = frozenset(int(y) for y in np.nonzero(common[x])[0])
-            seen |= c
-            classes.append(c)
+    for ideal, js in zip(st.ideals, st.idempotents_by_ideal):
+        classes = label_classes(ideal.kernel)
+        for a, b in combinations(classes, 2):
+            xa, xb = min(a), min(b)
+            for p in ideal.members:
+                if m.apply(p, xa) == m.apply(p, xb):
+                    raise AssertionError(
+                        f"distinct ideal-proximal classes share an image under element {p}"
+                    )
+        for c in classes:
+            if not any(m.apply(u, x) == x for u in js for x in c):
+                raise AssertionError(f"class {sorted(c)} has no almost periodic point")
+            for u in js:
+                if any(m.apply(u, x) not in c for x in c):
+                    raise AssertionError(f"class {sorted(c)} not closed under idempotent {u}")
+    classes = label_classes(st.refinement_labels)
     for c in classes:
         x = min(c)
-        inter = set(range(n))
-        for ker in partitions:
-            inter &= {int(y) for y in np.nonzero(ker[x])[0]}
+        inter = set(range(m.n_states))
+        for ideal in st.ideals:
+            inter &= {y for y, label in enumerate(ideal.kernel) if label == ideal.kernel[x]}
         if inter != set(c):
             raise AssertionError("refinement class is not the intersection of per-ideal classes")
     for a, b in combinations(classes, 2):
@@ -145,7 +124,6 @@ def max_strongly_proximal_sets(m: TransMonoid) -> list[StronglyProximalSet]:
         for u in st.all_idempotents:
             if len({m.apply(u, x) for x in c}) != 1:
                 raise AssertionError(f"idempotent {u} does not collapse class {sorted(c)}")
-    return [StronglyProximalSet(c) for c in classes]
 
 
 def sp_matches_class_squares(m: TransMonoid) -> CheckResult:
@@ -216,8 +194,7 @@ def _proximal_candidates(m: TransMonoid, size_cap: int = 4,
                 if is_proximal_set(m, combo) is not None:
                     found.add(combo)
     for ideal in st.ideals:
-        for cls in i_proximal_partition(m, ideal):
-            found.add(tuple(sorted(cls.members)))
+        found.update(tuple(sorted(c)) for c in label_classes(ideal.kernel))
     return sorted(found)
 
 
@@ -228,25 +205,15 @@ def check_rA_proximal_equiv(m: TransMonoid, size_cap: int = 4) -> CheckResult:
     The forward direction is sound for any enumeration; the converse needs
     only two-element sets, which the enumeration always includes.
     """
-    st = ideal_structure(m)
     p_equiv = proximal(m).is_equivalence
-    class_ids = []
-    for ideal in st.ideals:
-        ker = ideal_kernel_matrix(m, ideal)
-        cid = np.full(m.n_states, -1, dtype=int)
-        next_id = 0
-        for x in range(m.n_states):
-            if cid[x] < 0:
-                cid[np.nonzero(ker[x])[0]] = next_id
-                next_id += 1
-        class_ids.append(cid)
+    kernels = [np.array(ideal.kernel) for ideal in ideal_structure(m).ideals]
     all_images_proximal = True
     witness = ""
     for cols in _proximal_candidates(m, size_cap):
         images = m.elements[:, list(cols)]
         ok = np.zeros(m.size, dtype=bool)
-        for cid in class_ids:
-            labelled = cid[images]
+        for labels in kernels:
+            labelled = labels[images]
             ok |= (labelled == labelled[:, :1]).all(axis=1)
         if not ok.all():
             r = int(np.nonzero(~ok)[0][0])

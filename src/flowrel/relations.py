@@ -24,12 +24,12 @@ from .finflow import (
     FactorMap,
     FiniteFlow,
     IdealStructure,
-    LeftIdeal,
     TransMonoid,
     close,
     equivalent_idempotents,
     ideal_structure,
     induced_theta,
+    label_classes,
 )
 
 
@@ -40,9 +40,6 @@ class NotAnIcer(ValueError):
     def __init__(self, prop: str, detail: str = ""):
         self.violated = prop
         super().__init__(f"not an icer: {prop}" + (f" ({detail})" if detail else ""))
-
-
-RELATION_KINDS = ("P", "D", "Omega", "SP", "WD")
 
 
 @dataclass(frozen=True)
@@ -58,9 +55,6 @@ class PairRelation:
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(int(x), int(y)) for x, y in zip(*np.nonzero(self.matrix))]
-
-    def cell(self, x: int) -> frozenset[int]:
-        return frozenset(int(y) for y in np.nonzero(self.matrix[x])[0])
 
     @property
     def is_symmetric(self) -> bool:
@@ -81,42 +75,18 @@ class PairRelation:
 
     def classes(self) -> list[frozenset[int]]:
         """Equivalence classes, ordered by least member (requires equivalence)."""
-        seen: set[int] = set()
-        out = []
-        for x in range(self.n_states):
-            if x not in seen:
-                c = self.cell(x) | {x}
-                seen |= c
-                out.append(frozenset(c))
-        return out
-
-
-@dataclass(frozen=True)
-class Cell:
-    center: int
-    members: frozenset[int]
-    kind: str
+        return label_classes(self.matrix.argmax(axis=1).tolist())
 
 
 def diagonal(n: int) -> np.ndarray:
     return np.eye(n, dtype=bool)
 
 
-def _collapse_matrices(m: TransMonoid) -> np.ndarray:
-    """(size, n, n) boolean tensor: entry [p, x, y] says element p collapses
-    the pair (x, y)."""
-    e = m.elements
-    return e[:, :, None] == e[:, None, :]
-
-
-def ideal_kernel_matrix(m: TransMonoid, ideal: LeftIdeal) -> np.ndarray:
-    """Pairs collapsed by every element of the ideal."""
-    n = m.n_states
-    out = np.ones((n, n), dtype=bool)
-    for p in ideal.members:
-        row = m.elements[p]
-        out &= row[:, None] == row[None, :]
-    return out
+def _ideal_kernel_classes(m: TransMonoid) -> np.ndarray:
+    """``(k, n, n)`` boolean: entry [i, x, y] says minimal ideal i collapses
+    the pair (x, y), read from the ideal's kernel labels."""
+    labels = np.array([ideal.kernel for ideal in ideal_structure(m).ideals])
+    return labels[:, :, None] == labels[:, None, :]
 
 
 def omega(m: TransMonoid) -> PairRelation:
@@ -133,45 +103,17 @@ def omega(m: TransMonoid) -> PairRelation:
 
 
 def proximal(m: TransMonoid) -> PairRelation:
-    """Pairs collapsed by some monoid element.
-
-    Cross-checked against the minimal-ideal form (some minimal ideal
-    collapses the pair everywhere); disagreement would be an
-    implementation bug, since the two forms are provably equal.
-    """
-    direct = _collapse_matrices(m).any(axis=0)
-    st = ideal_structure(m)
-    via_ideals = np.zeros_like(direct)
-    for ideal in st.ideals:
-        via_ideals |= ideal_kernel_matrix(m, ideal)
-    if not np.array_equal(direct, via_ideals):
-        raise AssertionError(
-            "proximal relation: element form and minimal-ideal form disagree; "
-            f"diff pairs {np.argwhere(direct != via_ideals).tolist()}"
-        )
-    return PairRelation(m.n_states, direct, "P")
+    """Pairs collapsed by some monoid element: some minimal ideal
+    collapses the pair.  ``verify_relation_forms`` checks this against the
+    element form."""
+    return PairRelation(m.n_states, _ideal_kernel_classes(m).any(axis=0), "P")
 
 
 def strongly_proximal(m: TransMonoid) -> PairRelation:
     """Pairs collapsed by every element of every minimal ideal.
-
-    Asserts that SP is an equivalence relation and that membership is
-    equivalent to every monoid translate of the pair staying proximal.
-    """
-    st = ideal_structure(m)
-    n = m.n_states
-    mat = np.ones((n, n), dtype=bool)
-    for ideal in st.ideals:
-        mat &= ideal_kernel_matrix(m, ideal)
-    rel = PairRelation(n, mat, "SP")
-    if not rel.is_equivalence:
-        raise AssertionError("SP failed to be an equivalence relation")
-    pmat = proximal(m).matrix
-    e = m.elements
-    translates_in_p = pmat[e[:, :, None], e[:, None, :]].all(axis=0)
-    if not np.array_equal(mat, translates_in_p):
-        raise AssertionError("SP does not match the all-translates-proximal form")
-    return rel
+    ``verify_relation_forms`` checks that it is an equivalence relation and
+    equals the all-translates-proximal form."""
+    return PairRelation(m.n_states, _ideal_kernel_classes(m).all(axis=0), "SP")
 
 
 def distal_rel(m: TransMonoid) -> PairRelation:
@@ -182,10 +124,33 @@ def weakly_distal_rel(m: TransMonoid) -> PairRelation:
     return PairRelation(m.n_states, ~strongly_proximal(m).matrix, "WD")
 
 
+def verify_relation_forms(m: TransMonoid, p: PairRelation, sp: PairRelation) -> None:
+    """The cross-form assertions on P and SP, run once per ``analyze_flow``.
+
+    P read from the minimal ideals equals the element form (some element
+    collapses the pair); SP is an equivalence relation; SP membership is
+    equivalent to every monoid translate of the pair staying proximal.
+    Disagreement would be an implementation bug, since each pair of forms
+    is provably equal.
+    """
+    e = m.elements
+    direct = (e[:, :, None] == e[:, None, :]).any(axis=0)
+    if not np.array_equal(direct, p.matrix):
+        raise AssertionError(
+            "proximal relation: element form and minimal-ideal form disagree; "
+            f"diff pairs {np.argwhere(direct != p.matrix).tolist()}"
+        )
+    if not sp.is_equivalence:
+        raise AssertionError("SP failed to be an equivalence relation")
+    translates_in_p = p.matrix[e[:, :, None], e[:, None, :]].all(axis=0)
+    if not np.array_equal(sp.matrix, translates_in_p):
+        raise AssertionError("SP does not match the all-translates-proximal form")
+
+
 @dataclass
 class FlowAnalysis:
     """Everything computed once for a flow: closure, ideal structure and
-    the five relations."""
+    the five relations (D and WD are the complements of P and SP)."""
 
     flow: FiniteFlow
     monoid: TransMonoid
@@ -193,13 +158,19 @@ class FlowAnalysis:
     omega: PairRelation
     proximal: PairRelation
     strongly_proximal: PairRelation
-    distal: PairRelation
-    weakly_distal: PairRelation
     equivalent_pairs: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def n_states(self) -> int:
         return self.flow.n_states
+
+    @property
+    def distal(self) -> PairRelation:
+        return PairRelation(self.n_states, ~self.proximal.matrix, "D")
+
+    @property
+    def weakly_distal(self) -> PairRelation:
+        return PairRelation(self.n_states, ~self.strongly_proximal.matrix, "WD")
 
     def relation(self, kind: str) -> PairRelation:
         return {
@@ -225,27 +196,17 @@ class FlowAnalysis:
 
 def analyze_flow(flow: FiniteFlow, cap: int | None = None) -> FlowAnalysis:
     m = close(flow, cap=cap)
-    st = ideal_structure(m)
+    p, sp = proximal(m), strongly_proximal(m)
+    verify_relation_forms(m, p, sp)
     return FlowAnalysis(
         flow=flow,
         monoid=m,
-        structure=st,
+        structure=ideal_structure(m),
         omega=omega(m),
-        proximal=proximal(m),
-        strongly_proximal=strongly_proximal(m),
-        distal=distal_rel(m),
-        weakly_distal=weakly_distal_rel(m),
+        proximal=p,
+        strongly_proximal=sp,
         equivalent_pairs=equivalent_idempotents(m),
     )
-
-
-def almost_periodic_points(m: TransMonoid) -> frozenset[int]:
-    st = ideal_structure(m)
-    ar = np.arange(m.n_states)
-    fixed = np.zeros(m.n_states, dtype=bool)
-    for u in st.all_idempotents:
-        fixed |= m.elements[u] == ar
-    return frozenset(int(x) for x in np.nonzero(fixed)[0])
 
 
 def is_minimal_flow(m: TransMonoid) -> bool:

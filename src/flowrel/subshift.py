@@ -125,11 +125,19 @@ class SubstFixed(BiSeq):
 
     def _grow(self, need: int) -> tuple[str, str]:
         with self._lock:
-            while len(self._left) < need:
-                self._left = self.sub.expand(self._left)
-            while len(self._right) < need:
-                self._right = self.sub.expand(self._right)
+            self._left = self._expanded_to(self._left, need)
+            self._right = self._expanded_to(self._right, need)
             return self._left, self._right
+
+    def _expanded_to(self, half: str, need: int) -> str:
+        """``half`` expanded until it has at least ``need`` letters; an
+        OverflowError, before expanding, if an image would pass the
+        MAX_BLOCK_LENGTH-letter guard."""
+        while len(half) < need:
+            if sum(half.count(c) * len(w) for c, w in self.sub.rule.items()) > MAX_BLOCK_LENGTH:
+                raise OverflowError(f"substitution image exceeds the {MAX_BLOCK_LENGTH}-letter guard")
+            half = self.sub.expand(half)
+        return half
 
     def segment(self, lo: int, hi: int) -> str:
         return _two_sided(*self._grow(max(-lo, hi + 1, 1)), lo, hi) if lo <= hi else ""

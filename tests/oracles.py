@@ -4,10 +4,14 @@ the unit and acceptance tests.
 The tables were worked out independently of the library code (by direct
 reasoning about the sample points and the published proximality table)
 and act as the oracles the implementations are checked against.  The
-symbolic references at the end are the simple one-letter-at-a-time forms
-of the library's sliced and vectorized fast paths, kept as differential
-oracles for them.
+symbolic references are the simple one-letter-at-a-time forms of the
+library's sliced and vectorized fast paths, kept as differential oracles
+for them; the brute-force minimal left ideals, the element-by-element
+ideal kernel matrix and the row-scan class listing are the references for
+``minimal_left_ideals`` and the kernel-label forms of the relations.
 """
+
+import numpy as np
 
 from flowrel.subshift import (
     AdicImage,
@@ -176,3 +180,40 @@ def reference_gap_verdict(ts, n: int, gap_bound: int, horizon: int) -> EvidenceV
     return EvidenceVerdict(
         "syndetic_up_to_horizon", n, horizon, gap_bound=gap_bound, max_gap=int(max_gap),
     )
+
+
+# -- minimal left ideals by brute force ------------------------------------------
+
+
+def brute_minimal_left_ideals(m) -> list[tuple[int, ...]]:
+    """Form S¹p for every p and keep the inclusion-minimal ones.
+    Quadratic; the reference for ``minimal_left_ideals``."""
+    all_ideals = {m.left_ideal_of(p) for p in range(m.size)}
+    minimal = []
+    for ideal in all_ideals:
+        s = set(ideal)
+        if not any(set(other) < s for other in all_ideals):
+            minimal.append(ideal)
+    return sorted(minimal)
+
+
+def reference_ideal_kernel_matrix(m, ideal) -> np.ndarray:
+    """Pairs collapsed by every element of the ideal, one element at a time."""
+    out = np.ones((m.n_states, m.n_states), dtype=bool)
+    for p in ideal.members:
+        row = m.elements[p]
+        out &= row[:, None] == row[None, :]
+    return out
+
+
+def reference_classes(matrix) -> list[frozenset[int]]:
+    """Classes of an equivalence matrix, ordered by least member, by
+    scanning its rows."""
+    seen: set[int] = set()
+    out = []
+    for x in range(matrix.shape[0]):
+        if x not in seen:
+            c = frozenset(int(y) for y in np.nonzero(matrix[x])[0])
+            seen |= c
+            out.append(c)
+    return out

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -149,6 +151,84 @@ def test_config_file_defaults(capsys, tmp_path):
     assert code == 0
     summary = json.loads(out)
     assert summary["count"] == 7 and summary["seed"] == 9
+
+
+@pytest.mark.parametrize("config", [
+    [1], "x", 3, None,
+    {"count": "abc"}, {"count": True}, {"seed": 1.5}, {"max_states": None},
+    {"horizon": "4096"}, {"format": 1}, {"out": 7},
+])
+def test_config_shape_rejected(capsys, tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    for argv in (["fuzz", "--count", "2"], ["analyze", str(FLOWS / "identity1.flow")]):
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 2 and out == "", (config, argv)
+        assert err.startswith("error: config") and "Traceback" not in err
+
+
+def test_config_null_out_and_string_format_accepted(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": None, "format": "text"}))
+    code, out, _ = run(capsys, "--config", str(cfg), "analyze", str(FLOWS / "identity1.flow"))
+    assert code == 0 and "distal=yes" in out
+
+
+def test_morse_horizon_past_the_letter_guard_exits_2(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify-pair", "--system", "morse", "--x", "a", "--y", "b",
+                         "--horizon", "100000000")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == "" and "letter guard" in err
+
+
+def test_morse_horizon_of_a_million_runs(capsys):
+    code, out, _ = run(capsys, "classify-pair", "--system", "morse", "--x", "a", "--y", "b",
+                       "--horizon", "1000000")
+    assert code == 0
+    assert json.loads(out)["params"]["horizon"] == 10**6
+
+
+# sha256 of `flowrel analyze` stdout, recorded before P, SP and the class
+# listings were read from per-ideal kernel labels
+ANALYZE_SHA256 = {
+    "constants2": "02e947e59c91da5c9c168c104e6302d24b8ab254d4f65dd6c7876a315035f930",
+    "identity1": "497daed2e25991dea8a1a50f1a225a6ff183dfe6ef1e7f7abccff05469166c2f",
+    "rotation3": "6045d3f129768810e9eda58686a702441021bde4c2d7a4d6ba29362f3edd98eb",
+    "single_ideal_seed": "28db8133b4b94f339a9b0fafdd15b63bbd92785a6b390cffc6e92086d54c7ae3",
+    "two_ideal": "ae51f2c4edb1ac3276c8fbefc051f863c90926cd52476fe44e955112d9cd1872",
+}
+
+# rotation x -> x + 1 and x -> x - (x mod 4) on 16 states: 80 elements,
+# 4 minimal ideals, 24 equivalent idempotent pairs
+FOUR_IDEAL_FLOW = "states: 16\n{}\n{}\n".format(
+    " ".join(str((x + 1) % 16) for x in range(16)),
+    " ".join(str(x - x % 4) for x in range(16)),
+)
+FOUR_IDEAL_SHA256 = "1f35d64eb67dbeaec9a21754edd91a05c2808cb29a4be0e4e82f627d6dddd376"
+
+
+def test_pinned_flows_are_the_sample_flows():
+    assert sorted(p.stem for p in FLOWS.glob("*.flow")) == sorted(ANALYZE_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_SHA256))
+def test_analyze_report_bytes_pinned(capsys, name):
+    code, out, _ = run(capsys, "analyze", str(FLOWS / f"{name}.flow"))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_SHA256[name]
+
+
+def test_analyze_four_ideal_report_bytes_pinned(capsys, tmp_path):
+    flow = tmp_path / "four_ideal.flow"
+    flow.write_text(FOUR_IDEAL_FLOW)
+    code, out, _ = run(capsys, "analyze", str(flow))
+    assert code == 0
+    report = json.loads(out)
+    assert report["monoid"]["size"] == 80
+    assert len(report["monoid"]["minimal_ideals"]) == 4
+    assert len(report["monoid"]["equivalent_idempotent_pairs"]) == 24
+    assert hashlib.sha256(out.encode()).hexdigest() == FOUR_IDEAL_SHA256
 
 
 @pytest.mark.parametrize("example", ["mt", "chacon", "ternary", "cc"])

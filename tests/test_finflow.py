@@ -7,7 +7,6 @@ from flowrel.finflow import (
     FlowParseError,
     MonoidTooLarge,
     NotAFactorMap,
-    brute_minimal_left_ideals,
     close,
     equivalent_idempotents,
     fixed_point_set,
@@ -16,10 +15,12 @@ from flowrel.finflow import (
     idempotents,
     induced_theta,
     kernel_signature,
+    label_classes,
     minimal_left_ideals,
     parse_flow,
 )
 from flowrel.fuzz import CONSTANTS_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW, TWO_IDEAL_FLOW
+from oracles import brute_minimal_left_ideals
 
 
 def test_flow_validation():
@@ -186,6 +187,17 @@ def test_kernel_signature():
     assert kernel_signature((1, 1, 3, 3)) == (0, 0, 1, 1)
     assert kernel_signature((3, 1, 1, 3)) == (0, 1, 1, 0)
     assert kernel_signature((2, 2, 2, 2)) == (0, 0, 0, 0)
+    assert kernel_signature(np.array([5, 2, 5], dtype=np.int16)) == (0, 1, 0)
+    # hashable rows: zipped kernels label their common refinement
+    assert kernel_signature(zip((0, 0, 1, 1), (0, 1, 1, 0))) == (0, 1, 2, 3)
+    assert kernel_signature(zip((0, 0, 1, 1), (0, 0, 1, 1))) == (0, 0, 1, 1)
+
+
+def test_label_classes_ordered_by_least_member():
+    assert label_classes((0, 1, 1, 0)) == [frozenset({0, 3}), frozenset({1, 2})]
+    assert label_classes("baab") == [frozenset({0, 3}), frozenset({1, 2})]
+    assert label_classes((7,)) == [frozenset({0})]
+    assert label_classes(()) == []
 
 
 def test_factor_map_validation():

@@ -3,13 +3,24 @@ invariants the exact engine is supposed to guarantee."""
 
 import random
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from flowrel.finflow import brute_minimal_left_ideals, close, ideal_structure, minimal_left_ideals
+from flowrel.finflow import close, ideal_structure, minimal_left_ideals
 from flowrel.fuzz import random_flow, random_icer, relation_check_suite, saturate_icer
-from flowrel.relations import analyze_flow, check_factor_theorems, diagonal, quotient_by_icer
+from flowrel.proxsets import i_proximal_partition, max_strongly_proximal_sets
+from flowrel.relations import (
+    PairRelation,
+    analyze_flow,
+    check_factor_theorems,
+    diagonal,
+    proximal,
+    quotient_by_icer,
+    strongly_proximal,
+)
 from flowrel.subshift import Dual, Shift, morse_fixed_points
 from flowrel.ternary import TernarySeq, pair_type
+from oracles import brute_minimal_left_ideals, reference_classes, reference_ideal_kernel_matrix
 
 flows = st.integers(min_value=0, max_value=10**9).map(
     lambda seed: random_flow(random.Random(seed), max_states=5, max_gens=2)
@@ -31,6 +42,25 @@ def test_closure_idempotent(flow):
     m = close(flow)
     again = close(m.as_flow())
     assert set(map(tuple, m.elements.tolist())) == set(map(tuple, again.elements.tolist()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flows)
+def test_kernel_labels_match_element_forms(flow):
+    # P, SP and every class listing read from the per-ideal kernel labels
+    # agree with the element-by-element forms, classes in the same order
+    m = close(flow)
+    st_ = ideal_structure(m)
+    kernels = [reference_ideal_kernel_matrix(m, ideal) for ideal in st_.ideals]
+    for ideal, ker in zip(st_.ideals, kernels):
+        labels = np.array(ideal.kernel)
+        assert np.array_equal(labels[:, None] == labels[None, :], ker)
+        assert [c.members for c in i_proximal_partition(m, ideal)] == reference_classes(ker)
+    p, sp = np.logical_or.reduce(kernels), np.logical_and.reduce(kernels)
+    assert np.array_equal(proximal(m).matrix, p)
+    assert np.array_equal(strongly_proximal(m).matrix, sp)
+    assert [s.members for s in max_strongly_proximal_sets(m)] == reference_classes(sp)
+    assert PairRelation(m.n_states, sp).classes() == reference_classes(sp)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,10 @@
+from dataclasses import replace
+
+import pytest
+
+from flowrel import proxsets
 from flowrel.finflow import close, ideal_structure
-from flowrel.fuzz import CONSTANTS_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW, TWO_IDEAL_FLOW
+from flowrel.fuzz import CONSTANTS_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW, TWO_IDEAL_FLOW, proxset_check_suite
 from flowrel.proxsets import (
     check_rA_proximal_equiv,
     i_proximal_partition,
@@ -8,7 +13,10 @@ from flowrel.proxsets import (
     max_strongly_proximal_sets,
     minimal_ideal_collapse,
     sp_matches_class_squares,
+    validate_partitions,
 )
+from flowrel.relations import analyze_flow
+from flowrel.reports import flow_report
 
 
 def test_singletons_are_proximal():
@@ -112,3 +120,30 @@ def test_max_sp_closure_claim_fails_with_two_ideals():
     r = max_sp_sets_fixed_by_all_idempotents(close(TWO_IDEAL_FLOW))
     assert not r.passed
     assert r.detail == "u=(1, 1, 3, 3) A=[0] uA=[1]"
+
+
+def test_partition_assertions_run_once_per_flow_report(monkeypatch):
+    calls = []
+    real = proxsets.validate_partitions
+    monkeypatch.setattr(proxsets, "validate_partitions", lambda m: calls.append(m) or real(m))
+    ax = analyze_flow(TWO_IDEAL_FLOW)
+    report = flow_report(ax)
+    assert calls == [ax.monoid]
+    assert [c["pass"] for c in report["checks"] if c["name"] == "per_ideal_partitions_valid"] == [True]
+
+
+def test_validate_partitions_rejects_a_split_kernel():
+    # a kernel labelling finer than the ideal's true partition separates
+    # two states that every member of the ideal collapses
+    ax = analyze_flow(TWO_IDEAL_FLOW)
+    m = ax.monoid
+    st = ideal_structure(m)
+    ideal = st.ideals[0]
+    split = list(ideal.kernel)
+    y = next(y for y in range(1, len(split)) if split[y] == split[0])
+    split[y] = max(split) + 1
+    m._structure = replace(st, ideals=(replace(ideal, kernel=tuple(split)),) + st.ideals[1:])
+    with pytest.raises(AssertionError, match="distinct ideal-proximal classes share an image"):
+        validate_partitions(m)
+    (result,) = [r for r in proxset_check_suite(ax) if r.name == "per_ideal_partitions_valid"]
+    assert not result.passed and "share an image" in result.detail

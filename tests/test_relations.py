@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowrel import relations
 from flowrel.finflow import FiniteFlow, close
 from flowrel.fuzz import (
     CONSTANTS_FLOW,
@@ -8,10 +9,12 @@ from flowrel.fuzz import (
     ROTATION3_FLOW,
     SINGLE_IDEAL_SEED_FLOW,
     TWO_IDEAL_FLOW,
+    relation_check_suite,
     saturate_icer,
 )
 from flowrel.relations import (
     NotAnIcer,
+    PairRelation,
     analyze_flow,
     check_factor_theorems,
     check_product_theorems,
@@ -20,10 +23,13 @@ from flowrel.relations import (
     idempotent_section_check,
     is_minimal_flow,
     product_flow,
+    proximal,
     proximal_verdict,
     pullback,
     quotient_by_icer,
     sp_verdict,
+    strongly_proximal,
+    verify_relation_forms,
 )
 
 
@@ -270,3 +276,54 @@ def test_distal_factor_d_preimage_equality_is_not_a_theorem():
     assert src.distal.contains(0, 2) and not d_pre[0, 2]
     for r in check_factor_theorems(f):
         assert r.passed, (r.name, r.detail)
+
+
+def test_verify_relation_forms_rejects_each_broken_form():
+    m = close(TWO_IDEAL_FLOW)
+    p, sp = proximal(m), strongly_proximal(m)
+    verify_relation_forms(m, p, sp)
+    flipped = p.matrix.copy()
+    flipped[0, 1] = flipped[1, 0] = not flipped[0, 1]
+    with pytest.raises(AssertionError, match="element form and minimal-ideal form disagree"):
+        verify_relation_forms(m, PairRelation(4, flipped, "P"), sp)
+
+    m = close(ROTATION3_FLOW)
+    chain = diagonal(3)
+    chain[0, 1] = chain[1, 0] = chain[1, 2] = chain[2, 1] = True
+    with pytest.raises(AssertionError, match="SP failed to be an equivalence relation"):
+        verify_relation_forms(m, proximal(m), PairRelation(3, chain, "SP"))
+
+    m = close(CONSTANTS_FLOW)
+    with pytest.raises(AssertionError, match="SP does not match the all-translates-proximal form"):
+        verify_relation_forms(m, proximal(m), PairRelation(2, diagonal(2), "SP"))
+
+
+def test_analyze_flow_verifies_relation_forms_once(monkeypatch):
+    calls = []
+    real = relations.verify_relation_forms
+    monkeypatch.setattr(relations, "verify_relation_forms", lambda *a: calls.append(a) or real(*a))
+    for flow in (TWO_IDEAL_FLOW, CONSTANTS_FLOW):
+        ax = analyze_flow(flow)
+        assert len(calls) == 1
+        m, p, sp = calls.pop()
+        assert m is ax.monoid and p is ax.proximal and sp is ax.strongly_proximal
+
+
+def test_distal_and_weakly_distal_are_complements():
+    ax = analyze_flow(TWO_IDEAL_FLOW)
+    assert ax.distal.kind == "D" and ax.weakly_distal.kind == "WD"
+    assert np.array_equal(ax.distal.matrix, ~ax.proximal.matrix)
+    assert np.array_equal(ax.weakly_distal.matrix, ~ax.strongly_proximal.matrix)
+    assert np.array_equal(relations.distal_rel(ax.monoid).matrix, ax.distal.matrix)
+    assert np.array_equal(relations.weakly_distal_rel(ax.monoid).matrix, ax.weakly_distal.matrix)
+
+
+def test_cross_ideal_partner_check_reads_the_analysis_pairs():
+    ax = analyze_flow(TWO_IDEAL_FLOW)
+    check = "cross_ideal_equivalent_idempotent_exists"
+    assert [r.passed for r in relation_check_suite(ax) if r.name == check] == [True]
+    ax.equivalent_pairs = []
+    (result,) = [r for r in relation_check_suite(ax) if r.name == check]
+    assert not result.passed
+    last = ax.structure.idempotents_by_ideal[1][-1]
+    assert result.detail == f"idempotent {last} has no partner in ideal 0"
