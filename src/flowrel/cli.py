@@ -7,10 +7,13 @@ Commands:
   classify-pair          evidence verdict for a pair of symbolic points
 
 Reports are JSON with sorted keys; identical (config, seed) gives
-byte-identical bytes.  ``--config FILE`` supplies defaults for any flag;
-explicit flags win.  The closure cap honors the FLOWREL_ELEMENT_CAP
-environment variable; a cap that is not an integer of at least 1, from
-any source, is a usage error.
+byte-identical bytes.  Each command takes only the flags it reads:
+``--format text`` on analyze, ``--out FILE`` on analyze, fuzz and
+classify-pair, ``--cap N`` on analyze and fuzz.  ``--config FILE``
+supplies defaults for any flag; explicit flags win.  The closure cap of
+analyze and fuzz honors the FLOWREL_ELEMENT_CAP environment variable; a
+cap that is not an integer of at least 1, from any source, is a usage
+error.
 
 Exit codes: 0 success, 1 failed checks or golden mismatch, 2 usage or
 parse error, 3 monoid too large.
@@ -54,10 +57,7 @@ def dump(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def emit(report: dict, fmt: str, out: str | None, text_renderer=None) -> None:
-    payload = dump(report)
-    if fmt == "text" and text_renderer is not None:
-        payload = text_renderer(report)
+def emit(payload: str, out: str | None) -> None:
     if out:
         Path(out).write_text(payload, encoding="utf-8")
     sys.stdout.write(payload)
@@ -101,8 +101,6 @@ def parse_ternary_point(desc: str) -> TernarySeq:
         return parse_ternary_point(inner).shifted(int(k))
     if head == "const":
         return constant(rest)
-    if desc == "z":
-        return reports.ternary_sample()["z"]
     if desc in reports.ternary_sample():
         return reports.ternary_sample()[desc]
     if head == "pat":
@@ -139,7 +137,7 @@ def cmd_analyze(args) -> int:
     except MonoidTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    emit(report, args.format, args.out, reports.flow_report_text)
+    emit(reports.flow_report_text(report) if args.format == "text" else dump(report), args.out)
     failed = [c for c in report["checks"] if not c["pass"]]
     if failed:
         for c in failed:
@@ -153,7 +151,7 @@ def cmd_fuzz(args) -> int:
         print("error: --count must be at least 1", file=sys.stderr)
         return EXIT_PARSE
     summary = run_fuzz(args.count, args.seed, max_states=args.max_states, cap=args.cap)
-    emit(summary, args.format, args.out)
+    emit(dump(summary), args.out)
     return EXIT_OK if not summary["failures"] else EXIT_CHECK_FAILED
 
 
@@ -226,7 +224,7 @@ def cmd_classify_pair(args) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    emit(report, args.format, args.out)
+    emit(dump(report), args.out)
     return EXIT_OK
 
 
@@ -257,27 +255,27 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--config", help="JSON file supplying defaults for any flag")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "text"), default=None)
+    def out_and_cap(p, cap=True):
         p.add_argument("--out", default=None, help="also write the report to this path")
-        p.add_argument("--cap", type=int, default=None, help="monoid element cap override")
+        if cap:
+            p.add_argument("--cap", type=int, default=None, help="monoid element cap override")
 
     p = sub.add_parser("analyze", help="full pipeline on a flow file")
     p.add_argument("flow_file")
-    common(p)
+    p.add_argument("--format", choices=("json", "text"), default=None)
+    out_and_cap(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("fuzz", help="randomized theorem verification")
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-states", dest="max_states", type=int, default=None)
-    common(p)
+    out_and_cap(p)
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("reproduce", help="rerun a canonical scenario against its golden file")
     p.add_argument("example", choices=sorted(reports.REPRODUCERS))
     p.add_argument("--bless", action="store_true", help="regenerate the golden file")
-    common(p)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("classify-pair", help="evidence verdict for a pair of points")
@@ -287,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--gap", type=int, default=None)
     p.add_argument("--horizon", type=int, default=None)
-    common(p)
+    out_and_cap(p, cap=False)
     p.set_defaults(func=cmd_classify_pair)
     return top
 
@@ -309,7 +307,8 @@ def apply_config(args: argparse.Namespace) -> argparse.Namespace:
     for key, fallback in DEFAULTS.items():
         if getattr(args, key, None) is None and hasattr(args, key):
             setattr(args, key, config.get(key, fallback))
-    args.cap = element_cap() if args.cap is None else checked_cap(args.cap, "cap")
+    if hasattr(args, "cap"):
+        args.cap = element_cap() if args.cap is None else checked_cap(args.cap, "cap")
     return args
 
 

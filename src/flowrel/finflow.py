@@ -136,21 +136,45 @@ def label_classes(labels) -> list[frozenset[int]]:
     return [frozenset(c) for c in classes.values()]
 
 
+def _row_keys(rows, dtype) -> np.ndarray:
+    """One byte string per row (the last axis) of ``rows`` read as ``dtype``."""
+    rows = np.ascontiguousarray(rows, dtype=dtype)
+    return rows.view(f"S{rows.shape[-1] * rows.itemsize}")[..., 0]
+
+
+def row_positions(table: np.ndarray, rows, order: np.ndarray | None = None) -> np.ndarray:
+    """The index in ``table`` of each row (last axis) of ``rows``, or -1
+    where it is not a row of ``table``; ``order`` sorts the row keys of
+    ``table`` when the caller keeps it."""
+    keys = _row_keys(table, table.dtype)
+    order = np.argsort(keys) if order is None else order
+    query = _row_keys(rows, table.dtype)
+    found = order[np.minimum(np.searchsorted(keys, query, sorter=order), keys.size - 1)]
+    return np.where(keys[found] == query, found, -1)
+
+
+def idempotent_mask(rows: np.ndarray) -> np.ndarray:
+    """For each row r of a ``(k, n)`` array, whether r ∘ r = r."""
+    return (np.take_along_axis(rows, rows, axis=1) == rows).all(axis=1)
+
+
 class TransMonoid:
     """The closed transformation monoid generated by a flow.
 
     ``elements`` is an ``(m, n)`` integer array; row 0 is the identity and
     the remaining rows are ordered breadth-first from the generators with a
     lexicographic tie-break inside each layer, so the ordering is
-    reproducible bit-for-bit.
+    reproducible bit-for-bit.  Products are gathers on these rows: the row
+    of p ∘ q is ``elements[p][elements[q]]``, and ``positions`` turns rows
+    back into element indices.
     """
 
-    def __init__(self, flow: FiniteFlow, elements: np.ndarray, index: dict[tuple[int, ...], int]):
+    def __init__(self, flow: FiniteFlow, elements: np.ndarray):
         self.flow = flow
         self.elements = elements
-        self.index = index
         self.identity_index = 0
         self._structure: IdealStructure | None = None
+        self._order: np.ndarray | None = None
 
     @property
     def n_states(self) -> int:
@@ -160,44 +184,32 @@ class TransMonoid:
     def size(self) -> int:
         return int(self.elements.shape[0])
 
-    def image_tuple(self, i: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.elements[i])
-
-    def compose(self, i: int, j: int) -> int:
-        """Index of elements[i] ∘ elements[j]."""
-        row = self.elements[i][self.elements[j]]
-        return self.index[tuple(row.tolist())]
-
-    def apply(self, i: int, state: int) -> int:
-        return int(self.elements[i][state])
+    def positions(self, rows) -> np.ndarray:
+        """``row_positions`` on ``elements``, whose keys are sorted once."""
+        if self._order is None:
+            self._order = np.argsort(_row_keys(self.elements, self.elements.dtype))
+        return row_positions(self.elements, rows, self._order)
 
     def ranks(self) -> np.ndarray:
-        srt = np.sort(self.elements, axis=1)
-        if self.n_states == 1:
-            return np.ones(self.size, dtype=int)
-        return 1 + (np.diff(srt, axis=1) > 0).sum(axis=1)
-
-    def is_idempotent(self, i: int) -> bool:
-        return self.compose(i, i) == i
+        return 1 + (np.diff(np.sort(self.elements, axis=1), axis=1) > 0).sum(axis=1)
 
     def idempotent_power(self, i: int) -> int:
         """The unique idempotent among the positive powers of element i."""
-        j = i
+        power = row = self.elements[i]
         for _ in range(self.size + 1):
-            if self.compose(j, j) == j:
-                return j
-            j = self.compose(j, i)
+            if (power[power] == power).all():
+                return int(self.positions(power))
+            power = power[row]
         raise AssertionError("no idempotent power found; monoid not closed?")
 
     def left_ideal_of(self, p: int) -> tuple[int, ...]:
         """Sorted indices of {s ∘ p : s in the monoid}."""
-        rows = self.elements[:, self.elements[p]]
-        uniq = np.unique(rows, axis=0)
-        return tuple(sorted(self.index[tuple(r.tolist())] for r in uniq))
+        e = self.elements
+        return tuple(np.unique(self.positions(e[:, e[p]])).tolist())
 
     def as_flow(self) -> FiniteFlow:
         """The flow whose generators are all monoid elements (closure idempotence)."""
-        return FiniteFlow(self.n_states, tuple(self.image_tuple(i) for i in range(self.size)))
+        return FiniteFlow(self.n_states, tuple(map(tuple, self.elements.tolist())))
 
 
 def close(flow: FiniteFlow, cap: int | None = None) -> TransMonoid:
@@ -233,7 +245,7 @@ def close(flow: FiniteFlow, cap: int | None = None) -> TransMonoid:
             raise MonoidTooLarge(f"monoid too large: more than {cap} elements")
     dtype = np.int16 if n < 2**15 else np.int32
     elements = np.array(order, dtype=dtype)
-    return TransMonoid(flow, elements, index)
+    return TransMonoid(flow, elements)
 
 
 @dataclass(frozen=True)
@@ -296,7 +308,8 @@ def minimal_left_ideals(m: TransMonoid) -> list[LeftIdeal]:
 
 def idempotents(m: TransMonoid, ideal: LeftIdeal) -> tuple[int, ...]:
     """All u in the ideal with u ∘ u = u; nonempty for minimal ideals."""
-    out = tuple(i for i in ideal.members if m.is_idempotent(i))
+    members = np.array(ideal.members)
+    out = tuple(members[idempotent_mask(m.elements[members])].tolist())
     if not out:
         raise AssertionError(f"minimal ideal {ideal.members} has no idempotent")
     return out
@@ -310,28 +323,32 @@ def ideal_structure(m: TransMonoid) -> IdealStructure:
     return m._structure
 
 
+def equivalence_matrix(m: TransMonoid, us, vs) -> np.ndarray:
+    """Boolean ``(len(us), len(vs))``: entry [i, j] says u∘v = v and
+    v∘u = u for u = us[i], v = vs[j], read from the gathered product
+    tables ``EU[:, EV]`` and ``EV[:, EU]``."""
+    eu, ev = m.elements[list(us)], m.elements[list(vs)]
+    return (eu[:, ev] == ev).all(axis=2) & (ev[:, eu] == eu).all(axis=2).T
+
+
 def equivalent_idempotents(m: TransMonoid) -> list[tuple[int, int]]:
     """All cross-ideal pairs (u, u') with u∘u' = u' and u'∘u = u, ordered
     by (ideal of u < ideal of u', u, u').  The existence claim (every
     minimal idempotent has a partner in every other minimal ideal) is
     checked on these pairs by the relation check suite."""
-    st = ideal_structure(m)
+    js = ideal_structure(m).idempotents_by_ideal
     pairs: list[tuple[int, int]] = []
-    k = len(st.ideals)
-    for a in range(k):
-        for b in range(a + 1, k):
-            for u in st.idempotents_by_ideal[a]:
-                for v in st.idempotents_by_ideal[b]:
-                    if m.compose(u, v) == v and m.compose(v, u) == u:
-                        pairs.append((u, v))
+    for a in range(len(js)):
+        for b in range(a + 1, len(js)):
+            pairs.extend((js[a][i], js[b][j]) for i, j in np.argwhere(equivalence_matrix(m, js[a], js[b])))
     return pairs
 
 
 def fixed_point_set(m: TransMonoid, u: int) -> frozenset[int]:
     """{x : u(x) = x} for an idempotent u; equals the image of u."""
-    if not m.is_idempotent(u):
-        raise ValueError(f"element {u} is not idempotent")
     row = m.elements[u]
+    if not (row[row] == row).all():
+        raise ValueError(f"element {u} is not idempotent")
     fixed = frozenset(int(x) for x in np.nonzero(row == np.arange(m.n_states))[0])
     if fixed != frozenset(int(v) for v in row):
         raise AssertionError("fixed points of an idempotent must equal its image")
@@ -380,14 +397,14 @@ def induced_theta(f: FactorMap, sm: TransMonoid, tm: TransMonoid) -> np.ndarray:
     reps = np.full(f.target.n_states, -1, dtype=int)
     for x in range(f.source.n_states - 1, -1, -1):
         reps[f.point_map[x]] = x
-    theta = np.empty(sm.size, dtype=np.int64)
     mapped = pm[sm.elements]  # row i, column x: π(p_i(x))
-    for i in range(sm.size):
-        candidate = mapped[i][reps]
-        if not np.array_equal(candidate[pm], mapped[i]):
+    candidates = mapped[:, reps]
+    undefined = ~(candidates[:, pm] == mapped).all(axis=1)
+    theta = tm.positions(candidates)
+    bad = np.flatnonzero(undefined | (theta < 0))
+    if bad.size:
+        i = int(bad[0])
+        if undefined[i]:
             raise NotAFactorMap(f"no well-defined target action for element {i}")
-        key = tuple(int(v) for v in candidate)
-        if key not in tm.index:
-            raise NotAFactorMap(f"induced element {key} missing from target monoid")
-        theta[i] = tm.index[key]
+        raise NotAFactorMap(f"induced element {tuple(candidates[i].tolist())} missing from target monoid")
     return theta

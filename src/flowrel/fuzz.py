@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import proxsets
-from .finflow import FiniteFlow, MonoidTooLarge, close, format_flow, ideal_structure
+from .finflow import FiniteFlow, MonoidTooLarge, TransMonoid, equivalence_matrix, format_flow, ideal_structure, row_positions
 from .relations import (
     CheckResult,
     FlowAnalysis,
@@ -76,98 +76,63 @@ def relation_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     out.append(_result("p_omega_in_diagonal", not (p & om & ~delta).any()))
 
     # Omega cells equal the union of fixed-point sets of idempotents fixing x.
-    cells_ok = True
-    for x in range(n):
-        expected: set[int] = set()
-        for u in st.all_idempotents:
-            row = m.elements[u]
-            if row[x] == x:
-                expected |= {int(v) for v in row}
-        if expected != {int(y) for y in np.nonzero(om[x])[0]}:
-            cells_ok = False
-            break
-    out.append(_result("omega_cells_are_fixed_point_unions", cells_ok, f"state {x}" if not cells_ok else ""))
+    e = m.elements
+    ar = np.arange(n)
+    idem_rows = e[list(st.all_idempotents)]
+    images = np.zeros(idem_rows.shape, dtype=bool)
+    images[np.arange(len(idem_rows))[:, None], idem_rows] = True
+    bad = np.flatnonzero(((idem_rows == ar).T @ images != om).any(axis=1))
+    out.append(_result("omega_cells_are_fixed_point_unions", not bad.size, f"state {bad[0]}" if bad.size else ""))
 
     eq = check_unique_ideal_equiv(m)
     out.append(_result("three_way_equivalence", eq["consistent"], str(eq)))
 
-    # ideal algebra
-    mp_ok = pu_ok = group_ok = True
-    detail = ""
+    # ideal algebra, each check with its own first counterexample
+    mp_detail = pu_detail = group_detail = intra_detail = ""
     for ki, ideal in enumerate(st.ideals):
-        members = set(ideal.members)
+        members = e[list(ideal.members)]
         for pidx in ideal.members:
-            if set(m.left_ideal_of(pidx)) != members:
-                mp_ok = False
-                detail = f"Mp != M at ideal {ki} element {pidx}"
-        for u in st.idempotents_by_ideal[ki]:
-            for pidx in ideal.members:
-                if m.compose(pidx, u) != pidx:
-                    pu_ok = False
-                    detail = f"pu != p at ideal {ki}"
-            um = sorted({m.compose(u, q) for q in ideal.members})
-            umset = set(um)
-            closed = all(m.compose(a, b) in umset for a in um for b in um)
-            has_inverses = all(
-                any(m.compose(a, b) == u and m.compose(b, a) == u for b in um) for a in um
-            )
-            if not (closed and u in umset and has_inverses):
-                group_ok = False
-                detail = f"uM not a group at ideal {ki} idempotent {u}"
-    out.append(_result("ideal_absorption_Mp_equals_M", mp_ok, detail))
-    out.append(_result("right_identity_pu_equals_p", pu_ok, detail))
-    out.append(_result("uM_is_group", group_ok, detail))
-
-    intra_ok = True
-    for js in st.idempotents_by_ideal:
-        for i, u in enumerate(js):
-            for v in js[i + 1:]:
-                if m.compose(u, v) == v and m.compose(v, u) == u:
-                    intra_ok = False
-    out.append(_result("intra_ideal_idempotents_not_equivalent", intra_ok))
+            if m.left_ideal_of(pidx) != ideal.members and not mp_detail:
+                mp_detail = f"Mp != M at ideal {ki} element {pidx}"
+        js = st.idempotents_by_ideal[ki]
+        for u in js:
+            if not (members[:, e[u]] == members).all() and not pu_detail:
+                pu_detail = f"pu != p at ideal {ki}"
+            if not _is_group(m, u, members) and not group_detail:
+                group_detail = f"uM not a group at ideal {ki} idempotent {u}"
+        pairs = np.argwhere(np.triu(equivalence_matrix(m, js, js), 1))
+        if pairs.size and not intra_detail:
+            intra_detail = f"idempotents {js[pairs[0][0]]} and {js[pairs[0][1]]} equivalent in ideal {ki}"
+    out.append(_result("ideal_absorption_Mp_equals_M", not mp_detail, mp_detail))
+    out.append(_result("right_identity_pu_equals_p", not pu_detail, pu_detail))
+    out.append(_result("uM_is_group", not group_detail, group_detail))
+    out.append(_result("intra_ideal_idempotents_not_equivalent", not intra_detail, intra_detail))
 
     # every minimal idempotent has an equivalent partner in every other
     # minimal ideal, read from the analysis' cross-ideal pairs
     ideal_of = {u: a for a, js in enumerate(st.idempotents_by_ideal) for u in js}
     partnered = {(u, ideal_of[v]) for pair in ax.equivalent_pairs for u, v in (pair, pair[::-1])}
-    cross_ok = True
-    detail = ""
-    for u, a in ideal_of.items():
-        for b in range(len(st.ideals)):
-            if b != a and (u, b) not in partnered:
-                cross_ok = False
-                detail = f"idempotent {u} has no partner in ideal {b}"
-    out.append(_result("cross_ideal_equivalent_idempotent_exists", cross_ok, detail))
+    alone = [(u, b) for u, a in ideal_of.items() for b in range(len(st.ideals)) if b != a and (u, b) not in partnered]
+    out.append(_result("cross_ideal_equivalent_idempotent_exists", not alone,
+                       "idempotent {} has no partner in ideal {}".format(*alone[-1]) if alone else ""))
 
     # on minimal flows the proximal cell of x is the idempotent orbit Jx
     if is_minimal_flow(m):
-        cells_ok = True
-        for x in range(n):
-            jx = {m.apply(u, x) for u in st.all_idempotents}
-            if jx != {int(y) for y in np.nonzero(p[x])[0]}:
-                cells_ok = False
-                break
-        out.append(_result("p_cells_are_idempotent_orbits_when_minimal", cells_ok))
+        orbits = np.zeros((n, n), dtype=bool)
+        orbits[ar, idem_rows] = True
+        bad = np.flatnonzero((orbits != p).any(axis=1))
+        out.append(_result("p_cells_are_idempotent_orbits_when_minimal", not bad.size, f"state {bad[0]}" if bad.size else ""))
 
     # Omega agrees with the product-flow definition: its pairs are the
     # almost periodic points of the squared flow (skipped on wide state
-    # sets, where the squared flow is quadratically larger)
+    # sets, where the squared flow's rows are quadratically wider)
     if n <= 12:
-        square = product_flow(ax.flow, ax.flow)
-        try:
-            sq = close(square)
-            sq_st = ideal_structure(sq)
-            ar2 = np.arange(square.n_states)
-            ap = np.zeros(square.n_states, dtype=bool)
-            for u in sq_st.all_idempotents:
-                ap |= sq.elements[u] == ar2
-            om_via_square = ap.reshape(n, n)
-            out.append(_result("omega_agrees_with_product_flow", np.array_equal(om, om_via_square)))
-        except MonoidTooLarge:
-            pass
+        sq = square_monoid(m)
+        sq_idem = sq.elements[list(ideal_structure(sq).all_idempotents)]
+        om_via_square = (sq_idem == np.arange(n * n)).any(axis=0).reshape(n, n)
+        out.append(_result("omega_agrees_with_product_flow", np.array_equal(om, om_via_square)))
 
     # monoid-model invariance facts (see module docstring of relations)
-    e = m.elements
     out.append(_result("omega_forward_invariant", not (om & ~om[e[:, :, None], e[:, None, :]].all(axis=0)).any()))
     out.append(_result("sp_forward_invariant", not (sp & ~sp[e[:, :, None], e[:, None, :]].all(axis=0)).any()))
     d_trans = d[e[:, :, None], e[:, None, :]].all(axis=0)
@@ -176,6 +141,27 @@ def relation_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     back_ok = not (p[e[:, :, None], e[:, None, :]] & ~p[None, :, :]).any()
     out.append(_result("p_backward_invariant", back_ok))
     return out
+
+
+def _is_group(m, u: int, members: np.ndarray) -> bool:
+    """Whether uM is a group with identity u, from its Cayley table built
+    one row at a time (memory O(|uM| n))."""
+    e = m.elements
+    group = e[np.unique(m.positions(e[u][members]))]
+    table = np.array([row_positions(group, a[group]) for a in group])
+    identity = row_positions(group, e[u])
+    return bool((table >= 0).all() and identity >= 0
+                and ((table == identity) & (table.T == identity)).any(axis=1).all())
+
+
+def square_monoid(m: TransMonoid) -> TransMonoid:
+    """The monoid of ``product_flow(flow, flow)``, read coordinatewise:
+    s ↦ s × s maps the monoid one-to-one onto it in the same element
+    order, so no second closure is needed."""
+    n = m.n_states
+    xs, ys = np.divmod(np.arange(n * n), n)
+    e = m.elements.astype(np.int16 if n * n < 2**15 else np.int32)
+    return TransMonoid(product_flow(m.flow, m.flow), e[:, xs] * n + e[:, ys])
 
 
 def proxset_check_suite(ax: FlowAnalysis) -> list[CheckResult]:

@@ -94,35 +94,38 @@ def validate_partitions(m: TransMonoid) -> None:
     disjoint, and every minimal idempotent maps each class to a singleton.
     """
     st = ideal_structure(m)
+    e = m.elements
     for ideal, js in zip(st.ideals, st.idempotents_by_ideal):
         classes = label_classes(ideal.kernel)
-        for a, b in combinations(classes, 2):
-            xa, xb = min(a), min(b)
-            for p in ideal.members:
-                if m.apply(p, xa) == m.apply(p, xb):
-                    raise AssertionError(
-                        f"distinct ideal-proximal classes share an image under element {p}"
-                    )
+        least = e[np.ix_(ideal.members, [min(c) for c in classes])]
+        shared = least[:, :, None] == least[:, None, :]
+        pairs = np.argwhere(np.triu(shared.any(axis=0), 1))
+        if pairs.size:
+            p = ideal.members[shared[:, pairs[0][0], pairs[0][1]].argmax()]
+            raise AssertionError(f"distinct ideal-proximal classes share an image under element {p}")
+        idem_rows = e[list(js)]
+        labels = np.array(ideal.kernel)
+        stays = labels[idem_rows] == labels  # u(x) in the class of x
         for c in classes:
-            if not any(m.apply(u, x) == x for u in js for x in c):
-                raise AssertionError(f"class {sorted(c)} has no almost periodic point")
-            for u in js:
-                if any(m.apply(u, x) not in c for x in c):
-                    raise AssertionError(f"class {sorted(c)} not closed under idempotent {u}")
+            cols = sorted(c)
+            if not (idem_rows[:, cols] == cols).any():
+                raise AssertionError(f"class {cols} has no almost periodic point")
+            for u, closed in zip(js, stays[:, cols].all(axis=1)):
+                if not closed:
+                    raise AssertionError(f"class {cols} not closed under idempotent {u}")
     classes = label_classes(st.refinement_labels)
+    kernels = np.array([ideal.kernel for ideal in st.ideals])
     for c in classes:
         x = min(c)
-        inter = set(range(m.n_states))
-        for ideal in st.ideals:
-            inter &= {y for y, label in enumerate(ideal.kernel) if label == ideal.kernel[x]}
-        if inter != set(c):
+        if set(np.flatnonzero((kernels == kernels[:, [x]]).all(axis=0)).tolist()) != c:
             raise AssertionError("refinement class is not the intersection of per-ideal classes")
-    for a, b in combinations(classes, 2):
-        if a & b:
-            raise AssertionError("maximal strongly proximal sets must be disjoint")
+    if sum(map(len, classes)) != len(frozenset().union(*classes)):
+        raise AssertionError("maximal strongly proximal sets must be disjoint")
+    idem_rows = e[list(st.all_idempotents)]
     for c in classes:
-        for u in st.all_idempotents:
-            if len({m.apply(u, x) for x in c}) != 1:
+        images = idem_rows[:, sorted(c)]
+        for u, collapsed in zip(st.all_idempotents, (images == images[:, :1]).all(axis=1)):
+            if not collapsed:
                 raise AssertionError(f"idempotent {u} does not collapse class {sorted(c)}")
 
 
@@ -158,15 +161,19 @@ def max_sp_sets_fixed_by_all_idempotents(m: TransMonoid) -> CheckResult:
     silently weakened.
     """
     st = ideal_structure(m)
+    labels = np.array(st.refinement_labels)
+    idem_rows = m.elements[list(st.all_idempotents)]
+    inside = labels[idem_rows] == labels
     for s in max_strongly_proximal_sets(m):
-        for u in st.all_idempotents:
-            img = {m.apply(u, x) for x in s.members}
-            if not img <= s.members:
-                return CheckResult(
-                    "max_sp_class_fixed_by_all_idempotents",
-                    False,
-                    f"u={m.image_tuple(u)} A={sorted(s.members)} uA={sorted(img)}",
-                )
+        cols = sorted(s.members)
+        escaping = np.flatnonzero(~inside[:, cols].all(axis=1))
+        if escaping.size:
+            row = idem_rows[escaping[0]]
+            return CheckResult(
+                "max_sp_class_fixed_by_all_idempotents",
+                False,
+                f"u={tuple(row.tolist())} A={cols} uA={sorted(set(row[cols].tolist()))}",
+            )
     return CheckResult("max_sp_class_fixed_by_all_idempotents", True)
 
 
@@ -183,11 +190,7 @@ def _proximal_candidates(m: TransMonoid, size_cap: int = 4,
     n = m.n_states
     found: set[tuple[int, ...]] = set()
     found.update((x,) for x in range(n))
-    pmat = proximal(m).matrix
-    for x in range(n):
-        for y in range(x + 1, n):
-            if pmat[x, y]:
-                found.add((x, y))
+    found.update(map(tuple, np.argwhere(np.triu(proximal(m).matrix, 1)).tolist()))
     if n < exhaustive_below:
         for size in range(3, min(size_cap, n) + 1):
             for combo in combinations(range(n), size):
@@ -218,7 +221,7 @@ def check_rA_proximal_equiv(m: TransMonoid, size_cap: int = 4) -> CheckResult:
         if not ok.all():
             r = int(np.nonzero(~ok)[0][0])
             all_images_proximal = False
-            witness = f"A={list(cols)} r={m.image_tuple(r)} rA={sorted(set(int(v) for v in images[r]))}"
+            witness = f"A={list(cols)} r={tuple(m.elements[r].tolist())} rA={sorted(set(int(v) for v in images[r]))}"
             break
     return _result(
         "rA_proximal_iff_p_equivalence",

@@ -28,6 +28,7 @@ from .finflow import (
     close,
     equivalent_idempotents,
     ideal_structure,
+    idempotent_mask,
     induced_theta,
     label_classes,
 )
@@ -92,14 +93,8 @@ def _ideal_kernel_classes(m: TransMonoid) -> np.ndarray:
 def omega(m: TransMonoid) -> PairRelation:
     """Pairs fixed by some minimal idempotent, i.e. almost periodic pairs
     of the product flow."""
-    st = ideal_structure(m)
-    n = m.n_states
-    mat = np.zeros((n, n), dtype=bool)
-    ar = np.arange(n)
-    for u in st.all_idempotents:
-        fixed = m.elements[u] == ar
-        mat |= fixed[:, None] & fixed[None, :]
-    return PairRelation(n, mat, "Omega")
+    fixed = m.elements[list(ideal_structure(m).all_idempotents)] == np.arange(m.n_states)
+    return PairRelation(m.n_states, fixed.T @ fixed, "Omega")
 
 
 def proximal(m: TransMonoid) -> PairRelation:
@@ -211,11 +206,9 @@ def analyze_flow(flow: FiniteFlow, cap: int | None = None) -> FlowAnalysis:
 
 def is_minimal_flow(m: TransMonoid) -> bool:
     """Minimal iff every orbit S¹x is the whole state set."""
-    n = m.n_states
-    for x in range(n):
-        if len(set(int(v) for v in m.elements[:, x])) != n:
-            return False
-    return True
+    reached = np.zeros((m.n_states, m.n_states), dtype=bool)
+    reached[np.arange(m.n_states), m.elements] = True  # [x, s(x)] for every s
+    return bool(reached.all())
 
 
 def check_unique_ideal_equiv(m: TransMonoid) -> dict:
@@ -266,19 +259,21 @@ def sp_verdict(m: TransMonoid, x: int, y: int) -> Verdict:
     almost periodic non-diagonal limit of the pair)."""
     st = ideal_structure(m)
     for k, ideal in enumerate(st.ideals):
-        for p in ideal.members:
-            row = m.elements[p]
-            if row[x] != row[y]:
-                u = m.idempotent_power(p)
-                urow = m.elements[u]
-                if urow[row[x]] != row[x] or urow[row[y]] != row[y]:
-                    raise AssertionError("idempotent power failed to fix the image pair")
-                return Verdict(
-                    "SP",
-                    (x, y),
-                    "out",
-                    {"ideal": k, "separator": int(p), "fixing_idempotent": int(u)},
-                )
+        rows = m.elements[list(ideal.members)]
+        separating = np.flatnonzero(rows[:, x] != rows[:, y])
+        if separating.size:
+            p = ideal.members[separating[0]]
+            row = rows[separating[0]]
+            u = m.idempotent_power(p)
+            urow = m.elements[u]
+            if urow[row[x]] != row[x] or urow[row[y]] != row[y]:
+                raise AssertionError("idempotent power failed to fix the image pair")
+            return Verdict(
+                "SP",
+                (x, y),
+                "out",
+                {"ideal": k, "separator": int(p), "fixing_idempotent": int(u)},
+            )
     return Verdict("SP", (x, y), "in", {"collapsing_ideals": len(st.ideals)})
 
 
@@ -356,19 +351,12 @@ def check_product_theorems(a: FiniteFlow, b: FiniteFlow, cap: int | None = None)
     ))
 
     # Omega decomposes through common minimal idempotents of the product.
-    st = ideal_structure(px.monoid)
-    n = prod.n_states
-    via_common = np.zeros((n, n), dtype=bool)
-    ar_a, ar_b = np.arange(a.n_states), np.arange(b.n_states)
-    for w in st.all_idempotents:
-        row = px.monoid.elements[w]
-        wa = row[ys == 0] // nb  # action on X extracted from column y = 0
-        wb = row[xs == 0] % nb
-        if not (np.array_equal(row // nb, wa[xs]) and np.array_equal(row % nb, wb[ys])):
-            raise AssertionError("product monoid element is not coordinatewise")
-        fa, fb = wa == ar_a, wb == ar_b
-        fixed = fa[xs] & fb[ys]
-        via_common |= fixed[:, None] & fixed[None, :]
+    rows = px.monoid.elements[list(ideal_structure(px.monoid).all_idempotents)]
+    wa, wb = rows[:, ys == 0] // nb, rows[:, xs == 0] % nb  # actions on X (column y = 0) and on Y
+    if not ((rows // nb == wa[:, xs]).all() and (rows % nb == wb[:, ys]).all()):
+        raise AssertionError("product monoid element is not coordinatewise")
+    fixed = (wa == np.arange(a.n_states))[:, xs] & (wb == np.arange(b.n_states))[:, ys]
+    via_common = fixed.T @ fixed
     out.append(_result(
         "product_omega_common_idempotent",
         np.array_equal(px.omega.matrix, via_common),
@@ -452,23 +440,14 @@ def quotient_by_icer(flow: FiniteFlow, relation: PairRelation | np.ndarray) -> F
     bad = icer_violation(flow, matrix)
     if bad is not None:
         raise NotAnIcer(*bad)
-    rel = PairRelation(flow.n_states, matrix)
-    classes = rel.classes()
-    class_of = {}
-    for k, c in enumerate(classes):
-        for x in c:
-            class_of[x] = k
+    least, class_of = np.unique(matrix.argmax(axis=1), return_inverse=True)
     gens = []
     for g in flow.generators:
-        img = []
-        for c in classes:
-            targets = {class_of[g[x]] for x in c}
-            if len(targets) != 1:
-                raise NotAnIcer("invariant", "generator does not descend to classes")
-            img.append(targets.pop())
-        gens.append(tuple(img))
-    target = FiniteFlow(len(classes), tuple(gens))
-    return FactorMap(flow, target, tuple(class_of[x] for x in range(flow.n_states)))
+        img = class_of[np.array(g)]
+        if not (img == img[least][class_of]).all():
+            raise NotAnIcer("invariant", "generator does not descend to classes")
+        gens.append(tuple(img[least].tolist()))
+    return FactorMap(flow, FiniteFlow(len(least), tuple(gens)), tuple(class_of.tolist()))
 
 
 def quotient_data(f: FactorMap, cap: int | None = None):
@@ -494,17 +473,10 @@ def pullback(rel_target: np.ndarray, point_map: tuple[int, ...]) -> np.ndarray:
 def detect_fiber_type(f: FactorMap, src: FlowAnalysis) -> dict:
     """A factor is proximal iff all fibers are pairwise proximal, distal
     iff pairwise distal; detected, never declared."""
-    prox = True
-    dist = True
-    for y in range(f.target.n_states):
-        fib = f.fiber(y)
-        for i, x1 in enumerate(fib):
-            for x2 in fib[i + 1:]:
-                if not src.proximal.contains(x1, x2):
-                    prox = False
-                if not src.distal.contains(x1, x2):
-                    dist = False
-    return {"proximal": prox, "distal": dist}
+    pm = np.array(f.point_map)
+    same_fiber = np.equal.outer(pm, pm) & ~diagonal(f.source.n_states)
+    return {"proximal": bool(src.proximal.matrix[same_fiber].all()),
+            "distal": bool(src.distal.matrix[same_fiber].all())}
 
 
 def check_factor_theorems(f: FactorMap, cap: int | None = None) -> list[CheckResult]:
@@ -569,25 +541,26 @@ def check_factor_theorems(f: FactorMap, cap: int | None = None) -> list[CheckRes
     # theta(u) fixing the base point and u fixing u . fiber pointwise.
     ok_fibers = True
     detail = ""
-    theta_list = [int(t) for t in theta]
+    tgt_idempotents = np.array(tgt.structure.all_idempotents)
+    fixes = tgt.monoid.elements[tgt_idempotents] == np.arange(nt)
+    pm_arr = np.array(pm)
     for y in range(nt):
-        fixers = [w for w in tgt.structure.all_idempotents if tgt.monoid.apply(w, y) == y]
-        if not fixers:
+        if not fixes[:, y].any():
             continue  # y is not almost periodic; hypothesis fails
-        w = fixers[0]
+        w = int(tgt_idempotents[fixes[:, y].argmax()])
         u = None
         for ideal in src_ideals:
-            cands = [p for p in ideal.members if theta_list[p] == w]
-            if cands:
-                u = src.monoid.idempotent_power(cands[0])
+            over_w = np.flatnonzero(theta[list(ideal.members)] == w)
+            if over_w.size:
+                u = src.monoid.idempotent_power(ideal.members[over_w[0]])
                 break
-        if u is None or theta_list[u] != w:
+        if u is None or theta[u] != w:
             ok_fibers = False
             detail = f"no idempotent over {w} for base point {y}"
             break
-        fib = set(f.fiber(y))
-        ufib = {src.monoid.apply(u, x) for x in fib}
-        if not ufib <= fib or any(src.monoid.apply(u, z) != z for z in ufib):
+        urow = src.monoid.elements[u]
+        ufib = urow[pm_arr == y]
+        if not ((pm_arr[ufib] == y).all() and (urow[ufib] == ufib).all()):
             ok_fibers = False
             detail = f"u.fiber not an almost periodic subset of fiber over {y}"
             break
@@ -614,27 +587,13 @@ def idempotent_section_check(f: FactorMap, cap: int | None = None) -> list[Check
     pm = np.array(f.point_map)
     pmat = tgt.proximal.matrix
     ar = np.arange(f.target.n_states)
-    tgt_kernel = set(ideal_structure(tgt.monoid).kernel_elements)
-    out = []
-    ok_target = True
-    bad_w = -1
-    for w in sorted(tgt_kernel):
-        row = tgt.monoid.elements[w]
-        fiberwise = bool(pmat[row, ar].all())
-        if tgt.monoid.is_idempotent(w) != fiberwise:
-            ok_target = False
-            bad_w = w
-            break
-    out.append(_result("idempotent_section_target", ok_target, f"element {bad_w}" if not ok_target else ""))
-    ok_src = True
-    bad_p = -1
-    srow = src.monoid.elements
-    for p in ideal_structure(src.monoid).kernel_elements:
-        w = int(theta[p])
-        fiberwise = bool(pmat[pm[srow[p]], pm[np.arange(f.source.n_states)]].all())
-        if tgt.monoid.is_idempotent(w) != fiberwise:
-            ok_src = False
-            bad_p = p
-            break
-    out.append(_result("idempotent_section_source", ok_src, f"element {bad_p}" if not ok_src else ""))
+    te = tgt.monoid.elements
+    tgt_kernel = np.array(sorted(ideal_structure(tgt.monoid).kernel_elements))
+    rows = te[tgt_kernel]
+    bad = np.flatnonzero(idempotent_mask(rows) != pmat[rows, ar].all(axis=1))
+    out = [_result("idempotent_section_target", not bad.size, f"element {tgt_kernel[bad[0]]}" if bad.size else "")]
+    src_kernel = np.array(ideal_structure(src.monoid).kernel_elements)
+    fiberwise = pmat[pm[src.monoid.elements[src_kernel]], pm].all(axis=1)
+    bad = np.flatnonzero(idempotent_mask(te[theta[src_kernel]]) != fiberwise)
+    out.append(_result("idempotent_section_source", not bad.size, f"element {src_kernel[bad[0]]}" if bad.size else ""))
     return out

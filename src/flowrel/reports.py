@@ -69,7 +69,7 @@ def flow_report(ax: FlowAnalysis) -> dict:
         "monoid": {
             "size": m.size,
             "identity_index": m.identity_index,
-            "elements": [list(m.image_tuple(i)) for i in range(m.size)],
+            "elements": m.elements.tolist(),
             "minimal_ideals": [list(ideal.members) for ideal in st.ideals],
             "idempotents_by_ideal": [list(js) for js in st.idempotents_by_ideal],
             "equivalent_idempotent_pairs": [list(p) for p in ax.equivalent_pairs],

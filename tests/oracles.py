@@ -9,9 +9,19 @@ library's sliced and vectorized fast paths, kept as differential oracles
 for them; the brute-force minimal left ideals, the element-by-element
 ideal kernel matrix and the row-scan class listing are the references for
 ``minimal_left_ideals`` and the kernel-label forms of the relations.
+
+The scalar element API (``compose``, ``apply``, ``is_idempotent``,
+``image_tuple``) answers "which element is this product?" through a tuple
+index built here once per monoid, and the one-element-at-a-time forms of
+the ideal algebra built on it are the references for the library's row
+lookup (``TransMonoid.positions``) and array gathers.
 """
 
+import weakref
+
 import numpy as np
+
+from flowrel.finflow import NotAFactorMap
 
 from flowrel.subshift import (
     AdicImage,
@@ -188,7 +198,7 @@ def reference_gap_verdict(ts, n: int, gap_bound: int, horizon: int) -> EvidenceV
 def brute_minimal_left_ideals(m) -> list[tuple[int, ...]]:
     """Form S¹p for every p and keep the inclusion-minimal ones.
     Quadratic; the reference for ``minimal_left_ideals``."""
-    all_ideals = {m.left_ideal_of(p) for p in range(m.size)}
+    all_ideals = {reference_left_ideal_of(m, p) for p in range(m.size)}
     minimal = []
     for ideal in all_ideals:
         s = set(ideal)
@@ -217,3 +227,121 @@ def reference_classes(matrix) -> list[frozenset[int]]:
             seen |= c
             out.append(c)
     return out
+
+
+# -- the scalar element API over a tuple index -----------------------------------
+
+_TUPLE_INDEX: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def tuple_index(m) -> dict[tuple[int, ...], int]:
+    """Image tuple -> element index, built once per monoid.  Building it
+    checks that ``m.positions`` finds every element at its own index."""
+    if m not in _TUPLE_INDEX:
+        index = {row: i for i, row in enumerate(map(tuple, m.elements.tolist()))}
+        assert len(index) == m.size, "monoid elements are not distinct"
+        assert m.positions(m.elements).tolist() == list(range(m.size))
+        _TUPLE_INDEX[m] = index
+    return _TUPLE_INDEX[m]
+
+
+def image_tuple(m, i: int) -> tuple[int, ...]:
+    return tuple(int(v) for v in m.elements[i])
+
+
+def element_of(m, images) -> int:
+    """The index of the element with these images."""
+    return tuple_index(m)[tuple(images)]
+
+
+def apply(m, i: int, state: int) -> int:
+    return int(m.elements[i][state])
+
+
+def compose(m, i: int, j: int) -> int:
+    """Index of elements[i] ∘ elements[j] by the tuple index, checked
+    against ``m.positions``."""
+    row = m.elements[i][m.elements[j]]
+    k = tuple_index(m)[tuple(row.tolist())]
+    assert int(m.positions(row)) == k
+    return k
+
+
+def is_idempotent(m, i: int) -> bool:
+    return compose(m, i, i) == i
+
+
+# -- the ideal algebra, one element at a time -------------------------------------
+
+
+def reference_left_ideal_of(m, p: int) -> tuple[int, ...]:
+    """Sorted indices of {s ∘ p}: the distinct rows, then a tuple lookup each."""
+    uniq = np.unique(m.elements[:, m.elements[p]], axis=0)
+    return tuple(sorted(tuple_index(m)[tuple(r.tolist())] for r in uniq))
+
+
+def reference_idempotent_power(m, i: int) -> int:
+    j = i
+    for _ in range(m.size + 1):
+        if compose(m, j, j) == j:
+            return j
+        j = compose(m, j, i)
+    raise AssertionError("no idempotent power found")
+
+
+def reference_idempotents(m, ideal) -> tuple[int, ...]:
+    return tuple(i for i in ideal.members if is_idempotent(m, i))
+
+
+def reference_equivalent_idempotents(m, structure) -> list[tuple[int, int]]:
+    """Cross-ideal pairs (u, v) with u∘v = v and v∘u = u, in (ideal a <
+    ideal b, u, v) order."""
+    js = structure.idempotents_by_ideal
+    return [
+        (u, v)
+        for a in range(len(js)) for b in range(a + 1, len(js))
+        for u in js[a] for v in js[b]
+        if compose(m, u, v) == v and compose(m, v, u) == u
+    ]
+
+
+def reference_omega(m, structure) -> np.ndarray:
+    n = m.n_states
+    mat = np.zeros((n, n), dtype=bool)
+    for u in structure.all_idempotents:
+        fixed = [x for x in range(n) if apply(m, u, x) == x]
+        mat[np.ix_(fixed, fixed)] = True
+    return mat
+
+
+def reference_is_minimal_flow(m) -> bool:
+    n = m.n_states
+    return all(len({apply(m, s, x) for s in range(m.size)}) == n for x in range(n))
+
+
+def reference_sp_witness(m, structure, x: int, y: int) -> dict:
+    """The witness of ``sp_verdict``: the first member of the first ideal
+    separating the pair, and its idempotent power."""
+    for k, ideal in enumerate(structure.ideals):
+        for p in ideal.members:
+            if apply(m, p, x) != apply(m, p, y):
+                return {"ideal": k, "separator": p, "fixing_idempotent": reference_idempotent_power(m, p)}
+    return {"collapsing_ideals": len(structure.ideals)}
+
+
+def reference_induced_theta(f, sm, tm) -> list[int]:
+    """θ(p) for each source element, one element at a time, with the same
+    errors as ``induced_theta``."""
+    pm = f.point_map
+    reps = {}
+    for x in range(f.source.n_states):
+        reps.setdefault(pm[x], x)
+    theta = []
+    for i in range(sm.size):
+        candidate = tuple(pm[apply(sm, i, reps[y])] for y in range(f.target.n_states))
+        if any(candidate[pm[x]] != pm[apply(sm, i, x)] for x in range(f.source.n_states)):
+            raise NotAFactorMap(f"no well-defined target action for element {i}")
+        if candidate not in tuple_index(tm):
+            raise NotAFactorMap(f"induced element {candidate} missing from target monoid")
+        theta.append(tuple_index(tm)[candidate])
+    return theta

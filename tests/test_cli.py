@@ -298,3 +298,80 @@ def test_descriptor_parsers():
     assert parse_circle_point("center").tier() == "center"
     with pytest.raises(ValueError):
         parse_circle_point("C:1")
+
+
+# the full transformation monoid T_5 (3,125 elements) from a 5-cycle, the
+# swap (0 1) and 1 -> 0; sha256 of `flowrel analyze` stdout, recorded before
+# the ideal algebra was computed by array gathers
+T5_FLOW = "states: 5\n1 2 3 4 0\n1 0 2 3 4\n0 0 2 3 4\n"
+T5_SHA256 = "b2b5c8bc6e077d19b622a22f357e5ba3a655e8eba8c5b16ef877294f8f446d45"
+
+
+def test_analyze_full_transformation_monoid_bytes_pinned(capsys, tmp_path):
+    flow = tmp_path / "t5.flow"
+    flow.write_text(T5_FLOW)
+    code, out, _ = run(capsys, "analyze", str(flow))
+    assert code == 0
+    assert json.loads(out)["monoid"]["size"] == 5**5
+    assert hashlib.sha256(out.encode()).hexdigest() == T5_SHA256
+
+
+@pytest.mark.parametrize("text, message", [
+    ("states: 100000000000\n0 1\n", "wrong arity"),
+    ("states: 10^11\n0 1\n", "bad state count"),
+    ("states: 2\n-1 0\n", "maps outside the state set"),
+    ("states: 2\n# no generators\n", "no generator lines"),
+    ("states: -2\n0 1\n", "at least one state"),
+    ("states: 2\n0 1 1\n", "wrong arity"),
+    ("states:\n0 1\n", "bad state count"),
+])
+def test_analyze_parse_edge_cases_exit_2(capsys, tmp_path, text, message):
+    bad = tmp_path / "edge.flow"
+    bad.write_text(text)
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+MORSE_PAIR = ["classify-pair", "--system", "morse", "--x", "a", "--y", "b"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "mt", "--out", "x.json"],
+    ["reproduce", "mt", "--format", "json"],
+    ["reproduce", "mt", "--cap", "5"],
+    [*MORSE_PAIR, "--cap", "5"],
+    [*MORSE_PAIR, "--format", "text"],
+    ["fuzz", "--count", "1", "--format", "text"],
+])
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_element_cap_is_resolved_only_where_a_monoid_is_closed(capsys, monkeypatch):
+    monkeypatch.setenv("FLOWREL_ELEMENT_CAP", "abc")
+    code, out, _ = run(capsys, "reproduce", "mt")
+    assert code == 0 and "golden match" in out
+    code, out, _ = run(capsys, *MORSE_PAIR)
+    assert code == 0 and json.loads(out)["labels"] == ["evidence-P", "evidence-not-SP"]
+    for argv in (["analyze", str(FLOWS / "identity1.flow")], ["fuzz", "--count", "1"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "FLOWREL_ELEMENT_CAP must be an integer" in err
+
+
+def test_out_writes_the_printed_report(capsys, tmp_path):
+    for argv in (MORSE_PAIR, ["fuzz", "--count", "2"], ["analyze", str(FLOWS / "two_ideal.flow"), "--format", "text"]):
+        path = tmp_path / "report.out"
+        code, out, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0 and path.read_text() == out
+
+
+def test_ternary_z_descriptor_is_the_sample_point():
+    from flowrel import reports
+
+    assert parse_ternary_point("z") == reports.ternary_sample()["z"]
+    assert parse_ternary_point("shift:2:z") == reports.ternary_sample()["z"].shifted(2)

@@ -1,0 +1,325 @@
+"""The row lookup and the array-gather forms of the minimal-ideal algebra:
+each gather against its one-element-at-a-time reference in ``oracles``,
+and each ideal-algebra check of the relation suite broken in turn."""
+
+import random
+import re
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flowrel.finflow import (
+    FactorMap,
+    FiniteFlow,
+    MonoidTooLarge,
+    TransMonoid,
+    close,
+    equivalence_matrix,
+    equivalent_idempotents,
+    ideal_structure,
+    idempotents,
+    induced_theta,
+    row_positions,
+)
+from flowrel.fuzz import (
+    CONSTANTS_FLOW,
+    IDENTITY_FLOW,
+    ROTATION3_FLOW,
+    SINGLE_IDEAL_SEED_FLOW,
+    TWO_IDEAL_FLOW,
+    random_flow,
+    relation_check_suite,
+    saturate_icer,
+    square_monoid,
+)
+from flowrel.proxsets import validate_partitions
+from flowrel.relations import (
+    PairRelation,
+    analyze_flow,
+    check_factor_theorems,
+    is_minimal_flow,
+    omega,
+    product_flow,
+    quotient_by_icer,
+    sp_verdict,
+)
+from oracles import (
+    compose,
+    element_of,
+    reference_equivalent_idempotents,
+    reference_idempotent_power,
+    reference_idempotents,
+    reference_induced_theta,
+    reference_is_minimal_flow,
+    reference_left_ideal_of,
+    reference_omega,
+    reference_sp_witness,
+    tuple_index,
+)
+
+FIXTURES = (CONSTANTS_FLOW, IDENTITY_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW, TWO_IDEAL_FLOW)
+
+small_flows = st.integers(min_value=0, max_value=10**9).map(
+    lambda seed: random_flow(random.Random(seed), min_states=1, max_states=7, max_gens=3)
+)
+
+
+def closed_or_none(flow, cap=3000):
+    try:
+        return close(flow, cap=cap)
+    except MonoidTooLarge:
+        return None
+
+
+# -- the row lookup -----------------------------------------------------------
+
+
+def test_positions_finds_every_element_and_rejects_non_elements():
+    m = close(TWO_IDEAL_FLOW)
+    assert m.positions(m.elements).tolist() == list(range(m.size))
+    assert int(m.positions(np.array([1, 3, 3, 1]))) == element_of(m, (1, 3, 3, 1))
+    assert int(m.positions(np.array([0, 1, 2, 2]))) == -1
+    stack = m.elements[[[2, 0], [8, 5]]]
+    assert m.positions(stack).tolist() == [[2, 0], [8, 5]]
+    # rows of another integer type are read as the monoid's own
+    assert m.positions(m.elements.astype(np.int64)[::-1]).tolist() == list(range(m.size))[::-1]
+
+
+def test_row_positions_on_a_local_table():
+    table = np.array([[2, 2, 0], [0, 1, 2], [1, 1, 1]], dtype=np.int16)
+    rows = np.array([[1, 1, 1], [2, 2, 0], [2, 1, 0], [0, 1, 2]])
+    assert row_positions(table, rows).tolist() == [2, 0, -1, 1]
+    assert int(row_positions(table, table[1])) == 1
+
+
+def test_positions_agree_with_a_tuple_index_on_the_fixtures():
+    for flow in FIXTURES:
+        m = close(flow)
+        index = tuple_index(m)  # checks positions on every element
+        for p in range(m.size):
+            for q in range(m.size):
+                row = m.elements[p][m.elements[q]]
+                assert int(m.positions(row)) == index[tuple(row.tolist())]
+
+
+# -- gathers against their references ------------------------------------------
+
+
+def assert_gathers_match_references(flow):
+    m = closed_or_none(flow)
+    if m is None:
+        return
+    structure = ideal_structure(m)
+    for ideal in structure.ideals:
+        assert idempotents(m, ideal) == reference_idempotents(m, ideal)
+    assert equivalent_idempotents(m) == reference_equivalent_idempotents(m, structure)
+    assert np.array_equal(omega(m).matrix, reference_omega(m, structure))
+    assert is_minimal_flow(m) == reference_is_minimal_flow(m)
+    sample = range(m.size) if m.size <= 200 else sorted(set(range(40)) | set(structure.kernel_elements))
+    for p in sample:
+        assert m.left_ideal_of(p) == reference_left_ideal_of(m, p)
+        assert m.idempotent_power(p) == reference_idempotent_power(m, p)
+    for x in range(m.n_states):
+        for y in range(x + 1, m.n_states):
+            assert sp_verdict(m, x, y).witness == reference_sp_witness(m, structure, x, y)
+
+
+def test_equivalence_matrix_needs_both_products():
+    # the identity 0 and the idempotent 1 = (0, 0, 2, 2): 0∘1 = 1 but
+    # 1∘0 = 1 != 0, so they are not equivalent
+    m = close(TWO_IDEAL_FLOW)
+    us, vs = [0, 1, 3, 2], [0, 1, 2, 4, 7]
+    expected = [[compose(m, u, v) == v and compose(m, v, u) == u for v in vs] for u in us]
+    assert equivalence_matrix(m, us, vs).tolist() == expected
+    assert not equivalence_matrix(m, [0], [1])[0, 0] and equivalence_matrix(m, [1], [2])[0, 0]
+
+
+def theta_outcome(fn, *args):
+    try:
+        return list(fn(*args))
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def assert_induced_theta_matches_reference(flow, seed):
+    sm = closed_or_none(flow)
+    if sm is None:
+        return
+    rng = random.Random(seed)
+    n = flow.n_states
+    f = quotient_by_icer(flow, saturate_icer(flow, [(rng.randrange(n), rng.randrange(n))]))
+    tm = close(f.target)
+    assert theta_outcome(induced_theta, f, sm, tm) == theta_outcome(reference_induced_theta, f, sm, tm)
+    # a target monoid without the induced elements, and a source monoid
+    # whose elements do not descend: both error paths name the same element
+    trivial = close(FiniteFlow(f.target.n_states, (tuple(range(f.target.n_states)),)))
+    assert theta_outcome(induced_theta, f, sm, trivial) == theta_outcome(reference_induced_theta, f, sm, trivial)
+    other = closed_or_none(random_flow(rng, min_states=n, max_states=n))
+    if other is not None:
+        assert theta_outcome(induced_theta, f, other, tm) == theta_outcome(reference_induced_theta, f, other, tm)
+
+
+def test_gathers_match_references_on_the_fixtures():
+    for flow in FIXTURES:
+        assert_gathers_match_references(flow)
+        assert_induced_theta_matches_reference(flow, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_flows)
+def test_gathers_match_references(flow):
+    assert_gathers_match_references(flow)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_flows, st.integers(min_value=0, max_value=10**9))
+def test_induced_theta_matches_reference(flow, seed):
+    assert_induced_theta_matches_reference(flow, seed)
+
+
+def test_induced_theta_error_paths_are_reached():
+    m = close(TWO_IDEAL_FLOW)
+    f = FactorMap(TWO_IDEAL_FLOW, TWO_IDEAL_FLOW, (0, 1, 2, 3))
+    trivial = close(FiniteFlow(4, ((0, 1, 2, 3),)))
+    for fn in (induced_theta, reference_induced_theta):
+        assert theta_outcome(fn, f, m, trivial) == (
+            "NotAFactorMap", "induced element (0, 0, 2, 2) missing from target monoid")
+    # fibers {0, 2} and {1, 3}; element 1 of the other monoid sends 0 and 2
+    # into different fibers
+    halves = quotient_by_icer(TWO_IDEAL_FLOW, saturate_icer(TWO_IDEAL_FLOW, [(0, 2)]))
+    splitter = close(FiniteFlow(4, ((0, 1, 1, 3),)))
+    for fn in (induced_theta, reference_induced_theta):
+        assert theta_outcome(fn, halves, splitter, close(halves.target)) == (
+            "NotAFactorMap", "no well-defined target action for element 1")
+
+
+# -- the square flow, coordinatewise ---------------------------------------------
+
+
+def assert_square_matches_closure(flow):
+    m = closed_or_none(flow)
+    if m is None:
+        return
+    square = square_monoid(m)
+    closed = close(product_flow(flow, flow))
+    assert square.flow == closed.flow
+    assert square.elements.dtype == closed.elements.dtype
+    assert np.array_equal(square.elements, closed.elements)
+
+
+def test_square_monoid_matches_closure_on_the_fixtures():
+    for flow in FIXTURES:
+        assert_square_matches_closure(flow)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9).map(
+    lambda seed: random_flow(random.Random(seed), min_states=1, max_states=6, max_gens=3)))
+def test_square_monoid_matches_closure(flow):
+    assert_square_matches_closure(flow)
+
+
+# -- each ideal-algebra check, broken in turn --------------------------------------
+
+
+def with_structure(ax, ideals=None, idempotents_by_ideal=None):
+    """The analysis with some ideal structure replaced; the equivalent
+    pairs keep those whose idempotents are still listed."""
+    st_ = replace(
+        ax.structure,
+        ideals=ideals if ideals is not None else ax.structure.ideals,
+        idempotents_by_ideal=idempotents_by_ideal if idempotents_by_ideal is not None else ax.structure.idempotents_by_ideal,
+    )
+    listed = set(st_.all_idempotents)
+    pairs = [pair for pair in ax.equivalent_pairs if listed.issuperset(pair)]
+    return replace(ax, structure=st_, equivalent_pairs=pairs)
+
+
+def broken_mp(ax):
+    # the identity (element 0) is no member of ideal 0: S¹·id is everything
+    ideal = ax.structure.ideals[0]
+    return with_structure(ax, ideals=(replace(ideal, members=(0,) + ideal.members),) + ax.structure.ideals[1:])
+
+
+def broken_pu(ax):
+    # element 7 = (2, 2, 0, 0) of ideal 0 is no idempotent: p∘7 != p
+    return with_structure(ax, idempotents_by_ideal=((1, 7),) + ax.structure.idempotents_by_ideal[1:])
+
+
+def broken_um(ax):
+    # idempotent 2 of ideal 1, listed under ideal 0: 2∘M0 = {1, 7} lacks 2,
+    # and 2 is equivalent to idempotent 1 of ideal 0
+    return with_structure(ax, idempotents_by_ideal=((1, 2),) + ax.structure.idempotents_by_ideal[1:])
+
+
+def unclosed_um(ax):
+    # in the rotation group Z4 = {e, r, r², r³}, M = {e, r, r³} has
+    # e∘M = M with e in it and every member inverted, but r∘r = r² is
+    # not in it
+    return with_structure(ax, ideals=(replace(ax.structure.ideals[0], members=(0, 1, 3)),))
+
+
+def broken_omega(ax):
+    mat = ax.omega.matrix.copy()
+    mat[0, 1] = mat[1, 0] = True
+    return replace(ax, omega=PairRelation(ax.n_states, mat, "Omega"))
+
+
+def broken_p(ax):
+    mat = ax.proximal.matrix.copy()
+    mat[0, 1] = mat[1, 0] = True
+    return replace(ax, proximal=PairRelation(ax.n_states, mat, "P"))
+
+
+@pytest.mark.parametrize("flow, breaker, check, detail", [
+    (TWO_IDEAL_FLOW, broken_mp, "ideal_absorption_Mp_equals_M", "Mp != M at ideal 0 element 0"),
+    (TWO_IDEAL_FLOW, broken_pu, "right_identity_pu_equals_p", "pu != p at ideal 0"),
+    (TWO_IDEAL_FLOW, broken_um, "uM_is_group", "uM not a group at ideal 0 idempotent 2"),
+    (FiniteFlow(4, ((1, 2, 3, 0),)), unclosed_um, "uM_is_group", "uM not a group at ideal 0 idempotent 0"),
+    (TWO_IDEAL_FLOW, broken_um, "intra_ideal_idempotents_not_equivalent", "idempotents 1 and 2 equivalent in ideal 0"),
+    (TWO_IDEAL_FLOW, broken_omega, "omega_cells_are_fixed_point_unions", "state 0"),
+    (ROTATION3_FLOW, broken_p, "p_cells_are_idempotent_orbits_when_minimal", "state 0"),
+])
+def test_each_broken_check_fails_with_its_own_detail(flow, breaker, check, detail):
+    ax = analyze_flow(flow)
+    assert all(r.passed for r in relation_check_suite(ax))
+    results = relation_check_suite(breaker(ax))
+    (broken,) = [r for r in results if r.name == check]
+    assert not broken.passed and broken.detail == detail
+    # no other check reports this counterexample as its own
+    assert [r.name for r in results if r.detail == detail] == [check]
+
+
+def test_broken_membership_keeps_each_detail_apart():
+    # prepending a non-member breaks both Mp = M and pu = p; each check
+    # names its own counterexample
+    results = {r.name: r for r in relation_check_suite(broken_mp(analyze_flow(TWO_IDEAL_FLOW)))}
+    assert results["ideal_absorption_Mp_equals_M"].detail == "Mp != M at ideal 0 element 0"
+    assert results["right_identity_pu_equals_p"].detail == "pu != p at ideal 0"
+    assert results["uM_is_group"].passed
+
+
+@pytest.mark.parametrize("idempotents_of_ideal_0, message", [
+    ((7,), "class [0, 1] has no almost periodic point"),  # 7 = (2, 2, 0, 0)
+    ((1, 2), "class [0, 1] not closed under idempotent 2"),  # 2 = (0, 2, 2, 0)
+])
+def test_validate_partitions_rejects_foreign_idempotents(idempotents_of_ideal_0, message):
+    m = close(TWO_IDEAL_FLOW)
+    st_ = ideal_structure(m)
+    m._structure = replace(st_, idempotents_by_ideal=(idempotents_of_ideal_0,) + st_.idempotents_by_ideal[1:])
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        validate_partitions(m)
+
+
+def test_fiber_check_fails_when_the_section_is_no_idempotent(monkeypatch):
+    # onto a point every element lies over the identity; a section that
+    # returns the non-idempotent (1, 3, 3, 1) moves its own image
+    point = quotient_by_icer(TWO_IDEAL_FLOW, np.ones((4, 4), dtype=bool))
+    (before,) = [r for r in check_factor_theorems(point) if r.name == "factor_fiber_contains_ap_set"]
+    assert before.passed
+    monkeypatch.setattr(TransMonoid, "idempotent_power",
+                        lambda self, i: element_of(self, (1, 3, 3, 1)) if self.n_states == 4 else i)
+    (after,) = [r for r in check_factor_theorems(point) if r.name == "factor_fiber_contains_ap_set"]
+    assert not after.passed and after.detail == "u.fiber not an almost periodic subset of fiber over 0"

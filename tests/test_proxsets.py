@@ -17,6 +17,7 @@ from flowrel.proxsets import (
 )
 from flowrel.relations import analyze_flow
 from flowrel.reports import flow_report
+from oracles import apply, element_of, image_tuple
 
 
 def test_singletons_are_proximal():
@@ -27,7 +28,7 @@ def test_singletons_are_proximal():
 def test_whole_space_proximal_in_constants_model():
     m = close(CONSTANTS_FLOW)
     p = is_proximal_set(m, {0, 1})
-    assert p is not None and len(set(m.image_tuple(p))) == 1
+    assert p is not None and len(set(image_tuple(m, p))) == 1
 
 
 def test_distal_pair_not_proximal_set():
@@ -40,7 +41,7 @@ def test_minimal_ideal_collapse():
     m = close(CONSTANTS_FLOW)
     ideal = minimal_ideal_collapse(m, {0, 1})
     assert ideal is not None
-    assert [m.image_tuple(i) for i in ideal.members] == [(0, 0), (1, 1)]
+    assert [image_tuple(m, i) for i in ideal.members] == [(0, 0), (1, 1)]
     m2 = close(TWO_IDEAL_FLOW)
     ideal2 = minimal_ideal_collapse(m2, {0, 1})
     assert ideal2 is not None and ideal2.kernel == (0, 0, 1, 1)
@@ -100,8 +101,8 @@ def test_rA_counterexample_exists_when_p_not_equivalence():
     assert r.passed
     # explicit witness: {0,1} is collapsed by the first ideal, its image
     # under the idempotent (0,2,2,0) is {0,2}, which nothing collapses
-    u = m.index[(0, 2, 2, 0)]
-    image = {m.apply(u, x) for x in (0, 1)}
+    u = element_of(m, (0, 2, 2, 0))
+    image = {apply(m, u, x) for x in (0, 1)}
     assert image == {0, 2}
     assert is_proximal_set(m, image) is None
 
