@@ -54,7 +54,37 @@ GOLDEN_PACKAGE = "flowrel.golden"
 
 
 def dump(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True)`` and a newline, byte
+    for byte.  json turns its C encoder off whenever ``indent`` is set, and
+    its pure-Python one spends most of a large report on lists of ints, one
+    per line; this writer joins each list whose items are all of type int
+    (bools, which json writes as true/false, are not) in one pass and leaves
+    every other scalar and key to json's own encoder."""
+    out: list[str] = []
+    _write(report, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value and {int}.issuperset(map(type, value)):
+        out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+    elif isinstance(value, (list, tuple)) and value:
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def emit(payload: str, out: str | None) -> None:

@@ -24,9 +24,12 @@ from .relations import (
     check_unique_ideal_equiv,
     diagonal,
     idempotent_section_check,
+    invariance_violation,
     is_minimal_flow,
+    pairs_reaching,
     product_flow,
     quotient_by_icer,
+    reaching,
 )
 
 # canonical fixtures -------------------------------------------------------
@@ -84,16 +87,16 @@ def relation_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     bad = np.flatnonzero(((idem_rows == ar).T @ images != om).any(axis=1))
     out.append(_result("omega_cells_are_fixed_point_unions", not bad.size, f"state {bad[0]}" if bad.size else ""))
 
-    eq = check_unique_ideal_equiv(m)
+    eq = check_unique_ideal_equiv(m, ax.proximal, ax.strongly_proximal)
     out.append(_result("three_way_equivalence", eq["consistent"], str(eq)))
 
     # ideal algebra, each check with its own first counterexample
     mp_detail = pu_detail = group_detail = intra_detail = ""
     for ki, ideal in enumerate(st.ideals):
         members = e[list(ideal.members)]
-        for pidx in ideal.members:
-            if m.left_ideal_of(pidx) != ideal.members and not mp_detail:
-                mp_detail = f"Mp != M at ideal {ki} element {pidx}"
+        pidx = left_action_counterexample(m, ideal.members)
+        if pidx is not None and not mp_detail:
+            mp_detail = f"Mp != M at ideal {ki} element {pidx}"
         js = st.idempotents_by_ideal[ki]
         for u in js:
             if not (members[:, e[u]] == members).all() and not pu_detail:
@@ -132,26 +135,53 @@ def relation_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
         om_via_square = (sq_idem == np.arange(n * n)).any(axis=0).reshape(n, n)
         out.append(_result("omega_agrees_with_product_flow", np.array_equal(om, om_via_square)))
 
-    # monoid-model invariance facts (see module docstring of relations)
-    out.append(_result("omega_forward_invariant", not (om & ~om[e[:, :, None], e[:, None, :]].all(axis=0)).any()))
-    out.append(_result("sp_forward_invariant", not (sp & ~sp[e[:, :, None], e[:, None, :]].all(axis=0)).any()))
-    d_trans = d[e[:, :, None], e[:, None, :]].all(axis=0)
-    out.append(_result("d_invariance_biconditional", np.array_equal(d, d_trans)))
-    # backward invariance of P: a proximal translate pulls back
-    back_ok = not (p[e[:, :, None], e[:, None, :]] & ~p[None, :, :]).any()
-    out.append(_result("p_backward_invariant", back_ok))
+    out.extend(invariance_checks(np.array(m.flow.generators), om, sp, p, d))
     return out
+
+
+def invariance_checks(gens: np.ndarray, om, sp, p, d) -> list[CheckResult]:
+    """The monoid-model invariance facts (see the module docstring of
+    relations), one generator at a time: Omega and SP forward invariant,
+    D equal to its all-translates form (no word leads it into ~D), and P
+    backward invariant, i.e. D forward invariant."""
+    return [
+        _result("omega_forward_invariant", invariance_violation(gens, om) is None),
+        _result("sp_forward_invariant", invariance_violation(gens, sp) is None),
+        _result("d_invariance_biconditional", np.array_equal(d, ~pairs_reaching(gens, ~d))),
+        _result("p_backward_invariant", invariance_violation(gens, ~p) is None),
+    ]
+
+
+def left_action_counterexample(m: TransMonoid, members: tuple[int, ...]) -> int | None:
+    """The first p in ``members`` with S¹p != M, or None, read from the
+    generators' left action p -> g∘p on M (S¹p is what p reaches).  S¹p = M
+    for every p exactly when M is closed under the action and every member
+    reaches every other.  If the action leaves M, or the first member does
+    not reach all of M, the first member is the first counterexample;
+    otherwise it is the first member that cannot reach the first back."""
+    uniq = np.unique(members)
+    pos = m.positions(np.array(m.flow.generators)[:, m.elements[uniq]])  # (k, |M|): g∘p
+    succ = np.minimum(np.searchsorted(uniq, pos), uniq.size - 1)
+    start = uniq == members[0]
+    seen = start.copy()
+    while not seen[succ[:, seen]].all():
+        seen[succ[:, seen]] = True
+    if (uniq[succ] != pos).any() or tuple(uniq[seen].tolist()) != members:
+        return members[0]
+    back = np.flatnonzero(~reaching(succ, start))
+    return int(uniq[back[0]]) if back.size else None
 
 
 def _is_group(m, u: int, members: np.ndarray) -> bool:
     """Whether uM is a group with identity u, from its Cayley table built
-    one row at a time (memory O(|uM| n))."""
+    one row at a time (memory O(|uM| n)): the table is closed, u's row and
+    column are the identity, and every member has an inverse."""
     e = m.elements
     group = e[np.unique(m.positions(e[u][members]))]
     table = np.array([row_positions(group, a[group]) for a in group])
-    identity = row_positions(group, e[u])
-    return bool((table >= 0).all() and identity >= 0
-                and ((table == identity) & (table.T == identity)).any(axis=1).all())
+    i, ar = int(row_positions(group, e[u])), np.arange(len(group))
+    return bool(i >= 0 and (table >= 0).all() and (table[i] == ar).all() and (table[:, i] == ar).all()
+                and ((table == i) & (table.T == i)).any(axis=1).all())
 
 
 def square_monoid(m: TransMonoid) -> TransMonoid:

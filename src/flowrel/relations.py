@@ -5,6 +5,16 @@ On a finite flow the generated monoid is the orbit-closure machinery, so
 statements about orbit closures become statements quantified over monoid
 elements and are checked exactly.
 
+The monoid is generated by the flow's maps and contains the identity, so
+"for every s in S" is "for every word in the generators, the empty word
+included".  Invariance is therefore checked one generator at a time
+(induction on word length makes that exact), and the all-elements forms
+are read in the pair graph, whose edges are (x, y) -> (g(x), g(y)) for
+each generator g: P's element form is "the diagonal is reachable" and
+SP's translate form is the complement of the pairs that reach ~P, a
+forward closure.  Neither builds an array of shape ``(size, n, n)``; the
+tensor forms live on in ``tests/oracles.py`` as their references.
+
 Caveat for non-invertible generators: the classical invariance facts
 refine as follows on monoid models.  P is backward invariant and D forward
 invariant unconditionally; Omega and SP are forward invariant, WD backward
@@ -119,17 +129,51 @@ def weakly_distal_rel(m: TransMonoid) -> PairRelation:
     return PairRelation(m.n_states, ~strongly_proximal(m).matrix, "WD")
 
 
+def reaching(succ: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The nodes from which some path along the edges v -> succ[i, v], the
+    empty path included, leads into the node set ``target``: a reverse
+    search, O(k N) per pass over the k rows of ``succ`` on N nodes."""
+    reached = target.copy()
+    while True:
+        grown = reached | reached[succ].any(axis=0)
+        if np.array_equal(grown, reached):
+            return reached
+        reached = grown
+
+
+def pairs_reaching(gens: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The state pairs from which some word in the generators (rows of
+    ``gens``), the empty word included, leads into the pair set ``target``:
+    ``reaching`` in the pair graph (x, y) -> (g(x), g(y)), O(k n²) a pass."""
+    n = target.shape[0]
+    g = np.asarray(gens, dtype=np.intp)
+    succ = (g[:, :, None] * n + g[:, None, :]).reshape(len(g), n * n)
+    return reaching(succ, target.reshape(-1)).reshape(n, n)
+
+
+def invariance_violation(gens: np.ndarray, rel: np.ndarray) -> tuple[int, int, int] | None:
+    """The first (generator, x, y) with (x, y) in ``rel`` but its image
+    pair not; None when ``rel`` is forward invariant, which checked per
+    generator is exact for the whole monoid."""
+    for gi, g in enumerate(gens):
+        bad = rel & ~rel[np.ix_(g, g)]
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            return gi, int(x), int(y)
+    return None
+
+
 def verify_relation_forms(m: TransMonoid, p: PairRelation, sp: PairRelation) -> None:
     """The cross-form assertions on P and SP, run once per ``analyze_flow``.
 
-    P read from the minimal ideals equals the element form (some element
-    collapses the pair); SP is an equivalence relation; SP membership is
-    equivalent to every monoid translate of the pair staying proximal.
-    Disagreement would be an implementation bug, since each pair of forms
-    is provably equal.
+    P read from the minimal ideals equals the element form (the diagonal
+    is reachable in the pair graph); SP is an equivalence relation; SP
+    membership is equivalent to every monoid translate of the pair staying
+    proximal (no path to ~P).  Disagreement would be an implementation bug,
+    since each pair of forms is provably equal.
     """
-    e = m.elements
-    direct = (e[:, :, None] == e[:, None, :]).any(axis=0)
+    gens = np.array(m.flow.generators)
+    direct = pairs_reaching(gens, diagonal(m.n_states))
     if not np.array_equal(direct, p.matrix):
         raise AssertionError(
             "proximal relation: element form and minimal-ideal form disagree; "
@@ -137,8 +181,7 @@ def verify_relation_forms(m: TransMonoid, p: PairRelation, sp: PairRelation) -> 
         )
     if not sp.is_equivalence:
         raise AssertionError("SP failed to be an equivalence relation")
-    translates_in_p = p.matrix[e[:, :, None], e[:, None, :]].all(axis=0)
-    if not np.array_equal(sp.matrix, translates_in_p):
+    if not np.array_equal(sp.matrix, ~pairs_reaching(gens, ~p.matrix)):
         raise AssertionError("SP does not match the all-translates-proximal form")
 
 
@@ -211,20 +254,19 @@ def is_minimal_flow(m: TransMonoid) -> bool:
     return bool(reached.all())
 
 
-def check_unique_ideal_equiv(m: TransMonoid) -> dict:
+def check_unique_ideal_equiv(m: TransMonoid, p: PairRelation | None = None,
+                             sp: PairRelation | None = None) -> dict:
     """The three-way equivalence: P is an equivalence relation iff the
     monoid has a unique minimal ideal iff P = SP, together with the
-    forward-invariance form ((x,y) in P implies s(x,y) in P for all s)."""
-    st = ideal_structure(m)
-    p = proximal(m)
-    sp = strongly_proximal(m)
-    e = m.elements
-    forward = bool((~p.matrix | p.matrix[e[:, :, None], e[:, None, :]].all(axis=0)).all())
+    forward-invariance form ((x,y) in P implies s(x,y) in P for all s).
+    P and SP are read from ``m`` unless an analysis passes its own."""
+    p = proximal(m) if p is None else p
+    sp = strongly_proximal(m) if sp is None else sp
     report = {
         "p_is_equivalence": p.is_equivalence,
-        "unique_minimal_ideal": len(st.ideals) == 1,
+        "unique_minimal_ideal": len(ideal_structure(m).ideals) == 1,
         "p_equals_sp": bool(np.array_equal(p.matrix, sp.matrix)),
-        "p_forward_invariant": forward,
+        "p_forward_invariant": invariance_violation(np.array(m.flow.generators), p.matrix) is None,
     }
     report["consistent"] = len(set(report.values())) == 1
     return report
@@ -424,12 +466,9 @@ def icer_violation(flow: FiniteFlow, matrix: np.ndarray) -> tuple[str, str] | No
     if (closed & ~matrix).any():
         x, y = np.argwhere(closed & ~matrix)[0]
         return ("transitive", f"pair ({x},{y})")
-    for gi, g in enumerate(flow.generators):
-        garr = np.array(g)
-        moved = matrix[garr[:, None], garr[None, :]]
-        if (matrix & ~moved).any():
-            x, y = np.argwhere(matrix & ~moved)[0]
-            return ("invariant", f"generator {gi} breaks pair ({x},{y})")
+    bad = invariance_violation(np.array(flow.generators), matrix)
+    if bad is not None:
+        return ("invariant", "generator {} breaks pair ({},{})".format(*bad))
     return None
 
 

@@ -15,6 +15,11 @@ The scalar element API (``compose``, ``apply``, ``is_idempotent``,
 index built here once per monoid, and the one-element-at-a-time forms of
 the ideal algebra built on it are the references for the library's row
 lookup (``TransMonoid.positions``) and array gathers.
+
+The ``(size, n, n)`` translate tensors quantify over every monoid element
+at once; they are the references for the library's pair-graph searches
+and per-generator invariance checks, and the per-member S¹p loop is the
+reference for the S¹p check read from the generators' left action.
 """
 
 import weakref
@@ -345,3 +350,44 @@ def reference_induced_theta(f, sm, tm) -> list[int]:
             raise NotAFactorMap(f"induced element {candidate} missing from target monoid")
         theta.append(tuple_index(tm)[candidate])
     return theta
+
+
+# -- the relations over every monoid element: (size, n, n) tensors ----------------
+
+
+def translates(m, rel) -> np.ndarray:
+    """``(size, n, n)``: entry [s, x, y] is rel at (s(x), s(y))."""
+    e = m.elements
+    return rel[e[:, :, None], e[:, None, :]]
+
+
+def reference_element_proximal(m) -> np.ndarray:
+    """P's element form: pairs collapsed by some monoid element."""
+    e = m.elements
+    return (e[:, :, None] == e[:, None, :]).any(axis=0)
+
+
+def reference_some_translate_in(m, rel) -> np.ndarray:
+    return translates(m, rel).any(axis=0)
+
+
+def reference_all_translates_in(m, rel) -> np.ndarray:
+    """SP's translate form for rel = P; D's for rel = D."""
+    return translates(m, rel).all(axis=0)
+
+
+def reference_forward_invariant(m, rel) -> bool:
+    return not (rel & ~reference_all_translates_in(m, rel)).any()
+
+
+def reference_backward_invariant(m, rel) -> bool:
+    return not (translates(m, rel) & ~rel[None, :, :]).any()
+
+
+def reference_mp_counterexample(m, members) -> int | None:
+    """The first p in ``members`` with S¹p != M, one whole-monoid left
+    ideal per member."""
+    for p in members:
+        if reference_left_ideal_of(m, p) != tuple(members):
+            return p
+    return None

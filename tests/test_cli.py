@@ -4,8 +4,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowrel.cli import (
+    dump,
     main,
     parse_chacon_point,
     parse_circle_point,
@@ -375,3 +377,48 @@ def test_ternary_z_descriptor_is_the_sample_point():
 
     assert parse_ternary_point("z") == reports.ternary_sample()["z"]
     assert parse_ternary_point("shift:2:z") == reports.ternary_sample()["z"].shifted(2)
+
+
+# -- the report writer against json ------------------------------------------------
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-2**200, max_value=2**200),
+    st.floats(),  # nan and both infinities included
+    st.floats().map(lambda x: round(x, 9)),
+    st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), -float("inf")]),
+    st.text(),
+    st.text(alphabet=st.characters(max_codepoint=0x20)),  # control characters
+)
+int_lists = st.lists(st.one_of(st.integers(), st.booleans()), min_size=1)
+json_values = st.recursive(
+    st.one_of(json_scalars, int_lists),
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(st.text(), children),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(json_values)
+def test_dump_is_byte_identical_to_json(value):
+    assert dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": [], "b": {}, "c": ()}, [True, 1, False, 0], [1, True], [-0.0, 0, -1],
+    {"\u00e9\x00\n\t\"": ["\ud83d\ude00", "\x1f"]}, [2**64, -2**64], [[1, 2], (3, 4)],
+])
+def test_dump_edge_values(value):
+    assert dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_analyze_report_is_the_json_encoding(capsys):
+    for flow in sorted(FLOWS.glob("*.flow")):
+        _, out, _ = run(capsys, "analyze", str(flow))
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

@@ -29,6 +29,7 @@ from flowrel.fuzz import (
     ROTATION3_FLOW,
     SINGLE_IDEAL_SEED_FLOW,
     TWO_IDEAL_FLOW,
+    left_action_counterexample,
     random_flow,
     relation_check_suite,
     saturate_icer,
@@ -54,10 +55,14 @@ from oracles import (
     reference_induced_theta,
     reference_is_minimal_flow,
     reference_left_ideal_of,
+    reference_mp_counterexample,
     reference_omega,
     reference_sp_witness,
     tuple_index,
 )
+
+# a swap and a constant on three states: the monoid {id, swap, c1, c2}
+SWAP_CONSTANT_FLOW = FiniteFlow(3, ((0, 2, 1), (1, 1, 1)))
 
 FIXTURES = (CONSTANTS_FLOW, IDENTITY_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW, TWO_IDEAL_FLOW)
 
@@ -243,6 +248,25 @@ def broken_mp(ax):
     return with_structure(ax, ideals=(replace(ideal, members=(0,) + ideal.members),) + ax.structure.ideals[1:])
 
 
+def mp_action_leaves(ax):
+    # 7 of ideal 0 listed in ideal 1: the generators carry it to 1, 3 and 8,
+    # which are not listed, so the least member 2 is the first counterexample
+    ideals = ax.structure.ideals
+    return with_structure(ax, ideals=(ideals[0], replace(ideals[1], members=(2, 4, 5, 6, 7))))
+
+
+def mp_least_reaches_part(ax):
+    # both ideals as one: closed under the action, but 1 reaches only ideal 0
+    ideals = ax.structure.ideals
+    return with_structure(ax, ideals=(replace(ideals[0], members=tuple(range(1, 9))), ideals[1]))
+
+
+def mp_later_member_stuck(ax):
+    # the whole monoid {id, swap, c1, c2}: the identity reaches every
+    # element, the swap reaches back to it, the constant 2 does not
+    return with_structure(ax, ideals=(replace(ax.structure.ideals[0], members=(0, 1, 2, 3)),))
+
+
 def broken_pu(ax):
     # element 7 = (2, 2, 0, 0) of ideal 0 is no idempotent: p∘7 != p
     return with_structure(ax, idempotents_by_ideal=((1, 7),) + ax.structure.idempotents_by_ideal[1:])
@@ -252,6 +276,12 @@ def broken_um(ax):
     # idempotent 2 of ideal 1, listed under ideal 0: 2∘M0 = {1, 7} lacks 2,
     # and 2 is equivalent to idempotent 1 of ideal 0
     return with_structure(ax, idempotents_by_ideal=((1, 2),) + ax.structure.idempotents_by_ideal[1:])
+
+
+def fake_identity_um(ax):
+    # 7 = (2, 2, 0, 0) as ideal 0's idempotent: 7∘M0 = {1, 7} is a group,
+    # every member has an inverse, but its identity is 1, not 7
+    return with_structure(ax, idempotents_by_ideal=((7,),) + ax.structure.idempotents_by_ideal[1:])
 
 
 def unclosed_um(ax):
@@ -275,8 +305,12 @@ def broken_p(ax):
 
 @pytest.mark.parametrize("flow, breaker, check, detail", [
     (TWO_IDEAL_FLOW, broken_mp, "ideal_absorption_Mp_equals_M", "Mp != M at ideal 0 element 0"),
+    (TWO_IDEAL_FLOW, mp_action_leaves, "ideal_absorption_Mp_equals_M", "Mp != M at ideal 1 element 2"),
+    (TWO_IDEAL_FLOW, mp_least_reaches_part, "ideal_absorption_Mp_equals_M", "Mp != M at ideal 0 element 1"),
+    (SWAP_CONSTANT_FLOW, mp_later_member_stuck, "ideal_absorption_Mp_equals_M", "Mp != M at ideal 0 element 2"),
     (TWO_IDEAL_FLOW, broken_pu, "right_identity_pu_equals_p", "pu != p at ideal 0"),
     (TWO_IDEAL_FLOW, broken_um, "uM_is_group", "uM not a group at ideal 0 idempotent 2"),
+    (TWO_IDEAL_FLOW, fake_identity_um, "uM_is_group", "uM not a group at ideal 0 idempotent 7"),
     (FiniteFlow(4, ((1, 2, 3, 0),)), unclosed_um, "uM_is_group", "uM not a group at ideal 0 idempotent 0"),
     (TWO_IDEAL_FLOW, broken_um, "intra_ideal_idempotents_not_equivalent", "idempotents 1 and 2 equivalent in ideal 0"),
     (TWO_IDEAL_FLOW, broken_omega, "omega_cells_are_fixed_point_unions", "state 0"),
@@ -290,6 +324,17 @@ def test_each_broken_check_fails_with_its_own_detail(flow, breaker, check, detai
     assert not broken.passed and broken.detail == detail
     # no other check reports this counterexample as its own
     assert [r.name for r in results if r.detail == detail] == [check]
+
+
+@pytest.mark.parametrize("flow, breaker, ideal, element", [
+    (TWO_IDEAL_FLOW, mp_action_leaves, 1, 2),
+    (TWO_IDEAL_FLOW, mp_least_reaches_part, 0, 1),
+    (SWAP_CONSTANT_FLOW, mp_later_member_stuck, 0, 2),
+])
+def test_each_mp_failure_shape_names_the_per_member_loops_element(flow, breaker, ideal, element):
+    ax = breaker(analyze_flow(flow))
+    members = ax.structure.ideals[ideal].members
+    assert left_action_counterexample(ax.monoid, members) == reference_mp_counterexample(ax.monoid, members) == element
 
 
 def test_broken_membership_keeps_each_detail_apart():
