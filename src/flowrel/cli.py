@@ -25,6 +25,7 @@ import argparse
 import difflib
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from importlib import resources
 from pathlib import Path
 
@@ -58,8 +59,9 @@ def dump(report: dict) -> str:
     for byte.  json turns its C encoder off whenever ``indent`` is set, and
     its pure-Python one spends most of a large report on lists of ints, one
     per line; this writer joins each list whose items are all of type int
-    (bools, which json writes as true/false, are not) in one pass and leaves
-    every other scalar and key to json's own encoder."""
+    (bools, which json writes as true/false, are not) in one pass, writes
+    strings and keys with json's own C quoting function, and leaves every
+    other scalar to ``json.dumps``."""
     out: list[str] = []
     _write(report, "\n", out)
     return "".join(out) + "\n"
@@ -67,10 +69,14 @@ def dump(report: dict) -> str:
 
 def _write(value, newline: str, out: list[str]) -> None:
     inner = newline + "  "
-    if isinstance(value, dict) and value:
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif type(value) is int:
+        out.append(str(value))
+    elif isinstance(value, dict) and value:
         sep = "{" + inner
         for key, item in sorted(value.items()):
-            out.append(sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ")
+            out.append(sep + encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key)) + ": ")
             _write(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")

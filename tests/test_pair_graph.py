@@ -159,28 +159,30 @@ def with_pair(mat, x, y, value):
     return out
 
 
+def relations_of(flow):
+    """The generators and the Omega, SP, P and D matrices of a flow."""
+    ax = analyze_flow(flow)
+    return (np.array(flow.generators), ax.omega.matrix, ax.strongly_proximal.matrix,
+            ax.proximal.matrix, ax.distal.matrix)
+
+
 def test_each_invariance_check_fails_alone():
     # TWO_IDEAL_FLOW: the generator (1, 1, 3, 3) collapses the proximal
-    # pair (0, 1); in the swap-and-constant flow, the swap sends (0, 1) to
-    # (0, 2), which is not almost periodic
-    ax = analyze_flow(TWO_IDEAL_FLOW)
-    gens, om, sp, p, d = (np.array(ax.monoid.flow.generators), ax.omega.matrix, ax.strongly_proximal.matrix,
-                          ax.proximal.matrix, ax.distal.matrix)
-    swap_const = analyze_flow(FiniteFlow(3, ((0, 2, 1), (1, 1, 1))))
-    sc_gens, sc = np.array(swap_const.flow.generators), swap_const
+    # pair (0, 1); in the swap-and-constant flow, the swap (generator 0)
+    # sends (0, 1) to (0, 2), which is not almost periodic
+    gens, om, sp, p, d = relations_of(TWO_IDEAL_FLOW)
+    sc_gens, sc_om, sc_sp, sc_p, sc_d = relations_of(FiniteFlow(3, ((0, 2, 1), (1, 1, 1))))
+    assert all(r.passed for r in invariance_checks(gens, om, sp, p, d))
+    assert all(r.passed for r in invariance_checks(sc_gens, sc_om, sc_sp, sc_p, sc_d))
     cases = [
-        ("omega_forward_invariant", sc_gens, with_pair(sc.omega.matrix, 0, 1, True),
-         sc.strongly_proximal.matrix, sc.proximal.matrix, sc.distal.matrix),
+        ("omega_forward_invariant", sc_gens, with_pair(sc_om, 0, 1, True), sc_sp, sc_p, sc_d),
         ("sp_forward_invariant", gens, om, with_pair(sp, 0, 1, True), p, d),
         ("d_invariance_biconditional", gens, om, sp, p, with_pair(d, 0, 1, True)),
         ("p_backward_invariant", gens, om, sp, with_pair(p, 0, 1, False), d),
     ]
-    assert all(r.passed for r in invariance_checks(gens, om, sp, p, d))
-    assert all(r.passed for r in invariance_checks(sc_gens, sc.omega.matrix, sc.strongly_proximal.matrix,
-                                                   sc.proximal.matrix, sc.distal.matrix))
     for check, *args in cases:
         assert [r.name for r in invariance_checks(*args) if not r.passed] == [check]
-    assert invariance_violation(sc_gens, with_pair(sc.omega.matrix, 0, 1, True)) == (0, 0, 1)
+    assert invariance_violation(sc_gens, with_pair(sc_om, 0, 1, True)) == (0, 0, 1)
 
 
 def test_p_forward_invariance_fails_alone_in_the_three_way_equivalence():
