@@ -153,14 +153,11 @@ def pairs_reaching(gens: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def invariance_violation(gens: np.ndarray, rel: np.ndarray) -> tuple[int, int, int] | None:
     """The first (generator, x, y) with (x, y) in ``rel`` but its image
-    pair not; None when ``rel`` is forward invariant, which checked per
-    generator is exact for the whole monoid."""
-    for gi, g in enumerate(gens):
-        bad = rel & ~rel[np.ix_(g, g)]
-        if bad.any():
-            x, y = np.argwhere(bad)[0]
-            return gi, int(x), int(y)
-    return None
+    pair not, from one ``(k, n, n)`` gather; None when ``rel`` is forward
+    invariant, which checked per generator is exact for the whole monoid."""
+    g = np.asarray(gens, dtype=np.intp)
+    bad = rel & ~rel[g[:, :, None], g[:, None, :]]
+    return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
 
 
 def verify_relation_forms(m: TransMonoid, p: PairRelation, sp: PairRelation) -> None:
