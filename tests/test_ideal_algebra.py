@@ -305,16 +305,16 @@ def broken_p(ax):
 
 @pytest.mark.parametrize("flow, breaker, check, detail", [
     (TWO_IDEAL_FLOW, broken_mp, "ideal_absorption_Mp_equals_M", "Mp != M at ideal 0 element 0"),
-    (TWO_IDEAL_FLOW, mp_action_leaves, "ideal_absorption_Mp_equals_M", "Mp != M at ideal 1 element 2"),
-    (TWO_IDEAL_FLOW, mp_least_reaches_part, "ideal_absorption_Mp_equals_M", "Mp != M at ideal 0 element 1"),
-    (SWAP_CONSTANT_FLOW, mp_later_member_stuck, "ideal_absorption_Mp_equals_M", "Mp != M at ideal 0 element 2"),
     (TWO_IDEAL_FLOW, broken_pu, "right_identity_pu_equals_p", "pu != p at ideal 0"),
     (TWO_IDEAL_FLOW, broken_um, "uM_is_group", "uM not a group at ideal 0 idempotent 2"),
-    (TWO_IDEAL_FLOW, fake_identity_um, "uM_is_group", "uM not a group at ideal 0 idempotent 7"),
     (FiniteFlow(4, ((1, 2, 3, 0),)), unclosed_um, "uM_is_group", "uM not a group at ideal 0 idempotent 0"),
     (TWO_IDEAL_FLOW, broken_um, "intra_ideal_idempotents_not_equivalent", "idempotents 1 and 2 equivalent in ideal 0"),
     (TWO_IDEAL_FLOW, broken_omega, "omega_cells_are_fixed_point_unions", "state 0"),
     (ROTATION3_FLOW, broken_p, "p_cells_are_idempotent_orbits_when_minimal", "state 0"),
+    (TWO_IDEAL_FLOW, mp_action_leaves, "ideal_absorption_Mp_equals_M", "Mp != M at ideal 1 element 2"),
+    (TWO_IDEAL_FLOW, mp_least_reaches_part, "ideal_absorption_Mp_equals_M", "Mp != M at ideal 0 element 1"),
+    (SWAP_CONSTANT_FLOW, mp_later_member_stuck, "ideal_absorption_Mp_equals_M", "Mp != M at ideal 0 element 2"),
+    (TWO_IDEAL_FLOW, fake_identity_um, "uM_is_group", "uM not a group at ideal 0 idempotent 7"),
 ])
 def test_each_broken_check_fails_with_its_own_detail(flow, breaker, check, detail):
     ax = analyze_flow(flow)
