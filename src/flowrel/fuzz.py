@@ -87,7 +87,7 @@ def relation_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     bad = np.flatnonzero(((idem_rows == ar).T @ images != om).any(axis=1))
     out.append(_result("omega_cells_are_fixed_point_unions", not bad.size, f"state {bad[0]}" if bad.size else ""))
 
-    eq = check_unique_ideal_equiv(m, ax.proximal, ax.strongly_proximal)
+    eq = check_unique_ideal_equiv(m)
     out.append(_result("three_way_equivalence", eq["consistent"], str(eq)))
 
     # ideal algebra, each check with its own first counterexample

@@ -131,8 +131,9 @@ def weakly_distal_rel(m: TransMonoid) -> PairRelation:
 
 def reaching(succ: np.ndarray, target: np.ndarray) -> np.ndarray:
     """The nodes from which some path along the edges v -> succ[i, v], the
-    empty path included, leads into the node set ``target``: a reverse
-    search, O(k N) per pass over the k rows of ``succ`` on N nodes."""
+    empty path included, leads into the node set ``target``: a fixed-point
+    iteration, O(k N) a pass over the k rows of ``succ`` on N nodes, with
+    as many passes as the longest shortest path into ``target``."""
     reached = target.copy()
     while True:
         grown = reached | reached[succ].any(axis=0)
@@ -251,14 +252,12 @@ def is_minimal_flow(m: TransMonoid) -> bool:
     return bool(reached.all())
 
 
-def check_unique_ideal_equiv(m: TransMonoid, p: PairRelation | None = None,
-                             sp: PairRelation | None = None) -> dict:
+def check_unique_ideal_equiv(m: TransMonoid) -> dict:
     """The three-way equivalence: P is an equivalence relation iff the
     monoid has a unique minimal ideal iff P = SP, together with the
-    forward-invariance form ((x,y) in P implies s(x,y) in P for all s).
-    P and SP are read from ``m`` unless an analysis passes its own."""
-    p = proximal(m) if p is None else p
-    sp = strongly_proximal(m) if sp is None else sp
+    forward-invariance form ((x,y) in P implies s(x,y) in P for all s)."""
+    p = proximal(m)
+    sp = strongly_proximal(m)
     report = {
         "p_is_equivalence": p.is_equivalence,
         "unique_minimal_ideal": len(ideal_structure(m).ideals) == 1,

@@ -416,9 +416,3 @@ def test_dump_is_byte_identical_to_json(value):
 ])
 def test_dump_edge_values(value):
     assert dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
-
-
-def test_analyze_report_is_the_json_encoding(capsys):
-    for flow in sorted(FLOWS.glob("*.flow")):
-        _, out, _ = run(capsys, "analyze", str(flow))
-        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

@@ -8,6 +8,7 @@ import random
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from flowrel import relations
 from flowrel.finflow import FiniteFlow, MonoidTooLarge, close, ideal_structure
 from flowrel.fuzz import ROTATION3_FLOW, TWO_IDEAL_FLOW, invariance_checks, left_action_counterexample
 from flowrel.relations import (
@@ -185,13 +186,15 @@ def test_each_invariance_check_fails_alone():
     assert invariance_violation(sc_gens, with_pair(sc_om, 0, 1, True)) == (0, 0, 1)
 
 
-def test_p_forward_invariance_fails_alone_in_the_three_way_equivalence():
+def test_p_forward_invariance_fails_alone_in_the_three_way_equivalence(monkeypatch):
     # on the rotation, {0, 1} {2} is an equivalence and equals the SP it is
-    # passed with, but the rotation moves (0, 1) to (1, 2)
+    # read with, but the rotation moves (0, 1) to (1, 2)
     m = close(ROTATION3_FLOW)
-    rel = PairRelation(3, with_pair(diagonal(3), 0, 1, True), "P")
     assert check_unique_ideal_equiv(m)["consistent"]
-    assert check_unique_ideal_equiv(m, rel, rel) == {
+    rel = PairRelation(3, with_pair(diagonal(3), 0, 1, True), "P")
+    monkeypatch.setattr(relations, "proximal", lambda _: rel)
+    monkeypatch.setattr(relations, "strongly_proximal", lambda _: rel)
+    assert check_unique_ideal_equiv(m) == {
         "p_is_equivalence": True,
         "unique_minimal_ideal": True,
         "p_equals_sp": True,
