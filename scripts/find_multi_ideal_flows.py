@@ -10,7 +10,7 @@ hits found here are worth freezing as regression fixtures.
 import argparse
 import random
 
-from flowrel.finflow import MonoidTooLarge, close, format_flow, ideal_structure
+from flowrel.finflow import MonoidTooLarge, format_flow
 from flowrel.fuzz import random_flow
 from flowrel.relations import analyze_flow
 
@@ -28,18 +28,16 @@ def main() -> int:
     for i in range(args.count):
         flow = random_flow(rng, max_states=args.max_states)
         try:
-            m = close(flow)
+            ax = analyze_flow(flow)
         except MonoidTooLarge:
             continue
-        st = ideal_structure(m)
-        if len(st.ideals) < args.min_ideals:
+        if len(ax.structure.ideals) < args.min_ideals:
             continue
         hits += 1
-        ax = analyze_flow(flow)
         p_pairs = sum(1 for x, y in ax.proximal.pairs() if x < y)
         sp_pairs = sum(1 for x, y in ax.strongly_proximal.pairs() if x < y)
         comment = (
-            f"instance {i}: |S|={m.size}, ideals={len(st.ideals)}, "
+            f"instance {i}: |S|={ax.monoid.size}, ideals={len(ax.structure.ideals)}, "
             f"off-diagonal P pairs={p_pairs}, off-diagonal SP pairs={sp_pairs}"
         )
         print(format_flow(flow, comment=comment))

@@ -28,15 +28,10 @@ from .relations import (
     check_factor_theorems,
     check_product_theorems,
     check_unique_ideal_equiv,
-    distal_rel,
     idempotent_section_check,
     is_minimal_flow,
-    omega,
     product_flow,
-    proximal,
     quotient_by_icer,
-    strongly_proximal,
-    weakly_distal_rel,
 )
 from .proxsets import (
     i_proximal_partition,

@@ -183,10 +183,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    if args.count < 1:
-        print("error: --count must be at least 1", file=sys.stderr)
+    try:
+        summary = run_fuzz(args.count, args.seed, max_states=args.max_states, cap=args.cap)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    summary = run_fuzz(args.count, args.seed, max_states=args.max_states, cap=args.cap)
     emit(dump(summary), args.out)
     return EXIT_OK if not summary["failures"] else EXIT_CHECK_FAILED
 

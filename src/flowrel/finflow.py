@@ -173,7 +173,6 @@ class TransMonoid:
         self.flow = flow
         self.elements = elements
         self.identity_index = 0
-        self._structure: IdealStructure | None = None
         self._order: np.ndarray | None = None
 
     @property
@@ -316,11 +315,10 @@ def idempotents(m: TransMonoid, ideal: LeftIdeal) -> tuple[int, ...]:
 
 
 def ideal_structure(m: TransMonoid) -> IdealStructure:
-    if m._structure is None:
-        ideals = tuple(minimal_left_ideals(m))
-        js = tuple(idempotents(m, ideal) for ideal in ideals)
-        m._structure = IdealStructure(ideals=ideals, idempotents_by_ideal=js)
-    return m._structure
+    """The minimal left ideals and their idempotents, computed afresh on
+    every call; ``analyze_flow`` calls it once and keeps the result."""
+    ideals = tuple(minimal_left_ideals(m))
+    return IdealStructure(ideals=ideals, idempotents_by_ideal=tuple(idempotents(m, ideal) for ideal in ideals))
 
 
 def equivalence_matrix(m: TransMonoid, us, vs) -> np.ndarray:
@@ -331,12 +329,13 @@ def equivalence_matrix(m: TransMonoid, us, vs) -> np.ndarray:
     return (eu[:, ev] == ev).all(axis=2) & (ev[:, eu] == eu).all(axis=2).T
 
 
-def equivalent_idempotents(m: TransMonoid) -> list[tuple[int, int]]:
-    """All cross-ideal pairs (u, u') with u∘u' = u' and u'∘u = u, ordered
-    by (ideal of u < ideal of u', u, u').  The existence claim (every
-    minimal idempotent has a partner in every other minimal ideal) is
-    checked on these pairs by the relation check suite."""
-    js = ideal_structure(m).idempotents_by_ideal
+def equivalent_idempotents(m: TransMonoid, structure: IdealStructure) -> list[tuple[int, int]]:
+    """All cross-ideal pairs (u, u') of ``structure``'s idempotents with
+    u∘u' = u' and u'∘u = u, ordered by (ideal of u < ideal of u', u, u').
+    The existence claim (every minimal idempotent has a partner in every
+    other minimal ideal) is checked on these pairs by the relation check
+    suite."""
+    js = structure.idempotents_by_ideal
     pairs: list[tuple[int, int]] = []
     for a in range(len(js)):
         for b in range(a + 1, len(js)):

@@ -87,7 +87,7 @@ def relation_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     bad = np.flatnonzero(((idem_rows == ar).T @ images != om).any(axis=1))
     out.append(_result("omega_cells_are_fixed_point_unions", not bad.size, f"state {bad[0]}" if bad.size else ""))
 
-    eq = check_unique_ideal_equiv(m)
+    eq = check_unique_ideal_equiv(ax)
     out.append(_result("three_way_equivalence", eq["consistent"], str(eq)))
 
     # ideal algebra, each check with its own first counterexample
@@ -197,29 +197,25 @@ def square_monoid(m: TransMonoid) -> TransMonoid:
 def proxset_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     """The proximal-set suite: refinement structure, SP decomposition and
     the r(A) biconditional."""
-    m = ax.monoid
     out: list[CheckResult] = []
     try:
-        proxsets.validate_partitions(m)
+        proxsets.validate_partitions(ax)
         out.append(_result("per_ideal_partitions_valid", True))
     except AssertionError as exc:
         out.append(_result("per_ideal_partitions_valid", False, str(exc)))
-    out.append(proxsets.sp_matches_class_squares(m))
-    out.append(proxsets.check_rA_proximal_equiv(m))
+    out.append(proxsets.sp_matches_class_squares(ax))
+    out.append(proxsets.check_rA_proximal_equiv(ax))
 
     # the image of a proximal set under an invertible generator stays
     # proximal (the translate lemma; its proof needs the inverse, and it
     # genuinely fails for non-invertible monoid generators)
-    gen_ok = True
-    detail = ""
     invertible = [g for g in ax.flow.generators if len(set(g)) == ax.n_states]
-    for cols in proxsets._proximal_candidates(m, 3):
-        for g in invertible:
-            img = {g[x] for x in cols}
-            if proxsets.is_proximal_set(m, img) is None:
-                gen_ok = False
-                detail = f"tA not proximal: A={list(cols)} g={g}"
-    out.append(_result("invertible_generator_image_of_proximal_set_proximal", gen_ok, detail))
+    detail = next((
+        f"tA not proximal: A={list(cols)} g={g}"
+        for cols in proxsets._proximal_candidates(ax, 3) for g in invertible
+        if proxsets.is_proximal_set(ax.monoid, {g[x] for x in cols}) is None
+    ), "")
+    out.append(_result("invertible_generator_image_of_proximal_set_proximal", not detail, detail))
     return out
 
 
@@ -263,11 +259,13 @@ def random_icer(rng: random.Random, ax: FlowAnalysis) -> np.ndarray:
 
 
 def factor_check_suite(ax: FlowAnalysis, icer: np.ndarray, cap: int | None = None) -> list[CheckResult]:
+    """The factor theorems on the quotient of ``ax``'s flow by ``icer``;
+    only the quotient is analyzed."""
     f = quotient_by_icer(ax.flow, icer)
-    out = check_factor_theorems(f, cap=cap)
-    out.extend(idempotent_section_check(f, cap=cap))
+    tgt = analyze_flow(f.target, cap=cap)
+    out = check_factor_theorems(f, ax, tgt)
+    out.extend(idempotent_section_check(f, ax, tgt))
     if np.array_equal(icer, ax.strongly_proximal.matrix):
-        tgt = analyze_flow(f.target, cap=cap)
         out.append(_result(
             "quotient_by_sp_weakly_distal",
             tgt.is_weakly_distal_flow,
@@ -279,7 +277,7 @@ def factor_check_suite(ax: FlowAnalysis, icer: np.ndarray, cap: int | None = Non
 # harness ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstanceOutcome:
     flow: FiniteFlow
     failures: list[CheckResult] = field(default_factory=list)
@@ -290,17 +288,14 @@ class InstanceOutcome:
         return not self.failures and not self.skipped
 
 
-def run_checks_on_flow(flow: FiniteFlow, cap: int | None = None,
-                       include_proxsets: bool = True) -> InstanceOutcome:
+def run_checks_on_flow(flow: FiniteFlow, cap: int | None = None) -> InstanceOutcome:
     try:
         ax = analyze_flow(flow, cap=cap)
     except MonoidTooLarge:
         return InstanceOutcome(flow, skipped=True)
     except AssertionError as exc:
         return InstanceOutcome(flow, [CheckResult("internal_consistency", False, str(exc))])
-    results = relation_check_suite(ax)
-    if include_proxsets:
-        results.extend(proxset_check_suite(ax))
+    results = relation_check_suite(ax) + proxset_check_suite(ax)
     return InstanceOutcome(flow, [r for r in results if not r.passed])
 
 
@@ -325,7 +320,9 @@ def minimize_failure(flow: FiniteFlow, cap: int | None = None) -> FiniteFlow:
 def run_fuzz(count: int, seed: int, max_states: int = 6, cap: int | None = None,
              min_states: int = 2, max_gens: int = 3) -> dict:
     if count < 1:
-        raise ValueError("fuzz count must be at least 1")
+        raise ValueError(f"fuzz count must be at least 1, got {count}")
+    if max_states < min_states:
+        raise ValueError(f"fuzz max_states must be at least {min_states}, got {max_states}")
     rng = random.Random(seed)
     passed = 0
     skipped = 0

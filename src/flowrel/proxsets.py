@@ -15,8 +15,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .finflow import LeftIdeal, TransMonoid, ideal_structure, label_classes
-from .relations import CheckResult, proximal, strongly_proximal, _result
+from .finflow import LeftIdeal, TransMonoid, label_classes
+from .relations import CheckResult, FlowAnalysis, _result
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def is_proximal_set(m: TransMonoid, members) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def minimal_ideal_collapse(m: TransMonoid, members) -> LeftIdeal | None:
+def minimal_ideal_collapse(ax: FlowAnalysis, members) -> LeftIdeal | None:
     """A minimal ideal all of whose elements collapse the set.
 
     The collapsers of a proximal set form a left ideal, hence contain a
@@ -52,10 +52,9 @@ def minimal_ideal_collapse(m: TransMonoid, members) -> LeftIdeal | None:
     that breaks the theorem and is reported as a contract violation.
     """
     cols = sorted(set(int(x) for x in members))
-    images = m.elements[:, cols]
+    images = ax.monoid.elements[:, cols]
     collapsers = set(np.nonzero((images == images[:, :1]).all(axis=1))[0].tolist())
-    st = ideal_structure(m)
-    for ideal in st.ideals:
+    for ideal in ax.structure.ideals:
         if set(ideal.members) <= collapsers:
             return ideal
     if collapsers:
@@ -65,25 +64,25 @@ def minimal_ideal_collapse(m: TransMonoid, members) -> LeftIdeal | None:
     return None
 
 
-def i_proximal_partition(m: TransMonoid, ideal: LeftIdeal) -> list[IProximalSet]:
+def i_proximal_partition(ax: FlowAnalysis, ideal: LeftIdeal) -> list[IProximalSet]:
     """Classes of x ~ y iff p(x) = p(y) for every p in the ideal, read
     from the ideal's kernel labels and ordered by least member.
 
     These are the maximal sets collapsed by every element of the ideal;
     ``validate_partitions`` checks their structure.
     """
-    idx = ideal_structure(m).ideals.index(ideal)
+    idx = ax.structure.ideals.index(ideal)
     return [IProximalSet(idx, c) for c in label_classes(ideal.kernel)]
 
 
-def max_strongly_proximal_sets(m: TransMonoid) -> list[StronglyProximalSet]:
+def max_strongly_proximal_sets(ax: FlowAnalysis) -> list[StronglyProximalSet]:
     """Classes of the common refinement x ~ y iff p(x) = p(y) for every
     element of every minimal ideal, ordered by least member;
     ``validate_partitions`` checks their structure."""
-    return [StronglyProximalSet(c) for c in label_classes(ideal_structure(m).refinement_labels)]
+    return [StronglyProximalSet(c) for c in label_classes(ax.structure.refinement_labels)]
 
 
-def validate_partitions(m: TransMonoid) -> None:
+def validate_partitions(ax: FlowAnalysis) -> None:
     """The structural assertions on the per-ideal partitions and their
     common refinement.
 
@@ -93,8 +92,8 @@ def validate_partitions(m: TransMonoid) -> None:
     is an intersection of one class per ideal, distinct classes are
     disjoint, and every minimal idempotent maps each class to a singleton.
     """
-    st = ideal_structure(m)
-    e = m.elements
+    st = ax.structure
+    e = ax.monoid.elements
     for ideal, js in zip(st.ideals, st.idempotents_by_ideal):
         classes = label_classes(ideal.kernel)
         least = e[np.ix_(ideal.members, [min(c) for c in classes])]
@@ -129,19 +128,19 @@ def validate_partitions(m: TransMonoid) -> None:
                 raise AssertionError(f"idempotent {u} does not collapse class {sorted(c)}")
 
 
-def sp_matches_class_squares(m: TransMonoid) -> CheckResult:
+def sp_matches_class_squares(ax: FlowAnalysis) -> CheckResult:
     """Cross-module consistency: SP equals the union of A x A over the
     maximal strongly proximal sets A."""
-    sp = strongly_proximal(m).matrix
-    n = m.n_states
+    sp = ax.strongly_proximal.matrix
+    n = ax.n_states
     built = np.zeros((n, n), dtype=bool)
-    for s in max_strongly_proximal_sets(m):
+    for s in max_strongly_proximal_sets(ax):
         idxs = sorted(s.members)
         built[np.ix_(idxs, idxs)] = True
     return _result("sp_equals_union_of_class_squares", np.array_equal(sp, built))
 
 
-def max_sp_sets_fixed_by_all_idempotents(m: TransMonoid) -> CheckResult:
+def max_sp_sets_fixed_by_all_idempotents(ax: FlowAnalysis) -> CheckResult:
     """The literal closure claim u(A) ⊆ A for every minimal idempotent u
     and every maximal strongly proximal set A.
 
@@ -160,11 +159,11 @@ def max_sp_sets_fixed_by_all_idempotents(m: TransMonoid) -> CheckResult:
     kept as a standalone check so the failure is visible rather than
     silently weakened.
     """
-    st = ideal_structure(m)
+    st = ax.structure
     labels = np.array(st.refinement_labels)
-    idem_rows = m.elements[list(st.all_idempotents)]
+    idem_rows = ax.monoid.elements[list(st.all_idempotents)]
     inside = labels[idem_rows] == labels
-    for s in max_strongly_proximal_sets(m):
+    for s in max_strongly_proximal_sets(ax):
         cols = sorted(s.members)
         escaping = np.flatnonzero(~inside[:, cols].all(axis=1))
         if escaping.size:
@@ -177,7 +176,7 @@ def max_sp_sets_fixed_by_all_idempotents(m: TransMonoid) -> CheckResult:
     return CheckResult("max_sp_class_fixed_by_all_idempotents", True)
 
 
-def _proximal_candidates(m: TransMonoid, size_cap: int = 4,
+def _proximal_candidates(ax: FlowAnalysis, size_cap: int = 4,
                          exhaustive_below: int = 13) -> list[tuple[int, ...]]:
     """Structured proximal-set candidates: every per-ideal class, every
     proximal pair, and (on small state sets, where the subset count stays
@@ -186,33 +185,33 @@ def _proximal_candidates(m: TransMonoid, size_cap: int = 4,
     The pair family alone makes the r(A)-image biconditional exact in the
     converse direction, which only ever needs two-element sets.
     """
-    st = ideal_structure(m)
-    n = m.n_states
+    n = ax.n_states
     found: set[tuple[int, ...]] = set()
     found.update((x,) for x in range(n))
-    found.update(map(tuple, np.argwhere(np.triu(proximal(m).matrix, 1)).tolist()))
+    found.update(map(tuple, np.argwhere(np.triu(ax.proximal.matrix, 1)).tolist()))
     if n < exhaustive_below:
         for size in range(3, min(size_cap, n) + 1):
             for combo in combinations(range(n), size):
-                if is_proximal_set(m, combo) is not None:
+                if is_proximal_set(ax.monoid, combo) is not None:
                     found.add(combo)
-    for ideal in st.ideals:
+    for ideal in ax.structure.ideals:
         found.update(tuple(sorted(c)) for c in label_classes(ideal.kernel))
     return sorted(found)
 
 
-def check_rA_proximal_equiv(m: TransMonoid, size_cap: int = 4) -> CheckResult:
+def check_rA_proximal_equiv(ax: FlowAnalysis, size_cap: int = 4) -> CheckResult:
     """P is an equivalence relation iff r(A) is proximal for every
     (enumerated) proximal set A and every monoid element r.
 
     The forward direction is sound for any enumeration; the converse needs
     only two-element sets, which the enumeration always includes.
     """
-    p_equiv = proximal(m).is_equivalence
-    kernels = [np.array(ideal.kernel) for ideal in ideal_structure(m).ideals]
+    m = ax.monoid
+    p_equiv = ax.proximal.is_equivalence
+    kernels = [np.array(ideal.kernel) for ideal in ax.structure.ideals]
     all_images_proximal = True
     witness = ""
-    for cols in _proximal_candidates(m, size_cap):
+    for cols in _proximal_candidates(ax, size_cap):
         images = m.elements[:, list(cols)]
         ok = np.zeros(m.size, dtype=bool)
         for labels in kernels:

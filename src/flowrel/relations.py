@@ -3,7 +3,10 @@
 All relations are represented as dense boolean matrices over state pairs.
 On a finite flow the generated monoid is the orbit-closure machinery, so
 statements about orbit closures become statements quantified over monoid
-elements and are checked exactly.
+elements and are checked exactly.  ``analyze_flow`` computes the ideal
+structure and the relations once, and every check reads the resulting
+``FlowAnalysis``: the factor and product checks take one per flow
+involved, so none of them closes a flow again.
 
 The monoid is generated by the flow's maps and contains the identity, so
 "for every s in S" is "for every word in the generators, the empty word
@@ -26,7 +29,7 @@ than an unconditional assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,42 +96,6 @@ def diagonal(n: int) -> np.ndarray:
     return np.eye(n, dtype=bool)
 
 
-def _ideal_kernel_classes(m: TransMonoid) -> np.ndarray:
-    """``(k, n, n)`` boolean: entry [i, x, y] says minimal ideal i collapses
-    the pair (x, y), read from the ideal's kernel labels."""
-    labels = np.array([ideal.kernel for ideal in ideal_structure(m).ideals])
-    return labels[:, :, None] == labels[:, None, :]
-
-
-def omega(m: TransMonoid) -> PairRelation:
-    """Pairs fixed by some minimal idempotent, i.e. almost periodic pairs
-    of the product flow."""
-    fixed = m.elements[list(ideal_structure(m).all_idempotents)] == np.arange(m.n_states)
-    return PairRelation(m.n_states, fixed.T @ fixed, "Omega")
-
-
-def proximal(m: TransMonoid) -> PairRelation:
-    """Pairs collapsed by some monoid element: some minimal ideal
-    collapses the pair.  ``verify_relation_forms`` checks this against the
-    element form."""
-    return PairRelation(m.n_states, _ideal_kernel_classes(m).any(axis=0), "P")
-
-
-def strongly_proximal(m: TransMonoid) -> PairRelation:
-    """Pairs collapsed by every element of every minimal ideal.
-    ``verify_relation_forms`` checks that it is an equivalence relation and
-    equals the all-translates-proximal form."""
-    return PairRelation(m.n_states, _ideal_kernel_classes(m).all(axis=0), "SP")
-
-
-def distal_rel(m: TransMonoid) -> PairRelation:
-    return PairRelation(m.n_states, ~proximal(m).matrix, "D")
-
-
-def weakly_distal_rel(m: TransMonoid) -> PairRelation:
-    return PairRelation(m.n_states, ~strongly_proximal(m).matrix, "WD")
-
-
 def reaching(succ: np.ndarray, target: np.ndarray) -> np.ndarray:
     """The nodes from which some path along the edges v -> succ[i, v], the
     empty path included, leads into the node set ``target``: a fixed-point
@@ -183,10 +150,12 @@ def verify_relation_forms(m: TransMonoid, p: PairRelation, sp: PairRelation) -> 
         raise AssertionError("SP does not match the all-translates-proximal form")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowAnalysis:
     """Everything computed once for a flow: closure, ideal structure and
-    the five relations (D and WD are the complements of P and SP)."""
+    the five relations (D and WD are the complements of P and SP).  Every
+    check reads these fields, so an analysis changed with
+    ``dataclasses.replace`` reaches all of them."""
 
     flow: FiniteFlow
     monoid: TransMonoid
@@ -194,7 +163,7 @@ class FlowAnalysis:
     omega: PairRelation
     proximal: PairRelation
     strongly_proximal: PairRelation
-    equivalent_pairs: list[tuple[int, int]] = field(default_factory=list)
+    equivalent_pairs: list[tuple[int, int]]
 
     @property
     def n_states(self) -> int:
@@ -231,17 +200,30 @@ class FlowAnalysis:
 
 
 def analyze_flow(flow: FiniteFlow, cap: int | None = None) -> FlowAnalysis:
+    """Close the flow and read everything from its minimal ideals once.
+
+    Minimal ideal i collapses (x, y) iff its kernel labels agree there: P
+    is the pairs some ideal collapses, SP those every ideal collapses, and
+    Omega the pairs fixed by some minimal idempotent (the almost periodic
+    pairs of the product flow).  ``verify_relation_forms`` checks P and SP
+    against their element and translate forms."""
     m = close(flow, cap=cap)
-    p, sp = proximal(m), strongly_proximal(m)
+    st = ideal_structure(m)
+    n = flow.n_states
+    labels = np.array([ideal.kernel for ideal in st.ideals])
+    collapsed = labels[:, :, None] == labels[:, None, :]
+    p = PairRelation(n, collapsed.any(axis=0), "P")
+    sp = PairRelation(n, collapsed.all(axis=0), "SP")
     verify_relation_forms(m, p, sp)
+    fixed = m.elements[list(st.all_idempotents)] == np.arange(n)
     return FlowAnalysis(
         flow=flow,
         monoid=m,
-        structure=ideal_structure(m),
-        omega=omega(m),
+        structure=st,
+        omega=PairRelation(n, fixed.T @ fixed, "Omega"),
         proximal=p,
         strongly_proximal=sp,
-        equivalent_pairs=equivalent_idempotents(m),
+        equivalent_pairs=equivalent_idempotents(m, st),
     )
 
 
@@ -252,17 +234,16 @@ def is_minimal_flow(m: TransMonoid) -> bool:
     return bool(reached.all())
 
 
-def check_unique_ideal_equiv(m: TransMonoid) -> dict:
+def check_unique_ideal_equiv(ax: FlowAnalysis) -> dict:
     """The three-way equivalence: P is an equivalence relation iff the
     monoid has a unique minimal ideal iff P = SP, together with the
     forward-invariance form ((x,y) in P implies s(x,y) in P for all s)."""
-    p = proximal(m)
-    sp = strongly_proximal(m)
+    p = ax.proximal
     report = {
         "p_is_equivalence": p.is_equivalence,
-        "unique_minimal_ideal": len(ideal_structure(m).ideals) == 1,
-        "p_equals_sp": bool(np.array_equal(p.matrix, sp.matrix)),
-        "p_forward_invariant": invariance_violation(np.array(m.flow.generators), p.matrix) is None,
+        "unique_minimal_ideal": len(ax.structure.ideals) == 1,
+        "p_equals_sp": bool(np.array_equal(p.matrix, ax.strongly_proximal.matrix)),
+        "p_forward_invariant": invariance_violation(np.array(ax.flow.generators), p.matrix) is None,
     }
     report["consistent"] = len(set(report.values())) == 1
     return report
@@ -290,12 +271,12 @@ def proximal_verdict(m: TransMonoid, x: int, y: int) -> Verdict:
     return Verdict("P", (x, y), "out", None)
 
 
-def sp_verdict(m: TransMonoid, x: int, y: int) -> Verdict:
+def sp_verdict(ax: FlowAnalysis, x: int, y: int) -> Verdict:
     """In-SP verdicts cite that every minimal ideal collapses the pair;
     out-verdicts carry an ideal, an element separating the pair, and the
     idempotent power of that element, which fixes the separated images (an
     almost periodic non-diagonal limit of the pair)."""
-    st = ideal_structure(m)
+    m, st = ax.monoid, ax.structure
     for k, ideal in enumerate(st.ideals):
         rows = m.elements[list(ideal.members)]
         separating = np.flatnonzero(rows[:, x] != rows[:, y])
@@ -345,8 +326,17 @@ def _result(name: str, ok: bool | np.bool_, detail: str = "") -> CheckResult:
     return CheckResult(name, bool(ok), "" if ok else detail)
 
 
-def check_product_theorems(a: FiniteFlow, b: FiniteFlow, cap: int | None = None) -> list[CheckResult]:
-    """Binary-product characterizations, exhaustively over pairs of pairs:
+def _coordinates(ax: FlowAnalysis, bx: FlowAnalysis, px: FlowAnalysis) -> tuple[np.ndarray, np.ndarray]:
+    """The X and Y coordinate of each product state, once ``px`` is checked
+    to be the analysis of the product of the flows of ``ax`` and ``bx``."""
+    if px.flow != product_flow(ax.flow, bx.flow):
+        raise ValueError("product analysis is not of the product of the factor flows")
+    return np.divmod(np.arange(px.n_states), bx.n_states)
+
+
+def check_product_theorems(ax: FlowAnalysis, bx: FlowAnalysis, px: FlowAnalysis) -> list[CheckResult]:
+    """Binary-product characterizations, exhaustively over pairs of pairs,
+    from the analyses of the factors X, Y and of their product:
 
     - SP(XxY) holds iff both coordinate pairs are SP (exact, via ideal
       projections);
@@ -360,12 +350,8 @@ def check_product_theorems(a: FiniteFlow, b: FiniteFlow, cap: int | None = None)
       factors are exactly Omega of each factor;
     - the SP projections are onto, the P projections are inclusions only.
     """
-    ax, bx = analyze_flow(a, cap=cap), analyze_flow(b, cap=cap)
-    prod = product_flow(a, b)
-    px = analyze_flow(prod, cap=cap)
-    nb = b.n_states
-    xs = np.arange(prod.n_states) // nb
-    ys = np.arange(prod.n_states) % nb
+    xs, ys = _coordinates(ax, bx, px)
+    na, nb = ax.n_states, bx.n_states
 
     def lift(rel_a: np.ndarray, rel_b: np.ndarray, combine) -> np.ndarray:
         return combine(rel_a[xs[:, None], xs[None, :]], rel_b[ys[:, None], ys[None, :]])
@@ -389,18 +375,18 @@ def check_product_theorems(a: FiniteFlow, b: FiniteFlow, cap: int | None = None)
     ))
 
     # Omega decomposes through common minimal idempotents of the product.
-    rows = px.monoid.elements[list(ideal_structure(px.monoid).all_idempotents)]
+    rows = px.monoid.elements[list(px.structure.all_idempotents)]
     wa, wb = rows[:, ys == 0] // nb, rows[:, xs == 0] % nb  # actions on X (column y = 0) and on Y
     if not ((rows // nb == wa[:, xs]).all() and (rows % nb == wb[:, ys]).all()):
         raise AssertionError("product monoid element is not coordinatewise")
-    fixed = (wa == np.arange(a.n_states))[:, xs] & (wb == np.arange(b.n_states))[:, ys]
+    fixed = (wa == np.arange(na))[:, xs] & (wb == np.arange(nb))[:, ys]
     via_common = fixed.T @ fixed
     out.append(_result(
         "product_omega_common_idempotent",
         np.array_equal(px.omega.matrix, via_common),
     ))
 
-    shape = (a.n_states, nb, a.n_states, nb)
+    shape = (na, nb, na, nb)
     for name, rel_p, rel_a, rel_b, exact in (
         ("omega", px.omega, ax.omega, bx.omega, True),
         ("sp", px.strongly_proximal, ax.strongly_proximal, bx.strongly_proximal, True),
@@ -417,7 +403,7 @@ def check_product_theorems(a: FiniteFlow, b: FiniteFlow, cap: int | None = None)
     return out
 
 
-def product_d_published_biconditional(a: FiniteFlow, b: FiniteFlow, cap: int | None = None) -> CheckResult:
+def product_d_published_biconditional(ax: FlowAnalysis, bx: FlowAnalysis, px: FlowAnalysis) -> CheckResult:
     """The published two-way product law for D: a product pair is distal
     exactly when some coordinate pair is.
 
@@ -427,12 +413,8 @@ def product_d_published_biconditional(a: FiniteFlow, b: FiniteFlow, cap: int | N
     squared two-ideal fixture the coordinate pairs can be proximal through
     the two different ideals while nothing collapses both at once.
     """
-    ax, bx = analyze_flow(a, cap=cap), analyze_flow(b, cap=cap)
-    prod = product_flow(a, b)
-    px = analyze_flow(prod, cap=cap)
-    nb = b.n_states
-    xs = np.arange(prod.n_states) // nb
-    ys = np.arange(prod.n_states) % nb
+    xs, ys = _coordinates(ax, bx, px)
+    nb = bx.n_states
     lifted = ax.distal.matrix[xs[:, None], xs[None, :]] | bx.distal.matrix[ys[:, None], ys[None, :]]
     ok = np.array_equal(px.distal.matrix, lifted)
     detail = ""
@@ -485,11 +467,12 @@ def quotient_by_icer(flow: FiniteFlow, relation: PairRelation | np.ndarray) -> F
     return FactorMap(flow, FiniteFlow(len(least), tuple(gens)), tuple(class_of.tolist()))
 
 
-def quotient_data(f: FactorMap, cap: int | None = None):
-    src = analyze_flow(f.source, cap=cap)
-    tgt = analyze_flow(f.target, cap=cap)
-    theta = induced_theta(f, src.monoid, tgt.monoid)
-    return src, tgt, theta
+def _factor_theta(f: FactorMap, src: FlowAnalysis, tgt: FlowAnalysis) -> np.ndarray:
+    """``induced_theta`` of the factor map, once ``src`` and ``tgt`` are
+    checked to be the analyses of its source and target."""
+    if src.flow != f.source or tgt.flow != f.target:
+        raise ValueError("analyses are not of the factor map's source and target")
+    return induced_theta(f, src.monoid, tgt.monoid)
 
 
 def pushforward(rel: np.ndarray, point_map: tuple[int, ...], n_target: int) -> np.ndarray:
@@ -514,8 +497,9 @@ def detect_fiber_type(f: FactorMap, src: FlowAnalysis) -> dict:
             "distal": bool(src.distal.matrix[same_fiber].all())}
 
 
-def check_factor_theorems(f: FactorMap, cap: int | None = None) -> list[CheckResult]:
-    """Image/preimage behaviour of the five relations under a factor map.
+def check_factor_theorems(f: FactorMap, src: FlowAnalysis, tgt: FlowAnalysis) -> list[CheckResult]:
+    """Image/preimage behaviour of the five relations under a factor map,
+    from the analyses of its source and target.
 
     Always: pi x pi maps P into P, D onto a superset of D, Omega onto
     Omega exactly, SP into SP; the WD preimage is contained in WD; theta
@@ -525,7 +509,7 @@ def check_factor_theorems(f: FactorMap, cap: int | None = None) -> list[CheckRes
     exact.  Every almost periodic base point's fiber contains an almost
     periodic set of the form u . fiber.
     """
-    src, tgt, theta = quotient_data(f, cap=cap)
+    theta = _factor_theta(f, src, tgt)
     pm = f.point_map
     nt = f.target.n_states
     out: list[CheckResult] = []
@@ -603,7 +587,7 @@ def check_factor_theorems(f: FactorMap, cap: int | None = None) -> list[CheckRes
     return out
 
 
-def idempotent_section_check(f: FactorMap, cap: int | None = None) -> list[CheckResult]:
+def idempotent_section_check(f: FactorMap, src: FlowAnalysis, tgt: FlowAnalysis) -> list[CheckResult]:
     """On a minimal target: a minimal-ideal element w of the target is
     idempotent iff (w(y), y) is proximal for every y; and for every source
     element p of a minimal ideal with theta(p) = w, w is idempotent iff
@@ -616,18 +600,18 @@ def idempotent_section_check(f: FactorMap, cap: int | None = None) -> list[Check
     kernel elements the idempotent left identity of the element's ideal
     fixes its image pointwise and the implication is unconditional.
     """
-    src, tgt, theta = quotient_data(f, cap=cap)
+    theta = _factor_theta(f, src, tgt)
     if not is_minimal_flow(tgt.monoid):
         return [CheckResult("idempotent_section", True, "skipped: target not minimal")]
     pm = np.array(f.point_map)
     pmat = tgt.proximal.matrix
     ar = np.arange(f.target.n_states)
     te = tgt.monoid.elements
-    tgt_kernel = np.array(sorted(ideal_structure(tgt.monoid).kernel_elements))
+    tgt_kernel = np.array(sorted(tgt.structure.kernel_elements))
     rows = te[tgt_kernel]
     bad = np.flatnonzero(idempotent_mask(rows) != pmat[rows, ar].all(axis=1))
     out = [_result("idempotent_section_target", not bad.size, f"element {tgt_kernel[bad[0]]}" if bad.size else "")]
-    src_kernel = np.array(ideal_structure(src.monoid).kernel_elements)
+    src_kernel = np.array(src.structure.kernel_elements)
     fiberwise = pmat[pm[src.monoid.elements[src_kernel]], pm].all(axis=1)
     bad = np.flatnonzero(idempotent_mask(te[theta[src_kernel]]) != fiberwise)
     out.append(_result("idempotent_section_source", not bad.size, f"element {src_kernel[bad[0]]}" if bad.size else ""))

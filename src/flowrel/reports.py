@@ -48,16 +48,16 @@ def flow_report(ax: FlowAnalysis) -> dict:
             }
         if kind == "SP":
             entry["out_witnesses"] = {
-                f"{x},{y}": sp_verdict(m, x, y).witness
+                f"{x},{y}": sp_verdict(ax, x, y).witness
                 for x, y in _pair_list(ax.proximal.matrix & ~rel.matrix)
             }
         relations[kind] = entry
     checks = [r.as_json() for r in relation_check_suite(ax) + proxset_check_suite(ax)]
     partitions = {
-        str(k): [sorted(c.members) for c in proxsets.i_proximal_partition(m, ideal)]
+        str(k): [sorted(c.members) for c in proxsets.i_proximal_partition(ax, ideal)]
         for k, ideal in enumerate(st.ideals)
     }
-    refinement = [sorted(s.members) for s in proxsets.max_strongly_proximal_sets(m)]
+    refinement = [sorted(s.members) for s in proxsets.max_strongly_proximal_sets(ax)]
     return {
         "schema": SCHEMA,
         "kind": "flow_analysis",

@@ -76,6 +76,16 @@ def test_fuzz_rejects_zero_count(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("max_states", [1, 0])
+def test_fuzz_rejects_max_states_below_two(capsys, tmp_path, max_states):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_states": max_states}))
+    for argv in (["fuzz", "--max-states", str(max_states)], ["--config", str(cfg), "fuzz"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"error: fuzz max_states must be at least 2, got {max_states}\n"
+
+
 def test_element_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("FLOWREL_ELEMENT_CAP", "3")
     code, _, err = run(capsys, "analyze", str(FLOWS / "two_ideal.flow"))

@@ -150,7 +150,7 @@ def test_equivalent_idempotents_two_ideal():
     # u1~v1 and u2~v2 in the fixture, nothing else
     m = close(TWO_IDEAL_FLOW)
     pairs = {
-        tuple(sorted((image_tuple(m, u), image_tuple(m, v)))) for u, v in equivalent_idempotents(m)
+        tuple(sorted((image_tuple(m, u), image_tuple(m, v)))) for u, v in equivalent_idempotents(m, ideal_structure(m))
     }
     assert pairs == {
         ((0, 0, 2, 2), (0, 2, 2, 0)),
@@ -159,7 +159,8 @@ def test_equivalent_idempotents_two_ideal():
 
 
 def test_equivalent_idempotents_single_ideal_empty():
-    assert equivalent_idempotents(close(CONSTANTS_FLOW)) == []
+    m = close(CONSTANTS_FLOW)
+    assert equivalent_idempotents(m, ideal_structure(m)) == []
 
 
 def test_fixed_point_sets():

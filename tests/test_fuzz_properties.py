@@ -14,9 +14,7 @@ from flowrel.relations import (
     analyze_flow,
     check_factor_theorems,
     diagonal,
-    proximal,
     quotient_by_icer,
-    strongly_proximal,
 )
 from flowrel.subshift import Dual, Shift, morse_fixed_points
 from flowrel.ternary import TernarySeq, pair_type
@@ -49,17 +47,17 @@ def test_closure_idempotent(flow):
 def test_kernel_labels_match_element_forms(flow):
     # P, SP and every class listing read from the per-ideal kernel labels
     # agree with the element-by-element forms, classes in the same order
-    m = close(flow)
-    st_ = ideal_structure(m)
-    kernels = [reference_ideal_kernel_matrix(m, ideal) for ideal in st_.ideals]
-    for ideal, ker in zip(st_.ideals, kernels):
+    ax = analyze_flow(flow)
+    m = ax.monoid
+    kernels = [reference_ideal_kernel_matrix(m, ideal) for ideal in ax.structure.ideals]
+    for ideal, ker in zip(ax.structure.ideals, kernels):
         labels = np.array(ideal.kernel)
         assert np.array_equal(labels[:, None] == labels[None, :], ker)
-        assert [c.members for c in i_proximal_partition(m, ideal)] == reference_classes(ker)
+        assert [c.members for c in i_proximal_partition(ax, ideal)] == reference_classes(ker)
     p, sp = np.logical_or.reduce(kernels), np.logical_and.reduce(kernels)
-    assert np.array_equal(proximal(m).matrix, p)
-    assert np.array_equal(strongly_proximal(m).matrix, sp)
-    assert [s.members for s in max_strongly_proximal_sets(m)] == reference_classes(sp)
+    assert np.array_equal(ax.proximal.matrix, p)
+    assert np.array_equal(ax.strongly_proximal.matrix, sp)
+    assert [s.members for s in max_strongly_proximal_sets(ax)] == reference_classes(sp)
     assert PairRelation(m.n_states, sp).classes() == reference_classes(sp)
 
 
@@ -77,7 +75,7 @@ def test_random_icer_quotients_satisfy_factor_theorems(flow, seed):
     ax = analyze_flow(flow)
     icer = random_icer(random.Random(seed), ax)
     f = quotient_by_icer(flow, icer)
-    for r in check_factor_theorems(f):
+    for r in check_factor_theorems(f, ax, analyze_flow(f.target)):
         assert r.passed, (flow, r.name, r.detail)
 
 

@@ -18,7 +18,6 @@ from flowrel.finflow import (
     close,
     equivalence_matrix,
     equivalent_idempotents,
-    ideal_structure,
     idempotents,
     induced_theta,
     row_positions,
@@ -41,7 +40,6 @@ from flowrel.relations import (
     analyze_flow,
     check_factor_theorems,
     is_minimal_flow,
-    omega,
     product_flow,
     quotient_by_icer,
     sp_verdict,
@@ -113,14 +111,16 @@ def test_positions_agree_with_a_tuple_index_on_the_fixtures():
 
 
 def assert_gathers_match_references(flow):
-    m = closed_or_none(flow)
-    if m is None:
+    try:
+        ax = analyze_flow(flow, cap=3000)
+    except MonoidTooLarge:
         return
-    structure = ideal_structure(m)
+    m, structure = ax.monoid, ax.structure
     for ideal in structure.ideals:
         assert idempotents(m, ideal) == reference_idempotents(m, ideal)
-    assert equivalent_idempotents(m) == reference_equivalent_idempotents(m, structure)
-    assert np.array_equal(omega(m).matrix, reference_omega(m, structure))
+    assert equivalent_idempotents(m, structure) == reference_equivalent_idempotents(m, structure)
+    assert ax.equivalent_pairs == equivalent_idempotents(m, structure)
+    assert np.array_equal(ax.omega.matrix, reference_omega(m, structure))
     assert is_minimal_flow(m) == reference_is_minimal_flow(m)
     sample = range(m.size) if m.size <= 200 else sorted(set(range(40)) | set(structure.kernel_elements))
     for p in sample:
@@ -128,7 +128,7 @@ def assert_gathers_match_references(flow):
         assert m.idempotent_power(p) == reference_idempotent_power(m, p)
     for x in range(m.n_states):
         for y in range(x + 1, m.n_states):
-            assert sp_verdict(m, x, y).witness == reference_sp_witness(m, structure, x, y)
+            assert sp_verdict(ax, x, y).witness == reference_sp_witness(m, structure, x, y)
 
 
 def test_equivalence_matrix_needs_both_products():
@@ -351,20 +351,19 @@ def test_broken_membership_keeps_each_detail_apart():
     ((1, 2), "class [0, 1] not closed under idempotent 2"),  # 2 = (0, 2, 2, 0)
 ])
 def test_validate_partitions_rejects_foreign_idempotents(idempotents_of_ideal_0, message):
-    m = close(TWO_IDEAL_FLOW)
-    st_ = ideal_structure(m)
-    m._structure = replace(st_, idempotents_by_ideal=(idempotents_of_ideal_0,) + st_.idempotents_by_ideal[1:])
+    ax = analyze_flow(TWO_IDEAL_FLOW)
     with pytest.raises(AssertionError, match=re.escape(message)):
-        validate_partitions(m)
+        validate_partitions(with_structure(ax, idempotents_by_ideal=(idempotents_of_ideal_0,) + ax.structure.idempotents_by_ideal[1:]))
 
 
 def test_fiber_check_fails_when_the_section_is_no_idempotent(monkeypatch):
     # onto a point every element lies over the identity; a section that
     # returns the non-idempotent (1, 3, 3, 1) moves its own image
     point = quotient_by_icer(TWO_IDEAL_FLOW, np.ones((4, 4), dtype=bool))
-    (before,) = [r for r in check_factor_theorems(point) if r.name == "factor_fiber_contains_ap_set"]
+    src, tgt = analyze_flow(point.source), analyze_flow(point.target)
+    (before,) = [r for r in check_factor_theorems(point, src, tgt) if r.name == "factor_fiber_contains_ap_set"]
     assert before.passed
     monkeypatch.setattr(TransMonoid, "idempotent_power",
                         lambda self, i: element_of(self, (1, 3, 3, 1)) if self.n_states == 4 else i)
-    (after,) = [r for r in check_factor_theorems(point) if r.name == "factor_fiber_contains_ap_set"]
+    (after,) = [r for r in check_factor_theorems(point, src, tgt) if r.name == "factor_fiber_contains_ap_set"]
     assert not after.passed and after.detail == "u.fiber not an almost periodic subset of fiber over 0"

@@ -4,11 +4,11 @@ the S¹p check read from the generators' left action against the
 per-member loop; and each replaced invariance check broken in turn."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from flowrel import relations
 from flowrel.finflow import FiniteFlow, MonoidTooLarge, close, ideal_structure
 from flowrel.fuzz import ROTATION3_FLOW, TWO_IDEAL_FLOW, invariance_checks, left_action_counterexample
 from flowrel.relations import (
@@ -76,7 +76,7 @@ def assert_pair_graph_matches_tensors(ax, rel):
         assert (invariance_violation(gens, r) is None) == reference_forward_invariant(m, r)
     for r in (p, rel):
         assert (invariance_violation(gens, ~r) is None) == reference_backward_invariant(m, r)
-    assert check_unique_ideal_equiv(m)["p_forward_invariant"] == reference_forward_invariant(m, p)
+    assert check_unique_ideal_equiv(ax)["p_forward_invariant"] == reference_forward_invariant(m, p)
     results = invariance_checks(gens, ax.omega.matrix, ax.strongly_proximal.matrix, p, d)
     assert [r.name for r in results] == INVARIANCE_CHECKS
     assert [r.passed for r in results] == [
@@ -186,15 +186,13 @@ def test_each_invariance_check_fails_alone():
     assert invariance_violation(sc_gens, with_pair(sc_om, 0, 1, True)) == (0, 0, 1)
 
 
-def test_p_forward_invariance_fails_alone_in_the_three_way_equivalence(monkeypatch):
+def test_p_forward_invariance_fails_alone_in_the_three_way_equivalence():
     # on the rotation, {0, 1} {2} is an equivalence and equals the SP it is
     # read with, but the rotation moves (0, 1) to (1, 2)
-    m = close(ROTATION3_FLOW)
-    assert check_unique_ideal_equiv(m)["consistent"]
+    ax = analyze_flow(ROTATION3_FLOW)
+    assert check_unique_ideal_equiv(ax)["consistent"]
     rel = PairRelation(3, with_pair(diagonal(3), 0, 1, True), "P")
-    monkeypatch.setattr(relations, "proximal", lambda _: rel)
-    monkeypatch.setattr(relations, "strongly_proximal", lambda _: rel)
-    assert check_unique_ideal_equiv(m) == {
+    assert check_unique_ideal_equiv(replace(ax, proximal=rel, strongly_proximal=rel)) == {
         "p_is_equivalence": True,
         "unique_minimal_ideal": True,
         "p_equals_sp": True,

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from flowrel import proxsets
-from flowrel.finflow import close, ideal_structure
+from flowrel.finflow import close
 from flowrel.fuzz import CONSTANTS_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW, TWO_IDEAL_FLOW, proxset_check_suite
 from flowrel.proxsets import (
     check_rA_proximal_equiv,
@@ -32,63 +32,60 @@ def test_whole_space_proximal_in_constants_model():
 
 
 def test_distal_pair_not_proximal_set():
-    m = close(ROTATION3_FLOW)
-    assert is_proximal_set(m, {0, 1}) is None
-    assert minimal_ideal_collapse(m, {0, 1}) is None
+    ax = analyze_flow(ROTATION3_FLOW)
+    assert is_proximal_set(ax.monoid, {0, 1}) is None
+    assert minimal_ideal_collapse(ax, {0, 1}) is None
 
 
 def test_minimal_ideal_collapse():
-    m = close(CONSTANTS_FLOW)
-    ideal = minimal_ideal_collapse(m, {0, 1})
+    ax = analyze_flow(CONSTANTS_FLOW)
+    ideal = minimal_ideal_collapse(ax, {0, 1})
     assert ideal is not None
-    assert [image_tuple(m, i) for i in ideal.members] == [(0, 0), (1, 1)]
-    m2 = close(TWO_IDEAL_FLOW)
-    ideal2 = minimal_ideal_collapse(m2, {0, 1})
+    assert [image_tuple(ax.monoid, i) for i in ideal.members] == [(0, 0), (1, 1)]
+    ax2 = analyze_flow(TWO_IDEAL_FLOW)
+    ideal2 = minimal_ideal_collapse(ax2, {0, 1})
     assert ideal2 is not None and ideal2.kernel == (0, 0, 1, 1)
-    assert minimal_ideal_collapse(m2, {0, 2}) is None
+    assert minimal_ideal_collapse(ax2, {0, 2}) is None
 
 
 def test_partitions_differ_across_ideals():
-    m = close(TWO_IDEAL_FLOW)
-    st = ideal_structure(m)
+    ax = analyze_flow(TWO_IDEAL_FLOW)
     parts = [
-        sorted(sorted(c.members) for c in i_proximal_partition(m, ideal))
-        for ideal in st.ideals
+        sorted(sorted(c.members) for c in i_proximal_partition(ax, ideal))
+        for ideal in ax.structure.ideals
     ]
     assert parts == [[[0, 1], [2, 3]], [[0, 3], [1, 2]]]
 
 
 def test_partition_singletons_in_distal_model():
-    m = close(ROTATION3_FLOW)
-    st = ideal_structure(m)
-    parts = i_proximal_partition(m, st.ideals[0])
+    ax = analyze_flow(ROTATION3_FLOW)
+    parts = i_proximal_partition(ax, ax.structure.ideals[0])
     assert sorted(sorted(c.members) for c in parts) == [[0], [1], [2]]
 
 
 def test_partition_single_class_in_proximal_model():
-    m = close(CONSTANTS_FLOW)
-    st = ideal_structure(m)
-    parts = i_proximal_partition(m, st.ideals[0])
+    ax = analyze_flow(CONSTANTS_FLOW)
+    parts = i_proximal_partition(ax, ax.structure.ideals[0])
     assert [sorted(c.members) for c in parts] == [[0, 1]]
 
 
 def test_max_strongly_proximal_sets():
-    m = close(TWO_IDEAL_FLOW)
-    assert sorted(sorted(s.members) for s in max_strongly_proximal_sets(m)) == [[0], [1], [2], [3]]
-    m2 = close(CONSTANTS_FLOW)
-    assert [sorted(s.members) for s in max_strongly_proximal_sets(m2)] == [[0, 1]]
-    m3 = close(SINGLE_IDEAL_SEED_FLOW)
-    assert sorted(sorted(s.members) for s in max_strongly_proximal_sets(m3)) == [[0, 2], [1, 3]]
+    ax = analyze_flow(TWO_IDEAL_FLOW)
+    assert sorted(sorted(s.members) for s in max_strongly_proximal_sets(ax)) == [[0], [1], [2], [3]]
+    ax2 = analyze_flow(CONSTANTS_FLOW)
+    assert [sorted(s.members) for s in max_strongly_proximal_sets(ax2)] == [[0, 1]]
+    ax3 = analyze_flow(SINGLE_IDEAL_SEED_FLOW)
+    assert sorted(sorted(s.members) for s in max_strongly_proximal_sets(ax3)) == [[0, 2], [1, 3]]
 
 
 def test_sp_equals_union_of_class_squares():
     for flow in (CONSTANTS_FLOW, ROTATION3_FLOW, TWO_IDEAL_FLOW, SINGLE_IDEAL_SEED_FLOW):
-        assert sp_matches_class_squares(close(flow)).passed
+        assert sp_matches_class_squares(analyze_flow(flow)).passed
 
 
 def test_rA_biconditional():
     for flow in (CONSTANTS_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW, TWO_IDEAL_FLOW):
-        r = check_rA_proximal_equiv(close(flow))
+        r = check_rA_proximal_equiv(analyze_flow(flow))
         assert r.passed, r.detail
 
 
@@ -96,8 +93,9 @@ def test_rA_counterexample_exists_when_p_not_equivalence():
     # with two ideals some element must carry some proximal set outside
     # the proximal family; the check passes because both sides of the
     # biconditional are false together
-    m = close(TWO_IDEAL_FLOW)
-    r = check_rA_proximal_equiv(m)
+    ax = analyze_flow(TWO_IDEAL_FLOW)
+    m = ax.monoid
+    r = check_rA_proximal_equiv(ax)
     assert r.passed
     # explicit witness: {0,1} is collapsed by the first ideal, its image
     # under the idempotent (0,2,2,0) is {0,2}, which nothing collapses
@@ -109,7 +107,7 @@ def test_rA_counterexample_exists_when_p_not_equivalence():
 
 def test_max_sp_closure_claim_holds_with_unique_ideal():
     for flow in (CONSTANTS_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW):
-        assert max_sp_sets_fixed_by_all_idempotents(close(flow)).passed
+        assert max_sp_sets_fixed_by_all_idempotents(analyze_flow(flow)).passed
 
 
 def test_max_sp_closure_claim_fails_with_two_ideals():
@@ -118,7 +116,7 @@ def test_max_sp_closure_claim_fails_with_two_ideals():
     # four-fixed-point model has two, its SP classes are singletons, and
     # the idempotent (1,1,3,3) sends class {0} to {1}, so the check is
     # kept separate from the always-true suite
-    r = max_sp_sets_fixed_by_all_idempotents(close(TWO_IDEAL_FLOW))
+    r = max_sp_sets_fixed_by_all_idempotents(analyze_flow(TWO_IDEAL_FLOW))
     assert not r.passed
     assert r.detail == "u=(1, 1, 3, 3) A=[0] uA=[1]"
 
@@ -126,10 +124,10 @@ def test_max_sp_closure_claim_fails_with_two_ideals():
 def test_partition_assertions_run_once_per_flow_report(monkeypatch):
     calls = []
     real = proxsets.validate_partitions
-    monkeypatch.setattr(proxsets, "validate_partitions", lambda m: calls.append(m) or real(m))
+    monkeypatch.setattr(proxsets, "validate_partitions", lambda ax: calls.append(ax) or real(ax))
     ax = analyze_flow(TWO_IDEAL_FLOW)
     report = flow_report(ax)
-    assert calls == [ax.monoid]
+    assert calls == [ax]
     assert [c["pass"] for c in report["checks"] if c["name"] == "per_ideal_partitions_valid"] == [True]
 
 
@@ -137,14 +135,28 @@ def test_validate_partitions_rejects_a_split_kernel():
     # a kernel labelling finer than the ideal's true partition separates
     # two states that every member of the ideal collapses
     ax = analyze_flow(TWO_IDEAL_FLOW)
-    m = ax.monoid
-    st = ideal_structure(m)
+    st = ax.structure
     ideal = st.ideals[0]
     split = list(ideal.kernel)
     y = next(y for y in range(1, len(split)) if split[y] == split[0])
     split[y] = max(split) + 1
-    m._structure = replace(st, ideals=(replace(ideal, kernel=tuple(split)),) + st.ideals[1:])
+    ax = replace(ax, structure=replace(st, ideals=(replace(ideal, kernel=tuple(split)),) + st.ideals[1:]))
     with pytest.raises(AssertionError, match="distinct ideal-proximal classes share an image"):
-        validate_partitions(m)
+        validate_partitions(ax)
     (result,) = [r for r in proxset_check_suite(ax) if r.name == "per_ideal_partitions_valid"]
     assert not result.passed and "share an image" in result.detail
+
+
+def test_invertible_image_check_reports_the_first_counterexample(monkeypatch):
+    # with two candidate images rejected, the detail names the first
+    # (candidate, generator) in scan order, not the last
+    ax = analyze_flow(ROTATION3_FLOW)
+    check = "invertible_generator_image_of_proximal_set_proximal"
+    assert [r.passed for r in proxset_check_suite(ax) if r.name == check] == [True]
+    real = proxsets.is_proximal_set
+    rejected = [{1}, {2}]  # images of (0,) and (1,) under the rotation
+    monkeypatch.setattr(proxsets, "is_proximal_set",
+                        lambda m, members: None if set(members) in rejected else real(m, members))
+    (result,) = [r for r in proxset_check_suite(ax) if r.name == check]
+    assert not result.passed
+    assert result.detail == "tA not proximal: A=[0] g=(1, 2, 0)"

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from flowrel import relations
+from flowrel import finflow, fuzz, relations
 from flowrel.finflow import FiniteFlow, close
 from flowrel.fuzz import (
     CONSTANTS_FLOW,
@@ -9,6 +11,7 @@ from flowrel.fuzz import (
     ROTATION3_FLOW,
     SINGLE_IDEAL_SEED_FLOW,
     TWO_IDEAL_FLOW,
+    factor_check_suite,
     relation_check_suite,
     saturate_icer,
 )
@@ -22,20 +25,28 @@ from flowrel.relations import (
     diagonal,
     idempotent_section_check,
     is_minimal_flow,
+    product_d_published_biconditional,
     product_flow,
-    proximal,
     proximal_verdict,
     pullback,
     quotient_by_icer,
     sp_verdict,
-    strongly_proximal,
     verify_relation_forms,
 )
+from flowrel.reports import flow_report
 from oracles import apply, element_of, is_idempotent
 
 
 def pairs(rel):
     return sorted(p for p in rel.pairs() if p[0] < p[1])
+
+
+def product_analyses(a, b):
+    return analyze_flow(a), analyze_flow(b), analyze_flow(product_flow(a, b))
+
+
+def factor_analyses(f):
+    return analyze_flow(f.source), analyze_flow(f.target)
 
 
 def test_identity_flow_relations():
@@ -89,7 +100,7 @@ def test_single_ideal_seed_relations():
     (SINGLE_IDEAL_SEED_FLOW, True),
 ])
 def test_three_way_equivalence(flow, expect):
-    rep = check_unique_ideal_equiv(close(flow))
+    rep = check_unique_ideal_equiv(analyze_flow(flow))
     assert rep["consistent"]
     assert rep["p_is_equivalence"] is expect
     assert rep["unique_minimal_ideal"] is expect
@@ -106,19 +117,20 @@ def test_minimality():
 
 
 def test_witnesses():
-    m = close(TWO_IDEAL_FLOW)
+    ax = analyze_flow(TWO_IDEAL_FLOW)
+    m = ax.monoid
     v = proximal_verdict(m, 0, 1)
     assert v.answer == "in"
     assert apply(m, v.witness["collapser"], 0) == apply(m, v.witness["collapser"], 1)
     v2 = proximal_verdict(m, 0, 2)
     assert v2.answer == "out" and v2.witness is None
-    s = sp_verdict(m, 0, 1)
+    s = sp_verdict(ax, 0, 1)
     assert s.answer == "out"
     sep, u = s.witness["separator"], s.witness["fixing_idempotent"]
     px, py = apply(m, sep, 0), apply(m, sep, 1)
     assert px != py
     assert apply(m, u, px) == px and apply(m, u, py) == py
-    assert sp_verdict(m, 2, 2).answer == "in"
+    assert sp_verdict(ax, 2, 2).answer == "in"
 
 
 def test_product_flow_shapes():
@@ -139,7 +151,7 @@ def test_product_flow_shapes():
     (FiniteFlow(3, ((1, 2, 0),)), FiniteFlow(2, ((1, 0),))),
 ])
 def test_product_theorems_on_fixtures(a, b):
-    for r in check_product_theorems(a, b):
+    for r in check_product_theorems(*product_analyses(a, b)):
         assert r.passed, (r.name, r.detail)
 
 
@@ -148,14 +160,10 @@ def test_product_d_published_biconditional_fails_on_correlated_square():
     # two different ideals, and no element collapses both at once; the
     # published two-way law therefore fails on the squared fixture while
     # its coordinate-to-product direction always holds
-    from flowrel.relations import product_d_published_biconditional
-
-    r = product_d_published_biconditional(TWO_IDEAL_FLOW, TWO_IDEAL_FLOW)
+    ax, _, axp = product_analyses(TWO_IDEAL_FLOW, TWO_IDEAL_FLOW)
+    r = product_d_published_biconditional(ax, ax, axp)
     assert not r.passed
-    assert product_d_published_biconditional(CONSTANTS_FLOW, CONSTANTS_FLOW).passed
-    prod = product_flow(TWO_IDEAL_FLOW, TWO_IDEAL_FLOW)
-    axp = analyze_flow(prod)
-    ax = analyze_flow(TWO_IDEAL_FLOW)
+    assert product_d_published_biconditional(*product_analyses(CONSTANTS_FLOW, CONSTANTS_FLOW)).passed
     s, t = 0 * 4 + 0, 1 * 4 + 3  # points (0,0) and (1,3)
     assert ax.proximal.contains(0, 1) and ax.proximal.contains(0, 3)
     assert axp.distal.contains(s, t)
@@ -217,7 +225,7 @@ def test_quotient_by_p_closure_of_two_ideal_flow_is_distal_point():
     assert f.target.n_states == 1
     tgt = analyze_flow(f.target)
     assert tgt.is_distal_flow
-    for r in check_factor_theorems(f):
+    for r in check_factor_theorems(f, ax, tgt):
         assert r.passed, (r.name, r.detail)
 
 
@@ -225,23 +233,23 @@ def test_factor_theorems_on_sp_quotient():
     ax = analyze_flow(SINGLE_IDEAL_SEED_FLOW)
     f = quotient_by_icer(SINGLE_IDEAL_SEED_FLOW, ax.strongly_proximal.matrix)
     assert f.target.n_states == 2
-    for r in check_factor_theorems(f):
-        assert r.passed, (r.name, r.detail)
     tgt = analyze_flow(f.target)
+    for r in check_factor_theorems(f, ax, tgt):
+        assert r.passed, (r.name, r.detail)
     assert tgt.is_weakly_distal_flow
 
 
 def test_idempotent_section_on_minimal_targets():
     ax = analyze_flow(TWO_IDEAL_FLOW)
     f = quotient_by_icer(TWO_IDEAL_FLOW, diagonal(4))
-    for r in idempotent_section_check(f):
+    for r in idempotent_section_check(f, ax, analyze_flow(f.target)):
         assert r.passed, (r.name, r.detail)
 
 
 def test_idempotent_section_skips_nonminimal_target():
     flow = FiniteFlow(3, ((0, 0, 1),))
     f = quotient_by_icer(flow, diagonal(3))
-    results = idempotent_section_check(f)
+    results = idempotent_section_check(f, *factor_analyses(f))
     assert len(results) == 1 and "skipped" in results[0].detail
 
 
@@ -258,7 +266,7 @@ def test_fiberwise_proximal_does_not_force_idempotence_outside_kernel():
     kernel = set(ax.structure.kernel_elements)
     assert swap not in kernel
     f = quotient_by_icer(flow, diagonal(2))
-    for r in idempotent_section_check(f):
+    for r in idempotent_section_check(f, ax, analyze_flow(f.target)):
         assert r.passed, (r.name, r.detail)
 
 
@@ -275,28 +283,28 @@ def test_distal_factor_d_preimage_equality_is_not_a_theorem():
     assert src.is_distal_flow and tgt.is_distal_flow
     d_pre = pullback(tgt.distal.matrix, f.point_map)
     assert src.distal.contains(0, 2) and not d_pre[0, 2]
-    for r in check_factor_theorems(f):
+    for r in check_factor_theorems(f, src, tgt):
         assert r.passed, (r.name, r.detail)
 
 
 def test_verify_relation_forms_rejects_each_broken_form():
-    m = close(TWO_IDEAL_FLOW)
-    p, sp = proximal(m), strongly_proximal(m)
+    ax = analyze_flow(TWO_IDEAL_FLOW)
+    m, p, sp = ax.monoid, ax.proximal, ax.strongly_proximal
     verify_relation_forms(m, p, sp)
     flipped = p.matrix.copy()
     flipped[0, 1] = flipped[1, 0] = not flipped[0, 1]
     with pytest.raises(AssertionError, match="element form and minimal-ideal form disagree"):
         verify_relation_forms(m, PairRelation(4, flipped, "P"), sp)
 
-    m = close(ROTATION3_FLOW)
+    ax = analyze_flow(ROTATION3_FLOW)
     chain = diagonal(3)
     chain[0, 1] = chain[1, 0] = chain[1, 2] = chain[2, 1] = True
     with pytest.raises(AssertionError, match="SP failed to be an equivalence relation"):
-        verify_relation_forms(m, proximal(m), PairRelation(3, chain, "SP"))
+        verify_relation_forms(ax.monoid, ax.proximal, PairRelation(3, chain, "SP"))
 
-    m = close(CONSTANTS_FLOW)
+    ax = analyze_flow(CONSTANTS_FLOW)
     with pytest.raises(AssertionError, match="SP does not match the all-translates-proximal form"):
-        verify_relation_forms(m, proximal(m), PairRelation(2, diagonal(2), "SP"))
+        verify_relation_forms(ax.monoid, ax.proximal, PairRelation(2, diagonal(2), "SP"))
 
 
 def test_analyze_flow_verifies_relation_forms_once(monkeypatch):
@@ -315,16 +323,81 @@ def test_distal_and_weakly_distal_are_complements():
     assert ax.distal.kind == "D" and ax.weakly_distal.kind == "WD"
     assert np.array_equal(ax.distal.matrix, ~ax.proximal.matrix)
     assert np.array_equal(ax.weakly_distal.matrix, ~ax.strongly_proximal.matrix)
-    assert np.array_equal(relations.distal_rel(ax.monoid).matrix, ax.distal.matrix)
-    assert np.array_equal(relations.weakly_distal_rel(ax.monoid).matrix, ax.weakly_distal.matrix)
 
 
 def test_cross_ideal_partner_check_reads_the_analysis_pairs():
     ax = analyze_flow(TWO_IDEAL_FLOW)
     check = "cross_ideal_equivalent_idempotent_exists"
     assert [r.passed for r in relation_check_suite(ax) if r.name == check] == [True]
-    ax.equivalent_pairs = []
-    (result,) = [r for r in relation_check_suite(ax) if r.name == check]
+    (result,) = [r for r in relation_check_suite(replace(ax, equivalent_pairs=[])) if r.name == check]
     assert not result.passed
     last = ax.structure.idempotents_by_ideal[1][-1]
     assert result.detail == f"idempotent {last} has no partner in ideal 0"
+
+
+def count_calls(monkeypatch, name):
+    """Wrap the flowrel function ``name`` wherever a module binds it, and
+    return the list of positional arguments of each call."""
+    calls = []
+    real = getattr(finflow, name, None) or getattr(relations, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (finflow, relations, fuzz):
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("flow", [TWO_IDEAL_FLOW, FiniteFlow(13, (tuple((x + 1) % 13 for x in range(13)),))])
+def test_ideal_structure_runs_once_per_analysis_and_once_for_the_square(monkeypatch, flow):
+    calls = count_calls(monkeypatch, "ideal_structure")
+    ax = analyze_flow(flow)
+    flow_report(ax)
+    n = flow.n_states
+    assert calls[0][0] is ax.monoid
+    assert [m.n_states for (m,) in calls] == ([n, n * n] if n <= 12 else [n])
+
+
+def test_a_broken_structure_reaches_the_three_way_equivalence():
+    # TWO_IDEAL_FLOW listed with its first ideal only: P is still no
+    # equivalence, but the structure now claims a unique minimal ideal
+    ax = analyze_flow(TWO_IDEAL_FLOW)
+    st = ax.structure
+    one = replace(ax, structure=replace(st, ideals=st.ideals[:1], idempotents_by_ideal=st.idempotents_by_ideal[:1]),
+                  equivalent_pairs=[])
+    rep = check_unique_ideal_equiv(one)
+    assert rep["unique_minimal_ideal"] and not rep["p_is_equivalence"] and not rep["consistent"]
+    (result,) = [r for r in relation_check_suite(one) if r.name == "three_way_equivalence"]
+    assert not result.passed and result.detail == str(rep)
+
+
+def test_factor_check_suite_analyzes_only_the_quotient(monkeypatch):
+    ax = analyze_flow(TWO_IDEAL_FLOW)
+    analyses = count_calls(monkeypatch, "analyze_flow")
+    results = factor_check_suite(ax, ax.strongly_proximal.matrix)
+    assert [flow for (flow,) in analyses] == [quotient_by_icer(TWO_IDEAL_FLOW, ax.strongly_proximal.matrix).target]
+    assert "quotient_by_sp_weakly_distal" in [r.name for r in results]
+    assert all(r.passed for r in results)
+
+
+def test_product_checks_close_nothing(monkeypatch):
+    ax, bx, px = product_analyses(TWO_IDEAL_FLOW, TWO_IDEAL_FLOW)
+    closes = count_calls(monkeypatch, "close")
+    check_product_theorems(ax, bx, px)
+    product_d_published_biconditional(ax, bx, px)
+    assert closes == []
+
+
+def test_product_and_factor_checks_reject_analyses_of_other_flows():
+    ax, bx, _ = product_analyses(CONSTANTS_FLOW, CONSTANTS_FLOW)
+    for check in (check_product_theorems, product_d_published_biconditional):
+        with pytest.raises(ValueError, match="not of the product of the factor flows"):
+            check(ax, bx, analyze_flow(TWO_IDEAL_FLOW))
+    point = quotient_by_icer(TWO_IDEAL_FLOW, np.ones((4, 4), dtype=bool))
+    src = analyze_flow(TWO_IDEAL_FLOW)
+    for check in (check_factor_theorems, idempotent_section_check):
+        with pytest.raises(ValueError, match="not of the factor map's source and target"):
+            check(point, src, src)
