@@ -25,10 +25,6 @@ from .relations import (
     NotAnIcer,
     PairRelation,
     analyze_flow,
-    check_factor_theorems,
-    check_product_theorems,
-    check_unique_ideal_equiv,
-    idempotent_section_check,
     is_minimal_flow,
     product_flow,
     quotient_by_icer,
@@ -38,6 +34,12 @@ from .proxsets import (
     is_proximal_set,
     max_strongly_proximal_sets,
     minimal_ideal_collapse,
+)
+
+from .fuzz import (
+    check_factor_theorems,
+    check_product_theorems,
+    check_unique_ideal_equiv,
 )
 
 __version__ = "0.1.0"

@@ -56,6 +56,8 @@ class CirclePoint:
         if self.family == "D" and self.index == 2:
             object.__setattr__(self, "family", "C")
             object.__setattr__(self, "index", 1)
+        if not math.isfinite(self.angle):
+            raise ValueError(f"angle must be a finite number, got {self.angle}")
         object.__setattr__(self, "angle", float(self.angle) % math.pi)
 
     def tier(self) -> str:

@@ -13,7 +13,7 @@ import numpy as np
 from . import proxsets
 from .circles import CirclePoint, asymptotic_class, center, pair_class, step, step_back
 from .fuzz import proxset_check_suite, relation_check_suite
-from .relations import FlowAnalysis, is_minimal_flow, proximal_verdict, sp_verdict
+from .relations import FlowAnalysis, proximal_verdict, sp_verdict
 from .subshift import (
     ChaconPoint,
     ClassifyParams,
@@ -37,27 +37,24 @@ def flow_report(ax: FlowAnalysis) -> dict:
     structure and every theorem check."""
     m = ax.monoid
     st = ax.structure
-    relations = {}
-    for kind in ("P", "D", "Omega", "SP", "WD"):
-        rel = ax.relation(kind)
-        entry: dict = {"pairs": _pair_list(rel.matrix)}
-        if kind == "P":
-            entry["witnesses"] = {
-                f"{x},{y}": proximal_verdict(m, x, y).witness
-                for x, y in entry["pairs"]
-            }
-        if kind == "SP":
-            entry["out_witnesses"] = {
-                f"{x},{y}": sp_verdict(ax, x, y).witness
-                for x, y in _pair_list(ax.proximal.matrix & ~rel.matrix)
-            }
-        relations[kind] = entry
+    relations = {
+        kind: {"pairs": _pair_list(rel.matrix)}
+        for kind, rel in (("P", ax.proximal), ("D", ax.distal), ("Omega", ax.omega),
+                          ("SP", ax.strongly_proximal), ("WD", ax.weakly_distal))
+    }
+    relations["P"]["witnesses"] = {
+        f"{x},{y}": proximal_verdict(m, x, y).witness for x, y in relations["P"]["pairs"]
+    }
+    relations["SP"]["out_witnesses"] = {
+        f"{x},{y}": sp_verdict(ax, x, y).witness
+        for x, y in _pair_list(ax.proximal.matrix & ~ax.strongly_proximal.matrix)
+    }
     checks = [r.as_json() for r in relation_check_suite(ax) + proxset_check_suite(ax)]
     partitions = {
-        str(k): [sorted(c.members) for c in proxsets.i_proximal_partition(ax, ideal)]
+        str(k): [sorted(c) for c in proxsets.i_proximal_partition(ideal)]
         for k, ideal in enumerate(st.ideals)
     }
-    refinement = [sorted(s.members) for s in proxsets.max_strongly_proximal_sets(ax)]
+    refinement = [sorted(s) for s in proxsets.max_strongly_proximal_sets(ax)]
     return {
         "schema": SCHEMA,
         "kind": "flow_analysis",
@@ -81,7 +78,7 @@ def flow_report(ax: FlowAnalysis) -> dict:
         },
         "checks": checks,
         "verdicts": {
-            "minimal": is_minimal_flow(m),
+            "minimal": ax.is_minimal,
             "distal": ax.is_distal_flow,
             "proximal_flow": ax.is_proximal_flow,
             "weakly_distal": ax.is_weakly_distal_flow,

@@ -6,7 +6,7 @@ Criterion 4 also runs the published closure claim (u(A) within A for
 every maximal strongly proximal set A and every minimal idempotent u)
 exactly as stated, and asserts its exact form: the claim holds on a flow
 iff the flow has one minimal left ideal (proof in the docstring of
-proxsets.max_sp_sets_fixed_by_all_idempotents).  The published form is
+fuzz.max_sp_sets_fixed_by_all_idempotents).  The published form is
 false, and the PASS line counts the multi-ideal corpus flows on which it
 fails; the minimal counterexample is in test_proxsets.
 """
@@ -14,21 +14,18 @@ fails; the minimal counterexample is in test_proxsets.
 import random
 import time
 
-from flowrel import proxsets
 from flowrel.finflow import MonoidTooLarge
 from flowrel.fuzz import (
+    check_product_theorems,
     factor_check_suite,
+    max_sp_sets_fixed_by_all_idempotents,
+    product_d_published_biconditional,
     proxset_check_suite,
     random_flow,
     random_icer,
     relation_check_suite,
 )
-from flowrel.relations import (
-    analyze_flow,
-    check_product_theorems,
-    product_d_published_biconditional,
-    product_flow,
-)
+from flowrel.relations import analyze_flow, product_flow
 from flowrel.subshift import (
     AdicImage,
     ChaconPoint,
@@ -142,7 +139,7 @@ def test_criterion_4_proximal_set_suite():
         checked += 1
         failures.extend((i, r.name, r.detail) for r in proxset_check_suite(ax) if not r.passed)
         n_ideals = len(ax.structure.ideals)
-        r = proxsets.max_sp_sets_fixed_by_all_idempotents(ax)
+        r = max_sp_sets_fixed_by_all_idempotents(ax)
         if r.passed != (n_ideals == 1):
             mismatches.append((i, n_ideals, r.detail or "claim holds"))
         elif r.passed:

@@ -36,6 +36,12 @@ def test_point_validation_and_aliasing():
     assert CirclePoint("C", 2, math.pi + 0.25).angle == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_are_rejected(angle):
+    with pytest.raises(ValueError, match="angle must be a finite number"):
+        CirclePoint("C", 3, angle)
+
+
 def test_fixed_tiers():
     p = CirclePoint("C", 0, 1.2)
     assert step(p) == p and step_back(p) == p

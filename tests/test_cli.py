@@ -194,6 +194,12 @@ def test_morse_horizon_past_the_letter_guard_exits_2(capsys):
     assert code == 2 and out == "" and "letter guard" in err
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_classify_pair_non_finite_circle_angle_exits_2(capsys, angle):
+    code, out, err = run(capsys, "classify-pair", "--system", "cc", "--x", f"C:3:{angle}", "--y", "center")
+    assert code == 2 and out == "" and err.startswith("error: angle must be a finite number")
+
+
 def test_morse_horizon_of_a_million_runs(capsys):
     code, out, _ = run(capsys, "classify-pair", "--system", "morse", "--x", "a", "--y", "b",
                        "--horizon", "1000000")

@@ -3,7 +3,7 @@ offending flow and a minimized flow that replays the failure."""
 
 from flowrel import fuzz
 from flowrel.finflow import parse_flow
-from flowrel.relations import CheckResult
+from flowrel.fuzz import CheckResult
 
 
 def test_failure_is_reported_minimized_and_replayable(monkeypatch):

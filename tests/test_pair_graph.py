@@ -10,11 +10,16 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from flowrel.finflow import FiniteFlow, MonoidTooLarge, close, ideal_structure
-from flowrel.fuzz import ROTATION3_FLOW, TWO_IDEAL_FLOW, invariance_checks, left_action_counterexample
+from flowrel.fuzz import (
+    ROTATION3_FLOW,
+    TWO_IDEAL_FLOW,
+    check_unique_ideal_equiv,
+    invariance_checks,
+    left_action_counterexample,
+)
 from flowrel.relations import (
     PairRelation,
     analyze_flow,
-    check_unique_ideal_equiv,
     diagonal,
     invariance_violation,
     pairs_reaching,

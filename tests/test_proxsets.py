@@ -1,20 +1,19 @@
 from dataclasses import replace
 
-import pytest
-
-from flowrel import proxsets
+from flowrel import fuzz, proxsets
 from flowrel.finflow import close
-from flowrel.fuzz import CONSTANTS_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW, TWO_IDEAL_FLOW, proxset_check_suite
-from flowrel.proxsets import (
+from flowrel.fuzz import (
+    CONSTANTS_FLOW,
+    ROTATION3_FLOW,
+    SINGLE_IDEAL_SEED_FLOW,
+    TWO_IDEAL_FLOW,
     check_rA_proximal_equiv,
-    i_proximal_partition,
-    is_proximal_set,
     max_sp_sets_fixed_by_all_idempotents,
-    max_strongly_proximal_sets,
-    minimal_ideal_collapse,
+    proxset_check_suite,
     sp_matches_class_squares,
     validate_partitions,
 )
+from flowrel.proxsets import i_proximal_partition, is_proximal_set, max_strongly_proximal_sets, minimal_ideal_collapse
 from flowrel.relations import analyze_flow
 from flowrel.reports import flow_report
 from oracles import apply, element_of, image_tuple
@@ -51,7 +50,7 @@ def test_minimal_ideal_collapse():
 def test_partitions_differ_across_ideals():
     ax = analyze_flow(TWO_IDEAL_FLOW)
     parts = [
-        sorted(sorted(c.members) for c in i_proximal_partition(ax, ideal))
+        sorted(sorted(c) for c in i_proximal_partition(ideal))
         for ideal in ax.structure.ideals
     ]
     assert parts == [[[0, 1], [2, 3]], [[0, 3], [1, 2]]]
@@ -59,23 +58,23 @@ def test_partitions_differ_across_ideals():
 
 def test_partition_singletons_in_distal_model():
     ax = analyze_flow(ROTATION3_FLOW)
-    parts = i_proximal_partition(ax, ax.structure.ideals[0])
-    assert sorted(sorted(c.members) for c in parts) == [[0], [1], [2]]
+    parts = i_proximal_partition(ax.structure.ideals[0])
+    assert sorted(sorted(c) for c in parts) == [[0], [1], [2]]
 
 
 def test_partition_single_class_in_proximal_model():
     ax = analyze_flow(CONSTANTS_FLOW)
-    parts = i_proximal_partition(ax, ax.structure.ideals[0])
-    assert [sorted(c.members) for c in parts] == [[0, 1]]
+    parts = i_proximal_partition(ax.structure.ideals[0])
+    assert [sorted(c) for c in parts] == [[0, 1]]
 
 
 def test_max_strongly_proximal_sets():
     ax = analyze_flow(TWO_IDEAL_FLOW)
-    assert sorted(sorted(s.members) for s in max_strongly_proximal_sets(ax)) == [[0], [1], [2], [3]]
+    assert sorted(sorted(s) for s in max_strongly_proximal_sets(ax)) == [[0], [1], [2], [3]]
     ax2 = analyze_flow(CONSTANTS_FLOW)
-    assert [sorted(s.members) for s in max_strongly_proximal_sets(ax2)] == [[0, 1]]
+    assert [sorted(s) for s in max_strongly_proximal_sets(ax2)] == [[0, 1]]
     ax3 = analyze_flow(SINGLE_IDEAL_SEED_FLOW)
-    assert sorted(sorted(s.members) for s in max_strongly_proximal_sets(ax3)) == [[0, 2], [1, 3]]
+    assert sorted(sorted(s) for s in max_strongly_proximal_sets(ax3)) == [[0, 2], [1, 3]]
 
 
 def test_sp_equals_union_of_class_squares():
@@ -123,8 +122,8 @@ def test_max_sp_closure_claim_fails_with_two_ideals():
 
 def test_partition_assertions_run_once_per_flow_report(monkeypatch):
     calls = []
-    real = proxsets.validate_partitions
-    monkeypatch.setattr(proxsets, "validate_partitions", lambda ax: calls.append(ax) or real(ax))
+    real = fuzz.validate_partitions
+    monkeypatch.setattr(fuzz, "validate_partitions", lambda ax: calls.append(ax) or real(ax))
     ax = analyze_flow(TWO_IDEAL_FLOW)
     report = flow_report(ax)
     assert calls == [ax]
@@ -141,10 +140,9 @@ def test_validate_partitions_rejects_a_split_kernel():
     y = next(y for y in range(1, len(split)) if split[y] == split[0])
     split[y] = max(split) + 1
     ax = replace(ax, structure=replace(st, ideals=(replace(ideal, kernel=tuple(split)),) + st.ideals[1:]))
-    with pytest.raises(AssertionError, match="distinct ideal-proximal classes share an image"):
-        validate_partitions(ax)
-    (result,) = [r for r in proxset_check_suite(ax) if r.name == "per_ideal_partitions_valid"]
-    assert not result.passed and "share an image" in result.detail
+    result = validate_partitions(ax)
+    assert not result.passed and "distinct ideal-proximal classes share an image" in result.detail
+    assert [r for r in proxset_check_suite(ax) if r.name == "per_ideal_partitions_valid"] == [result]
 
 
 def test_invertible_image_check_reports_the_first_counterexample(monkeypatch):

@@ -11,7 +11,12 @@ from flowrel.fuzz import (
     ROTATION3_FLOW,
     SINGLE_IDEAL_SEED_FLOW,
     TWO_IDEAL_FLOW,
+    check_factor_theorems,
+    check_product_theorems,
+    check_unique_ideal_equiv,
     factor_check_suite,
+    product_d_published_biconditional,
+    pullback,
     relation_check_suite,
     saturate_icer,
 )
@@ -19,16 +24,10 @@ from flowrel.relations import (
     NotAnIcer,
     PairRelation,
     analyze_flow,
-    check_factor_theorems,
-    check_product_theorems,
-    check_unique_ideal_equiv,
     diagonal,
-    idempotent_section_check,
     is_minimal_flow,
-    product_d_published_biconditional,
     product_flow,
     proximal_verdict,
-    pullback,
     quotient_by_icer,
     sp_verdict,
     verify_relation_forms,
@@ -47,6 +46,10 @@ def product_analyses(a, b):
 
 def factor_analyses(f):
     return analyze_flow(f.source), analyze_flow(f.target)
+
+
+def idempotent_section(f, src, tgt):
+    return [r for r in check_factor_theorems(f, src, tgt) if r.name.startswith("idempotent_section")]
 
 
 def test_identity_flow_relations():
@@ -165,8 +168,8 @@ def test_product_d_published_biconditional_fails_on_correlated_square():
     assert not r.passed
     assert product_d_published_biconditional(*product_analyses(CONSTANTS_FLOW, CONSTANTS_FLOW)).passed
     s, t = 0 * 4 + 0, 1 * 4 + 3  # points (0,0) and (1,3)
-    assert ax.proximal.contains(0, 1) and ax.proximal.contains(0, 3)
-    assert axp.distal.contains(s, t)
+    assert ax.proximal.matrix[0, 1] and ax.proximal.matrix[0, 3]
+    assert axp.distal.matrix[s, t]
 
 
 def test_product_omega_needs_common_idempotent():
@@ -177,8 +180,8 @@ def test_product_omega_needs_common_idempotent():
     axp = analyze_flow(prod)
     ax = analyze_flow(TWO_IDEAL_FLOW)
     s, t = 0 * 4 + 1, 2 * 4 + 3  # states (0,1) and (2,3)
-    assert ax.omega.contains(0, 2) and ax.omega.contains(1, 3)
-    assert not axp.omega.contains(s, t)
+    assert ax.omega.matrix[0, 2] and ax.omega.matrix[1, 3]
+    assert not axp.omega.matrix[s, t]
 
 
 def test_quotient_rejects_non_icers():
@@ -242,14 +245,16 @@ def test_factor_theorems_on_sp_quotient():
 def test_idempotent_section_on_minimal_targets():
     ax = analyze_flow(TWO_IDEAL_FLOW)
     f = quotient_by_icer(TWO_IDEAL_FLOW, diagonal(4))
-    for r in idempotent_section_check(f, ax, analyze_flow(f.target)):
+    results = idempotent_section(f, ax, analyze_flow(f.target))
+    assert [r.name for r in results] == ["idempotent_section_target", "idempotent_section_source"]
+    for r in results:
         assert r.passed, (r.name, r.detail)
 
 
 def test_idempotent_section_skips_nonminimal_target():
     flow = FiniteFlow(3, ((0, 0, 1),))
     f = quotient_by_icer(flow, diagonal(3))
-    results = idempotent_section_check(f, *factor_analyses(f))
+    results = idempotent_section(f, *factor_analyses(f))
     assert len(results) == 1 and "skipped" in results[0].detail
 
 
@@ -266,7 +271,7 @@ def test_fiberwise_proximal_does_not_force_idempotence_outside_kernel():
     kernel = set(ax.structure.kernel_elements)
     assert swap not in kernel
     f = quotient_by_icer(flow, diagonal(2))
-    for r in idempotent_section_check(f, ax, analyze_flow(f.target)):
+    for r in idempotent_section(f, ax, analyze_flow(f.target)):
         assert r.passed, (r.name, r.detail)
 
 
@@ -282,7 +287,7 @@ def test_distal_factor_d_preimage_equality_is_not_a_theorem():
     tgt = analyze_flow(f.target)
     assert src.is_distal_flow and tgt.is_distal_flow
     d_pre = pullback(tgt.distal.matrix, f.point_map)
-    assert src.distal.contains(0, 2) and not d_pre[0, 2]
+    assert src.distal.matrix[0, 2] and not d_pre[0, 2]
     for r in check_factor_theorems(f, src, tgt):
         assert r.passed, (r.name, r.detail)
 
@@ -331,8 +336,8 @@ def test_cross_ideal_partner_check_reads_the_analysis_pairs():
     assert [r.passed for r in relation_check_suite(ax) if r.name == check] == [True]
     (result,) = [r for r in relation_check_suite(replace(ax, equivalent_pairs=[])) if r.name == check]
     assert not result.passed
-    last = ax.structure.idempotents_by_ideal[1][-1]
-    assert result.detail == f"idempotent {last} has no partner in ideal 0"
+    first = ax.structure.idempotents_by_ideal[0][0]
+    assert result.detail == f"idempotent {first} has no partner in ideal 1"
 
 
 def count_calls(monkeypatch, name):
@@ -374,11 +379,21 @@ def test_a_broken_structure_reaches_the_three_way_equivalence():
     assert not result.passed and result.detail == str(rep)
 
 
+def test_is_minimal_flow_runs_once_per_report(monkeypatch):
+    calls = count_calls(monkeypatch, "is_minimal_flow")
+    ax = analyze_flow(TWO_IDEAL_FLOW)
+    report = flow_report(ax)
+    assert [m for (m,) in calls] == [ax.monoid]
+    assert report["verdicts"]["minimal"] is ax.is_minimal is True
+
+
 def test_factor_check_suite_analyzes_only_the_quotient(monkeypatch):
     ax = analyze_flow(TWO_IDEAL_FLOW)
     analyses = count_calls(monkeypatch, "analyze_flow")
+    thetas = count_calls(monkeypatch, "induced_theta")
     results = factor_check_suite(ax, ax.strongly_proximal.matrix)
     assert [flow for (flow,) in analyses] == [quotient_by_icer(TWO_IDEAL_FLOW, ax.strongly_proximal.matrix).target]
+    assert len(thetas) == 1
     assert "quotient_by_sp_weakly_distal" in [r.name for r in results]
     assert all(r.passed for r in results)
 
@@ -398,6 +413,41 @@ def test_product_and_factor_checks_reject_analyses_of_other_flows():
             check(ax, bx, analyze_flow(TWO_IDEAL_FLOW))
     point = quotient_by_icer(TWO_IDEAL_FLOW, np.ones((4, 4), dtype=bool))
     src = analyze_flow(TWO_IDEAL_FLOW)
-    for check in (check_factor_theorems, idempotent_section_check):
-        with pytest.raises(ValueError, match="not of the factor map's source and target"):
-            check(point, src, src)
+    with pytest.raises(ValueError, match="not of the factor map's source and target"):
+        check_factor_theorems(point, src, src)
+
+
+def passing(*names):
+    return [(name, True, "") for name in names]
+
+
+FACTOR_ALWAYS = passing(
+    "factor_p_image_subset", "factor_d_image_superset", "factor_omega_image_equal", "factor_sp_image_subset",
+    "factor_p_preimage_superset", "factor_d_preimage_subset", "factor_omega_preimage_superset",
+    "factor_sp_preimage_superset", "factor_wd_preimage_subset",
+)
+FACTOR_TAIL = passing(
+    "factor_theta_ideals_onto", "factor_fiber_contains_ap_set", "idempotent_section_target", "idempotent_section_source",
+)
+
+
+def test_factor_and_product_check_lists_are_pinned():
+    # these suites appear in no report, so no report digest guards their
+    # names, order, verdicts and details
+    ax = analyze_flow(TWO_IDEAL_FLOW)
+    by_sp = factor_check_suite(ax, ax.strongly_proximal.matrix)
+    assert [(r.name, r.passed, r.detail) for r in by_sp] == FACTOR_ALWAYS + passing(
+        "factor_proximal_p_preimage_equal", "factor_proximal_d_preimage_equal", "factor_proximal_sp_preimage_equal",
+        "factor_proximal_rpi_subset_sp", "factor_proximal_wd_image_subset", "factor_distal_omega_preimage_equal",
+    ) + FACTOR_TAIL + passing("quotient_by_sp_weakly_distal")
+    halved = factor_check_suite(ax, saturate_icer(TWO_IDEAL_FLOW, [(0, 2)]))
+    assert [(r.name, r.passed, r.detail) for r in halved] == (
+        FACTOR_ALWAYS + passing("factor_distal_omega_preimage_equal") + FACTOR_TAIL
+    )
+    ax, bx, px = product_analyses(TWO_IDEAL_FLOW, TWO_IDEAL_FLOW)
+    results = check_product_theorems(ax, bx, px) + [product_d_published_biconditional(ax, bx, px)]
+    assert [(r.name, r.passed, r.detail) for r in results] == passing(
+        "product_sp_both_coordinates", "product_d_from_coordinates", "product_wd_some_coordinate",
+        "product_omega_subset_of_coordinates", "product_omega_common_idempotent", "product_omega_projection_onto",
+        "product_sp_projection_onto", "product_p_projection_subset",
+    ) + [("product_d_published_biconditional", False, "product pair ((0,0),(1,3)): product D=True, coordinate D=False")]
