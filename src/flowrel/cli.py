@@ -15,8 +15,8 @@ analyze and fuzz honors the FLOWREL_ELEMENT_CAP environment variable; a
 cap that is not an integer of at least 1, from any source, is a usage
 error.
 
-Exit codes: 0 success, 1 failed checks or golden mismatch, 2 usage or
-parse error, 3 monoid too large.
+Exit codes: 0 success, 1 failed checks or golden mismatch, 2 usage, parse or
+unwritable --out error, 3 monoid too large.
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ def dump(report: dict) -> str:
     for byte.  json turns its C encoder off whenever ``indent`` is set, and
     its pure-Python one spends most of a large report on lists of ints, one
     per line; this writer joins each list whose items are all of type int
-    (bools, which json writes as true/false, are not) in one pass, writes
-    strings and keys with json's own C quoting function, and leaves every
-    other scalar to ``json.dumps``."""
+    (bools, which json writes as true/false, are not) in one pass, and each
+    list of such lists (pair lists, monoid rows) in one comprehension,
+    writes strings and keys with json's own C quoting function, and leaves
+    every other scalar to ``json.dumps``."""
     out: list[str] = []
     _write(report, "\n", out)
     return "".join(out) + "\n"
@@ -82,6 +83,12 @@ def _write(value, newline: str, out: list[str]) -> None:
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)) and value and {int}.issuperset(map(type, value)):
         out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+    elif isinstance(value, (list, tuple)) and value and all(
+            type(v) in (list, tuple) and {int}.issuperset(map(type, v)) for v in value):
+        deeper = inner + "  "
+        out.append("[" + inner + ("," + inner).join(
+            "[" + deeper + ("," + deeper).join(map(str, v)) + inner + "]" if v else "[]" for v in value
+        ) + newline + "]")
     elif isinstance(value, (list, tuple)) and value:
         sep = "[" + inner
         for item in value:
@@ -93,10 +100,18 @@ def _write(value, newline: str, out: list[str]) -> None:
         out.append(json.dumps(value))
 
 
-def emit(payload: str, out: str | None) -> None:
+def emit(payload: str, out: str | None) -> bool:
+    """Write ``payload`` to the ``--out`` path, when there is one, and to
+    stdout; False, with an error line and nothing on stdout, when the path
+    cannot be written."""
     if out:
-        Path(out).write_text(payload, encoding="utf-8")
+        try:
+            Path(out).write_text(payload, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return False
     sys.stdout.write(payload)
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -164,6 +179,9 @@ def parse_circle_point(desc: str) -> CirclePoint:
 def cmd_analyze(args) -> int:
     try:
         flow = parse_flow(Path(args.flow_file).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.flow_file} is not UTF-8 text ({exc})", file=sys.stderr)
+        return EXIT_PARSE
     except (OSError, FlowParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -173,7 +191,8 @@ def cmd_analyze(args) -> int:
     except MonoidTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    emit(reports.flow_report_text(report) if args.format == "text" else dump(report), args.out)
+    if not emit(reports.flow_report_text(report) if args.format == "text" else dump(report), args.out):
+        return EXIT_PARSE
     failed = [c for c in report["checks"] if not c["pass"]]
     if failed:
         for c in failed:
@@ -188,7 +207,8 @@ def cmd_fuzz(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    emit(dump(summary), args.out)
+    if not emit(dump(summary), args.out):
+        return EXIT_PARSE
     return EXIT_OK if not summary["failures"] else EXIT_CHECK_FAILED
 
 
@@ -261,8 +281,7 @@ def cmd_classify_pair(args) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    emit(dump(report), args.out)
-    return EXIT_OK
+    return EXIT_OK if emit(dump(report), args.out) else EXIT_PARSE
 
 
 # --------------------------------------------------------------------------

@@ -158,6 +158,67 @@ def idempotent_mask(rows: np.ndarray) -> np.ndarray:
     return (np.take_along_axis(rows, rows, axis=1) == rows).all(axis=1)
 
 
+def sorted_unique(values) -> np.ndarray:
+    """The distinct entries of ``values`` in increasing order, by one sort:
+    ``np.unique`` on a flat array without its first-call import of
+    ``numpy.ma`` (numpy 2.x), which costs more than the sort."""
+    a = np.sort(np.asarray(values).ravel())
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+
+
+def kernel_labels(rows: np.ndarray) -> np.ndarray:
+    """``kernel_signature`` of every row of a ``(k, n)`` array in one pass.
+    A stable sort of each row puts every kernel class in one run, led by
+    its least member; the label of x numbers the least member of x's class
+    among all least members, which is its order of first appearance."""
+    n = rows.shape[1]
+    order = np.argsort(rows, axis=1, kind="stable")
+    ranked = np.take_along_axis(rows, order, axis=1)
+    starts = np.ones(rows.shape, dtype=bool)
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    run_start = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
+    least = np.empty_like(order)
+    np.put_along_axis(least, order, np.take_along_axis(order, run_start, axis=1), axis=1)
+    return np.take_along_axis(np.cumsum(least == np.arange(n), axis=1) - 1, least, axis=1)
+
+
+def _state_sets(sets) -> np.ndarray:
+    """State sets as the rows of an int array: an array passes through, and
+    a list of sets is sorted set by set and padded with each set's least
+    member, which changes no collapse test."""
+    if isinstance(sets, np.ndarray):
+        return sets
+    rows = [sorted({int(x) for x in s}) for s in sets]
+    if not all(rows):
+        raise ValueError("proximal-set test needs a nonempty set")
+    width = max(map(len, rows), default=1)
+    return np.array([r + r[:1] * (width - len(r)) for r in rows], dtype=np.intp).reshape(len(rows), width)
+
+
+def first_rows(elements: np.ndarray, rows: np.ndarray, sets: np.ndarray, collapsed: bool) -> np.ndarray:
+    """For each state set (a row of ``sets``), the first position i in
+    ``rows`` whose element ``elements[rows[i]]`` maps the set to one point
+    (to two or more points when ``collapsed`` is False), or -1.
+
+    The images are gathered for blocks of element rows and of sets, sized
+    from the inputs so that no gathered array has more entries than
+    ``elements``; a set leaves the scan once it has its row."""
+    out = np.full(len(sets), -1, dtype=np.intp)
+    width = sets.shape[1]
+    chunk = max(1, elements.size // width)
+    for lo in range(0, len(sets), chunk):
+        todo = np.arange(lo, min(lo + chunk, len(sets)))
+        start = 0
+        while todo.size and start < len(rows):
+            stop = start + max(1, elements.size // (todo.size * width))
+            images = elements[rows[start:stop, None, None], sets[todo]]
+            hit = (images == images[:, :, :1]).all(axis=2) == collapsed
+            found = hit.any(axis=0)
+            out[todo[found]] = start + hit.argmax(axis=0)[found]
+            todo, start = todo[~found], stop
+    return out
+
+
 class TransMonoid:
     """The closed transformation monoid generated by a flow.
 
@@ -204,11 +265,18 @@ class TransMonoid:
     def left_ideal_of(self, p: int) -> tuple[int, ...]:
         """Sorted indices of {s ∘ p : s in the monoid}."""
         e = self.elements
-        return tuple(np.unique(self.positions(e[:, e[p]])).tolist())
+        return tuple(sorted_unique(self.positions(e[:, e[p]])).tolist())
 
     def as_flow(self) -> FiniteFlow:
         """The flow whose generators are all monoid elements (closure idempotence)."""
         return FiniteFlow(self.n_states, tuple(map(tuple, self.elements.tolist())))
+
+
+def first_collapsers(m: TransMonoid, sets) -> np.ndarray:
+    """For each state set, the first element index that collapses it to a
+    single point, or -1 where none does (the set is not proximal): one
+    blocked scan of the monoid for all the sets (``first_rows``)."""
+    return first_rows(m.elements, np.arange(m.size), _state_sets(sets), True)
 
 
 def close(flow: FiniteFlow, cap: int | None = None) -> TransMonoid:
@@ -282,20 +350,19 @@ def minimal_left_ideals(m: TransMonoid) -> list[LeftIdeal]:
     """All distinct inclusion-minimal left ideals.
 
     In a finite transformation monoid these are exactly the classes of
-    minimum-rank elements grouped by kernel partition; the computation is
-    linear in the monoid size.  Each returned ideal is verified against
-    ``S¹p`` for its least member.
+    minimum-rank elements grouped by kernel partition; the kernel labels of
+    all minimum-rank rows come from one ``kernel_labels`` pass, and rows
+    with equal labels are grouped by one sort of their byte keys.  Each
+    returned ideal is verified against ``S¹p`` for its least member.
     """
     ranks = m.ranks()
-    rmin = int(ranks.min())
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i in np.nonzero(ranks == rmin)[0]:
-        groups.setdefault(kernel_signature(m.elements[i]), []).append(int(i))
-    ideals = [
-        LeftIdeal(members=tuple(sorted(mem)), kernel=sig)
-        for sig, mem in groups.items()
-    ]
-    ideals.sort(key=lambda ideal: ideal.members[0])
+    lowest = np.flatnonzero(ranks == ranks.min())
+    labels = kernel_labels(m.elements[lowest])
+    keys = _row_keys(labels, labels.dtype)
+    order = np.argsort(keys, kind="stable")
+    groups = np.split(order, np.flatnonzero(keys[order][1:] != keys[order][:-1]) + 1)
+    groups.sort(key=lambda g: g[0])
+    ideals = [LeftIdeal(members=tuple(lowest[g].tolist()), kernel=tuple(labels[g[0]].tolist())) for g in groups]
     for ideal in ideals:
         got = m.left_ideal_of(ideal.members[0])
         if got != ideal.members:

@@ -24,12 +24,14 @@ from .finflow import (
     MonoidTooLarge,
     TransMonoid,
     equivalence_matrix,
+    first_collapsers,
     format_flow,
     ideal_structure,
     idempotent_mask,
     induced_theta,
     label_classes,
     row_positions,
+    sorted_unique,
 )
 from .relations import (
     FlowAnalysis,
@@ -199,7 +201,7 @@ def left_action_counterexample(m: TransMonoid, members: tuple[int, ...]) -> int 
     reaches every other.  If the action leaves M, or the first member does
     not reach all of M, the first member is the first counterexample;
     otherwise it is the first member that cannot reach the first back."""
-    uniq = np.unique(members)
+    uniq = sorted_unique(members)
     pos = m.positions(np.array(m.flow.generators)[:, m.elements[uniq]])  # (k, |M|): g∘p
     succ = np.minimum(np.searchsorted(uniq, pos), uniq.size - 1)
     start = uniq == members[0]
@@ -213,12 +215,15 @@ def left_action_counterexample(m: TransMonoid, members: tuple[int, ...]) -> int 
 
 
 def _is_group(m, u: int, members: np.ndarray) -> bool:
-    """Whether uM is a group with identity u, from its Cayley table built
-    one row at a time (memory O(|uM| n)): the table is closed, u's row and
+    """Whether uM is a group with identity u, from its Cayley table: the
+    products of blocks of rows with all of uM, each block gathered in one
+    array no larger than the monoid's rows, are looked up in one
+    ``row_positions`` call per block.  The table is closed, u's row and
     column are the identity, and every member has an inverse."""
     e = m.elements
-    group = e[np.unique(m.positions(e[u][members]))]
-    table = np.array([row_positions(group, a[group]) for a in group])
+    group = e[sorted_unique(m.positions(e[u][members]))]
+    block = max(1, e.size // group.size)
+    table = np.concatenate([row_positions(group, group[lo:lo + block, group]) for lo in range(0, len(group), block)])
     i, ar = int(row_positions(group, e[u])), np.arange(len(group))
     return bool(i >= 0 and (table >= 0).all() and (table[i] == ar).all() and (table[:, i] == ar).all()
                 and ((table == i) & (table.T == i)).any(axis=1).all())
@@ -238,21 +243,37 @@ def square_monoid(m: TransMonoid) -> TransMonoid:
 
 
 def proxset_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
-    """The proximal-set suite: refinement structure, SP decomposition and
-    the r(A) biconditional."""
-    out = [validate_partitions(ax), sp_matches_class_squares(ax), check_rA_proximal_equiv(ax)]
+    """The proximal-set suite: refinement structure, SP decomposition, the
+    r(A) biconditional and the invertible-image check.  The small subsets
+    are tested once, for both checks that enumerate them."""
+    subsets = proximal_subsets(ax)
+    out = [validate_partitions(ax), sp_matches_class_squares(ax), check_rA_proximal_equiv(ax, subsets)]
 
     # the image of a proximal set under an invertible generator stays
     # proximal (the translate lemma; its proof needs the inverse, and it
     # genuinely fails for non-invertible monoid generators)
     invertible = [g for g in ax.flow.generators if len(set(g)) == ax.n_states]
-    detail = next((
-        f"tA not proximal: A={list(cols)} g={g}"
-        for cols in _proximal_candidates(ax, 3) for g in invertible
-        if proxsets.is_proximal_set(ax.monoid, {g[x] for x in cols}) is None
-    ), "")
+    candidates = _proximal_candidates(ax, 3, subsets)
+    image = {(cols, g): tuple(sorted({g[x] for x in cols})) for cols in candidates for g in invertible}
+    proximal = {**subsets, **_collapse_table(ax.monoid, set(image.values()) - subsets.keys())}
+    detail = next((f"tA not proximal: A={list(cols)} g={g}" for (cols, g), t in image.items() if not proximal[t]), "")
     out.append(_result("invertible_generator_image_of_proximal_set_proximal", not detail, detail))
     return out
+
+
+def _collapse_table(m: TransMonoid, sets) -> dict[tuple[int, ...], bool]:
+    """Whether each state set (a sorted tuple) is proximal, from one
+    ``first_collapsers`` call for all of them."""
+    sets = sorted(sets)
+    return dict(zip(sets, (first_collapsers(m, sets) >= 0).tolist())) if sets else {}
+
+
+def proximal_subsets(ax: FlowAnalysis) -> dict[tuple[int, ...], bool]:
+    """Whether each state set of size 3 or 4 is proximal, all tested in one
+    ``first_collapsers`` call; empty above 12 states, where the subset
+    count is no longer small."""
+    n = ax.n_states
+    return _collapse_table(ax.monoid, [c for k in (3, 4) for c in combinations(range(n), k)] if n <= 12 else [])
 
 
 def validate_partitions(ax: FlowAnalysis) -> CheckResult:
@@ -351,10 +372,11 @@ def max_sp_sets_fixed_by_all_idempotents(ax: FlowAnalysis) -> CheckResult:
     return CheckResult("max_sp_class_fixed_by_all_idempotents", True)
 
 
-def _proximal_candidates(ax: FlowAnalysis, size_cap: int) -> list[tuple[int, ...]]:
+def _proximal_candidates(ax: FlowAnalysis, size_cap: int, subsets: dict[tuple[int, ...], bool]) -> list[tuple[int, ...]]:
     """Structured proximal-set candidates: every per-ideal class, every
-    proximal pair, and (on small state sets, where the subset count stays
-    polynomial in practice) every proximal subset of size <= cap.
+    proximal pair, and every proximal subset of size <= cap among the
+    tested ``subsets`` (``proximal_subsets``: all of sizes 3 and 4 on small
+    state sets, where the subset count stays polynomial in practice).
 
     The pair family alone makes the r(A)-image biconditional exact in the
     converse direction, which only ever needs two-element sets.
@@ -363,19 +385,16 @@ def _proximal_candidates(ax: FlowAnalysis, size_cap: int) -> list[tuple[int, ...
     found: set[tuple[int, ...]] = set()
     found.update((x,) for x in range(n))
     found.update(map(tuple, np.argwhere(np.triu(ax.proximal.matrix, 1)).tolist()))
-    if n <= 12:
-        for size in range(3, min(size_cap, n) + 1):
-            for combo in combinations(range(n), size):
-                if proxsets.is_proximal_set(ax.monoid, combo) is not None:
-                    found.add(combo)
+    found.update(c for c, proximal in subsets.items() if proximal and len(c) <= size_cap)
     for ideal in ax.structure.ideals:
         found.update(tuple(sorted(c)) for c in label_classes(ideal.kernel))
     return sorted(found)
 
 
-def check_rA_proximal_equiv(ax: FlowAnalysis) -> CheckResult:
+def check_rA_proximal_equiv(ax: FlowAnalysis, subsets: dict[tuple[int, ...], bool]) -> CheckResult:
     """P is an equivalence relation iff r(A) is proximal for every
-    (enumerated) proximal set A and every monoid element r.
+    (enumerated) proximal set A and every monoid element r; ``subsets`` is
+    ``proximal_subsets(ax)``.
 
     The forward direction is sound for any enumeration; the converse needs
     only two-element sets, which the enumeration always includes.
@@ -385,7 +404,7 @@ def check_rA_proximal_equiv(ax: FlowAnalysis) -> CheckResult:
     kernels = [np.array(ideal.kernel) for ideal in ax.structure.ideals]
     all_images_proximal = True
     witness = ""
-    for cols in _proximal_candidates(ax, 4):
+    for cols in _proximal_candidates(ax, 4, subsets):
         images = m.elements[:, list(cols)]
         ok = np.zeros(m.size, dtype=bool)
         for labels in kernels:

@@ -13,22 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .finflow import LeftIdeal, TransMonoid, label_classes
+from .finflow import LeftIdeal, TransMonoid, first_collapsers, label_classes
 from .relations import FlowAnalysis
 
 
 def is_proximal_set(m: TransMonoid, members) -> int | None:
-    """Some element index collapsing the set to a single point, or None.
-
-    Scans all monoid elements directly; agrees with the tuple formulation
-    because a collapser of the set collapses every tuple ranging over it.
-    """
-    cols = sorted(set(int(x) for x in members))
-    if not cols:
-        raise ValueError("proximal-set test needs a nonempty set")
-    images = m.elements[:, cols]
-    hits = np.nonzero((images == images[:, :1]).all(axis=1))[0]
-    return int(hits[0]) if hits.size else None
+    """The first element index collapsing the set to a single point, or
+    None; ``first_collapsers`` on one set."""
+    hit = int(first_collapsers(m, [members])[0])
+    return hit if hit >= 0 else None
 
 
 def minimal_ideal_collapse(ax: FlowAnalysis, members) -> LeftIdeal | None:

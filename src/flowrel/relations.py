@@ -19,6 +19,13 @@ SP's translate form is the complement of the pairs that reach ~P, a
 forward closure.  Neither builds an array of shape ``(size, n, n)``; the
 tensor forms live on in ``tests/oracles.py`` as their references.
 
+The report's witnesses are batched: the P witness of every pair is
+``finflow.first_collapsers`` on all pairs at once, and ``sp_witnesses``
+finds the first separating ideal and member of every pair out of SP with
+one blocked scan per ideal, computing the idempotent power once per
+distinct separator.  ``proximal_verdict`` and ``sp_verdict`` are their
+one-pair calls; the per-pair loops are references in ``tests/oracles.py``.
+
 Caveat for non-invertible generators: the classical invariance facts
 refine as follows on monoid models.  P is backward invariant and D forward
 invariant unconditionally; Omega and SP are forward invariant, WD backward
@@ -41,7 +48,10 @@ from .finflow import (
     TransMonoid,
     close,
     equivalent_idempotents,
+    first_collapsers,
+    first_rows,
     ideal_structure,
+    sorted_unique,
 )
 
 
@@ -221,36 +231,47 @@ class Verdict:
 
 
 def proximal_verdict(m: TransMonoid, x: int, y: int) -> Verdict:
-    e = m.elements
-    hits = np.flatnonzero(e[:, x] == e[:, y])
-    if hits.size:
-        return Verdict("P", (x, y), "in", {"collapser": int(hits[0])})
-    return Verdict("P", (x, y), "out", None)
+    hit = int(first_collapsers(m, np.array([[x, y]]))[0])
+    return Verdict("P", (x, y), "in", {"collapser": hit}) if hit >= 0 else Verdict("P", (x, y), "out", None)
 
 
 def sp_verdict(ax: FlowAnalysis, x: int, y: int) -> Verdict:
-    """In-SP verdicts cite that every minimal ideal collapses the pair;
-    out-verdicts carry an ideal, an element separating the pair, and the
-    idempotent power of that element, which fixes the separated images (an
-    almost periodic non-diagonal limit of the pair)."""
-    m, st = ax.monoid, ax.structure
-    for k, ideal in enumerate(st.ideals):
-        rows = m.elements[list(ideal.members)]
-        separating = np.flatnonzero(rows[:, x] != rows[:, y])
-        if separating.size:
-            p = ideal.members[separating[0]]
-            row = rows[separating[0]]
-            u = m.idempotent_power(p)
-            urow = m.elements[u]
-            if urow[row[x]] != row[x] or urow[row[y]] != row[y]:
-                raise AssertionError("idempotent power failed to fix the image pair")
-            return Verdict(
-                "SP",
-                (x, y),
-                "out",
-                {"ideal": k, "separator": int(p), "fixing_idempotent": int(u)},
-            )
-    return Verdict("SP", (x, y), "in", {"collapsing_ideals": len(st.ideals)})
+    witness = sp_witnesses(ax, np.array([[x, y]]))[0]
+    return Verdict("SP", (x, y), "out" if "separator" in witness else "in", witness)
+
+
+def sp_witnesses(ax: FlowAnalysis, pairs: np.ndarray) -> list[dict]:
+    """The SP witness of each pair (a row of the ``(k, 2)`` array
+    ``pairs``).  A pair in SP cites that every minimal ideal collapses it.
+    A pair out of SP gets the first ideal with a member separating it, the
+    first such member, and that element's idempotent power, which fixes
+    the separated images (an almost periodic non-diagonal limit of the
+    pair).  One blocked scan per ideal finds the separators of all pairs
+    still open; the idempotent power is computed once per distinct
+    separator."""
+    m, ideals = ax.monoid, ax.structure.ideals
+    ideal_of = np.full(len(pairs), -1)
+    separator = np.full(len(pairs), -1)
+    todo = np.arange(len(pairs))
+    for k, ideal in enumerate(ideals):
+        if not todo.size:
+            break
+        members = np.array(ideal.members)
+        hit = first_rows(m.elements, members, pairs[todo], collapsed=False)
+        found = todo[hit >= 0]
+        ideal_of[found], separator[found] = k, members[hit[hit >= 0]]
+        todo = todo[hit < 0]
+    out = separator >= 0
+    power = {p: m.idempotent_power(p) for p in sorted_unique(separator[out]).tolist()}
+    fixing = np.array([power[p] for p in separator[out].tolist()], dtype=np.intp)
+    images = m.elements[separator[out][:, None], pairs[out]]
+    if (m.elements[fixing[:, None], images] != images).any():
+        raise AssertionError("idempotent power failed to fix the image pair")
+    return [
+        {"ideal": k, "separator": p, "fixing_idempotent": power[p]} if p >= 0
+        else {"collapsing_ideals": len(ideals)}
+        for k, p in zip(ideal_of.tolist(), separator.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------

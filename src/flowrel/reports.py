@@ -12,8 +12,9 @@ import numpy as np
 
 from . import proxsets
 from .circles import CirclePoint, asymptotic_class, center, pair_class, step, step_back
+from .finflow import first_collapsers
 from .fuzz import proxset_check_suite, relation_check_suite
-from .relations import FlowAnalysis, proximal_verdict, sp_verdict
+from .relations import FlowAnalysis, sp_witnesses
 from .subshift import (
     ChaconPoint,
     ClassifyParams,
@@ -27,9 +28,9 @@ from .ternary import TernarySeq, constant, sp_classify
 SCHEMA = 1
 
 
-def _pair_list(matrix: np.ndarray) -> list[list[int]]:
-    xs, ys = np.nonzero(matrix)
-    return [[int(x), int(y)] for x, y in zip(xs, ys) if x <= y]
+def _pairs(matrix: np.ndarray) -> np.ndarray:
+    """The pairs x <= y of a relation matrix, in row-major order."""
+    return np.argwhere(np.triu(matrix))
 
 
 def flow_report(ax: FlowAnalysis) -> dict:
@@ -38,16 +39,17 @@ def flow_report(ax: FlowAnalysis) -> dict:
     m = ax.monoid
     st = ax.structure
     relations = {
-        kind: {"pairs": _pair_list(rel.matrix)}
+        kind: {"pairs": _pairs(rel.matrix).tolist()}
         for kind, rel in (("P", ax.proximal), ("D", ax.distal), ("Omega", ax.omega),
                           ("SP", ax.strongly_proximal), ("WD", ax.weakly_distal))
     }
+    p_pairs = relations["P"]["pairs"]
     relations["P"]["witnesses"] = {
-        f"{x},{y}": proximal_verdict(m, x, y).witness for x, y in relations["P"]["pairs"]
+        f"{x},{y}": {"collapser": c} for (x, y), c in zip(p_pairs, first_collapsers(m, np.array(p_pairs)).tolist())
     }
+    out_pairs = _pairs(ax.proximal.matrix & ~ax.strongly_proximal.matrix)
     relations["SP"]["out_witnesses"] = {
-        f"{x},{y}": sp_verdict(ax, x, y).witness
-        for x, y in _pair_list(ax.proximal.matrix & ~ax.strongly_proximal.matrix)
+        f"{x},{y}": w for (x, y), w in zip(out_pairs.tolist(), sp_witnesses(ax, out_pairs))
     }
     checks = [r.as_json() for r in relation_check_suite(ax) + proxset_check_suite(ax)]
     partitions = {

@@ -20,13 +20,19 @@ The ``(size, n, n)`` translate tensors quantify over every monoid element
 at once; they are the references for the library's pair-graph searches
 and per-generator invariance checks, and the per-member S¹p loop is the
 reference for the S¹p check read from the generators' left action.
+
+The one-pair, one-set and one-row forms of the report's batched passes
+(P and SP witnesses, set collapse tests, the uM Cayley table and the
+minimal-ideal kernel labels) are the references for ``first_collapsers``,
+``sp_witnesses``, ``fuzz._is_group`` and ``minimal_left_ideals``.
 """
 
 import weakref
 
 import numpy as np
 
-from flowrel.finflow import NotAFactorMap
+from flowrel.finflow import LeftIdeal, NotAFactorMap, kernel_signature, row_positions
+from flowrel.relations import Verdict
 
 from flowrel.subshift import (
     AdicImage,
@@ -391,3 +397,69 @@ def reference_mp_counterexample(m, members) -> int | None:
         if reference_left_ideal_of(m, p) != tuple(members):
             return p
     return None
+
+
+# -- the report's batched passes, one pair, set or row at a time -------------------
+
+
+def reference_is_proximal_set(m, members) -> int | None:
+    """The first element collapsing the set, by a scan of the whole monoid."""
+    cols = sorted(set(int(x) for x in members))
+    if not cols:
+        raise ValueError("proximal-set test needs a nonempty set")
+    images = m.elements[:, cols]
+    hits = np.nonzero((images == images[:, :1]).all(axis=1))[0]
+    return int(hits[0]) if hits.size else None
+
+
+def reference_proximal_verdict(m, x: int, y: int) -> Verdict:
+    e = m.elements
+    hits = np.flatnonzero(e[:, x] == e[:, y])
+    if hits.size:
+        return Verdict("P", (x, y), "in", {"collapser": int(hits[0])})
+    return Verdict("P", (x, y), "out", None)
+
+
+def reference_sp_verdict(ax, x: int, y: int) -> Verdict:
+    """In-SP verdicts cite that every minimal ideal collapses the pair;
+    out-verdicts carry the first ideal with a member separating the pair,
+    that member, and its idempotent power, asserted to fix the images."""
+    m, st = ax.monoid, ax.structure
+    for k, ideal in enumerate(st.ideals):
+        rows = m.elements[list(ideal.members)]
+        separating = np.flatnonzero(rows[:, x] != rows[:, y])
+        if separating.size:
+            p = ideal.members[separating[0]]
+            row = rows[separating[0]]
+            u = m.idempotent_power(p)
+            urow = m.elements[u]
+            if urow[row[x]] != row[x] or urow[row[y]] != row[y]:
+                raise AssertionError("idempotent power failed to fix the image pair")
+            return Verdict(
+                "SP",
+                (x, y),
+                "out",
+                {"ideal": k, "separator": int(p), "fixing_idempotent": int(u)},
+            )
+    return Verdict("SP", (x, y), "in", {"collapsing_ideals": len(st.ideals)})
+
+
+def reference_is_group(m, u: int, members: np.ndarray) -> bool:
+    """``fuzz._is_group`` with its Cayley table built one row at a time."""
+    e = m.elements
+    group = e[np.unique(m.positions(e[u][members]))]
+    table = np.array([row_positions(group, a[group]) for a in group])
+    i, ar = int(row_positions(group, e[u])), np.arange(len(group))
+    return bool(i >= 0 and (table >= 0).all() and (table[i] == ar).all() and (table[:, i] == ar).all()
+                and ((table == i) & (table.T == i)).any(axis=1).all())
+
+
+def reference_minimal_left_ideals(m) -> list:
+    """Minimum-rank elements grouped by ``kernel_signature``, one row at a
+    time, ordered by least member."""
+    ranks = m.ranks()
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i in np.nonzero(ranks == ranks.min())[0]:
+        groups.setdefault(kernel_signature(m.elements[i]), []).append(int(i))
+    ideals = [LeftIdeal(members=tuple(sorted(mem)), kernel=sig) for sig, mem in groups.items()]
+    return sorted(ideals, key=lambda ideal: ideal.members[0])

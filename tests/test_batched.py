@@ -1,0 +1,288 @@
+"""The batched passes of the analyze report against their one-pair,
+one-set and one-row references in ``oracles``: P witnesses and SP
+out-witnesses, set collapse tests, the uM Cayley table, the minimal-ideal
+kernel labels, ``sorted_unique`` and the report writer.  Random flows of
+1-7 states, plus wide cyclic flows, whose 4n proximal pairs make the
+blocked scan run several blocks."""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flowrel import fuzz
+from flowrel.cli import dump
+from flowrel.finflow import (
+    FiniteFlow,
+    MonoidTooLarge,
+    TransMonoid,
+    close,
+    first_collapsers,
+    first_rows,
+    kernel_labels,
+    kernel_signature,
+    minimal_left_ideals,
+    sorted_unique,
+)
+from flowrel.fuzz import TWO_IDEAL_FLOW, _is_group, proxset_check_suite, random_flow
+from flowrel.proxsets import is_proximal_set
+from flowrel.relations import analyze_flow, proximal_verdict, sp_verdict, sp_witnesses
+from oracles import (
+    element_of,
+    reference_is_group,
+    reference_is_proximal_set,
+    reference_minimal_left_ideals,
+    reference_proximal_verdict,
+    reference_sp_verdict,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+small_flows = st.integers(min_value=0, max_value=10**9).map(
+    lambda seed: random_flow(random.Random(seed), min_states=1, max_states=7)
+)
+
+
+def wide_flow(n: int, seed: int) -> FiniteFlow:
+    """The rotation and x -> x - (x mod 4) on n states, relabelled by a
+    seeded permutation: 5n elements, 4 minimal ideals, 4n proximal pairs."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    inv = np.argsort(perm)
+    gens = [[(x + 1) % n for x in range(n)], [x - x % 4 for x in range(n)]]
+    return FiniteFlow(n, tuple(tuple(perm[g[inv[x]]] for x in range(n)) for g in gens))
+
+
+WIDE = [wide_flow(n, seed) for n, seed in ((16, 1), (32, 2), (64, 3))]
+
+
+def analysis_or_none(flow):
+    try:
+        return analyze_flow(flow, cap=3000)
+    except MonoidTooLarge:
+        return None
+
+
+def all_pairs(n: int) -> np.ndarray:
+    return np.argwhere(np.triu(np.ones((n, n), dtype=bool)))
+
+
+def assert_witnesses_match(ax):
+    m = ax.monoid
+    pairs = all_pairs(ax.n_states)
+    collapsers = first_collapsers(m, pairs).tolist()
+    witnesses = sp_witnesses(ax, pairs)
+    for (x, y), c, w in zip(pairs.tolist(), collapsers, witnesses):
+        p_ref = reference_proximal_verdict(m, x, y)
+        assert proximal_verdict(m, x, y) == p_ref
+        assert c == (p_ref.witness["collapser"] if p_ref.witness else -1)
+        sp_ref = reference_sp_verdict(ax, x, y)
+        assert sp_verdict(ax, x, y) == sp_ref
+        assert w == sp_ref.witness
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_flows)
+def test_pair_witnesses_match_the_per_pair_references(flow):
+    ax = analysis_or_none(flow)
+    if ax is not None:
+        assert_witnesses_match(ax)
+
+
+@pytest.mark.parametrize("flow", WIDE, ids=lambda f: f"wide{f.n_states}")
+def test_pair_witnesses_match_on_wide_flows(flow):
+    ax = analyze_flow(flow)
+    m = ax.monoid
+    p_pairs = np.argwhere(np.triu(ax.proximal.matrix))
+    assert len(p_pairs) == 4 * flow.n_states
+    # the scan of the proximal pairs runs in several blocks of rows
+    assert m.elements.size // (len(p_pairs) * 2) < m.size
+    assert_witnesses_match(ax)
+
+
+def test_sp_witnesses_keep_the_fixing_assertion(monkeypatch):
+    # a "power" that fixes no state: (1, 3, 3, 1) moves every image pair
+    ax = analyze_flow(TWO_IDEAL_FLOW)
+    out = np.argwhere(np.triu(ax.proximal.matrix & ~ax.strongly_proximal.matrix))
+    assert out.size
+    monkeypatch.setattr(TransMonoid, "idempotent_power", lambda self, i: element_of(self, (1, 3, 3, 1)))
+    with pytest.raises(AssertionError, match="failed to fix the image pair"):
+        reference_sp_verdict(ax, *out[0].tolist())
+    with pytest.raises(AssertionError, match="failed to fix the image pair"):
+        sp_witnesses(ax, out)
+
+
+def test_sp_witnesses_compute_each_idempotent_power_once(monkeypatch):
+    ax = analyze_flow(WIDE[2])
+    out = np.argwhere(np.triu(ax.proximal.matrix & ~ax.strongly_proximal.matrix))
+    calls = []
+    real = TransMonoid.idempotent_power
+    monkeypatch.setattr(TransMonoid, "idempotent_power", lambda self, i: calls.append(i) or real(self, i))
+    witnesses = sp_witnesses(ax, out)
+    assert len(out) > len(calls) == len(set(calls)) == len({w["separator"] for w in witnesses})
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_flows, st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=12))
+def test_collapse_tests_match_the_per_set_reference(flow, raw_sets):
+    try:
+        m = close(flow, cap=3000)
+    except MonoidTooLarge:
+        return
+    sets = [[x % flow.n_states for x in s] for s in raw_sets]
+    expected = [reference_is_proximal_set(m, s) for s in sets]
+    assert first_collapsers(m, sets).tolist() == [-1 if e is None else e for e in expected]
+    assert [is_proximal_set(m, s) for s in sets] == expected
+
+
+def test_collapse_test_rejects_an_empty_set():
+    m = close(TWO_IDEAL_FLOW)
+    with pytest.raises(ValueError, match="nonempty"):
+        first_collapsers(m, [[0], []])
+    with pytest.raises(ValueError, match="nonempty"):
+        is_proximal_set(m, set())
+
+
+class Recorded(np.ndarray):
+    """An array that records the size of every array indexed out of it."""
+
+    sizes: list[int] = []
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        Recorded.sizes.append(np.size(out))
+        return out
+
+
+@pytest.mark.parametrize("size, n, count, width", [(320, 64, 256, 2), (5, 6, 40, 4), (1, 8, 8, 2), (60, 12, 715, 4)])
+def test_blocked_scan_gathers_no_more_than_the_monoid_rows(size, n, count, width):
+    rng = np.random.default_rng(size + n)
+    elements = rng.integers(0, n, size=(size, n)).astype(np.int16)
+    elements[0] = np.arange(n)
+    sets = rng.integers(0, n, size=(count, width))
+    Recorded.sizes = []
+    got = first_rows(elements.view(Recorded), np.arange(size), sets, True)
+    assert max(Recorded.sizes) <= elements.size
+    images = elements[:, sets]
+    hit = (images == images[:, :, :1]).all(axis=2)
+    assert got.tolist() == np.where(hit.any(axis=0), hit.argmax(axis=0), -1).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_flows)
+def test_cayley_table_matches_the_row_at_a_time_reference(flow):
+    ax = analysis_or_none(flow)
+    if ax is None:
+        return
+    m = ax.monoid
+    e = m.elements
+    rng = random.Random(m.size)
+    for ideal, js in zip(ax.structure.ideals, ax.structure.idempotents_by_ideal):
+        for u in js:
+            members = e[list(ideal.members)]
+            assert _is_group(m, u, members) is reference_is_group(m, u, members) is True
+            other = e[sorted(rng.sample(range(m.size), min(m.size, 5)))]
+            assert _is_group(m, u, other) == reference_is_group(m, u, other)
+
+
+def test_cayley_table_of_a_group_is_built_in_blocks():
+    # the monoid is a cyclic group of order 64: uM is all of it, so each
+    # block is one row of the table, no larger than the monoid's rows
+    m = close(FiniteFlow(64, (tuple((x + 1) % 64 for x in range(64)),)))
+    assert reference_is_group(m, 0, m.elements)
+    Recorded.sizes = []
+    recorded = TransMonoid(m.flow, m.elements.view(Recorded))
+    assert _is_group(recorded, 0, recorded.elements)
+    assert max(Recorded.sizes) <= m.elements.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_flows)
+def test_minimal_ideal_kernels_match_per_row_signatures(flow):
+    ax = analysis_or_none(flow)
+    if ax is None:
+        return
+    m = ax.monoid
+    ideals = minimal_left_ideals(m)
+    assert ideals == reference_minimal_left_ideals(m)
+    for ideal in ideals:
+        assert all(kernel_signature(m.elements[p]) == ideal.kernel for p in ideal.members)
+
+
+@pytest.mark.parametrize("flow", WIDE, ids=lambda f: f"wide{f.n_states}")
+def test_minimal_ideal_kernels_match_on_wide_flows(flow):
+    m = close(flow)
+    assert minimal_left_ideals(m) == reference_minimal_left_ideals(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 20), min_size=n, max_size=n), min_size=1, max_size=8)))
+def test_kernel_labels_match_kernel_signature(rows):
+    rows = np.array(rows)
+    assert [tuple(r) for r in kernel_labels(rows).tolist()] == [kernel_signature(r) for r in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-5, 40), max_size=30), st.sampled_from([np.int16, np.int64, np.intp]))
+def test_sorted_unique_matches_np_unique(values, dtype):
+    a = np.array(values, dtype=dtype)
+    assert sorted_unique(a).tolist() == np.unique(a).tolist()
+    assert sorted_unique(a.reshape(-1, 1)).tolist() == np.unique(a).tolist()
+
+
+int_lists = st.lists(st.integers(-10**6, 10**6), max_size=4)
+mixed_lists = st.lists(st.one_of(st.integers(-5, 5), st.booleans()), max_size=4)
+sublists = st.one_of(int_lists, int_lists.map(tuple), mixed_lists, mixed_lists.map(tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(sublists, max_size=5),
+    st.lists(sublists, max_size=5).map(tuple),
+    st.dictionaries(st.text(max_size=3), st.lists(sublists, max_size=4), max_size=3),
+    st.lists(st.lists(sublists, max_size=3), max_size=3),
+))
+def test_writer_matches_json_on_lists_of_int_lists(value):
+    assert dump({"v": value}) == json.dumps({"v": value}, indent=2, sort_keys=True) + "\n"
+
+
+def test_no_subset_is_tested_twice(monkeypatch):
+    # twelve states and an invertible generator: the 3- and 4-subsets are
+    # enumerated once for both the r(A) and the invertible-image checks,
+    # and the images are looked up, not tested again
+    ax = analyze_flow(wide_flow(12, 5))
+    tested = []
+    real = fuzz.first_collapsers
+
+    def recorded(m, sets):
+        tested.extend(tuple(s) for s in sets)
+        return real(m, sets)
+
+    monkeypatch.setattr(fuzz, "first_collapsers", recorded)
+    assert all(r.passed for r in proxset_check_suite(ax))
+    assert len(tested) == len(set(tested))
+    assert set(combinations(range(12), 3)) | set(combinations(range(12), 4)) <= set(tested)
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2, reason="numpy < 2 imports numpy.ma eagerly")
+def test_analyze_never_imports_numpy_ma(tmp_path):
+    flow = tmp_path / "wide.flow"
+    flow.write_text("states: 16\n" + "\n".join(" ".join(map(str, g)) for g in wide_flow(16, 1).generators) + "\n")
+    code = (
+        "import contextlib, io, sys\n"
+        "from flowrel import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['analyze', {str(flow)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+    assert done.stdout == "False\n"

@@ -388,6 +388,27 @@ def test_out_writes_the_printed_report(capsys, tmp_path):
         assert code == 0 and path.read_text() == out
 
 
+def test_analyze_non_utf8_flow_file_exits_2(capsys, tmp_path):
+    bad = tmp_path / "utf16.flow"
+    bad.write_bytes(b"\xff\xfes\x00t\x00")
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad} is not UTF-8 text") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", str(FLOWS / "two_ideal.flow")],
+    ["fuzz", "--count", "2"],
+    MORSE_PAIR,
+], ids=["analyze", "fuzz", "classify-pair"])
+def test_unwritable_out_exits_2(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "dir" / "x.json"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --out:") and str(target) in err
+    assert not target.exists()
+
+
 def test_ternary_z_descriptor_is_the_sample_point():
     from flowrel import reports
 

@@ -1,6 +1,8 @@
 from dataclasses import replace
 
-from flowrel import fuzz, proxsets
+import numpy as np
+
+from flowrel import fuzz
 from flowrel.finflow import close
 from flowrel.fuzz import (
     CONSTANTS_FLOW,
@@ -9,6 +11,7 @@ from flowrel.fuzz import (
     TWO_IDEAL_FLOW,
     check_rA_proximal_equiv,
     max_sp_sets_fixed_by_all_idempotents,
+    proximal_subsets,
     proxset_check_suite,
     sp_matches_class_squares,
     validate_partitions,
@@ -84,7 +87,8 @@ def test_sp_equals_union_of_class_squares():
 
 def test_rA_biconditional():
     for flow in (CONSTANTS_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW, TWO_IDEAL_FLOW):
-        r = check_rA_proximal_equiv(analyze_flow(flow))
+        ax = analyze_flow(flow)
+        r = check_rA_proximal_equiv(ax, proximal_subsets(ax))
         assert r.passed, r.detail
 
 
@@ -94,7 +98,7 @@ def test_rA_counterexample_exists_when_p_not_equivalence():
     # biconditional are false together
     ax = analyze_flow(TWO_IDEAL_FLOW)
     m = ax.monoid
-    r = check_rA_proximal_equiv(ax)
+    r = check_rA_proximal_equiv(ax, proximal_subsets(ax))
     assert r.passed
     # explicit witness: {0,1} is collapsed by the first ideal, its image
     # under the idempotent (0,2,2,0) is {0,2}, which nothing collapses
@@ -151,10 +155,10 @@ def test_invertible_image_check_reports_the_first_counterexample(monkeypatch):
     ax = analyze_flow(ROTATION3_FLOW)
     check = "invertible_generator_image_of_proximal_set_proximal"
     assert [r.passed for r in proxset_check_suite(ax) if r.name == check] == [True]
-    real = proxsets.is_proximal_set
+    real = fuzz.first_collapsers
     rejected = [{1}, {2}]  # images of (0,) and (1,) under the rotation
-    monkeypatch.setattr(proxsets, "is_proximal_set",
-                        lambda m, members: None if set(members) in rejected else real(m, members))
+    monkeypatch.setattr(fuzz, "first_collapsers", lambda m, sets: np.array(
+        [-1 if set(s) in rejected else c for s, c in zip(sets, real(m, sets).tolist())]))
     (result,) = [r for r in proxset_check_suite(ax) if r.name == check]
     assert not result.passed
     assert result.detail == "tA not proximal: A=[0] g=(1, 2, 0)"
