@@ -12,7 +12,6 @@ from .finflow import (
     TransMonoid,
     close,
     equivalent_idempotents,
-    fixed_point_set,
     format_flow,
     ideal_structure,
     idempotents,
@@ -23,18 +22,13 @@ from .finflow import (
 from .relations import (
     FlowAnalysis,
     NotAnIcer,
-    PairRelation,
     analyze_flow,
+    is_equivalence,
     is_minimal_flow,
     product_flow,
     quotient_by_icer,
 )
-from .proxsets import (
-    i_proximal_partition,
-    is_proximal_set,
-    max_strongly_proximal_sets,
-    minimal_ideal_collapse,
-)
+from .proxsets import i_proximal_partition, max_strongly_proximal_sets
 
 from .fuzz import (
     check_factor_theorems,

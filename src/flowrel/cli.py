@@ -303,6 +303,7 @@ DEFAULTS = {
 # here); the cap is checked by checked_cap
 CONFIG_TYPES = {key: (int,) for key in ("count", "seed", "max_states", "depth", "gap", "horizon")}
 CONFIG_TYPES.update(format=(str,), out=(str, type(None)))
+FORMATS = ("json", "text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full pipeline on a flow file")
     p.add_argument("flow_file")
-    p.add_argument("--format", choices=("json", "text"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     out_and_cap(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -355,6 +356,8 @@ def load_config(path: str) -> dict:
     for key, value in config.items():
         if key in CONFIG_TYPES and type(value) not in CONFIG_TYPES[key]:
             raise ValueError(f"config value {key}={value!r} has the wrong type for --{key.replace('_', '-')}")
+    if config.get("format", "json") not in FORMATS:
+        raise ValueError(f"config value format={config['format']!r} is not one of {', '.join(FORMATS)}")
     return config
 
 

@@ -118,16 +118,6 @@ def format_flow(flow: FiniteFlow, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def kernel_signature(row) -> tuple[int, ...]:
-    """First-occurrence labelling of a row of hashable values: equal values
-    get equal labels, numbered in order of first appearance.  Maps with
-    equal signatures of their images induce the same partition of the
-    state set; zipped kernels label the common refinement."""
-    labels: dict = {}
-    values = row.tolist() if isinstance(row, np.ndarray) else row
-    return tuple(labels.setdefault(v, len(labels)) for v in values)
-
-
 def label_classes(labels) -> list[frozenset[int]]:
     """The classes {x : labels[x] = c}, ordered by least member."""
     classes: dict = {}
@@ -167,10 +157,13 @@ def sorted_unique(values) -> np.ndarray:
 
 
 def kernel_labels(rows: np.ndarray) -> np.ndarray:
-    """``kernel_signature`` of every row of a ``(k, n)`` array in one pass.
-    A stable sort of each row puts every kernel class in one run, led by
-    its least member; the label of x numbers the least member of x's class
-    among all least members, which is its order of first appearance."""
+    """The first-occurrence labelling of every row of a ``(k, n)`` array in
+    one pass: equal values in a row get equal labels, numbered in order of
+    first appearance, so rows with equal labels are maps with the same
+    kernel partition.  A stable sort of each row puts every kernel class
+    in one run, led by its least member; the label of x numbers the least
+    member of x's class among all least members, which is its order of
+    first appearance."""
     n = rows.shape[1]
     order = np.argsort(rows, axis=1, kind="stable")
     ranked = np.take_along_axis(rows, order, axis=1)
@@ -267,10 +260,6 @@ class TransMonoid:
         e = self.elements
         return tuple(sorted_unique(self.positions(e[:, e[p]])).tolist())
 
-    def as_flow(self) -> FiniteFlow:
-        """The flow whose generators are all monoid elements (closure idempotence)."""
-        return FiniteFlow(self.n_states, tuple(map(tuple, self.elements.tolist())))
-
 
 def first_collapsers(m: TransMonoid, sets) -> np.ndarray:
     """For each state set, the first element index that collapses it to a
@@ -342,8 +331,12 @@ class IdealStructure:
     def refinement_labels(self) -> tuple[int, ...]:
         """First-occurrence labels of the common refinement of the ideal
         kernels: x and y share a label iff every minimal ideal collapses
-        them."""
-        return kernel_signature(zip(*(ideal.kernel for ideal in self.ideals)))
+        them.  ``kernel_labels`` folds in one kernel at a time, pairing a
+        label and a kernel value (both below n) as one value below n²."""
+        labels = np.zeros(len(self.ideals[0].kernel), dtype=np.intp)
+        for ideal in self.ideals:
+            labels = kernel_labels((labels * labels.size + ideal.kernel)[None])[0]
+        return tuple(labels.tolist())
 
 
 def minimal_left_ideals(m: TransMonoid) -> list[LeftIdeal]:
@@ -408,17 +401,6 @@ def equivalent_idempotents(m: TransMonoid, structure: IdealStructure) -> list[tu
         for b in range(a + 1, len(js)):
             pairs.extend((js[a][i], js[b][j]) for i, j in np.argwhere(equivalence_matrix(m, js[a], js[b])))
     return pairs
-
-
-def fixed_point_set(m: TransMonoid, u: int) -> frozenset[int]:
-    """{x : u(x) = x} for an idempotent u; equals the image of u."""
-    row = m.elements[u]
-    if not (row[row] == row).all():
-        raise ValueError(f"element {u} is not idempotent")
-    fixed = frozenset(int(x) for x in np.nonzero(row == np.arange(m.n_states))[0])
-    if fixed != frozenset(int(v) for v in row):
-        raise AssertionError("fixed points of an idempotent must equal its image")
-    return fixed
 
 
 @dataclass(frozen=True)

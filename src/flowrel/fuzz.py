@@ -38,6 +38,7 @@ from .relations import (
     analyze_flow,
     diagonal,
     invariance_violation,
+    is_equivalence,
     pairs_reaching,
     product_flow,
     quotient_by_icer,
@@ -92,12 +93,12 @@ def relation_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     n = ax.n_states
     st = ax.structure
     delta = diagonal(n)
-    p, d = ax.proximal.matrix, ax.distal.matrix
-    sp, wd = ax.strongly_proximal.matrix, ax.weakly_distal.matrix
-    om = ax.omega.matrix
+    p, d = ax.proximal, ax.distal
+    sp, wd = ax.strongly_proximal, ax.weakly_distal
+    om = ax.omega
     out: list[CheckResult] = []
 
-    out.append(_result("sp_is_equivalence", ax.strongly_proximal.is_equivalence))
+    out.append(_result("sp_is_equivalence", is_equivalence(ax.strongly_proximal)))
     out.append(_result("p_d_partition", (p ^ d).all()))
     out.append(_result("sp_wd_partition", (sp ^ wd).all()))
     out.append(_result("sp_subset_p", not (sp & ~p).any()))
@@ -172,10 +173,10 @@ def check_unique_ideal_equiv(ax: FlowAnalysis) -> dict:
     forward-invariance form ((x,y) in P implies s(x,y) in P for all s)."""
     p = ax.proximal
     report = {
-        "p_is_equivalence": p.is_equivalence,
+        "p_is_equivalence": is_equivalence(p),
         "unique_minimal_ideal": len(ax.structure.ideals) == 1,
-        "p_equals_sp": bool(np.array_equal(p.matrix, ax.strongly_proximal.matrix)),
-        "p_forward_invariant": invariance_violation(np.array(ax.flow.generators), p.matrix) is None,
+        "p_equals_sp": bool(np.array_equal(p, ax.strongly_proximal)),
+        "p_forward_invariant": invariance_violation(np.array(ax.flow.generators), p) is None,
     }
     report["consistent"] = len(set(report.values())) == 1
     return report
@@ -327,7 +328,7 @@ def validate_partitions(ax: FlowAnalysis) -> CheckResult:
 def sp_matches_class_squares(ax: FlowAnalysis) -> CheckResult:
     """Cross-module consistency: SP equals the union of A x A over the
     maximal strongly proximal sets A."""
-    sp = ax.strongly_proximal.matrix
+    sp = ax.strongly_proximal
     n = ax.n_states
     built = np.zeros((n, n), dtype=bool)
     for s in proxsets.max_strongly_proximal_sets(ax):
@@ -384,7 +385,7 @@ def _proximal_candidates(ax: FlowAnalysis, size_cap: int, subsets: dict[tuple[in
     n = ax.n_states
     found: set[tuple[int, ...]] = set()
     found.update((x,) for x in range(n))
-    found.update(map(tuple, np.argwhere(np.triu(ax.proximal.matrix, 1)).tolist()))
+    found.update(map(tuple, np.argwhere(np.triu(ax.proximal, 1)).tolist()))
     found.update(c for c, proximal in subsets.items() if proximal and len(c) <= size_cap)
     for ideal in ax.structure.ideals:
         found.update(tuple(sorted(c)) for c in label_classes(ideal.kernel))
@@ -400,7 +401,7 @@ def check_rA_proximal_equiv(ax: FlowAnalysis, subsets: dict[tuple[int, ...], boo
     only two-element sets, which the enumeration always includes.
     """
     m = ax.monoid
-    p_equiv = ax.proximal.is_equivalence
+    p_equiv = is_equivalence(ax.proximal)
     kernels = [np.array(ideal.kernel) for ideal in ax.structure.ideals]
     all_images_proximal = True
     witness = ""
@@ -458,19 +459,19 @@ def check_product_theorems(ax: FlowAnalysis, bx: FlowAnalysis, px: FlowAnalysis)
     out = []
     out.append(_result(
         "product_sp_both_coordinates",
-        np.array_equal(px.strongly_proximal.matrix, lift(ax.strongly_proximal.matrix, bx.strongly_proximal.matrix, np.logical_and)),
+        np.array_equal(px.strongly_proximal, lift(ax.strongly_proximal, bx.strongly_proximal, np.logical_and)),
     ))
     out.append(_result(
         "product_d_from_coordinates",
-        not (lift(ax.distal.matrix, bx.distal.matrix, np.logical_or) & ~px.distal.matrix).any(),
+        not (lift(ax.distal, bx.distal, np.logical_or) & ~px.distal).any(),
     ))
     out.append(_result(
         "product_wd_some_coordinate",
-        np.array_equal(px.weakly_distal.matrix, lift(ax.weakly_distal.matrix, bx.weakly_distal.matrix, np.logical_or)),
+        np.array_equal(px.weakly_distal, lift(ax.weakly_distal, bx.weakly_distal, np.logical_or)),
     ))
     out.append(_result(
         "product_omega_subset_of_coordinates",
-        not (px.omega.matrix & ~lift(ax.omega.matrix, bx.omega.matrix, np.logical_and)).any(),
+        not (px.omega & ~lift(ax.omega, bx.omega, np.logical_and)).any(),
     ))
 
     # Omega decomposes through common minimal idempotents of the product.
@@ -482,7 +483,7 @@ def check_product_theorems(ax: FlowAnalysis, bx: FlowAnalysis, px: FlowAnalysis)
     via_common = fixed.T @ fixed
     out.append(_result(
         "product_omega_common_idempotent",
-        np.array_equal(px.omega.matrix, via_common),
+        np.array_equal(px.omega, via_common),
     ))
 
     shape = (na, nb, na, nb)
@@ -491,13 +492,13 @@ def check_product_theorems(ax: FlowAnalysis, bx: FlowAnalysis, px: FlowAnalysis)
         ("sp", px.strongly_proximal, ax.strongly_proximal, bx.strongly_proximal, True),
         ("p", px.proximal, ax.proximal, bx.proximal, False),
     ):
-        proj_a = rel_p.matrix.reshape(shape).any(axis=(1, 3))
-        proj_b = rel_p.matrix.reshape(shape).any(axis=(0, 2))
+        proj_a = rel_p.reshape(shape).any(axis=(1, 3))
+        proj_b = rel_p.reshape(shape).any(axis=(0, 2))
         if exact:
-            ok = np.array_equal(proj_a, rel_a.matrix) and np.array_equal(proj_b, rel_b.matrix)
+            ok = np.array_equal(proj_a, rel_a) and np.array_equal(proj_b, rel_b)
             out.append(_result(f"product_{name}_projection_onto", ok))
         else:
-            ok = not (proj_a & ~rel_a.matrix).any() and not (proj_b & ~rel_b.matrix).any()
+            ok = not (proj_a & ~rel_a).any() and not (proj_b & ~rel_b).any()
             out.append(_result(f"product_{name}_projection_subset", ok))
     return out
 
@@ -514,14 +515,14 @@ def product_d_published_biconditional(ax: FlowAnalysis, bx: FlowAnalysis, px: Fl
     """
     xs, ys = _coordinates(ax, bx, px)
     nb = bx.n_states
-    lifted = ax.distal.matrix[xs[:, None], xs[None, :]] | bx.distal.matrix[ys[:, None], ys[None, :]]
-    ok = np.array_equal(px.distal.matrix, lifted)
+    lifted = ax.distal[xs[:, None], xs[None, :]] | bx.distal[ys[:, None], ys[None, :]]
+    ok = np.array_equal(px.distal, lifted)
     detail = ""
     if not ok:
-        s, t = np.argwhere(px.distal.matrix != lifted)[0]
+        s, t = np.argwhere(px.distal != lifted)[0]
         detail = (
             f"product pair (({s // nb},{s % nb}),({t // nb},{t % nb})): "
-            f"product D={bool(px.distal.matrix[s, t])}, coordinate D={bool(lifted[s, t])}"
+            f"product D={bool(px.distal[s, t])}, coordinate D={bool(lifted[s, t])}"
         )
     return CheckResult("product_d_published_biconditional", ok, detail)
 
@@ -547,8 +548,8 @@ def detect_fiber_type(f: FactorMap, src: FlowAnalysis) -> dict:
     iff pairwise distal; detected, never declared."""
     pm = np.array(f.point_map)
     same_fiber = np.equal.outer(pm, pm) & ~diagonal(f.source.n_states)
-    return {"proximal": bool(src.proximal.matrix[same_fiber].all()),
-            "distal": bool(src.distal.matrix[same_fiber].all())}
+    return {"proximal": bool(src.proximal[same_fiber].all()),
+            "distal": bool(src.distal[same_fiber].all())}
 
 
 def check_factor_theorems(f: FactorMap, src: FlowAnalysis, tgt: FlowAnalysis) -> list[CheckResult]:
@@ -582,37 +583,37 @@ def check_factor_theorems(f: FactorMap, src: FlowAnalysis, tgt: FlowAnalysis) ->
     nt = f.target.n_states
     out: list[CheckResult] = []
 
-    p_img = pushforward(src.proximal.matrix, pm, nt)
-    d_img = pushforward(src.distal.matrix, pm, nt)
-    o_img = pushforward(src.omega.matrix, pm, nt)
-    sp_img = pushforward(src.strongly_proximal.matrix, pm, nt)
-    out.append(_result("factor_p_image_subset", not (p_img & ~tgt.proximal.matrix).any()))
-    out.append(_result("factor_d_image_superset", not (tgt.distal.matrix & ~d_img).any()))
-    out.append(_result("factor_omega_image_equal", np.array_equal(o_img, tgt.omega.matrix)))
-    out.append(_result("factor_sp_image_subset", not (sp_img & ~tgt.strongly_proximal.matrix).any()))
+    p_img = pushforward(src.proximal, pm, nt)
+    d_img = pushforward(src.distal, pm, nt)
+    o_img = pushforward(src.omega, pm, nt)
+    sp_img = pushforward(src.strongly_proximal, pm, nt)
+    out.append(_result("factor_p_image_subset", not (p_img & ~tgt.proximal).any()))
+    out.append(_result("factor_d_image_superset", not (tgt.distal & ~d_img).any()))
+    out.append(_result("factor_omega_image_equal", np.array_equal(o_img, tgt.omega)))
+    out.append(_result("factor_sp_image_subset", not (sp_img & ~tgt.strongly_proximal).any()))
 
-    p_pre = pullback(tgt.proximal.matrix, pm)
-    d_pre = pullback(tgt.distal.matrix, pm)
-    o_pre = pullback(tgt.omega.matrix, pm)
-    sp_pre = pullback(tgt.strongly_proximal.matrix, pm)
-    wd_pre = pullback(tgt.weakly_distal.matrix, pm)
-    out.append(_result("factor_p_preimage_superset", not (src.proximal.matrix & ~p_pre).any()))
-    out.append(_result("factor_d_preimage_subset", not (d_pre & ~src.distal.matrix).any()))
-    out.append(_result("factor_omega_preimage_superset", not (src.omega.matrix & ~o_pre).any()))
-    out.append(_result("factor_sp_preimage_superset", not (src.strongly_proximal.matrix & ~sp_pre).any()))
-    out.append(_result("factor_wd_preimage_subset", not (wd_pre & ~src.weakly_distal.matrix).any()))
+    p_pre = pullback(tgt.proximal, pm)
+    d_pre = pullback(tgt.distal, pm)
+    o_pre = pullback(tgt.omega, pm)
+    sp_pre = pullback(tgt.strongly_proximal, pm)
+    wd_pre = pullback(tgt.weakly_distal, pm)
+    out.append(_result("factor_p_preimage_superset", not (src.proximal & ~p_pre).any()))
+    out.append(_result("factor_d_preimage_subset", not (d_pre & ~src.distal).any()))
+    out.append(_result("factor_omega_preimage_superset", not (src.omega & ~o_pre).any()))
+    out.append(_result("factor_sp_preimage_superset", not (src.strongly_proximal & ~sp_pre).any()))
+    out.append(_result("factor_wd_preimage_subset", not (wd_pre & ~src.weakly_distal).any()))
 
     kind = detect_fiber_type(f, src)
     if kind["proximal"]:
-        out.append(_result("factor_proximal_p_preimage_equal", np.array_equal(src.proximal.matrix, p_pre)))
-        out.append(_result("factor_proximal_d_preimage_equal", np.array_equal(src.distal.matrix, d_pre)))
-        out.append(_result("factor_proximal_sp_preimage_equal", np.array_equal(src.strongly_proximal.matrix, sp_pre)))
+        out.append(_result("factor_proximal_p_preimage_equal", np.array_equal(src.proximal, p_pre)))
+        out.append(_result("factor_proximal_d_preimage_equal", np.array_equal(src.distal, d_pre)))
+        out.append(_result("factor_proximal_sp_preimage_equal", np.array_equal(src.strongly_proximal, sp_pre)))
         rpi = np.equal.outer(np.array(pm), np.array(pm))
-        out.append(_result("factor_proximal_rpi_subset_sp", not (rpi & ~src.strongly_proximal.matrix).any()))
-        wd_img = pushforward(src.weakly_distal.matrix, pm, nt)
-        out.append(_result("factor_proximal_wd_image_subset", not (wd_img & ~tgt.weakly_distal.matrix).any()))
+        out.append(_result("factor_proximal_rpi_subset_sp", not (rpi & ~src.strongly_proximal).any()))
+        wd_img = pushforward(src.weakly_distal, pm, nt)
+        out.append(_result("factor_proximal_wd_image_subset", not (wd_img & ~tgt.weakly_distal).any()))
     if kind["distal"]:
-        out.append(_result("factor_distal_omega_preimage_equal", np.array_equal(src.omega.matrix, o_pre)))
+        out.append(_result("factor_distal_omega_preimage_equal", np.array_equal(src.omega, o_pre)))
 
     # theta maps minimal ideals onto minimal ideals, covering all of them.
     src_ideals = src.structure.ideals
@@ -656,7 +657,7 @@ def check_factor_theorems(f: FactorMap, src: FlowAnalysis, tgt: FlowAnalysis) ->
     if not tgt.is_minimal:
         out.append(CheckResult("idempotent_section", True, "skipped: target not minimal"))
         return out
-    pmat = tgt.proximal.matrix
+    pmat = tgt.proximal
     te = tgt.monoid.elements
     tgt_kernel = np.array(sorted(tgt.structure.kernel_elements))
     rows = te[tgt_kernel]
@@ -714,7 +715,7 @@ def factor_check_suite(ax: FlowAnalysis, icer: np.ndarray) -> list[CheckResult]:
     f = quotient_by_icer(ax.flow, icer)
     tgt = analyze_flow(f.target)
     out = check_factor_theorems(f, ax, tgt)
-    if np.array_equal(icer, ax.strongly_proximal.matrix):
+    if np.array_equal(icer, ax.strongly_proximal):
         out.append(_result(
             "quotient_by_sp_weakly_distal",
             tgt.is_weakly_distal_flow,

@@ -1,12 +1,12 @@
 """The relation families P, D, Omega, SP, WD on finite flows.
 
-All relations are represented as dense boolean matrices over state pairs.
+All relations are plain boolean ``(n, n)`` arrays over state pairs.
 On a finite flow the generated monoid is the orbit-closure machinery, so
 statements about orbit closures become statements quantified over monoid
 elements and are computed exactly.  ``analyze_flow`` computes the ideal
 structure, the relations and minimality once, and returns them as a
 ``FlowAnalysis``; this module also builds product flows, quotients by
-closed invariant equivalence relations and replayable pair verdicts.  The
+closed invariant equivalence relations and replayable SP witnesses.  The
 theorem checks that read an analysis live in ``fuzz``.
 
 The monoid is generated by the flow's maps and contains the identity, so
@@ -23,8 +23,8 @@ The report's witnesses are batched: the P witness of every pair is
 ``finflow.first_collapsers`` on all pairs at once, and ``sp_witnesses``
 finds the first separating ideal and member of every pair out of SP with
 one blocked scan per ideal, computing the idempotent power once per
-distinct separator.  ``proximal_verdict`` and ``sp_verdict`` are their
-one-pair calls; the per-pair loops are references in ``tests/oracles.py``.
+distinct separator; the per-pair loops are references in
+``tests/oracles.py``.
 
 Caveat for non-invertible generators: the classical invariance facts
 refine as follows on monoid models.  P is backward invariant and D forward
@@ -48,7 +48,6 @@ from .finflow import (
     TransMonoid,
     close,
     equivalent_idempotents,
-    first_collapsers,
     first_rows,
     ideal_structure,
     sorted_unique,
@@ -64,21 +63,10 @@ class NotAnIcer(ValueError):
         super().__init__(f"not an icer: {prop}" + (f" ({detail})" if detail else ""))
 
 
-@dataclass(frozen=True)
-class PairRelation:
-    """A symmetric set of state pairs, stored as a dense boolean matrix."""
-
-    n_states: int
-    matrix: np.ndarray
-    kind: str = "custom"
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(int(x), int(y)) for x, y in zip(*np.nonzero(self.matrix))]
-
-    @property
-    def is_equivalence(self) -> bool:
-        m = self.matrix
-        return bool(m.diagonal().all() and (m == m.T).all() and (~(m @ m) | m).all())
+def is_equivalence(m: np.ndarray) -> bool:
+    """Whether the boolean ``(n, n)`` relation is reflexive, symmetric and
+    transitive."""
+    return bool(m.diagonal().all() and (m == m.T).all() and (~(m @ m) | m).all())
 
 
 def diagonal(n: int) -> np.ndarray:
@@ -117,7 +105,7 @@ def invariance_violation(gens: np.ndarray, rel: np.ndarray) -> tuple[int, int, i
     return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
 
 
-def verify_relation_forms(m: TransMonoid, p: PairRelation, sp: PairRelation) -> None:
+def verify_relation_forms(m: TransMonoid, p: np.ndarray, sp: np.ndarray) -> None:
     """The cross-form assertions on P and SP, run once per ``analyze_flow``.
 
     P read from the minimal ideals equals the element form (the diagonal
@@ -128,30 +116,31 @@ def verify_relation_forms(m: TransMonoid, p: PairRelation, sp: PairRelation) -> 
     """
     gens = np.array(m.flow.generators)
     direct = pairs_reaching(gens, diagonal(m.n_states))
-    if not np.array_equal(direct, p.matrix):
+    if not np.array_equal(direct, p):
         raise AssertionError(
             "proximal relation: element form and minimal-ideal form disagree; "
-            f"diff pairs {np.argwhere(direct != p.matrix).tolist()}"
+            f"diff pairs {np.argwhere(direct != p).tolist()}"
         )
-    if not sp.is_equivalence:
+    if not is_equivalence(sp):
         raise AssertionError("SP failed to be an equivalence relation")
-    if not np.array_equal(sp.matrix, ~pairs_reaching(gens, ~p.matrix)):
+    if not np.array_equal(sp, ~pairs_reaching(gens, ~p)):
         raise AssertionError("SP does not match the all-translates-proximal form")
 
 
 @dataclass(frozen=True)
 class FlowAnalysis:
     """Everything computed once for a flow: closure, ideal structure,
-    minimality and the five relations (D and WD are the complements of P
-    and SP).  Every check reads these fields, so an analysis changed with
-    ``dataclasses.replace`` reaches all of them."""
+    minimality and the five relations as boolean ``(n, n)`` arrays (D and
+    WD are the complements of P and SP).  Every check reads these fields,
+    so an analysis changed with ``dataclasses.replace`` reaches all of
+    them."""
 
     flow: FiniteFlow
     monoid: TransMonoid
     structure: IdealStructure
-    omega: PairRelation
-    proximal: PairRelation
-    strongly_proximal: PairRelation
+    omega: np.ndarray
+    proximal: np.ndarray
+    strongly_proximal: np.ndarray
     equivalent_pairs: list[tuple[int, int]]
     is_minimal: bool
 
@@ -160,24 +149,24 @@ class FlowAnalysis:
         return self.flow.n_states
 
     @property
-    def distal(self) -> PairRelation:
-        return PairRelation(self.n_states, ~self.proximal.matrix, "D")
+    def distal(self) -> np.ndarray:
+        return ~self.proximal
 
     @property
-    def weakly_distal(self) -> PairRelation:
-        return PairRelation(self.n_states, ~self.strongly_proximal.matrix, "WD")
+    def weakly_distal(self) -> np.ndarray:
+        return ~self.strongly_proximal
 
     @property
     def is_distal_flow(self) -> bool:
-        return bool((self.proximal.matrix == diagonal(self.n_states)).all())
+        return bool((self.proximal == diagonal(self.n_states)).all())
 
     @property
     def is_proximal_flow(self) -> bool:
-        return bool(self.proximal.matrix.all())
+        return bool(self.proximal.all())
 
     @property
     def is_weakly_distal_flow(self) -> bool:
-        return bool((self.strongly_proximal.matrix == diagonal(self.n_states)).all())
+        return bool((self.strongly_proximal == diagonal(self.n_states)).all())
 
 
 def analyze_flow(flow: FiniteFlow, cap: int | None = None) -> FlowAnalysis:
@@ -190,18 +179,16 @@ def analyze_flow(flow: FiniteFlow, cap: int | None = None) -> FlowAnalysis:
     against their element and translate forms."""
     m = close(flow, cap=cap)
     st = ideal_structure(m)
-    n = flow.n_states
     labels = np.array([ideal.kernel for ideal in st.ideals])
     collapsed = labels[:, :, None] == labels[:, None, :]
-    p = PairRelation(n, collapsed.any(axis=0), "P")
-    sp = PairRelation(n, collapsed.all(axis=0), "SP")
+    p, sp = collapsed.any(axis=0), collapsed.all(axis=0)
     verify_relation_forms(m, p, sp)
-    fixed = m.elements[list(st.all_idempotents)] == np.arange(n)
+    fixed = m.elements[list(st.all_idempotents)] == np.arange(flow.n_states)
     return FlowAnalysis(
         flow=flow,
         monoid=m,
         structure=st,
-        omega=PairRelation(n, fixed.T @ fixed, "Omega"),
+        omega=fixed.T @ fixed,
         proximal=p,
         strongly_proximal=sp,
         equivalent_pairs=equivalent_idempotents(m, st),
@@ -218,26 +205,6 @@ def is_minimal_flow(m: TransMonoid) -> bool:
 
 # ---------------------------------------------------------------------------
 # Witness construction
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """A membership answer for one pair, with a replayable witness."""
-
-    kind: str
-    pair: tuple[int, int]
-    answer: str  # "in" | "out"
-    witness: dict | None = None
-
-
-def proximal_verdict(m: TransMonoid, x: int, y: int) -> Verdict:
-    hit = int(first_collapsers(m, np.array([[x, y]]))[0])
-    return Verdict("P", (x, y), "in", {"collapser": hit}) if hit >= 0 else Verdict("P", (x, y), "out", None)
-
-
-def sp_verdict(ax: FlowAnalysis, x: int, y: int) -> Verdict:
-    witness = sp_witnesses(ax, np.array([[x, y]]))[0]
-    return Verdict("SP", (x, y), "out" if "separator" in witness else "in", witness)
 
 
 def sp_witnesses(ax: FlowAnalysis, pairs: np.ndarray) -> list[dict]:

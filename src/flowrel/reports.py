@@ -14,7 +14,7 @@ from . import proxsets
 from .circles import CirclePoint, asymptotic_class, center, pair_class, step, step_back
 from .finflow import first_collapsers
 from .fuzz import proxset_check_suite, relation_check_suite
-from .relations import FlowAnalysis, sp_witnesses
+from .relations import FlowAnalysis, is_equivalence, sp_witnesses
 from .subshift import (
     ChaconPoint,
     ClassifyParams,
@@ -39,7 +39,7 @@ def flow_report(ax: FlowAnalysis) -> dict:
     m = ax.monoid
     st = ax.structure
     relations = {
-        kind: {"pairs": _pairs(rel.matrix).tolist()}
+        kind: {"pairs": _pairs(rel).tolist()}
         for kind, rel in (("P", ax.proximal), ("D", ax.distal), ("Omega", ax.omega),
                           ("SP", ax.strongly_proximal), ("WD", ax.weakly_distal))
     }
@@ -47,7 +47,7 @@ def flow_report(ax: FlowAnalysis) -> dict:
     relations["P"]["witnesses"] = {
         f"{x},{y}": {"collapser": c} for (x, y), c in zip(p_pairs, first_collapsers(m, np.array(p_pairs)).tolist())
     }
-    out_pairs = _pairs(ax.proximal.matrix & ~ax.strongly_proximal.matrix)
+    out_pairs = _pairs(ax.proximal & ~ax.strongly_proximal)
     relations["SP"]["out_witnesses"] = {
         f"{x},{y}": w for (x, y), w in zip(out_pairs.tolist(), sp_witnesses(ax, out_pairs))
     }
@@ -84,7 +84,7 @@ def flow_report(ax: FlowAnalysis) -> dict:
             "distal": ax.is_distal_flow,
             "proximal_flow": ax.is_proximal_flow,
             "weakly_distal": ax.is_weakly_distal_flow,
-            "p_is_equivalence": ax.proximal.is_equivalence,
+            "p_is_equivalence": is_equivalence(ax.proximal),
         },
     }
 

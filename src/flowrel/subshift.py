@@ -404,10 +404,6 @@ class AdicImage(BiSeq):
         return AdicImage(self.inner.normalized())
 
 
-def adic_factor_H(x: BiSeq) -> BiSeq:
-    return AdicImage(x)
-
-
 def is_dual_pair(x: BiSeq, y: BiSeq) -> bool:
     """Structural proof that y is the 0/1 interchange of x; such pairs
     differ at every coordinate at every shift."""

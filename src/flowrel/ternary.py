@@ -5,8 +5,7 @@ that mutual agreeability determines.
 Points are finitely described (a center word with eventually periodic
 tails), so the difference set of any pair is eventually periodic and the
 classification is exact, not horizon-bounded.  The acting group itself is
-never enumerated; an optional bounded witness op exhibits how a window can
-be made constant by a shift plus finitely many coordinate transpositions.
+never enumerated.
 """
 
 from __future__ import annotations
@@ -115,41 +114,3 @@ def sp_classify(x: TernarySeq, y: TernarySeq) -> SPVerdict:
     """Strongly proximal exactly when the points are mutually agreeable."""
     kind = pair_type(x, y)
     return SPVerdict(IN_SP if kind == AGREEABLE else NOT_IN_SP, kind)
-
-
-def omega_edge_check(x: TernarySeq, y: TernarySeq) -> bool:
-    """Almost periodicity of a non-diagonal pair is the edge condition."""
-    return pair_type(x, y) == EDGE
-
-
-def constant_window_witness(x: TernarySeq, target: str, radius: int,
-                            search_halfwidth: int = 512) -> dict | None:
-    """Optional bounded evidence: a shift plus finitely many coordinate
-    transpositions making the radius-``radius`` window constantly
-    ``target``.  Searches donor coordinates with the target letter inside
-    [-search_halfwidth, search_halfwidth]; returns the explicit move list
-    or None when the budget is too small.  Not part of any acceptance
-    contract: the full group action is an unbounded search space."""
-    if target not in ALPHABET:
-        raise ValueError("target must be a letter of the alphabet")
-    window = range(-radius, radius + 1)
-    best = None
-    for shift in range(-search_halfwidth, search_halfwidth + 1):
-        shifted = x.shifted(shift)
-        need = [i for i in window if shifted.at(i) != target]
-        donors = [
-            j for j in range(-search_halfwidth, search_halfwidth + 1)
-            if j not in window and shifted.at(j) == target
-        ]
-        if len(donors) >= len(need):
-            moves = list(zip(need, donors[: len(need)]))
-            cost = len(moves)
-            if best is None or cost < best["transpositions"]:
-                best = {
-                    "shift": shift,
-                    "transpositions": cost,
-                    "swaps": [list(m) for m in moves],
-                    "target": target,
-                    "radius": radius,
-                }
-    return best

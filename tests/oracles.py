@@ -24,16 +24,16 @@ reference for the S¹p check read from the generators' left action.
 The one-pair, one-set and one-row forms of the report's batched passes
 (P and SP witnesses, set collapse tests, the uM Cayley table and the
 minimal-ideal kernel labels) are the references for ``first_collapsers``,
-``sp_witnesses``, ``fuzz._is_group`` and ``minimal_left_ideals``.
+``sp_witnesses``, ``fuzz._is_group`` and ``minimal_left_ideals``;
+``kernel_signature`` labels one row at a time and is the reference for
+``finflow.kernel_labels`` and ``IdealStructure.refinement_labels``.
 """
 
 import weakref
 
 import numpy as np
 
-from flowrel.finflow import LeftIdeal, NotAFactorMap, kernel_signature, row_positions
-from flowrel.relations import Verdict
-
+from flowrel.finflow import FiniteFlow, LeftIdeal, NotAFactorMap, row_positions
 from flowrel.subshift import (
     AdicImage,
     ChaconPoint,
@@ -331,8 +331,8 @@ def reference_is_minimal_flow(m) -> bool:
 
 
 def reference_sp_witness(m, structure, x: int, y: int) -> dict:
-    """The witness of ``sp_verdict``: the first member of the first ideal
-    separating the pair, and its idempotent power."""
+    """The SP witness of ``sp_witnesses``: the first member of the first
+    ideal separating the pair, and its idempotent power."""
     for k, ideal in enumerate(structure.ideals):
         for p in ideal.members:
             if apply(m, p, x) != apply(m, p, y):
@@ -412,18 +412,18 @@ def reference_is_proximal_set(m, members) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def reference_proximal_verdict(m, x: int, y: int) -> Verdict:
+def reference_proximal_verdict(m, x: int, y: int) -> int:
+    """The first element collapsing the pair, or -1: the P witness."""
     e = m.elements
     hits = np.flatnonzero(e[:, x] == e[:, y])
-    if hits.size:
-        return Verdict("P", (x, y), "in", {"collapser": int(hits[0])})
-    return Verdict("P", (x, y), "out", None)
+    return int(hits[0]) if hits.size else -1
 
 
-def reference_sp_verdict(ax, x: int, y: int) -> Verdict:
-    """In-SP verdicts cite that every minimal ideal collapses the pair;
-    out-verdicts carry the first ideal with a member separating the pair,
-    that member, and its idempotent power, asserted to fix the images."""
+def reference_sp_verdict(ax, x: int, y: int) -> dict:
+    """The SP witness: a pair in SP cites that every minimal ideal
+    collapses it; a pair out of SP gets the first ideal with a member
+    separating it, that member, and its idempotent power, asserted to fix
+    the images."""
     m, st = ax.monoid, ax.structure
     for k, ideal in enumerate(st.ideals):
         rows = m.elements[list(ideal.members)]
@@ -435,13 +435,18 @@ def reference_sp_verdict(ax, x: int, y: int) -> Verdict:
             urow = m.elements[u]
             if urow[row[x]] != row[x] or urow[row[y]] != row[y]:
                 raise AssertionError("idempotent power failed to fix the image pair")
-            return Verdict(
-                "SP",
-                (x, y),
-                "out",
-                {"ideal": k, "separator": int(p), "fixing_idempotent": int(u)},
-            )
-    return Verdict("SP", (x, y), "in", {"collapsing_ideals": len(st.ideals)})
+            return {"ideal": k, "separator": int(p), "fixing_idempotent": int(u)}
+    return {"collapsing_ideals": len(st.ideals)}
+
+
+def reference_minimal_ideal_collapse(ax, members):
+    """The first minimal ideal all of whose members collapse the set, or
+    None.  The collapsers of a proximal set form a left ideal, so they
+    contain a minimal one: None means the set is not proximal."""
+    cols = sorted(set(int(x) for x in members))
+    images = ax.monoid.elements[:, cols]
+    collapsers = set(np.flatnonzero((images == images[:, :1]).all(axis=1)).tolist())
+    return next((ideal for ideal in ax.structure.ideals if set(ideal.members) <= collapsers), None)
 
 
 def reference_is_group(m, u: int, members: np.ndarray) -> bool:
@@ -452,6 +457,20 @@ def reference_is_group(m, u: int, members: np.ndarray) -> bool:
     i, ar = int(row_positions(group, e[u])), np.arange(len(group))
     return bool(i >= 0 and (table >= 0).all() and (table[i] == ar).all() and (table[:, i] == ar).all()
                 and ((table == i) & (table.T == i)).any(axis=1).all())
+
+
+def kernel_signature(row) -> tuple[int, ...]:
+    """First-occurrence labelling of a row of hashable values, one value at
+    a time: the reference for ``finflow.kernel_labels``.  Zipped kernels
+    label their common refinement."""
+    labels: dict = {}
+    values = row.tolist() if isinstance(row, np.ndarray) else row
+    return tuple(labels.setdefault(v, len(labels)) for v in values)
+
+
+def monoid_flow(m) -> FiniteFlow:
+    """The flow whose generators are all elements of the monoid ``m``."""
+    return FiniteFlow(m.n_states, tuple(map(tuple, m.elements.tolist())))
 
 
 def reference_minimal_left_ideals(m) -> list:

@@ -27,15 +27,14 @@ from flowrel.finflow import (
     first_collapsers,
     first_rows,
     kernel_labels,
-    kernel_signature,
     minimal_left_ideals,
     sorted_unique,
 )
 from flowrel.fuzz import TWO_IDEAL_FLOW, _is_group, proxset_check_suite, random_flow
-from flowrel.proxsets import is_proximal_set
-from flowrel.relations import analyze_flow, proximal_verdict, sp_verdict, sp_witnesses
+from flowrel.relations import analyze_flow, sp_witnesses
 from oracles import (
     element_of,
+    kernel_signature,
     reference_is_group,
     reference_is_proximal_set,
     reference_minimal_left_ideals,
@@ -80,12 +79,11 @@ def assert_witnesses_match(ax):
     collapsers = first_collapsers(m, pairs).tolist()
     witnesses = sp_witnesses(ax, pairs)
     for (x, y), c, w in zip(pairs.tolist(), collapsers, witnesses):
+        pair = np.array([[x, y]])
         p_ref = reference_proximal_verdict(m, x, y)
-        assert proximal_verdict(m, x, y) == p_ref
-        assert c == (p_ref.witness["collapser"] if p_ref.witness else -1)
+        assert c == first_collapsers(m, pair)[0] == p_ref
         sp_ref = reference_sp_verdict(ax, x, y)
-        assert sp_verdict(ax, x, y) == sp_ref
-        assert w == sp_ref.witness
+        assert w == sp_witnesses(ax, pair)[0] == sp_ref
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,7 +98,7 @@ def test_pair_witnesses_match_the_per_pair_references(flow):
 def test_pair_witnesses_match_on_wide_flows(flow):
     ax = analyze_flow(flow)
     m = ax.monoid
-    p_pairs = np.argwhere(np.triu(ax.proximal.matrix))
+    p_pairs = np.argwhere(np.triu(ax.proximal))
     assert len(p_pairs) == 4 * flow.n_states
     # the scan of the proximal pairs runs in several blocks of rows
     assert m.elements.size // (len(p_pairs) * 2) < m.size
@@ -110,7 +108,7 @@ def test_pair_witnesses_match_on_wide_flows(flow):
 def test_sp_witnesses_keep_the_fixing_assertion(monkeypatch):
     # a "power" that fixes no state: (1, 3, 3, 1) moves every image pair
     ax = analyze_flow(TWO_IDEAL_FLOW)
-    out = np.argwhere(np.triu(ax.proximal.matrix & ~ax.strongly_proximal.matrix))
+    out = np.argwhere(np.triu(ax.proximal & ~ax.strongly_proximal))
     assert out.size
     monkeypatch.setattr(TransMonoid, "idempotent_power", lambda self, i: element_of(self, (1, 3, 3, 1)))
     with pytest.raises(AssertionError, match="failed to fix the image pair"):
@@ -121,7 +119,7 @@ def test_sp_witnesses_keep_the_fixing_assertion(monkeypatch):
 
 def test_sp_witnesses_compute_each_idempotent_power_once(monkeypatch):
     ax = analyze_flow(WIDE[2])
-    out = np.argwhere(np.triu(ax.proximal.matrix & ~ax.strongly_proximal.matrix))
+    out = np.argwhere(np.triu(ax.proximal & ~ax.strongly_proximal))
     calls = []
     real = TransMonoid.idempotent_power
     monkeypatch.setattr(TransMonoid, "idempotent_power", lambda self, i: calls.append(i) or real(self, i))
@@ -137,9 +135,9 @@ def test_collapse_tests_match_the_per_set_reference(flow, raw_sets):
     except MonoidTooLarge:
         return
     sets = [[x % flow.n_states for x in s] for s in raw_sets]
-    expected = [reference_is_proximal_set(m, s) for s in sets]
-    assert first_collapsers(m, sets).tolist() == [-1 if e is None else e for e in expected]
-    assert [is_proximal_set(m, s) for s in sets] == expected
+    expected = [-1 if e is None else e for e in (reference_is_proximal_set(m, s) for s in sets)]
+    assert first_collapsers(m, sets).tolist() == expected
+    assert [first_collapsers(m, [s])[0] for s in sets] == expected
 
 
 def test_collapse_test_rejects_an_empty_set():
@@ -147,7 +145,7 @@ def test_collapse_test_rejects_an_empty_set():
     with pytest.raises(ValueError, match="nonempty"):
         first_collapsers(m, [[0], []])
     with pytest.raises(ValueError, match="nonempty"):
-        is_proximal_set(m, set())
+        first_collapsers(m, [set()])
 
 
 class Recorded(np.ndarray):

@@ -168,7 +168,7 @@ def test_config_file_defaults(capsys, tmp_path):
 @pytest.mark.parametrize("config", [
     [1], "x", 3, None,
     {"count": "abc"}, {"count": True}, {"seed": 1.5}, {"max_states": None},
-    {"horizon": "4096"}, {"format": 1}, {"out": 7},
+    {"horizon": "4096"}, {"format": 1}, {"format": "xml"}, {"out": 7},
 ])
 def test_config_shape_rejected(capsys, tmp_path, config):
     cfg = tmp_path / "cfg.json"

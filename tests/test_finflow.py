@@ -9,18 +9,25 @@ from flowrel.finflow import (
     NotAFactorMap,
     close,
     equivalent_idempotents,
-    fixed_point_set,
     format_flow,
     ideal_structure,
     idempotents,
     induced_theta,
-    kernel_signature,
     label_classes,
     minimal_left_ideals,
     parse_flow,
 )
 from flowrel.fuzz import CONSTANTS_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW, TWO_IDEAL_FLOW
-from oracles import apply, brute_minimal_left_ideals, compose, element_of, image_tuple, is_idempotent
+from oracles import (
+    apply,
+    brute_minimal_left_ideals,
+    compose,
+    element_of,
+    image_tuple,
+    is_idempotent,
+    kernel_signature,
+    monoid_flow,
+)
 
 
 def test_flow_validation():
@@ -81,7 +88,7 @@ def test_close_deterministic_order_and_cap():
 def test_closure_idempotence():
     for flow in (CONSTANTS_FLOW, ROTATION3_FLOW, TWO_IDEAL_FLOW, SINGLE_IDEAL_SEED_FLOW):
         m = close(flow)
-        again = close(m.as_flow())
+        again = close(monoid_flow(m))
         assert set(map(tuple, m.elements.tolist())) == set(map(tuple, again.elements.tolist()))
 
 
@@ -161,19 +168,6 @@ def test_equivalent_idempotents_two_ideal():
 def test_equivalent_idempotents_single_ideal_empty():
     m = close(CONSTANTS_FLOW)
     assert equivalent_idempotents(m, ideal_structure(m)) == []
-
-
-def test_fixed_point_sets():
-    m = close(CONSTANTS_FLOW)
-    assert fixed_point_set(m, 0) == frozenset({0, 1})
-    assert fixed_point_set(m, 1) == frozenset({0})
-    assert fixed_point_set(m, 2) == frozenset({1})
-    m2 = close(TWO_IDEAL_FLOW)
-    u = element_of(m2, (1, 1, 3, 3))
-    assert fixed_point_set(m2, u) == frozenset({1, 3})
-    not_idem = element_of(m2, (1, 3, 3, 1))
-    with pytest.raises(ValueError):
-        fixed_point_set(m2, not_idem)
 
 
 def test_idempotent_power():

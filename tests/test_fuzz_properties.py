@@ -2,17 +2,26 @@
 invariants the exact engine is supposed to guarantee."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from flowrel.finflow import close, ideal_structure, minimal_left_ideals
+from flowrel.finflow import close, first_collapsers, ideal_structure, minimal_left_ideals
 from flowrel.fuzz import check_factor_theorems, random_flow, random_icer, relation_check_suite, saturate_icer
 from flowrel.proxsets import i_proximal_partition, max_strongly_proximal_sets
 from flowrel.relations import analyze_flow, diagonal, quotient_by_icer
 from flowrel.subshift import Dual, Shift, morse_fixed_points
 from flowrel.ternary import TernarySeq, pair_type
-from oracles import apply, brute_minimal_left_ideals, reference_classes, reference_ideal_kernel_matrix
+from oracles import (
+    apply,
+    brute_minimal_left_ideals,
+    kernel_signature,
+    monoid_flow,
+    reference_classes,
+    reference_ideal_kernel_matrix,
+    reference_minimal_ideal_collapse,
+)
 
 flows = st.integers(min_value=0, max_value=10**9).map(
     lambda seed: random_flow(random.Random(seed), max_states=5, max_gens=2)
@@ -32,7 +41,7 @@ def test_minimal_ideals_agree_with_brute_force(flow):
 @given(flows)
 def test_closure_idempotent(flow):
     m = close(flow)
-    again = close(m.as_flow())
+    again = close(monoid_flow(m))
     assert set(map(tuple, m.elements.tolist())) == set(map(tuple, again.elements.tolist()))
 
 
@@ -49,9 +58,10 @@ def test_kernel_labels_match_element_forms(flow):
         assert np.array_equal(labels[:, None] == labels[None, :], ker)
         assert i_proximal_partition(ideal) == reference_classes(ker)
     p, sp = np.logical_or.reduce(kernels), np.logical_and.reduce(kernels)
-    assert np.array_equal(ax.proximal.matrix, p)
-    assert np.array_equal(ax.strongly_proximal.matrix, sp)
+    assert np.array_equal(ax.proximal, p)
+    assert np.array_equal(ax.strongly_proximal, sp)
     assert max_strongly_proximal_sets(ax) == reference_classes(sp)
+    assert ax.structure.refinement_labels == kernel_signature(zip(*(i.kernel for i in ax.structure.ideals)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -76,7 +86,7 @@ def test_random_icer_quotients_satisfy_factor_theorems(flow, seed):
 @given(flows)
 def test_sp_icer_quotient_is_weakly_distal(flow):
     ax = analyze_flow(flow)
-    f = quotient_by_icer(flow, ax.strongly_proximal.matrix)
+    f = quotient_by_icer(flow, ax.strongly_proximal)
     assert analyze_flow(f.target).is_weakly_distal_flow
 
 
@@ -105,6 +115,17 @@ def test_almost_periodic_points_fixed_in_every_ideal(flow):
             any(apply(m, u, x) == x for u in js) for js in st_.idempotents_by_ideal
         ]
         assert all(fixing) or not any(fixing)
+
+
+@settings(max_examples=40, deadline=None)
+@given(flows)
+def test_collapsers_of_a_proximal_set_contain_a_minimal_ideal(flow):
+    # the collapsers of a proximal set form a left ideal, hence contain a
+    # minimal one; checked on every nonempty state set
+    ax = analyze_flow(flow)
+    sets = [c for k in range(1, flow.n_states + 1) for c in combinations(range(flow.n_states), k)]
+    for members, c in zip(sets, first_collapsers(ax.monoid, sets).tolist()):
+        assert (reference_minimal_ideal_collapse(ax, members) is not None) == (c >= 0), members
 
 
 @settings(max_examples=20, deadline=None)

@@ -18,7 +18,6 @@ from flowrel.fuzz import (
     left_action_counterexample,
 )
 from flowrel.relations import (
-    PairRelation,
     analyze_flow,
     diagonal,
     invariance_violation,
@@ -72,21 +71,21 @@ def analysis_or_none(flow, cap=3000):
 
 def assert_pair_graph_matches_tensors(ax, rel):
     m, gens = ax.monoid, np.array(ax.monoid.flow.generators)
-    p, d = ax.proximal.matrix, ax.distal.matrix
+    p, d = ax.proximal, ax.distal
     assert np.array_equal(pairs_reaching(gens, diagonal(ax.n_states)), reference_element_proximal(m))
     assert np.array_equal(pairs_reaching(gens, rel), reference_some_translate_in(m, rel))
     for r in (p, d, rel):
         assert np.array_equal(~pairs_reaching(gens, ~r), reference_all_translates_in(m, r))
-    for r in (ax.omega.matrix, ax.strongly_proximal.matrix, p, rel):
+    for r in (ax.omega, ax.strongly_proximal, p, rel):
         assert (invariance_violation(gens, r) is None) == reference_forward_invariant(m, r)
     for r in (p, rel):
         assert (invariance_violation(gens, ~r) is None) == reference_backward_invariant(m, r)
     assert check_unique_ideal_equiv(ax)["p_forward_invariant"] == reference_forward_invariant(m, p)
-    results = invariance_checks(gens, ax.omega.matrix, ax.strongly_proximal.matrix, p, d)
+    results = invariance_checks(gens, ax.omega, ax.strongly_proximal, p, d)
     assert [r.name for r in results] == INVARIANCE_CHECKS
     assert [r.passed for r in results] == [
-        reference_forward_invariant(m, ax.omega.matrix),
-        reference_forward_invariant(m, ax.strongly_proximal.matrix),
+        reference_forward_invariant(m, ax.omega),
+        reference_forward_invariant(m, ax.strongly_proximal),
         np.array_equal(d, reference_all_translates_in(m, d)),
         reference_backward_invariant(m, p),
     ] == [True] * 4
@@ -105,7 +104,7 @@ def test_pair_graph_forms_match_tensor_references(flow, seed):
 def test_pair_graph_forms_on_one_state_and_identity_flows():
     for flow in (FiniteFlow(1, ((0,),)), FiniteFlow(1, ((0,), (0,))), FiniteFlow(3, ((0, 1, 2), (0, 1, 2)))):
         ax = analyze_flow(flow)
-        assert np.array_equal(ax.proximal.matrix, diagonal(flow.n_states))
+        assert np.array_equal(ax.proximal, diagonal(flow.n_states))
         assert_pair_graph_matches_tensors(ax, ~diagonal(flow.n_states))
 
 
@@ -168,8 +167,8 @@ def with_pair(mat, x, y, value):
 def relations_of(flow):
     """The generators and the Omega, SP, P and D matrices of a flow."""
     ax = analyze_flow(flow)
-    return (np.array(flow.generators), ax.omega.matrix, ax.strongly_proximal.matrix,
-            ax.proximal.matrix, ax.distal.matrix)
+    return (np.array(flow.generators), ax.omega, ax.strongly_proximal,
+            ax.proximal, ax.distal)
 
 
 def test_each_invariance_check_fails_alone():
@@ -196,7 +195,7 @@ def test_p_forward_invariance_fails_alone_in_the_three_way_equivalence():
     # read with, but the rotation moves (0, 1) to (1, 2)
     ax = analyze_flow(ROTATION3_FLOW)
     assert check_unique_ideal_equiv(ax)["consistent"]
-    rel = PairRelation(3, with_pair(diagonal(3), 0, 1, True), "P")
+    rel = with_pair(diagonal(3), 0, 1, True)
     assert check_unique_ideal_equiv(replace(ax, proximal=rel, strongly_proximal=rel)) == {
         "p_is_equivalence": True,
         "unique_minimal_ideal": True,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowrel import finflow, fuzz, relations
-from flowrel.finflow import FiniteFlow, close
+from flowrel.finflow import FiniteFlow, close, first_collapsers
 from flowrel.fuzz import (
     CONSTANTS_FLOW,
     IDENTITY_FLOW,
@@ -22,14 +22,13 @@ from flowrel.fuzz import (
 )
 from flowrel.relations import (
     NotAnIcer,
-    PairRelation,
     analyze_flow,
     diagonal,
+    is_equivalence,
     is_minimal_flow,
     product_flow,
-    proximal_verdict,
     quotient_by_icer,
-    sp_verdict,
+    sp_witnesses,
     verify_relation_forms,
 )
 from flowrel.reports import flow_report
@@ -37,7 +36,7 @@ from oracles import apply, element_of, is_idempotent
 
 
 def pairs(rel):
-    return sorted(p for p in rel.pairs() if p[0] < p[1])
+    return [tuple(p) for p in np.argwhere(np.triu(rel, 1)).tolist()]
 
 
 def product_analyses(a, b):
@@ -54,24 +53,24 @@ def idempotent_section(f, src, tgt):
 
 def test_identity_flow_relations():
     ax = analyze_flow(IDENTITY_FLOW)
-    assert np.array_equal(ax.omega.matrix, np.ones((2, 2), dtype=bool))
-    assert np.array_equal(ax.proximal.matrix, diagonal(2))
+    assert np.array_equal(ax.omega, np.ones((2, 2), dtype=bool))
+    assert np.array_equal(ax.proximal, diagonal(2))
     assert ax.is_distal_flow
 
 
 def test_constants_flow_relations():
     ax = analyze_flow(CONSTANTS_FLOW)
-    assert np.array_equal(ax.omega.matrix, diagonal(2))
-    assert ax.proximal.matrix.all()
-    assert ax.strongly_proximal.matrix.all()
-    assert not ax.distal.matrix.any()
-    assert not ax.weakly_distal.matrix.any()
+    assert np.array_equal(ax.omega, diagonal(2))
+    assert ax.proximal.all()
+    assert ax.strongly_proximal.all()
+    assert not ax.distal.any()
+    assert not ax.weakly_distal.any()
     assert ax.is_proximal_flow and not ax.is_weakly_distal_flow
 
 
 def test_rotation_flow_relations():
     ax = analyze_flow(ROTATION3_FLOW)
-    assert ax.omega.matrix.all()
+    assert ax.omega.all()
     assert ax.is_distal_flow
     assert ax.is_weakly_distal_flow
     assert pairs(ax.distal) == [(0, 1), (0, 2), (1, 2)]
@@ -82,18 +81,18 @@ def test_two_ideal_flow_relations():
     # Omega is the union of the squares of {0,2} and {1,3}
     ax = analyze_flow(TWO_IDEAL_FLOW)
     assert pairs(ax.proximal) == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    assert np.array_equal(ax.strongly_proximal.matrix, diagonal(4))
+    assert np.array_equal(ax.strongly_proximal, diagonal(4))
     assert pairs(ax.omega) == [(0, 2), (1, 3)]
     assert ax.is_weakly_distal_flow and not ax.is_distal_flow
-    assert not ax.proximal.is_equivalence
+    assert not is_equivalence(ax.proximal)
 
 
 def test_single_ideal_seed_relations():
     ax = analyze_flow(SINGLE_IDEAL_SEED_FLOW)
     assert pairs(ax.proximal) == [(0, 2), (1, 3)]
-    assert np.array_equal(ax.proximal.matrix, ax.strongly_proximal.matrix)
+    assert np.array_equal(ax.proximal, ax.strongly_proximal)
     assert pairs(ax.omega) == [(0, 1), (2, 3)]
-    assert ax.proximal.is_equivalence
+    assert is_equivalence(ax.proximal)
 
 
 @pytest.mark.parametrize("flow,expect", [
@@ -122,18 +121,15 @@ def test_minimality():
 def test_witnesses():
     ax = analyze_flow(TWO_IDEAL_FLOW)
     m = ax.monoid
-    v = proximal_verdict(m, 0, 1)
-    assert v.answer == "in"
-    assert apply(m, v.witness["collapser"], 0) == apply(m, v.witness["collapser"], 1)
-    v2 = proximal_verdict(m, 0, 2)
-    assert v2.answer == "out" and v2.witness is None
-    s = sp_verdict(ax, 0, 1)
-    assert s.answer == "out"
-    sep, u = s.witness["separator"], s.witness["fixing_idempotent"]
+    c, c2 = first_collapsers(m, np.array([[0, 1], [0, 2]])).tolist()
+    assert c >= 0 and apply(m, c, 0) == apply(m, c, 1)
+    assert c2 == -1
+    out, inside = sp_witnesses(ax, np.array([[0, 1], [2, 2]]))
+    sep, u = out["separator"], out["fixing_idempotent"]
     px, py = apply(m, sep, 0), apply(m, sep, 1)
     assert px != py
     assert apply(m, u, px) == px and apply(m, u, py) == py
-    assert sp_verdict(ax, 2, 2).answer == "in"
+    assert inside == {"collapsing_ideals": 2}
 
 
 def test_product_flow_shapes():
@@ -143,7 +139,7 @@ def test_product_flow_shapes():
     same = product_flow(CONSTANTS_FLOW, point)
     ax = analyze_flow(same)
     ref = analyze_flow(CONSTANTS_FLOW)
-    assert np.array_equal(ax.proximal.matrix, ref.proximal.matrix)
+    assert np.array_equal(ax.proximal, ref.proximal)
     with pytest.raises(ValueError):
         product_flow(CONSTANTS_FLOW, ROTATION3_FLOW)
 
@@ -168,8 +164,8 @@ def test_product_d_published_biconditional_fails_on_correlated_square():
     assert not r.passed
     assert product_d_published_biconditional(*product_analyses(CONSTANTS_FLOW, CONSTANTS_FLOW)).passed
     s, t = 0 * 4 + 0, 1 * 4 + 3  # points (0,0) and (1,3)
-    assert ax.proximal.matrix[0, 1] and ax.proximal.matrix[0, 3]
-    assert axp.distal.matrix[s, t]
+    assert ax.proximal[0, 1] and ax.proximal[0, 3]
+    assert axp.distal[s, t]
 
 
 def test_product_omega_needs_common_idempotent():
@@ -180,8 +176,8 @@ def test_product_omega_needs_common_idempotent():
     axp = analyze_flow(prod)
     ax = analyze_flow(TWO_IDEAL_FLOW)
     s, t = 0 * 4 + 1, 2 * 4 + 3  # states (0,1) and (2,3)
-    assert ax.omega.matrix[0, 2] and ax.omega.matrix[1, 3]
-    assert not axp.omega.matrix[s, t]
+    assert ax.omega[0, 2] and ax.omega[1, 3]
+    assert not axp.omega[s, t]
 
 
 def test_quotient_rejects_non_icers():
@@ -223,7 +219,7 @@ def test_quotient_by_full_relation_is_point():
 
 def test_quotient_by_p_closure_of_two_ideal_flow_is_distal_point():
     ax = analyze_flow(TWO_IDEAL_FLOW)
-    icer = saturate_icer(TWO_IDEAL_FLOW, ax.proximal.pairs())
+    icer = saturate_icer(TWO_IDEAL_FLOW, np.argwhere(ax.proximal))
     f = quotient_by_icer(TWO_IDEAL_FLOW, icer)
     assert f.target.n_states == 1
     tgt = analyze_flow(f.target)
@@ -234,7 +230,7 @@ def test_quotient_by_p_closure_of_two_ideal_flow_is_distal_point():
 
 def test_factor_theorems_on_sp_quotient():
     ax = analyze_flow(SINGLE_IDEAL_SEED_FLOW)
-    f = quotient_by_icer(SINGLE_IDEAL_SEED_FLOW, ax.strongly_proximal.matrix)
+    f = quotient_by_icer(SINGLE_IDEAL_SEED_FLOW, ax.strongly_proximal)
     assert f.target.n_states == 2
     tgt = analyze_flow(f.target)
     for r in check_factor_theorems(f, ax, tgt):
@@ -264,7 +260,7 @@ def test_fiberwise_proximal_does_not_force_idempotence_outside_kernel():
     # holds inside minimal ideals, which is what the check quantifies over
     flow = FiniteFlow(2, ((1, 0), (0, 0)))
     ax = analyze_flow(flow)
-    assert ax.proximal.matrix.all()
+    assert ax.proximal.all()
     m = ax.monoid
     swap = element_of(m, (1, 0))
     assert not is_idempotent(m, swap)
@@ -286,8 +282,8 @@ def test_distal_factor_d_preimage_equality_is_not_a_theorem():
     src = analyze_flow(flow)
     tgt = analyze_flow(f.target)
     assert src.is_distal_flow and tgt.is_distal_flow
-    d_pre = pullback(tgt.distal.matrix, f.point_map)
-    assert src.distal.matrix[0, 2] and not d_pre[0, 2]
+    d_pre = pullback(tgt.distal, f.point_map)
+    assert src.distal[0, 2] and not d_pre[0, 2]
     for r in check_factor_theorems(f, src, tgt):
         assert r.passed, (r.name, r.detail)
 
@@ -296,20 +292,20 @@ def test_verify_relation_forms_rejects_each_broken_form():
     ax = analyze_flow(TWO_IDEAL_FLOW)
     m, p, sp = ax.monoid, ax.proximal, ax.strongly_proximal
     verify_relation_forms(m, p, sp)
-    flipped = p.matrix.copy()
+    flipped = p.copy()
     flipped[0, 1] = flipped[1, 0] = not flipped[0, 1]
     with pytest.raises(AssertionError, match="element form and minimal-ideal form disagree"):
-        verify_relation_forms(m, PairRelation(4, flipped, "P"), sp)
+        verify_relation_forms(m, flipped, sp)
 
     ax = analyze_flow(ROTATION3_FLOW)
     chain = diagonal(3)
     chain[0, 1] = chain[1, 0] = chain[1, 2] = chain[2, 1] = True
     with pytest.raises(AssertionError, match="SP failed to be an equivalence relation"):
-        verify_relation_forms(ax.monoid, ax.proximal, PairRelation(3, chain, "SP"))
+        verify_relation_forms(ax.monoid, ax.proximal, chain)
 
     ax = analyze_flow(CONSTANTS_FLOW)
     with pytest.raises(AssertionError, match="SP does not match the all-translates-proximal form"):
-        verify_relation_forms(ax.monoid, ax.proximal, PairRelation(2, diagonal(2), "SP"))
+        verify_relation_forms(ax.monoid, ax.proximal, diagonal(2))
 
 
 def test_analyze_flow_verifies_relation_forms_once(monkeypatch):
@@ -325,9 +321,8 @@ def test_analyze_flow_verifies_relation_forms_once(monkeypatch):
 
 def test_distal_and_weakly_distal_are_complements():
     ax = analyze_flow(TWO_IDEAL_FLOW)
-    assert ax.distal.kind == "D" and ax.weakly_distal.kind == "WD"
-    assert np.array_equal(ax.distal.matrix, ~ax.proximal.matrix)
-    assert np.array_equal(ax.weakly_distal.matrix, ~ax.strongly_proximal.matrix)
+    assert np.array_equal(ax.distal, ~ax.proximal)
+    assert np.array_equal(ax.weakly_distal, ~ax.strongly_proximal)
 
 
 def test_cross_ideal_partner_check_reads_the_analysis_pairs():
@@ -391,8 +386,8 @@ def test_factor_check_suite_analyzes_only_the_quotient(monkeypatch):
     ax = analyze_flow(TWO_IDEAL_FLOW)
     analyses = count_calls(monkeypatch, "analyze_flow")
     thetas = count_calls(monkeypatch, "induced_theta")
-    results = factor_check_suite(ax, ax.strongly_proximal.matrix)
-    assert [flow for (flow,) in analyses] == [quotient_by_icer(TWO_IDEAL_FLOW, ax.strongly_proximal.matrix).target]
+    results = factor_check_suite(ax, ax.strongly_proximal)
+    assert [flow for (flow,) in analyses] == [quotient_by_icer(TWO_IDEAL_FLOW, ax.strongly_proximal).target]
     assert len(thetas) == 1
     assert "quotient_by_sp_weakly_distal" in [r.name for r in results]
     assert all(r.passed for r in results)
@@ -435,7 +430,7 @@ def test_factor_and_product_check_lists_are_pinned():
     # these suites appear in no report, so no report digest guards their
     # names, order, verdicts and details
     ax = analyze_flow(TWO_IDEAL_FLOW)
-    by_sp = factor_check_suite(ax, ax.strongly_proximal.matrix)
+    by_sp = factor_check_suite(ax, ax.strongly_proximal)
     assert [(r.name, r.passed, r.detail) for r in by_sp] == FACTOR_ALWAYS + passing(
         "factor_proximal_p_preimage_equal", "factor_proximal_d_preimage_equal", "factor_proximal_sp_preimage_equal",
         "factor_proximal_rpi_subset_sp", "factor_proximal_wd_image_subset", "factor_distal_omega_preimage_equal",

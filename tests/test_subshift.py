@@ -17,7 +17,6 @@ from flowrel.subshift import (
     Shift,
     SubstFixed,
     Substitution,
-    adic_factor_H,
     agreement_times,
     chacon_block,
     classify_pair,
@@ -306,7 +305,7 @@ def test_adic_rejects_nonbinary():
 
 def test_adic_constant_zero():
     z = EventuallyConstant("", start=0)
-    assert adic_factor_H(z).window(10) == "0" * 21
+    assert AdicImage(z).window(10) == "0" * 21
 
 
 def test_adic_identifies_duals_only():

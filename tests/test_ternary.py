@@ -7,8 +7,6 @@ from flowrel.ternary import (
     OPPOSED,
     TernarySeq,
     constant,
-    constant_window_witness,
-    omega_edge_check,
     pair_type,
     sp_classify,
 )
@@ -37,7 +35,6 @@ def test_evaluation_and_shift():
 def test_constants_pairwise_edges():
     c0, c1 = constant("0"), constant("1")
     assert pair_type(c0, c1) == EDGE
-    assert omega_edge_check(c0, c1)
     assert sp_classify(c0, c1).label == "NotInSP"
 
 
@@ -47,7 +44,6 @@ def test_published_z_statements():
     assert sp_classify(pts["c0"], pts["z"]).label == "InSP"
     assert pair_type(pts["z"], pts["c1"]) == OPPOSED
     assert sp_classify(pts["z"], pts["c1"]).label == "NotInSP"
-    assert not omega_edge_check(pts["c0"], pts["z"])
 
 
 def test_full_sample_against_hand_table():
@@ -109,19 +105,3 @@ def test_periodic_tails_infinitely_many_diffs():
             assert w.at(i) == p.at(i)
         else:
             assert w.at(i) != p.at(i)
-
-
-def test_bounded_constant_window_witness():
-    z = ternary_sample()["z"]
-    wit = constant_window_witness(z, "0", 3, 64)
-    assert wit is not None
-    # replay: after the shift, swapping in the donors makes the window constant
-    shifted = z.shifted(wit["shift"])
-    values = {i: shifted.at(i) for i in range(-70, 71)}
-    for a, b in wit["swaps"]:
-        values[a], values[b] = values[b], values[a]
-    assert all(values[i] == "0" for i in range(-3, 4))
-    wit1 = constant_window_witness(z, "1", 2, 64)
-    assert wit1 is not None and wit1["transpositions"] > 0
-    with pytest.raises(ValueError):
-        constant_window_witness(z, "7", 2, 8)
