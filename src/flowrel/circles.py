@@ -13,7 +13,10 @@ increment keeps the published coefficient 1/n for tier index n.
 
 Angle coordinates live in [0, pi) with pi identified to 0; every
 non-fixed tier uses the update a -> a + sin(a)/n, which never leaves
-[0, pi), and whose inverse is computed by bisection.
+[0, pi), and whose inverse is computed by bisection.  The radius is a
+function of the tier, so a point's asymptotic class and the step at which
+it reaches the rim or the center depend on its tier only, never on its
+angle: ``asymptotic_class`` walks the tier chain alone.
 """
 
 from __future__ import annotations
@@ -72,11 +75,7 @@ def center() -> CirclePoint:
 
 
 def radius(p: CirclePoint) -> float:
-    if p.family == "center":
-        return 0.0
-    if p.family == "C":
-        return 1.0 - p.index / (p.index**2 + 1)
-    return 1.0 / p.index
+    return _tier_radius(p.family, p.index)
 
 
 def rim_distance(p: CirclePoint) -> float:
@@ -84,11 +83,18 @@ def rim_distance(p: CirclePoint) -> float:
     return abs(radius(p) - 1.0)
 
 
-def _forward_tier(p: CirclePoint) -> tuple[str, int, float] | None:
+def _tier_radius(family: str, n: int) -> float:
+    if family == "center":
+        return 0.0
+    if family == "C":
+        return 1.0 - n / (n**2 + 1)
+    return 1.0 / n
+
+
+def _forward_tier(f: str, n: int) -> tuple[str, int, float] | None:
     """Next tier and angle coefficient, or None for fixed tiers."""
-    if p.family == "center" or (p.family, p.index) == ("C", 0):
+    if f == "center" or (f, n) == ("C", 0):
         return None
-    f, n = p.family, p.index
     if f == "C":
         if n == 1:
             return ("D", 4, 1.0 / 2.0)  # C(1) = D(2) continues the inner even chain
@@ -102,11 +108,10 @@ def _forward_tier(p: CirclePoint) -> tuple[str, int, float] | None:
     return ("D", n + 2, 1.0 / n)
 
 
-def _backward_tier(p: CirclePoint) -> tuple[str, int, float] | None:
+def _backward_tier(f: str, n: int) -> tuple[str, int, float] | None:
     """Predecessor tier and its angle coefficient, or None for fixed tiers."""
-    if p.family == "center" or (p.family, p.index) == ("C", 0):
+    if f == "center" or (f, n) == ("C", 0):
         return None
-    f, n = p.family, p.index
     if f == "C":
         if n == 1:
             return ("C", 3, 1.0 / 3.0)
@@ -123,7 +128,7 @@ def _backward_tier(p: CirclePoint) -> tuple[str, int, float] | None:
 
 
 def step(p: CirclePoint) -> CirclePoint:
-    nxt = _forward_tier(p)
+    nxt = _forward_tier(p.family, p.index)
     if nxt is None:
         return p
     f, n, c = nxt
@@ -144,7 +149,7 @@ def _invert_angle(alpha: float, coeff: float) -> float:
 
 
 def step_back(p: CirclePoint) -> CirclePoint:
-    prev = _backward_tier(p)
+    prev = _backward_tier(p.family, p.index)
     if prev is None:
         return p
     f, n, c = prev
@@ -187,26 +192,30 @@ class AsymptoticReport:
         }
 
 
-def _classify_direction(p: CirclePoint, advance, max_iter: int, eps: float) -> tuple[str, int | None]:
-    if _forward_tier(p) is None:
+def _classify_direction(p: CirclePoint, next_tier, max_iter: int, eps: float) -> tuple[str, int | None]:
+    """Walk the tier chain from p (no angles: the radius depends on the
+    tier alone) until the rim or the center is within eps."""
+    f, n = p.family, p.index
+    if _forward_tier(f, n) is None:
         return FIXED, 0
-    q = p
     for k in range(1, max_iter + 1):
-        q = advance(q)
-        if rim_distance(q) < eps:
+        f, n, _ = next_tier(f, n)
+        r = _tier_radius(f, n)
+        if abs(r - 1.0) < eps:
             return TO_C0, k
-        if radius(q) < eps:
+        if r < eps:
             return TO_CENTER, k
     return INCONCLUSIVE, None
 
 
 def asymptotic_class(p: CirclePoint, max_iter: int = 10**4, eps: float = 1e-3) -> AsymptoticReport:
     """Iterate forward and backward until the radial distance to the rim
-    or to the center drops below eps, reporting the crossing step."""
+    or to the center drops below eps, reporting the crossing step.  The
+    report depends on p's tier only, so the walk carries no angle."""
     if max_iter < 1 or eps <= 0:
         raise ValueError("need max_iter >= 1 and eps > 0")
-    fwd, fsteps = _classify_direction(p, step, max_iter, eps)
-    bwd, bsteps = _classify_direction(p, step_back, max_iter, eps)
+    fwd, fsteps = _classify_direction(p, _forward_tier, max_iter, eps)
+    bwd, bsteps = _classify_direction(p, _backward_tier, max_iter, eps)
     return AsymptoticReport(fwd, fsteps, bwd, bsteps)
 
 

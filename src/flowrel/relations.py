@@ -127,13 +127,14 @@ def verify_relation_forms(m: TransMonoid, p: np.ndarray, sp: np.ndarray) -> None
         raise AssertionError("SP does not match the all-translates-proximal form")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowAnalysis:
     """Everything computed once for a flow: closure, ideal structure,
     minimality and the five relations as boolean ``(n, n)`` arrays (D and
     WD are the complements of P and SP).  Every check reads these fields,
     so an analysis changed with ``dataclasses.replace`` reaches all of
-    them."""
+    them.  Equality and hashing are by identity: comparing array fields
+    has no single truth value."""
 
     flow: FiniteFlow
     monoid: TransMonoid

@@ -13,8 +13,9 @@ distinction between "proved" and "evidenced" explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
-from threading import Lock, RLock
+from threading import Lock
 
 import numpy as np
 
@@ -40,7 +41,28 @@ class Substitution:
         return hash((self.alphabet, tuple(sorted(self.rule.items()))))
 
     def expand(self, word: str) -> str:
-        return "".join(map(self.rule.__getitem__, word))
+        """The image of ``word``: one lookup-table gather for a
+        constant-length rule on an ASCII alphabet, a join otherwise."""
+        table = self._image_table
+        if table is None:
+            return "".join(map(self.rule.__getitem__, word))
+        try:
+            return str(table[np.frombuffer(word.encode(), dtype=np.uint8)], "ascii")
+        except UnicodeDecodeError:  # a row of 0xFF: a letter outside the rule
+            raise KeyError(next(c for c in word if c not in self.rule)) from None
+
+    @cached_property
+    def _image_table(self) -> np.ndarray | None:
+        """Row c holds the bytes of rule[chr(c)], or 0xFF (no ASCII byte)
+        when chr(c) has no image; None unless the rule maps exactly the
+        alphabet's letters, all ASCII, to images of one length."""
+        lengths = {len(w) for w in self.rule.values()}
+        if len(lengths) != 1 or set(self.rule) != set(self.alphabet) or not self.alphabet.isascii():
+            return None
+        table = np.full((256, lengths.pop()), 0xFF, dtype=np.uint8)
+        for c, w in self.rule.items():
+            table[ord(c)] = np.frombuffer(w.encode(), dtype=np.uint8)
+        return table
 
     @property
     def is_dual_closed(self) -> bool:
@@ -64,9 +86,9 @@ class BiSeq:
 
     ``segment(lo, hi)`` returns the letters at coordinates lo..hi
     inclusive; ``window(n)`` is the block on [-n, n].  Windows are cut
-    from memoized cores by slicing.  Every memoized growth (a fixed point's
-    halves, the shared Chacon blocks) happens under a lock, and cores only
-    ever grow, so instances may be shared between threads.
+    from memoized cores by slicing.  Every memoized growth (the shared
+    substitution iterates, the shared Chacon blocks) happens under a lock,
+    and cores only ever grow, so instances may be shared between threads.
     """
 
     alphabet: str = "01"
@@ -119,28 +141,13 @@ class SubstFixed(BiSeq):
         self.alphabet = sub.alphabet
         self.left_seed = left_seed
         self.right_seed = right_seed
-        self._left = left_seed
-        self._right = right_seed
-        self._lock = RLock()
-
-    def _grow(self, need: int) -> tuple[str, str]:
-        with self._lock:
-            self._left = self._expanded_to(self._left, need)
-            self._right = self._expanded_to(self._right, need)
-            return self._left, self._right
-
-    def _expanded_to(self, half: str, need: int) -> str:
-        """``half`` expanded until it has at least ``need`` letters; an
-        OverflowError, before expanding, if an image would pass the
-        MAX_BLOCK_LENGTH-letter guard."""
-        while len(half) < need:
-            if sum(half.count(c) * len(w) for c, w in self.sub.rule.items()) > MAX_BLOCK_LENGTH:
-                raise OverflowError(f"substitution image exceeds the {MAX_BLOCK_LENGTH}-letter guard")
-            half = self.sub.expand(half)
-        return half
 
     def segment(self, lo: int, hi: int) -> str:
-        return _two_sided(*self._grow(max(-lo, hi + 1, 1)), lo, hi) if lo <= hi else ""
+        if hi < lo:
+            return ""
+        need = max(-lo, hi + 1, 1)
+        return _two_sided(_substitution_iterate(self.sub, self.left_seed, need),
+                          _substitution_iterate(self.sub, self.right_seed, need), lo, hi)
 
     def describe(self) -> dict:
         return {
@@ -149,6 +156,26 @@ class SubstFixed(BiSeq):
             "left_seed": self.left_seed,
             "right_seed": self.right_seed,
         }
+
+
+_ITERATE_CACHE: dict[tuple[Substitution, str], list[str]] = {}
+_ITERATE_LOCK = Lock()
+
+
+def _substitution_iterate(sub: Substitution, letter: str, need: int) -> str:
+    """The first iterate θ^k(letter) with at least ``need`` letters.  The
+    iterates are shared by every fixed point of ``sub`` (one letter seeds
+    a left half and a right half alike) and grow under a lock; an
+    OverflowError, before expanding, if an image would pass the
+    MAX_BLOCK_LENGTH-letter guard."""
+    with _ITERATE_LOCK:
+        iterates = _ITERATE_CACHE.setdefault((sub, letter), [letter])
+        while len(iterates[-1]) < need:
+            last = iterates[-1]
+            if sum(last.count(c) * len(w) for c, w in sub.rule.items()) > MAX_BLOCK_LENGTH:
+                raise OverflowError(f"substitution image exceeds the {MAX_BLOCK_LENGTH}-letter guard")
+            iterates.append(sub.expand(last))
+        return next(w for w in iterates if len(w) >= need)
 
 
 def _two_sided(left: str, right: str, lo: int, hi: int) -> str:
@@ -439,14 +466,21 @@ class EvidenceVerdict:
 
 def agreement_times(x: BiSeq, y: BiSeq, n: int, horizon: int) -> np.ndarray:
     """All shift times t in [-H, H] at which the radius-n windows of the
-    two shifted sequences coincide."""
+    two shifted sequences coincide, in increasing order.
+
+    One pass over the 2(H + n) + 1 letters of each window: a running count
+    of mismatches, and t is an agreement time when the count does not move
+    across its window.  Besides the two segments and the result it
+    allocates about 5 bytes per letter: the mismatch mask and the int32
+    counts (int64 only past 2^31 letters, which no guarded segment reaches).
+    """
     lo, hi = -horizon - n, horizon + n
     xa = np.frombuffer(x.segment(lo, hi).encode(), dtype=np.uint8)
     ya = np.frombuffer(y.segment(lo, hi).encode(), dtype=np.uint8)
-    mism = np.concatenate(([0], np.cumsum(xa != ya)))
-    ts = np.arange(-horizon, horizon + 1)
-    starts = ts - n - lo
-    return ts[mism[starts + 2 * n + 1] - mism[starts] == 0]
+    mism = np.empty(xa.size + 1, dtype=np.int32 if xa.size < 2**31 else np.int64)
+    mism[0] = 0
+    np.cumsum(xa != ya, out=mism[1:])
+    return np.flatnonzero(mism[2 * n + 1:] == mism[:2 * horizon + 1]) - horizon
 
 
 def proximal_witness(x: BiSeq, y: BiSeq, n: int, horizon: int) -> EvidenceVerdict:

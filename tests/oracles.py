@@ -6,9 +6,11 @@ reasoning about the sample points and the published proximality table)
 and act as the oracles the implementations are checked against.  The
 symbolic references are the simple one-letter-at-a-time forms of the
 library's sliced and vectorized fast paths, kept as differential oracles
-for them; the brute-force minimal left ideals, the element-by-element
-ideal kernel matrix and the row-scan class listing are the references for
-``minimal_left_ideals`` and the kernel-label forms of the relations.
+for them, with the gather form of the agreement scan and the asymptotic
+class read off a walk that carries the angle; the brute-force minimal
+left ideals, the element-by-element ideal kernel matrix and the row-scan
+class listing are the references for ``minimal_left_ideals`` and the
+kernel-label forms of the relations.
 
 The scalar element API (``compose``, ``apply``, ``is_idempotent``,
 ``image_tuple``) answers "which element is this product?" through a tuple
@@ -33,6 +35,17 @@ import weakref
 
 import numpy as np
 
+from flowrel.circles import (
+    FIXED,
+    INCONCLUSIVE,
+    TO_C0,
+    TO_CENTER,
+    AsymptoticReport,
+    radius,
+    rim_distance,
+    step,
+    step_back,
+)
 from flowrel.finflow import FiniteFlow, LeftIdeal, NotAFactorMap, row_positions
 from flowrel.subshift import (
     AdicImage,
@@ -177,6 +190,18 @@ def reference_segment(seq, lo: int, hi: int) -> str:
     raise TypeError(f"no reference for {type(seq).__name__}")
 
 
+def reference_agreement_times(x, y, n: int, horizon: int) -> np.ndarray:
+    """The gather form of ``agreement_times``: the int64 mismatch counts,
+    then one window difference per shift time t in [-H, H]."""
+    lo, hi = -horizon - n, horizon + n
+    xa = np.frombuffer(x.segment(lo, hi).encode(), dtype=np.uint8)
+    ya = np.frombuffer(y.segment(lo, hi).encode(), dtype=np.uint8)
+    mism = np.concatenate(([0], np.cumsum(xa != ya)))
+    ts = np.arange(-horizon, horizon + 1)
+    starts = ts - n - lo
+    return ts[mism[starts + 2 * n + 1] - mism[starts] == 0]
+
+
 # -- evidence read from sorted agreement times ---------------------------------
 
 
@@ -201,6 +226,30 @@ def reference_gap_verdict(ts, n: int, gap_bound: int, horizon: int) -> EvidenceV
     return EvidenceVerdict(
         "syndetic_up_to_horizon", n, horizon, gap_bound=gap_bound, max_gap=int(max_gap),
     )
+
+
+# -- the circle cascade's asymptotics, one point at a time ------------------------
+
+
+def reference_asymptotic_class(p, max_iter: int = 10**4, eps: float = 1e-3):
+    """``asymptotic_class`` by iterating ``step`` and ``step_back`` on the
+    point itself, angle included, until the rim or the center is within eps."""
+    if max_iter < 1 or eps <= 0:
+        raise ValueError("need max_iter >= 1 and eps > 0")
+
+    def direction(advance):
+        if step(p) == p:
+            return FIXED, 0
+        q = p
+        for k in range(1, max_iter + 1):
+            q = advance(q)
+            if rim_distance(q) < eps:
+                return TO_C0, k
+            if radius(q) < eps:
+                return TO_CENTER, k
+        return INCONCLUSIVE, None
+
+    return AsymptoticReport(*direction(step), *direction(step_back))
 
 
 # -- minimal left ideals by brute force ------------------------------------------

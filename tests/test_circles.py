@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from oracles import reference_asymptotic_class
 
 from flowrel.circles import (
     CENTERWARD,
@@ -8,6 +9,7 @@ from flowrel.circles import (
     EVIDENCE_P,
     FIXED_CENTER,
     FIXED_RIM,
+    INCONCLUSIVE,
     RIMWARD,
     CirclePoint,
     asymptotic_class,
@@ -133,6 +135,40 @@ def test_asymptotic_classification():
     assert rep.forward == "fixed" and rep.backward == "fixed"
     with pytest.raises(ValueError):
         asymptotic_class(center(), max_iter=0)
+
+
+TIER_SWEEP = ([("center", 0)] + [("C", n) for n in range(41)] + [("D", n) for n in range(3, 41)])
+ANGLES = (0.0, 0.7, 1.9, 3.1)
+
+
+def test_asymptotic_class_matches_angle_walk():
+    """The tier-only walk against the walk that carries the angle, at the
+    default bounds (one angle per tier, cycling) and at small max_iter and
+    eps, where INCONCLUSIVE and the crossing step sit near the bounds."""
+    for i, (fam, idx) in enumerate(TIER_SWEEP):
+        p = CirclePoint(fam, idx, ANGLES[i % len(ANGLES)])
+        assert asymptotic_class(p) == reference_asymptotic_class(p), p
+        for angle in ANGLES:
+            p = CirclePoint(fam, idx, angle)
+            for max_iter, eps in ((1, 1e-3), (1, 0.3), (3, 0.2), (12, 0.05), (25, 0.05), (40, 0.02)):
+                got = asymptotic_class(p, max_iter, eps)
+                assert got == reference_asymptotic_class(p, max_iter, eps), (p, max_iter, eps)
+
+
+@pytest.mark.parametrize("tier", [("C", 2), ("C", 3), ("C", 1), ("D", 3), ("D", 8), ("C", 40)])
+def test_asymptotic_step_counts_at_the_iteration_bound(tier):
+    """With max_iter at the crossing step the walk still crosses; one
+    step fewer is inconclusive, in both walks."""
+    p = CirclePoint(*tier, 1.3)
+    for eps in (0.05, 0.01):
+        rep = asymptotic_class(p, eps=eps)
+        for k in (rep.forward_steps, rep.backward_steps):
+            for max_iter in {max(k - 1, 1), k}:
+                got = asymptotic_class(p, max_iter, eps)
+                assert got == reference_asymptotic_class(p, max_iter, eps)
+            if k > 1:
+                short = asymptotic_class(p, k - 1, eps)
+                assert INCONCLUSIVE in (short.forward, short.backward)
 
 
 def test_radii_decrease_toward_targets():

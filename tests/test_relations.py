@@ -51,6 +51,14 @@ def idempotent_section(f, src, tgt):
     return [r for r in check_factor_theorems(f, src, tgt) if r.name.startswith("idempotent_section")]
 
 
+def test_flow_analysis_equality_and_hash_are_by_identity():
+    ax = analyze_flow(TWO_IDEAL_FLOW)
+    copy = replace(ax, omega=ax.omega.copy())
+    assert ax == ax and ax != copy and copy != ax
+    assert hash(ax) == hash(ax) and len({ax, copy, ax}) == 2
+    assert ax in [copy, ax] and {ax: 1}[ax] == 1
+
+
 def test_identity_flow_relations():
     ax = analyze_flow(IDENTITY_FLOW)
     assert np.array_equal(ax.omega, np.ones((2, 2), dtype=bool))

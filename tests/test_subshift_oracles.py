@@ -3,10 +3,13 @@ of ``flowrel.subshift`` against the one-letter-at-a-time references in
 ``oracles``."""
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 from oracles import (
+    reference_agreement_times,
     reference_expand,
     reference_gap_verdict,
     reference_segment,
@@ -24,6 +27,7 @@ from flowrel.subshift import (
     Shift,
     SubstFixed,
     Substitution,
+    agreement_times,
     classify_pair,
     morse_fixed_points,
     morse_square,
@@ -82,12 +86,141 @@ def test_segment_matches_reference(name):
         assert seq.segment(lo, hi) == reference_segment(seq, lo, hi), (name, lo, hi)
 
 
+CONSTANT_LENGTH = Substitution("xyz", {"x": "xzy", "y": "yyx", "z": "zxz"})
+UNICODE_LETTERS = Substitution("αβ", {"α": "αβ", "β": "βα"})
+
+
 def test_expand_matches_reference():
     rng = random.Random(3)
-    for sub in (morse_square(), THREE_LETTERS):
+    for sub in (morse_square(), CONSTANT_LENGTH, THREE_LETTERS, UNICODE_LETTERS):
         for _ in range(50):
             word = "".join(rng.choice(sub.alphabet) for _ in range(rng.randint(0, 40)))
             assert sub.expand(word) == reference_expand(sub.rule, word)
+
+
+@pytest.mark.parametrize("sub", [morse_square(), THREE_LETTERS, UNICODE_LETTERS])
+@pytest.mark.parametrize("bad", ["2", "é", "\x00"])
+def test_expand_rejects_foreign_letters(sub, bad):
+    word = sub.alphabet[0] + bad + sub.alphabet[-1]
+    with pytest.raises(KeyError) as exc:
+        reference_expand(sub.rule, word)
+    with pytest.raises(KeyError) as got:
+        sub.expand(word)
+    assert got.value.args == exc.value.args
+
+
+def test_substitution_iterates_are_shared_across_halves_and_points():
+    fresh = Substitution("01", {"0": "0110", "1": "1001"})  # equal to morse_square()
+    a, b = morse_fixed_points()["a"], SubstFixed("0", "1", fresh)
+    a.segment(-700, 700)
+    key = (fresh, "1")
+    iterates = subshift._ITERATE_CACHE[key]
+    assert [len(w) for w in iterates[:6]] == [1, 4, 16, 64, 256, 1024]
+    assert all(fresh.expand(u) == v for u, v in zip(iterates, iterates[1:]))
+    before = len(iterates)
+    assert b.segment(-700, 700) == reference_segment(b, -700, 700)
+    assert len(subshift._ITERATE_CACHE[key]) == before
+
+
+def test_substitution_iterate_growth_is_thread_safe():
+    """Threads grow the same halves of a fresh substitution at once, with
+    a short switch interval; every thread reads the same window and the
+    cache holds each iterate once."""
+    sub = Substitution("01", {"0": "010", "1": "101"})
+    expect = reference_segment(SubstFixed("0", "1", sub), -5000, 5000)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(20):
+            subshift._ITERATE_CACHE.pop((sub, "0"), None)
+            subshift._ITERATE_CACHE.pop((sub, "1"), None)
+            barrier = threading.Barrier(4, timeout=30)
+            got = [None] * 4
+
+            def grow(i):
+                barrier.wait()
+                got[i] = SubstFixed("0", "1", sub).segment(-5000, 5000)
+
+            threads = [threading.Thread(target=grow, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert got == [expect] * 4
+            for letter in "01":
+                assert [len(w) for w in subshift._ITERATE_CACHE[(sub, letter)]] == [3**k for k in range(9)]
+    finally:
+        sys.setswitchinterval(interval)
+        subshift._ITERATE_CACHE.pop((sub, "0"), None)
+        subshift._ITERATE_CACHE.pop((sub, "1"), None)
+
+
+def test_warm_iterate_cache_still_stops_at_the_guard():
+    """Images of 100 letters: the iterates hold 1, 100, 10^4 and 10^6
+    letters, and the next one would pass the 10^7-letter guard."""
+    body = "0" + "01" * 49 + "0"
+    sub = Substitution("01", {"0": body, "1": body.translate(str.maketrans("01", "10"))})
+    x = SubstFixed("0", "0", sub)
+    try:
+        assert len(x.segment(-10**6 + 1, 10**6 - 1)) == 2 * 10**6 - 1
+        cached = list(subshift._ITERATE_CACHE[(sub, "0")])
+        assert [len(w) for w in cached] == [1, 100, 10**4, 10**6]
+        for _ in range(2):
+            with pytest.raises(OverflowError, match="letter guard"):
+                x.segment(0, 10**6)
+            assert subshift._ITERATE_CACHE[(sub, "0")] == cached
+        assert x.segment(-3, 3) == reference_segment(x, -3, 3)
+    finally:
+        subshift._ITERATE_CACHE.pop((sub, "0"), None)
+
+
+def agreement_pairs():
+    mt = morse_fixed_points()
+    x1, x2 = ChaconPoint("x1"), ChaconPoint("x2")
+    return {
+        "morse_a_b": (mt["a"], mt["b"]),
+        "morse_shifted": (Shift(mt["a"], 7), Shift(mt["b"], 12)),
+        "morse_dual_shift": (Dual(Shift(mt["b"], -5)), mt["bbar"]),
+        "morse_equal": (mt["a"], mt["a"]),
+        "morse_dual_pair": (mt["a"], mt["abar"]),
+        "chacon_x1_x2": (x1, x2),
+        "chacon_shifted": (Shift(x1, 40), Shift(x2, -3)),
+        "chacon_xi": (ChaconXi((1, 2), 2), x1),
+        "chacon_xi_xi": (ChaconXi((1, 2, 3), 2), ChaconXi((3, 2, 1), 2)),
+        "chacon_xi_reduced": (ChaconXi((3,), 1), Shift(x2, 1)),
+        "three_letters": (SubstFixed("a", "a", THREE_LETTERS), Shift(SubstFixed("a", "a", THREE_LETTERS), 9)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(agreement_pairs()))
+def test_agreement_times_match_reference(name):
+    x, y = agreement_pairs()[name]
+    rng = random.Random(name)
+    grid = [(0, 0), (0, 1), (1, 0), (0, 40), (5, 0), (3, 64), (16, 100)]
+    grid += [(rng.randint(0, 16), rng.randint(0, 3000)) for _ in range(12)]
+    for n, horizon in grid:
+        got, want = agreement_times(x, y, n, horizon), reference_agreement_times(x, y, n, horizon)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (name, n, horizon)
+
+
+def test_agreement_times_on_the_deep_morse_pairs():
+    mt = morse_fixed_points()
+    sizes = []
+    for x, y in ((mt["a"], mt["b"]), (Shift(mt["a"], 7), Shift(mt["b"], 12))):
+        got = agreement_times(x, y, 16, 2 * 10**5)
+        assert np.array_equal(got, reference_agreement_times(x, y, 16, 2 * 10**5))
+        sizes.append(got.size)
+    assert sizes[0] > 0 and sizes[1] == 0
+
+
+@pytest.mark.parametrize("n, horizon", [(0, 0), (0, 9), (4, 0), (7, 300)])
+def test_agreement_times_extremes(n, horizon):
+    mt = morse_fixed_points()
+    every = np.arange(-horizon, horizon + 1)
+    assert np.array_equal(agreement_times(mt["b"], mt["b"], n, horizon), every)
+    assert np.array_equal(agreement_times(ChaconPoint("x2"), ChaconPoint("x2"), n, horizon), every)
+    none = agreement_times(mt["a"], mt["abar"], n, horizon)
+    assert none.size == 0 and none.dtype == every.dtype
 
 
 def random_times(rng: random.Random, horizon: int) -> np.ndarray:
