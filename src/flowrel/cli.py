@@ -23,11 +23,14 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from . import reports
 from .circles import CirclePoint, asymptotic_class, center, pair_class
@@ -58,14 +61,17 @@ def dump(report: dict) -> str:
     """``json.dumps(report, indent=2, sort_keys=True)`` and a newline, byte
     for byte.  json turns its C encoder off whenever ``indent`` is set, and
     its pure-Python one spends most of a large report on lists of ints, one
-    per line; this writer joins each list whose items are all of type int
-    (bools, which json writes as true/false, are not) in one pass, and each
-    list of such lists (pair lists, monoid rows) in one comprehension,
-    writes strings and keys with json's own C quoting function, and leaves
-    every other scalar to ``json.dumps``."""
+    per line.  This writer writes each non-empty 2-D integer ndarray with
+    non-negative entries (monoid rows, relation pairs) in one array pass
+    per row block (``_write_rows``), reads any other ndarray as its
+    ``tolist()``, joins each list whose items are all of type int (bools,
+    which json writes as true/false, are not) in one pass, writes strings
+    and keys with json's own C quoting function, and leaves every other
+    scalar to ``json.dumps``."""
     out: list[str] = []
     _write(report, "\n", out)
-    return "".join(out) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def _write(value, newline: str, out: list[str]) -> None:
@@ -81,14 +87,13 @@ def _write(value, newline: str, out: list[str]) -> None:
             _write(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
+    elif isinstance(value, np.ndarray):
+        if value.ndim == 2 and value.size and value.dtype.kind in "iu" and value.min() >= 0:
+            _write_rows(value, newline, out)
+        else:
+            _write(value.tolist(), newline, out)
     elif isinstance(value, (list, tuple)) and value and {int}.issuperset(map(type, value)):
         out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
-    elif isinstance(value, (list, tuple)) and value and all(
-            type(v) in (list, tuple) and {int}.issuperset(map(type, v)) for v in value):
-        deeper = inner + "  "
-        out.append("[" + inner + ("," + inner).join(
-            "[" + deeper + ("," + deeper).join(map(str, v)) + inner + "]" if v else "[]" for v in value
-        ) + newline + "]")
     elif isinstance(value, (list, tuple)) and value:
         sep = "[" + inner
         for item in value:
@@ -98,6 +103,48 @@ def _write(value, newline: str, out: list[str]) -> None:
         out.append(newline + "]")
     else:
         out.append(json.dumps(value))
+
+
+def _block_rows(value: np.ndarray, row_bytes: int) -> int:
+    """Rows per block of ``_write_rows``: a block's text buffer holds no
+    more bytes than the array itself, and at least one row."""
+    return max(1, value.nbytes // row_bytes)
+
+
+def _write_rows(value: np.ndarray, newline: str, out: list[str]) -> None:
+    """json's text of a non-empty ``(rows, cols)`` array of non-negative
+    integers at indent ``newline``.
+
+    Each cell gets W byte slots, W the digit count of the largest entry,
+    in one row template of json's brackets, commas and indents.  A block
+    of rows is the template broadcast over a uint8 buffer; each cell's
+    digits are written right-aligned, ``(v // 10**c) % 10 + 48``, with a
+    zero byte in each leading position, and the buffer's nonzero bytes
+    are the block's text, decoded once."""
+    inner = newline + "  "
+    deeper = inner + "  "
+    rows, cols = value.shape
+    width = len(str(int(value.max())))
+    sep = ("," + deeper).encode()
+    head = (inner + "[" + deeper).encode()
+    template = np.frombuffer(head + sep.join([bytes(width)] * cols) + (inner + "],").encode(), dtype=np.uint8)
+    stride = width + len(sep)
+    step = _block_rows(value, template.size)
+    out.append("[")
+    for lo in range(0, rows, step):
+        block = value[lo:lo + step]
+        buf = np.broadcast_to(template, (len(block), template.size)).copy()
+        for c in range(width):
+            digits = block % 10 + 48
+            if c:
+                digits[block == 0] = 0  # a leading position: the entry is below 10**c
+            start = len(head) + width - 1 - c
+            buf[:, start:start + cols * stride:stride] = digits
+            block = block // 10
+        if lo + step >= rows:
+            buf[-1, -1] = 0  # no comma after the last row
+        out.append(buf[buf != 0].tobytes().decode("ascii"))
+    out.append(newline + "]")
 
 
 def emit(payload: str, out: str | None) -> bool:
@@ -306,7 +353,9 @@ CONFIG_TYPES.update(format=(str,), out=(str, type(None)))
 FORMATS = ("json", "text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     top = argparse.ArgumentParser(prog="flowrel", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     top.add_argument("--config", help="JSON file supplying defaults for any flag")

@@ -1,7 +1,10 @@
 """JSON report assembly.
 
-Reports are plain dicts with a ``schema`` version; the CLI serializes
-them with sorted keys so identical inputs produce byte-identical output.
+Reports are dicts with a ``schema`` version; the CLI serializes them
+with sorted keys so identical inputs produce byte-identical output.  Their
+values are JSON values, except that ``flow_report`` keeps the monoid rows
+and each relation's pairs as integer arrays, which the writer encodes as
+json encodes their ``tolist()``.
 The human-readable text renderings are projections of these dicts, never
 a separate source of truth.
 """
@@ -39,13 +42,13 @@ def flow_report(ax: FlowAnalysis) -> dict:
     m = ax.monoid
     st = ax.structure
     relations = {
-        kind: {"pairs": _pairs(rel).tolist()}
+        kind: {"pairs": _pairs(rel)}
         for kind, rel in (("P", ax.proximal), ("D", ax.distal), ("Omega", ax.omega),
                           ("SP", ax.strongly_proximal), ("WD", ax.weakly_distal))
     }
     p_pairs = relations["P"]["pairs"]
     relations["P"]["witnesses"] = {
-        f"{x},{y}": {"collapser": c} for (x, y), c in zip(p_pairs, first_collapsers(m, np.array(p_pairs)).tolist())
+        f"{x},{y}": {"collapser": c} for (x, y), c in zip(p_pairs.tolist(), first_collapsers(m, p_pairs).tolist())
     }
     out_pairs = _pairs(ax.proximal & ~ax.strongly_proximal)
     relations["SP"]["out_witnesses"] = {
@@ -68,7 +71,7 @@ def flow_report(ax: FlowAnalysis) -> dict:
         "monoid": {
             "size": m.size,
             "identity_index": m.identity_index,
-            "elements": m.elements.tolist(),
+            "elements": m.elements,
             "minimal_ideals": [list(ideal.members) for ideal in st.ideals],
             "idempotents_by_ideal": [list(js) for js in st.idempotents_by_ideal],
             "equivalent_idempotent_pairs": [list(p) for p in ax.equivalent_pairs],

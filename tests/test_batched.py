@@ -1,23 +1,26 @@
 """The batched passes of the analyze report against their one-pair,
 one-set and one-row references in ``oracles``: P witnesses and SP
 out-witnesses, set collapse tests, the uM Cayley table, the minimal-ideal
-kernel labels, ``sorted_unique`` and the report writer.  Random flows of
-1-7 states, plus wide cyclic flows, whose 4n proximal pairs make the
-blocked scan run several blocks."""
+kernel labels, ``sorted_unique`` and the report writer (against
+``json.dumps``, also on integer arrays and across its row blocks).
+Random flows of 1-7 states, plus wide cyclic flows, whose 4n proximal
+pairs make the blocked scan run several blocks."""
 
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from flowrel import fuzz
+from flowrel import cli, fuzz
 from flowrel.cli import dump
 from flowrel.finflow import (
     FiniteFlow,
@@ -32,6 +35,7 @@ from flowrel.finflow import (
 )
 from flowrel.fuzz import TWO_IDEAL_FLOW, _is_group, proxset_check_suite, random_flow
 from flowrel.relations import analyze_flow, sp_witnesses
+from flowrel.reports import flow_report
 from oracles import (
     element_of,
     kernel_signature,
@@ -250,6 +254,102 @@ sublists = st.one_of(int_lists, int_lists.map(tuple), mixed_lists, mixed_lists.m
 ))
 def test_writer_matches_json_on_lists_of_int_lists(value):
     assert dump({"v": value}) == json.dumps({"v": value}, indent=2, sort_keys=True) + "\n"
+
+
+def plain(value):
+    """``value`` with every ndarray replaced by its ``tolist()``: what the
+    writer must encode it as."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    return value
+
+
+def oracle_dump(value) -> str:
+    return json.dumps(plain(value), indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def int_arrays(draw):
+    dtype = draw(st.sampled_from([np.int16, np.int32, np.int64, np.intp]))
+    shape = draw(st.one_of(
+        st.sampled_from([(0, 2), (1, 1)]),
+        st.integers(1, 12).map(lambda k: (k, 1)),
+        st.tuples(st.integers(0, 12), st.integers(0, 6)),
+    ))
+    top = min(draw(st.sampled_from([9, 10, 99, 1000, 10**7])), np.iinfo(dtype).max)
+    value = draw(arrays(dtype, shape, elements=st.integers(0, top)))
+    if value.size and draw(st.booleans()):
+        value.flat[draw(st.integers(0, value.size - 1))] = -draw(st.integers(1, top))
+    return value
+
+
+arrays_or_dicts_of_them = st.one_of(int_arrays(), st.dictionaries(st.text(max_size=2), int_arrays(), max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=2), arrays_or_dicts_of_them, max_size=3))
+def test_array_writer_matches_json_on_int_arrays(value):
+    assert dump(value) == oracle_dump(value)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+def test_a_negative_entry_takes_the_list_path(monkeypatch, dtype):
+    written = []
+    real = cli._write_rows
+    monkeypatch.setattr(cli, "_write_rows", lambda value, *args: written.append(value) or real(value, *args))
+    value = {"a": np.array([[3, -1], [10**4, 0]], dtype=dtype), "b": np.arange(6, dtype=dtype).reshape(3, 2)}
+    assert dump(value) == oracle_dump(value)
+    assert len(written) == 1 and written[0] is value["b"]
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_array_writer_row_blocks_join_seamlessly(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    value = {
+        "elements": rng.integers(0, 1000, size=(7, 5)).astype(np.int16),
+        "pairs": {"P": rng.integers(0, 10**6, size=(10, 2)), "one": np.array([[4]])},
+        "rows": np.arange(3 * block, dtype=np.intp).reshape(block, 3),
+    }
+    whole = dump(value)
+    calls = []
+    monkeypatch.setattr(cli, "_block_rows", lambda value, row_bytes: calls.append(value) or block)
+    assert dump(value) == whole == oracle_dump(value)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("shape,dtype", [((823, 7), np.int16), ((500, 2), np.intp), ((3, 1), np.int16)])
+def test_array_writer_blocks_fit_in_the_array_bytes(shape, dtype):
+    value = np.zeros(shape, dtype=dtype)
+    for row_bytes in (9, 95, 4096):
+        rows = cli._block_rows(value, row_bytes)
+        assert rows >= 1 and rows * row_bytes <= max(value.nbytes, row_bytes)
+
+
+def test_array_writer_temporaries_stay_within_a_multiple_of_the_array():
+    # the text itself is held twice (the pieces and their join); the row
+    # blocks keep everything else within a few times the array's bytes
+    value = np.random.default_rng(0).integers(0, 7, size=(50_000, 7)).astype(np.int16)
+    tracemalloc.start()
+    try:
+        text = dump({"elements": value})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(text) + 4 * value.nbytes
+
+
+def test_analyze_report_keeps_monoid_rows_and_pairs_as_arrays():
+    ax = analyze_flow(wide_flow(12, 3))
+    report = flow_report(ax)
+    assert report["monoid"]["elements"] is ax.monoid.elements
+    for kind, rel in (("P", ax.proximal), ("D", ax.distal), ("Omega", ax.omega),
+                      ("SP", ax.strongly_proximal), ("WD", ax.weakly_distal)):
+        pairs = report["relations"][kind]["pairs"]
+        assert isinstance(pairs, np.ndarray)
+        assert pairs.tolist() == [[x, y] for x, y in zip(*np.nonzero(rel)) if x <= y]
+    assert dump(report) == oracle_dump(report)
 
 
 def test_no_subset_is_tested_twice(monkeypatch):

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowrel.cli import (
+    build_parser,
     dump,
     main,
     parse_chacon_point,
@@ -16,6 +20,7 @@ from flowrel.cli import (
 )
 
 FLOWS = Path(__file__).resolve().parent.parent / "flows"
+SRC = FLOWS.parent / "src"
 
 
 def run(capsys, *argv):
@@ -453,3 +458,26 @@ def test_dump_is_byte_identical_to_json(value):
 ])
 def test_dump_edge_values(value):
     assert dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_one_parser_serves_successive_calls_like_separate_runs(capsys):
+    # the parser is built once per process; an analyze, a usage error and a
+    # reproduce in one process give the exit codes and stdout of three
+    # fresh processes
+    calls = [["analyze", str(FLOWS / "two_ideal.flow")], ["fuzz", "--count", "abc"], ["reproduce", "mt"]]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, capsys.readouterr().out))
+    separate = [
+        (done.returncode, done.stdout) for done in (
+            subprocess.run([sys.executable, "-m", "flowrel", *argv], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": str(SRC)})
+            for argv in calls)
+    ]
+    assert [code for code, _ in in_process] == [0, 2, 0]
+    assert in_process == separate
+    assert build_parser() is build_parser()
