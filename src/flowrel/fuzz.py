@@ -24,9 +24,7 @@ from .finflow import (
     MonoidTooLarge,
     TransMonoid,
     equivalence_matrix,
-    first_collapsers,
     format_flow,
-    ideal_structure,
     idempotent_mask,
     induced_theta,
     label_classes,
@@ -39,10 +37,13 @@ from .relations import (
     diagonal,
     invariance_violation,
     is_equivalence,
+    pair_graph,
     pairs_reaching,
     product_flow,
+    proximal_sets,
     quotient_by_icer,
     reaching,
+    transitive_closure,
 )
 
 
@@ -156,14 +157,12 @@ def relation_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
 
     # Omega agrees with the product-flow definition: its pairs are the
     # almost periodic points of the squared flow (skipped on wide state
-    # sets, where the squared flow's rows are quadratically wider)
+    # sets, where the (n², n²) reach matrix of the pair graph is large)
+    gens = np.array(m.flow.generators)
     if n <= 12:
-        sq = square_monoid(m)
-        sq_idem = sq.elements[list(ideal_structure(sq).all_idempotents)]
-        om_via_square = (sq_idem == np.arange(n * n)).any(axis=0).reshape(n, n)
-        out.append(_result("omega_agrees_with_product_flow", np.array_equal(om, om_via_square)))
+        out.append(_result("omega_agrees_with_product_flow", np.array_equal(om, almost_periodic_pairs(gens, n))))
 
-    out.extend(invariance_checks(np.array(m.flow.generators), om, sp, p, d))
+    out.extend(invariance_checks(gens, om, sp, p, d))
     return out
 
 
@@ -230,14 +229,16 @@ def _is_group(m, u: int, members: np.ndarray) -> bool:
                 and ((table == i) & (table.T == i)).any(axis=1).all())
 
 
-def square_monoid(m: TransMonoid) -> TransMonoid:
-    """The monoid of ``product_flow(flow, flow)``, read coordinatewise:
-    s ↦ s × s maps the monoid one-to-one onto it in the same element
-    order, so no second closure is needed."""
-    n = m.n_states
-    xs, ys = np.divmod(np.arange(n * n), n)
-    e = m.elements.astype(np.int16 if n * n < 2**15 else np.int32)
-    return TransMonoid(product_flow(m.flow, m.flow), e[:, xs] * n + e[:, ys])
+def almost_periodic_pairs(gens: np.ndarray, n: int) -> np.ndarray:
+    """The almost periodic points of the squared flow, as an ``(n, n)``
+    pair relation.  A point of a finite flow is almost periodic iff its
+    orbit closure is minimal, that is iff it lies in a bottom strongly
+    connected component of its orbit graph: every node it reaches reaches
+    it back.  Read from the reach matrix of the pair graph."""
+    edges = diagonal(n * n)
+    edges[np.arange(n * n), pair_graph(gens, n)] = True
+    reach = transitive_closure(edges)
+    return ~(reach & ~reach.T).any(axis=1).reshape(n, n)
 
 
 # proximal-set suite -------------------------------------------------------
@@ -256,25 +257,20 @@ def proxset_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     invertible = [g for g in ax.flow.generators if len(set(g)) == ax.n_states]
     candidates = _proximal_candidates(ax, 3, subsets)
     image = {(cols, g): tuple(sorted({g[x] for x in cols})) for cols in candidates for g in invertible}
-    proximal = {**subsets, **_collapse_table(ax.monoid, set(image.values()) - subsets.keys())}
+    rest = sorted(set(image.values()) - subsets.keys())
+    proximal = {**subsets, **dict(zip(rest, proximal_sets(ax, rest).tolist()))}
     detail = next((f"tA not proximal: A={list(cols)} g={g}" for (cols, g), t in image.items() if not proximal[t]), "")
     out.append(_result("invertible_generator_image_of_proximal_set_proximal", not detail, detail))
     return out
 
 
-def _collapse_table(m: TransMonoid, sets) -> dict[tuple[int, ...], bool]:
-    """Whether each state set (a sorted tuple) is proximal, from one
-    ``first_collapsers`` call for all of them."""
-    sets = sorted(sets)
-    return dict(zip(sets, (first_collapsers(m, sets) >= 0).tolist())) if sets else {}
-
-
 def proximal_subsets(ax: FlowAnalysis) -> dict[tuple[int, ...], bool]:
     """Whether each state set of size 3 or 4 is proximal, all tested in one
-    ``first_collapsers`` call; empty above 12 states, where the subset
-    count is no longer small."""
+    ``proximal_sets`` call; empty above 12 states, where the subset count
+    is no longer small."""
     n = ax.n_states
-    return _collapse_table(ax.monoid, [c for k in (3, 4) for c in combinations(range(n), k)] if n <= 12 else [])
+    sets = [c for k in (3, 4) for c in combinations(range(n), k)] if n <= 12 else []
+    return dict(zip(sets, proximal_sets(ax, sets).tolist()))
 
 
 def validate_partitions(ax: FlowAnalysis) -> CheckResult:
@@ -402,15 +398,11 @@ def check_rA_proximal_equiv(ax: FlowAnalysis, subsets: dict[tuple[int, ...], boo
     """
     m = ax.monoid
     p_equiv = is_equivalence(ax.proximal)
-    kernels = [np.array(ideal.kernel) for ideal in ax.structure.ideals]
     all_images_proximal = True
     witness = ""
     for cols in _proximal_candidates(ax, 4, subsets):
         images = m.elements[:, list(cols)]
-        ok = np.zeros(m.size, dtype=bool)
-        for labels in kernels:
-            labelled = labels[images]
-            ok |= (labelled == labelled[:, :1]).all(axis=1)
+        ok = proximal_sets(ax, images)
         if not ok.all():
             r = int(np.nonzero(~ok)[0][0])
             all_images_proximal = False
@@ -680,26 +672,14 @@ def saturate_icer(flow: FiniteFlow, seed_pairs) -> np.ndarray:
     mat = diagonal(n).copy()
     for x, y in seed_pairs:
         mat[x, y] = mat[y, x] = True
-    gens = [np.array(g) for g in flow.generators]
-    changed = True
-    while changed:
-        changed = False
-        new = mat | mat.T
-        closed = new.copy()
-        while True:
-            step = closed | (closed @ closed)
-            if np.array_equal(step, closed):
-                break
-            closed = step
-        for g in gens:
-            moved = np.zeros_like(closed)
-            xs, ys = np.nonzero(closed)
-            moved[g[xs], g[ys]] = True
-            closed |= moved
-        if not np.array_equal(closed, mat):
-            mat = closed
-            changed = True
-    return mat
+    gens = np.array(flow.generators)
+    while True:
+        closed = transitive_closure(mat | mat.T)
+        xs, ys = np.nonzero(closed)
+        closed[gens[:, xs], gens[:, ys]] = True
+        if np.array_equal(closed, mat):
+            return mat
+        mat = closed
 
 
 def random_icer(rng: random.Random, ax: FlowAnalysis) -> np.ndarray:

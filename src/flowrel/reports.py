@@ -204,7 +204,7 @@ def ternary_report() -> dict:
     pts = ternary_sample()
     names = list(pts)
     rows = []
-    in_sp = {}
+    in_sp = np.eye(len(names), dtype=bool)  # reflexive and symmetric by construction
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
             verdict = sp_classify(pts[names[i]], pts[names[j]])
@@ -214,24 +214,14 @@ def ternary_report() -> dict:
                 "pair_type": verdict.pair_type,
                 "sp": verdict.label,
             })
-            in_sp[(names[i], names[j])] = verdict.label == "InSP"
-    transitive = True
-    for x in names:
-        for y in names:
-            for z in names:
-                if x == y or y == z or x == z:
-                    continue
-                def rel(a, b):
-                    return a == b or in_sp.get((a, b), in_sp.get((b, a), False))
-                if rel(x, y) and rel(y, z) and not rel(x, z):
-                    transitive = False
+            in_sp[i, j] = in_sp[j, i] = verdict.label == "InSP"
     return {
         "schema": SCHEMA,
         "kind": "reproduction",
         "example": "ternary",
         "points": {k: v.describe() for k, v in pts.items()},
         "pairs": rows,
-        "in_sp_transitive_on_sample": transitive,
+        "in_sp_transitive_on_sample": is_equivalence(in_sp),
     }
 
 

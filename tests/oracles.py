@@ -21,12 +21,20 @@ lookup (``TransMonoid.positions``) and array gathers.
 The ``(size, n, n)`` translate tensors quantify over every monoid element
 at once; they are the references for the library's pair-graph searches
 and per-generator invariance checks, and the per-member S¹p loop is the
-reference for the S¹p check read from the generators' left action.
+reference for the S¹p check read from the generators' left action.  The
+squared flow's monoid (``square_monoid``) and its minimal idempotents are
+the product-flow reference for Omega read from the pair graph
+(``fuzz.almost_periodic_pairs``), one ``reaching`` call per node is the
+reference for ``relations.transitive_closure``, and the closure by
+boolean squaring with one generator at a time is the reference for
+``fuzz.saturate_icer``.
 
 The one-pair, one-set and one-row forms of the report's batched passes
 (P and SP witnesses, set collapse tests, the uM Cayley table and the
 minimal-ideal kernel labels) are the references for ``first_collapsers``,
 ``sp_witnesses``, ``fuzz._is_group`` and ``minimal_left_ideals``;
+``first_collapsers``' whole-monoid scan is in turn the reference for the
+kernel-label set test ``relations.proximal_sets``;
 ``kernel_signature`` labels one row at a time and is the reference for
 ``finflow.kernel_labels`` and ``IdealStructure.refinement_labels``.
 """
@@ -46,7 +54,8 @@ from flowrel.circles import (
     step,
     step_back,
 )
-from flowrel.finflow import FiniteFlow, LeftIdeal, NotAFactorMap, row_positions
+from flowrel.finflow import FiniteFlow, LeftIdeal, NotAFactorMap, TransMonoid, ideal_structure, row_positions
+from flowrel.relations import product_flow, reaching
 from flowrel.subshift import (
     AdicImage,
     ChaconPoint,
@@ -437,6 +446,55 @@ def reference_forward_invariant(m, rel) -> bool:
 
 def reference_backward_invariant(m, rel) -> bool:
     return not (translates(m, rel) & ~rel[None, :, :]).any()
+
+
+def square_monoid(m) -> TransMonoid:
+    """The monoid of ``product_flow(flow, flow)``, read coordinatewise:
+    s ↦ s × s maps the monoid one-to-one onto it in the same element
+    order, so no second closure is needed."""
+    n = m.n_states
+    xs, ys = np.divmod(np.arange(n * n), n)
+    e = m.elements.astype(np.int16 if n * n < 2**15 else np.int32)
+    return TransMonoid(product_flow(m.flow, m.flow), e[:, xs] * n + e[:, ys])
+
+
+def reference_omega_via_square(m) -> np.ndarray:
+    """Omega as the almost periodic points of the squared flow: the pairs
+    fixed by some minimal idempotent of ``square_monoid(m)``."""
+    n = m.n_states
+    sq = square_monoid(m)
+    idem = sq.elements[list(ideal_structure(sq).all_idempotents)]
+    return (idem == np.arange(n * n)).any(axis=0).reshape(n, n)
+
+
+def reference_transitive_closure(rel) -> np.ndarray:
+    """Column w of the closure holds the nodes with an edge into a node
+    that reaches w, the empty path included: one ``reaching`` call per w.
+    Each node's edges are padded to N successors with self-loops, which
+    change no reachability."""
+    n = len(rel)
+    succ = np.where(rel.T, np.arange(n)[:, None], np.arange(n))  # succ[i, v] = i if v -> i, else v
+    reach = np.array([reaching(succ, np.arange(n) == w) for w in range(n)]).T
+    return (rel.astype(np.int64) @ reach.astype(np.int64)) > 0
+
+
+def reference_saturate_icer(flow, seed_pairs) -> np.ndarray:
+    """The smallest icer containing the seed pairs: symmetric closure,
+    transitive closure by repeated boolean squaring, then each generator's
+    image pairs added in turn, until nothing changes."""
+    mat = np.eye(flow.n_states, dtype=bool)
+    for x, y in seed_pairs:
+        mat[x, y] = mat[y, x] = True
+    while True:
+        closed = mat | mat.T
+        while not np.array_equal(closed | (closed @ closed), closed):
+            closed = closed | (closed @ closed)
+        for g in map(np.array, flow.generators):
+            xs, ys = np.nonzero(closed)
+            closed[g[xs], g[ys]] = True
+        if np.array_equal(closed, mat):
+            return mat
+        mat = closed
 
 
 def reference_mp_counterexample(m, members) -> int | None:

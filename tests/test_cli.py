@@ -254,6 +254,36 @@ def test_analyze_four_ideal_report_bytes_pinned(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == FOUR_IDEAL_SHA256
 
 
+# the same two maps on 12 states: 60 elements, 4 minimal ideals; the widest
+# flow on which the Omega product-flow check and the 3- and 4-subsets run
+TWELVE_STATE_FLOW = "states: 12\n{}\n{}\n".format(
+    " ".join(str((x + 1) % 12) for x in range(12)),
+    " ".join(str(x - x % 4) for x in range(12)),
+)
+TWELVE_STATE_SHA256 = "6072c5187307579b88fb06a6e65ec5f4303b6f068841df35c31d35beb12299cc"
+
+# sha256 of `flowrel fuzz --count 500 --seed 1` stdout
+FUZZ_500_SHA256 = "aa0aa75626df6d89ff2c7d69d5ab64146180c08d7df06f4edbd6238ab599ddb9"
+
+
+def test_analyze_twelve_state_report_bytes_pinned(capsys, tmp_path):
+    flow = tmp_path / "twelve.flow"
+    flow.write_text(TWELVE_STATE_FLOW)
+    code, out, _ = run(capsys, "analyze", str(flow))
+    assert code == 0
+    report = json.loads(out)
+    assert report["monoid"]["size"] == 60
+    assert len(report["monoid"]["minimal_ideals"]) == 4
+    assert "omega_agrees_with_product_flow" in [c["name"] for c in report["checks"]]
+    assert hashlib.sha256(out.encode()).hexdigest() == TWELVE_STATE_SHA256
+
+
+def test_fuzz_500_bytes_pinned(capsys):
+    code, out, _ = run(capsys, "fuzz", "--count", "500", "--seed", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_500_SHA256
+
+
 @pytest.mark.parametrize("example", ["mt", "chacon", "ternary", "cc"])
 def test_reproduce_matches_golden(capsys, example):
     code, out, _ = run(capsys, "reproduce", example)

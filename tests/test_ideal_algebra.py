@@ -32,7 +32,6 @@ from flowrel.fuzz import (
     random_flow,
     relation_check_suite,
     saturate_icer,
-    square_monoid,
     validate_partitions,
 )
 from flowrel.relations import (
@@ -54,6 +53,7 @@ from oracles import (
     reference_mp_counterexample,
     reference_omega,
     reference_sp_witness,
+    square_monoid,
     tuple_index,
 )
 

@@ -1,7 +1,10 @@
 """The pair-graph forms of the relations and the per-generator invariance
 checks, each against its ``(size, n, n)`` tensor reference in ``oracles``;
-the S¹p check read from the generators' left action against the
-per-member loop; and each replaced invariance check broken in turn."""
+Omega read from the pair graph's bottom strongly connected components
+against the squared flow's monoid, and the transitive closure against one
+``reaching`` call per node; the S¹p check read from the generators' left
+action against the per-member loop; and each replaced invariance check
+broken in turn."""
 
 import random
 from dataclasses import replace
@@ -13,16 +16,21 @@ from flowrel.finflow import FiniteFlow, MonoidTooLarge, close, ideal_structure
 from flowrel.fuzz import (
     ROTATION3_FLOW,
     TWO_IDEAL_FLOW,
+    almost_periodic_pairs,
     check_unique_ideal_equiv,
     invariance_checks,
     left_action_counterexample,
+    relation_check_suite,
+    saturate_icer,
 )
 from flowrel.relations import (
     analyze_flow,
     diagonal,
     invariance_violation,
+    pair_graph,
     pairs_reaching,
     reaching,
+    transitive_closure,
 )
 from oracles import (
     reference_all_translates_in,
@@ -31,8 +39,15 @@ from oracles import (
     reference_forward_invariant,
     reference_left_ideal_of,
     reference_mp_counterexample,
+    reference_omega_via_square,
+    reference_saturate_icer,
     reference_some_translate_in,
+    reference_transitive_closure,
 )
+
+# the full transformation monoid T_5 (3,125 elements): a 5-cycle, the swap
+# (0 1) and 1 -> 0
+T5_FLOW = FiniteFlow(5, ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (0, 0, 2, 3, 4)))
 
 INVARIANCE_CHECKS = ["omega_forward_invariant", "sp_forward_invariant",
                      "d_invariance_biconditional", "p_backward_invariant"]
@@ -121,6 +136,66 @@ def test_pairs_reaching_leaves_its_target_alone():
     assert out[0, 1] and not out[0, 2]
     out[:] = True
     assert np.array_equal(target, diagonal(3))
+
+
+# -- Omega from the pair graph against the squared flow's monoid ------------------
+
+
+def assert_pair_graph_omega_matches_square(ax):
+    n, gens = ax.n_states, np.array(ax.flow.generators)
+    edges = diagonal(n * n)
+    edges[np.arange(n * n), pair_graph(gens, n)] = True
+    assert np.array_equal(transitive_closure(edges), reference_transitive_closure(edges))
+    omega = almost_periodic_pairs(gens, n)
+    assert np.array_equal(omega, reference_omega_via_square(ax.monoid))
+    assert np.array_equal(omega, ax.omega)
+    assert [r.passed for r in relation_check_suite(ax) if r.name == "omega_agrees_with_product_flow"] == [True]
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_flows())
+def test_pair_graph_omega_matches_the_squared_flow(flow):
+    ax = analysis_or_none(flow)
+    if ax is not None:
+        assert_pair_graph_omega_matches_square(ax)
+
+
+def test_pair_graph_omega_on_the_fixtures_and_t5():
+    for flow in (ROTATION3_FLOW, TWO_IDEAL_FLOW, FiniteFlow(3, ((0, 2, 1), (1, 1, 1))), T5_FLOW):
+        assert_pair_graph_omega_matches_square(analyze_flow(flow))
+
+
+def test_omega_check_fails_on_a_pair_that_is_not_almost_periodic():
+    # the swap sends (0, 1) to (0, 2), and the constant sends both to (1, 1)
+    # from which nothing leads back: (0, 1) is in no bottom component
+    ax = analyze_flow(FiniteFlow(3, ((0, 2, 1), (1, 1, 1))))
+    assert not ax.omega[0, 1]
+    broken = replace(ax, omega=with_pair(ax.omega, 0, 1, True))
+    assert [r.passed for r in relation_check_suite(broken) if r.name == "omega_agrees_with_product_flow"] == [False]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.floats(min_value=0, max_value=0.3),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_transitive_closure_matches_per_node_reaching(n, density, seed):
+    rel = np.random.default_rng(seed).random((n, n)) < density
+    closed = transitive_closure(rel)
+    assert np.array_equal(closed, reference_transitive_closure(rel))
+    assert closed is not rel and np.array_equal(rel, np.random.default_rng(seed).random((n, n)) < density)
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_flows(), st.lists(st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)),
+                              max_size=4))
+def test_saturate_icer_matches_the_boolean_squaring_reference(flow, seeds):
+    seeds = [(x % flow.n_states, y % flow.n_states) for x, y in seeds]
+    assert np.array_equal(saturate_icer(flow, seeds), reference_saturate_icer(flow, seeds))
+
+
+def test_transitive_closure_of_a_long_path():
+    # 0 -> 1 -> ... -> 39 takes six squarings; no loops, so no node reaches itself
+    path = np.eye(40, k=1, dtype=bool)
+    assert np.array_equal(transitive_closure(path), np.triu(np.ones((40, 40), dtype=bool), 1))
 
 
 # -- S¹p from the generators' left action against the per-member loop -------------

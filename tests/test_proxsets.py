@@ -1,9 +1,12 @@
+import random
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from flowrel import fuzz
-from flowrel.finflow import close, first_collapsers
+from flowrel.finflow import FiniteFlow, MonoidTooLarge, close, first_collapsers
 from flowrel.fuzz import (
     CONSTANTS_FLOW,
     ROTATION3_FLOW,
@@ -13,11 +16,12 @@ from flowrel.fuzz import (
     max_sp_sets_fixed_by_all_idempotents,
     proximal_subsets,
     proxset_check_suite,
+    random_flow,
     sp_matches_class_squares,
     validate_partitions,
 )
 from flowrel.proxsets import i_proximal_partition, max_strongly_proximal_sets
-from flowrel.relations import analyze_flow
+from flowrel.relations import analyze_flow, proximal_sets
 from flowrel.reports import flow_report
 from oracles import apply, element_of, image_tuple, reference_minimal_ideal_collapse
 
@@ -155,10 +159,43 @@ def test_invertible_image_check_reports_the_first_counterexample(monkeypatch):
     ax = analyze_flow(ROTATION3_FLOW)
     check = "invertible_generator_image_of_proximal_set_proximal"
     assert [r.passed for r in proxset_check_suite(ax) if r.name == check] == [True]
-    real = fuzz.first_collapsers
+    real = fuzz.proximal_sets
     rejected = [{1}, {2}]  # images of (0,) and (1,) under the rotation
-    monkeypatch.setattr(fuzz, "first_collapsers", lambda m, sets: np.array(
-        [-1 if set(s) in rejected else c for s, c in zip(sets, real(m, sets).tolist())]))
+    monkeypatch.setattr(fuzz, "proximal_sets", lambda ax, sets: np.array(
+        [ok and set(s) not in rejected for s, ok in zip(sets, real(ax, sets).tolist())]))
     (result,) = [r for r in proxset_check_suite(ax) if r.name == check]
     assert not result.passed
     assert result.detail == "tA not proximal: A=[0] g=(1, 2, 0)"
+
+
+# -- the kernel-label set test against the whole-monoid scan -----------------------
+
+
+def assert_proximal_sets_match_the_monoid_scan(ax, rng):
+    n = ax.n_states
+    subsets = [c for k in (3, 4) for c in combinations(range(n), k)]
+    sets = subsets + [rng.sample(range(n), rng.randint(1, n)) for _ in range(20)]
+    expected = (first_collapsers(ax.monoid, sets) >= 0).tolist()
+    assert proximal_sets(ax, sets).tolist() == expected
+    assert [bool(proximal_sets(ax, [s])[0]) for s in sets] == expected
+    assert proximal_subsets(ax) == dict(zip(subsets, expected))
+    images = ax.monoid.elements[:, sorted(sets[-1])]  # the r(A) check's input: one row per element
+    assert proximal_sets(ax, images).tolist() == (first_collapsers(ax.monoid, images) >= 0).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_proximal_sets_match_first_collapsers(seed):
+    rng = random.Random(seed)
+    try:
+        ax = analyze_flow(random_flow(rng, min_states=1, max_states=7), cap=3000)
+    except MonoidTooLarge:
+        return
+    assert_proximal_sets_match_the_monoid_scan(ax, rng)
+
+
+def test_proximal_sets_on_the_fixtures_and_t5():
+    t5 = FiniteFlow(5, ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (0, 0, 2, 3, 4)))
+    for flow in (CONSTANTS_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW, TWO_IDEAL_FLOW, t5):
+        assert_proximal_sets_match_the_monoid_scan(analyze_flow(flow), random.Random(0))
+    assert proximal_sets(analyze_flow(TWO_IDEAL_FLOW), []).tolist() == []

@@ -360,13 +360,13 @@ def count_calls(monkeypatch, name):
 
 
 @pytest.mark.parametrize("flow", [TWO_IDEAL_FLOW, FiniteFlow(13, (tuple((x + 1) % 13 for x in range(13)),))])
-def test_ideal_structure_runs_once_per_analysis_and_once_for_the_square(monkeypatch, flow):
+def test_ideal_structure_runs_once_per_report(monkeypatch, flow):
+    # also at n <= 12, where the suite checks Omega against the squared flow
     calls = count_calls(monkeypatch, "ideal_structure")
     ax = analyze_flow(flow)
     flow_report(ax)
-    n = flow.n_states
     assert calls[0][0] is ax.monoid
-    assert [m.n_states for (m,) in calls] == ([n, n * n] if n <= 12 else [n])
+    assert [m.n_states for (m,) in calls] == [flow.n_states]
 
 
 def test_a_broken_structure_reaches_the_three_way_equivalence():
