@@ -126,19 +126,24 @@ def label_classes(labels) -> list[frozenset[int]]:
     return [frozenset(c) for c in classes.values()]
 
 
-def _row_keys(rows, dtype) -> np.ndarray:
-    """One byte string per row (the last axis) of ``rows`` read as ``dtype``."""
-    rows = np.ascontiguousarray(rows, dtype=dtype)
-    return rows.view(f"S{rows.shape[-1] * rows.itemsize}")[..., 0]
+def _row_keys(rows) -> np.ndarray:
+    """One byte string per row (the last axis) of ``rows``, ordered as the
+    rows are lexicographically.  Invariant: every value is below the row
+    width w (rows are maps of a w-point set, or labels of one), so a cell
+    takes one byte when w <= 256 and two big-endian bytes otherwise (four
+    past 2^16); byte strings compare byte by byte from the first."""
+    w = np.shape(rows)[-1]
+    rows = np.ascontiguousarray(rows, dtype="u1" if w <= 256 else ">u2" if w <= 2**16 else ">u4")
+    return rows.view(f"S{w * rows.itemsize}")[..., 0]
 
 
 def row_positions(table: np.ndarray, rows, order: np.ndarray | None = None) -> np.ndarray:
     """The index in ``table`` of each row (last axis) of ``rows``, or -1
     where it is not a row of ``table``; ``order`` sorts the row keys of
     ``table`` when the caller keeps it."""
-    keys = _row_keys(table, table.dtype)
+    keys = _row_keys(table)
     order = np.argsort(keys) if order is None else order
-    query = _row_keys(rows, table.dtype)
+    query = _row_keys(rows)
     found = order[np.minimum(np.searchsorted(keys, query, sorter=order), keys.size - 1)]
     return np.where(keys[found] == query, found, -1)
 
@@ -151,8 +156,10 @@ def idempotent_mask(rows: np.ndarray) -> np.ndarray:
 def sorted_unique(values) -> np.ndarray:
     """The distinct entries of ``values`` in increasing order, by one sort:
     ``np.unique`` on a flat array without its first-call import of
-    ``numpy.ma`` (numpy 2.x), which costs more than the sort."""
-    a = np.sort(np.asarray(values).ravel())
+    ``numpy.ma`` (numpy 2.x), which costs more than the sort.  Row keys
+    sort stably, which keeps their sorted runs; numbers by quicksort."""
+    a = np.asarray(values).ravel()
+    a = np.sort(a, kind="stable" if a.dtype.kind == "S" else None)
     return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
 
 
@@ -215,12 +222,13 @@ def first_rows(elements: np.ndarray, rows: np.ndarray, sets: np.ndarray, collaps
 class TransMonoid:
     """The closed transformation monoid generated by a flow.
 
-    ``elements`` is an ``(m, n)`` integer array; row 0 is the identity and
-    the remaining rows are ordered breadth-first from the generators with a
-    lexicographic tie-break inside each layer, so the ordering is
-    reproducible bit-for-bit.  Products are gathers on these rows: the row
-    of p ∘ q is ``elements[p][elements[q]]``, and ``positions`` turns rows
-    back into element indices.
+    ``elements`` is an ``(m, n)`` integer array (int16, or int32 from
+    2^15 states); row 0 is the identity and the remaining rows are ordered
+    breadth-first from the generators, in lexicographic row order inside
+    each layer (``close``), so the ordering is reproducible bit-for-bit.
+    Products are gathers on these rows: the row of p ∘ q is
+    ``elements[p][elements[q]]``, and ``positions`` turns rows back into
+    element indices by their row keys.
     """
 
     def __init__(self, flow: FiniteFlow, elements: np.ndarray):
@@ -240,7 +248,7 @@ class TransMonoid:
     def positions(self, rows) -> np.ndarray:
         """``row_positions`` on ``elements``, whose keys are sorted once."""
         if self._order is None:
-            self._order = np.argsort(_row_keys(self.elements, self.elements.dtype))
+            self._order = np.argsort(_row_keys(self.elements))
         return row_positions(self.elements, rows, self._order)
 
     def ranks(self) -> np.ndarray:
@@ -271,37 +279,30 @@ def first_collapsers(m: TransMonoid, sets) -> np.ndarray:
 def close(flow: FiniteFlow, cap: int | None = None) -> TransMonoid:
     """Least unital composition-closed superset of the generators.
 
-    Breadth-first from the generators; each new layer is sorted by image
-    tuple before being appended, so the element order is deterministic.
-    Raises MonoidTooLarge when the closure would exceed ``cap`` elements.
+    Breadth-first from the identity, one layer at a time: the row keys
+    (``_row_keys``, which sort as the rows do) of every product g ∘ e of a
+    generator g and a frontier row e are gathered at once and deduplicated
+    by one sort; the keys already known are dropped by a binary search, and
+    the new rows, decoded from their keys, are appended in key order.
+    Raises MonoidTooLarge once a layer would take the closure past ``cap``
+    elements, before that layer is stored.
     """
     if cap is None:
         cap = element_cap()
     n = flow.n_states
-    ident = tuple(range(n))
-    index: dict[tuple[int, ...], int] = {ident: 0}
-    order: list[tuple[int, ...]] = [ident]
-    gens = [tuple(g) for g in flow.generators]
-    frontier = sorted(set(gens) - {ident})
-    for e in frontier:
-        index[e] = len(order)
-        order.append(e)
-    while frontier:
-        fresh: set[tuple[int, ...]] = set()
-        for g in gens:
-            for e in frontier:
-                comp = tuple(g[v] for v in e)
-                if comp not in index:
-                    fresh.add(comp)
-        frontier = sorted(fresh)
-        for e in frontier:
-            index[e] = len(order)
-            order.append(e)
-        if len(order) > cap:
-            raise MonoidTooLarge(f"monoid too large: more than {cap} elements")
     dtype = np.int16 if n < 2**15 else np.int32
-    elements = np.array(order, dtype=dtype)
-    return TransMonoid(flow, elements)
+    gens = np.array(flow.generators, dtype=dtype)
+    layers = [np.arange(n, dtype=dtype)[None]]
+    known = _row_keys(layers[0])  # sorted keys of every row so far
+    while len(layers[-1]):
+        keys = sorted_unique(_row_keys(gens[:, layers[-1]]))
+        at = np.searchsorted(known, keys)
+        new = known[np.minimum(at, known.size - 1)] != keys
+        if known.size + np.count_nonzero(new) > cap:
+            raise MonoidTooLarge(f"monoid too large: more than {cap} elements")
+        known = np.insert(known, at[new], keys[new])
+        layers.append(keys[new].view(f">u{keys.itemsize // n}").reshape(-1, n).astype(dtype))
+    return TransMonoid(flow, np.concatenate(layers))
 
 
 @dataclass(frozen=True)
@@ -316,8 +317,13 @@ class LeftIdeal:
 
 @dataclass(frozen=True)
 class IdealStructure:
+    """The minimal left ideals, their idempotents, and the first-occurrence
+    labels of the common refinement of the ideal kernels: x and y share a
+    label iff every minimal ideal collapses them."""
+
     ideals: tuple[LeftIdeal, ...]
     idempotents_by_ideal: tuple[tuple[int, ...], ...]
+    refinement_labels: tuple[int, ...]
 
     @property
     def all_idempotents(self) -> tuple[int, ...]:
@@ -326,17 +332,6 @@ class IdealStructure:
     @property
     def kernel_elements(self) -> tuple[int, ...]:
         return tuple(i for ideal in self.ideals for i in ideal.members)
-
-    @property
-    def refinement_labels(self) -> tuple[int, ...]:
-        """First-occurrence labels of the common refinement of the ideal
-        kernels: x and y share a label iff every minimal ideal collapses
-        them.  ``kernel_labels`` folds in one kernel at a time, pairing a
-        label and a kernel value (both below n) as one value below n²."""
-        labels = np.zeros(len(self.ideals[0].kernel), dtype=np.intp)
-        for ideal in self.ideals:
-            labels = kernel_labels((labels * labels.size + ideal.kernel)[None])[0]
-        return tuple(labels.tolist())
 
 
 def minimal_left_ideals(m: TransMonoid) -> list[LeftIdeal]:
@@ -351,7 +346,7 @@ def minimal_left_ideals(m: TransMonoid) -> list[LeftIdeal]:
     ranks = m.ranks()
     lowest = np.flatnonzero(ranks == ranks.min())
     labels = kernel_labels(m.elements[lowest])
-    keys = _row_keys(labels, labels.dtype)
+    keys = _row_keys(labels)
     order = np.argsort(keys, kind="stable")
     groups = np.split(order, np.flatnonzero(keys[order][1:] != keys[order][:-1]) + 1)
     groups.sort(key=lambda g: g[0])
@@ -375,10 +370,15 @@ def idempotents(m: TransMonoid, ideal: LeftIdeal) -> tuple[int, ...]:
 
 
 def ideal_structure(m: TransMonoid) -> IdealStructure:
-    """The minimal left ideals and their idempotents, computed afresh on
-    every call; ``analyze_flow`` calls it once and keeps the result."""
+    """The minimal left ideals, their idempotents and the refinement labels,
+    computed afresh on every call; ``analyze_flow`` calls it once and keeps
+    the result.  ``kernel_labels`` folds in one ideal kernel at a time,
+    pairing a label and a kernel value (both below n) as one value below n²."""
     ideals = tuple(minimal_left_ideals(m))
-    return IdealStructure(ideals=ideals, idempotents_by_ideal=tuple(idempotents(m, ideal) for ideal in ideals))
+    labels = np.zeros(m.n_states, dtype=np.intp)
+    for ideal in ideals:
+        labels = kernel_labels((labels * labels.size + ideal.kernel)[None])[0]
+    return IdealStructure(ideals, tuple(idempotents(m, ideal) for ideal in ideals), tuple(labels.tolist()))
 
 
 def equivalence_matrix(m: TransMonoid, us, vs) -> np.ndarray:

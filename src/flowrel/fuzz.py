@@ -249,14 +249,17 @@ def proxset_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     r(A) biconditional and the invertible-image check.  The small subsets
     are tested once, for both checks that enumerate them."""
     subsets = proximal_subsets(ax)
-    out = [validate_partitions(ax), sp_matches_class_squares(ax), check_rA_proximal_equiv(ax, subsets)]
+    candidates = proximal_candidates(ax, subsets)
+    out = [validate_partitions(ax), sp_matches_class_squares(ax), check_rA_proximal_equiv(ax, candidates)]
 
     # the image of a proximal set under an invertible generator stays
     # proximal (the translate lemma; its proof needs the inverse, and it
-    # genuinely fails for non-invertible monoid generators)
+    # genuinely fails for non-invertible monoid generators); checked on
+    # the candidates of at most 3 states and on every per-ideal class
     invertible = [g for g in ax.flow.generators if len(set(g)) == ax.n_states]
-    candidates = _proximal_candidates(ax, 3, subsets)
-    image = {(cols, g): tuple(sorted({g[x] for x in cols})) for cols in candidates for g in invertible}
+    classes = {tuple(sorted(c)) for ideal in ax.structure.ideals for c in label_classes(ideal.kernel)}
+    small = [c for c in candidates if len(c) <= 3 or c in classes]
+    image = {(cols, g): tuple(sorted({g[x] for x in cols})) for cols in small for g in invertible}
     rest = sorted(set(image.values()) - subsets.keys())
     proximal = {**subsets, **dict(zip(rest, proximal_sets(ax, rest).tolist()))}
     detail = next((f"tA not proximal: A={list(cols)} g={g}" for (cols, g), t in image.items() if not proximal[t]), "")
@@ -369,9 +372,9 @@ def max_sp_sets_fixed_by_all_idempotents(ax: FlowAnalysis) -> CheckResult:
     return CheckResult("max_sp_class_fixed_by_all_idempotents", True)
 
 
-def _proximal_candidates(ax: FlowAnalysis, size_cap: int, subsets: dict[tuple[int, ...], bool]) -> list[tuple[int, ...]]:
-    """Structured proximal-set candidates: every per-ideal class, every
-    proximal pair, and every proximal subset of size <= cap among the
+def proximal_candidates(ax: FlowAnalysis, subsets: dict[tuple[int, ...], bool]) -> list[tuple[int, ...]]:
+    """Structured proximal-set candidates, sorted: every singleton, every
+    per-ideal class, every proximal pair, and every proximal set among the
     tested ``subsets`` (``proximal_subsets``: all of sizes 3 and 4 on small
     state sets, where the subset count stays polynomial in practice).
 
@@ -379,19 +382,16 @@ def _proximal_candidates(ax: FlowAnalysis, size_cap: int, subsets: dict[tuple[in
     converse direction, which only ever needs two-element sets.
     """
     n = ax.n_states
-    found: set[tuple[int, ...]] = set()
-    found.update((x,) for x in range(n))
+    found = {(x,) for x in range(n)} | {c for c, proximal in subsets.items() if proximal}
     found.update(map(tuple, np.argwhere(np.triu(ax.proximal, 1)).tolist()))
-    found.update(c for c, proximal in subsets.items() if proximal and len(c) <= size_cap)
-    for ideal in ax.structure.ideals:
-        found.update(tuple(sorted(c)) for c in label_classes(ideal.kernel))
+    found.update(tuple(sorted(c)) for ideal in ax.structure.ideals for c in label_classes(ideal.kernel))
     return sorted(found)
 
 
-def check_rA_proximal_equiv(ax: FlowAnalysis, subsets: dict[tuple[int, ...], bool]) -> CheckResult:
+def check_rA_proximal_equiv(ax: FlowAnalysis, candidates: list[tuple[int, ...]]) -> CheckResult:
     """P is an equivalence relation iff r(A) is proximal for every
-    (enumerated) proximal set A and every monoid element r; ``subsets`` is
-    ``proximal_subsets(ax)``.
+    (enumerated) proximal set A and every monoid element r; ``candidates``
+    is ``proximal_candidates(ax, proximal_subsets(ax))``.
 
     The forward direction is sound for any enumeration; the converse needs
     only two-element sets, which the enumeration always includes.
@@ -400,7 +400,7 @@ def check_rA_proximal_equiv(ax: FlowAnalysis, subsets: dict[tuple[int, ...], boo
     p_equiv = is_equivalence(ax.proximal)
     all_images_proximal = True
     witness = ""
-    for cols in _proximal_candidates(ax, 4, subsets):
+    for cols in candidates:
         images = m.elements[:, list(cols)]
         ok = proximal_sets(ax, images)
         if not ok.all():

@@ -37,6 +37,10 @@ minimal-ideal kernel labels) are the references for ``first_collapsers``,
 kernel-label set test ``relations.proximal_sets``;
 ``kernel_signature`` labels one row at a time and is the reference for
 ``finflow.kernel_labels`` and ``IdealStructure.refinement_labels``.
+
+``reference_close`` is the tuple-per-element breadth-first closure, the
+reference for ``finflow.close``'s layer-at-a-time array search, element
+order and cap included.
 """
 
 import weakref
@@ -54,7 +58,16 @@ from flowrel.circles import (
     step,
     step_back,
 )
-from flowrel.finflow import FiniteFlow, LeftIdeal, NotAFactorMap, TransMonoid, ideal_structure, row_positions
+from flowrel.finflow import (
+    FiniteFlow,
+    LeftIdeal,
+    MonoidTooLarge,
+    NotAFactorMap,
+    TransMonoid,
+    element_cap,
+    ideal_structure,
+    row_positions,
+)
 from flowrel.relations import product_flow, reaching
 from flowrel.subshift import (
     AdicImage,
@@ -259,6 +272,46 @@ def reference_asymptotic_class(p, max_iter: int = 10**4, eps: float = 1e-3):
         return INCONCLUSIVE, None
 
     return AsymptoticReport(*direction(step), *direction(step_back))
+
+
+# -- the closure, one tuple per element ----------------------------------------
+
+
+def reference_close(flow: FiniteFlow, cap: int | None = None) -> TransMonoid:
+    """Least unital composition-closed superset of the generators.
+
+    Breadth-first from the generators; each new layer is sorted by image
+    tuple before being appended, so the element order is deterministic.
+    Raises MonoidTooLarge when the closure would exceed ``cap`` elements.
+    The tuple-per-element form of ``finflow.close``, element order included.
+    """
+    if cap is None:
+        cap = element_cap()
+    n = flow.n_states
+    ident = tuple(range(n))
+    index: dict[tuple[int, ...], int] = {ident: 0}
+    order: list[tuple[int, ...]] = [ident]
+    gens = [tuple(g) for g in flow.generators]
+    frontier = sorted(set(gens) - {ident})
+    for e in frontier:
+        index[e] = len(order)
+        order.append(e)
+    while frontier:
+        fresh: set[tuple[int, ...]] = set()
+        for g in gens:
+            for e in frontier:
+                comp = tuple(g[v] for v in e)
+                if comp not in index:
+                    fresh.add(comp)
+        frontier = sorted(fresh)
+        for e in frontier:
+            index[e] = len(order)
+            order.append(e)
+        if len(order) > cap:
+            raise MonoidTooLarge(f"monoid too large: more than {cap} elements")
+    dtype = np.int16 if n < 2**15 else np.int32
+    elements = np.array(order, dtype=dtype)
+    return TransMonoid(flow, elements)
 
 
 # -- minimal left ideals by brute force ------------------------------------------

@@ -360,6 +360,19 @@ T5_FLOW = "states: 5\n1 2 3 4 0\n1 0 2 3 4\n0 0 2 3 4\n"
 T5_SHA256 = "b2b5c8bc6e077d19b622a22f357e5ba3a655e8eba8c5b16ef877294f8f446d45"
 
 
+# T_6 (46,656 elements in a deep breadth-first order) and the rotation with
+# x -> x - (x mod 4) on 300 states (1,500 elements, two-byte row keys);
+# sha256 of `flowrel analyze` stdout, recorded before the closure became a
+# layer-at-a-time array search
+T6_FLOW = "states: 6\n1 2 3 4 5 0\n1 0 2 3 4 5\n0 0 2 3 4 5\n"
+T6_SHA256 = "9ebf25259cacb4a5221a2769cbaaab69fff32e4a6213547240ec7e6d7e438c88"
+WIDE300_FLOW = "states: 300\n{}\n{}\n".format(
+    " ".join(str((x + 1) % 300) for x in range(300)),
+    " ".join(str(x - x % 4) for x in range(300)),
+)
+WIDE300_SHA256 = "b65d721f012b5459668dc1e24ce0624ede2cc833d13182468eea22a70d065f2f"
+
+
 def test_analyze_full_transformation_monoid_bytes_pinned(capsys, tmp_path):
     flow = tmp_path / "t5.flow"
     flow.write_text(T5_FLOW)
@@ -367,6 +380,17 @@ def test_analyze_full_transformation_monoid_bytes_pinned(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["monoid"]["size"] == 5**5
     assert hashlib.sha256(out.encode()).hexdigest() == T5_SHA256
+
+
+@pytest.mark.parametrize("text, size, digest", [(T6_FLOW, 6**6, T6_SHA256), (WIDE300_FLOW, 5 * 300, WIDE300_SHA256)],
+                         ids=["t6", "wide300"])
+def test_analyze_deep_and_wide_report_bytes_pinned(capsys, tmp_path, text, size, digest):
+    flow = tmp_path / "pinned.flow"
+    flow.write_text(text)
+    code, out, _ = run(capsys, "analyze", str(flow))
+    assert code == 0
+    assert json.loads(out)["monoid"]["size"] == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from flowrel.finflow import (
     FlowParseError,
     MonoidTooLarge,
     NotAFactorMap,
+    _row_keys,
     close,
     equivalent_idempotents,
     format_flow,
@@ -17,7 +20,7 @@ from flowrel.finflow import (
     minimal_left_ideals,
     parse_flow,
 )
-from flowrel.fuzz import CONSTANTS_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW, TWO_IDEAL_FLOW
+from flowrel.fuzz import CONSTANTS_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW, TWO_IDEAL_FLOW, random_flow
 from oracles import (
     apply,
     brute_minimal_left_ideals,
@@ -27,6 +30,7 @@ from oracles import (
     is_idempotent,
     kernel_signature,
     monoid_flow,
+    reference_close,
 )
 
 
@@ -83,6 +87,74 @@ def test_close_deterministic_order_and_cap():
     assert image_tuple(m1, 2) == (0, 2, 2, 0)
     with pytest.raises(MonoidTooLarge):
         close(TWO_IDEAL_FLOW, cap=4)
+
+
+def full_transformation_flow(n: int) -> FiniteFlow:
+    """A cycle, the swap (0 1) and 1 -> 0: together they generate all n^n maps."""
+    return FiniteFlow(n, (tuple((x + 1) % n for x in range(n)), (1, 0, *range(2, n)), (0, 0, *range(2, n))))
+
+
+def wide_cyclic_flow(n: int) -> FiniteFlow:
+    """The rotation and x -> x - (x mod 4): 5n elements when 4 divides n,
+    in about n breadth-first layers."""
+    return FiniteFlow(n, (tuple((x + 1) % n for x in range(n)), tuple(x - x % 4 for x in range(n))))
+
+
+def assert_close_matches_the_tuple_bfs(flow, cap=None):
+    m, ref = close(flow, cap), reference_close(flow, cap)
+    assert m.elements.dtype == ref.elements.dtype
+    assert np.array_equal(m.elements, ref.elements)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_close_matches_the_tuple_bfs_on_full_transformation_monoids(n):
+    assert_close_matches_the_tuple_bfs(full_transformation_flow(n))
+
+
+@pytest.mark.parametrize("n", [16, 64, 300])
+def test_close_matches_the_tuple_bfs_on_wide_cyclic_flows(n):
+    # n = 300 keys each cell by two bytes
+    assert_close_matches_the_tuple_bfs(wide_cyclic_flow(n))
+    assert close(wide_cyclic_flow(n)).size == 5 * n
+
+
+def test_close_matches_the_tuple_bfs_on_the_seeded_corpus():
+    rng = random.Random(20260810)
+    for _ in range(500):
+        flow = random_flow(rng)
+        try:
+            expected = reference_close(flow, cap=50_000)
+        except MonoidTooLarge:
+            with pytest.raises(MonoidTooLarge):
+                close(flow, cap=50_000)
+            continue
+        m = close(flow, cap=50_000)
+        assert m.elements.dtype == expected.elements.dtype
+        assert np.array_equal(m.elements, expected.elements), flow
+
+
+@pytest.mark.parametrize("flow", [TWO_IDEAL_FLOW, full_transformation_flow(4), wide_cyclic_flow(16)])
+def test_close_cap_boundary(flow):
+    size = close(flow).size
+    assert_close_matches_the_tuple_bfs(flow, cap=size)
+    for closure in (close, reference_close):
+        with pytest.raises(MonoidTooLarge):
+            closure(flow, cap=size - 1)
+
+
+@pytest.mark.parametrize("width, high", [(7, 7), (256, 256), (300, 300), (70_000, 70_000)])
+def test_row_keys_sort_as_the_rows_do(width, high):
+    rng = np.random.default_rng(width)
+    rows = rng.integers(0, high, size=(40, width))
+    rows[:4, :3] = [[1, 0, 0], [0, high - 1, 0], [0, 0, high - 1], [high - 1, 0, 0]]
+    rows[4:8] = rows[:4]
+    if high > 256:
+        # cells of 1 and 256 sort wrongly under little-endian two-byte keys
+        rows[8:12, :2] = [[256, 0], [1, 0], [255, 0], [0, 256]]
+    keys = _row_keys(rows)
+    expected = sorted(range(len(rows)), key=lambda i: tuple(rows[i].tolist()))
+    assert np.argsort(keys, kind="stable").tolist() == expected
+    assert (keys[:4] == keys[4:8]).all() and len(set(keys.tolist())) == len(set(map(tuple, rows.tolist())))
 
 
 def test_closure_idempotence():

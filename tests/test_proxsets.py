@@ -14,6 +14,7 @@ from flowrel.fuzz import (
     TWO_IDEAL_FLOW,
     check_rA_proximal_equiv,
     max_sp_sets_fixed_by_all_idempotents,
+    proximal_candidates,
     proximal_subsets,
     proxset_check_suite,
     random_flow,
@@ -92,7 +93,7 @@ def test_sp_equals_union_of_class_squares():
 def test_rA_biconditional():
     for flow in (CONSTANTS_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW, TWO_IDEAL_FLOW):
         ax = analyze_flow(flow)
-        r = check_rA_proximal_equiv(ax, proximal_subsets(ax))
+        r = check_rA_proximal_equiv(ax, proximal_candidates(ax, proximal_subsets(ax)))
         assert r.passed, r.detail
 
 
@@ -102,7 +103,7 @@ def test_rA_counterexample_exists_when_p_not_equivalence():
     # biconditional are false together
     ax = analyze_flow(TWO_IDEAL_FLOW)
     m = ax.monoid
-    r = check_rA_proximal_equiv(ax, proximal_subsets(ax))
+    r = check_rA_proximal_equiv(ax, proximal_candidates(ax, proximal_subsets(ax)))
     assert r.passed
     # explicit witness: {0,1} is collapsed by the first ideal, its image
     # under the idempotent (0,2,2,0) is {0,2}, which nothing collapses
