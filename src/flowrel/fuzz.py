@@ -7,6 +7,13 @@ involved) and returns ``CheckResult``s.  Every report carries
 instance runs them: a fixed seed fully determines the instances, and a
 failing flow is minimized by greedy generator removal and reported as a
 replayable text document.
+
+The minimal-ideal checks are array passes over all minimal ideals at once:
+one S¹p = M search for every ideal's member list
+(``left_action_counterexamples``) and label-array reductions for the
+partitions (``validate_partitions``).  Each keeps the first counterexample
+of the member-by-member or class-by-class loop it replaced; those loops
+are the references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .finflow import (
     format_flow,
     idempotent_mask,
     induced_theta,
+    kernel_labels,
     label_classes,
     row_positions,
     sorted_unique,
@@ -42,7 +50,6 @@ from .relations import (
     product_flow,
     proximal_sets,
     quotient_by_icer,
-    reaching,
     transitive_closure,
 )
 
@@ -120,16 +127,20 @@ def relation_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     out.append(_result("three_way_equivalence", eq["consistent"], str(eq)))
 
     # ideal algebra, each check with its own first counterexample
-    mp_detail = pu_detail = group_detail = intra_detail = ""
+    mp = next(((ki, x) for ki, x in enumerate(left_action_counterexamples(m, [i.members for i in st.ideals]))
+               if x is not None), None)
+    mp_detail = "Mp != M at ideal {} element {}".format(*mp) if mp else ""
+    pu_detail = group_detail = intra_detail = ""
     for ki, ideal in enumerate(st.ideals):
         members = e[list(ideal.members)]
-        pidx = left_action_counterexample(m, ideal.members)
-        if pidx is not None and not mp_detail:
-            mp_detail = f"Mp != M at ideal {ki} element {pidx}"
         js = st.idempotents_by_ideal[ki]
+        # p∘u for every member p and idempotent u, gathered for blocks of
+        # idempotents no larger than the monoid's rows
+        block = max(1, e.size // members.size)
+        if not pu_detail and not all((members[:, e[list(js[lo:lo + block])]] == members[:, None]).all()
+                                     for lo in range(0, len(js), block)):
+            pu_detail = f"pu != p at ideal {ki}"
         for u in js:
-            if not (members[:, e[u]] == members).all() and not pu_detail:
-                pu_detail = f"pu != p at ideal {ki}"
             if not _is_group(m, u, members) and not group_detail:
                 group_detail = f"uM not a group at ideal {ki} idempotent {u}"
         pairs = np.argwhere(np.triu(equivalence_matrix(m, js, js), 1))
@@ -194,24 +205,44 @@ def invariance_checks(gens: np.ndarray, om, sp, p, d) -> list[CheckResult]:
     ]
 
 
-def left_action_counterexample(m: TransMonoid, members: tuple[int, ...]) -> int | None:
-    """The first p in ``members`` with S¹p != M, or None, read from the
-    generators' left action p -> g∘p on M (S¹p is what p reaches).  S¹p = M
-    for every p exactly when M is closed under the action and every member
-    reaches every other.  If the action leaves M, or the first member does
-    not reach all of M, the first member is the first counterexample;
-    otherwise it is the first member that cannot reach the first back."""
-    uniq = sorted_unique(members)
-    pos = m.positions(np.array(m.flow.generators)[:, m.elements[uniq]])  # (k, |M|): g∘p
-    succ = np.minimum(np.searchsorted(uniq, pos), uniq.size - 1)
-    start = uniq == members[0]
-    seen = start.copy()
-    while not seen[succ[:, seen]].all():
-        seen[succ[:, seen]] = True
-    if (uniq[succ] != pos).any() or tuple(uniq[seen].tolist()) != members:
-        return members[0]
-    back = np.flatnonzero(~reaching(succ, start))
-    return int(uniq[back[0]]) if back.size else None
+def left_action_counterexamples(m: TransMonoid, member_lists) -> list[int | None]:
+    """For each nonempty member list M, the first p in M with S¹p != M, or
+    None, read from the generators' left action p -> g∘p (S¹p is what p
+    reaches).  S¹p = M for every p exactly when M is closed under the
+    action and every member reaches every other.  If the action leaves M,
+    or the first member does not reach all of M (listed in increasing
+    order, once each), the first member is the first counterexample;
+    otherwise it is the first member that cannot reach the first back.
+
+    One search for all the lists: node (b, p) of list b is keyed b·|S| + p,
+    so lists that share or repeat a member stay apart; one ``positions``
+    gather finds every g∘p, and an edge leaving its list becomes a loop.
+    The forward reach from each list's first member and the backward
+    reach into it grow in one loop, a pass over all the edges a step."""
+    lists = [np.asarray(members, dtype=np.intp) for members in member_lists]
+    ids = np.arange(len(lists))
+    owner = np.repeat(ids, [a.size for a in lists])  # the list of each entry
+    flat = np.concatenate(lists)
+    firsts = flat[np.searchsorted(owner, ids)]
+    keys = sorted_unique(owner * m.size + flat)
+    node_list, node_p = np.divmod(keys, m.size)
+    gens = np.array(m.flow.generators, dtype=m.elements.dtype)
+    to = node_list * m.size + m.positions(gens[:, m.elements[node_p]])  # (k, nodes): the key of g∘p
+    succ = np.minimum(np.searchsorted(keys, to), keys.size - 1)
+    stays = keys[succ] == to
+    succ = np.where(stays, succ, np.arange(keys.size))
+    start = np.zeros(keys.size, dtype=bool)
+    start[np.searchsorted(keys, ids * m.size + firsts)] = True
+    ahead, back, count = start.copy(), start, 0
+    while count < (count := np.count_nonzero(ahead) + np.count_nonzero(back)):  # until neither grows
+        ahead[succ[:, ahead]] = True
+        back = back | back[succ].any(axis=0)
+    # the first member's test: the list is closed, reached, and increasing
+    whole = np.logical_and.reduceat(stays.all(axis=0) & ahead, np.searchsorted(node_list, ids))
+    whole[owner[1:][(flat[1:] <= flat[:-1]) & (owner[1:] == owner[:-1])]] = False
+    stuck = np.flatnonzero(~back)[::-1]  # so that each list's least stuck member is written last
+    first_stuck = dict(zip(node_list[stuck].tolist(), node_p[stuck].tolist()))
+    return [first_stuck.get(b) if ok else int(firsts[b]) for b, ok in enumerate(whole.tolist())]
 
 
 def _is_group(m, u: int, members: np.ndarray) -> bool:
@@ -282,46 +313,67 @@ def validate_partitions(ax: FlowAnalysis) -> CheckResult:
 
     Per ideal: distinct classes have distinct images under every ideal
     element, every class contains an almost periodic point, and every
-    class is closed under the ideal's idempotents.  Refinement: each class
-    is an intersection of one class per ideal, distinct classes are
-    disjoint, and every minimal idempotent maps each class to a singleton.
+    class is closed under the ideal's idempotents.  Refinement: its classes
+    are the intersections of one class per ideal, and every minimal
+    idempotent maps each class to a singleton.  Failures come ideal by
+    ideal, then class by class (by least member, the almost-periodic test
+    first), then for the refinement.
+
+    One ``kernel_labels`` call relabels every partition by first
+    occurrence, so class c has the c-th least member; each per-class test
+    is a reduction over the columns grouped by label (``_any_by_label``),
+    and the refinement is compared with the kernels along one
+    lexicographic sort of the states: no ``(n, n)`` array.  Label classes
+    are disjoint by construction.
     """
     name = "per_ideal_partitions_valid"
     st = ax.structure
     e = ax.monoid.elements
-    for ideal, js in zip(st.ideals, st.idempotents_by_ideal):
-        classes = label_classes(ideal.kernel)
-        least = e[np.ix_(ideal.members, [min(c) for c in classes])]
-        shared = least[:, :, None] == least[:, None, :]
+    labels = kernel_labels(np.array([*(ideal.kernel for ideal in st.ideals), st.refinement_labels]))
+    top = np.maximum.accumulate(labels, axis=1)
+    least = np.ones(labels.shape, dtype=bool)  # a class's least member is where the labels first reach it
+    least[:, 1:] = top[:, 1:] != top[:, :-1]
+    for ideal, js, kernel, firsts in zip(st.ideals, st.idempotents_by_ideal, labels, least):
+        images = e[np.ix_(ideal.members, np.flatnonzero(firsts))]
+        shared = images[:, :, None] == images[:, None, :]
         pairs = np.argwhere(np.triu(shared.any(axis=0), 1))
         if pairs.size:
             p = ideal.members[shared[:, pairs[0][0], pairs[0][1]].argmax()]
             return CheckResult(name, False, f"distinct ideal-proximal classes share an image under element {p}")
         idem_rows = e[list(js)]
-        labels = np.array(ideal.kernel)
-        stays = labels[idem_rows] == labels  # u(x) in the class of x
-        for c in classes:
-            cols = sorted(c)
-            if not (idem_rows[:, cols] == cols).any():
+        periodic = _any_by_label((idem_rows == np.arange(ax.n_states)).any(axis=0, keepdims=True), kernel)[0]
+        leaves = _any_by_label(kernel[idem_rows] != kernel, kernel)  # u(x) outside the class of x
+        bad = np.flatnonzero(~periodic | leaves.any(axis=0))
+        if bad.size:
+            cols = np.flatnonzero(kernel == bad[0]).tolist()
+            if not periodic[bad[0]]:
                 return CheckResult(name, False, f"class {cols} has no almost periodic point")
-            for u, closed in zip(js, stays[:, cols].all(axis=1)):
-                if not closed:
-                    return CheckResult(name, False, f"class {cols} not closed under idempotent {u}")
-    classes = label_classes(st.refinement_labels)
-    kernels = np.array([ideal.kernel for ideal in st.ideals])
-    for c in classes:
-        x = min(c)
-        if set(np.flatnonzero((kernels == kernels[:, [x]]).all(axis=0)).tolist()) != c:
-            return CheckResult(name, False, "refinement class is not the intersection of per-ideal classes")
-    if sum(map(len, classes)) != len(frozenset().union(*classes)):
-        return CheckResult(name, False, "maximal strongly proximal sets must be disjoint")
+            return CheckResult(name, False, f"class {cols} not closed under idempotent {js[leaves[:, bad[0]].argmax()]}")
+    # the refinement is constant on each run of equal kernel labels and has
+    # as many classes as there are runs
+    kernels, refinement = labels[:-1], labels[-1]
+    order = np.lexsort(kernels)
+    runs = (np.diff(kernels[:, order], axis=1) != 0).any(axis=0)
+    splits = np.diff(refinement[order]) != 0
+    if (splits & ~runs).any() or np.count_nonzero(runs) != refinement.max():
+        return CheckResult(name, False, "refinement class is not the intersection of per-ideal classes")
     idem_rows = e[list(st.all_idempotents)]
-    for c in classes:
-        images = idem_rows[:, sorted(c)]
-        for u, collapsed in zip(st.all_idempotents, (images == images[:, :1]).all(axis=1)):
-            if not collapsed:
-                return CheckResult(name, False, f"idempotent {u} does not collapse class {sorted(c)}")
+    spread = _any_by_label(idem_rows != idem_rows[:, np.flatnonzero(least[-1])[refinement]], refinement)
+    bad = np.flatnonzero(spread.any(axis=0))
+    if bad.size:
+        u = st.all_idempotents[spread[:, bad[0]].argmax()]
+        return CheckResult(name, False, f"idempotent {u} does not collapse class {np.flatnonzero(refinement == bad[0]).tolist()}")
     return CheckResult(name, True)
+
+
+def _any_by_label(mask: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """For a ``(k, n)`` boolean array and first-occurrence labels of the n
+    columns, the ``(k, classes)`` array saying whether row i is True at
+    some column of each class: one ``bincount`` of (row, label) over the
+    True entries."""
+    rows, classes = len(mask), int(labels.max()) + 1
+    hits = (np.arange(rows)[:, None] * classes + labels)[mask]
+    return np.bincount(hits, minlength=rows * classes).reshape(rows, classes) > 0
 
 
 def sp_matches_class_squares(ax: FlowAnalysis) -> CheckResult:

@@ -483,21 +483,6 @@ def agreement_times(x: BiSeq, y: BiSeq, n: int, horizon: int) -> np.ndarray:
     return np.flatnonzero(mism[2 * n + 1:] == mism[:2 * horizon + 1]) - horizon
 
 
-def proximal_witness(x: BiSeq, y: BiSeq, n: int, horizon: int) -> EvidenceVerdict:
-    """First shift time (smallest absolute value, positive preferred) at
-    which the radius-n windows agree; dual pairs are provably distal."""
-    return _distal_verdict(x, y, n, horizon) or _witness_verdict(
-        agreement_times(x, y, n, horizon), n, horizon)
-
-
-def syndetic_check(x: BiSeq, y: BiSeq, n: int, gap_bound: int, horizon: int) -> EvidenceVerdict:
-    """Scan the agreement times at depth n on [-H, H]: report the first
-    agreement-free interval of length ``gap_bound``, or the maximum gap
-    observed when none exists."""
-    _check_gap_bound(gap_bound, horizon)
-    return _gap_verdict(agreement_times(x, y, n, horizon), n, gap_bound, horizon)
-
-
 def _distal_verdict(x: BiSeq, y: BiSeq, n: int, horizon: int) -> EvidenceVerdict | None:
     """Validate depth and horizon; the proof of distality for a dual pair."""
     if n < 0 or horizon < 0:

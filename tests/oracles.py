@@ -21,7 +21,11 @@ lookup (``TransMonoid.positions``) and array gathers.
 The ``(size, n, n)`` translate tensors quantify over every monoid element
 at once; they are the references for the library's pair-graph searches
 and per-generator invariance checks, and the per-member S¹p loop is the
-reference for the S¹p check read from the generators' left action.  The
+reference for the S¹p check read from the generators' left action, one
+search over every member list (``fuzz.left_action_counterexamples``).
+``reference_validate_partitions`` tests the partitions one class at a
+time and is the reference for the label-array reductions of
+``fuzz.validate_partitions``.  The
 squared flow's monoid (``square_monoid``) and its minimal idempotents are
 the product-flow reference for Omega read from the pair graph
 (``fuzz.almost_periodic_pairs``), one ``reaching`` call per node is the
@@ -66,8 +70,10 @@ from flowrel.finflow import (
     TransMonoid,
     element_cap,
     ideal_structure,
+    label_classes,
     row_positions,
 )
+from flowrel.fuzz import CheckResult
 from flowrel.relations import product_flow, reaching
 from flowrel.subshift import (
     AdicImage,
@@ -557,6 +563,50 @@ def reference_mp_counterexample(m, members) -> int | None:
         if reference_left_ideal_of(m, p) != tuple(members):
             return p
     return None
+
+
+def reference_validate_partitions(ax) -> CheckResult:
+    """``fuzz.validate_partitions`` one class at a time: the per-ideal
+    classes and the refinement classes listed by ``label_classes``, each
+    tested with its own gather, and the refinement tested class by class
+    against the states sharing every ideal kernel value with its least
+    member."""
+    name = "per_ideal_partitions_valid"
+    st = ax.structure
+    e = ax.monoid.elements
+    for ideal, js in zip(st.ideals, st.idempotents_by_ideal):
+        classes = label_classes(ideal.kernel)
+        least = e[np.ix_(ideal.members, [min(c) for c in classes])]
+        shared = least[:, :, None] == least[:, None, :]
+        pairs = np.argwhere(np.triu(shared.any(axis=0), 1))
+        if pairs.size:
+            p = ideal.members[shared[:, pairs[0][0], pairs[0][1]].argmax()]
+            return CheckResult(name, False, f"distinct ideal-proximal classes share an image under element {p}")
+        idem_rows = e[list(js)]
+        labels = np.array(ideal.kernel)
+        stays = labels[idem_rows] == labels  # u(x) in the class of x
+        for c in classes:
+            cols = sorted(c)
+            if not (idem_rows[:, cols] == cols).any():
+                return CheckResult(name, False, f"class {cols} has no almost periodic point")
+            for u, closed in zip(js, stays[:, cols].all(axis=1)):
+                if not closed:
+                    return CheckResult(name, False, f"class {cols} not closed under idempotent {u}")
+    classes = label_classes(st.refinement_labels)
+    kernels = np.array([ideal.kernel for ideal in st.ideals])
+    for c in classes:
+        x = min(c)
+        if set(np.flatnonzero((kernels == kernels[:, [x]]).all(axis=0)).tolist()) != c:
+            return CheckResult(name, False, "refinement class is not the intersection of per-ideal classes")
+    if sum(map(len, classes)) != len(frozenset().union(*classes)):
+        return CheckResult(name, False, "maximal strongly proximal sets must be disjoint")
+    idem_rows = e[list(st.all_idempotents)]
+    for c in classes:
+        images = idem_rows[:, sorted(c)]
+        for u, collapsed in zip(st.all_idempotents, (images == images[:, :1]).all(axis=1)):
+            if not collapsed:
+                return CheckResult(name, False, f"idempotent {u} does not collapse class {sorted(c)}")
+    return CheckResult(name, True)
 
 
 # -- the report's batched passes, one pair, set or row at a time -------------------

@@ -3,6 +3,7 @@ each gather against its one-element-at-a-time reference in ``oracles``,
 and each ideal-algebra check of the relation suite broken in turn."""
 
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from flowrel.finflow import (
     close,
     equivalence_matrix,
     equivalent_idempotents,
+    format_flow,
     idempotents,
     induced_theta,
     row_positions,
@@ -28,7 +30,7 @@ from flowrel.fuzz import (
     SINGLE_IDEAL_SEED_FLOW,
     TWO_IDEAL_FLOW,
     check_factor_theorems,
-    left_action_counterexample,
+    left_action_counterexamples,
     random_flow,
     relation_check_suite,
     saturate_icer,
@@ -53,6 +55,7 @@ from oracles import (
     reference_mp_counterexample,
     reference_omega,
     reference_sp_witness,
+    reference_validate_partitions,
     square_monoid,
     tuple_index,
 )
@@ -270,6 +273,12 @@ def broken_pu(ax):
     return with_structure(ax, idempotents_by_ideal=((1, 7),) + ax.structure.idempotents_by_ideal[1:])
 
 
+def rotation_as_idempotent(ax):
+    # on the rotation group {e, r, r²}, r listed after e: a monoid of 3
+    # rows of 3 states takes p∘u one idempotent at a time, and p∘r != p
+    return with_structure(ax, idempotents_by_ideal=((0, 1),))
+
+
 def broken_um(ax):
     # idempotent 2 of ideal 1, listed under ideal 0: 2∘M0 = {1, 7} lacks 2,
     # and 2 is equivalent to idempotent 1 of ideal 0
@@ -313,6 +322,7 @@ def broken_p(ax):
     (TWO_IDEAL_FLOW, mp_least_reaches_part, "ideal_absorption_Mp_equals_M", "Mp != M at ideal 0 element 1"),
     (SWAP_CONSTANT_FLOW, mp_later_member_stuck, "ideal_absorption_Mp_equals_M", "Mp != M at ideal 0 element 2"),
     (TWO_IDEAL_FLOW, fake_identity_um, "uM_is_group", "uM not a group at ideal 0 idempotent 7"),
+    (ROTATION3_FLOW, rotation_as_idempotent, "right_identity_pu_equals_p", "pu != p at ideal 0"),
 ])
 def test_each_broken_check_fails_with_its_own_detail(flow, breaker, check, detail):
     ax = analyze_flow(flow)
@@ -332,7 +342,7 @@ def test_each_broken_check_fails_with_its_own_detail(flow, breaker, check, detai
 def test_each_mp_failure_shape_names_the_per_member_loops_element(flow, breaker, ideal, element):
     ax = breaker(analyze_flow(flow))
     members = ax.structure.ideals[ideal].members
-    assert left_action_counterexample(ax.monoid, members) == reference_mp_counterexample(ax.monoid, members) == element
+    assert left_action_counterexamples(ax.monoid, [members]) == [reference_mp_counterexample(ax.monoid, members)] == [element]
 
 
 def test_broken_membership_keeps_each_detail_apart():
@@ -352,6 +362,108 @@ def test_validate_partitions_rejects_foreign_idempotents(idempotents_of_ideal_0,
     ax = analyze_flow(TWO_IDEAL_FLOW)
     result = validate_partitions(with_structure(ax, idempotents_by_ideal=(idempotents_of_ideal_0,) + ax.structure.idempotents_by_ideal[1:]))
     assert not result.passed and result.detail == message
+
+
+def split_kernel(ax):
+    # ideal 0's kernel labelling made finer than its true partition: a
+    # state collapsed with state 0 by every member gets a label of its own
+    st = ax.structure
+    split = list(st.ideals[0].kernel)
+    y = next(y for y in range(1, len(split)) if split[y] == split[0])
+    split[y] = max(split) + 1
+    return with_structure(ax, ideals=(replace(st.ideals[0], kernel=tuple(split)),) + st.ideals[1:])
+
+
+def merged_refinement(ax):
+    # the singletons {0} and {1} of SP listed as one refinement class
+    return replace(ax, structure=replace(ax.structure, refinement_labels=(0, 0, 1, 2)))
+
+
+def regrouped_refinement(ax):
+    # as many refinement classes as the ideal kernel (0, 1, 0, 1) has, but
+    # not the same ones
+    return replace(ax, structure=replace(ax.structure, refinement_labels=(0, 0, 1, 1)))
+
+
+def relabelled_refinement(ax):
+    # the same refinement classes under labels that are not numbered by
+    # least member
+    labels = ax.structure.refinement_labels
+    return replace(ax, structure=replace(ax.structure, refinement_labels=tuple(max(labels) - v for v in labels)))
+
+
+def identity_as_idempotent(ax):
+    # the identity fixes every state and keeps every class, but does not
+    # map the class {0, 1} of the constants' flow to one point
+    return with_structure(ax, idempotents_by_ideal=(ax.structure.idempotents_by_ideal[0] + (0,),))
+
+
+@pytest.mark.parametrize("flow, breaker, detail", [
+    (TWO_IDEAL_FLOW, split_kernel, "distinct ideal-proximal classes share an image under element 1"),
+    (TWO_IDEAL_FLOW, merged_refinement, "refinement class is not the intersection of per-ideal classes"),
+    (SINGLE_IDEAL_SEED_FLOW, regrouped_refinement, "refinement class is not the intersection of per-ideal classes"),
+    (TWO_IDEAL_FLOW, relabelled_refinement, ""),
+    (CONSTANTS_FLOW, identity_as_idempotent, "idempotent 0 does not collapse class [0, 1]"),
+])
+def test_validate_partitions_breakers_match_the_class_loops(flow, breaker, detail):
+    ax = breaker(analyze_flow(flow))
+    result = validate_partitions(ax)
+    assert result == reference_validate_partitions(ax)
+    assert result.passed == (not detail) and result.detail == detail
+
+
+def foreign_idempotents(js):
+    return lambda ax: with_structure(ax, idempotents_by_ideal=(js,) + ax.structure.idempotents_by_ideal[1:])
+
+
+@pytest.mark.parametrize("flow, breaker", [
+    *((TWO_IDEAL_FLOW, breaker) for breaker in (
+        broken_mp, broken_pu, broken_um, fake_identity_um, mp_action_leaves, mp_least_reaches_part,
+        broken_omega, broken_p, split_kernel, foreign_idempotents((7,)), foreign_idempotents((1, 2)))),
+    (SWAP_CONSTANT_FLOW, mp_later_member_stuck),
+    (FiniteFlow(4, ((1, 2, 3, 0),)), unclosed_um),
+])
+def test_validate_partitions_matches_the_class_loops_on_every_breaker(flow, breaker):
+    ax = breaker(analyze_flow(flow))
+    assert validate_partitions(ax) == reference_validate_partitions(ax)
+
+
+def seeded_partition_breaks(ax, rng):
+    """The analysis, and copies with ideal 0's idempotents replaced by 1-3
+    random monoid elements or joined by the identity, with the refinement
+    replaced by ideal 0's kernel or shifted by one state, and with ideal
+    0's kernel replaced by the refinement."""
+    st = ax.structure
+    rest = st.idempotents_by_ideal[1:]
+    picked = tuple(rng.sample(range(ax.monoid.size), min(rng.randint(1, 3), ax.monoid.size)))
+    return [
+        ax,
+        with_structure(ax, idempotents_by_ideal=(picked,) + rest),
+        with_structure(ax, idempotents_by_ideal=(st.idempotents_by_ideal[0] + (0,),) + rest),
+        replace(ax, structure=replace(st, refinement_labels=st.ideals[0].kernel)),
+        replace(ax, structure=replace(st, refinement_labels=st.refinement_labels[1:] + st.refinement_labels[:1])),
+        with_structure(ax, ideals=(replace(st.ideals[0], kernel=st.refinement_labels),) + st.ideals[1:]),
+    ]
+
+
+def test_validate_partitions_matches_the_class_loops_on_random_flows():
+    # 500 seeded flows and their seeded breaks; between them they reach
+    # every detail the check can give
+    rng = random.Random(16)
+    details = set()
+    for _ in range(500):
+        for ax in seeded_partition_breaks(analyze_flow(random_flow(rng)), rng):
+            result = validate_partitions(ax)
+            assert result == reference_validate_partitions(ax), format_flow(ax.flow)
+            details.add(re.sub(r"\[[^]]*\]|\d+", "_", result.detail))
+    assert details == {
+        "",
+        "distinct ideal-proximal classes share an image under element _",
+        "class _ has no almost periodic point",
+        "class _ not closed under idempotent _",
+        "refinement class is not the intersection of per-ideal classes",
+        "idempotent _ does not collapse class _",
+    }
 
 
 def test_fiber_check_fails_when_the_section_is_no_idempotent(monkeypatch):

@@ -3,8 +3,8 @@ checks, each against its ``(size, n, n)`` tensor reference in ``oracles``;
 Omega read from the pair graph's bottom strongly connected components
 against the squared flow's monoid, and the transitive closure against one
 ``reaching`` call per node; the S¹p check read from the generators' left
-action against the per-member loop; and each replaced invariance check
-broken in turn."""
+action, for many member lists in one search, against the per-member loop;
+and each replaced invariance check broken in turn."""
 
 import random
 from dataclasses import replace
@@ -19,7 +19,7 @@ from flowrel.fuzz import (
     almost_periodic_pairs,
     check_unique_ideal_equiv,
     invariance_checks,
-    left_action_counterexample,
+    left_action_counterexamples,
     relation_check_suite,
     saturate_icer,
 )
@@ -222,12 +222,16 @@ def member_sets(m, rng):
 @settings(max_examples=80, deadline=None)
 @given(edge_flows(), st.integers(min_value=0, max_value=2**32 - 1))
 def test_left_action_counterexample_matches_per_member_loop(flow, seed):
+    # all the sets in one search, which shares and repeats members across
+    # lists; then the same lists again, reversed and followed by themselves
     try:
         m = close(flow, cap=400)
     except MonoidTooLarge:
         return
-    for members in member_sets(m, np.random.default_rng(seed)):
-        assert left_action_counterexample(m, members) == reference_mp_counterexample(m, members), members
+    sets = member_sets(m, np.random.default_rng(seed))
+    expected = [reference_mp_counterexample(m, members) for members in sets]
+    assert left_action_counterexamples(m, sets) == expected
+    assert left_action_counterexamples(m, sets[::-1] + sets) == expected[::-1] + expected
 
 
 # -- each replaced invariance check, broken in turn --------------------------------

@@ -17,14 +17,14 @@ from flowrel.subshift import (
     Shift,
     SubstFixed,
     Substitution,
+    _gap_verdict,
+    _witness_verdict,
     agreement_times,
     chacon_block,
     classify_pair,
     is_dual_pair,
     morse_fixed_points,
     morse_square,
-    proximal_witness,
-    syndetic_check,
 )
 
 # --- independent oracles -----------------------------------------------
@@ -217,32 +217,33 @@ def test_chacon_itineraries():
 
 def test_witness_on_diagonal():
     a = morse_fixed_points()["a"]
-    v = proximal_witness(a, a, 6, 100)
+    v = _witness_verdict(agreement_times(a, a, 6, 100), 6, 100)
     assert v.outcome == "proximal_witness" and v.witness_time == 0
 
 
 def test_witness_on_dual_pair_is_proved_distal():
     fp = morse_fixed_points()
-    v = proximal_witness(fp["a"], fp["abar"], 6, 100)
-    assert v.outcome == "distal_at_all_shifts"
+    rep = classify_pair(fp["a"], fp["abar"], ClassifyParams(depth=6, gap=100, horizon=100))
+    assert rep.proximal.outcome == "distal_at_all_shifts"
 
 
 def test_witness_tie_break_prefers_positive():
     # agreement zones: (a, b) agree on [0, inf), so the first depth-8
     # witness is t = 8; (a, bbar) agree on (-inf, -1], giving t = -9
     fp = morse_fixed_points()
-    assert proximal_witness(fp["a"], fp["b"], 8, 4096).witness_time == 8
-    assert proximal_witness(fp["a"], fp["bbar"], 8, 4096).witness_time == -9
+    assert _witness_verdict(agreement_times(fp["a"], fp["b"], 8, 4096), 8, 4096).witness_time == 8
+    assert _witness_verdict(agreement_times(fp["a"], fp["bbar"], 8, 4096), 8, 4096).witness_time == -9
     x = EventuallyConstant("1", start=0)
     y = EventuallyConstant("1", start=0)
-    v = proximal_witness(x, y, 2, 10)
+    v = _witness_verdict(agreement_times(x, y, 2, 10), 2, 10)
     assert v.witness_time == 0
 
 
 def test_witness_monotone_in_depth():
     fp = morse_fixed_points()
     for n in (1, 2, 4, 8):
-        assert proximal_witness(fp["a"], fp["b"], n, 4096).outcome == "proximal_witness"
+        v = _witness_verdict(agreement_times(fp["a"], fp["b"], n, 4096), n, 4096)
+        assert v.outcome == "proximal_witness"
 
 
 def test_agreement_times_structure():
@@ -253,25 +254,26 @@ def test_agreement_times_structure():
 
 def test_syndetic_check_identical():
     a = morse_fixed_points()["a"]
-    v = syndetic_check(a, a, 4, 16, 64)
+    v = _gap_verdict(agreement_times(a, a, 4, 64), 4, 16, 64)
     assert v.outcome == "syndetic_up_to_horizon" and v.max_gap == 1
 
 
 def test_syndetic_gap_violation():
     fp = morse_fixed_points()
-    v = syndetic_check(fp["a"], fp["b"], 4, 256, 4096)
+    v = _gap_verdict(agreement_times(fp["a"], fp["b"], 4, 4096), 4, 256, 4096)
     assert v.outcome == "gap_violation"
     lo, hi = v.interval
     assert hi - lo + 1 == 256
     assert lo == -4096  # the whole left half is agreement-free
     with pytest.raises(ValueError):
-        syndetic_check(fp["a"], fp["b"], 4, 0, 64)
+        classify_pair(fp["a"], fp["b"], ClassifyParams(depth=4, gap=0, horizon=64))
 
 
 def test_gap_violation_monotone_in_depth():
     fp = morse_fixed_points()
     for n in (8, 10, 12):
-        assert syndetic_check(fp["a"], fp["b"], n, 256, 4096).outcome == "gap_violation"
+        rep = classify_pair(fp["a"], fp["b"], ClassifyParams(depth=n, gap=256, horizon=4096))
+        assert rep.syndetic.outcome == "gap_violation"
 
 
 def test_classify_pair_labels():
@@ -325,7 +327,7 @@ def test_two_shift_truncations_pairwise_evidence_only():
     members = [EventuallyConstant("1" * m, start=0) for m in (1, 3, 5)]
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
-            v = proximal_witness(members[i], members[j], 4, 64)
+            v = _witness_verdict(agreement_times(members[i], members[j], 4, 64), 4, 64)
             assert v.outcome == "proximal_witness"
             # far enough left, both windows are all zeros
             t = v.witness_time
