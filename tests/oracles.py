@@ -6,7 +6,8 @@ reasoning about the sample points and the published proximality table)
 and act as the oracles the implementations are checked against.  The
 symbolic references are the simple one-letter-at-a-time forms of the
 library's sliced and vectorized fast paths, kept as differential oracles
-for them, with the gather form of the agreement scan and the asymptotic
+for them, with the gather form of the agreement scan (its times, which
+``times_to_runs`` turns into the library's runs) and the asymptotic
 class read off a walk that carries the angle; the brute-force minimal
 left ideals, the element-by-element ideal kernel matrix and the row-scan
 class listing are the references for ``minimal_left_ideals`` and the
@@ -228,6 +229,19 @@ def reference_agreement_times(x, y, n: int, horizon: int) -> np.ndarray:
     ts = np.arange(-horizon, horizon + 1)
     starts = ts - n - lo
     return ts[mism[starts + 2 * n + 1] - mism[starts] == 0]
+
+
+def times_to_runs(ts) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct times as maximal inclusive runs ``(starts, ends)``."""
+    ts = [int(t) for t in ts]
+    starts = [t for i, t in enumerate(ts) if i == 0 or ts[i - 1] != t - 1]
+    ends = [t for i, t in enumerate(ts) if i + 1 == len(ts) or ts[i + 1] != t + 1]
+    return np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+
+
+def runs_to_times(runs) -> np.ndarray:
+    """Every time of the inclusive runs ``(starts, ends)``, in order."""
+    return np.array([t for s, e in zip(*runs) for t in range(s, e + 1)], dtype=np.int64)
 
 
 # -- evidence read from sorted agreement times ---------------------------------

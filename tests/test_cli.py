@@ -210,6 +210,9 @@ def test_morse_horizon_of_a_million_runs(capsys):
                        "--horizon", "1000000")
     assert code == 0
     assert json.loads(out)["params"]["horizon"] == 10**6
+    # recorded while the agreement times were read from a prefix sum
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f1570482439871e8c418683b220958f4f416b7f868e27708dfbececa706754fa")
 
 
 # sha256 of `flowrel analyze` stdout, recorded before P, SP and the class
@@ -327,6 +330,24 @@ def test_classify_pair_chacon_params(capsys):
     report = json.loads(out)
     assert report["proximal"]["witness_time"] == -5
     assert report["syndetic"]["outcome"] == "gap_violation"
+
+
+# sha256 of `flowrel classify-pair --system <args> --horizon 200000` stdout,
+# recorded while the agreement times were read from a prefix sum of mismatches
+DEEP_CLASSIFY_SHA256 = {
+    "morse --x a --y b --depth 16": "852727b76a5fed5f2af58b0482c46f0f5d92feed34985b2be3a07adae577e5ad",
+    "morse --x shift:7:a --y shift:12:b --depth 16": "6cae80abb7d8b0ba921eadddb2761fb08672df8adf800887c350190c6cb194f8",
+    "chacon --x x1 --y x2 --depth 6": "190a848fd28f0f16399647b9711abbc36a1ff16d3c73eebbdbbf4a4bb5aa3e67",
+    "chacon --x xi:12:2 --y x1 --depth 6": "92aae8208fdd15c8ff46493efe63f8a3296619c6f642b7a889cdd3e0fab26c3b",
+    "chacon --x xi:123:2 --y xi:321:2 --depth 6": "7ee65eb24cab2d04ccf1d919d00b479f56408b62013013ec38126914a0617adf",
+}
+
+
+@pytest.mark.parametrize("args", sorted(DEEP_CLASSIFY_SHA256))
+def test_deep_classify_pair_bytes_pinned(capsys, args):
+    code, out, _ = run(capsys, "classify-pair", "--system", *args.split(), "--horizon", "200000")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DEEP_CLASSIFY_SHA256[args]
 
 
 def test_classify_pair_ternary_and_cc(capsys):

@@ -248,8 +248,8 @@ def test_witness_monotone_in_depth():
 
 def test_agreement_times_structure():
     fp = morse_fixed_points()
-    ts = agreement_times(fp["a"], fp["b"], 4, 64)
-    assert list(ts) == list(range(4, 65))
+    starts, ends = agreement_times(fp["a"], fp["b"], 4, 64)
+    assert starts.tolist() == [4] and ends.tolist() == [64]
 
 
 def test_syndetic_check_identical():

@@ -5,6 +5,7 @@ of ``flowrel.subshift`` against the one-letter-at-a-time references in
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from oracles import (
     reference_gap_verdict,
     reference_segment,
     reference_witness_time,
+    runs_to_times,
+    times_to_runs,
 )
 
 from flowrel import subshift
@@ -192,35 +195,95 @@ def agreement_pairs():
     }
 
 
+def assert_runs_of(runs, times):
+    """``runs`` are the maximal runs of the sorted agreement ``times``:
+    int64, sorted, disjoint and never adjacent."""
+    starts, ends = runs
+    assert starts.dtype == ends.dtype == np.int64 and starts.ndim == ends.ndim == 1
+    assert (starts <= ends).all() and (starts[1:] > ends[:-1] + 1).all()
+    want_starts, want_ends = times_to_runs(times)
+    assert np.array_equal(starts, want_starts) and np.array_equal(ends, want_ends)
+
+
 @pytest.mark.parametrize("name", sorted(agreement_pairs()))
 def test_agreement_times_match_reference(name):
     x, y = agreement_pairs()[name]
     rng = random.Random(name)
     grid = [(0, 0), (0, 1), (1, 0), (0, 40), (5, 0), (3, 64), (16, 100)]
+    grid += [(9, 0), (40, 3), (63, 0), (17, 16)]  # n > H and H = 0
+    grid += [(n, rng.randint(0, 400)) for n in range(64)]  # every width 2n + 1 up to 127
     grid += [(rng.randint(0, 16), rng.randint(0, 3000)) for _ in range(12)]
     for n, horizon in grid:
-        got, want = agreement_times(x, y, n, horizon), reference_agreement_times(x, y, n, horizon)
-        assert got.dtype == want.dtype and np.array_equal(got, want), (name, n, horizon)
+        runs = agreement_times(x, y, n, horizon)
+        assert_runs_of(runs, reference_agreement_times(x, y, n, horizon))
+
+
+def random_eventually_constant_pair(rng: random.Random):
+    """Two eventually constant sequences over a binary or ternary alphabet,
+    the second a few letter changes and a small shift away from the first,
+    so that their agreement times fall into many runs."""
+    alphabet = rng.choice(["01", "012"])
+    center = [rng.choice(alphabet) for _ in range(rng.randint(0, 300))]
+    fills = [rng.choice(alphabet) for _ in range(4)]
+    start = rng.randint(-200, 200)
+    x = EventuallyConstant("".join(center), start, fills[0], fills[1], alphabet)
+    for _ in range(rng.randint(0, 12)):
+        if center:
+            center[rng.randrange(len(center))] = rng.choice(alphabet)
+    y = EventuallyConstant("".join(center), start + rng.randint(-2, 2),
+                           rng.choice(fills[:3]), rng.choice(fills[1:]), alphabet)
+    return x, y
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_agreement_times_match_reference_on_random_eventually_constant_pairs(seed):
+    rng = random.Random(seed)
+    for _ in range(50):
+        x, y = random_eventually_constant_pair(rng)
+        n, horizon = rng.randint(0, 70), rng.randint(0, 400)
+        assert_runs_of(agreement_times(x, y, n, horizon), reference_agreement_times(x, y, n, horizon))
 
 
 def test_agreement_times_on_the_deep_morse_pairs():
     mt = morse_fixed_points()
-    sizes = []
+    counts = []
     for x, y in ((mt["a"], mt["b"]), (Shift(mt["a"], 7), Shift(mt["b"], 12))):
-        got = agreement_times(x, y, 16, 2 * 10**5)
-        assert np.array_equal(got, reference_agreement_times(x, y, 16, 2 * 10**5))
-        sizes.append(got.size)
-    assert sizes[0] > 0 and sizes[1] == 0
+        runs = agreement_times(x, y, 16, 2 * 10**5)
+        assert_runs_of(runs, reference_agreement_times(x, y, 16, 2 * 10**5))
+        counts.append(runs[0].size)
+    assert counts == [1, 0]
 
 
-@pytest.mark.parametrize("n, horizon", [(0, 0), (0, 9), (4, 0), (7, 300)])
+def test_agreement_times_on_a_deep_chacon_pair_with_many_runs():
+    x, y = ChaconXi((1, 2), 2), ChaconPoint("x1")
+    runs = agreement_times(x, y, 6, 2 * 10**5)
+    assert_runs_of(runs, reference_agreement_times(x, y, 6, 2 * 10**5))
+    assert runs[0].size == 5476
+
+
+def test_agreement_times_peak_memory_per_letter():
+    """The pass holds at most 4 bytes per letter at its peak, the two
+    segments included, at horizon 10^6 on a pair with 21,170 runs.  The
+    Chacon blocks are grown first: they are memoized once per process."""
+    x, y, n, horizon = ChaconXi((1, 2), 2), ChaconPoint("x1"), 6, 10**6
+    letters = 2 * (horizon + n) + 1
+    assert agreement_times(x, y, n, horizon)[0].size == 21170
+    tracemalloc.start()
+    try:
+        agreement_times(x, y, n, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * letters
+
+
+@pytest.mark.parametrize("n, horizon", [(0, 0), (0, 9), (4, 0), (7, 300), (12, 3)])
 def test_agreement_times_extremes(n, horizon):
     mt = morse_fixed_points()
     every = np.arange(-horizon, horizon + 1)
-    assert np.array_equal(agreement_times(mt["b"], mt["b"], n, horizon), every)
-    assert np.array_equal(agreement_times(ChaconPoint("x2"), ChaconPoint("x2"), n, horizon), every)
-    none = agreement_times(mt["a"], mt["abar"], n, horizon)
-    assert none.size == 0 and none.dtype == every.dtype
+    assert_runs_of(agreement_times(mt["b"], mt["b"], n, horizon), every)
+    assert_runs_of(agreement_times(ChaconPoint("x2"), ChaconPoint("x2"), n, horizon), every)
+    assert_runs_of(agreement_times(mt["a"], mt["abar"], n, horizon), [])
 
 
 def random_times(rng: random.Random, horizon: int) -> np.ndarray:
@@ -235,18 +298,19 @@ def test_evidence_reads_match_reference():
     for _ in range(400):
         horizon = rng.randint(1, 150)
         ts = random_times(rng, horizon)
-        pw = subshift._witness_verdict(ts, 3, horizon)
+        runs = times_to_runs(ts)
+        pw = subshift._witness_verdict(runs, 3, horizon)
         assert pw.witness_time == reference_witness_time(ts.tolist())
         assert pw.outcome == ("inconclusive" if ts.size == 0 else "proximal_witness")
         for gap in {1, horizon, rng.randint(1, horizon)}:
-            assert subshift._gap_verdict(ts, 3, gap, horizon) == reference_gap_verdict(
+            assert subshift._gap_verdict(runs, 3, gap, horizon) == reference_gap_verdict(
                 ts.tolist(), 3, gap, horizon)
 
 
 def test_witness_tie_between_opposite_times_prefers_positive():
-    for ts in ([-4, 4], [-4, 5], [-5, 4], [-1, 0, 1], [-9]):
-        arr = np.array(ts, dtype=np.int64)
-        assert subshift._witness_verdict(arr, 0, 9).witness_time == reference_witness_time(ts)
+    for ts in ([-4, 4], [-4, 5], [-5, 4], [-1, 0, 1], [-9], [-9, -8, -7], [3, 4], [-3, -2, 2, 3]):
+        runs = times_to_runs(ts)
+        assert subshift._witness_verdict(runs, 0, 9).witness_time == reference_witness_time(ts)
 
 
 def test_classify_pair_scans_agreements_once(monkeypatch):
@@ -262,7 +326,7 @@ def test_classify_pair_scans_agreements_once(monkeypatch):
     params = ClassifyParams(depth=6, gap=40, horizon=500)
     rep = classify_pair(mt["a"], mt["b"], params)
     assert len(calls) == 1
-    ts = scan(mt["a"], mt["b"], 6, 500)
+    ts = runs_to_times(scan(mt["a"], mt["b"], 6, 500))
     assert rep.proximal.witness_time == reference_witness_time(ts.tolist())
     assert rep.syndetic == reference_gap_verdict(ts.tolist(), 6, 40, 500)
     calls.clear()
