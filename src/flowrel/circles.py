@@ -16,7 +16,11 @@ non-fixed tier uses the update a -> a + sin(a)/n, which never leaves
 [0, pi), and whose inverse is computed by bisection.  The radius is a
 function of the tier, so a point's asymptotic class and the step at which
 it reaches the rim or the center depend on its tier only, never on its
-angle: ``asymptotic_class`` walks the tier chain alone.
+angle.  The migrating tiers lie on two chains on which the forward map
+adds one to the position, ... D5, D3, C2, C4, ... with the radius rising
+and ... C3, C1, D4, D6, ... with it falling; ``asymptotic_class`` finds
+the crossing step by binary search over the positions, in O(log max_iter)
+radius evaluations.
 """
 
 from __future__ import annotations
@@ -137,10 +141,21 @@ def step(p: CirclePoint) -> CirclePoint:
 
 def _invert_angle(alpha: float, coeff: float) -> float:
     """Solve b + coeff*sin(b) = alpha on [0, pi); strictly monotone since
-    coeff <= 1/2."""
+    coeff <= 1/2.
+
+    Bisection of at most 80 halvings.  It keeps f(lo) < alpha <= f(hi),
+    with f(b) = b + coeff*sin(b) as evaluated here, except while lo is
+    still 0.  Once mid = (lo + hi) / 2 rounds to lo or to hi, the test
+    cannot move either end: mid == lo > 0 gives f(mid) < alpha, so lo =
+    mid; mid == hi gives f(mid) >= alpha, so hi = mid; and mid == lo == 0
+    would need hi to be the least subnormal, which 80 halvings of pi do
+    not reach.  Every later halving then repeats the same state, so
+    stopping there returns what all 80 return."""
     lo, hi = 0.0, math.pi
     for _ in range(80):
         mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            break
         if mid + coeff * math.sin(mid) < alpha:
             lo = mid
         else:
@@ -192,30 +207,69 @@ class AsymptoticReport:
         }
 
 
-def _classify_direction(p: CirclePoint, next_tier, max_iter: int, eps: float) -> tuple[str, int | None]:
-    """Walk the tier chain from p (no angles: the radius depends on the
-    tier alone) until the rim or the center is within eps."""
-    f, n = p.family, p.index
-    if _forward_tier(f, n) is None:
+def _chain_position(f: str, n: int) -> tuple[int, int]:
+    """(chain, position) of a migrating tier.  Chain 0 is ... D5, D3, C2,
+    C4, ... (D3 at 0, C2 at 1), where the radius rises with the position;
+    chain 1 is ... C3, C1, D4, D6, ... (C1 at 0, D4 at 1), where it falls.
+    ``step`` adds one to the position and ``step_back`` subtracts one."""
+    if f == "C":
+        return (0, n // 2) if n % 2 == 0 else (1, -(n // 2))
+    return (0, 1 - n // 2) if n % 2 == 1 else (1, n // 2 - 1)
+
+
+def _chain_tier(chain: int, pos: int) -> tuple[str, int]:
+    """The tier at ``pos`` on ``chain``; inverse of ``_chain_position``."""
+    if chain == 0:
+        return ("C", 2 * pos) if pos >= 1 else ("D", 3 - 2 * pos)
+    return ("C", 1 - 2 * pos) if pos <= 0 else ("D", 2 * pos + 2)
+
+
+def _classify_direction(p: CirclePoint, direction: int, max_iter: int, eps: float) -> tuple[str, int | None]:
+    """The first step k <= max_iter, forward for direction 1 and backward
+    for -1, at which the rim (tested first) or the center is within eps.
+
+    The radius depends on the tier alone and is monotone along a chain, so
+    on a walk where it rises the center test can hold only at step 1 and
+    the rim test, once true, stays true; where it falls the roles swap.
+    Step 1 is tested as a step-by-step walk would test it; after that the
+    test that persists is binary-searched, with the same float
+    expressions, in O(log max_iter) radius evaluations."""
+    if _forward_tier(p.family, p.index) is None:
         return FIXED, 0
-    for k in range(1, max_iter + 1):
-        f, n, _ = next_tier(f, n)
-        r = _tier_radius(f, n)
-        if abs(r - 1.0) < eps:
-            return TO_C0, k
-        if r < eps:
-            return TO_CENTER, k
-    return INCONCLUSIVE, None
+    chain, pos = _chain_position(p.family, p.index)
+
+    def radius_at(k: int) -> float:
+        return _tier_radius(*_chain_tier(chain, pos + direction * k))
+
+    r = radius_at(1)
+    if abs(r - 1.0) < eps:
+        return TO_C0, 1
+    if r < eps:
+        return TO_CENTER, 1
+    if (chain == 0) == (direction == 1):
+        target, reached = TO_C0, lambda rad: abs(rad - 1.0) < eps
+    else:
+        target, reached = TO_CENTER, lambda rad: rad < eps
+    lo, hi = 1, max_iter + 1  # not reached at lo; hi is the first step known reached, or past max_iter
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reached(radius_at(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return (target, hi) if hi <= max_iter else (INCONCLUSIVE, None)
 
 
 def asymptotic_class(p: CirclePoint, max_iter: int = 10**4, eps: float = 1e-3) -> AsymptoticReport:
-    """Iterate forward and backward until the radial distance to the rim
-    or to the center drops below eps, reporting the crossing step.  The
-    report depends on p's tier only, so the walk carries no angle."""
+    """The first forward and the first backward step, up to max_iter, at
+    which the radial distance to the rim or to the center drops below eps,
+    as iterating ``step`` and ``step_back`` would find it.  The report
+    depends on p's tier only, so it is read from the tier chains by binary
+    search, with no angle."""
     if max_iter < 1 or eps <= 0:
         raise ValueError("need max_iter >= 1 and eps > 0")
-    fwd, fsteps = _classify_direction(p, _forward_tier, max_iter, eps)
-    bwd, bsteps = _classify_direction(p, _backward_tier, max_iter, eps)
+    fwd, fsteps = _classify_direction(p, 1, max_iter, eps)
+    bwd, bsteps = _classify_direction(p, -1, max_iter, eps)
     return AsymptoticReport(fwd, fsteps, bwd, bsteps)
 
 

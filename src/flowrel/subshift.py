@@ -47,28 +47,39 @@ class Substitution:
         return hash((self.alphabet, tuple(sorted(self.rule.items()))))
 
     def expand(self, word: str) -> str:
-        """The image of ``word``: one lookup-table gather for a
-        constant-length rule on an ASCII alphabet, a join otherwise."""
+        """The image of ``word``.  For a constant-length rule on an ASCII
+        alphabet it is one 1-D gather of the images, each held as a single
+        L-byte item, and one ASCII decode; a join otherwise."""
         table = self._image_table
         if table is None:
             return "".join(map(self.rule.__getitem__, word))
         try:
-            return str(table[np.frombuffer(word.encode(), dtype=np.uint8)], "ascii")
+            return str(table.take(np.frombuffer(word.encode(), dtype=np.uint8)), "ascii")
         except UnicodeDecodeError:  # a row of 0xFF: a letter outside the rule
             raise KeyError(next(c for c in word if c not in self.rule)) from None
 
+    def image_length(self, word: str) -> int:
+        """len(self.expand(word)) for a word over the rule's letters,
+        computed without expanding it."""
+        table = self._image_table
+        if table is None:
+            return sum(word.count(c) * len(w) for c, w in self.rule.items())
+        return len(word) * table.itemsize
+
     @cached_property
     def _image_table(self) -> np.ndarray | None:
-        """Row c holds the bytes of rule[chr(c)], or 0xFF (no ASCII byte)
-        when chr(c) has no image; None unless the rule maps exactly the
-        alphabet's letters, all ASCII, to images of one length."""
+        """Item c, one V{L} item, holds the L bytes of rule[chr(c)], or L
+        bytes 0xFF (no ASCII byte) when chr(c) has no image; None unless the
+        rule maps exactly the alphabet's letters, all ASCII, to images of
+        one length L."""
         lengths = {len(w) for w in self.rule.values()}
         if len(lengths) != 1 or set(self.rule) != set(self.alphabet) or not self.alphabet.isascii():
             return None
-        table = np.full((256, lengths.pop()), 0xFF, dtype=np.uint8)
+        length = lengths.pop()
+        table = np.full((256, length), 0xFF, dtype=np.uint8)
         for c, w in self.rule.items():
             table[ord(c)] = np.frombuffer(w.encode(), dtype=np.uint8)
-        return table
+        return table.view(f"V{length}").reshape(256)
 
     @property
     def is_dual_closed(self) -> bool:
@@ -178,7 +189,7 @@ def _substitution_iterate(sub: Substitution, letter: str, need: int) -> str:
         iterates = _ITERATE_CACHE.setdefault((sub, letter), [letter])
         while len(iterates[-1]) < need:
             last = iterates[-1]
-            if sum(last.count(c) * len(w) for c, w in sub.rule.items()) > MAX_BLOCK_LENGTH:
+            if sub.image_length(last) > MAX_BLOCK_LENGTH:
                 raise OverflowError(f"substitution image exceeds the {MAX_BLOCK_LENGTH}-letter guard")
             iterates.append(sub.expand(last))
         return next(w for w in iterates if len(w) >= need)

@@ -8,7 +8,10 @@ symbolic references are the simple one-letter-at-a-time forms of the
 library's sliced and vectorized fast paths, kept as differential oracles
 for them, with the gather form of the agreement scan (its times, which
 ``times_to_runs`` turns into the library's runs) and the asymptotic
-class read off a walk that carries the angle; the brute-force minimal
+class read off a walk that carries the angle (the reference for the
+binary search over the tier chains), and the fixed 80-halving bisection
+is the reference for ``circles._invert_angle``'s early stop; the
+brute-force minimal
 left ideals, the element-by-element ideal kernel matrix and the row-scan
 class listing are the references for ``minimal_left_ideals`` and the
 kernel-label forms of the relations.
@@ -48,6 +51,7 @@ reference for ``finflow.close``'s layer-at-a-time array search, element
 order and cap included.
 """
 
+import math
 import weakref
 
 import numpy as np
@@ -292,6 +296,18 @@ def reference_asymptotic_class(p, max_iter: int = 10**4, eps: float = 1e-3):
         return INCONCLUSIVE, None
 
     return AsymptoticReport(*direction(step), *direction(step_back))
+
+
+def reference_invert_angle(alpha: float, coeff: float) -> float:
+    """Solve b + coeff*sin(b) = alpha on [0, pi) by exactly 80 halvings."""
+    lo, hi = 0.0, math.pi
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if mid + coeff * math.sin(mid) < alpha:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 # -- the closure, one tuple per element ----------------------------------------

@@ -1,7 +1,8 @@
 import math
+import random
 
 import pytest
-from oracles import reference_asymptotic_class
+from oracles import reference_asymptotic_class, reference_invert_angle
 
 from flowrel.circles import (
     CENTERWARD,
@@ -12,6 +13,12 @@ from flowrel.circles import (
     INCONCLUSIVE,
     RIMWARD,
     CirclePoint,
+    _backward_tier,
+    _chain_position,
+    _chain_tier,
+    _forward_tier,
+    _invert_angle,
+    _tier_radius,
     asymptotic_class,
     center,
     family_label,
@@ -139,20 +146,71 @@ def test_asymptotic_classification():
 
 TIER_SWEEP = ([("center", 0)] + [("C", n) for n in range(41)] + [("D", n) for n in range(3, 41)])
 ANGLES = (0.0, 0.7, 1.9, 3.1)
+# far tiers whose first step already sits within eps of the rim or the center
+FAR_TIERS = [("C", 10**6 - 1), ("C", 10**6), ("C", 10**6 + 1), ("D", 10**6 - 1), ("D", 10**6),
+             ("D", 10**6 + 1), ("C", 10**20)]
 
 
 def test_asymptotic_class_matches_angle_walk():
-    """The tier-only walk against the walk that carries the angle, at the
-    default bounds (one angle per tier, cycling) and at small max_iter and
-    eps, where INCONCLUSIVE and the crossing step sit near the bounds."""
+    """The binary search over the tier chains against the walk that
+    carries the angle, at the default bounds (one angle per tier,
+    cycling) and at small max_iter and eps, where INCONCLUSIVE and the
+    crossing step sit near the bounds; eps >= 0.5 makes both tests true
+    at step 1 on some tiers, where the rim test wins."""
     for i, (fam, idx) in enumerate(TIER_SWEEP):
         p = CirclePoint(fam, idx, ANGLES[i % len(ANGLES)])
         assert asymptotic_class(p) == reference_asymptotic_class(p), p
         for angle in ANGLES:
             p = CirclePoint(fam, idx, angle)
-            for max_iter, eps in ((1, 1e-3), (1, 0.3), (3, 0.2), (12, 0.05), (25, 0.05), (40, 0.02)):
+            for max_iter, eps in ((1, 1e-3), (1, 0.3), (3, 0.2), (12, 0.05), (25, 0.05), (40, 0.02),
+                                  (1, 0.5), (2, 0.6), (3, 0.9), (5, 2.0), (30, 0.5), (30, 0.6)):
                 got = asymptotic_class(p, max_iter, eps)
                 assert got == reference_asymptotic_class(p, max_iter, eps), (p, max_iter, eps)
+    for fam, idx in FAR_TIERS:
+        p = CirclePoint(fam, idx, 1.3)
+        for max_iter in (1, 2, 3):
+            for eps in (1e-300, 1e-12, 1e-6, 1e-3, 0.5, 0.6, 0.9, 2.0):
+                got = asymptotic_class(p, max_iter, eps)
+                assert got == reference_asymptotic_class(p, max_iter, eps), (p, max_iter, eps)
+
+
+CHAIN_TIERS = [t for t in TIER_SWEEP if t not in (("center", 0), ("C", 0))] + FAR_TIERS
+
+
+def test_chain_maps_match_the_tier_maps():
+    """Position + 1 on a chain is ``_forward_tier`` and position - 1 is
+    ``_backward_tier``; a tier's position reads back as the tier."""
+    for fam, idx in CHAIN_TIERS:
+        chain, pos = _chain_position(fam, idx)
+        assert _chain_tier(chain, pos) == (fam, idx)
+        assert _chain_tier(chain, pos + 1) == _forward_tier(fam, idx)[:2], (fam, idx)
+        assert _chain_tier(chain, pos - 1) == _backward_tier(fam, idx)[:2], (fam, idx)
+    assert _chain_tier(0, 0) == ("D", 3) and _chain_tier(0, 1) == ("C", 2)
+    assert _chain_tier(1, 0) == ("C", 1) and _chain_tier(1, 1) == ("D", 4)
+
+
+def test_radius_is_monotone_along_each_chain():
+    """The binary search rests on this: the radius rises along chain 0
+    and falls along chain 1, across the C/D junction and far out."""
+    positions = range(-10**4, 10**4 + 1)
+    rising = [_tier_radius(*_chain_tier(0, k)) for k in positions]
+    falling = [_tier_radius(*_chain_tier(1, k)) for k in positions]
+    assert all(a < b for a, b in zip(rising, rising[1:]))
+    assert all(a > b for a, b in zip(falling, falling[1:]))
+    assert rising[10**4] == pytest.approx(1 / 3) and rising[10**4 + 1] == pytest.approx(0.6)
+    assert falling[10**4] == pytest.approx(0.5) and falling[10**4 + 1] == pytest.approx(0.25)
+
+
+def test_invert_angle_stops_early_with_the_same_result():
+    """The bisection that stops once its bracket stops shrinking against
+    the fixed 80 halvings, for every chain coefficient 1/n."""
+    rng = random.Random(18)
+    special = [0.0, 5e-324, 1e-20, math.nextafter(math.pi, 0.0)]
+    for n in range(2, 42):
+        alphas = special + [rng.uniform(0.0, math.pi) for _ in range(200)]
+        alphas += [10.0 ** rng.uniform(-300, 0) for _ in range(50)]
+        for alpha in alphas:
+            assert _invert_angle(alpha, 1.0 / n) == reference_invert_angle(alpha, 1.0 / n), (alpha, n)
 
 
 @pytest.mark.parametrize("tier", [("C", 2), ("C", 3), ("C", 1), ("D", 3), ("D", 8), ("C", 40)])

@@ -91,17 +91,26 @@ def test_segment_matches_reference(name):
 
 CONSTANT_LENGTH = Substitution("xyz", {"x": "xzy", "y": "yyx", "z": "zxz"})
 UNICODE_LETTERS = Substitution("αβ", {"α": "αβ", "β": "βα"})
+# ASCII constant-length rules, one per width L of the gathered V{L} items
+ROW_WIDTHS = [
+    Substitution("ab", {"a": "b", "b": "a"}),
+    Substitution("ab", {"a": "ab", "b": "ba"}),
+    Substitution("ab", {"a": "aab", "b": "bba"}),
+    Substitution("abc", {"a": "abcab", "b": "bccba", "c": "cabca"}),
+    Substitution("01", {"0": "01101001", "1": "10010110"}),
+]
 
 
 def test_expand_matches_reference():
     rng = random.Random(3)
-    for sub in (morse_square(), CONSTANT_LENGTH, THREE_LETTERS, UNICODE_LETTERS):
+    for sub in (morse_square(), CONSTANT_LENGTH, THREE_LETTERS, UNICODE_LETTERS, *ROW_WIDTHS):
         for _ in range(50):
             word = "".join(rng.choice(sub.alphabet) for _ in range(rng.randint(0, 40)))
             assert sub.expand(word) == reference_expand(sub.rule, word)
+            assert sub.image_length(word) == len(reference_expand(sub.rule, word))
 
 
-@pytest.mark.parametrize("sub", [morse_square(), THREE_LETTERS, UNICODE_LETTERS])
+@pytest.mark.parametrize("sub", [morse_square(), THREE_LETTERS, UNICODE_LETTERS, *ROW_WIDTHS])
 @pytest.mark.parametrize("bad", ["2", "é", "\x00"])
 def test_expand_rejects_foreign_letters(sub, bad):
     word = sub.alphabet[0] + bad + sub.alphabet[-1]
@@ -110,6 +119,24 @@ def test_expand_rejects_foreign_letters(sub, bad):
     with pytest.raises(KeyError) as got:
         sub.expand(word)
     assert got.value.args == exc.value.args
+
+
+@pytest.mark.parametrize("sub", [*ROW_WIDTHS[1:], THREE_LETTERS, UNICODE_LETTERS])
+def test_iterate_guard_refuses_exactly_past_the_bound(sub, monkeypatch):
+    """With a 200-letter guard the iterates grow while their images fit and
+    stop, before expanding, at the first image that would not."""
+    letter = sub.alphabet[0]
+    want = [letter]
+    while len(reference_expand(sub.rule, want[-1])) <= 200:
+        want.append(reference_expand(sub.rule, want[-1]))
+    monkeypatch.setattr(subshift, "MAX_BLOCK_LENGTH", 200)
+    subshift._ITERATE_CACHE.pop((sub, letter), None)
+    try:
+        with pytest.raises(OverflowError, match="200-letter guard"):
+            subshift._substitution_iterate(sub, letter, 201)
+        assert subshift._ITERATE_CACHE[(sub, letter)] == want
+    finally:
+        subshift._ITERATE_CACHE.pop((sub, letter), None)
 
 
 def test_substitution_iterates_are_shared_across_halves_and_points():
