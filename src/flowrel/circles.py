@@ -92,7 +92,7 @@ def _tier_radius(family: str, n: int) -> float:
         return 0.0
     if family == "C":
         return 1.0 - n / (n**2 + 1)
-    return 1.0 / n
+    return 1 / n
 
 
 def _forward_tier(f: str, n: int) -> tuple[str, int, float] | None:
@@ -101,15 +101,15 @@ def _forward_tier(f: str, n: int) -> tuple[str, int, float] | None:
         return None
     if f == "C":
         if n == 1:
-            return ("D", 4, 1.0 / 2.0)  # C(1) = D(2) continues the inner even chain
+            return ("D", 4, 1 / 2)  # C(1) = D(2) continues the inner even chain
         if n % 2 == 0:
-            return ("C", n + 2, 1.0 / n)
-        return ("C", n - 2, 1.0 / n)
+            return ("C", n + 2, 1 / n)
+        return ("C", n - 2, 1 / n)
     if n == 3:
-        return ("C", 2, 1.0 / 3.0)
+        return ("C", 2, 1 / 3)
     if n % 2 == 1:
-        return ("D", n - 2, 1.0 / n)
-    return ("D", n + 2, 1.0 / n)
+        return ("D", n - 2, 1 / n)
+    return ("D", n + 2, 1 / n)
 
 
 def _backward_tier(f: str, n: int) -> tuple[str, int, float] | None:
@@ -118,17 +118,17 @@ def _backward_tier(f: str, n: int) -> tuple[str, int, float] | None:
         return None
     if f == "C":
         if n == 1:
-            return ("C", 3, 1.0 / 3.0)
+            return ("C", 3, 1 / 3)
         if n == 2:
-            return ("D", 3, 1.0 / 3.0)
+            return ("D", 3, 1 / 3)
         if n % 2 == 0:
-            return ("C", n - 2, 1.0 / (n - 2))
-        return ("C", n + 2, 1.0 / (n + 2))
+            return ("C", n - 2, 1 / (n - 2))
+        return ("C", n + 2, 1 / (n + 2))
     if n == 4:
-        return ("C", 1, 1.0 / 2.0)
+        return ("C", 1, 1 / 2)
     if n % 2 == 0:
-        return ("D", n - 2, 1.0 / (n - 2))
-    return ("D", n + 2, 1.0 / (n + 2))
+        return ("D", n - 2, 1 / (n - 2))
+    return ("D", n + 2, 1 / (n + 2))
 
 
 def step(p: CirclePoint) -> CirclePoint:

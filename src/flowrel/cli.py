@@ -21,14 +21,15 @@ unwritable --out error, 3 monoid too large.
 
 from __future__ import annotations
 
-import argparse
 import difflib
-import functools
 import json
+import re
 import sys
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -53,8 +54,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_TOO_LARGE = 3
-
-GOLDEN_PACKAGE = "flowrel.golden"
 
 
 def dump(report: dict) -> str:
@@ -260,7 +259,7 @@ def cmd_fuzz(args) -> int:
 
 
 def golden_path(example: str) -> Path:
-    return Path(str(resources.files(GOLDEN_PACKAGE.rsplit(".", 1)[0]) / "golden" / f"{example}.json"))
+    return Path(__file__).with_name("golden") / f"{example}.json"
 
 
 def cmd_reproduce(args) -> int:
@@ -332,7 +331,41 @@ def cmd_classify_pair(args) -> int:
 
 
 # --------------------------------------------------------------------------
-# argument plumbing
+# argument plumbing: one table of commands, their positionals and flags
+
+
+@dataclass(frozen=True)
+class Arg:
+    """A flag ``--dest`` (``-`` for ``_``), or a command's positional.
+    ``kind`` converts the value; a switch (``kind=None``) takes no value
+    and stores True."""
+
+    dest: str
+    kind: Callable[[str], object] | None = str
+    choices: tuple[str, ...] = ()
+    required: bool = False
+    help: str = ""
+
+    @property
+    def option(self) -> str:
+        return "--" + self.dest.replace("_", "-")
+
+    @property
+    def metavar(self) -> str:
+        return "{" + ",".join(self.choices) + "}" if self.choices else self.dest.upper()
+
+    @property
+    def usage(self) -> str:
+        return self.option if self.kind is None else f"{self.option} {self.metavar}"
+
+
+@dataclass(frozen=True)
+class Command:
+    run: Callable[[SimpleNamespace], int]
+    help: str
+    flags: tuple[Arg, ...] = ()
+    positional: Arg | None = None
+
 
 DEFAULTS = {
     "count": 100,
@@ -352,48 +385,192 @@ CONFIG_TYPES = {key: (int,) for key in ("count", "seed", "max_states", "depth", 
 CONFIG_TYPES.update(format=(str,), out=(str, type(None)))
 FORMATS = ("json", "text")
 
+HELP = Arg("help", None, help="show this help message and exit")
+OUT = Arg("out", help="also write the report to this path")
+CAP = Arg("cap", int, help="monoid element cap override")
+TOP_FLAGS = (HELP, Arg("config", help="JSON file supplying defaults for any flag"))
+COMMANDS = {
+    "analyze": Command(cmd_analyze, "full pipeline on a flow file",
+                       (Arg("format", choices=FORMATS, help="report format (default json)"), OUT, CAP),
+                       Arg("flow_file", help="flow text document")),
+    "fuzz": Command(cmd_fuzz, "randomized theorem verification",
+                    (Arg("count", int, help="number of random flows (default 100)"),
+                     Arg("seed", int, help="random seed (default 1)"),
+                     Arg("max_states", int, help="largest state count (default 6)"), OUT, CAP)),
+    "reproduce": Command(cmd_reproduce, "rerun a canonical scenario against its golden file",
+                         (Arg("bless", None, help="regenerate the golden file"),),
+                         Arg("example", choices=tuple(sorted(reports.REPRODUCERS)), help="scenario name")),
+    "classify-pair": Command(cmd_classify_pair, "evidence verdict for a pair of points", (
+        Arg("system", required=True, choices=("morse", "chacon", "ternary", "cc"), help="symbolic system"),
+        Arg("x", required=True, help="first point descriptor"),
+        Arg("y", required=True, help="second point descriptor"),
+        Arg("depth", int, help="window radius n (default 8)"),
+        Arg("gap", int, help="gap bound of the syndetic check (default 256)"),
+        Arg("horizon", int, help="shift horizon H (default 4096)"), OUT)),
+}
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
-    top = argparse.ArgumentParser(prog="flowrel", description=__doc__,
-                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    top.add_argument("--config", help="JSON file supplying defaults for any flag")
-    sub = top.add_subparsers(dest="command", required=True)
+# a token of this form, or one holding a space, is a value unless it names a flag
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    def out_and_cap(p, cap=True):
-        p.add_argument("--out", default=None, help="also write the report to this path")
-        if cap:
-            p.add_argument("--cap", type=int, default=None, help="monoid element cap override")
 
-    p = sub.add_parser("analyze", help="full pipeline on a flow file")
-    p.add_argument("flow_file")
-    p.add_argument("--format", choices=FORMATS, default=None)
-    out_and_cap(p)
-    p.set_defaults(func=cmd_analyze)
+class _Scope:
+    """The flags of ``flowrel`` itself or of one command, read the way
+    argparse reads them: a flag is named in full or by a unique prefix,
+    its value follows as the next token or after ``=``, a repeated flag
+    keeps its last value, ``-h``/``--help`` prints the help and exits 0,
+    and a usage error prints the usage and an ``error:`` line to stderr
+    and exits 2."""
 
-    p = sub.add_parser("fuzz", help="randomized theorem verification")
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-states", dest="max_states", type=int, default=None)
-    out_and_cap(p)
-    p.set_defaults(func=cmd_fuzz)
+    def __init__(self, prog: str, description: str, flags: tuple[Arg, ...],
+                 positional: Arg | None = None, commands: dict[str, Command] | None = None):
+        self.prog, self.description, self.flags = prog, description, flags
+        self.positional, self.commands = positional, commands
+        words = ["[-h]", *(arg.usage if arg.required else f"[{arg.usage}]" for arg in flags[1:])]
+        if positional:
+            words.append(self._name(positional))
+        if commands:
+            words.append("{" + ",".join(commands) + "} ...")
+        self.usage = f"usage: {prog} {' '.join(words)}"
+        self.exact = {"-h": HELP, **{arg.option: arg for arg in flags}}
 
-    p = sub.add_parser("reproduce", help="rerun a canonical scenario against its golden file")
-    p.add_argument("example", choices=sorted(reports.REPRODUCERS))
-    p.add_argument("--bless", action="store_true", help="regenerate the golden file")
-    p.set_defaults(func=cmd_reproduce)
+    @staticmethod
+    def _name(positional: Arg) -> str:
+        return positional.metavar if positional.choices else positional.dest
 
-    p = sub.add_parser("classify-pair", help="evidence verdict for a pair of points")
-    p.add_argument("--system", required=True, choices=("morse", "chacon", "ternary", "cc"))
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--gap", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    out_and_cap(p, cap=False)
-    p.set_defaults(func=cmd_classify_pair)
-    return top
+    def help_text(self) -> str:
+        sections = []
+        if self.commands:
+            sections.append(("commands", [(name, c.help) for name, c in self.commands.items()]))
+        if self.positional:
+            sections.append(("positional arguments", [(self._name(self.positional), self.positional.help)]))
+        sections.append(("options", [("-h, --help" if arg is HELP else arg.usage, arg.help) for arg in self.flags]))
+        lines = [self.usage, "", self.description.strip(), ""]
+        for title, rows in sections:
+            lines.append(f"{title}:")
+            lines += [f"  {left:<22}{text}".rstrip() if len(left) < 22 else f"  {left}\n{'':24}{text}".rstrip()
+                      for left, text in rows]
+            lines.append("")
+        return "\n".join(lines)
+
+    def fail(self, message: str):
+        sys.stderr.write(f"{self.usage}\n{self.prog}: error: {message}\n")
+        raise SystemExit(EXIT_PARSE)
+
+    def classify(self, token: str) -> tuple[Arg | None, str | None] | None:
+        """(flag, value given after ``=``) for a token that names a flag,
+        (None, None) for an unknown flag, None for a value."""
+        if not token.startswith("-") or token in ("-", "--"):
+            return None
+        if token in self.exact:
+            return self.exact[token], None
+        name, eq, value = token.partition("=")
+        if eq and name in self.exact:
+            return self.exact[name], value
+        if token.startswith("--"):
+            matches = [arg for arg in self.flags if arg.option.startswith(name)]
+            if len(matches) > 1:
+                self.fail(f"ambiguous option: {token} could match {', '.join(a.option for a in matches)}")
+            if matches:
+                return matches[0], value if eq else None
+        if _NEGATIVE_NUMBER.match(token) or " " in token:
+            return None
+        return None, None
+
+    def convert(self, arg: Arg, value: str, name: str):
+        try:
+            value = arg.kind(value)
+        except (TypeError, ValueError):
+            self.fail(f"argument {name}: invalid {arg.kind.__name__} value: {value!r}")
+        if arg.choices and value not in arg.choices:
+            self.fail(f"argument {name}: invalid choice: {value!r} "
+                      f"(choose from {', '.join(map(repr, arg.choices))})")
+        return value
+
+    def scan(self, tokens: list[str], values: dict, extras: list[str], stop_at_value: bool) -> list[str]:
+        """Read ``tokens`` into ``values``; unknown flags and surplus values
+        go to ``extras``.  With ``stop_at_value``, stop at the first value
+        and return the tokens from it on.  After a ``--`` every token is a
+        value; the ``--`` itself is dropped when the positional is empty
+        or was filled by the token before it, as argparse drops it."""
+        end = tokens.index("--") if "--" in tokens else len(tokens)
+        kinds = [self.classify(token) for token in tokens[:end]]
+        i, filled_at = 0, None
+        while i < end:
+            token, kind = tokens[i], kinds[i]
+            i += 1
+            if kind is None:
+                if stop_at_value:
+                    return tokens[i - 1:]
+                if self.take_value(token, values, extras):
+                    filled_at = i - 1
+                continue
+            arg, value = kind
+            if arg is None:
+                extras.append(token)
+                continue
+            name = "-h/--help" if arg is HELP else arg.option
+            if arg.kind is None:
+                if value is not None:
+                    self.fail(f"argument {name}: ignored explicit argument {value!r}")
+                if arg is HELP:
+                    sys.stdout.write(self.help_text())
+                    raise SystemExit(EXIT_OK)
+                values[arg.dest] = True
+                continue
+            if value is None:
+                if i == end or kinds[i] is not None:
+                    self.fail(f"argument {name}: expected one argument")
+                value, i = tokens[i], i + 1
+            values[arg.dest] = self.convert(arg, value, name)
+        if stop_at_value:
+            return tokens[end:]
+        if end < len(tokens):
+            arg = self.positional
+            if not arg or values[arg.dest] is not None and filled_at != end - 1:
+                extras.append("--")
+            for token in tokens[end + 1:]:
+                self.take_value(token, values, extras)
+        return []
+
+    def take_value(self, token: str, values: dict, extras: list[str]) -> bool:
+        """The first value fills the positional, checked at once (True);
+        later ones go to ``extras``."""
+        arg = self.positional
+        if arg and values[arg.dest] is None:
+            values[arg.dest] = self.convert(arg, token, arg.dest)
+            return True
+        extras.append(token)
+        return False
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """``flowrel [--config FILE] COMMAND ...`` read by the table: the
+    namespace holds ``config``, ``command``, the command's positional and
+    each of its flags (None, or False for a switch, when not given)."""
+    top = _Scope("flowrel", __doc__, TOP_FLAGS, commands=COMMANDS)
+    values: dict = {"config": None}
+    extras: list[str] = []
+    rest = top.scan(list(argv), values, extras, stop_at_value=True)
+    if not rest:
+        top.fail("the following arguments are required: command")
+    name = rest[0]
+    if name not in COMMANDS:
+        top.fail(f"argument command: invalid choice: {name!r} (choose from {', '.join(map(repr, COMMANDS))})")
+    command = COMMANDS[name]
+    scope = _Scope(f"flowrel {name}", command.help, (HELP, *command.flags), command.positional)
+    values["command"] = name
+    if command.positional:
+        values[command.positional.dest] = None
+    values.update((arg.dest, False if arg.kind is None else None) for arg in command.flags)
+    scope.scan(rest[1:], values, extras, stop_at_value=False)
+    missing = [arg.option for arg in command.flags if arg.required and values[arg.dest] is None]
+    if command.positional and values[command.positional.dest] is None:
+        missing.insert(0, command.positional.dest)
+    if missing:
+        scope.fail(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        top.fail(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 def load_config(path: str) -> dict:
@@ -410,7 +587,7 @@ def load_config(path: str) -> dict:
     return config
 
 
-def apply_config(args: argparse.Namespace) -> argparse.Namespace:
+def apply_config(args: SimpleNamespace) -> SimpleNamespace:
     config = load_config(args.config) if args.config else {}
     for key, fallback in DEFAULTS.items():
         if getattr(args, key, None) is None and hasattr(args, key):
@@ -421,8 +598,7 @@ def apply_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         args = apply_config(args)
     except (OSError, json.JSONDecodeError) as exc:
@@ -431,7 +607,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    return args.func(args)
+    return COMMANDS[args.command].run(args)
 
 
 if __name__ == "__main__":

@@ -9,18 +9,23 @@ coordinate at every shift.  Limit statements about the underlying systems
 are semi-decidable at best, and the verdict vocabulary keeps the
 distinction between "proved" and "evidenced" explicit.
 
-Both checkers read one scan, ``agreement_times``, which returns the
-agreement times on [-H, H] as maximal runs.  It ANDs the letter-equality
-mask over each window by doubling, ceil(log2(2n + 1)) bool passes, and
-peaks at about 3 bytes per letter, the two segments included; the
-verdicts cost O(runs) on top.
+The substitution fixed points and the Chacon points hand out their
+windows as pieces: read-only uint8 views, one ASCII byte per letter, of
+their memoized cores (the substitution iterates and the Chacon blocks,
+each held once as bytes), whose concatenation is the window.  Both
+checkers read one scan, ``agreement_times``, which fills its
+letter-equality mask with one comparison per overlap of the two pairs of
+pieces, so no window is sliced, joined or encoded, and returns the
+agreement times on [-H, H] as maximal runs.  It ANDs the mask over each
+window by doubling, ceil(log2(2n + 1)) bool passes, and peaks at about 2
+bytes per letter; the verdicts cost O(runs) on top.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
+from itertools import count, islice
 from threading import Lock
 
 import numpy as np
@@ -46,11 +51,17 @@ class Substitution:
     def __hash__(self):
         return hash((self.alphabet, tuple(sorted(self.rule.items()))))
 
-    def expand(self, word: str) -> str:
+    def expand(self, word: str | bytes) -> str | bytes:
         """The image of ``word``.  For a constant-length rule on an ASCII
         alphabet it is one 1-D gather of the images, each held as a single
-        L-byte item, and one ASCII decode; a join otherwise."""
+        L-byte item, and one ASCII decode; a join otherwise.  The ASCII
+        bytes of a word over the rule's letters (a held iterate) give the
+        bytes of its image, with no decode."""
         table = self._image_table
+        if isinstance(word, bytes):
+            if table is None:
+                return self.expand(word.decode("ascii")).encode("ascii")
+            return table.take(np.frombuffer(word, dtype=np.uint8)).tobytes()
         if table is None:
             return "".join(map(self.rule.__getitem__, word))
         try:
@@ -58,11 +69,12 @@ class Substitution:
         except UnicodeDecodeError:  # a row of 0xFF: a letter outside the rule
             raise KeyError(next(c for c in word if c not in self.rule)) from None
 
-    def image_length(self, word: str) -> int:
+    def image_length(self, word: str | bytes) -> int:
         """len(self.expand(word)) for a word over the rule's letters,
         computed without expanding it."""
         table = self._image_table
         if table is None:
+            word = word.decode("ascii") if isinstance(word, bytes) else word
             return sum(word.count(c) * len(w) for c, w in self.rule.items())
         return len(word) * table.itemsize
 
@@ -99,19 +111,28 @@ def morse_square() -> Substitution:
 
 
 class BiSeq:
-    """A bi-infinite sequence evaluable on any finite window.
+    """A bi-infinite sequence over ASCII letters, evaluable on any finite
+    window.
 
-    ``segment(lo, hi)`` returns the letters at coordinates lo..hi
-    inclusive; ``window(n)`` is the block on [-n, n].  Windows are cut
-    from memoized cores by slicing.  Every memoized growth (the shared
-    substitution iterates, the shared Chacon blocks) happens under a lock,
-    and cores only ever grow, so instances may be shared between threads.
+    ``pieces(lo, hi)`` returns read-only uint8 arrays, one byte per
+    letter, whose concatenation is the window of coordinates lo..hi
+    inclusive (no pieces when hi < lo); ``segment(lo, hi)`` is that window
+    as a str and ``window(n)`` the block on [-n, n].  A subclass defines
+    one of the two.  The substitution fixed points and the Chacon points
+    define ``pieces`` as views of memoized cores, so no window is copied;
+    the other kinds define ``segment``, and their one piece is its
+    encoding.  Every memoized growth (the shared substitution iterates,
+    the shared Chacon blocks) happens under a lock, and cores only ever
+    grow, so instances may be shared between threads.
     """
 
     alphabet: str = "01"
 
+    def pieces(self, lo: int, hi: int) -> list[np.ndarray]:
+        return [np.frombuffer(self.segment(lo, hi).encode("ascii"), dtype=np.uint8)]
+
     def segment(self, lo: int, hi: int) -> str:
-        raise NotImplementedError
+        return b"".join(self.pieces(lo, hi)).decode("ascii")
 
     def window(self, n: int) -> str:
         if n < 0:
@@ -148,6 +169,8 @@ class SubstFixed(BiSeq):
 
     def __init__(self, left_seed: str, right_seed: str, substitution: Substitution | None = None):
         sub = substitution or morse_square()
+        if not sub.alphabet.isascii():
+            raise ValueError("fixed points need an ASCII alphabet (one byte per letter)")
         if len(left_seed) != 1 or len(right_seed) != 1:
             raise ValueError("seeds are single letters")
         if not sub.rule[left_seed].endswith(left_seed) or len(sub.rule[left_seed]) < 2:
@@ -159,12 +182,19 @@ class SubstFixed(BiSeq):
         self.left_seed = left_seed
         self.right_seed = right_seed
 
-    def segment(self, lo: int, hi: int) -> str:
+    def pieces(self, lo: int, hi: int) -> list[np.ndarray]:
+        """A suffix of an iterate of the left seed for the coordinates
+        below 0, a prefix of one of the right seed from 0 on."""
         if hi < lo:
-            return ""
-        need = max(-lo, hi + 1, 1)
-        return _two_sided(_substitution_iterate(self.sub, self.left_seed, need),
-                          _substitution_iterate(self.sub, self.right_seed, need), lo, hi)
+            return []
+        out = []
+        if lo < 0:
+            left = _substitution_iterate(self.sub, self.left_seed, -lo)
+            out.append(np.frombuffer(left, dtype=np.uint8)[len(left) + lo:len(left) + min(hi, -1) + 1])
+        if hi >= 0:
+            right = _substitution_iterate(self.sub, self.right_seed, hi + 1)
+            out.append(np.frombuffer(right, dtype=np.uint8)[max(lo, 0):hi + 1])
+        return out
 
     def describe(self) -> dict:
         return {
@@ -175,31 +205,26 @@ class SubstFixed(BiSeq):
         }
 
 
-_ITERATE_CACHE: dict[tuple[Substitution, str], list[str]] = {}
+_ITERATE_CACHE: dict[tuple[Substitution, str], list[bytes | str]] = {}
 _ITERATE_LOCK = Lock()
 
 
-def _substitution_iterate(sub: Substitution, letter: str, need: int) -> str:
-    """The first iterate θ^k(letter) with at least ``need`` letters.  The
-    iterates are shared by every fixed point of ``sub`` (one letter seeds
-    a left half and a right half alike) and grow under a lock; an
-    OverflowError, before expanding, if an image would pass the
+def _substitution_iterate(sub: Substitution, letter: str, need: int) -> bytes | str:
+    """The first iterate θ^k(letter) with at least ``need`` letters, held
+    as ASCII bytes (as str on a non-ASCII alphabet, which no fixed point
+    uses).  The iterates are shared by every fixed point of ``sub`` (one
+    letter seeds a left half and a right half alike) and grow under a
+    lock; an OverflowError, before expanding, if an image would pass the
     MAX_BLOCK_LENGTH-letter guard."""
     with _ITERATE_LOCK:
-        iterates = _ITERATE_CACHE.setdefault((sub, letter), [letter])
+        seed = letter.encode() if sub.alphabet.isascii() else letter
+        iterates = _ITERATE_CACHE.setdefault((sub, letter), [seed])
         while len(iterates[-1]) < need:
             last = iterates[-1]
             if sub.image_length(last) > MAX_BLOCK_LENGTH:
                 raise OverflowError(f"substitution image exceeds the {MAX_BLOCK_LENGTH}-letter guard")
             iterates.append(sub.expand(last))
         return next(w for w in iterates if len(w) >= need)
-
-
-def _two_sided(left: str, right: str, lo: int, hi: int) -> str:
-    """Coordinates lo..hi (empty when hi < lo) of the sequence that reads
-    ``left`` up to coordinate -1 and ``right`` from coordinate 0 on."""
-    head = left[len(left) + lo:len(left) + min(hi, -1) + 1] if lo < 0 else ""
-    return head + right[max(lo, 0):hi + 1] if hi >= 0 else head
 
 
 def morse_fixed_points() -> dict[str, SubstFixed]:
@@ -217,8 +242,16 @@ def morse_fixed_points() -> dict[str, SubstFixed]:
 # --------------------------------------------------------------------------
 # Chacon system
 
-_BLOCK_CACHE: list[str] = ["0", "0010"]
+# The longest block grown so far, as ASCII bytes.  B_{k+1} = B_k B_k 1 B_k
+# begins with B_k, so every shorter block is a prefix of it.
+_BLOCK_CORE = b"0010"
 _BLOCK_LOCK = Lock()
+_SPACER = np.frombuffer(b"1", dtype=np.uint8)
+
+
+def _block_length(k: int) -> int:
+    """|B_k| = (3^{k+1} - 1) / 2."""
+    return (3 ** (k + 1) - 1) // 2
 
 
 def chacon_block(k: int) -> str:
@@ -226,20 +259,36 @@ def chacon_block(k: int) -> str:
     B_{k+1} = B_k B_k 1 B_k, of length (3^{k+1} - 1) / 2."""
     if k < 0:
         raise ValueError("block index must be nonnegative")
-    if (3 ** (k + 1) - 1) // 2 > MAX_BLOCK_LENGTH:
+    return _block_core(k)[:_block_length(k)].decode("ascii")
+
+
+def _block_core(k: int) -> bytes:
+    """The block core, grown under the lock until it holds B_k; an
+    OverflowError, before growing, if B_k would pass the guard."""
+    global _BLOCK_CORE
+    if _block_length(k) > MAX_BLOCK_LENGTH:
         raise OverflowError(f"block {k} exceeds the {MAX_BLOCK_LENGTH}-letter guard")
     with _BLOCK_LOCK:
-        while len(_BLOCK_CACHE) <= k:
-            b = _BLOCK_CACHE[-1]
-            _BLOCK_CACHE.append(b + b + "1" + b)
-        return _BLOCK_CACHE[k]
+        while len(_BLOCK_CORE) < _block_length(k):
+            b = _BLOCK_CORE
+            _BLOCK_CORE = b"".join((b, b, b"1", b))
+        return _BLOCK_CORE
 
 
 def _block_index_for(need: int) -> int:
     k = 0
-    while (3 ** (k + 1) - 1) // 2 < need:
+    while _block_length(k) < need:
         k += 1
     return k
+
+
+def _block_pieces(k: int, a: int, b: int) -> list[np.ndarray]:
+    """Letters a..b-1 of block k >= 1 as views of B_{k-1}, read through
+    B_k = B_{k-1} B_{k-1} 1 B_{k-1}, so no block past B_{k-1} is grown."""
+    length = _block_length(k - 1)
+    prev = np.frombuffer(_block_core(k - 1), dtype=np.uint8)[:length]
+    parts = ((0, prev), (length, prev), (2 * length, _SPACER), (2 * length + 1, prev))
+    return [part[max(a - start, 0):b - start] for start, part in parts if a < start + part.size and start < b]
 
 
 class ChaconPoint(BiSeq):
@@ -252,14 +301,15 @@ class ChaconPoint(BiSeq):
             raise ValueError("kind must be x1 or x2")
         self.kind = kind
 
-    def segment(self, lo: int, hi: int) -> str:
+    def pieces(self, lo: int, hi: int) -> list[np.ndarray]:
+        """The window read in block k + 1 = B_k B_k 1 B_k, |B_k| >= -lo and
+        > hi: x1 has its origin at the start of the second B_k, x2 at the
+        spacer."""
         if hi < lo:
-            return ""
-        b = chacon_block(_block_index_for(max(-lo, hi + 1, 1) + 1))
-        if self.kind == "x1":
-            return _two_sided(b, b, lo, hi)
-        # x2: the spacer at coordinate 0, then the block from coordinate 1 on
-        return _two_sided(b, "1", lo, min(hi, 0)) + b[max(lo, 1) - 1:max(hi, 0)]
+            return []
+        k = _block_index_for(max(-lo, hi + 1, 1))
+        origin = _block_length(k) * (1 if self.kind == "x1" else 2)
+        return _block_pieces(k + 1, lo + origin, hi + origin + 1)
 
     def describe(self) -> dict:
         return {"type": "chacon_point", "kind": self.kind}
@@ -282,37 +332,35 @@ class ChaconXi(BiSeq):
         self.tail = tail
         self._reduction: BiSeq | None = None
         if tail != 2:
-            offset = self._anchor_offset(len(self.prefix))
+            k = len(self.prefix)
+            offset = next(islice(self._anchor_offsets(), k, None))
             if tail == 1:
                 self._reduction = Shift(ChaconPoint("x1"), offset)
             else:
-                rho = len(chacon_block(len(self.prefix))) - 1 - offset
+                rho = _block_length(k) - 1 - offset
                 self._reduction = Shift(ChaconPoint("x1"), -(rho + 1))
+
+    def _anchor_offsets(self):
+        """Offset of the innermost block's origin inside block k, for
+        k = 0, 1, 2, ..."""
+        off = 0
+        for k in count():
+            yield off
+            off += (0, _block_length(k), 2 * _block_length(k) + 1)[self._xi(k) - 1]
 
     def _xi(self, k: int) -> int:
         return self.prefix[k] if k < len(self.prefix) else self.tail
 
-    def _anchor_offset(self, k: int) -> int:
-        """Offset of the innermost block's origin inside block k."""
-        off = 0
-        for j in range(k):
-            step = self._xi(j)
-            blen = len(chacon_block(j))
-            if step == 2:
-                off += blen
-            elif step == 3:
-                off += 2 * blen + 1
-        return off
-
-    def segment(self, lo: int, hi: int) -> str:
+    def pieces(self, lo: int, hi: int) -> list[np.ndarray]:
+        """The window read in the first block k >= 1 that holds it, as
+        views of B_{k-1}."""
         if self._reduction is not None:
-            return self._reduction.segment(lo, hi)
+            return self._reduction.pieces(lo, hi)
         if hi < lo:
-            return ""
-        for k in count(len(self.prefix)):
-            off, b = self._anchor_offset(k), chacon_block(k)
-            if -off <= lo and hi <= len(b) - 1 - off:
-                return b[lo + off:hi + off + 1]
+            return []
+        for k, off in enumerate(self._anchor_offsets()):
+            if k and -off <= lo and hi < _block_length(k) - off:
+                return _block_pieces(k, lo + off, hi + off + 1)
 
     def describe(self) -> dict:
         d = {"type": "chacon_itinerary", "prefix": list(self.prefix), "tail": self.tail}
@@ -379,8 +427,8 @@ class Shift(BiSeq):
         self.k = int(k)
         self.alphabet = inner.alphabet
 
-    def segment(self, lo: int, hi: int) -> str:
-        return self.inner.segment(lo + self.k, hi + self.k)
+    def pieces(self, lo: int, hi: int) -> list[np.ndarray]:
+        return self.inner.pieces(lo + self.k, hi + self.k)
 
     def describe(self) -> dict:
         return {"type": "shift", "by": self.k, "inner": self.inner.describe()}
@@ -438,7 +486,7 @@ class AdicImage(BiSeq):
         self.alphabet = "01"
 
     def segment(self, lo: int, hi: int) -> str:
-        raw = np.frombuffer(self.inner.segment(lo, hi + 1).encode(), dtype=np.uint8)
+        raw = np.frombuffer(b"".join(self.inner.pieces(lo, hi + 1)), dtype=np.uint8)
         return ((raw[:-1] ^ raw[1:]) + ord("0")).tobytes().decode()
 
     def describe(self) -> dict:
@@ -496,18 +544,19 @@ def agreement_times(x: BiSeq, y: BiSeq, n: int, horizon: int) -> tuple[np.ndarra
     2(H + n) + 1 letters and no counts.  A False entry padded at each end
     makes every run open and close with a flip of the mask.
 
-    Memory: the pass holds 2 bytes per letter (the mask and its flips)
-    once the segments are compared.  With the two segments included, the
-    peak is 3 bytes per letter on the Morse and Chacon points (4 on the
-    adjacent-sum factor, whose segment goes through an array), measured
-    with tracemalloc at horizon 10^6, plus at most 32 bytes per run.
+    The mask is filled in place from the pieces of the two windows, one
+    ``np.equal`` per overlap of a piece of x with a piece of y, so on the
+    fixed points and the Chacon points, whose pieces are views of their
+    cores, no window is copied.
+
+    Memory: about 2 bytes per letter at the peak (the mask and its flips),
+    measured with tracemalloc at horizon 10^6 on the Chacon points, plus
+    at most 32 bytes per run; a kind whose pieces are an encoded segment
+    adds its segment.
     """
     lo, hi = -horizon - n, horizon + n
-    xa = np.frombuffer(x.segment(lo, hi).encode(), dtype=np.uint8)
-    ya = np.frombuffer(y.segment(lo, hi).encode(), dtype=np.uint8)
-    acc = np.zeros(xa.size + 2, dtype=bool)
-    np.equal(xa, ya, out=acc[1:-1])
-    del xa, ya  # the passes need only the mask
+    acc = np.zeros(hi - lo + 3, dtype=bool)
+    _equal_into(acc[1:-1], x.pieces(lo, hi), y.pieces(lo, hi))
     width, span = 2 * n + 1, 1
     while 2 * span <= width:
         acc[:-span] &= acc[span:]  # numpy reads overlapping operands as if copied
@@ -517,6 +566,22 @@ def agreement_times(x: BiSeq, y: BiSeq, n: int, horizon: int) -> tuple[np.ndarra
         agree &= acc[width - span:width - span + agree.size]
     flips = np.flatnonzero(agree[1:] != agree[:-1])
     return flips[0::2] - horizon, flips[1::2] - (horizon + 1)
+
+
+def _equal_into(out: np.ndarray, xs: list[np.ndarray], ys: list[np.ndarray]) -> None:
+    """out[i] = (x[i] == y[i]), x and y the concatenations of the pieces
+    ``xs`` and ``ys``, both out.size letters long."""
+    xs, ys = iter(xs), iter(ys)
+    a = b = out[:0]
+    pos = 0
+    while pos < out.size:
+        while not a.size:
+            a = next(xs)
+        while not b.size:
+            b = next(ys)
+        m = min(a.size, b.size)
+        np.equal(a[:m], b[:m], out=out[pos:pos + m])
+        a, b, pos = a[m:], b[m:], pos + m
 
 
 def _distal_verdict(x: BiSeq, y: BiSeq, n: int, horizon: int) -> EvidenceVerdict | None:

@@ -5,8 +5,11 @@ The tables were worked out independently of the library code (by direct
 reasoning about the sample points and the published proximality table)
 and act as the oracles the implementations are checked against.  The
 symbolic references are the simple one-letter-at-a-time forms of the
-library's sliced and vectorized fast paths, kept as differential oracles
-for them, with the gather form of the agreement scan (its times, which
+library's vectorized fast paths, kept as differential oracles for them:
+``letterwise_segment`` reads windows one coordinate at a time, and
+``reference_segment`` cuts them by ``str`` slicing from whole cores, the
+reference for the views that ``BiSeq.pieces`` hands out; with the gather
+form of the agreement scan (its times, which
 ``times_to_runs`` turns into the library's runs) and the asymptotic
 class read off a walk that carries the angle (the reference for the
 binary search over the tier chains), and the fixed 80-halving bisection
@@ -49,8 +52,13 @@ kernel-label set test ``relations.proximal_sets``;
 ``reference_close`` is the tuple-per-element breadth-first closure, the
 reference for ``finflow.close``'s layer-at-a-time array search, element
 order and cap included.
+
+``build_parser`` is the argparse form of the command line, the reference
+for the argv language that ``cli.parse_args`` reads from its table.
 """
 
+import argparse
+import functools
 import math
 import weakref
 
@@ -151,6 +159,7 @@ def reference_expand(rule: dict[str, str], word: str) -> str:
     return "".join(rule[c] for c in word)
 
 
+@functools.cache
 def reference_chacon_block(k: int) -> str:
     b = "0"
     for _ in range(k):
@@ -165,9 +174,22 @@ def _chacon_block_covering(need: int) -> str:
     return reference_chacon_block(k)
 
 
-def reference_segment(seq, lo: int, hi: int) -> str:
+def _chacon_anchor_offset(seq, k: int) -> int:
+    """Offset of the innermost block's origin inside block k."""
+    off = 0
+    for j in range(k):
+        step = seq.prefix[j] if j < len(seq.prefix) else seq.tail
+        blen = len(reference_chacon_block(j))
+        off += {1: 0, 2: blen, 3: 2 * blen + 1}[step]
+    return off
+
+
+def letterwise_segment(seq, lo: int, hi: int, recurse=None) -> str:
     """The letters of ``seq`` at coordinates lo..hi, read one coordinate at
-    a time from cores grown here, with no call into ``seq.segment``."""
+    a time from cores grown here, with no call into ``seq.segment``.  The
+    window of an inner sequence comes from ``recurse`` (by default this
+    function)."""
+    recurse = recurse or letterwise_segment
     coords = range(lo, hi + 1)
     if isinstance(seq, SubstFixed):
         left, right = seq.left_seed, seq.right_seed
@@ -188,16 +210,12 @@ def reference_segment(seq, lo: int, hi: int) -> str:
         return "".join(out)
     if isinstance(seq, ChaconXi):
         if seq.tail != 2:
-            return reference_segment(seq.normalized(), lo, hi)
+            return recurse(seq.normalized(), lo, hi)
         if hi < lo:
             return ""
         k = len(seq.prefix)
         while True:
-            off = 0
-            for j in range(k):
-                step = seq.prefix[j] if j < len(seq.prefix) else seq.tail
-                blen = len(reference_chacon_block(j))
-                off += {1: 0, 2: blen, 3: 2 * blen + 1}[step]
+            off = _chacon_anchor_offset(seq, k)
             b = reference_chacon_block(k)
             if -off <= lo and hi <= len(b) - 1 - off:
                 return "".join(b[i + off] for i in coords)
@@ -214,13 +232,65 @@ def reference_segment(seq, lo: int, hi: int) -> str:
                 out.append(seq.right_fill)
         return "".join(out)
     if isinstance(seq, Shift):
-        return reference_segment(seq.inner, lo + seq.k, hi + seq.k)
+        return recurse(seq.inner, lo + seq.k, hi + seq.k)
     if isinstance(seq, Dual):
-        return "".join({"0": "1", "1": "0"}[c] for c in reference_segment(seq.inner, lo, hi))
+        return "".join({"0": "1", "1": "0"}[c] for c in recurse(seq.inner, lo, hi))
     if isinstance(seq, AdicImage):
-        raw = reference_segment(seq.inner, lo, hi + 1)
+        raw = recurse(seq.inner, lo, hi + 1)
         return "".join(str((int(raw[j]) + int(raw[j + 1])) % 2) for j in range(hi - lo + 1))
     raise TypeError(f"no reference for {type(seq).__name__}")
+
+
+_REFERENCE_ITERATES: dict = {}
+
+
+def _reference_iterate(rule: dict[str, str], letter: str, need: int) -> str:
+    """The first iterate of ``letter`` under ``rule`` with at least
+    ``need`` letters, grown by ``reference_expand`` and kept per rule."""
+    iterates = _REFERENCE_ITERATES.setdefault((tuple(sorted(rule.items())), letter), [letter])
+    while len(iterates[-1]) < need:
+        iterates.append(reference_expand(rule, iterates[-1]))
+    return next(w for w in iterates if len(w) >= need)
+
+
+def _two_sided(left: str, right: str, lo: int, hi: int) -> str:
+    """Coordinates lo..hi (empty when hi < lo) of the sequence that reads
+    ``left`` up to coordinate -1 and ``right`` from coordinate 0 on."""
+    head = left[len(left) + lo:len(left) + min(hi, -1) + 1] if lo < 0 else ""
+    return head + right[max(lo, 0):hi + 1] if hi >= 0 else head
+
+
+def reference_segment(seq, lo: int, hi: int) -> str:
+    """The window lo..hi cut by ``str`` slicing from whole cores: a
+    fixed point's halves from one iterate of each seed, a Chacon point
+    from one block covering the window on both sides of the origin, a
+    Chacon itinerary from the first whole block k >= len(prefix) that
+    holds it.  The combinators and the eventually constant sequences are
+    read as in ``letterwise_segment``, on windows cut here."""
+    if isinstance(seq, SubstFixed):
+        if hi < lo:
+            return ""
+        need = max(-lo, hi + 1, 1)
+        return _two_sided(_reference_iterate(seq.sub.rule, seq.left_seed, need),
+                          _reference_iterate(seq.sub.rule, seq.right_seed, need), lo, hi)
+    if isinstance(seq, ChaconPoint):
+        if hi < lo:
+            return ""
+        b = _chacon_block_covering(max(-lo, hi + 1, 1) + 1)
+        if seq.kind == "x1":
+            return _two_sided(b, b, lo, hi)
+        # x2: the spacer at coordinate 0, then the block from coordinate 1 on
+        return _two_sided(b, "1", lo, min(hi, 0)) + b[max(lo, 1) - 1:max(hi, 0)]
+    if isinstance(seq, ChaconXi) and seq.tail == 2:
+        if hi < lo:
+            return ""
+        k = len(seq.prefix)
+        while True:
+            off, b = _chacon_anchor_offset(seq, k), reference_chacon_block(k)
+            if -off <= lo and hi <= len(b) - 1 - off:
+                return b[lo + off:hi + off + 1]
+            k += 1
+    return letterwise_segment(seq, lo, hi, recurse=reference_segment)
 
 
 def reference_agreement_times(x, y, n: int, horizon: int) -> np.ndarray:
@@ -722,3 +792,51 @@ def reference_minimal_left_ideals(m) -> list:
         groups.setdefault(kernel_signature(m.elements[i]), []).append(int(i))
     ideals = [LeftIdeal(members=tuple(sorted(mem)), kernel=sig) for sig, mem in groups.items()]
     return sorted(ideals, key=lambda ideal: ideal.members[0])
+
+
+# -- the command line, read by argparse ----------------------------------------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``flowrel``: one top-level parser with
+    ``--config`` and one subparser per command."""
+    from flowrel import cli, reports
+
+    top = argparse.ArgumentParser(prog="flowrel", description=cli.__doc__,
+                                  formatter_class=argparse.RawDescriptionHelpFormatter)
+    top.add_argument("--config", help="JSON file supplying defaults for any flag")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def out_and_cap(p, cap=True):
+        p.add_argument("--out", default=None, help="also write the report to this path")
+        if cap:
+            p.add_argument("--cap", type=int, default=None, help="monoid element cap override")
+
+    p = sub.add_parser("analyze", help="full pipeline on a flow file")
+    p.add_argument("flow_file")
+    p.add_argument("--format", choices=cli.FORMATS, default=None)
+    out_and_cap(p)
+    p.set_defaults(func=cli.cmd_analyze)
+
+    p = sub.add_parser("fuzz", help="randomized theorem verification")
+    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--max-states", dest="max_states", type=int, default=None)
+    out_and_cap(p)
+    p.set_defaults(func=cli.cmd_fuzz)
+
+    p = sub.add_parser("reproduce", help="rerun a canonical scenario against its golden file")
+    p.add_argument("example", choices=sorted(reports.REPRODUCERS))
+    p.add_argument("--bless", action="store_true", help="regenerate the golden file")
+    p.set_defaults(func=cli.cmd_reproduce)
+
+    p = sub.add_parser("classify-pair", help="evidence verdict for a pair of points")
+    p.add_argument("--system", required=True, choices=("morse", "chacon", "ternary", "cc"))
+    p.add_argument("--x", required=True)
+    p.add_argument("--y", required=True)
+    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--gap", type=int, default=None)
+    p.add_argument("--horizon", type=int, default=None)
+    out_and_cap(p, cap=False)
+    p.set_defaults(func=cli.cmd_classify_pair)
+    return top

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import random
+import shlex
 import subprocess
 import sys
 import time
@@ -9,10 +11,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import build_parser
+
 from flowrel.cli import (
-    build_parser,
     dump,
     main,
+    parse_args,
     parse_chacon_point,
     parse_circle_point,
     parse_morse_point,
@@ -350,6 +354,23 @@ def test_deep_classify_pair_bytes_pinned(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == DEEP_CLASSIFY_SHA256[args]
 
 
+def test_chacon_itinerary_at_a_horizon_of_four_million(capsys):
+    """The window is read in B_15 from views of B_14 (7,174,453 letters),
+    so no block past the 10^7-letter guard is grown."""
+    code, out, err = run(capsys, "classify-pair", "--system", "chacon", "--x", "xi:12:2", "--y", "x1",
+                         "--depth", "6", "--horizon", "4000000")
+    assert code == 0 and err == ""
+    assert json.loads(out)["params"]["horizon"] == 4 * 10**6
+
+
+@pytest.mark.parametrize("family", ["C", "D"])
+def test_cc_tier_past_the_float_range_gets_a_class(capsys, family):
+    code, out, err = run(capsys, "classify-pair", "--system", "cc", "--x", f"{family}:{10**400}:0.5",
+                         "--y", "center")
+    assert code == 0 and err == ""
+    assert json.loads(out)["labels"]
+
+
 def test_classify_pair_ternary_and_cc(capsys):
     code, out, _ = run(capsys, "classify-pair", "--system", "ternary", "--x", "const:0", "--y", "z")
     assert json.loads(out)["labels"] == ["InSP"]
@@ -536,9 +557,8 @@ def test_dump_edge_values(value):
 
 
 def test_one_parser_serves_successive_calls_like_separate_runs(capsys):
-    # the parser is built once per process; an analyze, a usage error and a
-    # reproduce in one process give the exit codes and stdout of three
-    # fresh processes
+    # an analyze, a usage error and a reproduce in one process give the
+    # exit codes and stdout of three fresh processes
     calls = [["analyze", str(FLOWS / "two_ideal.flow")], ["fuzz", "--count", "abc"], ["reproduce", "mt"]]
     in_process = []
     for argv in calls:
@@ -555,4 +575,166 @@ def test_one_parser_serves_successive_calls_like_separate_runs(capsys):
     ]
     assert [code for code, _ in in_process] == [0, 2, 0]
     assert in_process == separate
-    assert build_parser() is build_parser()
+
+
+# -- the table-driven argv reader against argparse ------------------------------
+
+README_ARGV = [
+    "analyze flows/two_ideal.flow",
+    "analyze flows/two_ideal.flow --format text",
+    "fuzz --count 100 --seed 1 --max-states 5",
+    "reproduce mt",
+    "reproduce cc --bless",
+    "classify-pair --system morse --x a --y b",
+    "classify-pair --system morse --x a --y dual:a",
+    "classify-pair --system chacon --x x1 --y x2 --depth 4 --gap 729 --horizon 6561",
+    "classify-pair --system ternary --x const:0 --y z",
+    "classify-pair --system cc --x C:2:0.5 --y center",
+]
+GOOD_ARGV = [
+    *README_ARGV,
+    # = forms
+    "analyze flows/two_ideal.flow --format=text --out=r.json --cap=9",
+    "classify-pair --system=chacon --x=shift:-3:x1 --y=xi:12:2 --depth=6 --horizon=200000",
+    "fuzz --count=3 --max-states=4 --seed=-7",
+    "classify-pair --system morse --x a --y b --out=",
+    "classify-pair --system morse --x a --y b --out=a=b",
+    # unique prefixes
+    "classify-pair --sys morse --x a --y b --hor 100 --dep 3 --ga 50",
+    "fuzz --co 2 --ca 5 --max 3 --se 2 --o f.json",
+    "analyze f.flow --form text --ca 4",
+    "reproduce mt --bl",
+    "--conf c.json fuzz --count 2",
+    "--con=c.json reproduce chacon",
+    # --config before the command, flags before and after the positional
+    "--config c.json analyze f.flow",
+    "--config c.json --config d.json analyze --cap 3 f.flow",
+    "--config=c.json classify-pair --x a --system morse --y b",
+    "--config c.json reproduce --bless ternary",
+    # negative numbers and "-" as values, repeats, "--"
+    "classify-pair --system morse --x a --y b --depth -1 --horizon -5",
+    "classify-pair --system morse --x - --y b --gap -25",
+    "fuzz --count 1 --count 2 --seed 3 --seed 4",
+    "analyze -- -f.flow",
+    "analyze --cap 2 -- f.flow",
+    "analyze f.flow --",
+    "classify-pair --system morse --x 'a b' --y b",
+    "classify-pair --system morse --x '-a b' --y b",
+]
+BAD_ARGV = [
+    "",
+    "--config c.json",
+    "--config",
+    "frobnicate",
+    "--bogus analyze f.flow",
+    "analyze f.flow --bogus",
+    "analyze f.flow --config c.json",
+    "analyze",
+    "analyze a.flow b.flow",
+    "analyze f.flow --format xml",
+    "analyze f.flow --cap abc",
+    "analyze f.flow --cap",
+    "analyze f.flow --cap --format text",
+    "fuzz --count 1.5",
+    "fuzz --c 3",
+    "fuzz --seed= ",
+    "reproduce",
+    "reproduce nope",
+    "reproduce mt --bless=yes",
+    "reproduce mt --out x.json",
+    "classify-pair --x a --y b",
+    "classify-pair --system morse --x a",
+    "classify-pair --system klein --x a --y b",
+    "classify-pair --system morse --x a --y b --h 5",
+    "classify-pair --system morse --x a --y b --depth",
+    "classify-pair --system morse --x a --y b --cap 5",
+    "classify-pair --system morse --x a --y b --format text",
+    "classify-pair --system morse --x --y b",
+    "classify-pair --system morse --x a --y b --depth x",
+    "classify-pair --system morse --x a --y b --depth --",
+    "-- analyze f.flow",
+    "-x analyze f.flow",
+    "--help=1",
+    "classify-pair --system morse --x - --y b --gap -2.5e3",
+    "classify-pair --system morse --y b --x -- a",
+    "analyze --out -- --cap",
+    "analyze '--format=a b'",
+    "analyze f.flow --cap 3 --",
+    "reproduce mt --bless --",
+    "fuzz --",
+    "analyze f.flow -- --cap 2",
+]
+
+
+def outcome(parse, argv, capsys):
+    """("ok", namespace without func) or ("exit", code, wrote stdout, wrote an error line)."""
+    try:
+        found = vars(parse(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return "exit", exc.code, bool(captured.out), "error:" in captured.err
+    found.pop("func", None)
+    return "ok", found
+
+
+@pytest.mark.parametrize("line", GOOD_ARGV)
+def test_table_reads_argv_like_argparse(line, capsys):
+    argv = shlex.split(line)
+    got = outcome(parse_args, argv, capsys)
+    assert got[0] == "ok" and got == outcome(build_parser().parse_args, argv, capsys)
+
+
+def exit_and_output(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("line", BAD_ARGV)
+def test_table_refuses_argv_like_argparse(line, capsys):
+    argv = shlex.split(line)
+    for parse in (parse_args, build_parser().parse_args):
+        code, out, err = exit_and_output(parse, argv, capsys)
+        assert code == 2 and out == "" and "error:" in err, (parse, line)
+        assert err.startswith("usage: flowrel")
+
+
+@pytest.mark.parametrize("line", ["--help", "-h", "analyze --help", "reproduce -h mt",
+                                  "classify-pair --he", "fuzz --count 3 -h", "analyze f.flow --bogus -h"])
+def test_help_exits_0_under_both(line, capsys):
+    argv = shlex.split(line)
+    for parse in (parse_args, build_parser().parse_args):
+        code, out, err = exit_and_output(parse, argv, capsys)
+        assert code == 0 and out.startswith("usage: flowrel") and err == "", (parse, line)
+
+
+def test_help_lists_every_command_and_flag(capsys):
+    code, out, _ = exit_and_output(parse_args, ["--help"], capsys)
+    assert code == 0 and all(name in out for name in ("analyze", "fuzz", "reproduce", "classify-pair", "--config"))
+    code, out, _ = exit_and_output(parse_args, ["classify-pair", "--help"], capsys)
+    assert code == 0
+    for flag in ("--system {morse,chacon,ternary,cc}", "--x X", "--y Y", "--depth", "--gap", "--horizon", "--out"):
+        assert flag in out
+
+
+ARGV_WORDS = [
+    "analyze", "fuzz", "reproduce", "classify-pair", "mt", "cc", "f.flow", "--config", "c.json", "--format",
+    "text", "json", "--out", "--cap", "3", "-1", "abc", "--count", "--seed", "--max-states", "--bless",
+    "--system", "morse", "--x", "--y", "a", "--depth", "--gap", "--horizon", "--", "-", "--hor", "--c",
+    "--co", "--x=a", "--out=", "--bless=1", "--bogus", "-x", "--fo=text", "--sys=cc", "--h", "--ca", "-h",
+    "--help", "x y", "-a b",
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_argv_read_alike_by_table_and_argparse(seed, capsys):
+    """Seeded argv over flags, prefixes, values, "--" and unknown words,
+    most of them after a command: the same namespace, or the same exit."""
+    rng = random.Random(seed)
+    reference = build_parser().parse_args
+    for _ in range(500):
+        argv = [rng.choice(ARGV_WORDS) for _ in range(rng.randint(0, 9))]
+        if rng.random() < 0.6:
+            argv.insert(0, rng.choice(["analyze", "fuzz", "reproduce", "classify-pair"]))
+        assert outcome(parse_args, argv, capsys) == outcome(reference, argv, capsys), argv

@@ -140,22 +140,22 @@ def test_chacon_blocks_match_naive_recursion():
 
 
 def test_chacon_block_growth_is_thread_safe():
-    """More threads than cores grow the shared block cache from scratch at
-    once, with a short switch interval; an unguarded check-then-append
-    would store some block twice and shift every later index."""
+    """More threads than cores grow the shared block core from B_1 at
+    once, with a short switch interval; every thread reads the published
+    blocks and the core ends as exactly B_10, the longest block asked for."""
     from flowrel import subshift
 
     expect = [reference_chacon_block(k) for k in range(11)]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n_threads = min((cores or 1) + 6, 64)
-    saved, interval = list(subshift._BLOCK_CACHE), sys.getswitchinterval()
+    saved, interval = subshift._BLOCK_CORE, sys.getswitchinterval()
     deadline = time.monotonic() + 2.0
     try:
         sys.setswitchinterval(1e-6)
         for _ in range(200):
             if time.monotonic() > deadline:
                 break
-            subshift._BLOCK_CACHE[:] = expect[:2]
+            subshift._BLOCK_CORE = expect[1].encode()
             barrier = threading.Barrier(n_threads, timeout=30)
             got = [None] * n_threads
 
@@ -168,11 +168,11 @@ def test_chacon_block_growth_is_thread_safe():
                 t.start()
             for t in threads:
                 t.join()
-            assert subshift._BLOCK_CACHE == expect
+            assert subshift._BLOCK_CORE == expect[10].encode()
             assert all(g == [expect[10], expect[7], expect[9]] for g in got)
     finally:
         sys.setswitchinterval(interval)
-        subshift._BLOCK_CACHE[:] = saved
+        subshift._BLOCK_CORE = saved
 
 
 def test_chacon_block_guard():

@@ -1,6 +1,6 @@
-"""Differential tests: the sliced windows and the vectorized evidence reads
-of ``flowrel.subshift`` against the one-letter-at-a-time references in
-``oracles``."""
+"""Differential tests: the windows, their pieces and the vectorized
+evidence reads of ``flowrel.subshift`` against the one-letter-at-a-time
+and ``str``-slicing references in ``oracles``."""
 
 import random
 import sys
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from oracles import (
     reference_agreement_times,
+    letterwise_segment,
     reference_expand,
     reference_gap_verdict,
     reference_segment,
@@ -50,6 +51,7 @@ def sequences():
         "x2": x2,
         "xi_2": ChaconXi((), 2),
         "xi_132_2": ChaconXi((1, 3, 2), 2),
+        "xi_12_2": ChaconXi((1, 2), 2),
         "xi_3_1": ChaconXi((3,), 1),
         "xi_2_3": ChaconXi((2,), 3),
         "pattern": pattern,
@@ -86,7 +88,56 @@ def test_segment_matches_reference(name):
     seq = sequences()[name]
     rng = random.Random(name)
     for lo, hi in [*EDGE_WINDOWS, *random_windows(rng, 150, 3000)]:
-        assert seq.segment(lo, hi) == reference_segment(seq, lo, hi), (name, lo, hi)
+        assert seq.segment(lo, hi) == letterwise_segment(seq, lo, hi), (name, lo, hi)
+
+
+# windows around coordinate 0, the Chacon spacers (coordinate 0 of x2;
+# 2|B_k| and 2|B_k| + 1 past an anchor) and hi < lo
+PIECE_WINDOWS = [
+    *EDGE_WINDOWS, (-4, -4), (4, 4), (-13, 13), (-27, -25), (25, 27), (12, 14),
+    (-40, -40), (39, 41), (-121, 121), (-1094, 1094), (-9841, 9841),
+]
+
+
+@pytest.mark.parametrize("name", sorted(sequences()))
+def test_pieces_match_reference_segment(name):
+    """Every kind's pieces are read-only 1-D uint8 arrays whose join is the
+    window ``reference_segment`` cuts by ``str`` slicing; on short windows
+    that cut is itself checked against the letter-by-letter reading."""
+    seq = sequences()[name]
+    rng = random.Random(f"pieces/{name}")
+    windows = [*PIECE_WINDOWS, *random_windows(rng, 60, 3000)]
+    windows += [(lo, lo + rng.randint(0, 30000)) for lo in (rng.randint(-40000, 0) for _ in range(4))]
+    for lo, hi in windows:
+        pieces = seq.pieces(lo, hi)
+        assert all(p.dtype == np.uint8 and p.ndim == 1 and not p.flags.writeable for p in pieces)
+        want = reference_segment(seq, lo, hi)
+        assert b"".join(pieces) == want.encode(), (name, lo, hi)
+        if hi - lo < 400:
+            assert want == letterwise_segment(seq, lo, hi), (name, lo, hi)
+
+
+@pytest.mark.parametrize("seq", [ChaconPoint("x1"), ChaconPoint("x2"), ChaconXi((1, 2), 2),
+                                 ChaconXi((1, 2, 3), 2), Shift(morse_fixed_points()["b"], 7)])
+def test_deep_window_pieces_match_reference_segment(seq):
+    """The radius-200,013 windows of the deep classify-pair runs."""
+    lo, hi = -200013, 200013
+    assert b"".join(seq.pieces(lo, hi)) == reference_segment(seq, lo, hi).encode()
+
+
+def test_chacon_windows_grow_only_the_block_below_the_one_that_holds_them():
+    """x1's window on [-(|B_k|), |B_k| - 1] is read in B_{k+1} from views
+    of B_k; an itinerary's window in B_k from views of B_{k-1}."""
+    saved = subshift._BLOCK_CORE
+    try:
+        subshift._BLOCK_CORE = b"0010"
+        ChaconPoint("x1").pieces(-9841, 9840)  # |B_8| = 9841
+        assert len(subshift._BLOCK_CORE) == 9841
+        subshift._BLOCK_CORE = b"0010"
+        ChaconXi((1, 2), 2).pieces(-200013, 200013)  # held by B_12 (797,161 letters)
+        assert len(subshift._BLOCK_CORE) == 265720  # B_11
+    finally:
+        subshift._BLOCK_CORE = saved
 
 
 CONSTANT_LENGTH = Substitution("xyz", {"x": "xzy", "y": "yyx", "z": "zxz"})
@@ -124,11 +175,14 @@ def test_expand_rejects_foreign_letters(sub, bad):
 @pytest.mark.parametrize("sub", [*ROW_WIDTHS[1:], THREE_LETTERS, UNICODE_LETTERS])
 def test_iterate_guard_refuses_exactly_past_the_bound(sub, monkeypatch):
     """With a 200-letter guard the iterates grow while their images fit and
-    stop, before expanding, at the first image that would not."""
+    stop, before expanding, at the first image that would not.  The cache
+    holds each iterate as its ASCII bytes (as str on a non-ASCII alphabet)."""
     letter = sub.alphabet[0]
     want = [letter]
     while len(reference_expand(sub.rule, want[-1])) <= 200:
         want.append(reference_expand(sub.rule, want[-1]))
+    if sub.alphabet.isascii():
+        want = [w.encode() for w in want]
     monkeypatch.setattr(subshift, "MAX_BLOCK_LENGTH", 200)
     subshift._ITERATE_CACHE.pop((sub, letter), None)
     try:
@@ -148,7 +202,7 @@ def test_substitution_iterates_are_shared_across_halves_and_points():
     assert [len(w) for w in iterates[:6]] == [1, 4, 16, 64, 256, 1024]
     assert all(fresh.expand(u) == v for u, v in zip(iterates, iterates[1:]))
     before = len(iterates)
-    assert b.segment(-700, 700) == reference_segment(b, -700, 700)
+    assert b.segment(-700, 700) == letterwise_segment(b, -700, 700)
     assert len(subshift._ITERATE_CACHE[key]) == before
 
 
@@ -157,7 +211,7 @@ def test_substitution_iterate_growth_is_thread_safe():
     a short switch interval; every thread reads the same window and the
     cache holds each iterate once."""
     sub = Substitution("01", {"0": "010", "1": "101"})
-    expect = reference_segment(SubstFixed("0", "1", sub), -5000, 5000)
+    expect = letterwise_segment(SubstFixed("0", "1", sub), -5000, 5000)
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
@@ -199,7 +253,7 @@ def test_warm_iterate_cache_still_stops_at_the_guard():
             with pytest.raises(OverflowError, match="letter guard"):
                 x.segment(0, 10**6)
             assert subshift._ITERATE_CACHE[(sub, "0")] == cached
-        assert x.segment(-3, 3) == reference_segment(x, -3, 3)
+        assert x.segment(-3, 3) == letterwise_segment(x, -3, 3)
     finally:
         subshift._ITERATE_CACHE.pop((sub, "0"), None)
 
@@ -289,19 +343,21 @@ def test_agreement_times_on_a_deep_chacon_pair_with_many_runs():
 
 
 def test_agreement_times_peak_memory_per_letter():
-    """The pass holds at most 4 bytes per letter at its peak, the two
-    segments included, at horizon 10^6 on a pair with 21,170 runs.  The
-    Chacon blocks are grown first: they are memoized once per process."""
+    """The pass holds at most 2 bytes per letter at its peak, plus 32 bytes
+    per run, at horizon 10^6 on a pair with 21,170 runs: the windows are
+    compared in place from views of the Chacon blocks.  The blocks are
+    grown first: they are memoized once per process."""
     x, y, n, horizon = ChaconXi((1, 2), 2), ChaconPoint("x1"), 6, 10**6
     letters = 2 * (horizon + n) + 1
-    assert agreement_times(x, y, n, horizon)[0].size == 21170
+    runs = agreement_times(x, y, n, horizon)[0].size
+    assert runs == 21170
     tracemalloc.start()
     try:
         agreement_times(x, y, n, horizon)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * letters
+    assert peak <= 2 * letters + 32 * runs
 
 
 @pytest.mark.parametrize("n, horizon", [(0, 0), (0, 9), (4, 0), (7, 300), (12, 3)])
