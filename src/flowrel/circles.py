@@ -95,48 +95,20 @@ def _tier_radius(family: str, n: int) -> float:
     return 1 / n
 
 
-def _forward_tier(f: str, n: int) -> tuple[str, int, float] | None:
-    """Next tier and angle coefficient, or None for fixed tiers."""
-    if f == "center" or (f, n) == ("C", 0):
-        return None
-    if f == "C":
-        if n == 1:
-            return ("D", 4, 1 / 2)  # C(1) = D(2) continues the inner even chain
-        if n % 2 == 0:
-            return ("C", n + 2, 1 / n)
-        return ("C", n - 2, 1 / n)
-    if n == 3:
-        return ("C", 2, 1 / 3)
-    if n % 2 == 1:
-        return ("D", n - 2, 1 / n)
-    return ("D", n + 2, 1 / n)
-
-
-def _backward_tier(f: str, n: int) -> tuple[str, int, float] | None:
-    """Predecessor tier and its angle coefficient, or None for fixed tiers."""
-    if f == "center" or (f, n) == ("C", 0):
-        return None
-    if f == "C":
-        if n == 1:
-            return ("C", 3, 1 / 3)
-        if n == 2:
-            return ("D", 3, 1 / 3)
-        if n % 2 == 0:
-            return ("C", n - 2, 1 / (n - 2))
-        return ("C", n + 2, 1 / (n + 2))
-    if n == 4:
-        return ("C", 1, 1 / 2)
-    if n % 2 == 0:
-        return ("D", n - 2, 1 / (n - 2))
-    return ("D", n + 2, 1 / (n + 2))
+def _coefficient(f: str, n: int) -> float:
+    """The angle coefficient of a step from tier (f, n): 1/n, and 1/2 on
+    C(1) = D(2).  An int quotient, so a tier past the float range gives
+    0.0 rather than an OverflowError."""
+    return 1 / 2 if (f, n) == ("C", 1) else 1 / n
 
 
 def step(p: CirclePoint) -> CirclePoint:
-    nxt = _forward_tier(p.family, p.index)
-    if nxt is None:
+    place = _chain_position(p.family, p.index)
+    if place is None:
         return p
-    f, n, c = nxt
-    return CirclePoint(f, n, p.angle + c * math.sin(p.angle))
+    chain, pos = place
+    angle = p.angle + _coefficient(p.family, p.index) * math.sin(p.angle)
+    return CirclePoint(*_chain_tier(chain, pos + 1), angle)
 
 
 def _invert_angle(alpha: float, coeff: float) -> float:
@@ -164,11 +136,14 @@ def _invert_angle(alpha: float, coeff: float) -> float:
 
 
 def step_back(p: CirclePoint) -> CirclePoint:
-    prev = _backward_tier(p.family, p.index)
-    if prev is None:
+    """The step that ``step`` undoes: the previous tier, with the angle
+    inverted under that tier's coefficient."""
+    place = _chain_position(p.family, p.index)
+    if place is None:
         return p
-    f, n, c = prev
-    return CirclePoint(f, n, _invert_angle(p.angle, c))
+    chain, pos = place
+    f, n = _chain_tier(chain, pos - 1)
+    return CirclePoint(f, n, _invert_angle(p.angle, _coefficient(f, n)))
 
 
 def iterate(p: CirclePoint, count: int) -> CirclePoint:
@@ -180,15 +155,11 @@ def iterate(p: CirclePoint, count: int) -> CirclePoint:
 
 
 def family_label(p: CirclePoint) -> str:
-    if p.family == "center":
-        return FIXED_CENTER
-    if (p.family, p.index) == ("C", 0):
-        return FIXED_RIM
-    if p.family == "C":
-        if p.index == 1:
-            return CENTERWARD
-        return RIMWARD if p.index % 2 == 0 else CENTERWARD
-    return CENTERWARD if p.index % 2 == 0 else RIMWARD
+    """Rimward on chain 0, centerward on chain 1."""
+    place = _chain_position(p.family, p.index)
+    if place is None:
+        return FIXED_CENTER if p.family == "center" else FIXED_RIM
+    return (RIMWARD, CENTERWARD)[place[0]]
 
 
 @dataclass(frozen=True)
@@ -207,11 +178,14 @@ class AsymptoticReport:
         }
 
 
-def _chain_position(f: str, n: int) -> tuple[int, int]:
-    """(chain, position) of a migrating tier.  Chain 0 is ... D5, D3, C2,
-    C4, ... (D3 at 0, C2 at 1), where the radius rises with the position;
-    chain 1 is ... C3, C1, D4, D6, ... (C1 at 0, D4 at 1), where it falls.
-    ``step`` adds one to the position and ``step_back`` subtracts one."""
+def _chain_position(f: str, n: int) -> tuple[int, int] | None:
+    """(chain, position) of a migrating tier, None for the fixed tiers
+    (the center and C(0)).  Chain 0 is ... D5, D3, C2, C4, ... (D3 at 0,
+    C2 at 1), where the radius rises with the position; chain 1 is ...
+    C3, C1, D4, D6, ... (C1 at 0, D4 at 1), where it falls.  ``step``
+    adds one to the position and ``step_back`` subtracts one."""
+    if f == "center" or (f, n) == ("C", 0):
+        return None
     if f == "C":
         return (0, n // 2) if n % 2 == 0 else (1, -(n // 2))
     return (0, 1 - n // 2) if n % 2 == 1 else (1, n // 2 - 1)
@@ -234,9 +208,10 @@ def _classify_direction(p: CirclePoint, direction: int, max_iter: int, eps: floa
     Step 1 is tested as a step-by-step walk would test it; after that the
     test that persists is binary-searched, with the same float
     expressions, in O(log max_iter) radius evaluations."""
-    if _forward_tier(p.family, p.index) is None:
+    place = _chain_position(p.family, p.index)
+    if place is None:
         return FIXED, 0
-    chain, pos = _chain_position(p.family, p.index)
+    chain, pos = place
 
     def radius_at(k: int) -> float:
         return _tier_radius(*_chain_tier(chain, pos + direction * k))

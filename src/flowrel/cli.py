@@ -13,7 +13,9 @@ classify-pair, ``--cap N`` on analyze and fuzz.  ``--config FILE``
 supplies defaults for any flag; explicit flags win.  The closure cap of
 analyze and fuzz honors the FLOWREL_ELEMENT_CAP environment variable; a
 cap that is not an integer of at least 1, from any source, is a usage
-error.
+error.  An argv in exact form (full flag names, no value starting with
+``-``) is read directly from the command table; any other argv goes to
+argparse, built from the same table.
 
 Exit codes: 0 success, 1 failed checks or golden mismatch, 2 usage, parse or
 unwritable --out error, 3 monoid too large.
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import difflib
 import json
-import re
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -164,11 +165,17 @@ def emit(payload: str, out: str | None) -> bool:
 # point descriptor mini-language
 
 
+def _shifted(rest: str, parse: Callable, shift: Callable):
+    """``shift(parse(INNER), K)`` for the descriptor ``shift:K:INNER``,
+    whose ``rest`` is ``K:INNER``; INNER is read before K."""
+    k, _, inner = rest.partition(":")
+    return shift(parse(inner), int(k))
+
+
 def parse_morse_point(desc: str) -> BiSeq:
     head, _, rest = desc.partition(":")
     if head == "shift":
-        k, _, inner = rest.partition(":")
-        return Shift(parse_morse_point(inner), int(k))
+        return _shifted(rest, parse_morse_point, Shift)
     if head == "dual":
         return Dual(parse_morse_point(rest))
     pts = morse_fixed_points()
@@ -180,8 +187,7 @@ def parse_morse_point(desc: str) -> BiSeq:
 def parse_chacon_point(desc: str) -> BiSeq:
     head, _, rest = desc.partition(":")
     if head == "shift":
-        k, _, inner = rest.partition(":")
-        return Shift(parse_chacon_point(inner), int(k))
+        return _shifted(rest, parse_chacon_point, Shift)
     if desc in ("x1", "x2"):
         return ChaconPoint(desc)
     if head == "xi":
@@ -194,8 +200,7 @@ def parse_chacon_point(desc: str) -> BiSeq:
 def parse_ternary_point(desc: str) -> TernarySeq:
     head, _, rest = desc.partition(":")
     if head == "shift":
-        k, _, inner = rest.partition(":")
-        return parse_ternary_point(inner).shifted(int(k))
+        return _shifted(rest, parse_ternary_point, TernarySeq.shifted)
     if head == "const":
         return constant(rest)
     if desc in reports.ternary_sample():
@@ -350,14 +355,6 @@ class Arg:
     def option(self) -> str:
         return "--" + self.dest.replace("_", "-")
 
-    @property
-    def metavar(self) -> str:
-        return "{" + ",".join(self.choices) + "}" if self.choices else self.dest.upper()
-
-    @property
-    def usage(self) -> str:
-        return self.option if self.kind is None else f"{self.option} {self.metavar}"
-
 
 @dataclass(frozen=True)
 class Command:
@@ -385,10 +382,9 @@ CONFIG_TYPES = {key: (int,) for key in ("count", "seed", "max_states", "depth", 
 CONFIG_TYPES.update(format=(str,), out=(str, type(None)))
 FORMATS = ("json", "text")
 
-HELP = Arg("help", None, help="show this help message and exit")
+CONFIG = Arg("config", help="JSON file supplying defaults for any flag")
 OUT = Arg("out", help="also write the report to this path")
 CAP = Arg("cap", int, help="monoid element cap override")
-TOP_FLAGS = (HELP, Arg("config", help="JSON file supplying defaults for any flag"))
 COMMANDS = {
     "analyze": Command(cmd_analyze, "full pipeline on a flow file",
                        (Arg("format", choices=FORMATS, help="report format (default json)"), OUT, CAP),
@@ -409,168 +405,84 @@ COMMANDS = {
         Arg("horizon", int, help="shift horizon H (default 4096)"), OUT)),
 }
 
-# a token of this form, or one holding a space, is a value unless it names a flag
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
-class _Scope:
-    """The flags of ``flowrel`` itself or of one command, read the way
-    argparse reads them: a flag is named in full or by a unique prefix,
-    its value follows as the next token or after ``=``, a repeated flag
-    keeps its last value, ``-h``/``--help`` prints the help and exits 0,
-    and a usage error prints the usage and an ``error:`` line to stderr
-    and exits 2."""
-
-    def __init__(self, prog: str, description: str, flags: tuple[Arg, ...],
-                 positional: Arg | None = None, commands: dict[str, Command] | None = None):
-        self.prog, self.description, self.flags = prog, description, flags
-        self.positional, self.commands = positional, commands
-        words = ["[-h]", *(arg.usage if arg.required else f"[{arg.usage}]" for arg in flags[1:])]
-        if positional:
-            words.append(self._name(positional))
-        if commands:
-            words.append("{" + ",".join(commands) + "} ...")
-        self.usage = f"usage: {prog} {' '.join(words)}"
-        self.exact = {"-h": HELP, **{arg.option: arg for arg in flags}}
-
-    @staticmethod
-    def _name(positional: Arg) -> str:
-        return positional.metavar if positional.choices else positional.dest
-
-    def help_text(self) -> str:
-        sections = []
-        if self.commands:
-            sections.append(("commands", [(name, c.help) for name, c in self.commands.items()]))
-        if self.positional:
-            sections.append(("positional arguments", [(self._name(self.positional), self.positional.help)]))
-        sections.append(("options", [("-h, --help" if arg is HELP else arg.usage, arg.help) for arg in self.flags]))
-        lines = [self.usage, "", self.description.strip(), ""]
-        for title, rows in sections:
-            lines.append(f"{title}:")
-            lines += [f"  {left:<22}{text}".rstrip() if len(left) < 22 else f"  {left}\n{'':24}{text}".rstrip()
-                      for left, text in rows]
-            lines.append("")
-        return "\n".join(lines)
-
-    def fail(self, message: str):
-        sys.stderr.write(f"{self.usage}\n{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_PARSE)
-
-    def classify(self, token: str) -> tuple[Arg | None, str | None] | None:
-        """(flag, value given after ``=``) for a token that names a flag,
-        (None, None) for an unknown flag, None for a value."""
-        if not token.startswith("-") or token in ("-", "--"):
-            return None
-        if token in self.exact:
-            return self.exact[token], None
-        name, eq, value = token.partition("=")
-        if eq and name in self.exact:
-            return self.exact[name], value
-        if token.startswith("--"):
-            matches = [arg for arg in self.flags if arg.option.startswith(name)]
-            if len(matches) > 1:
-                self.fail(f"ambiguous option: {token} could match {', '.join(a.option for a in matches)}")
-            if matches:
-                return matches[0], value if eq else None
-        if _NEGATIVE_NUMBER.match(token) or " " in token:
-            return None
-        return None, None
-
-    def convert(self, arg: Arg, value: str, name: str):
-        try:
-            value = arg.kind(value)
-        except (TypeError, ValueError):
-            self.fail(f"argument {name}: invalid {arg.kind.__name__} value: {value!r}")
-        if arg.choices and value not in arg.choices:
-            self.fail(f"argument {name}: invalid choice: {value!r} "
-                      f"(choose from {', '.join(map(repr, arg.choices))})")
-        return value
-
-    def scan(self, tokens: list[str], values: dict, extras: list[str], stop_at_value: bool) -> list[str]:
-        """Read ``tokens`` into ``values``; unknown flags and surplus values
-        go to ``extras``.  With ``stop_at_value``, stop at the first value
-        and return the tokens from it on.  After a ``--`` every token is a
-        value; the ``--`` itself is dropped when the positional is empty
-        or was filled by the token before it, as argparse drops it."""
-        end = tokens.index("--") if "--" in tokens else len(tokens)
-        kinds = [self.classify(token) for token in tokens[:end]]
-        i, filled_at = 0, None
-        while i < end:
-            token, kind = tokens[i], kinds[i]
-            i += 1
-            if kind is None:
-                if stop_at_value:
-                    return tokens[i - 1:]
-                if self.take_value(token, values, extras):
-                    filled_at = i - 1
-                continue
-            arg, value = kind
-            if arg is None:
-                extras.append(token)
-                continue
-            name = "-h/--help" if arg is HELP else arg.option
-            if arg.kind is None:
-                if value is not None:
-                    self.fail(f"argument {name}: ignored explicit argument {value!r}")
-                if arg is HELP:
-                    sys.stdout.write(self.help_text())
-                    raise SystemExit(EXIT_OK)
-                values[arg.dest] = True
-                continue
-            if value is None:
-                if i == end or kinds[i] is not None:
-                    self.fail(f"argument {name}: expected one argument")
-                value, i = tokens[i], i + 1
-            values[arg.dest] = self.convert(arg, value, name)
-        if stop_at_value:
-            return tokens[end:]
-        if end < len(tokens):
-            arg = self.positional
-            if not arg or values[arg.dest] is not None and filled_at != end - 1:
-                extras.append("--")
-            for token in tokens[end + 1:]:
-                self.take_value(token, values, extras)
-        return []
-
-    def take_value(self, token: str, values: dict, extras: list[str]) -> bool:
-        """The first value fills the positional, checked at once (True);
-        later ones go to ``extras``."""
-        arg = self.positional
-        if arg and values[arg.dest] is None:
-            values[arg.dest] = self.convert(arg, token, arg.dest)
-            return True
-        extras.append(token)
-        return False
-
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
-    """``flowrel [--config FILE] COMMAND ...`` read by the table: the
-    namespace holds ``config``, ``command``, the command's positional and
-    each of its flags (None, or False for a switch, when not given)."""
-    top = _Scope("flowrel", __doc__, TOP_FLAGS, commands=COMMANDS)
+    """``flowrel [--config FILE] COMMAND ...``: the namespace holds
+    ``config``, ``command``, the command's positional and each of its
+    flags (None, or False for a switch, when not given).  An argv in exact
+    form is read directly; every other argv (help, a prefix, a usage
+    error) goes to argparse, built from the same table."""
+    values = _read_exact(argv)
+    return _argparse_args(argv) if values is None else SimpleNamespace(**values)
+
+
+def _read_exact(argv: list[str]) -> dict | None:
+    """The namespace of ``[--config F] COMMAND`` followed by full flag
+    names, each with its value as the next token or after ``=``, switches
+    and the command's one positional; None for any other argv: an unknown
+    or abbreviated flag, a value that starts with ``-`` (``--`` and ``-h``
+    among them), a value that ``kind`` or ``choices`` refuses, a missing
+    or a surplus argument."""
     values: dict = {"config": None}
-    extras: list[str] = []
-    rest = top.scan(list(argv), values, extras, stop_at_value=True)
-    if not rest:
-        top.fail("the following arguments are required: command")
-    name = rest[0]
-    if name not in COMMANDS:
-        top.fail(f"argument command: invalid choice: {name!r} (choose from {', '.join(map(repr, COMMANDS))})")
-    command = COMMANDS[name]
-    scope = _Scope(f"flowrel {name}", command.help, (HELP, *command.flags), command.positional)
-    values["command"] = name
-    if command.positional:
-        values[command.positional.dest] = None
-    values.update((arg.dest, False if arg.kind is None else None) for arg in command.flags)
-    scope.scan(rest[1:], values, extras, stop_at_value=False)
-    missing = [arg.option for arg in command.flags if arg.required and values[arg.dest] is None]
-    if command.positional and values[command.positional.dest] is None:
-        missing.insert(0, command.positional.dest)
-    if missing:
-        scope.fail(f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        top.fail(f"unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(**values)
+    flags, command, positional = {CONFIG.option: CONFIG}, None, None
+    tokens = iter(argv)
+    for token in tokens:
+        if token.startswith("-"):
+            name, eq, value = token.partition("=")
+            arg = flags.get(name)
+            if arg is None or arg.kind is None and eq:
+                return None
+            if arg.kind is None:
+                values[arg.dest] = True
+                continue
+            value = value if eq else next(tokens, "-")
+        elif command is None:
+            if token not in COMMANDS:
+                return None
+            command, values["command"] = COMMANDS[token], token
+            flags = {arg.option: arg for arg in command.flags}
+            values.update((arg.dest, False if arg.kind is None else None) for arg in command.flags)
+            positional = command.positional  # None once filled
+            continue
+        elif positional:
+            arg, value, positional = positional, token, None
+        else:
+            return None
+        if value.startswith("-"):
+            return None
+        try:
+            values[arg.dest] = arg.kind(value)
+        except ValueError:
+            return None
+        if arg.choices and values[arg.dest] not in arg.choices:
+            return None
+    if command is None or positional or any(values[arg.dest] is None for arg in command.flags if arg.required):
+        return None
+    return values
+
+
+def _argparse_args(argv: list[str]) -> SimpleNamespace:
+    """``parse_args`` by argparse, on a parser built from ``COMMANDS``: its
+    namespace, or its help text and exit 0, or its usage error and exit
+    2."""
+    import argparse
+
+    top = argparse.ArgumentParser(prog="flowrel", description=__doc__,
+                                  formatter_class=argparse.RawDescriptionHelpFormatter)
+    top.add_argument(CONFIG.option, help=CONFIG.help)
+    subparsers = top.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.help, description=command.help)
+        if command.positional:
+            arg = command.positional
+            sub.add_argument(arg.dest, type=arg.kind, choices=arg.choices or None, help=arg.help)
+        for arg in command.flags:
+            if arg.kind is None:
+                sub.add_argument(arg.option, action="store_true", help=arg.help)
+            else:
+                sub.add_argument(arg.option, type=arg.kind, choices=arg.choices or None,
+                                 required=arg.required, help=arg.help)
+    return SimpleNamespace(**vars(top.parse_args(argv)))
 
 
 def load_config(path: str) -> dict:

@@ -114,25 +114,24 @@ class BiSeq:
     """A bi-infinite sequence over ASCII letters, evaluable on any finite
     window.
 
-    ``pieces(lo, hi)`` returns read-only uint8 arrays, one byte per
-    letter, whose concatenation is the window of coordinates lo..hi
-    inclusive (no pieces when hi < lo); ``segment(lo, hi)`` is that window
-    as a str and ``window(n)`` the block on [-n, n].  A subclass defines
-    one of the two.  The substitution fixed points and the Chacon points
-    define ``pieces`` as views of memoized cores, so no window is copied;
-    the other kinds define ``segment``, and their one piece is its
-    encoding.  Every memoized growth (the shared substitution iterates,
-    the shared Chacon blocks) happens under a lock, and cores only ever
-    grow, so instances may be shared between threads.
+    ``pieces(lo, hi)``, which each kind defines, returns read-only
+    uint8 arrays, one byte per letter, whose concatenation is the window
+    of coordinates lo..hi inclusive (no letters when hi < lo);
+    ``segment(lo, hi)`` is that window as a str and ``window(n)`` the
+    block on [-n, n].  The substitution fixed points and the Chacon points
+    hand out views of memoized cores, so no window is copied.  Every
+    memoized growth (the shared substitution iterates, the shared Chacon
+    blocks) happens under a lock, and cores only ever grow, so instances
+    may be shared between threads.
     """
 
     alphabet: str = "01"
 
     def pieces(self, lo: int, hi: int) -> list[np.ndarray]:
-        return [np.frombuffer(self.segment(lo, hi).encode("ascii"), dtype=np.uint8)]
+        raise NotImplementedError
 
     def segment(self, lo: int, hi: int) -> str:
-        return b"".join(self.pieces(lo, hi)).decode("ascii")
+        return b"".join(map(bytes, self.pieces(lo, hi))).decode("ascii")
 
     def window(self, n: int) -> str:
         if n < 0:
@@ -394,10 +393,14 @@ class EventuallyConstant(BiSeq):
         self.left_fill = left_fill
         self.right_fill = right_fill
 
-    def segment(self, lo: int, hi: int) -> str:
-        a, b, c = lo - self.start, hi - self.start, self.center
-        return (self.left_fill * (min(b, -1) - a + 1) + c[max(a, 0):max(b + 1, 0)]
-                + self.right_fill * (b - max(a, len(c)) + 1))
+    def pieces(self, lo: int, hi: int) -> list[np.ndarray]:
+        """Read-only broadcasts of the left and the right fill byte around
+        a view of the center."""
+        a, b = lo - self.start, hi - self.start
+        left, c, right = (np.frombuffer(w.encode("ascii"), dtype=np.uint8)
+                          for w in (self.left_fill, self.center, self.right_fill))
+        return [np.broadcast_to(left, (max(min(b, -1) - a + 1, 0),)), c[max(a, 0):max(b + 1, 0)],
+                np.broadcast_to(right, (max(b - max(a, c.size) + 1, 0),))]
 
     def describe(self) -> dict:
         return {
@@ -453,8 +456,10 @@ class Dual(BiSeq):
         self.inner = inner
         self.alphabet = inner.alphabet
 
-    def segment(self, lo: int, hi: int) -> str:
-        return dual_word(self.inner.segment(lo, hi))
+    def pieces(self, lo: int, hi: int) -> list[np.ndarray]:
+        """The inner pieces with each byte XORed with 1, which swaps the
+        ASCII letters 0 and 1."""
+        return [_read_only(piece ^ 1) for piece in self.inner.pieces(lo, hi)]
 
     def describe(self) -> dict:
         return {"type": "dual", "inner": self.inner.describe()}
@@ -485,15 +490,23 @@ class AdicImage(BiSeq):
         self.inner = inner
         self.alphabet = "01"
 
-    def segment(self, lo: int, hi: int) -> str:
-        raw = np.frombuffer(b"".join(self.inner.pieces(lo, hi + 1)), dtype=np.uint8)
-        return ((raw[:-1] ^ raw[1:]) + ord("0")).tobytes().decode()
+    def pieces(self, lo: int, hi: int) -> list[np.ndarray]:
+        """One piece: the XOR of each inner letter with the next, as ASCII."""
+        if hi < lo:
+            return []
+        raw = np.concatenate(self.inner.pieces(lo, hi + 1))
+        return [_read_only((raw[:-1] ^ raw[1:]) + ord("0"))]
 
     def describe(self) -> dict:
         return {"type": "adjacent_sum", "inner": self.inner.describe()}
 
     def normalized(self) -> BiSeq:
         return AdicImage(self.inner.normalized())
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def is_dual_pair(x: BiSeq, y: BiSeq) -> bool:
@@ -551,8 +564,8 @@ def agreement_times(x: BiSeq, y: BiSeq, n: int, horizon: int) -> tuple[np.ndarra
 
     Memory: about 2 bytes per letter at the peak (the mask and its flips),
     measured with tracemalloc at horizon 10^6 on the Chacon points, plus
-    at most 32 bytes per run; a kind whose pieces are an encoded segment
-    adds its segment.
+    at most 32 bytes per run; the pieces of a dual or an adjacent-sum
+    image are new arrays, one byte per letter, freed once the mask is set.
     """
     lo, hi = -horizon - n, horizon + n
     acc = np.zeros(hi - lo + 3, dtype=bool)

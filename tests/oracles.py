@@ -12,8 +12,11 @@ reference for the views that ``BiSeq.pieces`` hands out; with the gather
 form of the agreement scan (its times, which
 ``times_to_runs`` turns into the library's runs) and the asymptotic
 class read off a walk that carries the angle (the reference for the
-binary search over the tier chains), and the fixed 80-halving bisection
-is the reference for ``circles._invert_angle``'s early stop; the
+binary search over the tier chains), that walk stepping by the case
+tables ``forward_tier`` and ``backward_tier`` (the references for
+``step`` and ``step_back``, which read the tier chains), and the fixed
+80-halving bisection is the reference for ``circles._invert_angle``'s
+early stop; the
 brute-force minimal
 left ideals, the element-by-element ideal kernel matrix and the row-scan
 class listing are the references for ``minimal_left_ideals`` and the
@@ -53,8 +56,9 @@ kernel-label set test ``relations.proximal_sets``;
 reference for ``finflow.close``'s layer-at-a-time array search, element
 order and cap included.
 
-``build_parser`` is the argparse form of the command line, the reference
-for the argv language that ``cli.parse_args`` reads from its table.
+``build_parser`` is the argparse form of the command line, written out
+flag by flag, the reference for ``cli.parse_args``: for the exact forms
+it reads itself and for the argparse parser it builds from its table.
 """
 
 import argparse
@@ -70,10 +74,9 @@ from flowrel.circles import (
     TO_C0,
     TO_CENTER,
     AsymptoticReport,
+    CirclePoint,
     radius,
     rim_distance,
-    step,
-    step_back,
 )
 from flowrel.finflow import (
     FiniteFlow,
@@ -132,19 +135,21 @@ def ternary_expected_type(n1: str, n2: str) -> str:
 # even inner circles), or one point is the center and the other migrates.
 
 
+def circle_family(t) -> str:
+    f, n = t
+    if f == "center":
+        return "center"
+    if (f, n) == ("C", 0):
+        return "rim"
+    if f == "C":
+        return "out" if (n % 2 == 0 and n >= 2) else "in"
+    return "in" if n % 2 == 0 else "out"
+
+
 def circle_table_says_proximal(t1, t2) -> bool:
     if t1 == t2 == ("center", 0):
         return True  # the center carries no angle: both points are equal
-    def fam(t):
-        f, n = t
-        if f == "center":
-            return "center"
-        if (f, n) == ("C", 0):
-            return "rim"
-        if f == "C":
-            return "out" if (n % 2 == 0 and n >= 2) else "in"
-        return "in" if n % 2 == 0 else "out"
-    f1, f2 = fam(t1), fam(t2)
+    f1, f2 = circle_family(t1), circle_family(t2)
     if f1 == f2 and f1 in ("in", "out"):
         return True
     if {f1, f2} in ({"center", "in"}, {"center", "out"}):
@@ -347,14 +352,71 @@ def reference_gap_verdict(ts, n: int, gap_bound: int, horizon: int) -> EvidenceV
 # -- the circle cascade's asymptotics, one point at a time ------------------------
 
 
+def forward_tier(f: str, n: int) -> tuple[str, int, float] | None:
+    """Next tier and angle coefficient, or None for fixed tiers: the case
+    table ``circles.step`` reads from the tier chains."""
+    if f == "center" or (f, n) == ("C", 0):
+        return None
+    if f == "C":
+        if n == 1:
+            return ("D", 4, 1 / 2)  # C(1) = D(2) continues the inner even chain
+        if n % 2 == 0:
+            return ("C", n + 2, 1 / n)
+        return ("C", n - 2, 1 / n)
+    if n == 3:
+        return ("C", 2, 1 / 3)
+    if n % 2 == 1:
+        return ("D", n - 2, 1 / n)
+    return ("D", n + 2, 1 / n)
+
+
+def backward_tier(f: str, n: int) -> tuple[str, int, float] | None:
+    """Predecessor tier and its angle coefficient, or None for fixed
+    tiers: the case table ``circles.step_back`` reads from the chains."""
+    if f == "center" or (f, n) == ("C", 0):
+        return None
+    if f == "C":
+        if n == 1:
+            return ("C", 3, 1 / 3)
+        if n == 2:
+            return ("D", 3, 1 / 3)
+        if n % 2 == 0:
+            return ("C", n - 2, 1 / (n - 2))
+        return ("C", n + 2, 1 / (n + 2))
+    if n == 4:
+        return ("C", 1, 1 / 2)
+    if n % 2 == 0:
+        return ("D", n - 2, 1 / (n - 2))
+    return ("D", n + 2, 1 / (n + 2))
+
+
+def reference_step(p):
+    """``circles.step`` read from ``forward_tier``."""
+    nxt = forward_tier(p.family, p.index)
+    if nxt is None:
+        return p
+    f, n, c = nxt
+    return CirclePoint(f, n, p.angle + c * math.sin(p.angle))
+
+
+def reference_step_back(p):
+    """``circles.step_back`` read from ``backward_tier``."""
+    prev = backward_tier(p.family, p.index)
+    if prev is None:
+        return p
+    f, n, c = prev
+    return CirclePoint(f, n, reference_invert_angle(p.angle, c))
+
+
 def reference_asymptotic_class(p, max_iter: int = 10**4, eps: float = 1e-3):
-    """``asymptotic_class`` by iterating ``step`` and ``step_back`` on the
-    point itself, angle included, until the rim or the center is within eps."""
+    """``asymptotic_class`` by iterating ``reference_step`` and
+    ``reference_step_back`` on the point itself, angle included, until the
+    rim or the center is within eps."""
     if max_iter < 1 or eps <= 0:
         raise ValueError("need max_iter >= 1 and eps > 0")
 
     def direction(advance):
-        if step(p) == p:
+        if reference_step(p) == p:
             return FIXED, 0
         q = p
         for k in range(1, max_iter + 1):
@@ -365,7 +427,7 @@ def reference_asymptotic_class(p, max_iter: int = 10**4, eps: float = 1e-3):
                 return TO_CENTER, k
         return INCONCLUSIVE, None
 
-    return AsymptoticReport(*direction(step), *direction(step_back))
+    return AsymptoticReport(*direction(reference_step), *direction(reference_step_back))
 
 
 def reference_invert_angle(alpha: float, coeff: float) -> float:

@@ -2,7 +2,15 @@ import math
 import random
 
 import pytest
-from oracles import reference_asymptotic_class, reference_invert_angle
+from oracles import (
+    backward_tier,
+    circle_family,
+    forward_tier,
+    reference_asymptotic_class,
+    reference_invert_angle,
+    reference_step,
+    reference_step_back,
+)
 
 from flowrel.circles import (
     CENTERWARD,
@@ -13,10 +21,8 @@ from flowrel.circles import (
     INCONCLUSIVE,
     RIMWARD,
     CirclePoint,
-    _backward_tier,
     _chain_position,
     _chain_tier,
-    _forward_tier,
     _invert_angle,
     _tier_radius,
     asymptotic_class,
@@ -174,17 +180,26 @@ def test_asymptotic_class_matches_angle_walk():
                 assert got == reference_asymptotic_class(p, max_iter, eps), (p, max_iter, eps)
 
 
+FAMILY_LABELS = {"out": RIMWARD, "in": CENTERWARD, "rim": FIXED_RIM, "center": FIXED_CENTER}
 CHAIN_TIERS = [t for t in TIER_SWEEP if t not in (("center", 0), ("C", 0))] + FAR_TIERS
 
 
 def test_chain_maps_match_the_tier_maps():
-    """Position + 1 on a chain is ``_forward_tier`` and position - 1 is
-    ``_backward_tier``; a tier's position reads back as the tier."""
+    """Position + 1 on a chain is ``forward_tier`` and position - 1 is
+    ``backward_tier``; a tier's position reads back as the tier.  ``step``
+    and ``step_back`` give the table's tier and, bit for bit, its angle,
+    also past the float range (coefficient 0.0), and fix the fixed tiers;
+    ``family_label`` is the parity table's."""
     for fam, idx in CHAIN_TIERS:
         chain, pos = _chain_position(fam, idx)
         assert _chain_tier(chain, pos) == (fam, idx)
-        assert _chain_tier(chain, pos + 1) == _forward_tier(fam, idx)[:2], (fam, idx)
-        assert _chain_tier(chain, pos - 1) == _backward_tier(fam, idx)[:2], (fam, idx)
+        assert _chain_tier(chain, pos + 1) == forward_tier(fam, idx)[:2], (fam, idx)
+        assert _chain_tier(chain, pos - 1) == backward_tier(fam, idx)[:2], (fam, idx)
+    for fam, idx in [*TIER_SWEEP, *FAR_TIERS, ("C", 10**400), ("D", 10**400 + 1)]:
+        for angle in (*ANGLES, 1.3, 5e-324, math.nextafter(math.pi, 0.0)):
+            p = CirclePoint(fam, idx, angle)
+            assert step(p) == reference_step(p) and step_back(p) == reference_step_back(p), p
+        assert family_label(p) == FAMILY_LABELS[circle_family((fam, idx))], p
     assert _chain_tier(0, 0) == ("D", 3) and _chain_tier(0, 1) == ("C", 2)
     assert _chain_tier(1, 0) == ("C", 1) and _chain_tier(1, 1) == ("D", 4)
 

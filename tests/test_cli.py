@@ -393,6 +393,12 @@ def test_descriptor_parsers():
     assert parse_circle_point("center").tier() == "center"
     with pytest.raises(ValueError):
         parse_circle_point("C:1")
+    # a shift:K: prefix reads its inner descriptor before K
+    for parse, point in ((parse_morse_point, "a"), (parse_chacon_point, "x1"), (parse_ternary_point, "z")):
+        with pytest.raises(ValueError, match="unknown point 'nope'"):
+            parse("shift:x:shift:2:nope")
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            parse(f"shift:x:shift:2:{point}")
 
 
 # the full transformation monoid T_5 (3,125 elements) from a 5-cycle, the
@@ -577,7 +583,38 @@ def test_one_parser_serves_successive_calls_like_separate_runs(capsys):
     assert in_process == separate
 
 
-# -- the table-driven argv reader against argparse ------------------------------
+# -- the exact-form reader and the argparse fallback against argparse ------------
+
+# the argv forms the benchmark runs, which the exact-form reader takes
+EXACT_ARGV = [
+    ["analyze", str(FLOWS / "identity1.flow")],
+    ["reproduce", "mt"],
+    ["classify-pair", "--system", "morse", "--x", "shift:3:a", "--y", "b", "--depth", "16", "--horizon", "2000"],
+    ["fuzz", "--count", "3"],
+]
+FRESH_INTERPRETER = """
+import contextlib, io, json, sys
+from flowrel import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert "argparse" not in sys.modules, argv
+namespace = vars(cli.parse_args(json.loads(sys.argv[2])))
+assert "argparse" in sys.modules
+print(json.dumps(namespace))
+"""
+
+
+def test_exact_argv_is_read_without_argparse(capsys):
+    """In a fresh interpreter the benchmark's argv forms run without
+    importing argparse; an abbreviated flag imports it and reads like the
+    reference parser."""
+    abbreviated = [*MORSE_PAIR, "--hor", "64"]
+    done = subprocess.run([sys.executable, "-c", FRESH_INTERPRETER, json.dumps(EXACT_ARGV), json.dumps(abbreviated)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    assert ("ok", json.loads(done.stdout)) == outcome(build_parser().parse_args, abbreviated, capsys)
+
 
 README_ARGV = [
     "analyze flows/two_ideal.flow",
