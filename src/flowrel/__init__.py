@@ -14,7 +14,6 @@ from .finflow import (
     equivalent_idempotents,
     format_flow,
     ideal_structure,
-    idempotents,
     induced_theta,
     minimal_left_ideals,
     parse_flow,

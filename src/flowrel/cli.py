@@ -28,6 +28,8 @@ import json
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
@@ -65,13 +67,17 @@ def dump(report: dict) -> str:
     non-negative entries (monoid rows, relation pairs) in one array pass
     per row block (``_write_rows``), reads any other ndarray as its
     ``tolist()``, joins each list whose items are all of type int (bools,
-    which json writes as true/false, are not) in one pass, writes strings
-    and keys with json's own C quoting function, and leaves every other
-    scalar to ``json.dumps``."""
+    which json writes as true/false, are not) in one pass, writes a dict of
+    records (the witness maps) in one pass (``_write_records``), writes
+    strings and keys with json's own C quoting function, None, True and
+    False from a table, and leaves every other scalar to ``json.dumps``."""
     out: list[str] = []
     _write(report, "\n", out)
     out.append("\n")
     return "".join(out)
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _write(value, newline: str, out: list[str]) -> None:
@@ -80,13 +86,17 @@ def _write(value, newline: str, out: list[str]) -> None:
         out.append(encode_basestring_ascii(value))
     elif type(value) is int:
         out.append(str(value))
+    elif value is None or type(value) is bool:
+        out.append(_CONSTANTS[value])
     elif isinstance(value, dict) and value:
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            out.append(sep + encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key)) + ": ")
-            _write(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
+        # most dicts are no record maps, which their first value shows
+        if type(next(iter(value.values()))) is not dict or not _write_records(value, newline, out):
+            sep = "{" + inner
+            for key, item in sorted(value.items()):
+                out.append(sep + encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key)) + ": ")
+                _write(item, inner, out)
+                sep = "," + inner
+            out.append(newline + "}")
     elif isinstance(value, np.ndarray):
         if value.ndim == 2 and value.size and value.dtype.kind in "iu" and value.min() >= 0:
             _write_rows(value, newline, out)
@@ -103,6 +113,34 @@ def _write(value, newline: str, out: list[str]) -> None:
         out.append(newline + "]")
     else:
         out.append(json.dumps(value))
+
+
+def _write_records(value: dict, newline: str, out: list[str]) -> bool:
+    """json's text of a dict at indent ``newline`` whose keys are strings
+    and whose values are dicts with one and the same non-empty tuple of
+    string fields, each mapped to an int (the witness maps, one record per
+    pair), in one pass: the keys are sorted once, each field is read as a
+    column, and every record is one %-format of one template.  False, with
+    nothing written, for any other dict."""
+    keys = sorted(value)
+    records = [value[key] for key in keys]
+    if not ({str}.issuperset(map(type, keys)) and {dict}.issuperset(map(type, records))):
+        return False
+    shapes = set(map(tuple, records))
+    fields = shapes.pop()
+    if shapes or not fields or not {str}.issuperset(map(type, fields)):
+        return False
+    names = sorted(fields)
+    columns = [list(map(itemgetter(name), records)) for name in names]
+    if not {int}.issuperset(map(type, chain.from_iterable(columns))):
+        return False
+    inner = newline + "  "
+    deeper = inner + "  "
+    body = ("," + deeper).join(encode_basestring_ascii(name).replace("%", "%%") + ": %d" for name in names)
+    template = "%s: {" + deeper + body + inner + "}"
+    rows = zip(map(encode_basestring_ascii, keys), *columns)
+    out.append("{" + inner + ("," + inner).join(map(template.__mod__, rows)) + newline + "}")
+    return True
 
 
 def _block_rows(value: np.ndarray, row_bytes: int) -> int:
@@ -369,7 +407,7 @@ DEFAULTS = {
     "seed": 1,
     "max_states": 6,
     "depth": 8,
-    "gap": 256,
+    "gap": None,  # min(DEFAULT_GAP, horizon), set once the horizon is known
     "horizon": 4096,
     "format": "json",
     "out": None,
@@ -381,6 +419,7 @@ DEFAULTS = {
 CONFIG_TYPES = {key: (int,) for key in ("count", "seed", "max_states", "depth", "gap", "horizon")}
 CONFIG_TYPES.update(format=(str,), out=(str, type(None)))
 FORMATS = ("json", "text")
+DEFAULT_GAP = 256
 
 CONFIG = Arg("config", help="JSON file supplying defaults for any flag")
 OUT = Arg("out", help="also write the report to this path")
@@ -401,7 +440,7 @@ COMMANDS = {
         Arg("x", required=True, help="first point descriptor"),
         Arg("y", required=True, help="second point descriptor"),
         Arg("depth", int, help="window radius n (default 8)"),
-        Arg("gap", int, help="gap bound of the syndetic check (default 256)"),
+        Arg("gap", int, help="gap bound of the syndetic check (default min(256, horizon))"),
         Arg("horizon", int, help="shift horizon H (default 4096)"), OUT)),
 }
 
@@ -506,6 +545,8 @@ def apply_config(args: SimpleNamespace) -> SimpleNamespace:
             setattr(args, key, config.get(key, fallback))
     if hasattr(args, "cap"):
         args.cap = element_cap() if args.cap is None else checked_cap(args.cap, "cap")
+    if hasattr(args, "gap") and args.gap is None:
+        args.gap = min(DEFAULT_GAP, args.horizon)
     return args
 
 

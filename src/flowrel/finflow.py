@@ -126,31 +126,41 @@ def label_classes(labels) -> list[frozenset[int]]:
     return [frozenset(c) for c in classes.values()]
 
 
-def _row_keys(rows) -> np.ndarray:
+def _row_keys(rows, bound: int | None = None) -> np.ndarray:
     """One byte string per row (the last axis) of ``rows``, ordered as the
-    rows are lexicographically.  Invariant: every value is below the row
-    width w (rows are maps of a w-point set, or labels of one), so a cell
-    takes one byte when w <= 256 and two big-endian bytes otherwise (four
-    past 2^16); byte strings compare byte by byte from the first."""
+    rows are lexicographically.  Invariant: every value is below ``bound``,
+    by default the row width w (rows are maps of a w-point set, or labels
+    of one), so a cell takes one byte when the bound is at most 256 and two
+    big-endian bytes otherwise (four past 2^16); byte strings compare byte
+    by byte from the first."""
     w = np.shape(rows)[-1]
-    rows = np.ascontiguousarray(rows, dtype="u1" if w <= 256 else ">u2" if w <= 2**16 else ">u4")
+    b = w if bound is None else bound
+    rows = np.ascontiguousarray(rows, dtype="u1" if b <= 256 else ">u2" if b <= 2**16 else ">u4")
     return rows.view(f"S{w * rows.itemsize}")[..., 0]
 
 
-def row_positions(table: np.ndarray, rows, order: np.ndarray | None = None) -> np.ndarray:
+def row_positions(table: np.ndarray, rows, order: np.ndarray | None = None, bound: int | None = None) -> np.ndarray:
     """The index in ``table`` of each row (last axis) of ``rows``, or -1
     where it is not a row of ``table``; ``order`` sorts the row keys of
-    ``table`` when the caller keeps it."""
-    keys = _row_keys(table)
+    ``table`` when the caller keeps it, and ``bound`` is ``_row_keys``'."""
+    keys = _row_keys(table, bound)
     order = np.argsort(keys) if order is None else order
-    query = _row_keys(rows)
+    query = _row_keys(rows, bound)
     found = order[np.minimum(np.searchsorted(keys, query, sorter=order), keys.size - 1)]
     return np.where(keys[found] == query, found, -1)
 
 
+def compose_rows(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """outer[i] ∘ inner[i] for each row i of two ``(k, n)`` arrays of maps
+    of an n-point set: one ``np.take`` at flat indices, which costs less
+    than ``take_along_axis``."""
+    k, n = np.shape(inner)
+    return np.take(outer, inner + np.arange(0, k * n, n)[:, None])
+
+
 def idempotent_mask(rows: np.ndarray) -> np.ndarray:
     """For each row r of a ``(k, n)`` array, whether r ∘ r = r."""
-    return (np.take_along_axis(rows, rows, axis=1) == rows).all(axis=1)
+    return (compose_rows(rows, rows) == rows).all(axis=1)
 
 
 def sorted_unique(values) -> np.ndarray:
@@ -171,15 +181,16 @@ def kernel_labels(rows: np.ndarray) -> np.ndarray:
     in one run, led by its least member; the label of x numbers the least
     member of x's class among all least members, which is its order of
     first appearance."""
-    n = rows.shape[1]
+    k, n = rows.shape
+    flat = np.arange(0, k * n, n)[:, None]  # row offsets: every gather is one flat take
     order = np.argsort(rows, axis=1, kind="stable")
-    ranked = np.take_along_axis(rows, order, axis=1)
+    ranked = np.take(rows, order + flat)
     starts = np.ones(rows.shape, dtype=bool)
     starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
     run_start = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
     least = np.empty_like(order)
-    np.put_along_axis(least, order, np.take_along_axis(order, run_start, axis=1), axis=1)
-    return np.take_along_axis(np.cumsum(least == np.arange(n), axis=1) - 1, least, axis=1)
+    least.ravel()[order + flat] = np.take(order, run_start + flat)
+    return np.take(np.cumsum(least == np.arange(n), axis=1) - 1, least + flat)
 
 
 def _state_sets(sets) -> np.ndarray:
@@ -202,17 +213,25 @@ def first_rows(elements: np.ndarray, rows: np.ndarray, sets: np.ndarray, collaps
 
     The images are gathered for blocks of element rows and of sets, sized
     from the inputs so that no gathered array has more entries than
-    ``elements``; a set leaves the scan once it has its row."""
+    ``elements``; a set leaves the scan once it has its row.  A block's
+    images are laid out set member first, and the collapse test compares
+    each member's slab with the first one's: a reduction over the short
+    member axis of the gathered layout costs many times more."""
     out = np.full(len(sets), -1, dtype=np.intp)
     width = sets.shape[1]
+    rows = np.asarray(rows)[:, None]
+    columns = sets.T[:, None]  # (width, 1, sets)
     chunk = max(1, elements.size // width)
     for lo in range(0, len(sets), chunk):
         todo = np.arange(lo, min(lo + chunk, len(sets)))
         start = 0
         while todo.size and start < len(rows):
             stop = start + max(1, elements.size // (todo.size * width))
-            images = elements[rows[start:stop, None, None], sets[todo]]
-            hit = (images == images[:, :, :1]).all(axis=2) == collapsed
+            images = elements[rows[start:stop], columns[:, :, todo]]  # (width, rows, sets)
+            same = np.ones(images.shape[1:], dtype=bool)
+            for slab in images[1:]:
+                same &= slab == images[0]
+            hit = same == collapsed
             found = hit.any(axis=0)
             out[todo[found]] = start + hit.argmax(axis=0)[found]
             todo, start = todo[~found], stop
@@ -254,19 +273,25 @@ class TransMonoid:
     def ranks(self) -> np.ndarray:
         return 1 + (np.diff(np.sort(self.elements, axis=1), axis=1) > 0).sum(axis=1)
 
-    def idempotent_power(self, i: int) -> int:
-        """The unique idempotent among the positive powers of element i."""
-        power = row = self.elements[i]
+    def idempotent_powers(self, indices) -> np.ndarray:
+        """For each element index, the unique idempotent among the positive
+        powers of that element.  The distinct elements step together, p^k to
+        p^(k+1) = p^k ∘ p in one gather, and each leaves once its power is
+        idempotent; every gather has at most ``elements.size`` entries, one
+        row per distinct element.  One ``positions`` call names the powers."""
+        wanted = np.asarray(indices, dtype=np.intp)
+        distinct = sorted_unique(wanted)
+        base = self.elements[distinct]
+        power, found = base, np.empty_like(base)
+        todo = np.arange(distinct.size)
         for _ in range(self.size + 1):
-            if (power[power] == power).all():
-                return int(self.positions(power))
-            power = power[row]
+            done = idempotent_mask(power)
+            found[todo[done]] = power[done]
+            todo, power, base = todo[~done], power[~done], base[~done]
+            if not todo.size:
+                return self.positions(found)[np.searchsorted(distinct, wanted)]
+            power = compose_rows(power, base)
         raise AssertionError("no idempotent power found; monoid not closed?")
-
-    def left_ideal_of(self, p: int) -> tuple[int, ...]:
-        """Sorted indices of {s ∘ p : s in the monoid}."""
-        e = self.elements
-        return tuple(sorted_unique(self.positions(e[:, e[p]])).tolist())
 
 
 def first_collapsers(m: TransMonoid, sets) -> np.ndarray:
@@ -330,6 +355,11 @@ class IdealStructure:
         return tuple(u for js in self.idempotents_by_ideal for u in js)
 
     @property
+    def idempotent_ideals(self) -> np.ndarray:
+        """The index of the ideal of each of ``all_idempotents``."""
+        return np.repeat(np.arange(len(self.ideals)), [len(js) for js in self.idempotents_by_ideal])
+
+    @property
     def kernel_elements(self) -> tuple[int, ...]:
         return tuple(i for ideal in self.ideals for i in ideal.members)
 
@@ -341,7 +371,11 @@ def minimal_left_ideals(m: TransMonoid) -> list[LeftIdeal]:
     minimum-rank elements grouped by kernel partition; the kernel labels of
     all minimum-rank rows come from one ``kernel_labels`` pass, and rows
     with equal labels are grouped by one sort of their byte keys.  Each
-    returned ideal is verified against ``S¹p`` for its least member.
+    returned ideal is verified against ``S¹p`` for its least member p: the
+    products s ∘ p for every element s and every ideal's p are gathered in
+    blocks of elements, each block no larger than ``elements``, named by
+    ``positions`` and keyed (ideal k, element) = k·|S| + element, and the
+    distinct keys must be the ideals' members.
     """
     ranks = m.ranks()
     lowest = np.flatnonzero(ranks == ranks.min())
@@ -351,56 +385,67 @@ def minimal_left_ideals(m: TransMonoid) -> list[LeftIdeal]:
     groups = np.split(order, np.flatnonzero(keys[order][1:] != keys[order][:-1]) + 1)
     groups.sort(key=lambda g: g[0])
     ideals = [LeftIdeal(members=tuple(lowest[g].tolist()), kernel=tuple(labels[g[0]].tolist())) for g in groups]
-    for ideal in ideals:
-        got = m.left_ideal_of(ideal.members[0])
-        if got != ideal.members:
-            raise AssertionError(
-                f"minimal-ideal computation inconsistent: S^1 p = {got} vs kernel class {ideal.members}"
-            )
+    e, k = m.elements, len(ideals)
+    firsts = e[[ideal.members[0] for ideal in ideals]]
+    block = max(1, m.size // k)  # block · k rows of n entries
+    got = sorted_unique(np.concatenate([
+        (np.arange(k) * m.size + m.positions(e[lo:lo + block][:, firsts])).ravel() for lo in range(0, m.size, block)
+    ]))
+    listed = np.concatenate([b * m.size + lowest[g] for b, g in enumerate(groups)])
+    if not np.array_equal(got, listed):
+        owner, member = np.divmod(got, m.size)
+        b = next(b for b, ideal in enumerate(ideals) if tuple(member[owner == b].tolist()) != ideal.members)
+        raise AssertionError(
+            f"minimal-ideal computation inconsistent: S^1 p = {tuple(member[owner == b].tolist())}"
+            f" vs kernel class {ideals[b].members}"
+        )
     return ideals
-
-
-def idempotents(m: TransMonoid, ideal: LeftIdeal) -> tuple[int, ...]:
-    """All u in the ideal with u ∘ u = u; nonempty for minimal ideals."""
-    members = np.array(ideal.members)
-    out = tuple(members[idempotent_mask(m.elements[members])].tolist())
-    if not out:
-        raise AssertionError(f"minimal ideal {ideal.members} has no idempotent")
-    return out
 
 
 def ideal_structure(m: TransMonoid) -> IdealStructure:
     """The minimal left ideals, their idempotents and the refinement labels,
     computed afresh on every call; ``analyze_flow`` calls it once and keeps
-    the result.  ``kernel_labels`` folds in one ideal kernel at a time,
-    pairing a label and a kernel value (both below n) as one value below n²."""
+    the result.  One ``idempotent_mask`` over every kernel element finds
+    the idempotents of all ideals; the refinement labels are
+    ``kernel_labels`` of one row of byte keys, the key of state x reading
+    x's label in every ideal kernel."""
     ideals = tuple(minimal_left_ideals(m))
-    labels = np.zeros(m.n_states, dtype=np.intp)
-    for ideal in ideals:
-        labels = kernel_labels((labels * labels.size + ideal.kernel)[None])[0]
-    return IdealStructure(ideals, tuple(idempotents(m, ideal) for ideal in ideals), tuple(labels.tolist()))
+    members = np.array([i for ideal in ideals for i in ideal.members])
+    owner = np.repeat(np.arange(len(ideals)), [len(ideal.members) for ideal in ideals])
+    mask = idempotent_mask(m.elements[members])
+    counts = np.bincount(owner[mask], minlength=len(ideals))
+    if not counts.all():
+        raise AssertionError(f"minimal ideal {ideals[counts.argmin()].members} has no idempotent")
+    idempotents_by_ideal = tuple(tuple(js.tolist()) for js in np.split(members[mask], np.cumsum(counts)[:-1]))
+    kernels = np.array([ideal.kernel for ideal in ideals])
+    labels = kernel_labels(_row_keys(kernels.T, m.n_states)[None])[0]
+    return IdealStructure(ideals, idempotents_by_ideal, tuple(labels.tolist()))
 
 
 def equivalence_matrix(m: TransMonoid, us, vs) -> np.ndarray:
     """Boolean ``(len(us), len(vs))``: entry [i, j] says u∘v = v and
     v∘u = u for u = us[i], v = vs[j], read from the gathered product
-    tables ``EU[:, EV]`` and ``EV[:, EU]``."""
+    tables ``EU[:, EV]`` and ``EV[:, EU]``, in blocks of rows of ``us``
+    that keep each gathered table within ``elements.size`` entries."""
     eu, ev = m.elements[list(us)], m.elements[list(vs)]
-    return (eu[:, ev] == ev).all(axis=2) & (ev[:, eu] == eu).all(axis=2).T
+    block = max(1, m.elements.size // max(1, ev.size))
+    return np.concatenate([
+        (eu[lo:lo + block][:, ev] == ev).all(axis=2) & (ev[:, eu[lo:lo + block]] == eu[lo:lo + block]).all(axis=2).T
+        for lo in range(0, max(1, len(eu)), block)
+    ])
 
 
 def equivalent_idempotents(m: TransMonoid, structure: IdealStructure) -> list[tuple[int, int]]:
     """All cross-ideal pairs (u, u') of ``structure``'s idempotents with
-    u∘u' = u' and u'∘u = u, ordered by (ideal of u < ideal of u', u, u').
-    The existence claim (every minimal idempotent has a partner in every
-    other minimal ideal) is checked on these pairs by the relation check
-    suite."""
-    js = structure.idempotents_by_ideal
-    pairs: list[tuple[int, int]] = []
-    for a in range(len(js)):
-        for b in range(a + 1, len(js)):
-            pairs.extend((js[a][i], js[b][j]) for i, j in np.argwhere(equivalence_matrix(m, js[a], js[b])))
-    return pairs
+    u∘u' = u' and u'∘u = u, ordered by (ideal of u < ideal of u', u, u'),
+    masked from one ``equivalence_matrix`` over all the idempotents (whose
+    row-major order is (ideal of u, u, ideal of u', u')).  The existence
+    claim (every minimal idempotent has a partner in every other minimal
+    ideal) is checked on these pairs by the relation check suite."""
+    us, ideal_of = np.array(structure.all_idempotents), structure.idempotent_ideals
+    i, j = np.nonzero(equivalence_matrix(m, us, us) & (ideal_of[:, None] < ideal_of))
+    order = np.lexsort((j, i, ideal_of[j], ideal_of[i]))
+    return list(zip(us[i[order]].tolist(), us[j[order]].tolist()))
 
 
 @dataclass(frozen=True)

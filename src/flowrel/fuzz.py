@@ -10,10 +10,15 @@ replayable text document.
 
 The minimal-ideal checks are array passes over all minimal ideals at once:
 one S¹p = M search for every ideal's member list
-(``left_action_counterexamples``) and label-array reductions for the
-partitions (``validate_partitions``).  Each keeps the first counterexample
-of the member-by-member or class-by-class loop it replaced; those loops
-are the references in ``tests/oracles.py``.
+(``left_action_counterexamples``); "pu = p" and "uM is a group" for every
+idempotent of every ideal in one pass (``ideal_group_tests``), whose
+Cayley tables are gathered in blocks and looked up together; the
+intra-ideal equivalences read from the diagonal blocks of one
+``equivalence_matrix`` over all idempotents; and label-array reductions
+for the partitions (``validate_partitions``).  Each keeps the first
+counterexample of the per-ideal, per-idempotent, member-by-member or
+class-by-class loop it replaced; those loops are the references in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from .finflow import (
     FiniteFlow,
     MonoidTooLarge,
     TransMonoid,
+    _row_keys,
+    compose_rows,
     equivalence_matrix,
     format_flow,
     idempotent_mask,
@@ -44,7 +51,6 @@ from .relations import (
     analyze_flow,
     diagonal,
     invariance_violation,
-    is_equivalence,
     pair_graph,
     pairs_reaching,
     product_flow,
@@ -106,7 +112,7 @@ def relation_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     om = ax.omega
     out: list[CheckResult] = []
 
-    out.append(_result("sp_is_equivalence", is_equivalence(ax.strongly_proximal)))
+    out.append(_result("sp_is_equivalence", ax.sp_is_equivalence))
     out.append(_result("p_d_partition", (p ^ d).all()))
     out.append(_result("sp_wd_partition", (sp ^ wd).all()))
     out.append(_result("sp_subset_p", not (sp & ~p).any()))
@@ -126,26 +132,19 @@ def relation_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     eq = check_unique_ideal_equiv(ax)
     out.append(_result("three_way_equivalence", eq["consistent"], str(eq)))
 
-    # ideal algebra, each check with its own first counterexample
-    mp = next(((ki, x) for ki, x in enumerate(left_action_counterexamples(m, [i.members for i in st.ideals]))
-               if x is not None), None)
+    # ideal algebra, each check with its own first counterexample: one
+    # pass over every (ideal, idempotent) slot, in ideal then idempotent order
+    member_lists = [i.members for i in st.ideals]
+    mp = next(((ki, x) for ki, x in enumerate(left_action_counterexamples(m, member_lists)) if x is not None), None)
     mp_detail = "Mp != M at ideal {} element {}".format(*mp) if mp else ""
-    pu_detail = group_detail = intra_detail = ""
-    for ki, ideal in enumerate(st.ideals):
-        members = e[list(ideal.members)]
-        js = st.idempotents_by_ideal[ki]
-        # p∘u for every member p and idempotent u, gathered for blocks of
-        # idempotents no larger than the monoid's rows
-        block = max(1, e.size // members.size)
-        if not pu_detail and not all((members[:, e[list(js[lo:lo + block])]] == members[:, None]).all()
-                                     for lo in range(0, len(js), block)):
-            pu_detail = f"pu != p at ideal {ki}"
-        for u in js:
-            if not _is_group(m, u, members) and not group_detail:
-                group_detail = f"uM not a group at ideal {ki} idempotent {u}"
-        pairs = np.argwhere(np.triu(equivalence_matrix(m, js, js), 1))
-        if pairs.size and not intra_detail:
-            intra_detail = f"idempotents {js[pairs[0][0]]} and {js[pairs[0][1]]} equivalent in ideal {ki}"
+    us, slot_ideal = np.array(st.all_idempotents, dtype=np.intp), st.idempotent_ideals
+    pu_ok, group_ok = ideal_group_tests(m, member_lists, us, slot_ideal)
+    bad_pu, bad_group = np.flatnonzero(~pu_ok)[:1], np.flatnonzero(~group_ok)[:1]
+    pu_detail = "".join(f"pu != p at ideal {slot_ideal[t]}" for t in bad_pu)
+    group_detail = "".join(f"uM not a group at ideal {slot_ideal[t]} idempotent {us[t]}" for t in bad_group)
+    pairs = np.argwhere(np.triu(equivalence_matrix(m, us, us) & (slot_ideal[:, None] == slot_ideal), 1))
+    intra_detail = "idempotents {} and {} equivalent in ideal {}".format(
+        *us[pairs[0]], slot_ideal[pairs[0][0]]) if pairs.size else ""
     out.append(_result("ideal_absorption_Mp_equals_M", not mp_detail, mp_detail))
     out.append(_result("right_identity_pu_equals_p", not pu_detail, pu_detail))
     out.append(_result("uM_is_group", not group_detail, group_detail))
@@ -183,7 +182,7 @@ def check_unique_ideal_equiv(ax: FlowAnalysis) -> dict:
     forward-invariance form ((x,y) in P implies s(x,y) in P for all s)."""
     p = ax.proximal
     report = {
-        "p_is_equivalence": is_equivalence(p),
+        "p_is_equivalence": ax.p_is_equivalence,
         "unique_minimal_ideal": len(ax.structure.ideals) == 1,
         "p_equals_sp": bool(np.array_equal(p, ax.strongly_proximal)),
         "p_forward_invariant": invariance_violation(np.array(ax.flow.generators), p) is None,
@@ -245,19 +244,90 @@ def left_action_counterexamples(m: TransMonoid, member_lists) -> list[int | None
     return [first_stuck.get(b) if ok else int(firsts[b]) for b, ok in enumerate(whole.tolist())]
 
 
-def _is_group(m, u: int, members: np.ndarray) -> bool:
-    """Whether uM is a group with identity u, from its Cayley table: the
-    products of blocks of rows with all of uM, each block gathered in one
-    array no larger than the monoid's rows, are looked up in one
-    ``row_positions`` call per block.  The table is closed, u's row and
-    column are the identity, and every member has an inverse."""
-    e = m.elements
-    group = e[sorted_unique(m.positions(e[u][members]))]
-    block = max(1, e.size // group.size)
-    table = np.concatenate([row_positions(group, group[lo:lo + block, group]) for lo in range(0, len(group), block)])
-    i, ar = int(row_positions(group, e[u])), np.arange(len(group))
-    return bool(i >= 0 and (table >= 0).all() and (table[i] == ar).all() and (table[:, i] == ar).all()
-                and ((table == i) & (table.T == i)).any(axis=1).all())
+def _blocks(total: int, size: int):
+    """Consecutive slices of ``range(total)`` of at most ``size`` (at least 1) each."""
+    step = max(1, size)
+    return (slice(lo, lo + step) for lo in range(0, total, step))
+
+
+def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + lengths[i]) concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def ideal_group_tests(m: TransMonoid, member_lists, us: np.ndarray, slot_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each slot t, an element u = ``us[t]`` paired with the member list
+    M = ``member_lists[slot_list[t]]``: whether p∘u = p for every p in M,
+    and whether uM is a group with identity u, every slot in one pass.
+
+    Node (t, g) of slot t's set uM is keyed t·|S| + g.  The products u∘p
+    and p∘u of every slot's members are gathered in blocks no larger than
+    ``elements``, one ``positions`` call a block naming the nodes.  u must
+    be a node, and u∘a = a∘u = a on whole rows for every node a; then
+    a = a∘u is fixed by its values on the image I of u, so each slot's
+    Cayley table is read on rows restricted to I (padded with I's least
+    point to the widest image): the products a∘c of every slot's pairs of
+    nodes are gathered in blocks of at most ``elements.size`` entries and
+    looked up among the restricted rows by their keys, the slot prefixed.
+    The table must be closed and every node needs a c with a∘c = c∘a = u.
+    The table holds one index per product, as many as the Cayley tables."""
+    e, size = m.elements, m.size
+    lists = [np.asarray(ms, dtype=np.intp) for ms in member_lists]
+    sizes = np.array([a.size for a in lists], dtype=np.intp)
+    slots = np.arange(us.size)
+    if not us.size:
+        return np.ones(0, dtype=bool), np.ones(0, dtype=bool)
+    entry_slot = np.repeat(slots, sizes[slot_list])
+    entry_p = np.concatenate(lists)[_ragged((np.cumsum(sizes) - sizes)[slot_list], sizes[slot_list])]
+    pu_bad = np.zeros(entry_p.size, dtype=bool)
+    up = np.empty(entry_p.size, dtype=np.intp)
+    for b in _blocks(entry_p.size, size):
+        rows, urows = e[entry_p[b]], e[us[entry_slot[b]]]
+        pu_bad[b] = (compose_rows(rows, urows) != rows).any(axis=1)
+        up[b] = m.positions(compose_rows(urows, rows))
+    pu_ok = np.bincount(entry_slot[pu_bad], minlength=us.size) == 0
+
+    # the nodes of every slot's uM; u must be one, and u∘a = a∘u = a
+    keys = sorted_unique(entry_slot * size + up)
+    node_slot, node = np.divmod(keys, size)
+    start = np.searchsorted(node_slot, slots)
+    count = np.diff(np.append(start, keys.size))
+    at = np.minimum(np.searchsorted(keys, slots * size + us), keys.size - 1)
+    unit = np.where(keys[at] == slots * size + us, at, -1)
+    ok = unit >= 0
+    for b in _blocks(keys.size, size):
+        rows, urows = e[node[b]], e[us[node_slot[b]]]
+        moved = (compose_rows(urows, rows) != rows) | (compose_rows(rows, urows) != rows)
+        ok[node_slot[b][moved.any(axis=1)]] = False
+
+    # each node's row on the image of its u, keyed with its slot
+    ranked = np.sort(e[us], axis=1)
+    first = np.ones(ranked.shape, dtype=bool)
+    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    column = np.cumsum(first, axis=1) - 1
+    image = np.repeat(ranked[:, :1], column[:, -1].max() + 1, axis=1)
+    image[slots[:, None], column] = ranked
+    restricted = e[node[:, None], image[node_slot]]
+    table = np.column_stack([node_slot, restricted])
+    bound = max(m.n_states, us.size)
+    order = np.argsort(_row_keys(table, bound))
+
+    # every slot's Cayley table: closed, and an inverse for every node
+    squares = count * count
+    pair_start = np.cumsum(squares) - squares
+    pair_slot = np.repeat(slots, squares)
+    row_of, col_of = np.divmod(np.arange(pair_slot.size) - pair_start[pair_slot], count[pair_slot])
+    a, c = start[pair_slot] + row_of, start[pair_slot] + col_of
+    product = np.empty(pair_slot.size, dtype=np.intp)
+    for b in _blocks(pair_slot.size, e.size // table.shape[1]):
+        query = np.column_stack([pair_slot[b], np.take(e, restricted[c[b]] + (node[a[b]] * m.n_states)[:, None])])
+        product[b] = row_positions(table, query, order, bound)
+    ok[pair_slot[product < 0]] = False
+    flipped = pair_start[pair_slot] + col_of * count[pair_slot] + row_of  # the pair (c, a)
+    inverse = (product == unit[pair_slot]) & (product[flipped] == unit[pair_slot])
+    ok[node_slot[np.bincount(a[inverse], minlength=keys.size) == 0]] = False
+    return pu_ok, ok
 
 
 def almost_periodic_pairs(gens: np.ndarray, n: int) -> np.ndarray:
@@ -449,7 +519,7 @@ def check_rA_proximal_equiv(ax: FlowAnalysis, candidates: list[tuple[int, ...]])
     only two-element sets, which the enumeration always includes.
     """
     m = ax.monoid
-    p_equiv = is_equivalence(ax.proximal)
+    p_equiv = ax.p_is_equivalence
     all_images_proximal = True
     witness = ""
     for cols in candidates:
@@ -684,7 +754,7 @@ def check_factor_theorems(f: FactorMap, src: FlowAnalysis, tgt: FlowAnalysis) ->
         for ideal in src_ideals:
             over_w = np.flatnonzero(theta[list(ideal.members)] == w)
             if over_w.size:
-                u = src.monoid.idempotent_power(ideal.members[over_w[0]])
+                u = int(src.monoid.idempotent_powers([ideal.members[over_w[0]]])[0])
                 break
         if u is None or theta[u] != w:
             ok_fibers = False

@@ -24,9 +24,10 @@ set proximality is read from the minimal ideals' kernels
 The report's witnesses are batched: the P witness of every pair is
 ``finflow.first_collapsers`` on all pairs at once, and ``sp_witnesses``
 finds the first separating ideal and member of every pair out of SP with
-one blocked scan per ideal, computing the idempotent power once per
-distinct separator; the per-pair loops are references in
-``tests/oracles.py``.
+one blocked scan of all the ideals' members, and the idempotent powers of
+all distinct separators together; the per-pair loops are references in
+``tests/oracles.py``.  Whether P and SP are equivalence relations is read
+once per analysis (``FlowAnalysis.p_is_equivalence``, ``sp_is_equivalence``).
 
 Caveat for non-invertible generators: the classical invariance facts
 refine as follows on monoid models.  P is backward invariant and D forward
@@ -40,6 +41,7 @@ than an unconditional assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +55,6 @@ from .finflow import (
     equivalent_idempotents,
     first_rows,
     ideal_structure,
-    sorted_unique,
 )
 
 
@@ -68,8 +69,10 @@ class NotAnIcer(ValueError):
 
 def is_equivalence(m: np.ndarray) -> bool:
     """Whether the boolean ``(n, n)`` relation is reflexive, symmetric and
-    transitive."""
-    return bool(m.diagonal().all() and (m == m.T).all() and (~(m @ m) | m).all())
+    transitive, in O(n²): a reflexive, symmetric relation is transitive iff
+    each row equals the row of its least member (if x ~ y, the least members
+    of x and y are related to both, so they are equal and so are the rows)."""
+    return bool(m.diagonal().all() and (m == m.T).all() and (m[m.argmax(axis=1)] == m).all())
 
 
 def diagonal(n: int) -> np.ndarray:
@@ -122,7 +125,7 @@ def invariance_violation(gens: np.ndarray, rel: np.ndarray) -> tuple[int, int, i
     return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
 
 
-def verify_relation_forms(m: TransMonoid, p: np.ndarray, sp: np.ndarray) -> None:
+def verify_relation_forms(ax: FlowAnalysis) -> None:
     """The cross-form assertions on P and SP, run once per ``analyze_flow``.
 
     P read from the minimal ideals equals the element form (the diagonal
@@ -131,14 +134,15 @@ def verify_relation_forms(m: TransMonoid, p: np.ndarray, sp: np.ndarray) -> None
     proximal (no path to ~P).  Disagreement would be an implementation bug,
     since each pair of forms is provably equal.
     """
-    gens = np.array(m.flow.generators)
-    direct = pairs_reaching(gens, diagonal(m.n_states))
+    p, sp = ax.proximal, ax.strongly_proximal
+    gens = np.array(ax.flow.generators)
+    direct = pairs_reaching(gens, diagonal(ax.n_states))
     if not np.array_equal(direct, p):
         raise AssertionError(
             "proximal relation: element form and minimal-ideal form disagree; "
             f"diff pairs {np.argwhere(direct != p).tolist()}"
         )
-    if not is_equivalence(sp):
+    if not ax.sp_is_equivalence:
         raise AssertionError("SP failed to be an equivalence relation")
     if not np.array_equal(sp, ~pairs_reaching(gens, ~p)):
         raise AssertionError("SP does not match the all-translates-proximal form")
@@ -151,7 +155,9 @@ class FlowAnalysis:
     WD are the complements of P and SP).  Every check reads these fields,
     so an analysis changed with ``dataclasses.replace`` reaches all of
     them.  Equality and hashing are by identity: comparing array fields
-    has no single truth value."""
+    has no single truth value.  Whether P and SP are equivalence relations
+    is computed at most once per analysis (a replaced copy computes its
+    own)."""
 
     flow: FiniteFlow
     monoid: TransMonoid
@@ -173,6 +179,14 @@ class FlowAnalysis:
     @property
     def weakly_distal(self) -> np.ndarray:
         return ~self.strongly_proximal
+
+    @cached_property
+    def p_is_equivalence(self) -> bool:
+        return is_equivalence(self.proximal)
+
+    @cached_property
+    def sp_is_equivalence(self) -> bool:
+        return is_equivalence(self.strongly_proximal)
 
     @property
     def is_distal_flow(self) -> bool:
@@ -200,9 +214,8 @@ def analyze_flow(flow: FiniteFlow, cap: int | None = None) -> FlowAnalysis:
     labels = np.array([ideal.kernel for ideal in st.ideals])
     collapsed = labels[:, :, None] == labels[:, None, :]
     p, sp = collapsed.any(axis=0), collapsed.all(axis=0)
-    verify_relation_forms(m, p, sp)
     fixed = m.elements[list(st.all_idempotents)] == np.arange(flow.n_states)
-    return FlowAnalysis(
+    ax = FlowAnalysis(
         flow=flow,
         monoid=m,
         structure=st,
@@ -212,6 +225,8 @@ def analyze_flow(flow: FiniteFlow, cap: int | None = None) -> FlowAnalysis:
         equivalent_pairs=equivalent_idempotents(m, st),
         is_minimal=is_minimal_flow(m),
     )
+    verify_relation_forms(ax)
+    return ax
 
 
 def is_minimal_flow(m: TransMonoid) -> bool:
@@ -226,8 +241,8 @@ def proximal_sets(ax: FlowAnalysis, sets) -> np.ndarray:
     proximal.  If s collapses A so does p∘s for p in a minimal ideal, and
     p∘s lies in a minimal ideal, whose members share one kernel: A is
     proximal iff some minimal ideal's kernel labels are constant on A."""
-    labels = np.array([ideal.kernel for ideal in ax.structure.ideals])[:, _state_sets(sets)]
-    return (labels == labels[..., :1]).all(axis=2).any(axis=0)
+    labels = np.array([ideal.kernel for ideal in ax.structure.ideals])[:, _state_sets(sets).T]
+    return (labels == labels[:, :1]).all(axis=1).any(axis=0)  # (ideal, member, set)
 
 
 # ---------------------------------------------------------------------------
@@ -240,31 +255,25 @@ def sp_witnesses(ax: FlowAnalysis, pairs: np.ndarray) -> list[dict]:
     A pair out of SP gets the first ideal with a member separating it, the
     first such member, and that element's idempotent power, which fixes
     the separated images (an almost periodic non-diagonal limit of the
-    pair).  One blocked scan per ideal finds the separators of all pairs
-    still open; the idempotent power is computed once per distinct
-    separator."""
+    pair).  One blocked scan (``first_rows``) of the ideals' member lists,
+    concatenated in ideal order, finds every separator: its first hit is
+    the first member of the first separating ideal.  The idempotent powers
+    of all distinct separators come from one ``idempotent_powers`` call."""
     m, ideals = ax.monoid, ax.structure.ideals
-    ideal_of = np.full(len(pairs), -1)
-    separator = np.full(len(pairs), -1)
-    todo = np.arange(len(pairs))
-    for k, ideal in enumerate(ideals):
-        if not todo.size:
-            break
-        members = np.array(ideal.members)
-        hit = first_rows(m.elements, members, pairs[todo], collapsed=False)
-        found = todo[hit >= 0]
-        ideal_of[found], separator[found] = k, members[hit[hit >= 0]]
-        todo = todo[hit < 0]
-    out = separator >= 0
-    power = {p: m.idempotent_power(p) for p in sorted_unique(separator[out]).tolist()}
-    fixing = np.array([power[p] for p in separator[out].tolist()], dtype=np.intp)
-    images = m.elements[separator[out][:, None], pairs[out]]
+    members = np.array(ax.structure.kernel_elements)
+    owner = np.repeat(np.arange(len(ideals)), [len(ideal.members) for ideal in ideals])
+    hit = first_rows(m.elements, members, pairs, collapsed=False)
+    out = hit >= 0
+    separator = members[hit[out]]
+    fixing = m.idempotent_powers(separator)
+    images = m.elements[separator[:, None], pairs[out]]
     if (m.elements[fixing[:, None], images] != images).any():
         raise AssertionError("idempotent power failed to fix the image pair")
+    found = zip(owner[hit[out]].tolist(), separator.tolist(), fixing.tolist())
     return [
-        {"ideal": k, "separator": p, "fixing_idempotent": power[p]} if p >= 0
+        dict(zip(("ideal", "separator", "fixing_idempotent"), next(found))) if h >= 0
         else {"collapsing_ideals": len(ideals)}
-        for k, p in zip(ideal_of.tolist(), separator.tolist())
+        for h in hit.tolist()
     ]
 
 

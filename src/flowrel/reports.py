@@ -87,7 +87,7 @@ def flow_report(ax: FlowAnalysis) -> dict:
             "distal": ax.is_distal_flow,
             "proximal_flow": ax.is_proximal_flow,
             "weakly_distal": ax.is_weakly_distal_flow,
-            "p_is_equivalence": is_equivalence(ax.proximal),
+            "p_is_equivalence": ax.p_is_equivalence,
         },
     }
 

@@ -46,7 +46,13 @@ boolean squaring with one generator at a time is the reference for
 The one-pair, one-set and one-row forms of the report's batched passes
 (P and SP witnesses, set collapse tests, the uM Cayley table and the
 minimal-ideal kernel labels) are the references for ``first_collapsers``,
-``sp_witnesses``, ``fuzz._is_group`` and ``minimal_left_ideals``;
+``sp_witnesses``, ``fuzz.ideal_group_tests`` and ``minimal_left_ideals``;
+the per-ideal and per-idempotent loops of the ideal algebra
+(``reference_ideal_algebra_details``, ``reference_ideal_structure``) are
+the references for the relation suite's one pass over every (ideal,
+idempotent) slot and for ``finflow.ideal_structure``;
+``reference_is_equivalence`` (one boolean matmul) is the reference for
+the O(n²) ``relations.is_equivalence``;
 ``first_collapsers``' whole-monoid scan is in turn the reference for the
 kernel-label set test ``relations.proximal_sets``;
 ``kernel_signature`` labels one row at a time and is the reference for
@@ -80,6 +86,7 @@ from flowrel.circles import (
 )
 from flowrel.finflow import (
     FiniteFlow,
+    IdealStructure,
     LeftIdeal,
     MonoidTooLarge,
     NotAFactorMap,
@@ -803,7 +810,7 @@ def reference_sp_verdict(ax, x: int, y: int) -> dict:
         if separating.size:
             p = ideal.members[separating[0]]
             row = rows[separating[0]]
-            u = m.idempotent_power(p)
+            u = int(m.idempotent_powers([p])[0])
             urow = m.elements[u]
             if urow[row[x]] != row[x] or urow[row[y]] != row[y]:
                 raise AssertionError("idempotent power failed to fix the image pair")
@@ -822,13 +829,61 @@ def reference_minimal_ideal_collapse(ax, members):
 
 
 def reference_is_group(m, u: int, members: np.ndarray) -> bool:
-    """``fuzz._is_group`` with its Cayley table built one row at a time."""
+    """Whether uM is a group with identity u (``members`` are the rows of
+    M), with its Cayley table built one row at a time: the table is closed,
+    u's row and column are the identity, and every member has an inverse."""
     e = m.elements
     group = e[np.unique(m.positions(e[u][members]))]
     table = np.array([row_positions(group, a[group]) for a in group])
     i, ar = int(row_positions(group, e[u])), np.arange(len(group))
     return bool(i >= 0 and (table >= 0).all() and (table[i] == ar).all() and (table[:, i] == ar).all()
                 and ((table == i) & (table.T == i)).any(axis=1).all())
+
+
+def reference_right_identity(m, u: int, members) -> bool:
+    """Whether p∘u = p for every member p, one product at a time."""
+    e = m.elements
+    return all((e[p][e[u]] == e[p]).all() for p in members)
+
+
+def reference_ideal_algebra_details(ax) -> tuple[str, str, str]:
+    """The details of the suite's "pu = p", "uM is a group" and intra-ideal
+    equivalence checks ("" where a check passes), from the loop over each
+    ideal and each of its idempotents that the one pass replaced."""
+    m, st, e = ax.monoid, ax.structure, ax.monoid.elements
+    pu_detail = group_detail = intra_detail = ""
+    for ki, (ideal, js) in enumerate(zip(st.ideals, st.idempotents_by_ideal)):
+        members = e[list(ideal.members)]
+        if not pu_detail and not all(reference_right_identity(m, u, ideal.members) for u in js):
+            pu_detail = f"pu != p at ideal {ki}"
+        for u in js:
+            if not group_detail and not reference_is_group(m, u, members):
+                group_detail = f"uM not a group at ideal {ki} idempotent {u}"
+        pairs = [(u, v) for i, u in enumerate(js) for v in js[i + 1:]
+                 if compose(m, u, v) == v and compose(m, v, u) == u]
+        if pairs and not intra_detail:
+            intra_detail = f"idempotents {pairs[0][0]} and {pairs[0][1]} equivalent in ideal {ki}"
+    return pu_detail, group_detail, intra_detail
+
+
+def reference_ideal_structure(m):
+    """``finflow.ideal_structure`` one ideal at a time: the row-by-row
+    minimal ideals, each checked against its least member's S¹p, their
+    idempotents one element at a time, and the refinement labels folded in
+    one kernel at a time by ``kernel_signature`` of zipped labels."""
+    ideals = reference_minimal_left_ideals(m)
+    for ideal in ideals:
+        assert reference_left_ideal_of(m, ideal.members[0]) == ideal.members
+    labels = tuple(0 for _ in range(m.n_states))
+    for ideal in ideals:
+        labels = kernel_signature(list(zip(labels, ideal.kernel)))
+    return IdealStructure(tuple(ideals), tuple(reference_idempotents(m, ideal) for ideal in ideals), labels)
+
+
+def reference_is_equivalence(rel) -> bool:
+    """Reflexive, symmetric and transitive, transitivity read from one
+    boolean matmul: R∘R ⊆ R."""
+    return bool(rel.diagonal().all() and (rel == rel.T).all() and (~(rel @ rel) | rel).all())
 
 
 def kernel_signature(row) -> tuple[int, ...]:

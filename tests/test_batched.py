@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -20,20 +21,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flowrel import cli, fuzz
+from flowrel import cli, finflow, fuzz
 from flowrel.cli import dump
 from flowrel.finflow import (
     FiniteFlow,
     MonoidTooLarge,
     TransMonoid,
     close,
+    equivalent_idempotents,
     first_collapsers,
     first_rows,
+    ideal_structure,
     kernel_labels,
     minimal_left_ideals,
     sorted_unique,
 )
-from flowrel.fuzz import TWO_IDEAL_FLOW, _is_group, proxset_check_suite, random_flow
+from flowrel.fuzz import TWO_IDEAL_FLOW, ideal_group_tests, proxset_check_suite, random_flow
 from flowrel.relations import analyze_flow, sp_witnesses
 from flowrel.reports import flow_report
 from oracles import (
@@ -114,7 +117,8 @@ def test_sp_witnesses_keep_the_fixing_assertion(monkeypatch):
     ax = analyze_flow(TWO_IDEAL_FLOW)
     out = np.argwhere(np.triu(ax.proximal & ~ax.strongly_proximal))
     assert out.size
-    monkeypatch.setattr(TransMonoid, "idempotent_power", lambda self, i: element_of(self, (1, 3, 3, 1)))
+    monkeypatch.setattr(TransMonoid, "idempotent_powers",
+                        lambda self, idx: np.full(len(idx), element_of(self, (1, 3, 3, 1))))
     with pytest.raises(AssertionError, match="failed to fix the image pair"):
         reference_sp_verdict(ax, *out[0].tolist())
     with pytest.raises(AssertionError, match="failed to fix the image pair"):
@@ -122,13 +126,20 @@ def test_sp_witnesses_keep_the_fixing_assertion(monkeypatch):
 
 
 def test_sp_witnesses_compute_each_idempotent_power_once(monkeypatch):
+    # one batched call, whose distinct elements are exactly the separators;
+    # the batch steps each distinct element once
     ax = analyze_flow(WIDE[2])
     out = np.argwhere(np.triu(ax.proximal & ~ax.strongly_proximal))
-    calls = []
-    real = TransMonoid.idempotent_power
-    monkeypatch.setattr(TransMonoid, "idempotent_power", lambda self, i: calls.append(i) or real(self, i))
+    calls, steps = [], []
+    real = TransMonoid.idempotent_powers
+    monkeypatch.setattr(TransMonoid, "idempotent_powers", lambda self, idx: calls.append(list(idx)) or real(self, idx))
+    real_mask = finflow.idempotent_mask
+    monkeypatch.setattr(finflow, "idempotent_mask", lambda rows: steps.append(len(rows)) or real_mask(rows))
     witnesses = sp_witnesses(ax, out)
-    assert len(out) > len(calls) == len(set(calls)) == len({w["separator"] for w in witnesses})
+    (batch,) = calls
+    separators = {w["separator"] for w in witnesses}
+    assert len(out) == len(batch) > len(separators) == len(set(batch)) and set(batch) == separators
+    assert steps[0] == len(separators)
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,29 +191,52 @@ def test_blocked_scan_gathers_no_more_than_the_monoid_rows(size, n, count, width
 @settings(max_examples=40, deadline=None)
 @given(small_flows)
 def test_cayley_table_matches_the_row_at_a_time_reference(flow):
+    # every idempotent of every ideal, then each again with 5 random
+    # elements for its members: one pass over all the slots
     ax = analysis_or_none(flow)
     if ax is None:
         return
     m = ax.monoid
     e = m.elements
     rng = random.Random(m.size)
-    for ideal, js in zip(ax.structure.ideals, ax.structure.idempotents_by_ideal):
-        for u in js:
-            members = e[list(ideal.members)]
-            assert _is_group(m, u, members) is reference_is_group(m, u, members) is True
-            other = e[sorted(rng.sample(range(m.size), min(m.size, 5)))]
-            assert _is_group(m, u, other) == reference_is_group(m, u, other)
+    st_ = ax.structure
+    us = np.array(st_.all_idempotents)
+    others = [sorted(rng.sample(range(m.size), min(m.size, 5))) for _ in us]
+    lists = [ideal.members for ideal in st_.ideals] + others
+    slot_list = np.concatenate([st_.idempotent_ideals, len(st_.ideals) + np.arange(len(us))])
+    _, groups = ideal_group_tests(m, lists, np.concatenate([us, us]), slot_list)
+    expected = [reference_is_group(m, u, e[list(lists[b])]) for u, b in zip(np.concatenate([us, us]).tolist(), slot_list.tolist())]
+    assert groups.tolist() == expected
+    assert groups[:len(us)].all()
 
 
 def test_cayley_table_of_a_group_is_built_in_blocks():
-    # the monoid is a cyclic group of order 64: uM is all of it, so each
-    # block is one row of the table, no larger than the monoid's rows
+    # the monoid is a cyclic group of order 64: uM is all of it, with 4096
+    # products of whole rows, gathered in blocks no larger than the rows
     m = close(FiniteFlow(64, (tuple((x + 1) % 64 for x in range(64)),)))
     assert reference_is_group(m, 0, m.elements)
     Recorded.sizes = []
     recorded = TransMonoid(m.flow, m.elements.view(Recorded))
-    assert _is_group(recorded, 0, recorded.elements)
+    pu, group = ideal_group_tests(recorded, [range(64)], np.array([0]), np.array([0]))
+    assert pu.tolist() == group.tolist() == [True]
     assert max(Recorded.sizes) <= m.elements.size
+
+
+@pytest.mark.parametrize("flow", [*WIDE, TWO_IDEAL_FLOW, FiniteFlow(64, (tuple((x + 1) % 64 for x in range(64)),))],
+                         ids=lambda f: f"n{f.n_states}")
+def test_ideal_algebra_gathers_no_more_than_the_monoid_rows(flow):
+    # the batched ideal structure, equivalences, slot pass, SP witnesses
+    # and idempotent powers, on a monoid that records every indexed array
+    m = close(flow)
+    recorded = TransMonoid(m.flow, m.elements.view(Recorded))
+    Recorded.sizes = []
+    st_ = ideal_structure(recorded)
+    equivalent_idempotents(recorded, st_)
+    ideal_group_tests(recorded, [ideal.members for ideal in st_.ideals], np.array(st_.all_idempotents), st_.idempotent_ideals)
+    recorded.idempotent_powers(np.arange(m.size))
+    ax = analyze_flow(flow)
+    sp_witnesses(replace(ax, monoid=recorded), np.argwhere(np.triu(ax.proximal & ~ax.strongly_proximal)))
+    assert Recorded.sizes and max(Recorded.sizes) <= m.elements.size
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,6 +22,9 @@ from flowrel.cli import (
     parse_morse_point,
     parse_ternary_point,
 )
+from flowrel.finflow import FiniteFlow
+from flowrel.relations import analyze_flow
+from flowrel.reports import flow_report
 
 FLOWS = Path(__file__).resolve().parent.parent / "flows"
 SRC = FLOWS.parent / "src"
@@ -320,6 +323,27 @@ def test_classify_pair_morse(capsys):
     assert report["proximal"]["witness_time"] == 8
 
 
+@pytest.mark.parametrize("extra, gap", [
+    ([], 64), (["--gap", "16"], 16), (["--horizon", "300"], 256), (["--horizon", "256"], 256),
+])
+def test_default_gap_follows_a_short_horizon(capsys, extra, gap):
+    # the default gap is min(256, horizon); an explicit gap still wins
+    argv = ["classify-pair", "--system", "morse", "--x", "a", "--y", "b", "--horizon", "64", *extra]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert json.loads(out)["params"]["gap"] == gap
+
+
+def test_config_gap_wins_over_the_horizon_default(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gap": 8, "horizon": 32}))
+    code, out, _ = run(capsys, "--config", str(cfg), "classify-pair", "--system", "morse", "--x", "a", "--y", "b")
+    assert code == 0 and json.loads(out)["params"] == {"depth": 8, "gap": 8, "horizon": 32}
+    cfg.write_text(json.dumps({"horizon": 32}))
+    code, out, _ = run(capsys, "--config", str(cfg), "classify-pair", "--system", "morse", "--x", "a", "--y", "b")
+    assert code == 0 and json.loads(out)["params"]["gap"] == 32
+
+
 def test_classify_pair_dual_descriptor(capsys):
     code, out, _ = run(capsys, "classify-pair", "--system", "morse", "--x", "a", "--y", "dual:a")
     report = json.loads(out)
@@ -559,6 +583,45 @@ def test_dump_is_byte_identical_to_json(value):
     {"\u00e9\x00\n\t\"": ["\ud83d\ude00", "\x1f"]}, [2**64, -2**64], [[1, 2], (3, 4)],
 ])
 def test_dump_edge_values(value):
+    assert dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def as_plain(value):
+    """The report with every ndarray replaced by its ``tolist()``."""
+    if isinstance(value, dict):
+        return {key: as_plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_plain(item) for item in value]
+    return value.tolist() if hasattr(value, "tolist") else value
+
+
+def test_witness_maps_are_written_as_json_sorts_their_keys():
+    # on 12 states the pair keys sort as strings ("10,11" before "2,3"),
+    # not as pairs of numbers; both witness maps take the one-pass writer
+    flow = FiniteFlow(12, (tuple((x + 1) % 12 for x in range(12)), tuple(x - x % 4 for x in range(12))))
+    report = flow_report(analyze_flow(flow))
+    witnesses = report["relations"]["P"]["witnesses"], report["relations"]["SP"]["out_witnesses"]
+    for keys in map(list, witnesses):
+        assert "10,11" in keys and any(key.startswith("2,") for key in keys)
+    assert dump(report) == json.dumps(as_plain(report), indent=2, sort_keys=True) + "\n"
+    for witness_map in witnesses:
+        value = {"pairs": witness_map}
+        assert dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+int_records = st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True).flatmap(
+    lambda fields: st.dictionaries(st.text(max_size=5), st.fixed_dictionaries(
+        {field: st.one_of(st.integers(), st.integers(min_value=-2**70, max_value=2**70)) for field in fields})))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(int_records, min_size=1, max_size=3), st.dictionaries(st.text(max_size=3), json_values, max_size=2))
+def test_dump_writes_record_maps_as_json_does(maps, stray):
+    # maps of records sharing one field tuple, next to maps that mix
+    # field tuples, values or key types and so take the general path
+    value = {f"m{i}": m for i, m in enumerate(maps)}
+    value["mixed"] = {**maps[0], "x": {"other": 1}, "y": {"flag": True}}
+    value["stray"] = stray
     assert dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 

@@ -14,7 +14,6 @@ from flowrel.finflow import (
     equivalent_idempotents,
     format_flow,
     ideal_structure,
-    idempotents,
     induced_theta,
     label_classes,
     minimal_left_ideals,
@@ -179,7 +178,7 @@ def test_minimal_ideals_constants():
     ideals = minimal_left_ideals(m)
     assert len(ideals) == 1
     assert [image_tuple(m, i) for i in ideals[0].members] == [(0, 0), (1, 1)]
-    assert idempotents(m, ideals[0]) == ideals[0].members
+    assert ideal_structure(m).idempotents_by_ideal == (ideals[0].members,)
 
 
 def test_minimal_ideal_of_group_is_whole_group():
@@ -187,7 +186,7 @@ def test_minimal_ideal_of_group_is_whole_group():
     ideals = minimal_left_ideals(m)
     assert len(ideals) == 1
     assert len(ideals[0].members) == 3
-    assert [image_tuple(m, u) for u in idempotents(m, ideals[0])] == [(0, 1, 2)]
+    assert [image_tuple(m, u) for u in ideal_structure(m).idempotents_by_ideal[0]] == [(0, 1, 2)]
 
 
 def test_two_ideal_fixture_structure():
@@ -245,9 +244,11 @@ def test_equivalent_idempotents_single_ideal_empty():
 def test_idempotent_power():
     m = close(TWO_IDEAL_FLOW)
     e = element_of(m, (1, 3, 3, 1))  # squares to (3,1,1,3)
-    u = m.idempotent_power(e)
+    powers = m.idempotent_powers([e, 0, e])
+    u = int(powers[0])
     assert is_idempotent(m, u)
     assert image_tuple(m, u) == (3, 1, 1, 3)
+    assert powers.tolist() == [u, 0, u] and m.idempotent_powers([]).tolist() == []
 
 
 def test_kernel_signature():

@@ -19,7 +19,6 @@ from flowrel.finflow import (
     equivalence_matrix,
     equivalent_idempotents,
     format_flow,
-    idempotents,
     induced_theta,
     row_positions,
 )
@@ -30,6 +29,7 @@ from flowrel.fuzz import (
     SINGLE_IDEAL_SEED_FLOW,
     TWO_IDEAL_FLOW,
     check_factor_theorems,
+    ideal_group_tests,
     left_action_counterexamples,
     random_flow,
     relation_check_suite,
@@ -47,13 +47,16 @@ from oracles import (
     compose,
     element_of,
     reference_equivalent_idempotents,
+    reference_ideal_algebra_details,
+    reference_ideal_structure,
     reference_idempotent_power,
     reference_idempotents,
     reference_induced_theta,
+    reference_is_group,
     reference_is_minimal_flow,
-    reference_left_ideal_of,
     reference_mp_counterexample,
     reference_omega,
+    reference_right_identity,
     reference_sp_witness,
     reference_validate_partitions,
     square_monoid,
@@ -117,16 +120,13 @@ def assert_gathers_match_references(flow):
     except MonoidTooLarge:
         return
     m, structure = ax.monoid, ax.structure
-    for ideal in structure.ideals:
-        assert idempotents(m, ideal) == reference_idempotents(m, ideal)
+    assert structure.idempotents_by_ideal == tuple(reference_idempotents(m, ideal) for ideal in structure.ideals)
     assert equivalent_idempotents(m, structure) == reference_equivalent_idempotents(m, structure)
     assert ax.equivalent_pairs == equivalent_idempotents(m, structure)
     assert np.array_equal(ax.omega, reference_omega(m, structure))
     assert ax.is_minimal == is_minimal_flow(m) == reference_is_minimal_flow(m)
     sample = range(m.size) if m.size <= 200 else sorted(set(range(40)) | set(structure.kernel_elements))
-    for p in sample:
-        assert m.left_ideal_of(p) == reference_left_ideal_of(m, p)
-        assert m.idempotent_power(p) == reference_idempotent_power(m, p)
+    assert m.idempotent_powers(sample).tolist() == [reference_idempotent_power(m, p) for p in sample]
     pairs = np.argwhere(np.triu(np.ones((m.n_states, m.n_states), dtype=bool), 1))
     for (x, y), w in zip(pairs.tolist(), sp_witnesses(ax, pairs)):
         assert w == reference_sp_witness(m, structure, x, y)
@@ -298,6 +298,12 @@ def unclosed_um(ax):
     return with_structure(ax, ideals=(replace(ax.structure.ideals[0], members=(0, 1, 3)),))
 
 
+def identity_without_inverses(ax):
+    # the identity 0 as the idempotent of {identity, constant 0}: u∘M is
+    # closed with identity u, but the constant has no inverse
+    return with_structure(ax, ideals=(replace(ax.structure.ideals[0], members=(0, 1)),), idempotents_by_ideal=((0,),))
+
+
 def broken_omega(ax):
     mat = ax.omega.copy()
     mat[0, 1] = mat[1, 0] = True
@@ -322,6 +328,7 @@ def broken_p(ax):
     (TWO_IDEAL_FLOW, mp_least_reaches_part, "ideal_absorption_Mp_equals_M", "Mp != M at ideal 0 element 1"),
     (SWAP_CONSTANT_FLOW, mp_later_member_stuck, "ideal_absorption_Mp_equals_M", "Mp != M at ideal 0 element 2"),
     (TWO_IDEAL_FLOW, fake_identity_um, "uM_is_group", "uM not a group at ideal 0 idempotent 7"),
+    (CONSTANTS_FLOW, identity_without_inverses, "uM_is_group", "uM not a group at ideal 0 idempotent 0"),
     (ROTATION3_FLOW, rotation_as_idempotent, "right_identity_pu_equals_p", "pu != p at ideal 0"),
 ])
 def test_each_broken_check_fails_with_its_own_detail(flow, breaker, check, detail):
@@ -466,6 +473,79 @@ def test_validate_partitions_matches_the_class_loops_on_random_flows():
     }
 
 
+# -- the one pass over every (ideal, idempotent) slot, against the loops ----------
+
+
+def seeded_slot_breaks(ax, rng):
+    """Seeded copies of the analysis whose lists are no ideals or whose
+    listed idempotents are no idempotents: one ideal's members replaced by
+    1-6 random elements, joined by a random element or without their
+    least member, or its idempotents replaced by 1-3 random elements or
+    joined by one, or the identity as the idempotent of the ideal joined
+    by it."""
+    st_ = ax.structure
+    size = ax.monoid.size
+
+    def pick(k):
+        return tuple(sorted(rng.sample(range(size), min(k, size))))
+
+    b = rng.randrange(len(st_.ideals))
+    members, js = st_.ideals[b].members, st_.idempotents_by_ideal[b]
+    lists = [pick(rng.randint(1, 6)), tuple(sorted(set(members) | set(pick(1)))), members[1:] or members]
+    ideal_breaks = [st_.ideals[:b] + (replace(st_.ideals[b], members=new),) + st_.ideals[b + 1:] for new in lists]
+    idempotent_breaks = [st_.idempotents_by_ideal[:b] + (new,) + st_.idempotents_by_ideal[b + 1:]
+                         for new in (pick(rng.randint(1, 3)), tuple(sorted(set(js) | set(pick(1)))))]
+    # the identity as the only idempotent of the ideal joined by it: uM is
+    # closed with identity u, and only the inverse test fails
+    with_identity = st_.ideals[:b] + (replace(st_.ideals[b], members=tuple(sorted({0, *members}))),) + st_.ideals[b + 1:]
+    return [with_structure(ax, ideals=i) for i in ideal_breaks] + \
+        [with_structure(ax, idempotents_by_ideal=j) for j in idempotent_breaks] + \
+        [with_structure(ax, ideals=with_identity, idempotents_by_ideal=st_.idempotents_by_ideal[:b] + ((0,),)
+                        + st_.idempotents_by_ideal[b + 1:])]
+
+
+def test_ideal_algebra_pass_matches_the_loops_on_random_flows():
+    # 1000 seeded flows: the batched ideal structure, equivalent pairs and
+    # SP witnesses against their loops; the slot pass on the true slots
+    # and on slots of non-ideals and non-idempotents, against the
+    # one-slot references; and the suite's details on one seeded break,
+    # against the per-ideal loop
+    rng = random.Random(21)
+    outcomes = set()
+    for _ in range(1000):
+        try:
+            ax = analyze_flow(random_flow(rng), cap=3000)
+        except MonoidTooLarge:
+            continue
+        m, st_ = ax.monoid, ax.structure
+        assert st_ == reference_ideal_structure(m), format_flow(ax.flow)
+        assert ax.equivalent_pairs == reference_equivalent_idempotents(m, st_)
+        pairs = np.argwhere(np.triu(ax.proximal & ~ax.strongly_proximal, 1))
+        assert sp_witnesses(ax, pairs) == [reference_sp_witness(m, st_, x, y) for x, y in pairs.tolist()]
+
+        cases = seeded_slot_breaks(ax, rng)
+        lists = [ideal.members for case in cases for ideal in case.structure.ideals]
+        us, slot_list, owner = [], [], 0
+        for case in cases:
+            for ideal, js in zip(case.structure.ideals, case.structure.idempotents_by_ideal):
+                us.extend(js)
+                slot_list.extend([owner] * len(js))
+                owner += 1
+        pu, group = ideal_group_tests(m, lists, np.array(us), np.array(slot_list))
+        expected_pu = [reference_right_identity(m, u, lists[b]) for u, b in zip(us, slot_list)]
+        expected_group = [reference_is_group(m, u, m.elements[list(lists[b])]) for u, b in zip(us, slot_list)]
+        assert pu.tolist() == expected_pu and group.tolist() == expected_group, format_flow(ax.flow)
+        outcomes.update(zip(expected_pu, expected_group))
+
+        case = rng.choice(cases)
+        details = {r.name: r.detail for r in relation_check_suite(case)}
+        got = tuple(details[name] for name in ("right_identity_pu_equals_p", "uM_is_group",
+                                               "intra_ideal_idempotents_not_equivalent"))
+        assert got == reference_ideal_algebra_details(case), format_flow(ax.flow)
+    # each test passes and fails, alone and together
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_fiber_check_fails_when_the_section_is_no_idempotent(monkeypatch):
     # onto a point every element lies over the identity; a section that
     # returns the non-idempotent (1, 3, 3, 1) moves its own image
@@ -473,7 +553,7 @@ def test_fiber_check_fails_when_the_section_is_no_idempotent(monkeypatch):
     src, tgt = analyze_flow(point.source), analyze_flow(point.target)
     (before,) = [r for r in check_factor_theorems(point, src, tgt) if r.name == "factor_fiber_contains_ap_set"]
     assert before.passed
-    monkeypatch.setattr(TransMonoid, "idempotent_power",
-                        lambda self, i: element_of(self, (1, 3, 3, 1)) if self.n_states == 4 else i)
+    monkeypatch.setattr(TransMonoid, "idempotent_powers",
+                        lambda self, idx: np.full(len(idx), element_of(self, (1, 3, 3, 1))) if self.n_states == 4 else np.asarray(idx))
     (after,) = [r for r in check_factor_theorems(point, src, tgt) if r.name == "factor_fiber_contains_ap_set"]
     assert not after.passed and after.detail == "u.fiber not an almost periodic subset of fiber over 0"

@@ -32,7 +32,7 @@ from flowrel.relations import (
     verify_relation_forms,
 )
 from flowrel.reports import flow_report
-from oracles import apply, element_of, is_idempotent
+from oracles import apply, element_of, is_idempotent, reference_is_equivalence
 
 
 def pairs(rel):
@@ -101,6 +101,48 @@ def test_single_ideal_seed_relations():
     assert np.array_equal(ax.proximal, ax.strongly_proximal)
     assert pairs(ax.omega) == [(0, 1), (2, 3)]
     assert is_equivalence(ax.proximal)
+
+
+def seeded_symmetric_relations(rng, count):
+    """Seeded reflexive, symmetric relations on 1-12 points: the classes
+    of a random partition (transitive), the same with one pair added
+    between two classes, and a random symmetric relation (mostly not)."""
+    for _ in range(count):
+        n = int(rng.integers(1, 13))
+        labels = rng.integers(0, int(rng.integers(1, n + 1)), n)
+        partition = labels[:, None] == labels
+        joined = partition.copy()
+        x, y = rng.integers(0, n, 2)
+        joined[x, y] = joined[y, x] = True
+        noise = rng.random((n, n)) < rng.random()
+        yield from (partition, joined, noise | noise.T | np.eye(n, dtype=bool))
+
+
+def test_is_equivalence_matches_the_matmul_form_on_seeded_relations():
+    rng = np.random.default_rng(21)
+    verdicts = []
+    for rel in seeded_symmetric_relations(rng, 400):
+        verdicts.append(is_equivalence(rel))
+        assert verdicts[-1] == reference_is_equivalence(rel), rel.astype(int).tolist()
+        # a relation that is not reflexive, or not symmetric, is refused
+        for broken in (rel & ~np.eye(len(rel), dtype=bool), np.triu(rel)):
+            assert is_equivalence(broken) == reference_is_equivalence(broken)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_each_verdict_on_equivalence_is_computed_once_per_analysis(monkeypatch):
+    # P's verdict is read by two checks and the report, SP's by the
+    # relation-form assertion and a check; a replaced copy computes its own
+    calls = []
+    real = relations.is_equivalence
+    monkeypatch.setattr(relations, "is_equivalence", lambda rel: calls.append(rel) or real(rel))
+    ax = analyze_flow(TWO_IDEAL_FLOW)
+    flow_report(ax)
+    assert len(calls) == 2
+    assert calls[0] is ax.strongly_proximal and calls[1] is ax.proximal
+    copy = replace(ax, proximal=ax.proximal.copy())
+    check_unique_ideal_equiv(copy)
+    assert len(calls) == 3 and calls[2] is copy.proximal
 
 
 @pytest.mark.parametrize("flow,expect", [
@@ -298,33 +340,31 @@ def test_distal_factor_d_preimage_equality_is_not_a_theorem():
 
 def test_verify_relation_forms_rejects_each_broken_form():
     ax = analyze_flow(TWO_IDEAL_FLOW)
-    m, p, sp = ax.monoid, ax.proximal, ax.strongly_proximal
-    verify_relation_forms(m, p, sp)
-    flipped = p.copy()
+    verify_relation_forms(ax)
+    flipped = ax.proximal.copy()
     flipped[0, 1] = flipped[1, 0] = not flipped[0, 1]
     with pytest.raises(AssertionError, match="element form and minimal-ideal form disagree"):
-        verify_relation_forms(m, flipped, sp)
+        verify_relation_forms(replace(ax, proximal=flipped))
 
     ax = analyze_flow(ROTATION3_FLOW)
     chain = diagonal(3)
     chain[0, 1] = chain[1, 0] = chain[1, 2] = chain[2, 1] = True
     with pytest.raises(AssertionError, match="SP failed to be an equivalence relation"):
-        verify_relation_forms(ax.monoid, ax.proximal, chain)
+        verify_relation_forms(replace(ax, strongly_proximal=chain))
 
     ax = analyze_flow(CONSTANTS_FLOW)
     with pytest.raises(AssertionError, match="SP does not match the all-translates-proximal form"):
-        verify_relation_forms(ax.monoid, ax.proximal, diagonal(2))
+        verify_relation_forms(replace(ax, strongly_proximal=diagonal(2)))
 
 
 def test_analyze_flow_verifies_relation_forms_once(monkeypatch):
     calls = []
     real = relations.verify_relation_forms
-    monkeypatch.setattr(relations, "verify_relation_forms", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(relations, "verify_relation_forms", lambda ax: calls.append(ax) or real(ax))
     for flow in (TWO_IDEAL_FLOW, CONSTANTS_FLOW):
         ax = analyze_flow(flow)
-        assert len(calls) == 1
-        m, p, sp = calls.pop()
-        assert m is ax.monoid and p is ax.proximal and sp is ax.strongly_proximal
+        assert calls == [ax]
+        calls.pop()
 
 
 def test_distal_and_weakly_distal_are_complements():
