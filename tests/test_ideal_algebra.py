@@ -328,8 +328,8 @@ def broken_p(ax):
     (TWO_IDEAL_FLOW, mp_least_reaches_part, "ideal_absorption_Mp_equals_M", "Mp != M at ideal 0 element 1"),
     (SWAP_CONSTANT_FLOW, mp_later_member_stuck, "ideal_absorption_Mp_equals_M", "Mp != M at ideal 0 element 2"),
     (TWO_IDEAL_FLOW, fake_identity_um, "uM_is_group", "uM not a group at ideal 0 idempotent 7"),
-    (CONSTANTS_FLOW, identity_without_inverses, "uM_is_group", "uM not a group at ideal 0 idempotent 0"),
     (ROTATION3_FLOW, rotation_as_idempotent, "right_identity_pu_equals_p", "pu != p at ideal 0"),
+    (CONSTANTS_FLOW, identity_without_inverses, "uM_is_group", "uM not a group at ideal 0 idempotent 0"),
 ])
 def test_each_broken_check_fails_with_its_own_detail(flow, breaker, check, detail):
     ax = analyze_flow(flow)
