@@ -47,11 +47,12 @@ from .subshift import (
     ChaconXi,
     ClassifyParams,
     Dual,
+    EventuallyPeriodic,
     Shift,
     classify_pair,
     morse_fixed_points,
 )
-from .ternary import TernarySeq, constant, sp_classify
+from .ternary import constant, sp_classify, ternary
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -235,20 +236,21 @@ def parse_chacon_point(desc: str) -> BiSeq:
     raise ValueError(f"unknown point {desc!r}; use x1|x2|xi:PREFIX:TAIL with shift:K: prefix")
 
 
-def parse_ternary_point(desc: str) -> TernarySeq:
+def parse_ternary_point(desc: str) -> EventuallyPeriodic:
     head, _, rest = desc.partition(":")
     if head == "shift":
-        return _shifted(rest, parse_ternary_point, TernarySeq.shifted)
+        return _shifted(rest, parse_ternary_point, EventuallyPeriodic.shifted)
     if head == "const":
         return constant(rest)
-    if desc in reports.ternary_sample():
-        return reports.ternary_sample()[desc]
     if head == "pat":
         parts = rest.split(":")
         if len(parts) != 4:
             raise ValueError("pattern form is pat:CENTER:START:LEFT:RIGHT")
         center_word, start, left, right = parts
-        return TernarySeq(center_word, int(start), left, right)
+        return ternary(center_word, int(start), left, right)
+    sample = reports.ternary_sample()
+    if desc in sample:
+        return sample[desc]
     raise ValueError(f"unknown point {desc!r}; use const:C, z, a sample name, or pat:...")
 
 

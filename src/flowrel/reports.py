@@ -21,12 +21,13 @@ from .relations import FlowAnalysis, is_equivalence, sp_witnesses
 from .subshift import (
     ChaconPoint,
     ClassifyParams,
+    EventuallyPeriodic,
     Shift,
     chacon_block,
     classify_pair,
     morse_fixed_points,
 )
-from .ternary import TernarySeq, constant, sp_classify
+from .ternary import constant, sp_classify, ternary
 
 SCHEMA = 1
 
@@ -180,8 +181,8 @@ def chacon_report() -> dict:
     }
 
 
-def ternary_sample() -> dict[str, TernarySeq]:
-    z = TernarySeq("11000110001110001111", -5, "0", "0")
+def ternary_sample() -> dict[str, EventuallyPeriodic]:
+    z = ternary("11000110001110001111", -5, "0", "0")
     return {
         "c0": constant("0"),
         "c1": constant("1"),
@@ -189,12 +190,12 @@ def ternary_sample() -> dict[str, TernarySeq]:
         "z": z,
         "z_shift2": z.shifted(2),
         "z_shift40": z.shifted(40),
-        "z_flip": TernarySeq("11000110001110001112", -5, "0", "0"),
-        "alt01": TernarySeq("", 0, "01", "01"),
-        "alt01_shift": TernarySeq("", 0, "01", "01").shifted(1),
-        "mix01": TernarySeq("2", 0, "0", "1"),
-        "mix10": TernarySeq("0", 0, "1", "0"),
-        "per012": TernarySeq("", 0, "012", "012"),
+        "z_flip": ternary("11000110001110001112", -5, "0", "0"),
+        "alt01": ternary("", 0, "01", "01"),
+        "alt01_shift": ternary("", 0, "01", "01").shifted(1),
+        "mix01": ternary("2", 0, "0", "1"),
+        "mix10": ternary("0", 0, "1", "0"),
+        "per012": ternary("", 0, "012", "012"),
     }
 
 

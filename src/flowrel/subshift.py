@@ -12,10 +12,12 @@ distinction between "proved" and "evidenced" explicit.
 The substitution fixed points and the Chacon points hand out their
 windows as pieces: read-only uint8 views, one ASCII byte per letter, of
 their memoized cores (the substitution iterates and the Chacon blocks,
-each held once as bytes), whose concatenation is the window.  Both
+each held once as bytes), whose concatenation is the window; an
+eventually periodic point (over "012", a point of the ternary full
+shift) cuts its window from the center and the rolled tail periods.  Both
 checkers read one scan, ``agreement_times``, which fills its
 letter-equality mask with one comparison per overlap of the two pairs of
-pieces, so no window is sliced, joined or encoded, and returns the
+pieces, so no window is joined or decoded, and returns the
 agreement times on [-H, H] as maximal runs.  It ANDs the mask over each
 window by doubling, ceil(log2(2n + 1)) bool passes, and peaks at about 2
 bytes per letter; the verdicts cost O(runs) on top.
@@ -114,21 +116,22 @@ class BiSeq:
     """A bi-infinite sequence over ASCII letters, evaluable on any finite
     window.
 
-    ``pieces(lo, hi)``, which each kind defines, returns read-only
-    uint8 arrays, one byte per letter, whose concatenation is the window
-    of coordinates lo..hi inclusive (no letters when hi < lo);
-    ``segment(lo, hi)`` is that window as a str and ``window(n)`` the
-    block on [-n, n].  The substitution fixed points and the Chacon points
-    hand out views of memoized cores, so no window is copied.  Every
-    memoized growth (the shared substitution iterates, the shared Chacon
-    blocks) happens under a lock, and cores only ever grow, so instances
-    may be shared between threads.
+    ``pieces(lo, hi)`` returns read-only uint8 arrays, one byte per
+    letter, whose concatenation is the window of coordinates lo..hi
+    inclusive (no letters when hi < lo); ``segment(lo, hi)`` is that
+    window as a str and ``window(n)`` the block on [-n, n].  Each kind
+    defines one of the two.  The substitution fixed points and the Chacon
+    points hand out views of memoized cores, so no window is copied; an
+    eventually periodic point cuts its window as a str, whose ASCII bytes
+    are its one piece.  Every memoized growth (the shared substitution
+    iterates, the shared Chacon blocks) happens under a lock, and cores
+    only ever grow, so instances may be shared between threads.
     """
 
     alphabet: str = "01"
 
     def pieces(self, lo: int, hi: int) -> list[np.ndarray]:
-        raise NotImplementedError
+        return [np.frombuffer(self.segment(lo, hi).encode("ascii"), dtype=np.uint8)]
 
     def segment(self, lo: int, hi: int) -> str:
         return b"".join(map(bytes, self.pieces(lo, hi))).decode("ascii")
@@ -146,17 +149,6 @@ class BiSeq:
 
     def normalized(self) -> "BiSeq":
         return self
-
-    def canonical_key(self):
-        return _tree(self.normalized().describe())
-
-
-def _tree(obj):
-    if isinstance(obj, dict):
-        return tuple(sorted((k, _tree(v)) for k, v in obj.items()))
-    if isinstance(obj, (list, tuple)):
-        return tuple(_tree(v) for v in obj)
-    return obj
 
 
 class SubstFixed(BiSeq):
@@ -377,49 +369,72 @@ class ChaconXi(BiSeq):
 # Generic constructions
 
 
-class EventuallyConstant(BiSeq):
-    """A finite center word with constant fills on both sides."""
+@dataclass(frozen=True)
+class EventuallyPeriodic(BiSeq):
+    """A center word anchored at ``start``, a period word repeating
+    leftward before it and one repeating rightward after it, over an ASCII
+    alphabet; period words are read left to right and anchored at the
+    center boundary, so ``left`` ends at start - 1 and ``right`` begins
+    at ``end``.  Over "012" these are the points of the ternary full
+    shift, and ``describe`` gives the ternary golden's record."""
 
-    def __init__(self, center: str, start: int = 0, left_fill: str = "0",
-                 right_fill: str = "0", alphabet: str = "01"):
-        if len(left_fill) != 1 or len(right_fill) != 1:
-            raise ValueError("fills are single letters")
-        bad = set(center + left_fill + right_fill) - set(alphabet)
+    center: str = ""
+    start: int = 0
+    left: str = "0"
+    right: str = "0"
+    alphabet: str = "01"
+
+    def __post_init__(self):
+        if not self.left or not self.right:
+            raise ValueError("tail periods must be nonempty")
+        if not self.alphabet.isascii():
+            raise ValueError("periodic tails need an ASCII alphabet (one byte per letter)")
+        bad = set(self.center + self.left + self.right) - set(self.alphabet)
         if bad:
-            raise ValueError(f"letters {bad} outside alphabet {alphabet!r}")
-        self.alphabet = alphabet
-        self.center = center
-        self.start = start
-        self.left_fill = left_fill
-        self.right_fill = right_fill
+            raise ValueError(f"letters {bad} outside alphabet {self.alphabet!r}")
 
-    def pieces(self, lo: int, hi: int) -> list[np.ndarray]:
-        """Read-only broadcasts of the left and the right fill byte around
-        a view of the center."""
-        a, b = lo - self.start, hi - self.start
-        left, c, right = (np.frombuffer(w.encode("ascii"), dtype=np.uint8)
-                          for w in (self.left_fill, self.center, self.right_fill))
-        return [np.broadcast_to(left, (max(min(b, -1) - a + 1, 0),)), c[max(a, 0):max(b + 1, 0)],
-                np.broadcast_to(right, (max(b - max(a, c.size) + 1, 0),))]
+    @property
+    def end(self) -> int:
+        """First coordinate after the center word."""
+        return self.start + len(self.center)
+
+    def segment(self, lo: int, hi: int) -> str:
+        """Each tail's period rolled into the window's phase and repeated,
+        around a slice of the center."""
+        a, b, n = lo - self.start, hi - self.start, len(self.center)
+        right_from = max(a, n)
+        return (_cycle(self.left, a, min(b, -1) - a + 1) + self.center[max(a, 0):max(b + 1, 0)]
+                + _cycle(self.right, right_from - n, b - right_from + 1))
+
+    def shifted(self, k: int) -> "EventuallyPeriodic":
+        """value'(i) = value(i + k)."""
+        return EventuallyPeriodic(self.center, self.start - k, self.left, self.right, self.alphabet)
 
     def describe(self) -> dict:
         return {
-            "type": "eventually_constant",
+            "type": "ternary" if self.alphabet == "012" else "eventually_periodic",
             "center": self.center,
             "start": self.start,
-            "left_fill": self.left_fill,
-            "right_fill": self.right_fill,
+            "left_period": self.left,
+            "right_period": self.right,
         }
 
     def normalized(self) -> BiSeq:
-        center, start = self.center, self.start
-        while center and center[0] == self.left_fill:
-            center, start = center[1:], start + 1
-        while center and center[-1] == self.right_fill:
-            center = center[:-1]
-        if (center, start) == (self.center, self.start):
-            return self
-        return EventuallyConstant(center, start, self.left_fill, self.right_fill, self.alphabet)
+        """Center letters that continue a tail moved into it, the period
+        rotated to stay anchored at the new boundary."""
+        center, start, left, right = self.center, self.start, self.left, self.right
+        while center and center[0] == left[0]:
+            center, start, left = center[1:], start + 1, left[1:] + left[0]
+        while center and center[-1] == right[-1]:
+            center, right = center[:-1], right[-1] + right[:-1]
+        return EventuallyPeriodic(center, start, left, right, self.alphabet)
+
+
+def _cycle(period: str, phase: int, length: int) -> str:
+    """Letters phase, phase + 1, ... of the period word read cyclically,
+    ``length`` of them (none when length < 1)."""
+    k = phase % len(period)
+    return ((period[k:] + period[:k]) * -(-length // len(period)))[:max(length, 0)]
 
 
 class Shift(BiSeq):
@@ -472,11 +487,9 @@ class Dual(BiSeq):
             return Shift(Dual(inner.inner), inner.k).normalized()
         if isinstance(inner, SubstFixed) and inner.sub.is_dual_closed:
             return SubstFixed(dual_word(inner.left_seed), dual_word(inner.right_seed), inner.sub)
-        if isinstance(inner, EventuallyConstant):
-            return EventuallyConstant(
-                dual_word(inner.center), inner.start,
-                dual_word(inner.left_fill), dual_word(inner.right_fill), inner.alphabet,
-            ).normalized()
+        if isinstance(inner, EventuallyPeriodic):
+            return EventuallyPeriodic(dual_word(inner.center), inner.start, dual_word(inner.left),
+                                      dual_word(inner.right), inner.alphabet).normalized()
         return Dual(inner)
 
 
@@ -513,7 +526,7 @@ def is_dual_pair(x: BiSeq, y: BiSeq) -> bool:
     """Structural proof that y is the 0/1 interchange of x; such pairs
     differ at every coordinate at every shift."""
     try:
-        return Dual(x).normalized().canonical_key() == y.canonical_key()
+        return Dual(x).normalized().describe() == y.normalized().describe()
     except ValueError:
         return False
 
@@ -564,8 +577,9 @@ def agreement_times(x: BiSeq, y: BiSeq, n: int, horizon: int) -> tuple[np.ndarra
 
     Memory: about 2 bytes per letter at the peak (the mask and its flips),
     measured with tracemalloc at horizon 10^6 on the Chacon points, plus
-    at most 32 bytes per run; the pieces of a dual or an adjacent-sum
-    image are new arrays, one byte per letter, freed once the mask is set.
+    at most 32 bytes per run; the pieces of a dual, an adjacent-sum image
+    or an eventually periodic point are new arrays, one byte per letter,
+    freed once the mask is set.
     """
     lo, hi = -horizon - n, horizon + n
     acc = np.zeros(hi - lo + 3, dtype=bool)

@@ -2,16 +2,19 @@
 pairs as edges, opposed or agreeable, and the strongly-proximal verdict
 that mutual agreeability determines.
 
-Points are finitely described (a center word with eventually periodic
-tails), so the difference set of any pair is eventually periodic and the
-classification is exact, not horizon-bounded.  The acting group itself is
-never enumerated.
+Points are ``subshift.EventuallyPeriodic`` sequences over "012" (a center
+word with periodic tails), built by ``ternary`` and ``constant``, so the
+difference set of any pair is eventually periodic and the classification
+is exact, not horizon-bounded.  The acting group itself is never
+enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+
+from .subshift import EventuallyPeriodic
 
 ALPHABET = "012"
 
@@ -23,82 +26,46 @@ IN_SP = "InSP"
 NOT_IN_SP = "NotInSP"
 
 
-@dataclass(frozen=True)
-class TernarySeq:
-    """A bi-infinite sequence over {0,1,2}: a center word anchored at
-    ``start``, a periodic word repeating leftward before it and a periodic
-    word repeating rightward after it (period words are read left to
-    right and anchored at the center boundary)."""
-
-    center: str = ""
-    start: int = 0
-    left: str = "0"
-    right: str = "0"
-
-    def __post_init__(self):
-        if not self.left or not self.right:
-            raise ValueError("tail periods must be nonempty")
-        bad = set(self.center + self.left + self.right) - set(ALPHABET)
-        if bad:
-            raise ValueError(f"letters {bad} outside the ternary alphabet")
-
-    @property
-    def end(self) -> int:
-        """First coordinate after the center word."""
-        return self.start + len(self.center)
-
-    def at(self, i: int) -> str:
-        if i < self.start:
-            return self.left[(i - self.start) % len(self.left)]
-        if i < self.end:
-            return self.center[i - self.start]
-        return self.right[(i - self.end) % len(self.right)]
-
-    def segment(self, lo: int, hi: int) -> str:
-        return "".join(self.at(i) for i in range(lo, hi + 1))
-
-    def window(self, n: int) -> str:
-        return self.segment(-n, n)
-
-    def shifted(self, k: int) -> "TernarySeq":
-        """value'(i) = value(i + k)."""
-        return TernarySeq(self.center, self.start - k, self.left, self.right)
-
-    def describe(self) -> dict:
-        return {
-            "type": "ternary",
-            "center": self.center,
-            "start": self.start,
-            "left_period": self.left,
-            "right_period": self.right,
-        }
+def ternary(center: str = "", start: int = 0, left: str = "0", right: str = "0") -> EventuallyPeriodic:
+    """The point of the full shift on "012" with this center word and
+    these tail periods."""
+    return EventuallyPeriodic(center, start, left, right, ALPHABET)
 
 
-def constant(c: str) -> TernarySeq:
-    if c not in ALPHABET:
-        raise ValueError(f"constant letter must be one of {ALPHABET!r}")
-    return TernarySeq("", 0, c, c)
+def constant(c: str) -> EventuallyPeriodic:
+    if len(c) != 1 or c not in ALPHABET:
+        raise ValueError(f"a constant point (const:C) takes one letter of {ALPHABET!r}, not {c!r}")
+    return ternary("", 0, c, c)
 
 
-def pair_type(x: TernarySeq, y: TernarySeq) -> str:
+def pair_type(x: EventuallyPeriodic, y: EventuallyPeriodic) -> str:
     """Edge when the points differ at every coordinate, agreeable when
     they differ at finitely many, opposed otherwise.
 
-    Beyond one joint tail period below both centers (and above both) the
-    difference pattern repeats, so scanning the center region plus one
-    joint period on each side decides all three cases exactly.
+    The four center boundaries cut the line into five regions.  A region
+    inside a center is no longer than that center; in any other both
+    points read tails, and the difference pattern repeats with their
+    joint period.  So no more than ``span`` letters of any region need be
+    read: the ``span`` letters on either side of the boundaries, which
+    decide agreeability, and the first ``span`` letters of each region
+    between, which with them decide the edge case, exactly and however far
+    apart the centers are.  Contiguous windows are read as one stretch.
     """
-    left_period = lcm(len(x.left), len(y.left))
-    right_period = lcm(len(x.right), len(y.right))
-    lo = min(x.start, y.start)
-    hi = max(x.end, y.end)
-    diff_left = any(x.at(i) != y.at(i) for i in range(lo - left_period, lo))
-    diff_right = any(x.at(i) != y.at(i) for i in range(hi, hi + right_period))
-    if not diff_left and not diff_right:
+    span = max(len(x.center), len(y.center),
+               *(lcm(len(p), len(q)) for p in (x.left, x.right) for q in (y.left, y.right)))
+    cuts = sorted((x.start, x.end, y.start, y.end))
+    stretches = [[cuts[0] - span, cuts[0]]]
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi - lo > span:
+            stretches[-1][1] = lo + span
+            stretches.append([hi, hi])
+        else:
+            stretches[-1][1] = hi
+    stretches[-1][1] = cuts[-1] + span
+    a, b = ("".join(s.segment(lo, hi - 1) for lo, hi in stretches) for s in (x, y))
+    if a[:span] == b[:span] and a[-span:] == b[-span:]:
         return AGREEABLE
-    if all(x.at(i) != y.at(i) for i in range(lo - left_period, hi + right_period)):
-        return EDGE
-    return OPPOSED
+    return OPPOSED if any(map(str.__eq__, a, b)) else EDGE
 
 
 @dataclass(frozen=True)
@@ -110,7 +77,7 @@ class SPVerdict:
         return {"label": self.label, "pair_type": self.pair_type}
 
 
-def sp_classify(x: TernarySeq, y: TernarySeq) -> SPVerdict:
+def sp_classify(x: EventuallyPeriodic, y: EventuallyPeriodic) -> SPVerdict:
     """Strongly proximal exactly when the points are mutually agreeable."""
     kind = pair_type(x, y)
     return SPVerdict(IN_SP if kind == AGREEABLE else NOT_IN_SP, kind)

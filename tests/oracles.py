@@ -6,9 +6,13 @@ reasoning about the sample points and the published proximality table)
 and act as the oracles the implementations are checked against.  The
 symbolic references are the simple one-letter-at-a-time forms of the
 library's vectorized fast paths, kept as differential oracles for them:
-``letterwise_segment`` reads windows one coordinate at a time, and
+``letterwise_segment`` reads windows one coordinate at a time (an
+eventually periodic point through ``periodic_at``), and
 ``reference_segment`` cuts them by ``str`` slicing from whole cores, the
-reference for the views that ``BiSeq.pieces`` hands out; with the gather
+reference for the views that ``BiSeq.pieces`` hands out;
+``reference_pair_type``, a coordinate loop over the centers plus one
+joint period on each side, is the reference for ``ternary.pair_type``'s
+bounded windows; with the gather
 form of the agreement scan (its times, which
 ``times_to_runs`` turns into the library's runs) and the asymptotic
 class read off a walk that carries the angle (the reference for the
@@ -103,7 +107,7 @@ from flowrel.subshift import (
     ChaconPoint,
     ChaconXi,
     Dual,
-    EventuallyConstant,
+    EventuallyPeriodic,
     EvidenceVerdict,
     Shift,
     SubstFixed,
@@ -232,17 +236,8 @@ def letterwise_segment(seq, lo: int, hi: int, recurse=None) -> str:
             if -off <= lo and hi <= len(b) - 1 - off:
                 return "".join(b[i + off] for i in coords)
             k += 1
-    if isinstance(seq, EventuallyConstant):
-        out = []
-        for i in coords:
-            j = i - seq.start
-            if j < 0:
-                out.append(seq.left_fill)
-            elif j < len(seq.center):
-                out.append(seq.center[j])
-            else:
-                out.append(seq.right_fill)
-        return "".join(out)
+    if isinstance(seq, EventuallyPeriodic):
+        return "".join(periodic_at(seq, i) for i in coords)
     if isinstance(seq, Shift):
         return recurse(seq.inner, lo + seq.k, hi + seq.k)
     if isinstance(seq, Dual):
@@ -251,6 +246,30 @@ def letterwise_segment(seq, lo: int, hi: int, recurse=None) -> str:
         raw = recurse(seq.inner, lo, hi + 1)
         return "".join(str((int(raw[j]) + int(raw[j + 1])) % 2) for j in range(hi - lo + 1))
     raise TypeError(f"no reference for {type(seq).__name__}")
+
+
+def periodic_at(seq, i: int) -> str:
+    """The letter of an eventually periodic point at coordinate i, read
+    from its tails and center one coordinate at a time."""
+    if i < seq.start:
+        return seq.left[(i - seq.start) % len(seq.left)]
+    end = seq.start + len(seq.center)
+    if i < end:
+        return seq.center[i - seq.start]
+    return seq.right[(i - end) % len(seq.right)]
+
+
+def reference_pair_type(x, y) -> str:
+    """``ternary.pair_type`` by a coordinate loop over the center region
+    plus one joint tail period on each side: beyond it the difference
+    pattern repeats."""
+    left_period = math.lcm(len(x.left), len(y.left))
+    right_period = math.lcm(len(x.right), len(y.right))
+    lo, hi = min(x.start, y.start), max(x.end, y.end)
+    diff = [periodic_at(x, i) != periodic_at(y, i) for i in range(lo - left_period, hi + right_period)]
+    if not any(diff[:left_period]) and not any(diff[len(diff) - right_period:]):
+        return "agreeable"
+    return "edge" if all(diff) else "opposed"
 
 
 _REFERENCE_ITERATES: dict = {}

@@ -409,6 +409,13 @@ def test_classify_pair_bad_descriptor(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("desc", ["const:01", "const:", "const:3", "shift:2:const:00"])
+def test_ternary_const_takes_exactly_one_letter(capsys, desc):
+    code, out, err = run(capsys, "classify-pair", "--system", "ternary", "--x", desc, "--y", "z")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "const:C" in err
+
+
 def test_descriptor_parsers():
     assert parse_morse_point("shift:2:dual:a").window(4) == parse_morse_point("shift:2:abar").window(4)
     assert parse_chacon_point("xi:32:2").describe()["prefix"] == [3, 2]
@@ -543,8 +550,10 @@ def test_unwritable_out_exits_2(capsys, tmp_path, argv):
 def test_ternary_z_descriptor_is_the_sample_point():
     from flowrel import reports
 
-    assert parse_ternary_point("z") == reports.ternary_sample()["z"]
-    assert parse_ternary_point("shift:2:z") == reports.ternary_sample()["z"].shifted(2)
+    z = reports.ternary_sample()["z"]
+    assert parse_ternary_point("z").describe() == z.describe()
+    assert parse_ternary_point("shift:2:z").describe() == z.shifted(2).describe()
+    assert parse_ternary_point("shift:2:z").segment(-30, 30) == z.segment(-28, 32)
 
 
 # -- the report writer against json ------------------------------------------------

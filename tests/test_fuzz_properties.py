@@ -12,7 +12,7 @@ from flowrel.fuzz import check_factor_theorems, random_flow, random_icer, relati
 from flowrel.proxsets import i_proximal_partition, max_strongly_proximal_sets
 from flowrel.relations import analyze_flow, diagonal, quotient_by_icer
 from flowrel.subshift import Dual, Shift, morse_fixed_points
-from flowrel.ternary import TernarySeq, pair_type
+from flowrel.ternary import pair_type, ternary
 from oracles import (
     apply,
     brute_minimal_left_ideals,
@@ -142,11 +142,11 @@ def test_dual_shift_normal_forms(k, n):
     x = Dual(Shift(a, k))
     y = Shift(Dual(a), k)
     assert x.window(n) == y.window(n)
-    assert x.normalized().canonical_key() == y.normalized().canonical_key()
+    assert x.normalized().describe() == y.normalized().describe()
 
 
 ternary_points = st.builds(
-    TernarySeq,
+    ternary,
     center=st.text(alphabet="012", max_size=6),
     start=st.integers(min_value=-8, max_value=8),
     left=st.text(alphabet="012", min_size=1, max_size=3),

@@ -13,7 +13,7 @@ from flowrel.subshift import (
     ChaconXi,
     ClassifyParams,
     Dual,
-    EventuallyConstant,
+    EventuallyPeriodic,
     Shift,
     SubstFixed,
     Substitution,
@@ -116,11 +116,19 @@ def test_dual_involution_and_detection():
 
 
 def test_eventually_constant_pattern():
-    x = EventuallyConstant("111", start=-1, left_fill="0", right_fill="0")
+    x = EventuallyPeriodic("111", start=-1, left="0", right="0")
     assert x.segment(-3, 3) == "0011100"
     assert Dual(x).segment(-3, 3) == "1100011"
-    norm = EventuallyConstant("0110", start=0, left_fill="0", right_fill="0").normalized()
+    norm = EventuallyPeriodic("0110", start=0, left="0", right="0").normalized()
     assert norm.center == "11" and norm.start == 1
+    # center letters that continue a periodic tail move into it, the
+    # period rotated to keep its phase
+    y = EventuallyPeriodic("0101", start=3, left="01", right="10")
+    norm = y.normalized()
+    assert (norm.center, norm.start, norm.left, norm.right) == ("", 7, "01", "10")
+    assert norm.segment(-20, 30) == y.segment(-20, 30) == "1" + "01" * 13 + "10" * 12
+    assert is_dual_pair(y, EventuallyPeriodic("10", start=5, left="10", right="01"))
+    assert not is_dual_pair(y, EventuallyPeriodic("10", start=4, left="10", right="01"))
 
 
 # --- Chacon --------------------------------------------------------------
@@ -233,8 +241,8 @@ def test_witness_tie_break_prefers_positive():
     fp = morse_fixed_points()
     assert _witness_verdict(agreement_times(fp["a"], fp["b"], 8, 4096), 8, 4096).witness_time == 8
     assert _witness_verdict(agreement_times(fp["a"], fp["bbar"], 8, 4096), 8, 4096).witness_time == -9
-    x = EventuallyConstant("1", start=0)
-    y = EventuallyConstant("1", start=0)
+    x = EventuallyPeriodic("1", start=0)
+    y = EventuallyPeriodic("1", start=0)
     v = _witness_verdict(agreement_times(x, y, 2, 10), 2, 10)
     assert v.witness_time == 0
 
@@ -306,7 +314,7 @@ def test_adic_rejects_nonbinary():
 
 
 def test_adic_constant_zero():
-    z = EventuallyConstant("", start=0)
+    z = EventuallyPeriodic("", start=0)
     assert AdicImage(z).window(10) == "0" * 21
 
 
@@ -324,7 +332,7 @@ def test_two_shift_truncations_pairwise_evidence_only():
     # (shifting both far left leaves only zeros in the window), and no
     # conclusion about the whole family is drawn from the pairwise facts:
     # the checker works on pairs, set-level claims stay out of scope
-    members = [EventuallyConstant("1" * m, start=0) for m in (1, 3, 5)]
+    members = [EventuallyPeriodic("1" * m, start=0) for m in (1, 3, 5)]
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             v = _witness_verdict(agreement_times(members[i], members[j], 4, 64), 4, 64)

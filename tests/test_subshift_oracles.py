@@ -27,7 +27,7 @@ from flowrel.subshift import (
     ChaconXi,
     ClassifyParams,
     Dual,
-    EventuallyConstant,
+    EventuallyPeriodic,
     Shift,
     SubstFixed,
     Substitution,
@@ -43,7 +43,7 @@ THREE_LETTERS = Substitution("abc", {"a": "abca", "b": "cb", "c": "bac"})
 def sequences():
     mt = morse_fixed_points()
     x1, x2 = ChaconPoint("x1"), ChaconPoint("x2")
-    pattern = EventuallyConstant("0110", start=-3, left_fill="1", right_fill="0")
+    pattern = EventuallyPeriodic("0110", start=-3, left="1", right="0")
     return {
         **mt,
         "three_letters": SubstFixed("a", "a", THREE_LETTERS),
@@ -55,8 +55,10 @@ def sequences():
         "xi_3_1": ChaconXi((3,), 1),
         "xi_2_3": ChaconXi((2,), 3),
         "pattern": pattern,
-        "empty_center": EventuallyConstant("", start=5, left_fill="1", right_fill="0"),
-        "ternary_pattern": EventuallyConstant("201", 2, "1", "2", alphabet="012"),
+        "empty_center": EventuallyPeriodic("", start=5, left="1", right="0"),
+        "ternary_pattern": EventuallyPeriodic("201", 2, "1", "2", alphabet="012"),
+        "periodic_tails": EventuallyPeriodic("2", -7, "0112", "201", alphabet="012"),
+        "binary_periodic_tails": EventuallyPeriodic("1101", 40, "10", "001"),
         "x2_shift_7": Shift(x2, 7),
         "x2_shift_-3": Shift(x2, -3),
         "x1_shift_1": Shift(x1, 1),
@@ -300,19 +302,25 @@ def test_agreement_times_match_reference(name):
 
 
 def random_eventually_constant_pair(rng: random.Random):
-    """Two eventually constant sequences over a binary or ternary alphabet,
-    the second a few letter changes and a small shift away from the first,
-    so that their agreement times fall into many runs."""
+    """Two eventually periodic sequences over a binary or ternary alphabet,
+    tails of period 1 to 4 (period 1: constant fills), the second a few
+    letter changes and a small shift away from the first, with tails
+    drawn from the first's, so that their agreement times fall into many
+    runs."""
     alphabet = rng.choice(["01", "012"])
-    center = [rng.choice(alphabet) for _ in range(rng.randint(0, 300))]
-    fills = [rng.choice(alphabet) for _ in range(4)]
+
+    def word(lo: int, hi: int) -> str:
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(lo, hi)))
+
+    center = list(word(0, 300))
+    tails = [word(1, 4) for _ in range(4)]
     start = rng.randint(-200, 200)
-    x = EventuallyConstant("".join(center), start, fills[0], fills[1], alphabet)
+    x = EventuallyPeriodic("".join(center), start, tails[0], tails[1], alphabet)
     for _ in range(rng.randint(0, 12)):
         if center:
             center[rng.randrange(len(center))] = rng.choice(alphabet)
-    y = EventuallyConstant("".join(center), start + rng.randint(-2, 2),
-                           rng.choice(fills[:3]), rng.choice(fills[1:]), alphabet)
+    y = EventuallyPeriodic("".join(center), start + rng.randint(-2, 2),
+                           rng.choice(tails[:3]), rng.choice(tails[1:]), alphabet)
     return x, y
 
 
