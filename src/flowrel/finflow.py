@@ -134,9 +134,13 @@ def _row_keys(rows, bound: int | None = None) -> np.ndarray:
     big-endian bytes otherwise (four past 2^16); byte strings compare byte
     by byte from the first."""
     w = np.shape(rows)[-1]
-    b = w if bound is None else bound
-    rows = np.ascontiguousarray(rows, dtype="u1" if b <= 256 else ">u2" if b <= 2**16 else ">u4")
+    rows = np.ascontiguousarray(rows, dtype=_cell_code(w if bound is None else bound))
     return rows.view(f"S{w * rows.itemsize}")[..., 0]
+
+
+def _cell_code(bound: int) -> str:
+    """The dtype of one row-key cell for values below ``bound``."""
+    return "u1" if bound <= 256 else ">u2" if bound <= 2**16 else ">u4"
 
 
 def row_positions(table: np.ndarray, rows, order: np.ndarray | None = None, bound: int | None = None) -> np.ndarray:
@@ -304,29 +308,44 @@ def first_collapsers(m: TransMonoid, sets) -> np.ndarray:
 def close(flow: FiniteFlow, cap: int | None = None) -> TransMonoid:
     """Least unital composition-closed superset of the generators.
 
-    Breadth-first from the identity, one layer at a time: the row keys
-    (``_row_keys``, which sort as the rows do) of every product g ∘ e of a
-    generator g and a frontier row e are gathered at once and deduplicated
-    by one sort; the keys already known are dropped by a binary search, and
-    the new rows, decoded from their keys, are appended in key order.
-    Raises MonoidTooLarge once a layer would take the closure past ``cap``
-    elements, before that layer is stored.
+    Breadth-first from the identity, one layer at a time.  The generators
+    are held in the cell dtype of the row keys (``_row_keys``, which sort
+    as the rows do), so one ``take`` along them at the frontier rows gives
+    the keys of every product g ∘ e of a generator g and a frontier row e.
+    The keys are deduplicated by one sort (``sorted_unique``) and the
+    known ones dropped by a binary search; the new ones are merged into
+    the sorted known keys at their search slots, each shifted by the new
+    keys before it.  The new rows, decoded from their keys, are stored
+    in the element dtype in key order; only the frontier is widened to
+    index width.  Raises MonoidTooLarge once a layer would take the
+    closure past ``cap`` elements, before that layer is stored.
     """
     if cap is None:
         cap = element_cap()
     n = flow.n_states
     dtype = np.int16 if n < 2**15 else np.int32
-    gens = np.array(flow.generators, dtype=dtype)
-    layers = [np.arange(n, dtype=dtype)[None]]
-    known = _row_keys(layers[0])  # sorted keys of every row so far
-    while len(layers[-1]):
-        keys = sorted_unique(_row_keys(gens[:, layers[-1]]))
+    code = _cell_code(n)
+    gens = np.array(flow.generators, dtype=code)
+    frontier = np.arange(n)[None]
+    layers = [frontier.astype(dtype)]
+    known = _row_keys(frontier)  # sorted keys of every row so far
+    while frontier.size:
+        keys = sorted_unique(gens.take(frontier, axis=1).view(known.dtype))
         at = np.searchsorted(known, keys)
         new = known[np.minimum(at, known.size - 1)] != keys
-        if known.size + np.count_nonzero(new) > cap:
+        fresh = keys[new]
+        if known.size + fresh.size > cap:
             raise MonoidTooLarge(f"monoid too large: more than {cap} elements")
-        known = np.insert(known, at[new], keys[new])
-        layers.append(keys[new].view(f">u{keys.itemsize // n}").reshape(-1, n).astype(dtype))
+        slots = at[new] + np.arange(fresh.size)
+        kept = np.ones(known.size + fresh.size, dtype=bool)
+        kept[slots] = False
+        merged = np.empty(kept.size, dtype=known.dtype)
+        merged[slots] = fresh
+        merged[kept] = known
+        known = merged
+        rows = fresh.view(code).reshape(-1, n)
+        layers.append(rows.astype(dtype))
+        frontier = rows.astype(np.intp)
     return TransMonoid(flow, np.concatenate(layers))
 
 

@@ -15,9 +15,12 @@ idempotent of every ideal in one pass (``ideal_group_tests``), whose
 Cayley tables are gathered in blocks and looked up together; the
 intra-ideal equivalences read from the diagonal blocks of one
 ``equivalence_matrix`` over all idempotents; and label-array reductions
-for the partitions (``validate_partitions``).  Each keeps the first
-counterexample of the per-ideal, per-idempotent, member-by-member or
-class-by-class loop it replaced; those loops are the references in
+for the partitions (``validate_partitions``).  The proximal-set suite
+gathers its candidate sets under every invertible generator at once
+(``invertible_image_check``) and compares SP with its class squares as
+one label comparison.  Each keeps the first counterexample of the
+per-ideal, per-idempotent, member-by-member, class-by-class or
+per-candidate loop it replaced; those loops are the references in
 ``tests/oracles.py``.
 """
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -351,21 +354,58 @@ def proxset_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     are tested once, for both checks that enumerate them."""
     subsets = proximal_subsets(ax)
     candidates = proximal_candidates(ax, subsets)
-    out = [validate_partitions(ax), sp_matches_class_squares(ax), check_rA_proximal_equiv(ax, candidates)]
+    return [
+        validate_partitions(ax),
+        sp_matches_class_squares(ax),
+        check_rA_proximal_equiv(ax, candidates),
+        invertible_image_check(ax, candidates, subsets),
+    ]
 
-    # the image of a proximal set under an invertible generator stays
-    # proximal (the translate lemma; its proof needs the inverse, and it
-    # genuinely fails for non-invertible monoid generators); checked on
-    # the candidates of at most 3 states and on every per-ideal class
-    invertible = [g for g in ax.flow.generators if len(set(g)) == ax.n_states]
-    classes = {tuple(sorted(c)) for ideal in ax.structure.ideals for c in label_classes(ideal.kernel)}
-    small = [c for c in candidates if len(c) <= 3 or c in classes]
-    image = {(cols, g): tuple(sorted({g[x] for x in cols})) for cols in small for g in invertible}
-    rest = sorted(set(image.values()) - subsets.keys())
-    proximal = {**subsets, **dict(zip(rest, proximal_sets(ax, rest).tolist()))}
-    detail = next((f"tA not proximal: A={list(cols)} g={g}" for (cols, g), t in image.items() if not proximal[t]), "")
-    out.append(_result("invertible_generator_image_of_proximal_set_proximal", not detail, detail))
-    return out
+
+def invertible_image_check(ax: FlowAnalysis, candidates: list[tuple[int, ...]],
+                           subsets: dict[tuple[int, ...], bool]) -> CheckResult:
+    """The image of a proximal set under an invertible generator stays
+    proximal (the translate lemma; its proof needs the inverse, and it
+    genuinely fails for non-invertible monoid generators); checked on the
+    ``candidates`` of at most 3 states and on every per-ideal class.
+
+    The candidates become rows padded with their least member, and a row
+    is a per-ideal class where some ideal kernel is constant on it and
+    its class there has the row's size.  The chosen rows are gathered
+    under every invertible generator at once.  An invertible map keeps a
+    set's size, so the images of 3- and 4-sets are read from ``subsets``
+    (``proximal_subsets``) when it lists them, and every other image is
+    tested in one ``proximal_sets`` call.  The counterexample is the first
+    failing (candidate, generator) in candidate order, then generator
+    order."""
+    name = "invertible_generator_image_of_proximal_set_proximal"
+    n = ax.n_states
+    gens = np.array(ax.flow.generators)
+    invertible = gens[(np.sort(gens, axis=1) == np.arange(n)).all(axis=1)]
+    if not invertible.size:
+        return CheckResult(name, True)
+    sizes = np.fromiter(map(len, candidates), np.intp, len(candidates))
+    column = np.arange(sizes.max())
+    members = np.fromiter(chain.from_iterable(candidates), np.intp, sizes.sum())
+    rows = members[(np.cumsum(sizes) - sizes)[:, None] + np.where(column < sizes[:, None], column, 0)]
+    kernels = np.array([ideal.kernel for ideal in ax.structure.ideals])
+    kernels += np.arange(0, kernels.size, n)[:, None]  # no label is shared by two ideals
+    labels = kernels[:, rows]  # (ideal, candidate, member)
+    is_class = (labels == labels[:, :, :1]).all(axis=2) & (np.bincount(kernels.ravel())[labels[:, :, 0]] == sizes)
+    small = np.flatnonzero((sizes <= 3) | is_class.any(axis=0))
+    images = invertible[:, rows[small]].transpose(1, 0, 2)  # (candidate, generator, member)
+    proximal = np.empty(images.shape[:2], dtype=bool)
+    tested = np.ones(small.size, dtype=bool)
+    for k in (3, 4) if subsets else ():
+        sized = sizes[small] == k
+        tested &= ~sized
+        sets = np.sort(images[sized, :, :k], axis=2).reshape(-1, k).tolist()
+        proximal[sized] = np.reshape([subsets[t] for t in map(tuple, sets)], (-1, len(invertible)))
+    proximal[tested] = proximal_sets(ax, images[tested].reshape(-1, column.size)).reshape(-1, len(invertible))
+    if proximal.all():
+        return CheckResult(name, True)
+    c, g = np.argwhere(~proximal)[0]
+    return CheckResult(name, False, f"tA not proximal: A={list(candidates[small[c]])} g={tuple(invertible[g].tolist())}")
 
 
 def proximal_subsets(ax: FlowAnalysis) -> dict[tuple[int, ...], bool]:
@@ -448,14 +488,11 @@ def _any_by_label(mask: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def sp_matches_class_squares(ax: FlowAnalysis) -> CheckResult:
     """Cross-module consistency: SP equals the union of A x A over the
-    maximal strongly proximal sets A."""
-    sp = ax.strongly_proximal
-    n = ax.n_states
-    built = np.zeros((n, n), dtype=bool)
-    for s in proxsets.max_strongly_proximal_sets(ax):
-        idxs = sorted(s)
-        built[np.ix_(idxs, idxs)] = True
-    return _result("sp_equals_union_of_class_squares", np.array_equal(sp, built))
+    maximal strongly proximal sets A.  These are the classes of the
+    refinement labels, so the union pairs exactly the states with equal
+    labels: one comparison of the labels with their transpose."""
+    labels = np.array(ax.structure.refinement_labels)
+    return _result("sp_equals_union_of_class_squares", np.array_equal(ax.strongly_proximal, labels[:, None] == labels))
 
 
 def max_sp_sets_fixed_by_all_idempotents(ax: FlowAnalysis) -> CheckResult:

@@ -134,7 +134,7 @@ class BiSeq:
         return [np.frombuffer(self.segment(lo, hi).encode("ascii"), dtype=np.uint8)]
 
     def segment(self, lo: int, hi: int) -> str:
-        return b"".join(map(bytes, self.pieces(lo, hi))).decode("ascii")
+        return b"".join(self.pieces(lo, hi)).decode("ascii")  # the pieces join as buffers, uncopied
 
     def window(self, n: int) -> str:
         if n < 0:

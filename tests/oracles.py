@@ -39,7 +39,12 @@ reference for the S¹p check read from the generators' left action, one
 search over every member list (``fuzz.left_action_counterexamples``).
 ``reference_validate_partitions`` tests the partitions one class at a
 time and is the reference for the label-array reductions of
-``fuzz.validate_partitions``.  The
+``fuzz.validate_partitions``; ``reference_invertible_image_check``
+sorts each (candidate, generator) image into a dict and is the
+reference for the row gather of ``fuzz.invertible_image_check``, and
+``reference_sp_matches_class_squares`` builds SP's class squares one
+``np.ix_`` block at a time, the reference for the label comparison of
+``fuzz.sp_matches_class_squares``.  The
 squared flow's monoid (``square_monoid``) and its minimal idempotents are
 the product-flow reference for Omega read from the pair graph
 (``fuzz.almost_periodic_pairs``), one ``reaching`` call per node is the
@@ -78,6 +83,7 @@ import weakref
 
 import numpy as np
 
+from flowrel import fuzz
 from flowrel.circles import (
     FIXED,
     INCONCLUSIVE,
@@ -101,6 +107,7 @@ from flowrel.finflow import (
     row_positions,
 )
 from flowrel.fuzz import CheckResult
+from flowrel.proxsets import max_strongly_proximal_sets
 from flowrel.relations import product_flow, reaching
 from flowrel.subshift import (
     AdicImage,
@@ -795,6 +802,33 @@ def reference_validate_partitions(ax) -> CheckResult:
             if not collapsed:
                 return CheckResult(name, False, f"idempotent {u} does not collapse class {sorted(c)}")
     return CheckResult(name, True)
+
+
+def reference_invertible_image_check(ax, candidates, subsets) -> CheckResult:
+    """``fuzz.invertible_image_check`` one (candidate, generator) at a time:
+    each image set is sorted into a dict, the images not among ``subsets``
+    are tested in one call of ``fuzz.proximal_sets`` (looked up through
+    the module, so a patched test reaches this form too), and the first
+    failing key in insertion order is the counterexample."""
+    invertible = [g for g in ax.flow.generators if len(set(g)) == ax.n_states]
+    classes = {tuple(sorted(c)) for ideal in ax.structure.ideals for c in label_classes(ideal.kernel)}
+    small = [c for c in candidates if len(c) <= 3 or c in classes]
+    image = {(cols, g): tuple(sorted({g[x] for x in cols})) for cols in small for g in invertible}
+    rest = sorted(set(image.values()) - subsets.keys())
+    proximal = {**subsets, **dict(zip(rest, fuzz.proximal_sets(ax, rest).tolist()))}
+    detail = next((f"tA not proximal: A={list(cols)} g={g}" for (cols, g), t in image.items() if not proximal[t]), "")
+    return CheckResult("invertible_generator_image_of_proximal_set_proximal", not detail, detail)
+
+
+def reference_sp_matches_class_squares(ax) -> CheckResult:
+    """``fuzz.sp_matches_class_squares`` as the union of one ``np.ix_``
+    block A x A per maximal strongly proximal set A."""
+    n = ax.n_states
+    built = np.zeros((n, n), dtype=bool)
+    for s in max_strongly_proximal_sets(ax):
+        idxs = sorted(s)
+        built[np.ix_(idxs, idxs)] = True
+    return CheckResult("sp_equals_union_of_class_squares", bool(np.array_equal(ax.strongly_proximal, built)))
 
 
 # -- the report's batched passes, one pair, set or row at a time -------------------

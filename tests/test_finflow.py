@@ -132,6 +132,18 @@ def test_close_matches_the_tuple_bfs_on_the_seeded_corpus():
         assert np.array_equal(m.elements, expected.elements), flow
 
 
+@pytest.mark.parametrize("n", [40_000, 70_000])
+def test_close_matches_the_tuple_bfs_past_int16_states(n):
+    # int32 rows, keyed by two bytes a cell below 2^16 states and four
+    # above: a swap, a constant map and a 4-cycle on states 0..3 give the
+    # 24 permutations of 0..3 and the 4 constant maps onto them
+    rest = range(4, n)
+    flow = FiniteFlow(n, ((1, 0, 2, 3, *rest), (0,) * n, (1, 2, 3, 0, *rest)))
+    m = close(flow)
+    assert m.elements.dtype == np.int32 and m.size == 28
+    assert np.array_equal(m.elements, reference_close(flow).elements)
+
+
 @pytest.mark.parametrize("flow", [TWO_IDEAL_FLOW, full_transformation_flow(4), wide_cyclic_flow(16)])
 def test_close_cap_boundary(flow):
     size = close(flow).size

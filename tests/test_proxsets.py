@@ -13,6 +13,7 @@ from flowrel.fuzz import (
     SINGLE_IDEAL_SEED_FLOW,
     TWO_IDEAL_FLOW,
     check_rA_proximal_equiv,
+    invertible_image_check,
     max_sp_sets_fixed_by_all_idempotents,
     proximal_candidates,
     proximal_subsets,
@@ -24,7 +25,14 @@ from flowrel.fuzz import (
 from flowrel.proxsets import i_proximal_partition, max_strongly_proximal_sets
 from flowrel.relations import analyze_flow, proximal_sets
 from flowrel.reports import flow_report
-from oracles import apply, element_of, image_tuple, reference_minimal_ideal_collapse
+from oracles import (
+    apply,
+    element_of,
+    image_tuple,
+    reference_invertible_image_check,
+    reference_minimal_ideal_collapse,
+    reference_sp_matches_class_squares,
+)
 
 
 def test_singletons_are_proximal():
@@ -167,6 +175,72 @@ def test_invertible_image_check_reports_the_first_counterexample(monkeypatch):
     (result,) = [r for r in proxset_check_suite(ax) if r.name == check]
     assert not result.passed
     assert result.detail == "tA not proximal: A=[0] g=(1, 2, 0)"
+
+
+# -- the suite's array passes against their loop forms ------------------------------
+
+
+def random_flow_with_invertibles(rng: random.Random) -> FiniteFlow:
+    """A flow on 1..14 states whose generators are each a permutation or
+    an arbitrary map, one of them repeated in about a third of the flows."""
+    n = rng.randint(1, 14)
+    gens = [tuple(rng.sample(range(n), n)) if rng.random() < 0.5 else tuple(rng.randrange(n) for _ in range(n))
+            for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.3:
+        gens.insert(rng.randrange(len(gens) + 1), rng.choice(gens))
+    return FiniteFlow(n, tuple(gens))
+
+
+def seeded_analyses(count: int, seed: int):
+    rng = random.Random(seed)
+    while count:
+        try:
+            ax = analyze_flow(random_flow_with_invertibles(rng), cap=3000)
+        except MonoidTooLarge:
+            continue
+        count -= 1
+        yield ax
+
+
+def test_image_and_class_square_checks_match_their_loop_forms():
+    kinds = {"invertible": 0, "repeated": 0, "subsets": 0, "no subsets": 0}
+    for ax in seeded_analyses(1200, 20261019):
+        gens = ax.flow.generators
+        kinds["invertible"] += any(len(set(g)) == ax.n_states for g in gens)
+        kinds["repeated"] += len(set(gens)) < len(gens)
+        subsets = proximal_subsets(ax)
+        kinds["subsets" if subsets else "no subsets"] += 1
+        candidates = proximal_candidates(ax, subsets)
+        assert invertible_image_check(ax, candidates, subsets) == reference_invertible_image_check(ax, candidates, subsets)
+        assert sp_matches_class_squares(ax) == reference_sp_matches_class_squares(ax)
+        if ax.n_states > 1:  # one off-diagonal SP entry flipped fails both forms
+            sp = ax.strongly_proximal.copy()
+            sp[0, 1] ^= True
+            broken = replace(ax, strongly_proximal=sp)
+            assert not sp_matches_class_squares(broken).passed
+            assert sp_matches_class_squares(broken) == reference_sp_matches_class_squares(broken)
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_injected_image_failures_match_the_loop_form(monkeypatch):
+    # every set whose members sum to 1 mod 3 is rejected, in the subset
+    # table and in the image tests alike; both forms name the same first
+    # (candidate, generator) and the same detail text
+    real = fuzz.proximal_sets
+
+    def rejecting(ax, sets):
+        rows = sets.tolist() if isinstance(sets, np.ndarray) else sets
+        return real(ax, sets) & np.array([sum(set(s)) % 3 != 1 for s in rows], dtype=bool)
+
+    monkeypatch.setattr(fuzz, "proximal_sets", rejecting)
+    failed = 0
+    for ax in seeded_analyses(300, 7):
+        subsets = proximal_subsets(ax)
+        candidates = proximal_candidates(ax, subsets)
+        result = invertible_image_check(ax, candidates, subsets)
+        assert result == reference_invertible_image_check(ax, candidates, subsets)
+        failed += not result.passed
+    assert failed >= 30
 
 
 # -- the kernel-label set test against the whole-monoid scan -----------------------
