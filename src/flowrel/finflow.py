@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,14 +117,6 @@ def format_flow(flow: FiniteFlow, comment: str | None = None) -> str:
     lines.append(f"states: {flow.n_states}")
     lines.extend(" ".join(str(v) for v in g) for g in flow.generators)
     return "\n".join(lines) + "\n"
-
-
-def label_classes(labels) -> list[frozenset[int]]:
-    """The classes {x : labels[x] = c}, ordered by least member."""
-    classes: dict = {}
-    for x, c in enumerate(labels):
-        classes.setdefault(c, []).append(x)
-    return [frozenset(c) for c in classes.values()]
 
 
 def _row_keys(rows, bound: int | None = None) -> np.ndarray:
@@ -363,24 +356,48 @@ class LeftIdeal:
 class IdealStructure:
     """The minimal left ideals, their idempotents, and the first-occurrence
     labels of the common refinement of the ideal kernels: x and y share a
-    label iff every minimal ideal collapses them."""
+    label iff every minimal ideal collapses them.
+
+    The array forms below are what every reader of the minimal ideals
+    reads, each computed at most once per structure (a copy made with
+    ``dataclasses.replace`` computes its own)."""
 
     ideals: tuple[LeftIdeal, ...]
     idempotents_by_ideal: tuple[tuple[int, ...], ...]
     refinement_labels: tuple[int, ...]
 
-    @property
-    def all_idempotents(self) -> tuple[int, ...]:
-        return tuple(u for js in self.idempotents_by_ideal for u in js)
+    @cached_property
+    def kernel_elements(self) -> np.ndarray:
+        """Every ideal's members in ideal order; ``member_ideals`` names their ideals."""
+        return np.array([i for ideal in self.ideals for i in ideal.members], dtype=np.intp)
 
-    @property
+    @cached_property
+    def member_ideals(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.ideals)), [len(ideal.members) for ideal in self.ideals])
+
+    @cached_property
+    def all_idempotents(self) -> np.ndarray:
+        """Every ideal's idempotents in ideal order; ``idempotent_ideals`` names their ideals."""
+        return np.array([u for js in self.idempotents_by_ideal for u in js], dtype=np.intp)
+
+    @cached_property
     def idempotent_ideals(self) -> np.ndarray:
-        """The index of the ideal of each of ``all_idempotents``."""
         return np.repeat(np.arange(len(self.ideals)), [len(js) for js in self.idempotents_by_ideal])
 
-    @property
-    def kernel_elements(self) -> tuple[int, ...]:
-        return tuple(i for ideal in self.ideals for i in ideal.members)
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The first-occurrence labels (``kernel_labels``) of every ideal
+        kernel, one row per ideal, and of the refinement in the last row:
+        the c-th class of a row has the c-th least member."""
+        return kernel_labels(np.array([*(ideal.kernel for ideal in self.ideals), self.refinement_labels]))
+
+    @cached_property
+    def classes(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The classes of each row of ``labels`` in order, each listing its
+        states in increasing order: the runs of one stable argsort."""
+        order = np.argsort(self.labels, axis=1, kind="stable").tolist()
+        ends = [np.cumsum(np.bincount(row)).tolist() for row in self.labels]
+        return tuple(tuple(tuple(o[a:b]) for a, b in zip([0, *e], e)) for o, e in zip(order, ends))
 
 
 def minimal_left_ideals(m: TransMonoid) -> list[LeftIdeal]:
@@ -389,12 +406,9 @@ def minimal_left_ideals(m: TransMonoid) -> list[LeftIdeal]:
     In a finite transformation monoid these are exactly the classes of
     minimum-rank elements grouped by kernel partition; the kernel labels of
     all minimum-rank rows come from one ``kernel_labels`` pass, and rows
-    with equal labels are grouped by one sort of their byte keys.  Each
-    returned ideal is verified against ``S¹p`` for its least member p: the
-    products s ∘ p for every element s and every ideal's p are gathered in
-    blocks of elements, each block no larger than ``elements``, named by
-    ``positions`` and keyed (ideal k, element) = k·|S| + element, and the
-    distinct keys must be the ideals' members.
+    with equal labels are grouped by one sort of their byte keys.  That
+    each is S¹p for every member p is checked by the relation check suite
+    (``fuzz.left_action_counterexamples``), not here.
     """
     ranks = m.ranks()
     lowest = np.flatnonzero(ranks == ranks.min())
@@ -403,33 +417,19 @@ def minimal_left_ideals(m: TransMonoid) -> list[LeftIdeal]:
     order = np.argsort(keys, kind="stable")
     groups = np.split(order, np.flatnonzero(keys[order][1:] != keys[order][:-1]) + 1)
     groups.sort(key=lambda g: g[0])
-    ideals = [LeftIdeal(members=tuple(lowest[g].tolist()), kernel=tuple(labels[g[0]].tolist())) for g in groups]
-    e, k = m.elements, len(ideals)
-    firsts = e[[ideal.members[0] for ideal in ideals]]
-    block = max(1, m.size // k)  # block · k rows of n entries
-    got = sorted_unique(np.concatenate([
-        (np.arange(k) * m.size + m.positions(e[lo:lo + block][:, firsts])).ravel() for lo in range(0, m.size, block)
-    ]))
-    listed = np.concatenate([b * m.size + lowest[g] for b, g in enumerate(groups)])
-    if not np.array_equal(got, listed):
-        owner, member = np.divmod(got, m.size)
-        b = next(b for b, ideal in enumerate(ideals) if tuple(member[owner == b].tolist()) != ideal.members)
-        raise AssertionError(
-            f"minimal-ideal computation inconsistent: S^1 p = {tuple(member[owner == b].tolist())}"
-            f" vs kernel class {ideals[b].members}"
-        )
-    return ideals
+    return [LeftIdeal(members=tuple(lowest[g].tolist()), kernel=tuple(labels[g[0]].tolist())) for g in groups]
 
 
 def ideal_structure(m: TransMonoid) -> IdealStructure:
     """The minimal left ideals, their idempotents and the refinement labels,
     computed afresh on every call; ``analyze_flow`` calls it once and keeps
     the result.  One ``idempotent_mask`` over every kernel element finds
-    the idempotents of all ideals; the refinement labels are
-    ``kernel_labels`` of one row of byte keys, the key of state x reading
-    x's label in every ideal kernel."""
+    the idempotents of all ideals.  State x's refinement code is the rank
+    of its byte key, which reads x's label in every ideal kernel; one
+    ``kernel_labels`` pass over the kernels and the codes gives the
+    structure's ``labels``, the refinement labels last."""
     ideals = tuple(minimal_left_ideals(m))
-    members = np.array([i for ideal in ideals for i in ideal.members])
+    members = np.array([i for ideal in ideals for i in ideal.members], dtype=np.intp)
     owner = np.repeat(np.arange(len(ideals)), [len(ideal.members) for ideal in ideals])
     mask = idempotent_mask(m.elements[members])
     counts = np.bincount(owner[mask], minlength=len(ideals))
@@ -437,8 +437,11 @@ def ideal_structure(m: TransMonoid) -> IdealStructure:
         raise AssertionError(f"minimal ideal {ideals[counts.argmin()].members} has no idempotent")
     idempotents_by_ideal = tuple(tuple(js.tolist()) for js in np.split(members[mask], np.cumsum(counts)[:-1]))
     kernels = np.array([ideal.kernel for ideal in ideals])
-    labels = kernel_labels(_row_keys(kernels.T, m.n_states)[None])[0]
-    return IdealStructure(ideals, idempotents_by_ideal, tuple(labels.tolist()))
+    keys = _row_keys(kernels.T, m.n_states)
+    labels = kernel_labels(np.vstack([kernels, np.searchsorted(sorted_unique(keys), keys)]))
+    st = IdealStructure(ideals, idempotents_by_ideal, tuple(labels[-1].tolist()))
+    vars(st).update(kernel_elements=members, member_ideals=owner, labels=labels)  # its cached properties' values
+    return st
 
 
 def equivalence_matrix(m: TransMonoid, us, vs) -> np.ndarray:
@@ -446,7 +449,7 @@ def equivalence_matrix(m: TransMonoid, us, vs) -> np.ndarray:
     v∘u = u for u = us[i], v = vs[j], read from the gathered product
     tables ``EU[:, EV]`` and ``EV[:, EU]``, in blocks of rows of ``us``
     that keep each gathered table within ``elements.size`` entries."""
-    eu, ev = m.elements[list(us)], m.elements[list(vs)]
+    eu, ev = m.elements[np.asarray(us, dtype=np.intp)], m.elements[np.asarray(vs, dtype=np.intp)]
     block = max(1, m.elements.size // max(1, ev.size))
     return np.concatenate([
         (eu[lo:lo + block][:, ev] == ev).all(axis=2) & (ev[:, eu[lo:lo + block]] == eu[lo:lo + block]).all(axis=2).T
@@ -454,15 +457,16 @@ def equivalence_matrix(m: TransMonoid, us, vs) -> np.ndarray:
     ])
 
 
-def equivalent_idempotents(m: TransMonoid, structure: IdealStructure) -> list[tuple[int, int]]:
+def equivalent_idempotents(structure: IdealStructure, equivalence: np.ndarray) -> list[tuple[int, int]]:
     """All cross-ideal pairs (u, u') of ``structure``'s idempotents with
     u∘u' = u' and u'∘u = u, ordered by (ideal of u < ideal of u', u, u'),
-    masked from one ``equivalence_matrix`` over all the idempotents (whose
-    row-major order is (ideal of u, u, ideal of u', u')).  The existence
-    claim (every minimal idempotent has a partner in every other minimal
-    ideal) is checked on these pairs by the relation check suite."""
-    us, ideal_of = np.array(structure.all_idempotents), structure.idempotent_ideals
-    i, j = np.nonzero(equivalence_matrix(m, us, us) & (ideal_of[:, None] < ideal_of))
+    masked from ``equivalence``, the ``equivalence_matrix`` over all the
+    idempotents (whose row-major order is (ideal of u, u, ideal of u', u')).
+    The existence claim (every minimal idempotent has a partner in every
+    other minimal ideal) is checked on these pairs by the relation check
+    suite."""
+    us, ideal_of = structure.all_idempotents, structure.idempotent_ideals
+    i, j = np.nonzero(equivalence & (ideal_of[:, None] < ideal_of))
     order = np.lexsort((j, i, ideal_of[j], ideal_of[i]))
     return list(zip(us[i[order]].tolist(), us[j[order]].tolist()))
 

@@ -1,8 +1,8 @@
 """Every theorem check of flowrel, and the randomized harness that runs them.
 
-``finflow``, ``relations`` and ``proxsets`` compute a ``FlowAnalysis``;
-each check here reads one (the product and factor checks one per flow
-involved) and returns ``CheckResult``s.  Every report carries
+``finflow`` and ``relations`` compute a ``FlowAnalysis``; each check here
+reads one (the product and factor checks one per flow involved) and
+returns ``CheckResult``s.  Every report carries
 ``relation_check_suite`` and ``proxset_check_suite``, and every fuzzed
 instance runs them: a fixed seed fully determines the instances, and a
 failing flow is minimized by greedy generator removal and reported as a
@@ -13,9 +13,9 @@ one S¹p = M search for every ideal's member list
 (``left_action_counterexamples``); "pu = p" and "uM is a group" for every
 idempotent of every ideal in one pass (``ideal_group_tests``), whose
 Cayley tables are gathered in blocks and looked up together; the
-intra-ideal equivalences read from the diagonal blocks of one
-``equivalence_matrix`` over all idempotents; and label-array reductions
-for the partitions (``validate_partitions``).  The proximal-set suite
+intra-ideal equivalences read from the diagonal blocks of the analysis'
+``idempotent_equivalence``; and label-array reductions for the
+partitions (``validate_partitions``).  The proximal-set suite
 gathers its candidate sets under every invertible generator at once
 (``invertible_image_check``) and compares SP with its class squares as
 one label comparison.  Each keeps the first counterexample of the
@@ -32,20 +32,17 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from . import proxsets
 from .finflow import (
     FactorMap,
     FiniteFlow,
     MonoidTooLarge,
     TransMonoid,
     _row_keys,
+    _state_sets,
     compose_rows,
-    equivalence_matrix,
     format_flow,
     idempotent_mask,
     induced_theta,
-    kernel_labels,
-    label_classes,
     row_positions,
     sorted_unique,
 )
@@ -126,7 +123,7 @@ def relation_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     # Omega cells equal the union of fixed-point sets of idempotents fixing x.
     e = m.elements
     ar = np.arange(n)
-    idem_rows = e[list(st.all_idempotents)]
+    idem_rows = e[st.all_idempotents]
     images = np.zeros(idem_rows.shape, dtype=bool)
     images[np.arange(len(idem_rows))[:, None], idem_rows] = True
     bad = np.flatnonzero(((idem_rows == ar).T @ images != om).any(axis=1))
@@ -140,12 +137,12 @@ def relation_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     member_lists = [i.members for i in st.ideals]
     mp = next(((ki, x) for ki, x in enumerate(left_action_counterexamples(m, member_lists)) if x is not None), None)
     mp_detail = "Mp != M at ideal {} element {}".format(*mp) if mp else ""
-    us, slot_ideal = np.array(st.all_idempotents, dtype=np.intp), st.idempotent_ideals
+    us, slot_ideal = st.all_idempotents, st.idempotent_ideals
     pu_ok, group_ok = ideal_group_tests(m, member_lists, us, slot_ideal)
     bad_pu, bad_group = np.flatnonzero(~pu_ok)[:1], np.flatnonzero(~group_ok)[:1]
     pu_detail = "".join(f"pu != p at ideal {slot_ideal[t]}" for t in bad_pu)
     group_detail = "".join(f"uM not a group at ideal {slot_ideal[t]} idempotent {us[t]}" for t in bad_group)
-    pairs = np.argwhere(np.triu(equivalence_matrix(m, us, us) & (slot_ideal[:, None] == slot_ideal), 1))
+    pairs = np.argwhere(np.triu(ax.idempotent_equivalence & (slot_ideal[:, None] == slot_ideal), 1))
     intra_detail = "idempotents {} and {} equivalent in ideal {}".format(
         *us[pairs[0]], slot_ideal[pairs[0][0]]) if pairs.size else ""
     out.append(_result("ideal_absorption_Mp_equals_M", not mp_detail, mp_detail))
@@ -273,8 +270,14 @@ def ideal_group_tests(m: TransMonoid, member_lists, us: np.ndarray, slot_list: n
     point to the widest image): the products a∘c of every slot's pairs of
     nodes are gathered in blocks of at most ``elements.size`` entries and
     looked up among the restricted rows by their keys, the slot prefixed.
-    The table must be closed and every node needs a c with a∘c = c∘a = u.
-    The table holds one index per product, as many as the Cayley tables."""
+    The table must be closed, and every node's restricted row must have
+    rank |I|, which decides the group (the H-classes of a completely
+    simple kernel are groups: Clifford & Preston, 1961).  Proof: u = u∘u
+    fixes I pointwise and every node a = u∘a maps I into I, so a -> a|I
+    is a homomorphism into the maps of I, one-to-one as a = a∘u, taking u
+    to the identity.  If each a|I has rank |I| it permutes I, and a closed
+    finite set of permutations holding the identity is a group.  If uM is
+    a group, a∘c = u gives a|I ∘ c|I = id, so a|I is onto I."""
     e, size = m.elements, m.size
     lists = [np.asarray(ms, dtype=np.intp) for ms in member_lists]
     sizes = np.array([a.size for a in lists], dtype=np.intp)
@@ -296,9 +299,7 @@ def ideal_group_tests(m: TransMonoid, member_lists, us: np.ndarray, slot_list: n
     node_slot, node = np.divmod(keys, size)
     start = np.searchsorted(node_slot, slots)
     count = np.diff(np.append(start, keys.size))
-    at = np.minimum(np.searchsorted(keys, slots * size + us), keys.size - 1)
-    unit = np.where(keys[at] == slots * size + us, at, -1)
-    ok = unit >= 0
+    ok = keys[np.minimum(np.searchsorted(keys, slots * size + us), keys.size - 1)] == slots * size + us
     for b in _blocks(keys.size, size):
         rows, urows = e[node[b]], e[us[node_slot[b]]]
         moved = (compose_rows(urows, rows) != rows) | (compose_rows(rows, urows) != rows)
@@ -316,20 +317,20 @@ def ideal_group_tests(m: TransMonoid, member_lists, us: np.ndarray, slot_list: n
     bound = max(m.n_states, us.size)
     order = np.argsort(_row_keys(table, bound))
 
-    # every slot's Cayley table: closed, and an inverse for every node
+    # every slot's Cayley table is closed, and every node's restricted row
+    # has the rank of its u
     squares = count * count
-    pair_start = np.cumsum(squares) - squares
     pair_slot = np.repeat(slots, squares)
-    row_of, col_of = np.divmod(np.arange(pair_slot.size) - pair_start[pair_slot], count[pair_slot])
+    row_of, col_of = np.divmod(np.arange(pair_slot.size) - (np.cumsum(squares) - squares)[pair_slot], count[pair_slot])
     a, c = start[pair_slot] + row_of, start[pair_slot] + col_of
     product = np.empty(pair_slot.size, dtype=np.intp)
     for b in _blocks(pair_slot.size, e.size // table.shape[1]):
         query = np.column_stack([pair_slot[b], np.take(e, restricted[c[b]] + (node[a[b]] * m.n_states)[:, None])])
         product[b] = row_positions(table, query, order, bound)
     ok[pair_slot[product < 0]] = False
-    flipped = pair_start[pair_slot] + col_of * count[pair_slot] + row_of  # the pair (c, a)
-    inverse = (product == unit[pair_slot]) & (product[flipped] == unit[pair_slot])
-    ok[node_slot[np.bincount(a[inverse], minlength=keys.size) == 0]] = False
+    spread = np.sort(restricted, axis=1)
+    ranks = 1 + np.count_nonzero(spread[:, 1:] != spread[:, :-1], axis=1)
+    ok[node_slot[ranks != column[node_slot, -1] + 1]] = False
     return pu_ok, ok
 
 
@@ -369,43 +370,36 @@ def invertible_image_check(ax: FlowAnalysis, candidates: list[tuple[int, ...]],
     genuinely fails for non-invertible monoid generators); checked on the
     ``candidates`` of at most 3 states and on every per-ideal class.
 
-    The candidates become rows padded with their least member, and a row
-    is a per-ideal class where some ideal kernel is constant on it and
-    its class there has the row's size.  The chosen rows are gathered
-    under every invertible generator at once.  An invertible map keeps a
-    set's size, so the images of 3- and 4-sets are read from ``subsets``
-    (``proximal_subsets``) when it lists them, and every other image is
-    tested in one ``proximal_sets`` call.  The counterexample is the first
-    failing (candidate, generator) in candidate order, then generator
-    order."""
+    The chosen candidates become rows padded with their least member
+    (``finflow._state_sets``), gathered under every invertible generator
+    at once.  An invertible map keeps a set's size, so the images of 3-
+    and 4-sets are read from ``subsets`` (``proximal_subsets``) when it
+    lists them, and every other image is tested in one ``proximal_sets``
+    call.  The counterexample is the first failing (candidate, generator)
+    in candidate order, then generator order."""
     name = "invertible_generator_image_of_proximal_set_proximal"
     n = ax.n_states
     gens = np.array(ax.flow.generators)
     invertible = gens[(np.sort(gens, axis=1) == np.arange(n)).all(axis=1)]
     if not invertible.size:
         return CheckResult(name, True)
-    sizes = np.fromiter(map(len, candidates), np.intp, len(candidates))
-    column = np.arange(sizes.max())
-    members = np.fromiter(chain.from_iterable(candidates), np.intp, sizes.sum())
-    rows = members[(np.cumsum(sizes) - sizes)[:, None] + np.where(column < sizes[:, None], column, 0)]
-    kernels = np.array([ideal.kernel for ideal in ax.structure.ideals])
-    kernels += np.arange(0, kernels.size, n)[:, None]  # no label is shared by two ideals
-    labels = kernels[:, rows]  # (ideal, candidate, member)
-    is_class = (labels == labels[:, :, :1]).all(axis=2) & (np.bincount(kernels.ravel())[labels[:, :, 0]] == sizes)
-    small = np.flatnonzero((sizes <= 3) | is_class.any(axis=0))
-    images = invertible[:, rows[small]].transpose(1, 0, 2)  # (candidate, generator, member)
+    classes = set(chain.from_iterable(ax.structure.classes[:-1]))
+    small = [c for c in candidates if len(c) <= 3 or c in classes]
+    sizes = np.fromiter(map(len, small), np.intp, len(small))
+    rows = _state_sets(small)
+    images = invertible[:, rows].transpose(1, 0, 2)  # (candidate, generator, member)
     proximal = np.empty(images.shape[:2], dtype=bool)
-    tested = np.ones(small.size, dtype=bool)
+    tested = np.ones(len(small), dtype=bool)
     for k in (3, 4) if subsets else ():
-        sized = sizes[small] == k
+        sized = sizes == k
         tested &= ~sized
         sets = np.sort(images[sized, :, :k], axis=2).reshape(-1, k).tolist()
         proximal[sized] = np.reshape([subsets[t] for t in map(tuple, sets)], (-1, len(invertible)))
-    proximal[tested] = proximal_sets(ax, images[tested].reshape(-1, column.size)).reshape(-1, len(invertible))
+    proximal[tested] = proximal_sets(ax, images[tested].reshape(-1, rows.shape[1])).reshape(-1, len(invertible))
     if proximal.all():
         return CheckResult(name, True)
     c, g = np.argwhere(~proximal)[0]
-    return CheckResult(name, False, f"tA not proximal: A={list(candidates[small[c]])} g={tuple(invertible[g].tolist())}")
+    return CheckResult(name, False, f"tA not proximal: A={list(small[c])} g={tuple(invertible[g].tolist())}")
 
 
 def proximal_subsets(ax: FlowAnalysis) -> dict[tuple[int, ...], bool]:
@@ -429,8 +423,8 @@ def validate_partitions(ax: FlowAnalysis) -> CheckResult:
     ideal, then class by class (by least member, the almost-periodic test
     first), then for the refinement.
 
-    One ``kernel_labels`` call relabels every partition by first
-    occurrence, so class c has the c-th least member; each per-class test
+    The partitions are read as the structure's first-occurrence
+    ``labels``, so class c has the c-th least member; each per-class test
     is a reduction over the columns grouped by label (``_any_by_label``),
     and the refinement is compared with the kernels along one
     lexicographic sort of the states: no ``(n, n)`` array.  Label classes
@@ -439,12 +433,10 @@ def validate_partitions(ax: FlowAnalysis) -> CheckResult:
     name = "per_ideal_partitions_valid"
     st = ax.structure
     e = ax.monoid.elements
-    labels = kernel_labels(np.array([*(ideal.kernel for ideal in st.ideals), st.refinement_labels]))
-    top = np.maximum.accumulate(labels, axis=1)
-    least = np.ones(labels.shape, dtype=bool)  # a class's least member is where the labels first reach it
-    least[:, 1:] = top[:, 1:] != top[:, :-1]
-    for ideal, js, kernel, firsts in zip(st.ideals, st.idempotents_by_ideal, labels, least):
-        images = e[np.ix_(ideal.members, np.flatnonzero(firsts))]
+    labels = st.labels
+    least = [np.array([c[0] for c in classes]) for classes in st.classes]  # each class's least member
+    for ideal, js, kernel, firsts, classes in zip(st.ideals, st.idempotents_by_ideal, labels, least, st.classes):
+        images = e[np.ix_(ideal.members, firsts)]
         shared = images[:, :, None] == images[:, None, :]
         pairs = np.argwhere(np.triu(shared.any(axis=0), 1))
         if pairs.size:
@@ -455,7 +447,7 @@ def validate_partitions(ax: FlowAnalysis) -> CheckResult:
         leaves = _any_by_label(kernel[idem_rows] != kernel, kernel)  # u(x) outside the class of x
         bad = np.flatnonzero(~periodic | leaves.any(axis=0))
         if bad.size:
-            cols = np.flatnonzero(kernel == bad[0]).tolist()
+            cols = list(classes[bad[0]])
             if not periodic[bad[0]]:
                 return CheckResult(name, False, f"class {cols} has no almost periodic point")
             return CheckResult(name, False, f"class {cols} not closed under idempotent {js[leaves[:, bad[0]].argmax()]}")
@@ -467,12 +459,12 @@ def validate_partitions(ax: FlowAnalysis) -> CheckResult:
     splits = np.diff(refinement[order]) != 0
     if (splits & ~runs).any() or np.count_nonzero(runs) != refinement.max():
         return CheckResult(name, False, "refinement class is not the intersection of per-ideal classes")
-    idem_rows = e[list(st.all_idempotents)]
-    spread = _any_by_label(idem_rows != idem_rows[:, np.flatnonzero(least[-1])[refinement]], refinement)
+    idem_rows = e[st.all_idempotents]
+    spread = _any_by_label(idem_rows != idem_rows[:, least[-1][refinement]], refinement)
     bad = np.flatnonzero(spread.any(axis=0))
     if bad.size:
         u = st.all_idempotents[spread[:, bad[0]].argmax()]
-        return CheckResult(name, False, f"idempotent {u} does not collapse class {np.flatnonzero(refinement == bad[0]).tolist()}")
+        return CheckResult(name, False, f"idempotent {u} does not collapse class {list(st.classes[-1][bad[0]])}")
     return CheckResult(name, True)
 
 
@@ -491,7 +483,7 @@ def sp_matches_class_squares(ax: FlowAnalysis) -> CheckResult:
     maximal strongly proximal sets A.  These are the classes of the
     refinement labels, so the union pairs exactly the states with equal
     labels: one comparison of the labels with their transpose."""
-    labels = np.array(ax.structure.refinement_labels)
+    labels = ax.structure.labels[-1]
     return _result("sp_equals_union_of_class_squares", np.array_equal(ax.strongly_proximal, labels[:, None] == labels))
 
 
@@ -515,11 +507,10 @@ def max_sp_sets_fixed_by_all_idempotents(ax: FlowAnalysis) -> CheckResult:
     silently weakened.
     """
     st = ax.structure
-    labels = np.array(st.refinement_labels)
-    idem_rows = ax.monoid.elements[list(st.all_idempotents)]
+    labels = st.labels[-1]
+    idem_rows = ax.monoid.elements[st.all_idempotents]
     inside = labels[idem_rows] == labels
-    for s in proxsets.max_strongly_proximal_sets(ax):
-        cols = sorted(s)
+    for cols in map(list, st.classes[-1]):
         escaping = np.flatnonzero(~inside[:, cols].all(axis=1))
         if escaping.size:
             row = idem_rows[escaping[0]]
@@ -543,7 +534,7 @@ def proximal_candidates(ax: FlowAnalysis, subsets: dict[tuple[int, ...], bool]) 
     n = ax.n_states
     found = {(x,) for x in range(n)} | {c for c, proximal in subsets.items() if proximal}
     found.update(map(tuple, np.argwhere(np.triu(ax.proximal, 1)).tolist()))
-    found.update(tuple(sorted(c)) for ideal in ax.structure.ideals for c in label_classes(ideal.kernel))
+    found.update(chain.from_iterable(ax.structure.classes[:-1]))
     return sorted(found)
 
 
@@ -626,7 +617,7 @@ def check_product_theorems(ax: FlowAnalysis, bx: FlowAnalysis, px: FlowAnalysis)
     ))
 
     # Omega decomposes through common minimal idempotents of the product.
-    rows = px.monoid.elements[list(px.structure.all_idempotents)]
+    rows = px.monoid.elements[px.structure.all_idempotents]
     wa, wb = rows[:, ys == 0] // nb, rows[:, xs == 0] % nb  # actions on X (column y = 0) and on Y
     if not ((rows // nb == wa[:, xs]).all() and (rows % nb == wb[:, ys]).all()):
         raise AssertionError("product monoid element is not coordinatewise")
@@ -780,7 +771,7 @@ def check_factor_theorems(f: FactorMap, src: FlowAnalysis, tgt: FlowAnalysis) ->
     # theta(u) fixing the base point and u fixing u . fiber pointwise.
     ok_fibers = True
     detail = ""
-    tgt_idempotents = np.array(tgt.structure.all_idempotents)
+    tgt_idempotents = tgt.structure.all_idempotents
     fixes = tgt.monoid.elements[tgt_idempotents] == np.arange(nt)
     pm_arr = np.array(pm)
     for y in range(nt):
@@ -810,11 +801,11 @@ def check_factor_theorems(f: FactorMap, src: FlowAnalysis, tgt: FlowAnalysis) ->
         return out
     pmat = tgt.proximal
     te = tgt.monoid.elements
-    tgt_kernel = np.array(sorted(tgt.structure.kernel_elements))
+    tgt_kernel = np.sort(tgt.structure.kernel_elements)
     rows = te[tgt_kernel]
     bad = np.flatnonzero(idempotent_mask(rows) != pmat[rows, np.arange(nt)].all(axis=1))
     out.append(_result("idempotent_section_target", not bad.size, f"element {tgt_kernel[bad[0]]}" if bad.size else ""))
-    src_kernel = np.array(src.structure.kernel_elements)
+    src_kernel = src.structure.kernel_elements
     fiberwise = pmat[pm_arr[src.monoid.elements[src_kernel]], pm_arr].all(axis=1)
     bad = np.flatnonzero(idempotent_mask(te[theta[src_kernel]]) != fiberwise)
     out.append(_result("idempotent_section_source", not bad.size, f"element {src_kernel[bad[0]]}" if bad.size else ""))

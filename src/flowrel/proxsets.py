@@ -6,29 +6,29 @@ is when some minimal ideal's kernel labels are constant on it
 (``relations.proximal_sets`` tests many sets at once).  For each minimal
 ideal I the maximal I-collapsed sets are exactly the classes of the
 relation "p(x) = p(y) for all p in I", and the maximal strongly proximal
-sets are the classes of the common refinement over all minimal ideals.
-Set proximality is never inferred from pairwise proximality.  The checks
-of this structure live in ``fuzz``.
+sets are the classes of the common refinement over all minimal ideals;
+both are read from ``IdealStructure.classes``.  Set proximality is never
+inferred from pairwise proximality.  The checks of this structure live in
+``fuzz``.
 """
 
 from __future__ import annotations
 
-from .finflow import LeftIdeal, label_classes
 from .relations import FlowAnalysis
 
 
-def i_proximal_partition(ideal: LeftIdeal) -> list[frozenset[int]]:
-    """Classes of x ~ y iff p(x) = p(y) for every p in the ideal, read
-    from the ideal's kernel labels and ordered by least member.
+def i_proximal_partition(ax: FlowAnalysis, k: int) -> tuple[tuple[int, ...], ...]:
+    """Classes of x ~ y iff p(x) = p(y) for every p in minimal ideal k,
+    ordered by least member, each in increasing order.
 
     These are the maximal sets collapsed by every element of the ideal;
     ``fuzz.validate_partitions`` checks their structure.
     """
-    return label_classes(ideal.kernel)
+    return ax.structure.classes[k]
 
 
-def max_strongly_proximal_sets(ax: FlowAnalysis) -> list[frozenset[int]]:
+def max_strongly_proximal_sets(ax: FlowAnalysis) -> tuple[tuple[int, ...], ...]:
     """Classes of the common refinement x ~ y iff p(x) = p(y) for every
-    element of every minimal ideal, ordered by least member;
-    ``fuzz.validate_partitions`` checks their structure."""
-    return label_classes(ax.structure.refinement_labels)
+    element of every minimal ideal, ordered by least member, each in
+    increasing order; ``fuzz.validate_partitions`` checks their structure."""
+    return ax.structure.classes[-1]

@@ -52,6 +52,7 @@ from .finflow import (
     TransMonoid,
     _state_sets,
     close,
+    equivalence_matrix,
     equivalent_idempotents,
     first_rows,
     ideal_structure,
@@ -155,9 +156,9 @@ class FlowAnalysis:
     WD are the complements of P and SP).  Every check reads these fields,
     so an analysis changed with ``dataclasses.replace`` reaches all of
     them.  Equality and hashing are by identity: comparing array fields
-    has no single truth value.  Whether P and SP are equivalence relations
-    is computed at most once per analysis (a replaced copy computes its
-    own)."""
+    has no single truth value.  Whether P and SP are equivalence relations,
+    and which idempotents are equivalent, is computed at most once per
+    analysis (a replaced copy computes its own)."""
 
     flow: FiniteFlow
     monoid: TransMonoid
@@ -188,6 +189,12 @@ class FlowAnalysis:
     def sp_is_equivalence(self) -> bool:
         return is_equivalence(self.strongly_proximal)
 
+    @cached_property
+    def idempotent_equivalence(self) -> np.ndarray:
+        """``equivalence_matrix`` with ``structure.all_idempotents`` on both axes."""
+        us = self.structure.all_idempotents
+        return equivalence_matrix(self.monoid, us, us)
+
     @property
     def is_distal_flow(self) -> bool:
         return bool((self.proximal == diagonal(self.n_states)).all())
@@ -211,10 +218,12 @@ def analyze_flow(flow: FiniteFlow, cap: int | None = None) -> FlowAnalysis:
     against their element and translate forms."""
     m = close(flow, cap=cap)
     st = ideal_structure(m)
-    labels = np.array([ideal.kernel for ideal in st.ideals])
+    labels = st.labels[:-1]
     collapsed = labels[:, :, None] == labels[:, None, :]
     p, sp = collapsed.any(axis=0), collapsed.all(axis=0)
-    fixed = m.elements[list(st.all_idempotents)] == np.arange(flow.n_states)
+    us = st.all_idempotents
+    fixed = m.elements[us] == np.arange(flow.n_states)
+    equivalence = equivalence_matrix(m, us, us)
     ax = FlowAnalysis(
         flow=flow,
         monoid=m,
@@ -222,9 +231,10 @@ def analyze_flow(flow: FiniteFlow, cap: int | None = None) -> FlowAnalysis:
         omega=fixed.T @ fixed,
         proximal=p,
         strongly_proximal=sp,
-        equivalent_pairs=equivalent_idempotents(m, st),
+        equivalent_pairs=equivalent_idempotents(st, equivalence),
         is_minimal=is_minimal_flow(m),
     )
+    vars(ax)["idempotent_equivalence"] = equivalence  # its cached property, computed once
     verify_relation_forms(ax)
     return ax
 
@@ -241,7 +251,7 @@ def proximal_sets(ax: FlowAnalysis, sets) -> np.ndarray:
     proximal.  If s collapses A so does p∘s for p in a minimal ideal, and
     p∘s lies in a minimal ideal, whose members share one kernel: A is
     proximal iff some minimal ideal's kernel labels are constant on A."""
-    labels = np.array([ideal.kernel for ideal in ax.structure.ideals])[:, _state_sets(sets).T]
+    labels = ax.structure.labels[:-1, _state_sets(sets).T]
     return (labels == labels[:, :1]).all(axis=1).any(axis=0)  # (ideal, member, set)
 
 
@@ -259,9 +269,8 @@ def sp_witnesses(ax: FlowAnalysis, pairs: np.ndarray) -> list[dict]:
     concatenated in ideal order, finds every separator: its first hit is
     the first member of the first separating ideal.  The idempotent powers
     of all distinct separators come from one ``idempotent_powers`` call."""
-    m, ideals = ax.monoid, ax.structure.ideals
-    members = np.array(ax.structure.kernel_elements)
-    owner = np.repeat(np.arange(len(ideals)), [len(ideal.members) for ideal in ideals])
+    m, st = ax.monoid, ax.structure
+    members, owner = st.kernel_elements, st.member_ideals
     hit = first_rows(m.elements, members, pairs, collapsed=False)
     out = hit >= 0
     separator = members[hit[out]]
@@ -272,7 +281,7 @@ def sp_witnesses(ax: FlowAnalysis, pairs: np.ndarray) -> list[dict]:
     found = zip(owner[hit[out]].tolist(), separator.tolist(), fixing.tolist())
     return [
         dict(zip(("ideal", "separator", "fixing_idempotent"), next(found))) if h >= 0
-        else {"collapsing_ideals": len(ideals)}
+        else {"collapsing_ideals": len(st.ideals)}
         for h in hit.tolist()
     ]
 

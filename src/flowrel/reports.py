@@ -56,11 +56,6 @@ def flow_report(ax: FlowAnalysis) -> dict:
         f"{x},{y}": w for (x, y), w in zip(out_pairs.tolist(), sp_witnesses(ax, out_pairs))
     }
     checks = [r.as_json() for r in relation_check_suite(ax) + proxset_check_suite(ax)]
-    partitions = {
-        str(k): [sorted(c) for c in proxsets.i_proximal_partition(ideal)]
-        for k, ideal in enumerate(st.ideals)
-    }
-    refinement = [sorted(s) for s in proxsets.max_strongly_proximal_sets(ax)]
     return {
         "schema": SCHEMA,
         "kind": "flow_analysis",
@@ -79,8 +74,8 @@ def flow_report(ax: FlowAnalysis) -> dict:
         },
         "relations": relations,
         "proximal_sets": {
-            "per_ideal_partitions": partitions,
-            "max_strongly_proximal_sets": refinement,
+            "per_ideal_partitions": {str(k): proxsets.i_proximal_partition(ax, k) for k in range(len(st.ideals))},
+            "max_strongly_proximal_sets": proxsets.max_strongly_proximal_sets(ax),
         },
         "checks": checks,
         "verdicts": {

@@ -65,7 +65,9 @@ the O(n²) ``relations.is_equivalence``;
 ``first_collapsers``' whole-monoid scan is in turn the reference for the
 kernel-label set test ``relations.proximal_sets``;
 ``kernel_signature`` labels one row at a time and is the reference for
-``finflow.kernel_labels`` and ``IdealStructure.refinement_labels``.
+``finflow.kernel_labels`` and ``IdealStructure.refinement_labels``, and
+``label_classes``, a dict loop over the states, is the reference for the
+class lists of ``IdealStructure.classes``.
 
 ``reference_close`` is the tuple-per-element breadth-first closure, the
 reference for ``finflow.close``'s layer-at-a-time array search, element
@@ -103,11 +105,9 @@ from flowrel.finflow import (
     TransMonoid,
     element_cap,
     ideal_structure,
-    label_classes,
     row_positions,
 )
 from flowrel.fuzz import CheckResult
-from flowrel.proxsets import max_strongly_proximal_sets
 from flowrel.relations import product_flow, reaching
 from flowrel.subshift import (
     AdicImage,
@@ -825,7 +825,7 @@ def reference_sp_matches_class_squares(ax) -> CheckResult:
     block A x A per maximal strongly proximal set A."""
     n = ax.n_states
     built = np.zeros((n, n), dtype=bool)
-    for s in max_strongly_proximal_sets(ax):
+    for s in label_classes(ax.structure.refinement_labels):
         idxs = sorted(s)
         built[np.ix_(idxs, idxs)] = True
     return CheckResult("sp_equals_union_of_class_squares", bool(np.array_equal(ax.strongly_proximal, built)))
@@ -937,6 +937,15 @@ def reference_is_equivalence(rel) -> bool:
     """Reflexive, symmetric and transitive, transitivity read from one
     boolean matmul: R∘R ⊆ R."""
     return bool(rel.diagonal().all() and (rel == rel.T).all() and (~(rel @ rel) | rel).all())
+
+
+def label_classes(labels) -> list[frozenset[int]]:
+    """The classes {x : labels[x] = c}, ordered by least member, one state
+    at a time into a dict: the reference for ``IdealStructure.classes``."""
+    classes: dict = {}
+    for x, c in enumerate(labels):
+        classes.setdefault(c, []).append(x)
+    return [frozenset(c) for c in classes.values()]
 
 
 def kernel_signature(row) -> tuple[int, ...]:

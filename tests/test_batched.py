@@ -1,8 +1,9 @@
 """The batched passes of the analyze report against their one-pair,
 one-set and one-row references in ``oracles``: P witnesses and SP
 out-witnesses, set collapse tests, the uM Cayley table, the minimal-ideal
-kernel labels, ``sorted_unique`` and the report writer (against
-``json.dumps``, also on integer arrays and across its row blocks).
+kernel labels and class lists, ``sorted_unique`` and the report writer
+(against ``json.dumps``, also on integer arrays and across its row
+blocks); and one ``analyze`` computing each minimal-ideal fact once.
 Random flows of 1-7 states, plus wide cyclic flows, whose 4n proximal
 pairs make the blocked scan run several blocks."""
 
@@ -25,12 +26,16 @@ from flowrel import cli, finflow, fuzz
 from flowrel.cli import dump
 from flowrel.finflow import (
     FiniteFlow,
+    IdealStructure,
+    LeftIdeal,
     MonoidTooLarge,
     TransMonoid,
     close,
+    equivalence_matrix,
     equivalent_idempotents,
     first_collapsers,
     first_rows,
+    format_flow,
     ideal_structure,
     kernel_labels,
     minimal_left_ideals,
@@ -42,6 +47,7 @@ from flowrel.reports import flow_report
 from oracles import (
     element_of,
     kernel_signature,
+    label_classes,
     reference_is_group,
     reference_is_proximal_set,
     reference_minimal_left_ideals,
@@ -231,7 +237,7 @@ def test_ideal_algebra_gathers_no_more_than_the_monoid_rows(flow):
     recorded = TransMonoid(m.flow, m.elements.view(Recorded))
     Recorded.sizes = []
     st_ = ideal_structure(recorded)
-    equivalent_idempotents(recorded, st_)
+    equivalent_idempotents(st_, equivalence_matrix(recorded, st_.all_idempotents, st_.all_idempotents))
     ideal_group_tests(recorded, [ideal.members for ideal in st_.ideals], np.array(st_.all_idempotents), st_.idempotent_ideals)
     recorded.idempotent_powers(np.arange(m.size))
     ax = analyze_flow(flow)
@@ -433,3 +439,46 @@ def test_analyze_never_imports_numpy_ma(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
     assert done.stdout == "False\n"
+
+
+def test_class_lists_match_the_dict_loop_on_random_label_rows():
+    # seeded label rows on 1-12 states as the ideal kernels and the
+    # refinement of one structure: values drawn from a few spread-out
+    # numbers, so labels repeat and are mostly not first-occurrence
+    rng = random.Random(24)
+    kinds = set()
+    for trial in range(400):
+        n = 1 if trial % 8 == 0 else rng.randint(2, 12)
+        values = rng.sample(range(-5, 40), rng.randint(1, 5))
+        rows = [tuple(rng.choice(values) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        st_ = IdealStructure(tuple(LeftIdeal((), row) for row in rows[:-1]), ((),) * (len(rows) - 1), rows[-1])
+        assert st_.labels.tolist() == [list(kernel_signature(row)) for row in rows]
+        assert st_.classes == tuple(tuple(tuple(sorted(c)) for c in label_classes(row)) for row in rows)
+        kinds.update((n == 1, kernel_signature(row) == row, len(set(row)) < n) for row in rows)
+    assert {(True, True, False), (True, False, False), (False, False, True)} <= kinds
+
+
+def test_one_analyze_computes_each_minimal_ideal_fact_once(monkeypatch, capsys, tmp_path):
+    # every binding of the counted functions in the package's modules is
+    # wrapped: one analyze of a wide flow builds one equivalence matrix over
+    # all idempotents, runs at most two kernel-label passes (the minimum-rank
+    # rows, then the kernels with the refinement) and no dict-loop lister
+    counts = dict.fromkeys(("equivalence_matrix", "kernel_labels", "label_classes"), 0)
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "flowrel"]:
+        for name in counts:
+            if callable(vars(module).get(name)):
+                monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
+    flow = tmp_path / "wide64.flow"
+    flow.write_text(format_flow(wide_flow(64, 3)))
+    assert cli.main(["analyze", str(flow)]) == 0
+    capsys.readouterr()
+    assert counts["equivalence_matrix"] == 1
+    assert counts["kernel_labels"] <= 2
+    assert counts["label_classes"] == 0

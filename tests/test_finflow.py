@@ -11,11 +11,11 @@ from flowrel.finflow import (
     NotAFactorMap,
     _row_keys,
     close,
+    equivalence_matrix,
     equivalent_idempotents,
     format_flow,
     ideal_structure,
     induced_theta,
-    label_classes,
     minimal_left_ideals,
     parse_flow,
 )
@@ -28,6 +28,7 @@ from oracles import (
     image_tuple,
     is_idempotent,
     kernel_signature,
+    label_classes,
     monoid_flow,
     reference_close,
 )
@@ -239,8 +240,11 @@ def test_mp_equals_m_and_pu_equals_p():
 def test_equivalent_idempotents_two_ideal():
     # u1~v1 and u2~v2 in the fixture, nothing else
     m = close(TWO_IDEAL_FLOW)
+    st = ideal_structure(m)
+    us = st.all_idempotents
     pairs = {
-        tuple(sorted((image_tuple(m, u), image_tuple(m, v)))) for u, v in equivalent_idempotents(m, ideal_structure(m))
+        tuple(sorted((image_tuple(m, u), image_tuple(m, v))))
+        for u, v in equivalent_idempotents(st, equivalence_matrix(m, us, us))
     }
     assert pairs == {
         ((0, 0, 2, 2), (0, 2, 2, 0)),
@@ -250,7 +254,8 @@ def test_equivalent_idempotents_two_ideal():
 
 def test_equivalent_idempotents_single_ideal_empty():
     m = close(CONSTANTS_FLOW)
-    assert equivalent_idempotents(m, ideal_structure(m)) == []
+    st = ideal_structure(m)
+    assert equivalent_idempotents(st, equivalence_matrix(m, st.all_idempotents, st.all_idempotents)) == []
 
 
 def test_idempotent_power():

@@ -53,14 +53,14 @@ def test_kernel_labels_match_element_forms(flow):
     ax = analyze_flow(flow)
     m = ax.monoid
     kernels = [reference_ideal_kernel_matrix(m, ideal) for ideal in ax.structure.ideals]
-    for ideal, ker in zip(ax.structure.ideals, kernels):
+    for k, (ideal, ker) in enumerate(zip(ax.structure.ideals, kernels)):
         labels = np.array(ideal.kernel)
         assert np.array_equal(labels[:, None] == labels[None, :], ker)
-        assert i_proximal_partition(ideal) == reference_classes(ker)
+        assert list(map(frozenset, i_proximal_partition(ax, k))) == reference_classes(ker)
     p, sp = np.logical_or.reduce(kernels), np.logical_and.reduce(kernels)
     assert np.array_equal(ax.proximal, p)
     assert np.array_equal(ax.strongly_proximal, sp)
-    assert max_strongly_proximal_sets(ax) == reference_classes(sp)
+    assert list(map(frozenset, max_strongly_proximal_sets(ax))) == reference_classes(sp)
     assert ax.structure.refinement_labels == kernel_signature(zip(*(i.kernel for i in ax.structure.ideals)))
 
 

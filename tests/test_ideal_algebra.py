@@ -121,8 +121,10 @@ def assert_gathers_match_references(flow):
         return
     m, structure = ax.monoid, ax.structure
     assert structure.idempotents_by_ideal == tuple(reference_idempotents(m, ideal) for ideal in structure.ideals)
-    assert equivalent_idempotents(m, structure) == reference_equivalent_idempotents(m, structure)
-    assert ax.equivalent_pairs == equivalent_idempotents(m, structure)
+    us = structure.all_idempotents
+    assert np.array_equal(ax.idempotent_equivalence, equivalence_matrix(m, us, us))
+    assert equivalent_idempotents(structure, ax.idempotent_equivalence) == reference_equivalent_idempotents(m, structure)
+    assert ax.equivalent_pairs == equivalent_idempotents(structure, ax.idempotent_equivalence)
     assert np.array_equal(ax.omega, reference_omega(m, structure))
     assert ax.is_minimal == is_minimal_flow(m) == reference_is_minimal_flow(m)
     sample = range(m.size) if m.size <= 200 else sorted(set(range(40)) | set(structure.kernel_elements))

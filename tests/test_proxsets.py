@@ -66,21 +66,21 @@ def test_minimal_ideal_collapse():
 def test_partitions_differ_across_ideals():
     ax = analyze_flow(TWO_IDEAL_FLOW)
     parts = [
-        sorted(sorted(c) for c in i_proximal_partition(ideal))
-        for ideal in ax.structure.ideals
+        sorted(sorted(c) for c in i_proximal_partition(ax, k))
+        for k in range(len(ax.structure.ideals))
     ]
     assert parts == [[[0, 1], [2, 3]], [[0, 3], [1, 2]]]
 
 
 def test_partition_singletons_in_distal_model():
     ax = analyze_flow(ROTATION3_FLOW)
-    parts = i_proximal_partition(ax.structure.ideals[0])
+    parts = i_proximal_partition(ax, 0)
     assert sorted(sorted(c) for c in parts) == [[0], [1], [2]]
 
 
 def test_partition_single_class_in_proximal_model():
     ax = analyze_flow(CONSTANTS_FLOW)
-    parts = i_proximal_partition(ax.structure.ideals[0])
+    parts = i_proximal_partition(ax, 0)
     assert [sorted(c) for c in parts] == [[0, 1]]
 
 
