@@ -33,13 +33,13 @@ def main() -> int:
             ax = analyze_flow(flow)
         except MonoidTooLarge:
             continue
-        if len(ax.structure.ideals) < args.min_ideals:
+        if ax.structure.ideal_count < args.min_ideals:
             continue
         hits += 1
         p_pairs = int(np.triu(ax.proximal, 1).sum())
         sp_pairs = int(np.triu(ax.strongly_proximal, 1).sum())
         comment = (
-            f"instance {i}: |S|={ax.monoid.size}, ideals={len(ax.structure.ideals)}, "
+            f"instance {i}: |S|={ax.monoid.size}, ideals={ax.structure.ideal_count}, "
             f"off-diagonal P pairs={p_pairs}, off-diagonal SP pairs={sp_pairs}"
         )
         print(format_flow(flow, comment=comment))

@@ -6,7 +6,6 @@ from .finflow import (
     FactorMap,
     FiniteFlow,
     FlowParseError,
-    LeftIdeal,
     MonoidTooLarge,
     NotAFactorMap,
     TransMonoid,
@@ -15,7 +14,6 @@ from .finflow import (
     format_flow,
     ideal_structure,
     induced_theta,
-    minimal_left_ideals,
     parse_flow,
 )
 from .relations import (

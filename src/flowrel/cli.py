@@ -58,6 +58,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_TOO_LARGE = 3
+EMIT_SLICE = 1 << 20  # characters per write of ``emit``
 
 
 def dump(report: dict) -> str:
@@ -189,15 +190,22 @@ def _write_rows(value: np.ndarray, newline: str, out: list[str]) -> None:
 def emit(payload: str, out: str | None) -> bool:
     """Write ``payload`` to the ``--out`` path, when there is one, and to
     stdout; False, with an error line and nothing on stdout, when the path
-    cannot be written."""
+    cannot be written.  Both are written in slices of ``EMIT_SLICE``
+    characters, so no encoded copy of the whole payload is ever held."""
     if out:
         try:
-            Path(out).write_text(payload, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as sink:
+                _write_slices(payload, sink)
         except OSError as exc:
             print(f"error: cannot write --out: {exc}", file=sys.stderr)
             return False
-    sys.stdout.write(payload)
+    _write_slices(payload, sys.stdout)
     return True
+
+
+def _write_slices(payload: str, sink) -> None:
+    for lo in range(0, len(payload), EMIT_SLICE):
+        sink.write(payload[lo:lo + EMIT_SLICE])
 
 
 # --------------------------------------------------------------------------

@@ -342,54 +342,33 @@ def close(flow: FiniteFlow, cap: int | None = None) -> TransMonoid:
     return TransMonoid(flow, np.concatenate(layers))
 
 
-@dataclass(frozen=True)
-class LeftIdeal:
-    """A minimal left ideal: a kernel(-partition) class of the minimum-rank
-    elements.  ``kernel`` is the common partition signature of its members,
-    so x and y are collapsed by every member iff ``kernel[x] == kernel[y]``."""
-
-    members: tuple[int, ...]
-    kernel: tuple[int, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdealStructure:
     """The minimal left ideals, their idempotents, and the first-occurrence
-    labels of the common refinement of the ideal kernels: x and y share a
-    label iff every minimal ideal collapses them.
+    labels of each ideal kernel and of their common refinement, as arrays:
 
-    The array forms below are what every reader of the minimal ideals
-    reads, each computed at most once per structure (a copy made with
-    ``dataclasses.replace`` computes its own)."""
+    * ``kernel_elements``: every ideal's members in ideal order, each
+      ideal's in increasing order; ``member_ideals`` names their ideals;
+    * ``all_idempotents``: every ideal's idempotents, in the same order;
+      ``idempotent_ideals`` names their ideals;
+    * ``labels``: one row per ideal kernel, so x and y are collapsed by
+      every member of ideal i iff ``labels[i, x] == labels[i, y]``, and the
+      refinement in the last row: x and y share its label iff every
+      minimal ideal collapses them.  Every row is in first-occurrence form
+      (``kernel_labels``): the c-th class of a row has the c-th least
+      member.
 
-    ideals: tuple[LeftIdeal, ...]
-    idempotents_by_ideal: tuple[tuple[int, ...], ...]
-    refinement_labels: tuple[int, ...]
+    Ideals are numbered by least member."""
 
-    @cached_property
-    def kernel_elements(self) -> np.ndarray:
-        """Every ideal's members in ideal order; ``member_ideals`` names their ideals."""
-        return np.array([i for ideal in self.ideals for i in ideal.members], dtype=np.intp)
+    kernel_elements: np.ndarray
+    member_ideals: np.ndarray
+    all_idempotents: np.ndarray
+    idempotent_ideals: np.ndarray
+    labels: np.ndarray
 
-    @cached_property
-    def member_ideals(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.ideals)), [len(ideal.members) for ideal in self.ideals])
-
-    @cached_property
-    def all_idempotents(self) -> np.ndarray:
-        """Every ideal's idempotents in ideal order; ``idempotent_ideals`` names their ideals."""
-        return np.array([u for js in self.idempotents_by_ideal for u in js], dtype=np.intp)
-
-    @cached_property
-    def idempotent_ideals(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.ideals)), [len(js) for js in self.idempotents_by_ideal])
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """The first-occurrence labels (``kernel_labels``) of every ideal
-        kernel, one row per ideal, and of the refinement in the last row:
-        the c-th class of a row has the c-th least member."""
-        return kernel_labels(np.array([*(ideal.kernel for ideal in self.ideals), self.refinement_labels]))
+    @property
+    def ideal_count(self) -> int:
+        return len(self.labels) - 1
 
     @cached_property
     def classes(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -400,48 +379,41 @@ class IdealStructure:
         return tuple(tuple(tuple(o[a:b]) for a, b in zip([0, *e], e)) for o, e in zip(order, ends))
 
 
-def minimal_left_ideals(m: TransMonoid) -> list[LeftIdeal]:
-    """All distinct inclusion-minimal left ideals.
-
-    In a finite transformation monoid these are exactly the classes of
-    minimum-rank elements grouped by kernel partition; the kernel labels of
-    all minimum-rank rows come from one ``kernel_labels`` pass, and rows
-    with equal labels are grouped by one sort of their byte keys.  That
-    each is S¹p for every member p is checked by the relation check suite
-    (``fuzz.left_action_counterexamples``), not here.
-    """
-    ranks = m.ranks()
-    lowest = np.flatnonzero(ranks == ranks.min())
-    labels = kernel_labels(m.elements[lowest])
-    keys = _row_keys(labels)
-    order = np.argsort(keys, kind="stable")
-    groups = np.split(order, np.flatnonzero(keys[order][1:] != keys[order][:-1]) + 1)
-    groups.sort(key=lambda g: g[0])
-    return [LeftIdeal(members=tuple(lowest[g].tolist()), kernel=tuple(labels[g[0]].tolist())) for g in groups]
-
-
 def ideal_structure(m: TransMonoid) -> IdealStructure:
-    """The minimal left ideals, their idempotents and the refinement labels,
-    computed afresh on every call; ``analyze_flow`` calls it once and keeps
-    the result.  One ``idempotent_mask`` over every kernel element finds
-    the idempotents of all ideals.  State x's refinement code is the rank
-    of its byte key, which reads x's label in every ideal kernel; one
+    """The minimal left ideals, their idempotents and the labels, computed
+    afresh on every call; ``analyze_flow`` calls it once and keeps the
+    result.
+
+    In a finite transformation monoid the minimal left ideals are exactly
+    the classes of minimum-rank elements grouped by kernel partition: one
+    ``kernel_labels`` pass labels every minimum-rank row, and one stable
+    sort of the label rows' byte keys groups them, each group led by its
+    least member.  That each is S¹p for every member p is checked by the
+    relation check suite (``fuzz.left_action_counterexamples``), not here.
+    One ``idempotent_mask`` over every kernel element finds the
+    idempotents of all ideals.  State x's refinement code is the rank of
+    its byte key, which reads x's label in every ideal kernel; a second
     ``kernel_labels`` pass over the kernels and the codes gives the
     structure's ``labels``, the refinement labels last."""
-    ideals = tuple(minimal_left_ideals(m))
-    members = np.array([i for ideal in ideals for i in ideal.members], dtype=np.intp)
-    owner = np.repeat(np.arange(len(ideals)), [len(ideal.members) for ideal in ideals])
+    ranks = m.ranks()
+    lowest = np.flatnonzero(ranks == ranks.min())
+    kernels = kernel_labels(m.elements[lowest])
+    keys = _row_keys(kernels)
+    order = np.argsort(keys, kind="stable")
+    leads = np.concatenate(([True], keys[order][1:] != keys[order][:-1]))
+    group = np.empty(keys.size, dtype=np.intp)
+    group[order] = np.cumsum(leads) - 1
+    firsts = order[leads]  # each group's least row
+    owner = np.searchsorted(np.sort(firsts), firsts)[group]  # ideals numbered by least member
+    by_ideal = np.argsort(owner, kind="stable")
+    members, owner, kernels = lowest[by_ideal], owner[by_ideal], kernels[np.sort(firsts)]
     mask = idempotent_mask(m.elements[members])
-    counts = np.bincount(owner[mask], minlength=len(ideals))
+    counts = np.bincount(owner[mask], minlength=len(kernels))
     if not counts.all():
-        raise AssertionError(f"minimal ideal {ideals[counts.argmin()].members} has no idempotent")
-    idempotents_by_ideal = tuple(tuple(js.tolist()) for js in np.split(members[mask], np.cumsum(counts)[:-1]))
-    kernels = np.array([ideal.kernel for ideal in ideals])
-    keys = _row_keys(kernels.T, m.n_states)
-    labels = kernel_labels(np.vstack([kernels, np.searchsorted(sorted_unique(keys), keys)]))
-    st = IdealStructure(ideals, idempotents_by_ideal, tuple(labels[-1].tolist()))
-    vars(st).update(kernel_elements=members, member_ideals=owner, labels=labels)  # its cached properties' values
-    return st
+        raise AssertionError(f"minimal ideal {tuple(members[owner == counts.argmin()].tolist())} has no idempotent")
+    codes = _row_keys(kernels.T, m.n_states)
+    labels = kernel_labels(np.vstack([kernels, np.searchsorted(sorted_unique(codes), codes)]))
+    return IdealStructure(members, owner, members[mask], owner[mask], labels)
 
 
 def equivalence_matrix(m: TransMonoid, us, vs) -> np.ndarray:

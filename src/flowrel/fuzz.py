@@ -8,10 +8,12 @@ instance runs them: a fixed seed fully determines the instances, and a
 failing flow is minimized by greedy generator removal and reported as a
 replayable text document.
 
-The minimal-ideal checks are array passes over all minimal ideals at once:
-one S¹p = M search for every ideal's member list
-(``left_action_counterexamples``); "pu = p" and "uM is a group" for every
-idempotent of every ideal in one pass (``ideal_group_tests``), whose
+The minimal-ideal checks are array passes over all minimal ideals at once,
+read from the structure's flat arrays (every ideal's members, and its
+idempotents, in ideal order, each with the number of its ideal): one
+S¹p = M search over every ideal's members (``left_action_counterexamples``);
+"pu = p" and "uM is a group" for every idempotent of every ideal in one
+pass (``ideal_group_tests``), whose
 Cayley tables are gathered in blocks and looked up together; the
 intra-ideal equivalences read from the diagonal blocks of the analysis'
 ``idempotent_equivalence``; and label-array reductions for the
@@ -134,11 +136,11 @@ def relation_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
 
     # ideal algebra, each check with its own first counterexample: one
     # pass over every (ideal, idempotent) slot, in ideal then idempotent order
-    member_lists = [i.members for i in st.ideals]
-    mp = next(((ki, x) for ki, x in enumerate(left_action_counterexamples(m, member_lists)) if x is not None), None)
+    members, owner = st.kernel_elements, st.member_ideals
+    mp = next(((ki, x) for ki, x in enumerate(left_action_counterexamples(m, members, owner)) if x is not None), None)
     mp_detail = "Mp != M at ideal {} element {}".format(*mp) if mp else ""
     us, slot_ideal = st.all_idempotents, st.idempotent_ideals
-    pu_ok, group_ok = ideal_group_tests(m, member_lists, us, slot_ideal)
+    pu_ok, group_ok = ideal_group_tests(m, members, owner, us, slot_ideal)
     bad_pu, bad_group = np.flatnonzero(~pu_ok)[:1], np.flatnonzero(~group_ok)[:1]
     pu_detail = "".join(f"pu != p at ideal {slot_ideal[t]}" for t in bad_pu)
     group_detail = "".join(f"uM not a group at ideal {slot_ideal[t]} idempotent {us[t]}" for t in bad_group)
@@ -152,9 +154,9 @@ def relation_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
 
     # every minimal idempotent has an equivalent partner in every other
     # minimal ideal, read from the analysis' cross-ideal pairs
-    ideal_of = {u: a for a, js in enumerate(st.idempotents_by_ideal) for u in js}
+    ideal_of = dict(zip(us.tolist(), slot_ideal.tolist()))
     partnered = {(u, ideal_of[v]) for pair in ax.equivalent_pairs for u, v in (pair, pair[::-1])}
-    alone = [(u, b) for u, a in ideal_of.items() for b in range(len(st.ideals)) if b != a and (u, b) not in partnered]
+    alone = [(u, b) for u, a in ideal_of.items() for b in range(st.ideal_count) if b != a and (u, b) not in partnered]
     out.append(_result("cross_ideal_equivalent_idempotent_exists", not alone,
                        "idempotent {} has no partner in ideal {}".format(*alone[0]) if alone else ""))
 
@@ -183,7 +185,7 @@ def check_unique_ideal_equiv(ax: FlowAnalysis) -> dict:
     p = ax.proximal
     report = {
         "p_is_equivalence": ax.p_is_equivalence,
-        "unique_minimal_ideal": len(ax.structure.ideals) == 1,
+        "unique_minimal_ideal": ax.structure.ideal_count == 1,
         "p_equals_sp": bool(np.array_equal(p, ax.strongly_proximal)),
         "p_forward_invariant": invariance_violation(np.array(ax.flow.generators), p) is None,
     }
@@ -204,10 +206,13 @@ def invariance_checks(gens: np.ndarray, om, sp, p, d) -> list[CheckResult]:
     ]
 
 
-def left_action_counterexamples(m: TransMonoid, member_lists) -> list[int | None]:
-    """For each nonempty member list M, the first p in M with S¹p != M, or
-    None, read from the generators' left action p -> g∘p (S¹p is what p
-    reaches).  S¹p = M for every p exactly when M is closed under the
+def left_action_counterexamples(m: TransMonoid, members: np.ndarray, owner: np.ndarray) -> list[int | None]:
+    """For each member list M, the first p in M with S¹p != M, or None,
+    read from the generators' left action p -> g∘p (S¹p is what p
+    reaches).  List b holds the ``members`` whose ``owner`` is b, in their
+    order, and the owners run 0, 1, ... in increasing order without a gap:
+    the layout of ``IdealStructure.kernel_elements`` and ``member_ideals``.
+    S¹p = M for every p exactly when M is closed under the
     action and every member reaches every other.  If the action leaves M,
     or the first member does not reach all of M (listed in increasing
     order, once each), the first member is the first counterexample;
@@ -218,10 +223,8 @@ def left_action_counterexamples(m: TransMonoid, member_lists) -> list[int | None
     gather finds every g∘p, and an edge leaving its list becomes a loop.
     The forward reach from each list's first member and the backward
     reach into it grow in one loop, a pass over all the edges a step."""
-    lists = [np.asarray(members, dtype=np.intp) for members in member_lists]
-    ids = np.arange(len(lists))
-    owner = np.repeat(ids, [a.size for a in lists])  # the list of each entry
-    flat = np.concatenate(lists)
+    flat, owner = np.asarray(members, dtype=np.intp), np.asarray(owner, dtype=np.intp)
+    ids = np.arange(owner[-1] + 1)
     firsts = flat[np.searchsorted(owner, ids)]
     keys = sorted_unique(owner * m.size + flat)
     node_list, node_p = np.divmod(keys, m.size)
@@ -256,10 +259,13 @@ def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
-def ideal_group_tests(m: TransMonoid, member_lists, us: np.ndarray, slot_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def ideal_group_tests(m: TransMonoid, members: np.ndarray, owner: np.ndarray, us: np.ndarray,
+                      slot_list: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each slot t, an element u = ``us[t]`` paired with the member list
-    M = ``member_lists[slot_list[t]]``: whether p∘u = p for every p in M,
-    and whether uM is a group with identity u, every slot in one pass.
+    M of list ``slot_list[t]``: whether p∘u = p for every p in M, and
+    whether uM is a group with identity u, every slot in one pass.  List b
+    is the ``members`` whose ``owner`` is b, the owners in increasing order
+    (``left_action_counterexamples``' layout).
 
     Node (t, g) of slot t's set uM is keyed t·|S| + g.  The products u∘p
     and p∘u of every slot's members are gathered in blocks no larger than
@@ -279,13 +285,12 @@ def ideal_group_tests(m: TransMonoid, member_lists, us: np.ndarray, slot_list: n
     finite set of permutations holding the identity is a group.  If uM is
     a group, a∘c = u gives a|I ∘ c|I = id, so a|I is onto I."""
     e, size = m.elements, m.size
-    lists = [np.asarray(ms, dtype=np.intp) for ms in member_lists]
-    sizes = np.array([a.size for a in lists], dtype=np.intp)
     slots = np.arange(us.size)
     if not us.size:
         return np.ones(0, dtype=bool), np.ones(0, dtype=bool)
+    sizes = np.bincount(owner, minlength=slot_list.max() + 1)
     entry_slot = np.repeat(slots, sizes[slot_list])
-    entry_p = np.concatenate(lists)[_ragged((np.cumsum(sizes) - sizes)[slot_list], sizes[slot_list])]
+    entry_p = np.asarray(members, dtype=np.intp)[_ragged((np.cumsum(sizes) - sizes)[slot_list], sizes[slot_list])]
     pu_bad = np.zeros(entry_p.size, dtype=bool)
     up = np.empty(entry_p.size, dtype=np.intp)
     for b in _blocks(entry_p.size, size):
@@ -435,14 +440,15 @@ def validate_partitions(ax: FlowAnalysis) -> CheckResult:
     e = ax.monoid.elements
     labels = st.labels
     least = [np.array([c[0] for c in classes]) for classes in st.classes]  # each class's least member
-    for ideal, js, kernel, firsts, classes in zip(st.ideals, st.idempotents_by_ideal, labels, least, st.classes):
-        images = e[np.ix_(ideal.members, firsts)]
+    for k, (kernel, firsts, classes) in enumerate(zip(labels[:-1], least, st.classes)):
+        members, js = st.kernel_elements[st.member_ideals == k], st.all_idempotents[st.idempotent_ideals == k]
+        images = e[np.ix_(members, firsts)]
         shared = images[:, :, None] == images[:, None, :]
         pairs = np.argwhere(np.triu(shared.any(axis=0), 1))
         if pairs.size:
-            p = ideal.members[shared[:, pairs[0][0], pairs[0][1]].argmax()]
+            p = members[shared[:, pairs[0][0], pairs[0][1]].argmax()]
             return CheckResult(name, False, f"distinct ideal-proximal classes share an image under element {p}")
-        idem_rows = e[list(js)]
+        idem_rows = e[js]
         periodic = _any_by_label((idem_rows == np.arange(ax.n_states)).any(axis=0, keepdims=True), kernel)[0]
         leaves = _any_by_label(kernel[idem_rows] != kernel, kernel)  # u(x) outside the class of x
         bad = np.flatnonzero(~periodic | leaves.any(axis=0))
@@ -758,9 +764,10 @@ def check_factor_theorems(f: FactorMap, src: FlowAnalysis, tgt: FlowAnalysis) ->
         out.append(_result("factor_distal_omega_preimage_equal", np.array_equal(src.omega, o_pre)))
 
     # theta maps minimal ideals onto minimal ideals, covering all of them.
-    src_ideals = src.structure.ideals
-    tgt_ideal_sets = {frozenset(ideal.members) for ideal in tgt.structure.ideals}
-    images = {frozenset(int(theta[p]) for p in ideal.members) for ideal in src_ideals}
+    src_kernel, src_owner = src.structure.kernel_elements, src.structure.member_ideals
+    tgt_ideal_sets = {frozenset(tgt.structure.kernel_elements[tgt.structure.member_ideals == k].tolist())
+                      for k in range(tgt.structure.ideal_count)}
+    images = {frozenset(theta[src_kernel[src_owner == k]].tolist()) for k in range(src.structure.ideal_count)}
     out.append(_result(
         "factor_theta_ideals_onto",
         images == tgt_ideal_sets,
@@ -778,12 +785,8 @@ def check_factor_theorems(f: FactorMap, src: FlowAnalysis, tgt: FlowAnalysis) ->
         if not fixes[:, y].any():
             continue  # y is not almost periodic; hypothesis fails
         w = int(tgt_idempotents[fixes[:, y].argmax()])
-        u = None
-        for ideal in src_ideals:
-            over_w = np.flatnonzero(theta[list(ideal.members)] == w)
-            if over_w.size:
-                u = int(src.monoid.idempotent_powers([ideal.members[over_w[0]]])[0])
-                break
+        over_w = np.flatnonzero(theta[src_kernel] == w)  # the first is in the first ideal over w
+        u = int(src.monoid.idempotent_powers(src_kernel[over_w[:1]])[0]) if over_w.size else None
         if u is None or theta[u] != w:
             ok_fibers = False
             detail = f"no idempotent over {w} for base point {y}"
@@ -805,7 +808,6 @@ def check_factor_theorems(f: FactorMap, src: FlowAnalysis, tgt: FlowAnalysis) ->
     rows = te[tgt_kernel]
     bad = np.flatnonzero(idempotent_mask(rows) != pmat[rows, np.arange(nt)].all(axis=1))
     out.append(_result("idempotent_section_target", not bad.size, f"element {tgt_kernel[bad[0]]}" if bad.size else ""))
-    src_kernel = src.structure.kernel_elements
     fiberwise = pmat[pm_arr[src.monoid.elements[src_kernel]], pm_arr].all(axis=1)
     bad = np.flatnonzero(idempotent_mask(te[theta[src_kernel]]) != fiberwise)
     out.append(_result("idempotent_section_source", not bad.size, f"element {src_kernel[bad[0]]}" if bad.size else ""))

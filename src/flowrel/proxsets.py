@@ -7,7 +7,8 @@ is when some minimal ideal's kernel labels are constant on it
 ideal I the maximal I-collapsed sets are exactly the classes of the
 relation "p(x) = p(y) for all p in I", and the maximal strongly proximal
 sets are the classes of the common refinement over all minimal ideals;
-both are read from ``IdealStructure.classes``.  Set proximality is never
+both are read from ``IdealStructure.classes``, the classes of its label
+rows (the refinement in the last row).  Set proximality is never
 inferred from pairwise proximality.  The checks of this structure live in
 ``fuzz``.
 """

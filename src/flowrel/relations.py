@@ -265,8 +265,9 @@ def sp_witnesses(ax: FlowAnalysis, pairs: np.ndarray) -> list[dict]:
     A pair out of SP gets the first ideal with a member separating it, the
     first such member, and that element's idempotent power, which fixes
     the separated images (an almost periodic non-diagonal limit of the
-    pair).  One blocked scan (``first_rows``) of the ideals' member lists,
-    concatenated in ideal order, finds every separator: its first hit is
+    pair).  One blocked scan (``first_rows``) of the structure's
+    ``kernel_elements``, every ideal's members in ideal order, finds every
+    separator: its first hit is
     the first member of the first separating ideal.  The idempotent powers
     of all distinct separators come from one ``idempotent_powers`` call."""
     m, st = ax.monoid, ax.structure
@@ -281,7 +282,7 @@ def sp_witnesses(ax: FlowAnalysis, pairs: np.ndarray) -> list[dict]:
     found = zip(owner[hit[out]].tolist(), separator.tolist(), fixing.tolist())
     return [
         dict(zip(("ideal", "separator", "fixing_idempotent"), next(found))) if h >= 0
-        else {"collapsing_ideals": len(st.ideals)}
+        else {"collapsing_ideals": st.ideal_count}
         for h in hit.tolist()
     ]
 

@@ -42,6 +42,7 @@ def flow_report(ax: FlowAnalysis) -> dict:
     structure and every theorem check."""
     m = ax.monoid
     st = ax.structure
+    ideals = range(st.ideal_count)
     relations = {
         kind: {"pairs": _pairs(rel)}
         for kind, rel in (("P", ax.proximal), ("D", ax.distal), ("Omega", ax.omega),
@@ -68,13 +69,13 @@ def flow_report(ax: FlowAnalysis) -> dict:
             "size": m.size,
             "identity_index": m.identity_index,
             "elements": m.elements,
-            "minimal_ideals": [list(ideal.members) for ideal in st.ideals],
-            "idempotents_by_ideal": [list(js) for js in st.idempotents_by_ideal],
+            "minimal_ideals": [st.kernel_elements[st.member_ideals == k].tolist() for k in ideals],
+            "idempotents_by_ideal": [st.all_idempotents[st.idempotent_ideals == k].tolist() for k in ideals],
             "equivalent_idempotent_pairs": [list(p) for p in ax.equivalent_pairs],
         },
         "relations": relations,
         "proximal_sets": {
-            "per_ideal_partitions": {str(k): proxsets.i_proximal_partition(ax, k) for k in range(len(st.ideals))},
+            "per_ideal_partitions": {str(k): proxsets.i_proximal_partition(ax, k) for k in ideals},
             "max_strongly_proximal_sets": proxsets.max_strongly_proximal_sets(ax),
         },
         "checks": checks,

@@ -23,8 +23,8 @@ tables ``forward_tier`` and ``backward_tier`` (the references for
 early stop; the
 brute-force minimal
 left ideals, the element-by-element ideal kernel matrix and the row-scan
-class listing are the references for ``minimal_left_ideals`` and the
-kernel-label forms of the relations.
+class listing are the references for the minimal ideals of
+``ideal_structure`` and the kernel-label forms of the relations.
 
 The scalar element API (``compose``, ``apply``, ``is_idempotent``,
 ``image_tuple``) answers "which element is this product?" through a tuple
@@ -55,7 +55,7 @@ boolean squaring with one generator at a time is the reference for
 The one-pair, one-set and one-row forms of the report's batched passes
 (P and SP witnesses, set collapse tests, the uM Cayley table and the
 minimal-ideal kernel labels) are the references for ``first_collapsers``,
-``sp_witnesses``, ``fuzz.ideal_group_tests`` and ``minimal_left_ideals``;
+``sp_witnesses``, ``fuzz.ideal_group_tests`` and ``ideal_structure``'s ideals;
 the per-ideal and per-idempotent loops of the ideal algebra
 (``reference_ideal_algebra_details``, ``reference_ideal_structure``) are
 the references for the relation suite's one pass over every (ideal,
@@ -65,9 +65,14 @@ the O(n²) ``relations.is_equivalence``;
 ``first_collapsers``' whole-monoid scan is in turn the reference for the
 kernel-label set test ``relations.proximal_sets``;
 ``kernel_signature`` labels one row at a time and is the reference for
-``finflow.kernel_labels`` and ``IdealStructure.refinement_labels``, and
+``finflow.kernel_labels`` and the refinement row of ``IdealStructure.labels``, and
 ``label_classes``, a dict loop over the states, is the reference for the
 class lists of ``IdealStructure.classes``.
+
+``structure_from_lists`` builds an ``IdealStructure`` from per-ideal
+lists, and ``ideal_lists`` reads them back: the per-ideal form of the
+structure's flat arrays, in which the references read it and the tests
+break it.
 
 ``reference_close`` is the tuple-per-element breadth-first closure, the
 reference for ``finflow.close``'s layer-at-a-time array search, element
@@ -99,12 +104,12 @@ from flowrel.circles import (
 from flowrel.finflow import (
     FiniteFlow,
     IdealStructure,
-    LeftIdeal,
     MonoidTooLarge,
     NotAFactorMap,
     TransMonoid,
     element_cap,
     ideal_structure,
+    kernel_labels,
     row_positions,
 )
 from flowrel.fuzz import CheckResult
@@ -520,7 +525,7 @@ def reference_close(flow: FiniteFlow, cap: int | None = None) -> TransMonoid:
 
 def brute_minimal_left_ideals(m) -> list[tuple[int, ...]]:
     """Form S¹p for every p and keep the inclusion-minimal ones.
-    Quadratic; the reference for ``minimal_left_ideals``."""
+    Quadratic; the reference for ``ideal_structure``'s member lists."""
     all_ideals = {reference_left_ideal_of(m, p) for p in range(m.size)}
     minimal = []
     for ideal in all_ideals:
@@ -530,10 +535,10 @@ def brute_minimal_left_ideals(m) -> list[tuple[int, ...]]:
     return sorted(minimal)
 
 
-def reference_ideal_kernel_matrix(m, ideal) -> np.ndarray:
-    """Pairs collapsed by every element of the ideal, one element at a time."""
+def reference_ideal_kernel_matrix(m, members) -> np.ndarray:
+    """Pairs collapsed by every member of an ideal, one element at a time."""
     out = np.ones((m.n_states, m.n_states), dtype=bool)
-    for p in ideal.members:
+    for p in members:
         row = m.elements[p]
         out &= row[:, None] == row[None, :]
     return out
@@ -612,14 +617,14 @@ def reference_idempotent_power(m, i: int) -> int:
     raise AssertionError("no idempotent power found")
 
 
-def reference_idempotents(m, ideal) -> tuple[int, ...]:
-    return tuple(i for i in ideal.members if is_idempotent(m, i))
+def reference_idempotents(m, members) -> tuple[int, ...]:
+    return tuple(i for i in members if is_idempotent(m, i))
 
 
 def reference_equivalent_idempotents(m, structure) -> list[tuple[int, int]]:
     """Cross-ideal pairs (u, v) with u∘v = v and v∘u = u, in (ideal a <
     ideal b, u, v) order."""
-    js = structure.idempotents_by_ideal
+    js = ideal_lists(structure)["idempotents"]
     return [
         (u, v)
         for a in range(len(js)) for b in range(a + 1, len(js))
@@ -645,11 +650,12 @@ def reference_is_minimal_flow(m) -> bool:
 def reference_sp_witness(m, structure, x: int, y: int) -> dict:
     """The SP witness of ``sp_witnesses``: the first member of the first
     ideal separating the pair, and its idempotent power."""
-    for k, ideal in enumerate(structure.ideals):
-        for p in ideal.members:
+    member_lists = ideal_lists(structure)["members"]
+    for k, members in enumerate(member_lists):
+        for p in members:
             if apply(m, p, x) != apply(m, p, y):
                 return {"ideal": k, "separator": p, "fixing_idempotent": reference_idempotent_power(m, p)}
-    return {"collapsing_ideals": len(structure.ideals)}
+    return {"collapsing_ideals": len(member_lists)}
 
 
 def reference_induced_theta(f, sm, tm) -> list[int]:
@@ -767,18 +773,18 @@ def reference_validate_partitions(ax) -> CheckResult:
     against the states sharing every ideal kernel value with its least
     member."""
     name = "per_ideal_partitions_valid"
-    st = ax.structure
+    lists = ideal_lists(ax.structure)
     e = ax.monoid.elements
-    for ideal, js in zip(st.ideals, st.idempotents_by_ideal):
-        classes = label_classes(ideal.kernel)
-        least = e[np.ix_(ideal.members, [min(c) for c in classes])]
+    for members, js, kernel in zip(lists["members"], lists["idempotents"], lists["kernels"]):
+        classes = label_classes(kernel)
+        least = e[np.ix_(members, [min(c) for c in classes])]
         shared = least[:, :, None] == least[:, None, :]
         pairs = np.argwhere(np.triu(shared.any(axis=0), 1))
         if pairs.size:
-            p = ideal.members[shared[:, pairs[0][0], pairs[0][1]].argmax()]
+            p = members[shared[:, pairs[0][0], pairs[0][1]].argmax()]
             return CheckResult(name, False, f"distinct ideal-proximal classes share an image under element {p}")
         idem_rows = e[list(js)]
-        labels = np.array(ideal.kernel)
+        labels = np.array(kernel)
         stays = labels[idem_rows] == labels  # u(x) in the class of x
         for c in classes:
             cols = sorted(c)
@@ -787,18 +793,19 @@ def reference_validate_partitions(ax) -> CheckResult:
             for u, closed in zip(js, stays[:, cols].all(axis=1)):
                 if not closed:
                     return CheckResult(name, False, f"class {cols} not closed under idempotent {u}")
-    classes = label_classes(st.refinement_labels)
-    kernels = np.array([ideal.kernel for ideal in st.ideals])
+    classes = label_classes(lists["refinement"])
+    kernels = np.array(lists["kernels"])
     for c in classes:
         x = min(c)
         if set(np.flatnonzero((kernels == kernels[:, [x]]).all(axis=0)).tolist()) != c:
             return CheckResult(name, False, "refinement class is not the intersection of per-ideal classes")
     if sum(map(len, classes)) != len(frozenset().union(*classes)):
         return CheckResult(name, False, "maximal strongly proximal sets must be disjoint")
-    idem_rows = e[list(st.all_idempotents)]
+    us = [u for js in lists["idempotents"] for u in js]
+    idem_rows = e[us]
     for c in classes:
         images = idem_rows[:, sorted(c)]
-        for u, collapsed in zip(st.all_idempotents, (images == images[:, :1]).all(axis=1)):
+        for u, collapsed in zip(us, (images == images[:, :1]).all(axis=1)):
             if not collapsed:
                 return CheckResult(name, False, f"idempotent {u} does not collapse class {sorted(c)}")
     return CheckResult(name, True)
@@ -811,7 +818,7 @@ def reference_invertible_image_check(ax, candidates, subsets) -> CheckResult:
     the module, so a patched test reaches this form too), and the first
     failing key in insertion order is the counterexample."""
     invertible = [g for g in ax.flow.generators if len(set(g)) == ax.n_states]
-    classes = {tuple(sorted(c)) for ideal in ax.structure.ideals for c in label_classes(ideal.kernel)}
+    classes = {tuple(sorted(c)) for kernel in ideal_lists(ax.structure)["kernels"] for c in label_classes(kernel)}
     small = [c for c in candidates if len(c) <= 3 or c in classes]
     image = {(cols, g): tuple(sorted({g[x] for x in cols})) for cols in small for g in invertible}
     rest = sorted(set(image.values()) - subsets.keys())
@@ -825,7 +832,7 @@ def reference_sp_matches_class_squares(ax) -> CheckResult:
     block A x A per maximal strongly proximal set A."""
     n = ax.n_states
     built = np.zeros((n, n), dtype=bool)
-    for s in label_classes(ax.structure.refinement_labels):
+    for s in label_classes(ideal_lists(ax.structure)["refinement"]):
         idxs = sorted(s)
         built[np.ix_(idxs, idxs)] = True
     return CheckResult("sp_equals_union_of_class_squares", bool(np.array_equal(ax.strongly_proximal, built)))
@@ -856,29 +863,31 @@ def reference_sp_verdict(ax, x: int, y: int) -> dict:
     collapses it; a pair out of SP gets the first ideal with a member
     separating it, that member, and its idempotent power, asserted to fix
     the images."""
-    m, st = ax.monoid, ax.structure
-    for k, ideal in enumerate(st.ideals):
-        rows = m.elements[list(ideal.members)]
+    m = ax.monoid
+    member_lists = ideal_lists(ax.structure)["members"]
+    for k, members in enumerate(member_lists):
+        rows = m.elements[list(members)]
         separating = np.flatnonzero(rows[:, x] != rows[:, y])
         if separating.size:
-            p = ideal.members[separating[0]]
+            p = members[separating[0]]
             row = rows[separating[0]]
             u = int(m.idempotent_powers([p])[0])
             urow = m.elements[u]
             if urow[row[x]] != row[x] or urow[row[y]] != row[y]:
                 raise AssertionError("idempotent power failed to fix the image pair")
             return {"ideal": k, "separator": int(p), "fixing_idempotent": int(u)}
-    return {"collapsing_ideals": len(st.ideals)}
+    return {"collapsing_ideals": len(member_lists)}
 
 
-def reference_minimal_ideal_collapse(ax, members):
-    """The first minimal ideal all of whose members collapse the set, or
-    None.  The collapsers of a proximal set form a left ideal, so they
+def reference_minimal_ideal_collapse(ax, members) -> int | None:
+    """The number of the first minimal ideal all of whose members collapse
+    the set, or None.  The collapsers of a proximal set form a left ideal, so they
     contain a minimal one: None means the set is not proximal."""
     cols = sorted(set(int(x) for x in members))
     images = ax.monoid.elements[:, cols]
     collapsers = set(np.flatnonzero((images == images[:, :1]).all(axis=1)).tolist())
-    return next((ideal for ideal in ax.structure.ideals if set(ideal.members) <= collapsers), None)
+    member_lists = ideal_lists(ax.structure)["members"]
+    return next((k for k, ideal in enumerate(member_lists) if set(ideal) <= collapsers), None)
 
 
 def reference_is_group(m, u: int, members: np.ndarray) -> bool:
@@ -903,11 +912,11 @@ def reference_ideal_algebra_details(ax) -> tuple[str, str, str]:
     """The details of the suite's "pu = p", "uM is a group" and intra-ideal
     equivalence checks ("" where a check passes), from the loop over each
     ideal and each of its idempotents that the one pass replaced."""
-    m, st, e = ax.monoid, ax.structure, ax.monoid.elements
+    m, e, lists = ax.monoid, ax.monoid.elements, ideal_lists(ax.structure)
     pu_detail = group_detail = intra_detail = ""
-    for ki, (ideal, js) in enumerate(zip(st.ideals, st.idempotents_by_ideal)):
-        members = e[list(ideal.members)]
-        if not pu_detail and not all(reference_right_identity(m, u, ideal.members) for u in js):
+    for ki, (ideal, js) in enumerate(zip(lists["members"], lists["idempotents"])):
+        members = e[list(ideal)]
+        if not pu_detail and not all(reference_right_identity(m, u, ideal) for u in js):
             pu_detail = f"pu != p at ideal {ki}"
         for u in js:
             if not group_detail and not reference_is_group(m, u, members):
@@ -919,18 +928,55 @@ def reference_ideal_algebra_details(ax) -> tuple[str, str, str]:
     return pu_detail, group_detail, intra_detail
 
 
-def reference_ideal_structure(m):
-    """``finflow.ideal_structure`` one ideal at a time: the row-by-row
-    minimal ideals, each checked against its least member's S¹p, their
-    idempotents one element at a time, and the refinement labels folded in
-    one kernel at a time by ``kernel_signature`` of zipped labels."""
+def reference_ideal_structure(m) -> dict:
+    """``finflow.ideal_structure`` one ideal at a time, in ``ideal_lists``'
+    form: the row-by-row minimal ideals, each checked against its least
+    member's S¹p, their idempotents one element at a time, and the
+    refinement labels folded in one kernel at a time by
+    ``kernel_signature`` of zipped labels."""
     ideals = reference_minimal_left_ideals(m)
-    for ideal in ideals:
-        assert reference_left_ideal_of(m, ideal.members[0]) == ideal.members
+    for members, _ in ideals:
+        assert reference_left_ideal_of(m, members[0]) == members
     labels = tuple(0 for _ in range(m.n_states))
-    for ideal in ideals:
-        labels = kernel_signature(list(zip(labels, ideal.kernel)))
-    return IdealStructure(tuple(ideals), tuple(reference_idempotents(m, ideal) for ideal in ideals), labels)
+    for _, kernel in ideals:
+        labels = kernel_signature(list(zip(labels, kernel)))
+    return {
+        "members": [members for members, _ in ideals],
+        "idempotents": [reference_idempotents(m, members) for members, _ in ideals],
+        "kernels": [kernel for _, kernel in ideals],
+        "refinement": labels,
+    }
+
+
+def flat_lists(lists) -> tuple[np.ndarray, np.ndarray]:
+    """The values of some lists as one flat array, and the number of each
+    value's list: the layout of ``IdealStructure``'s member and idempotent
+    arrays, and the input of ``fuzz.left_action_counterexamples``."""
+    return (np.array([x for xs in lists for x in xs], dtype=np.intp),
+            np.repeat(np.arange(len(lists)), [len(xs) for xs in lists]))
+
+
+def structure_from_lists(members, idempotents, kernels, refinement) -> IdealStructure:
+    """An ``IdealStructure`` from per-ideal member and idempotent lists,
+    the ideal kernels' label rows and the refinement's.  Every label row
+    goes through ``kernel_labels``, so a row not in first-occurrence form
+    is read as the classes it names."""
+    rows = np.array([*kernels, refinement]).reshape(len(kernels) + 1, -1)
+    return IdealStructure(*flat_lists(members), *flat_lists(idempotents), kernel_labels(rows))
+
+
+def ideal_lists(structure) -> dict:
+    """``structure_from_lists``' arguments read back from a structure: the
+    per-ideal member and idempotent lists, the kernels' label rows and the
+    refinement's, as tuples of ints."""
+    st, ideals = structure, range(structure.ideal_count)
+    rows = [tuple(row) for row in st.labels.tolist()]
+    return {
+        "members": [tuple(st.kernel_elements[st.member_ideals == k].tolist()) for k in ideals],
+        "idempotents": [tuple(st.all_idempotents[st.idempotent_ideals == k].tolist()) for k in ideals],
+        "kernels": rows[:-1],
+        "refinement": rows[-1],
+    }
 
 
 def reference_is_equivalence(rel) -> bool:
@@ -962,15 +1008,15 @@ def monoid_flow(m) -> FiniteFlow:
     return FiniteFlow(m.n_states, tuple(map(tuple, m.elements.tolist())))
 
 
-def reference_minimal_left_ideals(m) -> list:
-    """Minimum-rank elements grouped by ``kernel_signature``, one row at a
-    time, ordered by least member."""
+def reference_minimal_left_ideals(m) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each minimal ideal's (members, kernel labels): the minimum-rank
+    elements grouped by ``kernel_signature``, one row at a time, ordered
+    by least member."""
     ranks = m.ranks()
     groups: dict[tuple[int, ...], list[int]] = {}
     for i in np.nonzero(ranks == ranks.min())[0]:
         groups.setdefault(kernel_signature(m.elements[i]), []).append(int(i))
-    ideals = [LeftIdeal(members=tuple(sorted(mem)), kernel=sig) for sig, mem in groups.items()]
-    return sorted(ideals, key=lambda ideal: ideal.members[0])
+    return sorted((tuple(sorted(mem)), sig) for sig, mem in groups.items())
 
 
 # -- the command line, read by argparse ----------------------------------------

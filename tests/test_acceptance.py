@@ -138,7 +138,7 @@ def test_criterion_4_proximal_set_suite():
             continue
         checked += 1
         failures.extend((i, r.name, r.detail) for r in proxset_check_suite(ax) if not r.passed)
-        n_ideals = len(ax.structure.ideals)
+        n_ideals = ax.structure.ideal_count
         r = max_sp_sets_fixed_by_all_idempotents(ax)
         if r.passed != (n_ideals == 1):
             mismatches.append((i, n_ideals, r.detail or "claim holds"))

@@ -26,8 +26,6 @@ from flowrel import cli, finflow, fuzz
 from flowrel.cli import dump
 from flowrel.finflow import (
     FiniteFlow,
-    IdealStructure,
-    LeftIdeal,
     MonoidTooLarge,
     TransMonoid,
     close,
@@ -38,7 +36,6 @@ from flowrel.finflow import (
     format_flow,
     ideal_structure,
     kernel_labels,
-    minimal_left_ideals,
     sorted_unique,
 )
 from flowrel.fuzz import TWO_IDEAL_FLOW, ideal_group_tests, proxset_check_suite, random_flow
@@ -46,6 +43,8 @@ from flowrel.relations import analyze_flow, sp_witnesses
 from flowrel.reports import flow_report
 from oracles import (
     element_of,
+    flat_lists,
+    ideal_lists,
     kernel_signature,
     label_classes,
     reference_is_group,
@@ -53,6 +52,7 @@ from oracles import (
     reference_minimal_left_ideals,
     reference_proximal_verdict,
     reference_sp_verdict,
+    structure_from_lists,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -206,11 +206,11 @@ def test_cayley_table_matches_the_row_at_a_time_reference(flow):
     e = m.elements
     rng = random.Random(m.size)
     st_ = ax.structure
-    us = np.array(st_.all_idempotents)
+    us = st_.all_idempotents
     others = [sorted(rng.sample(range(m.size), min(m.size, 5))) for _ in us]
-    lists = [ideal.members for ideal in st_.ideals] + others
-    slot_list = np.concatenate([st_.idempotent_ideals, len(st_.ideals) + np.arange(len(us))])
-    _, groups = ideal_group_tests(m, lists, np.concatenate([us, us]), slot_list)
+    lists = ideal_lists(st_)["members"] + others
+    slot_list = np.concatenate([st_.idempotent_ideals, st_.ideal_count + np.arange(len(us))])
+    _, groups = ideal_group_tests(m, *flat_lists(lists), np.concatenate([us, us]), slot_list)
     expected = [reference_is_group(m, u, e[list(lists[b])]) for u, b in zip(np.concatenate([us, us]).tolist(), slot_list.tolist())]
     assert groups.tolist() == expected
     assert groups[:len(us)].all()
@@ -223,7 +223,7 @@ def test_cayley_table_of_a_group_is_built_in_blocks():
     assert reference_is_group(m, 0, m.elements)
     Recorded.sizes = []
     recorded = TransMonoid(m.flow, m.elements.view(Recorded))
-    pu, group = ideal_group_tests(recorded, [range(64)], np.array([0]), np.array([0]))
+    pu, group = ideal_group_tests(recorded, *flat_lists([range(64)]), np.array([0]), np.array([0]))
     assert pu.tolist() == group.tolist() == [True]
     assert max(Recorded.sizes) <= m.elements.size
 
@@ -238,7 +238,7 @@ def test_ideal_algebra_gathers_no_more_than_the_monoid_rows(flow):
     Recorded.sizes = []
     st_ = ideal_structure(recorded)
     equivalent_idempotents(st_, equivalence_matrix(recorded, st_.all_idempotents, st_.all_idempotents))
-    ideal_group_tests(recorded, [ideal.members for ideal in st_.ideals], np.array(st_.all_idempotents), st_.idempotent_ideals)
+    ideal_group_tests(recorded, st_.kernel_elements, st_.member_ideals, st_.all_idempotents, st_.idempotent_ideals)
     recorded.idempotent_powers(np.arange(m.size))
     ax = analyze_flow(flow)
     sp_witnesses(replace(ax, monoid=recorded), np.argwhere(np.triu(ax.proximal & ~ax.strongly_proximal)))
@@ -252,16 +252,18 @@ def test_minimal_ideal_kernels_match_per_row_signatures(flow):
     if ax is None:
         return
     m = ax.monoid
-    ideals = minimal_left_ideals(m)
+    lists = ideal_lists(ideal_structure(m))
+    ideals = list(zip(lists["members"], lists["kernels"]))
     assert ideals == reference_minimal_left_ideals(m)
-    for ideal in ideals:
-        assert all(kernel_signature(m.elements[p]) == ideal.kernel for p in ideal.members)
+    for members, kernel in ideals:
+        assert all(kernel_signature(m.elements[p]) == kernel for p in members)
 
 
 @pytest.mark.parametrize("flow", WIDE, ids=lambda f: f"wide{f.n_states}")
 def test_minimal_ideal_kernels_match_on_wide_flows(flow):
     m = close(flow)
-    assert minimal_left_ideals(m) == reference_minimal_left_ideals(m)
+    lists = ideal_lists(ideal_structure(m))
+    assert list(zip(lists["members"], lists["kernels"])) == reference_minimal_left_ideals(m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -451,7 +453,7 @@ def test_class_lists_match_the_dict_loop_on_random_label_rows():
         n = 1 if trial % 8 == 0 else rng.randint(2, 12)
         values = rng.sample(range(-5, 40), rng.randint(1, 5))
         rows = [tuple(rng.choice(values) for _ in range(n)) for _ in range(rng.randint(1, 4))]
-        st_ = IdealStructure(tuple(LeftIdeal((), row) for row in rows[:-1]), ((),) * (len(rows) - 1), rows[-1])
+        st_ = structure_from_lists([()] * (len(rows) - 1), [()] * (len(rows) - 1), rows[:-1], rows[-1])
         assert st_.labels.tolist() == [list(kernel_signature(row)) for row in rows]
         assert st_.classes == tuple(tuple(tuple(sorted(c)) for c in label_classes(row)) for row in rows)
         kinds.update((n == 1, kernel_signature(row) == row, len(set(row)) < n) for row in rows)

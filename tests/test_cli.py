@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import build_parser
 
+from flowrel import cli
 from flowrel.cli import (
     dump,
     main,
@@ -524,6 +526,32 @@ def test_out_writes_the_printed_report(capsys, tmp_path):
         path = tmp_path / "report.out"
         code, out, _ = run(capsys, *argv, "--out", str(path))
         assert code == 0 and path.read_text() == out
+
+
+def test_emit_writes_a_payload_of_several_slices(capsys, tmp_path, monkeypatch):
+    # a report cut into many slices reaches stdout and --out as the same
+    # bytes as one whole write; a payload of several default slices, with
+    # non-ASCII text across the cuts, arrives whole, a slice a write at most
+    flow, path = str(FLOWS / "two_ideal.flow"), tmp_path / "report.out"
+    code, whole, _ = run(capsys, "analyze", flow)
+    monkeypatch.setattr(cli, "EMIT_SLICE", 1000)
+    code, out, _ = run(capsys, "analyze", flow, "--out", str(path))
+    assert code == 0 and len(whole) > 3000 and out == whole and path.read_bytes() == whole.encode("utf-8")
+    monkeypatch.undo()
+
+    writes = []
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    payload = "".join(f"{i}:é∘\n" for i in range(cli.EMIT_SLICE // 2))
+    assert len(payload) > 3 * cli.EMIT_SLICE
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert cli.emit(payload, str(path))
+    assert sys.stdout.getvalue() == payload and path.read_bytes() == payload.encode("utf-8")
+    assert max(writes) == cli.EMIT_SLICE and sum(writes) == len(payload)
 
 
 def test_analyze_non_utf8_flow_file_exits_2(capsys, tmp_path):

@@ -16,7 +16,6 @@ from flowrel.finflow import (
     format_flow,
     ideal_structure,
     induced_theta,
-    minimal_left_ideals,
     parse_flow,
 )
 from flowrel.fuzz import CONSTANTS_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW, TWO_IDEAL_FLOW, random_flow
@@ -24,6 +23,7 @@ from oracles import (
     apply,
     brute_minimal_left_ideals,
     compose,
+    ideal_lists,
     element_of,
     image_tuple,
     is_idempotent,
@@ -188,18 +188,18 @@ def test_compose_convention():
 
 def test_minimal_ideals_constants():
     m = close(CONSTANTS_FLOW)
-    ideals = minimal_left_ideals(m)
-    assert len(ideals) == 1
-    assert [image_tuple(m, i) for i in ideals[0].members] == [(0, 0), (1, 1)]
-    assert ideal_structure(m).idempotents_by_ideal == (ideals[0].members,)
+    st = ideal_structure(m)
+    assert st.ideal_count == 1
+    assert [image_tuple(m, i) for i in st.kernel_elements] == [(0, 0), (1, 1)]
+    assert np.array_equal(st.all_idempotents, st.kernel_elements)
 
 
 def test_minimal_ideal_of_group_is_whole_group():
     m = close(ROTATION3_FLOW)
-    ideals = minimal_left_ideals(m)
-    assert len(ideals) == 1
-    assert len(ideals[0].members) == 3
-    assert [image_tuple(m, u) for u in ideal_structure(m).idempotents_by_ideal[0]] == [(0, 1, 2)]
+    st = ideal_structure(m)
+    assert st.ideal_count == 1
+    assert len(st.kernel_elements) == 3
+    assert [image_tuple(m, u) for u in st.all_idempotents] == [(0, 1, 2)]
 
 
 def test_two_ideal_fixture_structure():
@@ -207,11 +207,11 @@ def test_two_ideal_fixture_structure():
     m = close(TWO_IDEAL_FLOW)
     assert m.size == 9
     st = ideal_structure(m)
-    assert len(st.ideals) == 2
-    kernels = {ideal.kernel for ideal in st.ideals}
+    assert st.ideal_count == 2
+    kernels = set(map(tuple, st.labels[:-1].tolist()))
     assert kernels == {(0, 0, 1, 1), (0, 1, 1, 0)}
     idem_images = [
-        sorted(image_tuple(m, u) for u in js) for js in st.idempotents_by_ideal
+        sorted(image_tuple(m, u) for u in st.all_idempotents[st.idempotent_ideals == k]) for k in range(2)
     ]
     assert idem_images == [
         [(0, 0, 2, 2), (1, 1, 3, 3)],
@@ -222,18 +222,19 @@ def test_two_ideal_fixture_structure():
 def test_minimal_ideals_match_brute_force():
     for flow in (CONSTANTS_FLOW, ROTATION3_FLOW, TWO_IDEAL_FLOW, SINGLE_IDEAL_SEED_FLOW):
         m = close(flow)
-        fast = sorted(ideal.members for ideal in minimal_left_ideals(m))
+        fast = sorted(ideal_lists(ideal_structure(m))["members"])
         assert fast == brute_minimal_left_ideals(m)
 
 
 def test_mp_equals_m_and_pu_equals_p():
     m = close(TWO_IDEAL_FLOW)
     st = ideal_structure(m)
-    for k, ideal in enumerate(st.ideals):
-        members = set(ideal.members)
-        for p in ideal.members:
+    lists = ideal_lists(st)
+    for ideal, js in zip(lists["members"], lists["idempotents"]):
+        members = set(ideal)
+        for p in ideal:
             assert {compose(m, s, p) for s in range(m.size)} == members
-            for u in st.idempotents_by_ideal[k]:
+            for u in js:
                 assert compose(m, p, u) == p
 
 

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from flowrel.finflow import close, first_collapsers, ideal_structure, minimal_left_ideals
+from flowrel.finflow import close, first_collapsers, ideal_structure
 from flowrel.fuzz import check_factor_theorems, random_flow, random_icer, relation_check_suite, saturate_icer
 from flowrel.proxsets import i_proximal_partition, max_strongly_proximal_sets
 from flowrel.relations import analyze_flow, diagonal, quotient_by_icer
@@ -16,6 +16,7 @@ from flowrel.ternary import pair_type, ternary
 from oracles import (
     apply,
     brute_minimal_left_ideals,
+    ideal_lists,
     kernel_signature,
     monoid_flow,
     reference_classes,
@@ -34,7 +35,7 @@ def test_minimal_ideals_agree_with_brute_force(flow):
     m = close(flow)
     if m.size > 400:
         return  # the quadratic oracle is for small instances
-    assert sorted(i.members for i in minimal_left_ideals(m)) == brute_minimal_left_ideals(m)
+    assert sorted(ideal_lists(ideal_structure(m))["members"]) == brute_minimal_left_ideals(m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -52,16 +53,17 @@ def test_kernel_labels_match_element_forms(flow):
     # agree with the element-by-element forms, classes in the same order
     ax = analyze_flow(flow)
     m = ax.monoid
-    kernels = [reference_ideal_kernel_matrix(m, ideal) for ideal in ax.structure.ideals]
-    for k, (ideal, ker) in enumerate(zip(ax.structure.ideals, kernels)):
-        labels = np.array(ideal.kernel)
+    lists = ideal_lists(ax.structure)
+    kernels = [reference_ideal_kernel_matrix(m, members) for members in lists["members"]]
+    for k, (kernel, ker) in enumerate(zip(lists["kernels"], kernels)):
+        labels = np.array(kernel)
         assert np.array_equal(labels[:, None] == labels[None, :], ker)
         assert list(map(frozenset, i_proximal_partition(ax, k))) == reference_classes(ker)
     p, sp = np.logical_or.reduce(kernels), np.logical_and.reduce(kernels)
     assert np.array_equal(ax.proximal, p)
     assert np.array_equal(ax.strongly_proximal, sp)
     assert list(map(frozenset, max_strongly_proximal_sets(ax))) == reference_classes(sp)
-    assert ax.structure.refinement_labels == kernel_signature(zip(*(i.kernel for i in ax.structure.ideals)))
+    assert lists["refinement"] == kernel_signature(zip(*lists["kernels"]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -112,7 +114,7 @@ def test_almost_periodic_points_fixed_in_every_ideal(flow):
     n = m.n_states
     for x in range(n):
         fixing = [
-            any(apply(m, u, x) == x for u in js) for js in st_.idempotents_by_ideal
+            any(apply(m, u, x) == x for u in js) for js in ideal_lists(st_)["idempotents"]
         ]
         assert all(fixing) or not any(fixing)
 

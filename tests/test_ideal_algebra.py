@@ -46,6 +46,8 @@ from flowrel.relations import (
 from oracles import (
     compose,
     element_of,
+    flat_lists,
+    ideal_lists,
     reference_equivalent_idempotents,
     reference_ideal_algebra_details,
     reference_ideal_structure,
@@ -60,6 +62,7 @@ from oracles import (
     reference_sp_witness,
     reference_validate_partitions,
     square_monoid,
+    structure_from_lists,
     tuple_index,
 )
 
@@ -120,7 +123,8 @@ def assert_gathers_match_references(flow):
     except MonoidTooLarge:
         return
     m, structure = ax.monoid, ax.structure
-    assert structure.idempotents_by_ideal == tuple(reference_idempotents(m, ideal) for ideal in structure.ideals)
+    lists = ideal_lists(structure)
+    assert lists["idempotents"] == [reference_idempotents(m, members) for members in lists["members"]]
     us = structure.all_idempotents
     assert np.array_equal(ax.idempotent_equivalence, equivalence_matrix(m, us, us))
     assert equivalent_idempotents(structure, ax.idempotent_equivalence) == reference_equivalent_idempotents(m, structure)
@@ -232,78 +236,79 @@ def test_square_monoid_matches_closure(flow):
 # -- each ideal-algebra check, broken in turn --------------------------------------
 
 
-def with_structure(ax, ideals=None, idempotents_by_ideal=None):
-    """The analysis with some ideal structure replaced; the equivalent
-    pairs keep those whose idempotents are still listed."""
-    st_ = replace(
-        ax.structure,
-        ideals=ideals if ideals is not None else ax.structure.ideals,
-        idempotents_by_ideal=idempotents_by_ideal if idempotents_by_ideal is not None else ax.structure.idempotents_by_ideal,
-    )
-    listed = set(st_.all_idempotents)
+def with_structure(ax, **changes):
+    """The analysis with some of its structure's per-ideal lists
+    (``ideal_lists``: ``members``, ``idempotents``, ``kernels``,
+    ``refinement``) replaced; the equivalent pairs keep those whose
+    idempotents are still listed."""
+    st_ = structure_from_lists(**{**ideal_lists(ax.structure), **changes})
+    listed = set(st_.all_idempotents.tolist())
     pairs = [pair for pair in ax.equivalent_pairs if listed.issuperset(pair)]
     return replace(ax, structure=st_, equivalent_pairs=pairs)
 
 
+def with_first(ax, field, first):
+    """``with_structure`` with ideal 0's entry of one per-ideal list replaced."""
+    return with_structure(ax, **{field: [first, *ideal_lists(ax.structure)[field][1:]]})
+
+
 def broken_mp(ax):
     # the identity (element 0) is no member of ideal 0: S¹·id is everything
-    ideal = ax.structure.ideals[0]
-    return with_structure(ax, ideals=(replace(ideal, members=(0,) + ideal.members),) + ax.structure.ideals[1:])
+    return with_first(ax, "members", (0,) + ideal_lists(ax.structure)["members"][0])
 
 
 def mp_action_leaves(ax):
     # 7 of ideal 0 listed in ideal 1: the generators carry it to 1, 3 and 8,
     # which are not listed, so the least member 2 is the first counterexample
-    ideals = ax.structure.ideals
-    return with_structure(ax, ideals=(ideals[0], replace(ideals[1], members=(2, 4, 5, 6, 7))))
+    members = ideal_lists(ax.structure)["members"]
+    return with_structure(ax, members=[members[0], (2, 4, 5, 6, 7)])
 
 
 def mp_least_reaches_part(ax):
     # both ideals as one: closed under the action, but 1 reaches only ideal 0
-    ideals = ax.structure.ideals
-    return with_structure(ax, ideals=(replace(ideals[0], members=tuple(range(1, 9))), ideals[1]))
+    return with_first(ax, "members", tuple(range(1, 9)))
 
 
 def mp_later_member_stuck(ax):
     # the whole monoid {id, swap, c1, c2}: the identity reaches every
     # element, the swap reaches back to it, the constant 2 does not
-    return with_structure(ax, ideals=(replace(ax.structure.ideals[0], members=(0, 1, 2, 3)),))
+    return with_first(ax, "members", (0, 1, 2, 3))
 
 
 def broken_pu(ax):
     # element 7 = (2, 2, 0, 0) of ideal 0 is no idempotent: p∘7 != p
-    return with_structure(ax, idempotents_by_ideal=((1, 7),) + ax.structure.idempotents_by_ideal[1:])
+    return with_first(ax, "idempotents", (1, 7))
 
 
 def rotation_as_idempotent(ax):
     # on the rotation group {e, r, r²}, r listed after e: a monoid of 3
     # rows of 3 states takes p∘u one idempotent at a time, and p∘r != p
-    return with_structure(ax, idempotents_by_ideal=((0, 1),))
+    return with_first(ax, "idempotents", (0, 1))
 
 
 def broken_um(ax):
     # idempotent 2 of ideal 1, listed under ideal 0: 2∘M0 = {1, 7} lacks 2,
     # and 2 is equivalent to idempotent 1 of ideal 0
-    return with_structure(ax, idempotents_by_ideal=((1, 2),) + ax.structure.idempotents_by_ideal[1:])
+    return with_first(ax, "idempotents", (1, 2))
 
 
 def fake_identity_um(ax):
     # 7 = (2, 2, 0, 0) as ideal 0's idempotent: 7∘M0 = {1, 7} is a group,
     # every member has an inverse, but its identity is 1, not 7
-    return with_structure(ax, idempotents_by_ideal=((7,),) + ax.structure.idempotents_by_ideal[1:])
+    return with_first(ax, "idempotents", (7,))
 
 
 def unclosed_um(ax):
     # in the rotation group Z4 = {e, r, r², r³}, M = {e, r, r³} has
     # e∘M = M with e in it and every member inverted, but r∘r = r² is
     # not in it
-    return with_structure(ax, ideals=(replace(ax.structure.ideals[0], members=(0, 1, 3)),))
+    return with_first(ax, "members", (0, 1, 3))
 
 
 def identity_without_inverses(ax):
     # the identity 0 as the idempotent of {identity, constant 0}: u∘M is
     # closed with identity u, but the constant has no inverse
-    return with_structure(ax, ideals=(replace(ax.structure.ideals[0], members=(0, 1)),), idempotents_by_ideal=((0,),))
+    return with_structure(ax, members=[(0, 1)], idempotents=[(0,)])
 
 
 def broken_omega(ax):
@@ -350,8 +355,9 @@ def test_each_broken_check_fails_with_its_own_detail(flow, breaker, check, detai
 ])
 def test_each_mp_failure_shape_names_the_per_member_loops_element(flow, breaker, ideal, element):
     ax = breaker(analyze_flow(flow))
-    members = ax.structure.ideals[ideal].members
-    assert left_action_counterexamples(ax.monoid, [members]) == [reference_mp_counterexample(ax.monoid, members)] == [element]
+    members = ideal_lists(ax.structure)["members"][ideal]
+    expected = [reference_mp_counterexample(ax.monoid, members)]
+    assert left_action_counterexamples(ax.monoid, *flat_lists([members])) == expected == [element]
 
 
 def test_broken_membership_keeps_each_detail_apart():
@@ -369,42 +375,41 @@ def test_broken_membership_keeps_each_detail_apart():
 ])
 def test_validate_partitions_rejects_foreign_idempotents(idempotents_of_ideal_0, message):
     ax = analyze_flow(TWO_IDEAL_FLOW)
-    result = validate_partitions(with_structure(ax, idempotents_by_ideal=(idempotents_of_ideal_0,) + ax.structure.idempotents_by_ideal[1:]))
+    result = validate_partitions(with_first(ax, "idempotents", idempotents_of_ideal_0))
     assert not result.passed and result.detail == message
 
 
 def split_kernel(ax):
     # ideal 0's kernel labelling made finer than its true partition: a
     # state collapsed with state 0 by every member gets a label of its own
-    st = ax.structure
-    split = list(st.ideals[0].kernel)
+    split = list(ideal_lists(ax.structure)["kernels"][0])
     y = next(y for y in range(1, len(split)) if split[y] == split[0])
     split[y] = max(split) + 1
-    return with_structure(ax, ideals=(replace(st.ideals[0], kernel=tuple(split)),) + st.ideals[1:])
+    return with_first(ax, "kernels", tuple(split))
 
 
 def merged_refinement(ax):
     # the singletons {0} and {1} of SP listed as one refinement class
-    return replace(ax, structure=replace(ax.structure, refinement_labels=(0, 0, 1, 2)))
+    return with_structure(ax, refinement=(0, 0, 1, 2))
 
 
 def regrouped_refinement(ax):
     # as many refinement classes as the ideal kernel (0, 1, 0, 1) has, but
     # not the same ones
-    return replace(ax, structure=replace(ax.structure, refinement_labels=(0, 0, 1, 1)))
+    return with_structure(ax, refinement=(0, 0, 1, 1))
 
 
 def relabelled_refinement(ax):
     # the same refinement classes under labels that are not numbered by
     # least member
-    labels = ax.structure.refinement_labels
-    return replace(ax, structure=replace(ax.structure, refinement_labels=tuple(max(labels) - v for v in labels)))
+    labels = ideal_lists(ax.structure)["refinement"]
+    return with_structure(ax, refinement=tuple(max(labels) - v for v in labels))
 
 
 def identity_as_idempotent(ax):
     # the identity fixes every state and keeps every class, but does not
     # map the class {0, 1} of the constants' flow to one point
-    return with_structure(ax, idempotents_by_ideal=(ax.structure.idempotents_by_ideal[0] + (0,),))
+    return with_first(ax, "idempotents", ideal_lists(ax.structure)["idempotents"][0] + (0,))
 
 
 @pytest.mark.parametrize("flow, breaker, detail", [
@@ -422,7 +427,7 @@ def test_validate_partitions_breakers_match_the_class_loops(flow, breaker, detai
 
 
 def foreign_idempotents(js):
-    return lambda ax: with_structure(ax, idempotents_by_ideal=(js,) + ax.structure.idempotents_by_ideal[1:])
+    return lambda ax: with_first(ax, "idempotents", js)
 
 
 @pytest.mark.parametrize("flow, breaker", [
@@ -442,16 +447,16 @@ def seeded_partition_breaks(ax, rng):
     random monoid elements or joined by the identity, with the refinement
     replaced by ideal 0's kernel or shifted by one state, and with ideal
     0's kernel replaced by the refinement."""
-    st = ax.structure
-    rest = st.idempotents_by_ideal[1:]
+    lists = ideal_lists(ax.structure)
+    refinement = lists["refinement"]
     picked = tuple(rng.sample(range(ax.monoid.size), min(rng.randint(1, 3), ax.monoid.size)))
     return [
         ax,
-        with_structure(ax, idempotents_by_ideal=(picked,) + rest),
-        with_structure(ax, idempotents_by_ideal=(st.idempotents_by_ideal[0] + (0,),) + rest),
-        replace(ax, structure=replace(st, refinement_labels=st.ideals[0].kernel)),
-        replace(ax, structure=replace(st, refinement_labels=st.refinement_labels[1:] + st.refinement_labels[:1])),
-        with_structure(ax, ideals=(replace(st.ideals[0], kernel=st.refinement_labels),) + st.ideals[1:]),
+        with_first(ax, "idempotents", picked),
+        with_first(ax, "idempotents", lists["idempotents"][0] + (0,)),
+        with_structure(ax, refinement=lists["kernels"][0]),
+        with_structure(ax, refinement=refinement[1:] + refinement[:1]),
+        with_first(ax, "kernels", refinement),
     ]
 
 
@@ -485,25 +490,24 @@ def seeded_slot_breaks(ax, rng):
     least member, or its idempotents replaced by 1-3 random elements or
     joined by one, or the identity as the idempotent of the ideal joined
     by it."""
-    st_ = ax.structure
+    lists = ideal_lists(ax.structure)
     size = ax.monoid.size
 
     def pick(k):
         return tuple(sorted(rng.sample(range(size), min(k, size))))
 
-    b = rng.randrange(len(st_.ideals))
-    members, js = st_.ideals[b].members, st_.idempotents_by_ideal[b]
-    lists = [pick(rng.randint(1, 6)), tuple(sorted(set(members) | set(pick(1)))), members[1:] or members]
-    ideal_breaks = [st_.ideals[:b] + (replace(st_.ideals[b], members=new),) + st_.ideals[b + 1:] for new in lists]
-    idempotent_breaks = [st_.idempotents_by_ideal[:b] + (new,) + st_.idempotents_by_ideal[b + 1:]
-                         for new in (pick(rng.randint(1, 3)), tuple(sorted(set(js) | set(pick(1)))))]
+    def at_b(field, new):
+        return [*lists[field][:b], new, *lists[field][b + 1:]]
+
+    b = rng.randrange(ax.structure.ideal_count)
+    members, js = lists["members"][b], lists["idempotents"][b]
+    ideal_breaks = [pick(rng.randint(1, 6)), tuple(sorted(set(members) | set(pick(1)))), members[1:] or members]
+    idempotent_breaks = [pick(rng.randint(1, 3)), tuple(sorted(set(js) | set(pick(1))))]
     # the identity as the only idempotent of the ideal joined by it: uM is
     # closed with identity u, and only the inverse test fails
-    with_identity = st_.ideals[:b] + (replace(st_.ideals[b], members=tuple(sorted({0, *members}))),) + st_.ideals[b + 1:]
-    return [with_structure(ax, ideals=i) for i in ideal_breaks] + \
-        [with_structure(ax, idempotents_by_ideal=j) for j in idempotent_breaks] + \
-        [with_structure(ax, ideals=with_identity, idempotents_by_ideal=st_.idempotents_by_ideal[:b] + ((0,),)
-                        + st_.idempotents_by_ideal[b + 1:])]
+    return [with_structure(ax, members=at_b("members", new)) for new in ideal_breaks] + \
+        [with_structure(ax, idempotents=at_b("idempotents", new)) for new in idempotent_breaks] + \
+        [with_structure(ax, members=at_b("members", tuple(sorted({0, *members}))), idempotents=at_b("idempotents", (0,)))]
 
 
 def test_ideal_algebra_pass_matches_the_loops_on_random_flows():
@@ -520,20 +524,20 @@ def test_ideal_algebra_pass_matches_the_loops_on_random_flows():
         except MonoidTooLarge:
             continue
         m, st_ = ax.monoid, ax.structure
-        assert st_ == reference_ideal_structure(m), format_flow(ax.flow)
+        assert ideal_lists(st_) == reference_ideal_structure(m), format_flow(ax.flow)
         assert ax.equivalent_pairs == reference_equivalent_idempotents(m, st_)
         pairs = np.argwhere(np.triu(ax.proximal & ~ax.strongly_proximal, 1))
         assert sp_witnesses(ax, pairs) == [reference_sp_witness(m, st_, x, y) for x, y in pairs.tolist()]
 
         cases = seeded_slot_breaks(ax, rng)
-        lists = [ideal.members for case in cases for ideal in case.structure.ideals]
+        lists = [members for case in cases for members in ideal_lists(case.structure)["members"]]
         us, slot_list, owner = [], [], 0
         for case in cases:
-            for ideal, js in zip(case.structure.ideals, case.structure.idempotents_by_ideal):
+            for js in ideal_lists(case.structure)["idempotents"]:
                 us.extend(js)
                 slot_list.extend([owner] * len(js))
                 owner += 1
-        pu, group = ideal_group_tests(m, lists, np.array(us), np.array(slot_list))
+        pu, group = ideal_group_tests(m, *flat_lists(lists), np.array(us), np.array(slot_list))
         expected_pu = [reference_right_identity(m, u, lists[b]) for u, b in zip(us, slot_list)]
         expected_group = [reference_is_group(m, u, m.elements[list(lists[b])]) for u, b in zip(us, slot_list)]
         assert pu.tolist() == expected_pu and group.tolist() == expected_group, format_flow(ax.flow)

@@ -33,6 +33,8 @@ from flowrel.relations import (
     transitive_closure,
 )
 from oracles import (
+    flat_lists,
+    ideal_lists,
     reference_all_translates_in,
     reference_backward_invariant,
     reference_element_proximal,
@@ -205,7 +207,7 @@ def member_sets(m, rng):
     """The minimal ideals, and sets that break S¹p = M in each way: an
     ideal plus or minus an element, the union of the ideals, S¹q for a
     random q, the whole monoid, a random subset and unsorted copies."""
-    ideals = [ideal.members for ideal in ideal_structure(m).ideals]
+    ideals = ideal_lists(ideal_structure(m))["members"]
     union = tuple(sorted(set().union(*ideals)))
     q = int(rng.integers(m.size))
     subset = tuple(sorted(set(rng.integers(m.size, size=3).tolist())))
@@ -230,8 +232,8 @@ def test_left_action_counterexample_matches_per_member_loop(flow, seed):
         return
     sets = member_sets(m, np.random.default_rng(seed))
     expected = [reference_mp_counterexample(m, members) for members in sets]
-    assert left_action_counterexamples(m, sets) == expected
-    assert left_action_counterexamples(m, sets[::-1] + sets) == expected[::-1] + expected
+    assert left_action_counterexamples(m, *flat_lists(sets)) == expected
+    assert left_action_counterexamples(m, *flat_lists(sets[::-1] + sets)) == expected[::-1] + expected
 
 
 # -- each replaced invariance check, broken in turn --------------------------------

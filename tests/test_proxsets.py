@@ -28,10 +28,12 @@ from flowrel.reports import flow_report
 from oracles import (
     apply,
     element_of,
+    ideal_lists,
     image_tuple,
     reference_invertible_image_check,
     reference_minimal_ideal_collapse,
     reference_sp_matches_class_squares,
+    structure_from_lists,
 )
 
 
@@ -56,10 +58,10 @@ def test_minimal_ideal_collapse():
     ax = analyze_flow(CONSTANTS_FLOW)
     ideal = reference_minimal_ideal_collapse(ax, {0, 1})
     assert ideal is not None
-    assert [image_tuple(ax.monoid, i) for i in ideal.members] == [(0, 0), (1, 1)]
+    assert [image_tuple(ax.monoid, i) for i in ideal_lists(ax.structure)["members"][ideal]] == [(0, 0), (1, 1)]
     ax2 = analyze_flow(TWO_IDEAL_FLOW)
     ideal2 = reference_minimal_ideal_collapse(ax2, {0, 1})
-    assert ideal2 is not None and ideal2.kernel == (0, 0, 1, 1)
+    assert ideal2 is not None and ideal_lists(ax2.structure)["kernels"][ideal2] == (0, 0, 1, 1)
     assert reference_minimal_ideal_collapse(ax2, {0, 2}) is None
 
 
@@ -67,7 +69,7 @@ def test_partitions_differ_across_ideals():
     ax = analyze_flow(TWO_IDEAL_FLOW)
     parts = [
         sorted(sorted(c) for c in i_proximal_partition(ax, k))
-        for k in range(len(ax.structure.ideals))
+        for k in range(ax.structure.ideal_count)
     ]
     assert parts == [[[0, 1], [2, 3]], [[0, 3], [1, 2]]]
 
@@ -151,12 +153,11 @@ def test_validate_partitions_rejects_a_split_kernel():
     # a kernel labelling finer than the ideal's true partition separates
     # two states that every member of the ideal collapses
     ax = analyze_flow(TWO_IDEAL_FLOW)
-    st = ax.structure
-    ideal = st.ideals[0]
-    split = list(ideal.kernel)
+    lists = ideal_lists(ax.structure)
+    split = list(lists["kernels"][0])
     y = next(y for y in range(1, len(split)) if split[y] == split[0])
     split[y] = max(split) + 1
-    ax = replace(ax, structure=replace(st, ideals=(replace(ideal, kernel=tuple(split)),) + st.ideals[1:]))
+    ax = replace(ax, structure=structure_from_lists(**{**lists, "kernels": [tuple(split), *lists["kernels"][1:]]}))
     result = validate_partitions(ax)
     assert not result.passed and "distinct ideal-proximal classes share an image" in result.detail
     assert [r for r in proxset_check_suite(ax) if r.name == "per_ideal_partitions_valid"] == [result]

@@ -32,7 +32,7 @@ from flowrel.relations import (
     verify_relation_forms,
 )
 from flowrel.reports import flow_report
-from oracles import apply, element_of, is_idempotent, reference_is_equivalence
+from oracles import apply, element_of, ideal_lists, is_idempotent, reference_is_equivalence, structure_from_lists
 
 
 def pairs(rel):
@@ -379,7 +379,7 @@ def test_cross_ideal_partner_check_reads_the_analysis_pairs():
     assert [r.passed for r in relation_check_suite(ax) if r.name == check] == [True]
     (result,) = [r for r in relation_check_suite(replace(ax, equivalent_pairs=[])) if r.name == check]
     assert not result.passed
-    first = ax.structure.idempotents_by_ideal[0][0]
+    first = ax.structure.all_idempotents[0]
     assert result.detail == f"idempotent {first} has no partner in ideal 1"
 
 
@@ -413,9 +413,10 @@ def test_a_broken_structure_reaches_the_three_way_equivalence():
     # TWO_IDEAL_FLOW listed with its first ideal only: P is still no
     # equivalence, but the structure now claims a unique minimal ideal
     ax = analyze_flow(TWO_IDEAL_FLOW)
-    st = ax.structure
-    one = replace(ax, structure=replace(st, ideals=st.ideals[:1], idempotents_by_ideal=st.idempotents_by_ideal[:1]),
-                  equivalent_pairs=[])
+    lists = ideal_lists(ax.structure)
+    first_only = structure_from_lists(lists["members"][:1], lists["idempotents"][:1], lists["kernels"][:1],
+                                      lists["refinement"])
+    one = replace(ax, structure=first_only, equivalent_pairs=[])
     rep = check_unique_ideal_equiv(one)
     assert rep["unique_minimal_ideal"] and not rep["p_is_equivalence"] and not rep["consistent"]
     (result,) = [r for r in relation_check_suite(one) if r.name == "three_way_equivalence"]
