@@ -24,12 +24,13 @@ unwritable --out error, 3 monoid too large.
 from __future__ import annotations
 
 import difflib
+import functools
+import gc
 import json
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
@@ -59,6 +60,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_TOO_LARGE = 3
 EMIT_SLICE = 1 << 20  # characters per write of ``emit``
+DIGIT_CHUNK = 4  # digits per gather of ``_cell_digits``
 
 
 def dump(report: dict) -> str:
@@ -68,9 +70,9 @@ def dump(report: dict) -> str:
     per line.  This writer writes each non-empty 2-D integer ndarray with
     non-negative entries (monoid rows, relation pairs) in one array pass
     per row block (``_write_rows``), reads any other ndarray as its
-    ``tolist()``, joins each list whose items are all of type int (bools,
-    which json writes as true/false, are not) in one pass, writes a dict of
-    records (the witness maps) in one pass (``_write_records``), writes
+    ``tolist()``, writes a witness map (``reports.RecordMap``) in one pass
+    from its columns (``_write_record_map``), joins each list of ints, of
+    int lists or of flat records in one pass (``_flat_list``), writes
     strings and keys with json's own C quoting function, None, True and
     False from a table, and leaves every other scalar to ``json.dumps``."""
     out: list[str] = []
@@ -80,6 +82,9 @@ def dump(report: dict) -> str:
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+# the text of each flat value by its type; bools are not ints here
+_FLAT = {str: encode_basestring_ascii, int: int.__repr__, bool: _CONSTANTS.__getitem__,
+         type(None): _CONSTANTS.__getitem__}
 
 
 def _write(value, newline: str, out: list[str]) -> None:
@@ -91,22 +96,24 @@ def _write(value, newline: str, out: list[str]) -> None:
     elif value is None or type(value) is bool:
         out.append(_CONSTANTS[value])
     elif isinstance(value, dict) and value:
-        # most dicts are no record maps, which their first value shows
-        if type(next(iter(value.values()))) is not dict or not _write_records(value, newline, out):
-            sep = "{" + inner
-            for key, item in sorted(value.items()):
-                out.append(sep + encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key)) + ": ")
-                _write(item, inner, out)
-                sep = "," + inner
-            out.append(newline + "}")
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(sep + encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key)) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
     elif isinstance(value, np.ndarray):
         if value.ndim == 2 and value.size and value.dtype.kind in "iu" and value.min() >= 0:
             _write_rows(value, newline, out)
         else:
             _write(value.tolist(), newline, out)
-    elif isinstance(value, (list, tuple)) and value and {int}.issuperset(map(type, value)):
-        out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+    elif isinstance(value, reports.RecordMap):
+        _write_record_map(value, newline, out)
     elif isinstance(value, (list, tuple)) and value:
+        text = _flat_list(value, newline)
+        if text is not None:
+            out.append(text)
+            return
         sep = "[" + inner
         for item in value:
             out.append(sep)
@@ -117,74 +124,165 @@ def _write(value, newline: str, out: list[str]) -> None:
         out.append(json.dumps(value))
 
 
-def _write_records(value: dict, newline: str, out: list[str]) -> bool:
-    """json's text of a dict at indent ``newline`` whose keys are strings
-    and whose values are dicts with one and the same non-empty tuple of
-    string fields, each mapped to an int (the witness maps, one record per
-    pair), in one pass: the keys are sorted once, each field is read as a
-    column, and every record is one %-format of one template.  False, with
-    nothing written, for any other dict."""
-    keys = sorted(value)
-    records = [value[key] for key in keys]
-    if not ({str}.issuperset(map(type, keys)) and {dict}.issuperset(map(type, records))):
-        return False
-    shapes = set(map(tuple, records))
-    fields = shapes.pop()
-    if shapes or not fields or not {str}.issuperset(map(type, fields)):
-        return False
-    names = sorted(fields)
-    columns = [list(map(itemgetter(name), records)) for name in names]
-    if not {int}.issuperset(map(type, chain.from_iterable(columns))):
-        return False
+def _flat_list(value: list | tuple, newline: str) -> str | None:
+    """json's text at indent ``newline`` of a non-empty list whose items
+    are all ints, all lists of ints (partitions, ideals, idempotents), or
+    all flat records: dicts with one and the same non-empty set of string
+    keys and only str, int, bool or None values (the checks, the ternary
+    pairs).  Each is one join; a record list fills one template, its keys
+    sorted once.  None, with nothing built, for any other list."""
     inner = newline + "  "
     deeper = inner + "  "
-    body = ("," + deeper).join(encode_basestring_ascii(name).replace("%", "%%") + ": %d" for name in names)
-    template = "%s: {" + deeper + body + inner + "}"
-    rows = zip(map(encode_basestring_ascii, keys), *columns)
-    out.append("{" + inner + ("," + inner).join(map(template.__mod__, rows)) + newline + "}")
-    return True
+    kinds = set(map(type, value))
+    if kinds == {int}:
+        items = map(str, value)
+    elif kinds <= {list, tuple}:
+        if not {int}.issuperset(map(type, chain.from_iterable(value))):
+            return None
+        items = ("[" + deeper + ("," + deeper).join(map(str, item)) + inner + "]" if item else "[]" for item in value)
+    elif kinds == {dict}:
+        fields = value[0].keys()
+        if not fields or not {str}.issuperset(map(type, fields)) or any(item.keys() != fields for item in value):
+            return None
+        names = sorted(fields)
+        try:
+            cells = [_FLAT[type(v)](v) for item in value for v in map(item.__getitem__, names)]
+        except KeyError:  # a value that is no flat value
+            return None
+        body = ("," + deeper).join(encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in names)
+        items = map(("{" + deeper + body + inner + "}").__mod__, zip(*[iter(cells)] * len(names)))
+    else:
+        return None
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def _write_record_map(value: reports.RecordMap, newline: str, out: list[str]) -> None:
+    """json's text of a record map's plain form at indent ``newline``, from
+    its columns.  json sorts the keys "x,y" as strings ("10,3" before
+    "2,5"), and since "," sorts before every digit that is the order of
+    (str(x), str(y)): one ``lexsort`` of the two pair columns' string
+    orders (``_string_order``).  The sorted pairs and fields are then one
+    table of cells, each record one row of ``_write_table``; a map with a
+    negative entry is written as its ``tolist()``."""
+    if not len(value.pairs):
+        out.append("{}")
+        return
+    names = sorted(value.columns)
+    xs, ys = value.pairs.T
+    order = np.lexsort(_string_order(ys) + _string_order(xs))
+    table = np.column_stack([value.pairs[order], *(value.columns[name][order] for name in names)])
+    if table.min() < 0:
+        _write(value.tolist(), newline, out)
+        return
+    inner = newline + "  "
+    deeper = inner + "  "
+    keys = [encode_basestring_ascii(name) + ": " for name in names]
+    out.append("{")
+    _write_table(table, [inner + '"', ",", '": {' + deeper + keys[0], *("," + deeper + key for key in keys[1:]),
+                         inner + "},"], out)
+    out.append(newline + "}")
+
+
+def _string_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``lexsort`` keys, the minor key first, that order non-negative
+    integers as their decimal strings compare: by the digits scaled to the
+    column's largest digit count W (``v * 10**(W - d)`` for d digits),
+    then by d, since a string sorts after each of its proper prefixes."""
+    width = len(str(int(values.max())))
+    digits = np.searchsorted(10 ** np.arange(1, width), values, side="right") + 1
+    return digits, values * 10 ** (width - digits)
+
+
+@functools.cache
+def _digit_table(width: int) -> np.ndarray:
+    """One ``V{width}`` item of digit slots per number c below 10**width:
+    item c holds c's ASCII digits with leading zeros, item 10**width + c
+    the same with a zero byte in each leading position (c's text right-
+    aligned, "0" for c = 0), and the last item zero bytes only.  An item
+    is copied as one unit, which a gather of its bytes is not."""
+    values = np.arange(10**width)[:, None]
+    powers = 10 ** np.arange(width - 1, -1, -1)
+    padded = (values // powers % 10 + 48).astype(np.uint8)
+    leading = np.where((values < powers) & (powers > 1), np.uint8(0), padded)
+    return np.vstack([padded, leading, np.zeros((1, width), dtype=np.uint8)]).view(f"V{width}")[:, 0]
+
+
+def _cell_digits(block: np.ndarray, width: int) -> np.ndarray:
+    """The digit slots of the non-negative entries of ``block``, each
+    below 10**width, as ``V{width}`` items: its ASCII digits right-
+    aligned, a zero byte in each leading position.  Up to four digits this
+    is one ``take`` from ``_digit_table(width)``; a wider entry is taken
+    four digits at a time, from the right, each chunk's item picked by
+    whether the entry has digits above it (zeros kept), starts in it
+    (zeros dropped) or ends below it (all zero bytes)."""
+    if width <= DIGIT_CHUNK:
+        return _digit_table(width)[10**width:].take(block)
+    digits = np.empty((*block.shape, width), dtype=np.uint8)
+    for low in range(0, width, DIGIT_CHUNK):
+        w = min(DIGIT_CHUNK, width - low)
+        index = (block // 10**low % 10**w).astype(np.intp)
+        if low + w < width:
+            index[block < 10 ** (low + w)] += 10**w  # no digits above: leading zeros dropped
+        else:
+            index += 10**w  # the top chunk
+        if low:
+            index[block < 10**low] = 2 * 10**w  # no digits here or above
+        digits[..., width - low - w:width - low] = _digit_table(w).take(index)[..., None].view(np.uint8)
+    return digits.view(f"V{width}")[..., 0]
 
 
 def _block_rows(value: np.ndarray, row_bytes: int) -> int:
-    """Rows per block of ``_write_rows``: a block's text buffer holds no
+    """Rows per block of ``_write_table``: a block's text buffer holds no
     more bytes than the array itself, and at least one row."""
     return max(1, value.nbytes // row_bytes)
 
 
 def _write_rows(value: np.ndarray, newline: str, out: list[str]) -> None:
     """json's text of a non-empty ``(rows, cols)`` array of non-negative
-    integers at indent ``newline``.
-
-    Each cell gets W byte slots, W the digit count of the largest entry,
-    in one row template of json's brackets, commas and indents.  A block
-    of rows is the template broadcast over a uint8 buffer; each cell's
-    digits are written right-aligned, ``(v // 10**c) % 10 + 48``, with a
-    zero byte in each leading position, and the buffer's nonzero bytes
-    are the block's text, decoded once."""
+    integers at indent ``newline``: each row one row of ``_write_table``."""
     inner = newline + "  "
     deeper = inner + "  "
+    out.append("[")
+    _write_table(value, [inner + "[" + deeper, *["," + deeper] * (value.shape[1] - 1), inner + "],"], out)
+    out.append(newline + "]")
+
+
+def _write_table(value: np.ndarray, pieces: list[str], out: list[str]) -> None:
+    """The text of every row of a non-empty ``(rows, cols)`` array of
+    non-negative integers: ``pieces[0]``, then each cell's digits followed
+    by the next of the ``cols`` further pieces, of which the last ends with
+    a comma that the last row leaves out.
+
+    Each cell gets W byte slots, W the digit count of the largest entry,
+    in one row template.  A block of rows is the template broadcast over a
+    uint8 buffer, and the cells' digits (``_cell_digits``) are written into
+    their slots, right-aligned with a zero byte in each leading position,
+    one assignment per run of columns whose slots lie one stride apart
+    (all but the last column of an array); dropping the buffer's zero bytes
+    leaves the block's text, decoded once."""
     rows, cols = value.shape
     width = len(str(int(value.max())))
-    sep = ("," + deeper).encode()
-    head = (inner + "[" + deeper).encode()
-    template = np.frombuffer(head + sep.join([bytes(width)] * cols) + (inner + "],").encode(), dtype=np.uint8)
-    stride = width + len(sep)
+    head, *gaps = (piece.encode() for piece in pieces)
+    template = np.frombuffer(head + b"".join(bytes(width) + gap for gap in gaps), dtype=np.uint8)
+    runs = []  # [first column, columns, offset of the first slot, stride]
+    offset = len(head)
+    for column, gap in enumerate(gaps):
+        if runs and runs[-1][3] == width + len(gap):
+            runs[-1][1] += 1
+        else:
+            runs.append([column, 1, offset, width + len(gap)])
+        offset += width + len(gap)
     step = _block_rows(value, template.size)
-    out.append("[")
     for lo in range(0, rows, step):
         block = value[lo:lo + step]
         buf = np.broadcast_to(template, (len(block), template.size)).copy()
-        for c in range(width):
-            digits = block % 10 + 48
-            if c:
-                digits[block == 0] = 0  # a leading position: the entry is below 10**c
-            start = len(head) + width - 1 - c
-            buf[:, start:start + cols * stride:stride] = digits
-            block = block // 10
+        digits = _cell_digits(block, width)
+        for first, count, start, stride in runs:
+            slots = buf[:, start:start + count * stride].reshape(len(block), count, stride)[:, :, :width]
+            slots.view(f"V{width}")[..., 0] = digits[:, first:first + count]
         if lo + step >= rows:
             buf[-1, -1] = 0  # no comma after the last row
-        out.append(buf[buf != 0].tobytes().decode("ascii"))
-    out.append(newline + "]")
+        out.append(buf.tobytes().replace(b"\0", b"").decode("ascii"))
 
 
 def emit(payload: str, out: str | None) -> bool:
@@ -560,7 +658,17 @@ def apply_config(args: SimpleNamespace) -> SimpleNamespace:
     return args
 
 
+@functools.cache
+def _freeze_imports() -> None:
+    gc.freeze()
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.  The first call of a
+    process moves every object alive after the imports (numpy's and the
+    package's) into the collector's permanent generation, so no collection
+    inside a command walks them again; later calls freeze nothing."""
+    _freeze_imports()
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         args = apply_config(args)

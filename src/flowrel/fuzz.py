@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .finflow import (
     MonoidTooLarge,
     TransMonoid,
     _row_keys,
-    _state_sets,
     compose_rows,
     format_flow,
     idempotent_mask,
@@ -59,6 +59,7 @@ from .relations import (
     proximal_sets,
     quotient_by_icer,
     transitive_closure,
+    upper_pairs,
 )
 
 
@@ -144,7 +145,7 @@ def relation_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     bad_pu, bad_group = np.flatnonzero(~pu_ok)[:1], np.flatnonzero(~group_ok)[:1]
     pu_detail = "".join(f"pu != p at ideal {slot_ideal[t]}" for t in bad_pu)
     group_detail = "".join(f"uM not a group at ideal {slot_ideal[t]} idempotent {us[t]}" for t in bad_group)
-    pairs = np.argwhere(np.triu(ax.idempotent_equivalence & (slot_ideal[:, None] == slot_ideal), 1))
+    pairs = upper_pairs(ax.idempotent_equivalence & (slot_ideal[:, None] == slot_ideal), 1)
     intra_detail = "idempotents {} and {} equivalent in ideal {}".format(
         *us[pairs[0]], slot_ideal[pairs[0][0]]) if pairs.size else ""
     out.append(_result("ideal_absorption_Mp_equals_M", not mp_detail, mp_detail))
@@ -368,7 +369,7 @@ def proxset_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     ]
 
 
-def invertible_image_check(ax: FlowAnalysis, candidates: list[tuple[int, ...]],
+def invertible_image_check(ax: FlowAnalysis, candidates: Candidates,
                            subsets: dict[tuple[int, ...], bool]) -> CheckResult:
     """The image of a proximal set under an invertible generator stays
     proximal (the translate lemma; its proof needs the inverse, and it
@@ -376,35 +377,41 @@ def invertible_image_check(ax: FlowAnalysis, candidates: list[tuple[int, ...]],
     ``candidates`` of at most 3 states and on every per-ideal class.
 
     The chosen candidates become rows padded with their least member
-    (``finflow._state_sets``), gathered under every invertible generator
-    at once.  An invertible map keeps a set's size, so the images of 3-
-    and 4-sets are read from ``subsets`` (``proximal_subsets``) when it
-    lists them, and every other image is tested in one ``proximal_sets``
-    call.  The counterexample is the first failing (candidate, generator)
-    in candidate order, then generator order."""
+    (``_set_rows``), the classes of more than 3 states apart from the
+    rest, so that no small set is padded to a class's width, and each
+    group is gathered under every invertible generator at once.  An
+    invertible map keeps a set's size, so the images of 3- and 4-sets are
+    read from ``subsets`` (``proximal_subsets``) when it lists them, and
+    every other image of a group is tested in one ``proximal_sets`` call.
+    The counterexample is the first failing (candidate, generator) in
+    candidate order, then generator order."""
     name = "invertible_generator_image_of_proximal_set_proximal"
     n = ax.n_states
     gens = np.array(ax.flow.generators)
     invertible = gens[(np.sort(gens, axis=1) == np.arange(n)).all(axis=1)]
     if not invertible.size:
         return CheckResult(name, True)
-    classes = set(chain.from_iterable(ax.structure.classes[:-1]))
-    small = [c for c in candidates if len(c) <= 3 or c in classes]
-    sizes = np.fromiter(map(len, small), np.intp, len(small))
-    rows = _state_sets(small)
-    images = invertible[:, rows].transpose(1, 0, 2)  # (candidate, generator, member)
-    proximal = np.empty(images.shape[:2], dtype=bool)
-    tested = np.ones(len(small), dtype=bool)
-    for k in (3, 4) if subsets else ():
-        sized = sizes == k
-        tested &= ~sized
-        sets = np.sort(images[sized, :, :k], axis=2).reshape(-1, k).tolist()
-        proximal[sized] = np.reshape([subsets[t] for t in map(tuple, sets)], (-1, len(invertible)))
-    proximal[tested] = proximal_sets(ax, images[tested].reshape(-1, rows.shape[1])).reshape(-1, len(invertible))
+    members, sizes, classes = candidates
+    starts = np.cumsum(sizes) - sizes
+    proximal = np.ones((len(sizes), len(invertible)), dtype=bool)  # candidates left out stay True
+    for group in (np.flatnonzero(sizes <= 3), np.flatnonzero(classes & (sizes > 3))):
+        if not group.size:
+            continue
+        rows = _set_rows(members, starts[group], sizes[group])
+        images = invertible[:, rows].transpose(1, 0, 2)  # (candidate, generator, member)
+        tested = np.ones(len(group), dtype=bool)
+        for k in (3, 4) if subsets else ():
+            sized = sizes[group] == k
+            tested &= ~sized
+            sets = np.sort(images[sized, :, :k], axis=2).reshape(-1, k).tolist()
+            proximal[group[sized]] = np.reshape([subsets[t] for t in map(tuple, sets)], (-1, len(invertible)))
+        flat = images[tested].reshape(-1, rows.shape[1])
+        proximal[group[tested]] = proximal_sets(ax, flat).reshape(-1, len(invertible))
     if proximal.all():
         return CheckResult(name, True)
     c, g = np.argwhere(~proximal)[0]
-    return CheckResult(name, False, f"tA not proximal: A={list(small[c])} g={tuple(invertible[g].tolist())}")
+    cols = members[starts[c]:starts[c] + sizes[c]]
+    return CheckResult(name, False, f"tA not proximal: A={cols.tolist()} g={tuple(invertible[g].tolist())}")
 
 
 def proximal_subsets(ax: FlowAnalysis) -> dict[tuple[int, ...], bool]:
@@ -444,7 +451,7 @@ def validate_partitions(ax: FlowAnalysis) -> CheckResult:
         members, js = st.kernel_elements[st.member_ideals == k], st.all_idempotents[st.idempotent_ideals == k]
         images = e[np.ix_(members, firsts)]
         shared = images[:, :, None] == images[:, None, :]
-        pairs = np.argwhere(np.triu(shared.any(axis=0), 1))
+        pairs = upper_pairs(shared.any(axis=0), 1)
         if pairs.size:
             p = members[shared[:, pairs[0][0], pairs[0][1]].argmax()]
             return CheckResult(name, False, f"distinct ideal-proximal classes share an image under element {p}")
@@ -528,23 +535,68 @@ def max_sp_sets_fixed_by_all_idempotents(ax: FlowAnalysis) -> CheckResult:
     return CheckResult("max_sp_class_fixed_by_all_idempotents", True)
 
 
-def proximal_candidates(ax: FlowAnalysis, subsets: dict[tuple[int, ...], bool]) -> list[tuple[int, ...]]:
-    """Structured proximal-set candidates, sorted: every singleton, every
-    per-ideal class, every proximal pair, and every proximal set among the
-    tested ``subsets`` (``proximal_subsets``: all of sizes 3 and 4 on small
-    state sets, where the subset count stays polynomial in practice).
+class Candidates(NamedTuple):
+    """State sets in the order of their sorted tuples, each once: every
+    set's members in increasing order, concatenated (``members``), the
+    sets' ``sizes``, and whether each is a per-ideal class
+    (``classes``)."""
+
+    members: np.ndarray
+    sizes: np.ndarray
+    classes: np.ndarray
+
+
+def _set_rows(members: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The sets of ``sizes[i]`` members from ``members[starts[i]]`` on, as
+    the rows of an int array padded with each set's least member
+    (``finflow._state_sets``' form).  On sorted members the rows compare
+    as the sets' tuples do: where the shorter set's padding starts, the
+    longer one holds a member above the least."""
+    cols = np.arange(int(sizes.max(initial=1)))
+    return members[starts[:, None] + np.where(cols < sizes[:, None], cols, 0)]
+
+
+def proximal_candidates(ax: FlowAnalysis, subsets: dict[tuple[int, ...], bool]) -> Candidates:
+    """Structured proximal-set candidates: every singleton, every per-ideal
+    class, every proximal pair, and every proximal set among the tested
+    ``subsets`` (``proximal_subsets``: all of sizes 3 and 4 on small state
+    sets, where the subset count stays polynomial in practice).
 
     The pair family alone makes the r(A)-image biconditional exact in the
     converse direction, which only ever needs two-element sets.
-    """
+
+    The classes of ideal k are the runs of one stable argsort of its kernel
+    labels.  Every set's key (``_row_keys``) is its first five members
+    (``_set_rows``), then, for a set of more than five members (only
+    classes of different ideals can share five), its rank among those
+    sets' full rows; one sort of the keys orders the sets and merges
+    equal ones.  So no set is padded to the widest class's width but the
+    long ones."""
     n = ax.n_states
-    found = {(x,) for x in range(n)} | {c for c, proximal in subsets.items() if proximal}
-    found.update(map(tuple, np.argwhere(np.triu(ax.proximal, 1)).tolist()))
-    found.update(chain.from_iterable(ax.structure.classes[:-1]))
-    return sorted(found)
+    kernels = ax.structure.labels[:-1]
+    counts = np.bincount((kernels + n * np.arange(len(kernels))[:, None]).ravel(), minlength=kernels.size)
+    fixed = [np.arange(n)[:, None], upper_pairs(ax.proximal, 1)]
+    fixed += [np.array([c for c, ok in subsets.items() if ok and len(c) == k], dtype=np.intp).reshape(-1, k)
+              for k in (3, 4)]
+    members = np.concatenate([f.ravel() for f in fixed] + [np.argsort(kernels, axis=1, kind="stable").ravel()])
+    sizes = np.concatenate((np.repeat(np.arange(1, 5), [len(f) for f in fixed]), counts[counts > 0]))
+    classes = np.arange(len(sizes)) >= len(sizes) - np.count_nonzero(counts)
+    starts = np.cumsum(sizes) - sizes
+    rank = np.zeros(len(sizes), dtype=np.intp)
+    long = np.flatnonzero(sizes > 5)
+    if long.size:
+        full = _row_keys(_set_rows(members, starts[long], sizes[long]), n)
+        rank[long] = np.searchsorted(sorted_unique(full), full) + 1
+    keys = _row_keys(np.column_stack((_set_rows(members, starts, np.minimum(sizes, 5)), rank)), max(n, long.size + 1))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))  # each run of equal sets
+    kept = order[first]
+    return Candidates(members[_ragged(starts[kept], sizes[kept])], sizes[kept],
+                      np.logical_or.reduceat(classes[order], first))
 
 
-def check_rA_proximal_equiv(ax: FlowAnalysis, candidates: list[tuple[int, ...]]) -> CheckResult:
+def check_rA_proximal_equiv(ax: FlowAnalysis, candidates: Candidates) -> CheckResult:
     """P is an equivalence relation iff r(A) is proximal for every
     (enumerated) proximal set A and every monoid element r; ``candidates``
     is ``proximal_candidates(ax, proximal_subsets(ax))``.
@@ -556,13 +608,16 @@ def check_rA_proximal_equiv(ax: FlowAnalysis, candidates: list[tuple[int, ...]])
     p_equiv = ax.p_is_equivalence
     all_images_proximal = True
     witness = ""
-    for cols in candidates:
-        images = m.elements[:, list(cols)]
+    members, sizes, _ = candidates
+    ends = np.cumsum(sizes).tolist()
+    for lo, hi in zip([0, *ends], ends):
+        cols = members[lo:hi]
+        images = m.elements[:, cols]
         ok = proximal_sets(ax, images)
         if not ok.all():
             r = int(np.nonzero(~ok)[0][0])
             all_images_proximal = False
-            witness = f"A={list(cols)} r={tuple(m.elements[r].tolist())} rA={sorted(set(int(v) for v in images[r]))}"
+            witness = f"A={cols.tolist()} r={tuple(m.elements[r].tolist())} rA={sorted(set(images[r].tolist()))}"
             break
     return _result(
         "rA_proximal_iff_p_equivalence",

@@ -25,9 +25,10 @@ The report's witnesses are batched: the P witness of every pair is
 ``finflow.first_collapsers`` on all pairs at once, and ``sp_witnesses``
 finds the first separating ideal and member of every pair out of SP with
 one blocked scan of all the ideals' members, and the idempotent powers of
-all distinct separators together; the per-pair loops are references in
-``tests/oracles.py``.  Whether P and SP are equivalence relations is read
-once per analysis (``FlowAnalysis.p_is_equivalence``, ``sp_is_equivalence``).
+all distinct separators together, as int columns; the per-pair loops and
+their dicts are references in ``tests/oracles.py``.  Whether P and SP are
+equivalence relations is read once per analysis
+(``FlowAnalysis.p_is_equivalence``, ``sp_is_equivalence``).
 
 Caveat for non-invertible generators: the classical invariance facts
 refine as follows on monoid models.  P is backward invariant and D forward
@@ -74,6 +75,15 @@ def is_equivalence(m: np.ndarray) -> bool:
     each row equals the row of its least member (if x ~ y, the least members
     of x and y are related to both, so they are equal and so are the rows)."""
     return bool(m.diagonal().all() and (m == m.T).all() and (m[m.argmax(axis=1)] == m).all())
+
+
+def upper_pairs(matrix: np.ndarray, offset: int = 0) -> np.ndarray:
+    """The pairs (x, y) with y >= x + offset of a boolean ``(n, n)``
+    relation, in row-major order: ``np.argwhere(np.triu(matrix, offset))``
+    from one ``flatnonzero``, without the triangle mask."""
+    xs, ys = np.divmod(np.flatnonzero(matrix), matrix.shape[1])
+    keep = ys - xs >= offset
+    return np.stack((xs[keep], ys[keep]), axis=1)
 
 
 def diagonal(n: int) -> np.ndarray:
@@ -259,17 +269,18 @@ def proximal_sets(ax: FlowAnalysis, sets) -> np.ndarray:
 # Witness construction
 
 
-def sp_witnesses(ax: FlowAnalysis, pairs: np.ndarray) -> list[dict]:
+def sp_witnesses(ax: FlowAnalysis, pairs: np.ndarray) -> dict[str, np.ndarray]:
     """The SP witness of each pair (a row of the ``(k, 2)`` array
-    ``pairs``).  A pair in SP cites that every minimal ideal collapses it.
-    A pair out of SP gets the first ideal with a member separating it, the
-    first such member, and that element's idempotent power, which fixes
+    ``pairs``) as three int columns: ``ideal``, the first ideal with a
+    member separating the pair, ``separator``, the first such member, and
+    ``fixing_idempotent``, that element's idempotent power, which fixes
     the separated images (an almost periodic non-diagonal limit of the
-    pair).  One blocked scan (``first_rows``) of the structure's
+    pair).  A pair in SP, which every minimal ideal collapses, reads -1 in
+    all three.  One blocked scan (``first_rows``) of the structure's
     ``kernel_elements``, every ideal's members in ideal order, finds every
-    separator: its first hit is
-    the first member of the first separating ideal.  The idempotent powers
-    of all distinct separators come from one ``idempotent_powers`` call."""
+    separator: its first hit is the first member of the first separating
+    ideal.  The idempotent powers of all distinct separators come from one
+    ``idempotent_powers`` call."""
     m, st = ax.monoid, ax.structure
     members, owner = st.kernel_elements, st.member_ideals
     hit = first_rows(m.elements, members, pairs, collapsed=False)
@@ -279,12 +290,9 @@ def sp_witnesses(ax: FlowAnalysis, pairs: np.ndarray) -> list[dict]:
     images = m.elements[separator[:, None], pairs[out]]
     if (m.elements[fixing[:, None], images] != images).any():
         raise AssertionError("idempotent power failed to fix the image pair")
-    found = zip(owner[hit[out]].tolist(), separator.tolist(), fixing.tolist())
-    return [
-        dict(zip(("ideal", "separator", "fixing_idempotent"), next(found))) if h >= 0
-        else {"collapsing_ideals": st.ideal_count}
-        for h in hit.tolist()
-    ]
+    found = np.full((3, len(hit)), -1, dtype=np.intp)
+    found[:, out] = owner[hit[out]], separator, fixing
+    return dict(zip(("ideal", "separator", "fixing_idempotent"), found))
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,16 @@
 Reports are dicts with a ``schema`` version; the CLI serializes them
 with sorted keys so identical inputs produce byte-identical output.  Their
 values are JSON values, except that ``flow_report`` keeps the monoid rows
-and each relation's pairs as integer arrays, which the writer encodes as
-json encodes their ``tolist()``.
+and each relation's pairs as integer arrays and each witness map as a
+``RecordMap`` of int columns, which the writer encodes as json encodes
+their ``tolist()``.
 The human-readable text renderings are projections of these dicts, never
 a separate source of truth.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +20,7 @@ from . import proxsets
 from .circles import CirclePoint, asymptotic_class, center, pair_class, step, step_back
 from .finflow import first_collapsers
 from .fuzz import proxset_check_suite, relation_check_suite
-from .relations import FlowAnalysis, is_equivalence, sp_witnesses
+from .relations import FlowAnalysis, is_equivalence, sp_witnesses, upper_pairs
 from .subshift import (
     ChaconPoint,
     ClassifyParams,
@@ -32,9 +35,20 @@ from .ternary import constant, sp_classify, ternary
 SCHEMA = 1
 
 
-def _pairs(matrix: np.ndarray) -> np.ndarray:
-    """The pairs x <= y of a relation matrix, in row-major order."""
-    return np.argwhere(np.triu(matrix))
+@dataclass(frozen=True, eq=False)
+class RecordMap:
+    """A witness map: state pairs, the rows of the ``(k, 2)`` int array
+    ``pairs``, each with a record of named int fields, held as one int
+    column per field.  Its JSON form, ``tolist()``, maps the key "x,y" of
+    each pair to the dict of its fields."""
+
+    pairs: np.ndarray
+    columns: dict[str, np.ndarray]
+
+    def tolist(self) -> dict[str, dict[str, int]]:
+        names = list(self.columns)
+        records = zip(*(column.tolist() for column in self.columns.values()))
+        return {f"{x},{y}": dict(zip(names, record)) for (x, y), record in zip(self.pairs.tolist(), records)}
 
 
 def flow_report(ax: FlowAnalysis) -> dict:
@@ -44,18 +58,14 @@ def flow_report(ax: FlowAnalysis) -> dict:
     st = ax.structure
     ideals = range(st.ideal_count)
     relations = {
-        kind: {"pairs": _pairs(rel)}
+        kind: {"pairs": upper_pairs(rel)}
         for kind, rel in (("P", ax.proximal), ("D", ax.distal), ("Omega", ax.omega),
                           ("SP", ax.strongly_proximal), ("WD", ax.weakly_distal))
     }
     p_pairs = relations["P"]["pairs"]
-    relations["P"]["witnesses"] = {
-        f"{x},{y}": {"collapser": c} for (x, y), c in zip(p_pairs.tolist(), first_collapsers(m, p_pairs).tolist())
-    }
-    out_pairs = _pairs(ax.proximal & ~ax.strongly_proximal)
-    relations["SP"]["out_witnesses"] = {
-        f"{x},{y}": w for (x, y), w in zip(out_pairs.tolist(), sp_witnesses(ax, out_pairs))
-    }
+    relations["P"]["witnesses"] = RecordMap(p_pairs, {"collapser": first_collapsers(m, p_pairs)})
+    out_pairs = upper_pairs(ax.proximal & ~ax.strongly_proximal)
+    relations["SP"]["out_witnesses"] = RecordMap(out_pairs, sp_witnesses(ax, out_pairs))
     checks = [r.as_json() for r in relation_check_suite(ax) + proxset_check_suite(ax)]
     return {
         "schema": SCHEMA,
@@ -240,14 +250,9 @@ def cc_report() -> dict:
         rep = asymptotic_class(p)
         asym.append({"point": p.describe(), **rep.as_json()})
 
-    grid = []
-    for fam1, idx1 in CC_GRID_TIERS:
-        row = []
-        for fam2, idx2 in CC_GRID_TIERS:
-            p = CirclePoint(fam1, idx1, 0.7)
-            q = CirclePoint(fam2, idx2, 2.1)
-            row.append(pair_class(p, q)["label"])
-        grid.append(row)
+    rows = [CirclePoint(fam, idx, 0.7) for fam, idx in CC_GRID_TIERS]
+    columns = [CirclePoint(fam, idx, 2.1) for fam, idx in CC_GRID_TIERS]
+    grid = [[pair_class(p, q)["label"] for q in columns] for p in rows]
 
     worst = 0.0
     for fam, idx in CC_GRID_TIERS:

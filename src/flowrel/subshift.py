@@ -51,6 +51,12 @@ class Substitution:
                 raise ValueError("substitution image leaves the alphabet")
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the alphabet and the sorted rule, computed once: every
+        lookup of a shared iterate hashes the substitution."""
         return hash((self.alphabet, tuple(sorted(self.rule.items()))))
 
     def expand(self, word: str | bytes) -> str | bytes:
@@ -238,6 +244,9 @@ def morse_fixed_points() -> dict[str, SubstFixed]:
 _BLOCK_CORE = b"0010"
 _BLOCK_LOCK = Lock()
 _SPACER = np.frombuffer(b"1", dtype=np.uint8)
+# B_k in copies of B_{k-d} (True) and spacers (False), for d = 1 and 2
+_BLOCK_PARTS = {1: (True, True, False, True)}
+_BLOCK_PARTS[2] = _BLOCK_PARTS[1] * 2 + (False,) + _BLOCK_PARTS[1]
 
 
 def _block_length(k: int) -> int:
@@ -274,12 +283,19 @@ def _block_index_for(need: int) -> int:
 
 
 def _block_pieces(k: int, a: int, b: int) -> list[np.ndarray]:
-    """Letters a..b-1 of block k >= 1 as views of B_{k-1}, read through
-    B_k = B_{k-1} B_{k-1} 1 B_{k-1}, so no block past B_{k-1} is grown."""
-    length = _block_length(k - 1)
-    prev = np.frombuffer(_block_core(k - 1), dtype=np.uint8)[:length]
-    parts = ((0, prev), (length, prev), (2 * length, _SPACER), (2 * length + 1, prev))
-    return [part[max(a - start, 0):b - start] for start, part in parts if a < start + part.size and start < b]
+    """Letters a..b-1 of block k >= 1 as views of B_j, j = max(k - 2, 0),
+    read through B_i = B_{i-1} B_{i-1} 1 B_{i-1} for i = k and, from
+    k = 2 on, i = k - 1: so no block past B_{k-2}, a ninth of B_k, is
+    grown."""
+    j = max(k - 2, 0)
+    core = np.frombuffer(_block_core(j), dtype=np.uint8)[:_block_length(j)]
+    pieces, start = [], 0
+    for part in _BLOCK_PARTS[k - j]:
+        view = core if part else _SPACER
+        if a < start + view.size and start < b:
+            pieces.append(view[max(a - start, 0):b - start])
+        start += view.size
+    return pieces
 
 
 class ChaconPoint(BiSeq):
@@ -344,7 +360,7 @@ class ChaconXi(BiSeq):
 
     def pieces(self, lo: int, hi: int) -> list[np.ndarray]:
         """The window read in the first block k >= 1 that holds it, as
-        views of B_{k-1}."""
+        views of the block core (``_block_pieces``)."""
         if self._reduction is not None:
             return self._reduction.pieces(lo, hi)
         if hi < lo:

@@ -69,6 +69,13 @@ kernel-label set test ``relations.proximal_sets``;
 ``label_classes``, a dict loop over the states, is the reference for the
 class lists of ``IdealStructure.classes``.
 
+The report's per-pair witness dicts and the sorted tuples of the
+proximal-set candidates are the references for their array forms:
+``sp_witness_dicts`` reads ``sp_witnesses``' int columns as the dicts of
+``reference_sp_witness``, ``reference_proximal_candidates`` is the set of
+tuples sorted in Python, the reference for ``fuzz.proximal_candidates``,
+and ``candidate_tuples`` reads the candidates' members back as tuples.
+
 ``structure_from_lists`` builds an ``IdealStructure`` from per-ideal
 lists, and ``ideal_lists`` reads them back: the per-ideal form of the
 structure's flat arrays, in which the references read it and the tests
@@ -656,6 +663,58 @@ def reference_sp_witness(m, structure, x: int, y: int) -> dict:
             if apply(m, p, x) != apply(m, p, y):
                 return {"ideal": k, "separator": p, "fixing_idempotent": reference_idempotent_power(m, p)}
     return {"collapsing_ideals": len(member_lists)}
+
+
+SP_WITNESS_FIELDS = ("ideal", "separator", "fixing_idempotent")
+
+
+def sp_witness_dicts(columns: dict[str, np.ndarray], ideal_count: int) -> list[dict]:
+    """``relations.sp_witnesses``' int columns as one dict per pair, the
+    form of ``reference_sp_witness``: the three fields of a separated
+    pair, and ``{"collapsing_ideals": ideal_count}`` for a pair that every
+    ideal collapses (-1 in every column)."""
+    assert list(columns) == list(SP_WITNESS_FIELDS)
+    rows = zip(*(columns[name].tolist() for name in SP_WITNESS_FIELDS))
+    return [dict(zip(SP_WITNESS_FIELDS, row)) if row[0] >= 0 else {"collapsing_ideals": ideal_count} for row in rows]
+
+
+def reference_proximal_candidates(ax, subsets) -> list[tuple[int, ...]]:
+    """``fuzz.proximal_candidates`` as a set of tuples sorted in Python:
+    every singleton, every per-ideal class, every proximal pair and every
+    proximal set among ``subsets``."""
+    n = ax.n_states
+    found = {(x,) for x in range(n)} | {c for c, proximal in subsets.items() if proximal}
+    found.update(map(tuple, np.argwhere(np.triu(ax.proximal, 1)).tolist()))
+    found.update(tuple(sorted(c)) for kernel in ideal_lists(ax.structure)["kernels"] for c in label_classes(kernel))
+    return sorted(found)
+
+
+def reference_rA_proximal_equiv(ax, candidates) -> CheckResult:
+    """``fuzz.check_rA_proximal_equiv`` on candidates given as tuples, one
+    ``fuzz.proximal_sets`` call per candidate (looked up through the
+    module, so a patched test reaches this form too)."""
+    m = ax.monoid
+    witness = ""
+    for cols in candidates:
+        images = m.elements[:, list(cols)]
+        ok = fuzz.proximal_sets(ax, images)
+        if not ok.all():
+            r = int(np.nonzero(~ok)[0][0])
+            witness = f"A={list(cols)} r={tuple(m.elements[r].tolist())} rA={sorted(set(int(v) for v in images[r]))}"
+            break
+    all_images_proximal = not witness
+    return CheckResult(
+        "rA_proximal_iff_p_equivalence",
+        ax.p_is_equivalence == all_images_proximal,
+        "" if ax.p_is_equivalence == all_images_proximal
+        else f"p_equiv={ax.p_is_equivalence} but all r(A) proximal={all_images_proximal}; {witness}",
+    )
+
+
+def candidate_tuples(candidates) -> list[tuple[int, ...]]:
+    """The candidates' sets as tuples, in their order."""
+    members, sizes, _ = candidates
+    return [tuple(s.tolist()) for s in np.split(members, np.cumsum(sizes)[:-1])]
 
 
 def reference_induced_theta(f, sm, tm) -> list[int]:

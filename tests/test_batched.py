@@ -40,7 +40,7 @@ from flowrel.finflow import (
 )
 from flowrel.fuzz import TWO_IDEAL_FLOW, ideal_group_tests, proxset_check_suite, random_flow
 from flowrel.relations import analyze_flow, sp_witnesses
-from flowrel.reports import flow_report
+from flowrel.reports import RecordMap, flow_report
 from oracles import (
     element_of,
     flat_lists,
@@ -52,6 +52,7 @@ from oracles import (
     reference_minimal_left_ideals,
     reference_proximal_verdict,
     reference_sp_verdict,
+    sp_witness_dicts,
     structure_from_lists,
 )
 
@@ -89,14 +90,15 @@ def all_pairs(n: int) -> np.ndarray:
 def assert_witnesses_match(ax):
     m = ax.monoid
     pairs = all_pairs(ax.n_states)
+    ideals = ax.structure.ideal_count
     collapsers = first_collapsers(m, pairs).tolist()
-    witnesses = sp_witnesses(ax, pairs)
+    witnesses = sp_witness_dicts(sp_witnesses(ax, pairs), ideals)
     for (x, y), c, w in zip(pairs.tolist(), collapsers, witnesses):
         pair = np.array([[x, y]])
         p_ref = reference_proximal_verdict(m, x, y)
         assert c == first_collapsers(m, pair)[0] == p_ref
         sp_ref = reference_sp_verdict(ax, x, y)
-        assert w == sp_witnesses(ax, pair)[0] == sp_ref
+        assert w == sp_witness_dicts(sp_witnesses(ax, pair), ideals)[0] == sp_ref
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,7 +145,7 @@ def test_sp_witnesses_compute_each_idempotent_power_once(monkeypatch):
     monkeypatch.setattr(finflow, "idempotent_mask", lambda rows: steps.append(len(rows)) or real_mask(rows))
     witnesses = sp_witnesses(ax, out)
     (batch,) = calls
-    separators = {w["separator"] for w in witnesses}
+    separators = set(witnesses["separator"].tolist())
     assert len(out) == len(batch) > len(separators) == len(set(batch)) and set(batch) == separators
     assert steps[0] == len(separators)
 
@@ -299,9 +301,9 @@ def test_writer_matches_json_on_lists_of_int_lists(value):
 
 
 def plain(value):
-    """``value`` with every ndarray replaced by its ``tolist()``: what the
-    writer must encode it as."""
-    if isinstance(value, np.ndarray):
+    """``value`` with every ndarray and witness map replaced by its
+    ``tolist()``: what the writer must encode it as."""
+    if isinstance(value, (np.ndarray, RecordMap)):
         return value.tolist()
     if isinstance(value, dict):
         return {k: plain(v) for k, v in value.items()}
@@ -334,6 +336,85 @@ arrays_or_dicts_of_them = st.one_of(int_arrays(), st.dictionaries(st.text(max_si
 @given(st.dictionaries(st.text(max_size=2), arrays_or_dicts_of_them, max_size=3))
 def test_array_writer_matches_json_on_int_arrays(value):
     assert dump(value) == oracle_dump(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([np.int8, np.uint8, np.int16, np.uint16, np.int32, np.int64, np.uint64]).flatmap(
+    lambda dtype: arrays(dtype, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                         elements=st.integers(0, int(np.iinfo(dtype).max)))))
+def test_array_writer_matches_json_on_entries_of_every_width(value):
+    # entries up to each dtype's maximum: 3 to 20 digits, so the digit
+    # slots are gathered in one to five chunks, the top one partial
+    assert dump({"v": value}) == oracle_dump({"v": value})
+
+
+def test_digit_table_rows():
+    for width in (1, 2, 4):
+        table = cli._digit_table(width)
+        text = [item.tobytes().decode() for item in table]
+        assert text[:10**width] == [str(c).zfill(width) for c in range(10**width)]
+        assert text[10**width:-1] == [str(c).rjust(width, "\0") for c in range(10**width)]
+        assert text[-1] == "\0" * width
+
+
+# numbers that are prefixes of one another ("1", "10", "100") and others
+key_numbers = st.one_of(st.sampled_from([0, 1, 2, 9, 10, 11, 19, 20, 21, 100, 101, 110]), st.integers(0, 120))
+pair_keys = st.tuples(key_numbers, key_numbers)
+field_names = st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(pair_keys, max_size=40).map(sorted), field_names, st.randoms(use_true_random=False))
+def test_record_maps_match_the_dict_of_records(pairs, names, rng):
+    # pairs in 0..120 sort differently as strings ("10,3" before "2,5",
+    # "1,5" before "10,3") and as numbers; the map is given in shuffled pair order, with one
+    # field or several, against the dict of records it stands for; fields
+    # of up to 13 digits, and in some maps a negative one
+    rng.shuffle(pairs)
+    array = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    columns = {name: np.array([rng.choice([rng.randint(0, 99), rng.randint(0, 10**12)]) for _ in pairs],
+                              dtype=np.int64) for name in names}
+    if pairs and rng.random() < 0.2:
+        columns[names[-1]][rng.randrange(len(pairs))] = -rng.randint(1, 10**6)
+    records = {f"{x},{y}": {name: int(columns[name][i]) for name in names} for i, (x, y) in enumerate(pairs)}
+    value = RecordMap(array, columns)
+    assert value.tolist() == records
+    assert dump({"w": value, "z": [value]}) == json.dumps({"w": records, "z": [records]}, indent=2, sort_keys=True) + "\n"
+
+
+scalars = st.one_of(st.text(max_size=4), st.integers(-10**20, 10**20), st.booleans(), st.none())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(st.lists(st.integers(-10**20, 10**20), max_size=4), min_size=1, max_size=5),
+    st.lists(st.lists(st.integers(0, 9), max_size=3).map(tuple), min_size=1, max_size=5),
+    field_names.flatmap(lambda names: st.lists(st.fixed_dictionaries({name: scalars for name in names}),
+                                               min_size=1, max_size=5)),
+    st.lists(st.dictionaries(st.text(max_size=2), scalars, max_size=3), min_size=1, max_size=4),
+    st.lists(st.one_of(st.lists(st.integers(0, 9), max_size=2), st.integers(0, 9), st.booleans(),
+                       st.dictionaries(st.text(max_size=2), st.floats(allow_nan=False), max_size=2)),
+             min_size=1, max_size=4),
+))
+def test_flat_lists_match_json(value):
+    # ragged int lists, lists of flat records sharing one key set, and
+    # lists whose records differ in their keys or hold floats, or that mix
+    # kinds, which take the general path
+    assert dump({"v": value}) == json.dumps({"v": value}, indent=2, sort_keys=True) + "\n"
+
+
+def test_flat_lists_take_one_pass_and_differing_records_the_general_path(monkeypatch):
+    calls = []
+    real = cli._write
+    monkeypatch.setattr(cli, "_write", lambda value, *args: calls.append(value) or real(value, *args))
+    checks = [{"name": "a", "pass": True, "counterexample": None}, {"counterexample": "x %s", "pass": False, "name": "b"}]
+    value = {"checks": checks, "ideals": [[0, 3], [], (1, 2)]}
+    assert dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert len(calls) == 3  # the dict and each list, no item
+    calls.clear()
+    mixed = [checks[0], {"name": "c", "pass": True}]
+    assert dump(mixed) == json.dumps(mixed, indent=2, sort_keys=True) + "\n"
+    assert len(calls) == 1 + 2 + 5  # the list, each record and each value
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int64])

@@ -12,6 +12,7 @@ from oracles import (
     reference_step_back,
 )
 
+from flowrel import reports
 from flowrel.circles import (
     CENTERWARD,
     EVIDENCE_D,
@@ -282,3 +283,14 @@ def test_trajectory_rows():
     back = trajectory_rows(CirclePoint("C", 2, 1.0), 3, backward=True)
     assert [r["tier"] for r in back] == ["C2", "D3", "D5", "D7"]
     assert back[-1]["iteration"] == -3
+
+
+def test_cc_grid_builds_one_point_per_row_and_column_tier(monkeypatch):
+    # 100 cells from 10 row points and 10 column points, each cell still
+    # decided by pair_class
+    cells = []
+    real = reports.pair_class
+    monkeypatch.setattr(reports, "pair_class", lambda p, q: cells.append((p, q)) or real(p, q))
+    grid = reports.cc_report()["pair_grid"]
+    assert len(cells) == 100 and sum(map(len, grid)) == 100
+    assert len({id(p) for p, _ in cells}) == len({id(q) for _, q in cells}) == len(reports.CC_GRID_TIERS)

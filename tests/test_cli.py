@@ -26,7 +26,7 @@ from flowrel.cli import (
 )
 from flowrel.finflow import FiniteFlow
 from flowrel.relations import analyze_flow
-from flowrel.reports import flow_report
+from flowrel.reports import RecordMap, flow_report
 
 FLOWS = Path(__file__).resolve().parent.parent / "flows"
 SRC = FLOWS.parent / "src"
@@ -634,16 +634,18 @@ def as_plain(value):
 
 def test_witness_maps_are_written_as_json_sorts_their_keys():
     # on 12 states the pair keys sort as strings ("10,11" before "2,3"),
-    # not as pairs of numbers; both witness maps take the one-pass writer
+    # not as pairs of numbers; both witness maps are record maps of columns
     flow = FiniteFlow(12, (tuple((x + 1) % 12 for x in range(12)), tuple(x - x % 4 for x in range(12))))
     report = flow_report(analyze_flow(flow))
     witnesses = report["relations"]["P"]["witnesses"], report["relations"]["SP"]["out_witnesses"]
-    for keys in map(list, witnesses):
+    for witness_map in witnesses:
+        assert isinstance(witness_map, RecordMap)
+        keys = list(witness_map.tolist())
         assert "10,11" in keys and any(key.startswith("2,") for key in keys)
     assert dump(report) == json.dumps(as_plain(report), indent=2, sort_keys=True) + "\n"
     for witness_map in witnesses:
         value = {"pairs": witness_map}
-        assert dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+        assert dump(value) == json.dumps(as_plain(value), indent=2, sort_keys=True) + "\n"
 
 
 int_records = st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True).flatmap(
@@ -714,6 +716,29 @@ def test_exact_argv_is_read_without_argparse(capsys):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert done.returncode == 0, done.stderr
     assert ("ok", json.loads(done.stdout)) == outcome(build_parser().parse_args, abbreviated, capsys)
+
+
+FREEZE_ONCE = """
+import contextlib, gc, io, sys
+from flowrel import cli
+assert gc.get_freeze_count() == 0
+counts = []
+for argv in (["reproduce", "cc"], ["analyze", sys.argv[1]]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    counts.append(gc.get_freeze_count())
+print(*counts)
+"""
+
+
+def test_main_freezes_the_import_time_objects_once():
+    # the first call moves what the imports left into the permanent
+    # generation; a second call in the same process freezes nothing more
+    done = subprocess.run([sys.executable, "-c", FREEZE_ONCE, str(FLOWS / "two_ideal.flow")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    first, second = map(int, done.stdout.split())
+    assert first > 0 and second == first
 
 
 README_ARGV = [

@@ -61,6 +61,7 @@ from oracles import (
     reference_right_identity,
     reference_sp_witness,
     reference_validate_partitions,
+    sp_witness_dicts,
     square_monoid,
     structure_from_lists,
     tuple_index,
@@ -134,7 +135,7 @@ def assert_gathers_match_references(flow):
     sample = range(m.size) if m.size <= 200 else sorted(set(range(40)) | set(structure.kernel_elements))
     assert m.idempotent_powers(sample).tolist() == [reference_idempotent_power(m, p) for p in sample]
     pairs = np.argwhere(np.triu(np.ones((m.n_states, m.n_states), dtype=bool), 1))
-    for (x, y), w in zip(pairs.tolist(), sp_witnesses(ax, pairs)):
+    for (x, y), w in zip(pairs.tolist(), sp_witness_dicts(sp_witnesses(ax, pairs), structure.ideal_count)):
         assert w == reference_sp_witness(m, structure, x, y)
 
 
@@ -527,7 +528,8 @@ def test_ideal_algebra_pass_matches_the_loops_on_random_flows():
         assert ideal_lists(st_) == reference_ideal_structure(m), format_flow(ax.flow)
         assert ax.equivalent_pairs == reference_equivalent_idempotents(m, st_)
         pairs = np.argwhere(np.triu(ax.proximal & ~ax.strongly_proximal, 1))
-        assert sp_witnesses(ax, pairs) == [reference_sp_witness(m, st_, x, y) for x, y in pairs.tolist()]
+        witnesses = sp_witness_dicts(sp_witnesses(ax, pairs), st_.ideal_count)
+        assert witnesses == [reference_sp_witness(m, st_, x, y) for x, y in pairs.tolist()]
 
         cases = seeded_slot_breaks(ax, rng)
         lists = [members for case in cases for members in ideal_lists(case.structure)["members"]]

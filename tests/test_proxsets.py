@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -29,9 +30,13 @@ from oracles import (
     apply,
     element_of,
     ideal_lists,
+    candidate_tuples,
     image_tuple,
+    label_classes,
     reference_invertible_image_check,
     reference_minimal_ideal_collapse,
+    reference_proximal_candidates,
+    reference_rA_proximal_equiv,
     reference_sp_matches_class_squares,
     structure_from_lists,
 )
@@ -203,6 +208,15 @@ def seeded_analyses(count: int, seed: int):
         yield ax
 
 
+def assert_candidates_match(ax, candidates, expected):
+    # the rows hold the sorted tuples, in their order, each with its size
+    # and whether it is a per-ideal class
+    classes = {tuple(sorted(c)) for kernel in ideal_lists(ax.structure)["kernels"] for c in label_classes(kernel)}
+    assert candidate_tuples(candidates) == expected
+    assert candidates.sizes.tolist() == list(map(len, expected))
+    assert candidates.classes.tolist() == [c in classes for c in expected]
+
+
 def test_image_and_class_square_checks_match_their_loop_forms():
     kinds = {"invertible": 0, "repeated": 0, "subsets": 0, "no subsets": 0}
     for ax in seeded_analyses(1200, 20261019):
@@ -212,7 +226,10 @@ def test_image_and_class_square_checks_match_their_loop_forms():
         subsets = proximal_subsets(ax)
         kinds["subsets" if subsets else "no subsets"] += 1
         candidates = proximal_candidates(ax, subsets)
-        assert invertible_image_check(ax, candidates, subsets) == reference_invertible_image_check(ax, candidates, subsets)
+        expected = reference_proximal_candidates(ax, subsets)
+        assert_candidates_match(ax, candidates, expected)
+        assert invertible_image_check(ax, candidates, subsets) == reference_invertible_image_check(ax, expected, subsets)
+        assert check_rA_proximal_equiv(ax, candidates) == reference_rA_proximal_equiv(ax, expected)
         assert sp_matches_class_squares(ax) == reference_sp_matches_class_squares(ax)
         if ax.n_states > 1:  # one off-diagonal SP entry flipped fails both forms
             sp = ax.strongly_proximal.copy()
@@ -225,8 +242,9 @@ def test_image_and_class_square_checks_match_their_loop_forms():
 
 def test_injected_image_failures_match_the_loop_form(monkeypatch):
     # every set whose members sum to 1 mod 3 is rejected, in the subset
-    # table and in the image tests alike; both forms name the same first
-    # (candidate, generator) and the same detail text
+    # table and in the image tests alike; both forms of the image check
+    # name the same first (candidate, generator) and the same detail text,
+    # and both forms of the r(A) check the same first (candidate, element)
     real = fuzz.proximal_sets
 
     def rejecting(ax, sets):
@@ -234,14 +252,19 @@ def test_injected_image_failures_match_the_loop_form(monkeypatch):
         return real(ax, sets) & np.array([sum(set(s)) % 3 != 1 for s in rows], dtype=bool)
 
     monkeypatch.setattr(fuzz, "proximal_sets", rejecting)
-    failed = 0
+    failed = ra_failed = 0
     for ax in seeded_analyses(300, 7):
         subsets = proximal_subsets(ax)
         candidates = proximal_candidates(ax, subsets)
+        expected = reference_proximal_candidates(ax, subsets)
+        assert_candidates_match(ax, candidates, expected)
         result = invertible_image_check(ax, candidates, subsets)
-        assert result == reference_invertible_image_check(ax, candidates, subsets)
+        assert result == reference_invertible_image_check(ax, expected, subsets)
         failed += not result.passed
-    assert failed >= 30
+        ra_result = check_rA_proximal_equiv(ax, candidates)
+        assert ra_result == reference_rA_proximal_equiv(ax, expected)
+        ra_failed += not ra_result.passed
+    assert failed >= 30 and ra_failed >= 30
 
 
 # -- the kernel-label set test against the whole-monoid scan -----------------------
@@ -275,3 +298,44 @@ def test_proximal_sets_on_the_fixtures_and_t5():
     for flow in (CONSTANTS_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW, TWO_IDEAL_FLOW, t5):
         assert_proximal_sets_match_the_monoid_scan(analyze_flow(flow), random.Random(0))
     assert proximal_sets(analyze_flow(TWO_IDEAL_FLOW), []).tolist() == []
+
+
+def test_candidates_order_long_classes_as_tuples():
+    # seeded kernel rows on 6-12 states drawn from two or three labels, so
+    # that classes of six or more states share their first five members
+    # across ideals, or repeat whole; the proximal relation is a seeded
+    # symmetric one, and the subsets a seeded table
+    rng = random.Random(26)
+    ties = 0
+    for _ in range(300):
+        n = rng.randint(6, 12)
+        rows = []
+        for _ in range(rng.randint(2, 4)):
+            values = rng.sample(range(5), rng.randint(2, 3))
+            rows.append(tuple(rng.choice(values) if rng.random() < 0.3 else values[0] for _ in range(n)))
+        lists = {"members": [()] * len(rows), "idempotents": [()] * len(rows), "kernels": rows, "refinement": rows[0]}
+        proximal = np.triu(np.array([[rng.random() < 0.3 for _ in range(n)] for _ in range(n)]))
+        ax = replace(analyze_flow(FiniteFlow(n, (tuple(range(n)),))), structure=structure_from_lists(**lists),
+                     proximal=proximal | proximal.T)
+        subsets = {c: rng.random() < 0.5 for k in (3, 4) for c in combinations(range(n), k)}
+        expected = reference_proximal_candidates(ax, subsets)
+        assert_candidates_match(ax, proximal_candidates(ax, subsets), expected)
+        long = [c for c in expected if len(c) > 5]
+        ties += len({c[:5] for c in long}) < len(long)
+    assert ties >= 30
+
+
+def test_proxset_suite_pads_no_pair_to_a_class_width():
+    # a rotation and a constant map on 120 states: one class of all the
+    # states and 7,140 proximal pairs.  The candidates and the image
+    # gathers stay within a small multiple of n² cells; padding every pair
+    # to the class's width would take n³/2
+    n = 120
+    ax = analyze_flow(FiniteFlow(n, (tuple((x + 1) % n for x in range(n)), (0,) * n)))
+    tracemalloc.start()
+    try:
+        assert all(r.passed for r in proxset_check_suite(ax))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 8 * n * n

@@ -32,7 +32,15 @@ from flowrel.relations import (
     verify_relation_forms,
 )
 from flowrel.reports import flow_report
-from oracles import apply, element_of, ideal_lists, is_idempotent, reference_is_equivalence, structure_from_lists
+from oracles import (
+    apply,
+    element_of,
+    ideal_lists,
+    is_idempotent,
+    reference_is_equivalence,
+    sp_witness_dicts,
+    structure_from_lists,
+)
 
 
 def pairs(rel):
@@ -174,7 +182,7 @@ def test_witnesses():
     c, c2 = first_collapsers(m, np.array([[0, 1], [0, 2]])).tolist()
     assert c >= 0 and apply(m, c, 0) == apply(m, c, 1)
     assert c2 == -1
-    out, inside = sp_witnesses(ax, np.array([[0, 1], [2, 2]]))
+    out, inside = sp_witness_dicts(sp_witnesses(ax, np.array([[0, 1], [2, 2]])), ax.structure.ideal_count)
     sep, u = out["separator"], out["fixing_idempotent"]
     px, py = apply(m, sep, 0), apply(m, sep, 1)
     assert px != py

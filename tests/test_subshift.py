@@ -349,3 +349,12 @@ def test_adic_window_from_inner_window():
     raw = a.segment(-n, n + 1)
     expect = "".join(str((int(raw[i]) + int(raw[i + 1])) % 2) for i in range(2 * n + 1))
     assert h.window(n) == expect
+
+
+def test_substitution_hash_is_computed_once():
+    # equal rules hash alike whatever their insertion order; the hash is
+    # kept on the instance after the first call, so no later lookup sorts
+    q = morse_square()
+    assert "_hash" not in vars(q)
+    assert hash(q) == hash(Substitution("01", {"1": "1001", "0": "0110"})) == hash(("01", (("0", "0110"), ("1", "1001"))))
+    assert vars(q)["_hash"] == hash(q)

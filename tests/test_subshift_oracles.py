@@ -127,17 +127,21 @@ def test_deep_window_pieces_match_reference_segment(seq):
     assert b"".join(seq.pieces(lo, hi)) == reference_segment(seq, lo, hi).encode()
 
 
-def test_chacon_windows_grow_only_the_block_below_the_one_that_holds_them():
+def test_chacon_windows_grow_only_the_block_two_below_the_one_that_holds_them():
     """x1's window on [-(|B_k|), |B_k| - 1] is read in B_{k+1} from views
-    of B_k; an itinerary's window in B_k from views of B_{k-1}."""
+    of B_{k-1}; an itinerary's window in B_k from views of B_{k-2}; and
+    the views still join to the window."""
     saved = subshift._BLOCK_CORE
     try:
         subshift._BLOCK_CORE = b"0010"
-        ChaconPoint("x1").pieces(-9841, 9840)  # |B_8| = 9841
-        assert len(subshift._BLOCK_CORE) == 9841
+        pieces = ChaconPoint("x1").pieces(-9841, 9840)  # |B_8| = 9841
+        assert len(subshift._BLOCK_CORE) == 3280  # B_7
+        assert b"".join(pieces) == reference_segment(ChaconPoint("x1"), -9841, 9840).encode()
         subshift._BLOCK_CORE = b"0010"
-        ChaconXi((1, 2), 2).pieces(-200013, 200013)  # held by B_12 (797,161 letters)
-        assert len(subshift._BLOCK_CORE) == 265720  # B_11
+        point = ChaconXi((1, 2), 2)
+        pieces = point.pieces(-200013, 200013)  # held by B_12 (797,161 letters)
+        assert len(subshift._BLOCK_CORE) == 88573  # B_10
+        assert b"".join(pieces) == reference_segment(point, -200013, 200013).encode()
     finally:
         subshift._BLOCK_CORE = saved
 
