@@ -72,9 +72,10 @@ def dump(report: dict) -> str:
     per row block (``_write_rows``), reads any other ndarray as its
     ``tolist()``, writes a witness map (``reports.RecordMap``) in one pass
     from its columns (``_write_record_map``), joins each list of ints, of
-    int lists or of flat records in one pass (``_flat_list``), writes
-    strings and keys with json's own C quoting function, None, True and
-    False from a table, and leaves every other scalar to ``json.dumps``."""
+    int lists or of flat records in one pass (``_flat_list``) and each
+    flat record alone (``_flat_record``), writes strings and keys with
+    json's own C quoting function, None, True and False from a table, and
+    leaves every other scalar to ``json.dumps``."""
     out: list[str] = []
     _write(report, "\n", out)
     out.append("\n")
@@ -96,6 +97,10 @@ def _write(value, newline: str, out: list[str]) -> None:
     elif value is None or type(value) is bool:
         out.append(_CONSTANTS[value])
     elif isinstance(value, dict) and value:
+        text = _flat_record(value, newline)
+        if text is not None:
+            out.append(text)
+            return
         sep = "{" + inner
         for key, item in sorted(value.items()):
             out.append(sep + encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key)) + ": ")
@@ -122,6 +127,19 @@ def _write(value, newline: str, out: list[str]) -> None:
         out.append(newline + "]")
     else:
         out.append(json.dumps(value))
+
+
+def _flat_record(value: dict, newline: str) -> str | None:
+    """json's text at indent ``newline`` of a non-empty dict whose keys are
+    all strings and whose values are all str, int, bool or None (a
+    symbolic report's ``params``, ``proximal``, ``inner``): one join.
+    None, with nothing kept, for any other dict."""
+    inner = newline + "  "
+    try:
+        cells = [encode_basestring_ascii(key) + ": " + _FLAT[type(item)](item) for key, item in sorted(value.items())]
+    except (KeyError, TypeError):  # a value that is no flat value, or a key that is no string
+        return None
+    return "{" + inner + ("," + inner).join(cells) + newline + "}"
 
 
 def _flat_list(value: list | tuple, newline: str) -> str | None:

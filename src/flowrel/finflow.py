@@ -174,20 +174,31 @@ def kernel_labels(rows: np.ndarray) -> np.ndarray:
     """The first-occurrence labelling of every row of a ``(k, n)`` array in
     one pass: equal values in a row get equal labels, numbered in order of
     first appearance, so rows with equal labels are maps with the same
-    kernel partition.  A stable sort of each row puts every kernel class
-    in one run, led by its least member; the label of x numbers the least
-    member of x's class among all least members, which is its order of
-    first appearance."""
+    kernel partition.  The label of x counts the first occurrences
+    (``first_positions``) before x's, one ``cumsum`` over the flat rows."""
     k, n = rows.shape
-    flat = np.arange(0, k * n, n)[:, None]  # row offsets: every gather is one flat take
-    order = np.argsort(rows, axis=1, kind="stable")
-    ranked = np.take(rows, order + flat)
-    starts = np.ones(rows.shape, dtype=bool)
-    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    run_start = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
-    least = np.empty_like(order)
-    least.ravel()[order + flat] = np.take(order, run_start + flat)
-    return np.take(np.cumsum(least == np.arange(n), axis=1) - 1, least + flat)
+    least = first_positions(rows)
+    counts = np.cumsum(least.ravel() == np.arange(k * n))
+    return counts[least] - counts[np.arange(0, k * n, n)][:, None]
+
+
+def first_positions(rows: np.ndarray) -> np.ndarray:
+    """For every entry of a ``(k, n)`` array, the flat position of the
+    first entry of its row with the same value: equal in two rows, less
+    the row offsets, iff the rows have the same kernel partition.  One
+    ``np.minimum.at`` scatter of the flat positions into one slot per
+    (row, value) (``ufunc.at`` is defined on repeated indices, where a
+    plain repeated-index assignment leaves the order open), no argsort
+    along the rows.  The slots span the values from the least (or 0) to
+    the greatest, so the table has k·n entries for maps of an n-point
+    set."""
+    k, n = rows.shape
+    lo = rows.min(initial=0)
+    span = int(rows.max(initial=0)) - int(lo) + 1
+    slot = rows + (np.arange(0, k * span, span) - int(lo))[:, None]  # in index width, so no cell overflows
+    first = np.full(k * span, k * n, dtype=np.intp)
+    np.minimum.at(first, slot.ravel(), np.arange(k * n))
+    return first[slot]
 
 
 def _state_sets(sets) -> np.ndarray:
@@ -266,6 +277,11 @@ class TransMonoid:
         if self._order is None:
             self._order = np.argsort(_row_keys(self.elements))
         return row_positions(self.elements, rows, self._order)
+
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """The flow's maps as one ``(k, n)`` int array, built once per monoid."""
+        return np.array(self.flow.generators)
 
     def ranks(self) -> np.ndarray:
         return 1 + (np.diff(np.sort(self.elements, axis=1), axis=1) > 0).sum(axis=1)
@@ -386,10 +402,12 @@ def ideal_structure(m: TransMonoid) -> IdealStructure:
 
     In a finite transformation monoid the minimal left ideals are exactly
     the classes of minimum-rank elements grouped by kernel partition: one
-    ``kernel_labels`` pass labels every minimum-rank row, and one stable
-    sort of the label rows' byte keys groups them, each group led by its
-    least member.  That each is S¹p for every member p is checked by the
-    relation check suite (``fuzz.left_action_counterexamples``), not here.
+    ``first_positions`` pass over every minimum-rank row gives each state
+    the least state of its kernel class, and one stable sort of those
+    rows' byte keys groups them, each group led by its least member; only
+    the groups' first rows are labelled (``kernel_labels``).  That each
+    is S¹p for every member p is checked by the relation check suite
+    (``fuzz.left_action_counterexamples``), not here.
     One ``idempotent_mask`` over every kernel element finds the
     idempotents of all ideals.  State x's refinement code is the rank of
     its byte key, which reads x's label in every ideal kernel; a second
@@ -397,8 +415,8 @@ def ideal_structure(m: TransMonoid) -> IdealStructure:
     structure's ``labels``, the refinement labels last."""
     ranks = m.ranks()
     lowest = np.flatnonzero(ranks == ranks.min())
-    kernels = kernel_labels(m.elements[lowest])
-    keys = _row_keys(kernels)
+    rows = m.elements[lowest]
+    keys = _row_keys(first_positions(rows) - np.arange(0, rows.size, m.n_states)[:, None])
     order = np.argsort(keys, kind="stable")
     leads = np.concatenate(([True], keys[order][1:] != keys[order][:-1]))
     group = np.empty(keys.size, dtype=np.intp)
@@ -406,7 +424,7 @@ def ideal_structure(m: TransMonoid) -> IdealStructure:
     firsts = order[leads]  # each group's least row
     owner = np.searchsorted(np.sort(firsts), firsts)[group]  # ideals numbered by least member
     by_ideal = np.argsort(owner, kind="stable")
-    members, owner, kernels = lowest[by_ideal], owner[by_ideal], kernels[np.sort(firsts)]
+    members, owner, kernels = lowest[by_ideal], owner[by_ideal], kernel_labels(rows[np.sort(firsts)])
     mask = idempotent_mask(m.elements[members])
     counts = np.bincount(owner[mask], minlength=len(kernels))
     if not counts.all():

@@ -10,20 +10,24 @@ replayable text document.
 
 The minimal-ideal checks are array passes over all minimal ideals at once,
 read from the structure's flat arrays (every ideal's members, and its
-idempotents, in ideal order, each with the number of its ideal): one
-S¹p = M search over every ideal's members (``left_action_counterexamples``);
-"pu = p" and "uM is a group" for every idempotent of every ideal in one
-pass (``ideal_group_tests``), whose
-Cayley tables are gathered in blocks and looked up together; the
-intra-ideal equivalences read from the diagonal blocks of the analysis'
-``idempotent_equivalence``; and label-array reductions for the
-partitions (``validate_partitions``).  The proximal-set suite
+idempotents, in ideal order, each with the number of its ideal), each run
+a small number of times, not once per step of a path or per product of a
+table: one S¹p = M search over every ideal's members
+(``left_action_counterexamples``), whose passes cross many steps of a
+generator at once through the generators' step powers; "pu = p" and "uM
+is a group" for every idempotent of every ideal in one pass
+(``ideal_group_tests``), p∘u = p read from each ideal's common kernel and
+uM's closure tested on a generating set that at least doubles what it
+reaches each round; the intra-ideal equivalences read from the diagonal
+blocks of the analysis' ``idempotent_equivalence``; and the partitions
+(``validate_partitions``) by one sort of every member's images of the
+class representatives and label-array reductions.  The proximal-set suite
 gathers its candidate sets under every invertible generator at once
 (``invertible_image_check``) and compares SP with its class squares as
 one label comparison.  Each keeps the first counterexample of the
 per-ideal, per-idempotent, member-by-member, class-by-class or
-per-candidate loop it replaced; those loops are the references in
-``tests/oracles.py``.
+per-candidate loop it replaced; those loops, the one-step search and the
+whole-table group test are the references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -40,12 +44,12 @@ from .finflow import (
     FiniteFlow,
     MonoidTooLarge,
     TransMonoid,
+    _cell_code,
     _row_keys,
     compose_rows,
     format_flow,
     idempotent_mask,
     induced_theta,
-    row_positions,
     sorted_unique,
 )
 from .relations import (
@@ -171,7 +175,7 @@ def relation_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     # Omega agrees with the product-flow definition: its pairs are the
     # almost periodic points of the squared flow (skipped on wide state
     # sets, where the (n², n²) reach matrix of the pair graph is large)
-    gens = np.array(m.flow.generators)
+    gens = ax.generators
     if n <= 12:
         out.append(_result("omega_agrees_with_product_flow", np.array_equal(om, almost_periodic_pairs(gens, n))))
 
@@ -188,7 +192,7 @@ def check_unique_ideal_equiv(ax: FlowAnalysis) -> dict:
         "p_is_equivalence": ax.p_is_equivalence,
         "unique_minimal_ideal": ax.structure.ideal_count == 1,
         "p_equals_sp": bool(np.array_equal(p, ax.strongly_proximal)),
-        "p_forward_invariant": invariance_violation(np.array(ax.flow.generators), p) is None,
+        "p_forward_invariant": invariance_violation(ax.generators, p) is None,
     }
     report["consistent"] = len(set(report.values())) == 1
     return report
@@ -223,29 +227,51 @@ def left_action_counterexamples(m: TransMonoid, members: np.ndarray, owner: np.n
     so lists that share or repeat a member stay apart; one ``positions``
     gather finds every g∘p, and an edge leaving its list becomes a loop.
     The forward reach from each list's first member and the backward
-    reach into it grow in one loop, a pass over all the edges a step."""
+    reach into it grow together, one pass over ``_step_powers`` tables:
+    each generator's steps and their powers g^2, g^4, ... up to the
+    longest list, so a pass crosses up to that many steps of one
+    generator (a rotation's cycle of length L takes about log₂ L passes,
+    not L), and no table has more entries than ``elements``."""
     flat, owner = np.asarray(members, dtype=np.intp), np.asarray(owner, dtype=np.intp)
     ids = np.arange(owner[-1] + 1)
     firsts = flat[np.searchsorted(owner, ids)]
     keys = sorted_unique(owner * m.size + flat)
     node_list, node_p = np.divmod(keys, m.size)
-    gens = np.array(m.flow.generators, dtype=m.elements.dtype)
-    to = node_list * m.size + m.positions(gens[:, m.elements[node_p]])  # (k, nodes): the key of g∘p
+    to = node_list * m.size + m.positions(m.generators.take(m.elements[node_p], axis=1))  # (k, nodes): the key of g∘p
     succ = np.minimum(np.searchsorted(keys, to), keys.size - 1)
     stays = keys[succ] == to
     succ = np.where(stays, succ, np.arange(keys.size))
+    longest = int(np.bincount(node_list).max())
+    steps = _step_powers(succ, min((longest - 1).bit_length(), m.elements.size // succ.size))
     start = np.zeros(keys.size, dtype=bool)
     start[np.searchsorted(keys, ids * m.size + firsts)] = True
     ahead, back, count = start.copy(), start, 0
     while count < (count := np.count_nonzero(ahead) + np.count_nonzero(back)):  # until neither grows
-        ahead[succ[:, ahead]] = True
-        back = back | back[succ].any(axis=0)
+        ahead[steps[:, ahead]] = True
+        back = back | back[steps].any(axis=0)
     # the first member's test: the list is closed, reached, and increasing
     whole = np.logical_and.reduceat(stays.all(axis=0) & ahead, np.searchsorted(node_list, ids))
     whole[owner[1:][(flat[1:] <= flat[:-1]) & (owner[1:] == owner[:-1])]] = False
     stuck = np.flatnonzero(~back)[::-1]  # so that each list's least stuck member is written last
     first_stuck = dict(zip(node_list[stuck].tolist(), node_p[stuck].tolist()))
     return [first_stuck.get(b) if ok else int(firsts[b]) for b, ok in enumerate(whole.tolist())]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of ``values`` starts."""
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1]))) if values.size else values
+
+
+def _step_powers(succ: np.ndarray, count: int) -> np.ndarray:
+    """The successor tables ``succ`` (one row per kind of step, each a map
+    of the nodes) and their powers 2, 4, ..., 2^(count - 1), squared one
+    from the last: a search over all of them crosses up to 2^count - 1
+    steps of one kind in one pass.  At least ``succ`` itself."""
+    rows, nodes = succ.shape
+    tables = [succ]
+    for _ in range(count - 1):
+        tables.append(np.take(tables[-1], tables[-1] + np.arange(0, rows * nodes, nodes)[:, None]))
+    return np.concatenate(tables)
 
 
 def _blocks(total: int, size: int):
@@ -268,76 +294,120 @@ def ideal_group_tests(m: TransMonoid, members: np.ndarray, owner: np.ndarray, us
     is the ``members`` whose ``owner`` is b, the owners in increasing order
     (``left_action_counterexamples``' layout).
 
-    Node (t, g) of slot t's set uM is keyed t·|S| + g.  The products u∘p
-    and p∘u of every slot's members are gathered in blocks no larger than
-    ``elements``, one ``positions`` call a block naming the nodes.  u must
-    be a node, and u∘a = a∘u = a on whole rows for every node a; then
-    a = a∘u is fixed by its values on the image I of u, so each slot's
-    Cayley table is read on rows restricted to I (padded with I's least
-    point to the widest image): the products a∘c of every slot's pairs of
-    nodes are gathered in blocks of at most ``elements.size`` entries and
-    looked up among the restricted rows by their keys, the slot prefixed.
-    The table must be closed, and every node's restricted row must have
-    rank |I|, which decides the group (the H-classes of a completely
-    simple kernel are groups: Clifford & Preston, 1961).  Proof: u = u∘u
-    fixes I pointwise and every node a = u∘a maps I into I, so a -> a|I
-    is a homomorphism into the maps of I, one-to-one as a = a∘u, taking u
-    to the identity.  If each a|I has rank |I| it permutes I, and a closed
-    finite set of permutations holding the identity is a group.  If uM is
-    a group, a∘c = u gives a|I ∘ c|I = id, so a|I is onto I."""
+    p∘u = p for every p in M iff u(x) and x share their class in M's
+    common kernel (x ~ y iff every member maps them together), read for
+    every slot at once from each list's codes of the states.  u must be
+    idempotent and a∘u = a on whole rows for every a = u∘p, which holds
+    where p∘u = p and is tested row by row only in the other slots; then
+    a is fixed by its values on the image I of u, so each a is held as
+    its row of columns of I (a(I_j) = I_c), padded with column 0 to the
+    widest image, gathered in blocks no larger than ``elements``; the
+    products of such rows are gathers of their columns.  The rows of each
+    uM are deduplicated by one sort of their keys, the slot prefixed: the
+    identity columns must be among them (then u = u∘u is in uM), and
+    every row must be a permutation of I's columns.  Proof that this and
+    closure decide the group: u = u∘u fixes I pointwise and every a = u∘a
+    maps I into I, so a -> a|I is a homomorphism into the maps of I,
+    one-to-one as a = a∘u, taking u to the identity.  If each a|I
+    permutes I, a closed finite set of permutations holding the identity
+    is a group; if uM is a group, a∘c = u gives a|I ∘ c|I = id, so a|I is
+    onto I.
+
+    Closure is tested on a generating set X, not on all |uM|² products:
+    uM is closed iff uM∘x ⊆ uM for every x in X and right multiplication
+    by X reaches all of uM from u (each node is then u∘x1∘...∘xm, and
+    a∘u∘x1∘...∘xm stays in uM one factor at a time).  X grows greedily,
+    each slot adding its first node not yet reached, in one round for all
+    slots: a lookup of every product a∘x among the sorted keys, then the
+    reach over the successor tables of the chosen x and their powers
+    (``_step_powers``).  What is reached is the subgroup X generates, so
+    each new x at least doubles it (Lagrange): at most log₂|uM| + 1
+    rounds."""
     e, size = m.elements, m.size
-    slots = np.arange(us.size)
     if not us.size:
         return np.ones(0, dtype=bool), np.ones(0, dtype=bool)
-    sizes = np.bincount(owner, minlength=slot_list.max() + 1)
+    slots = np.arange(us.size)
+    sizes = np.bincount(owner)
+    starts = np.cumsum(sizes) - sizes
     entry_slot = np.repeat(slots, sizes[slot_list])
-    entry_p = np.asarray(members, dtype=np.intp)[_ragged((np.cumsum(sizes) - sizes)[slot_list], sizes[slot_list])]
-    pu_bad = np.zeros(entry_p.size, dtype=bool)
-    up = np.empty(entry_p.size, dtype=np.intp)
-    for b in _blocks(entry_p.size, size):
-        rows, urows = e[entry_p[b]], e[us[entry_slot[b]]]
-        pu_bad[b] = (compose_rows(rows, urows) != rows).any(axis=1)
-        up[b] = m.positions(compose_rows(urows, rows))
-    pu_ok = np.bincount(entry_slot[pu_bad], minlength=us.size) == 0
+    entry_p = np.asarray(members, dtype=np.intp)[_ragged(starts[slot_list], sizes[slot_list])]
+    urows = e[us]
+    ok = idempotent_mask(urows)
 
-    # the nodes of every slot's uM; u must be one, and u∘a = a∘u = a
-    keys = sorted_unique(entry_slot * size + up)
-    node_slot, node = np.divmod(keys, size)
-    start = np.searchsorted(node_slot, slots)
-    count = np.diff(np.append(start, keys.size))
-    ok = keys[np.minimum(np.searchsorted(keys, slots * size + us), keys.size - 1)] == slots * size + us
-    for b in _blocks(keys.size, size):
-        rows, urows = e[node[b]], e[us[node_slot[b]]]
-        moved = (compose_rows(urows, rows) != rows) | (compose_rows(rows, urows) != rows)
-        ok[node_slot[b][moved.any(axis=1)]] = False
+    # p∘u = p for every p in M iff u(x) and x share their class in M's
+    # common kernel (x ~ y iff every member maps them together), coded by
+    # the byte key of x's column of M's rows (padded with M's first member)
+    longest = np.arange(sizes.max())
+    columns = e[members[starts[:, None] + np.where(longest < sizes[:, None], longest, 0)]]
+    keys = _row_keys(columns.transpose(0, 2, 1), m.n_states)
+    code = np.searchsorted(sorted_unique(keys), keys)[slot_list]
+    pu_ok = (np.take_along_axis(code, urows, axis=1) == code).all(axis=1)
 
-    # each node's row on the image of its u, keyed with its slot
-    ranked = np.sort(e[us], axis=1)
+    # the image I of each u, padded with its least point, and each state's
+    # column in it, read through u: a = u∘p has a(I_j) = I_c for
+    # c = column(u(p(I_j)))
+    ranked = np.sort(urows, axis=1)
     first = np.ones(ranked.shape, dtype=bool)
     first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
     column = np.cumsum(first, axis=1) - 1
-    image = np.repeat(ranked[:, :1], column[:, -1].max() + 1, axis=1)
+    rank = column[:, -1] + 1
+    image = np.repeat(ranked[:, :1], rank.max(), axis=1)
     image[slots[:, None], column] = ranked
-    restricted = e[node[:, None], image[node_slot]]
-    table = np.column_stack([node_slot, restricted])
-    bound = max(m.n_states, us.size)
-    order = np.argsort(_row_keys(table, bound))
+    col = np.zeros(urows.shape, dtype=np.intp)
+    col[slots[:, None], ranked] = column
+    flat = slots[:, None] * m.n_states
+    through_u = np.take(col, urows + flat)
+    bound = max(int(rank.max()), us.size)
+    cells = np.empty((entry_p.size, 1 + image.shape[1]), dtype=_cell_code(bound))
+    cells[:, 0] = entry_slot
+    for b in _blocks(entry_p.size, e.size // image.shape[1]):
+        t = entry_slot[b]
+        cells[b, 1:] = np.take(through_u, np.take(e, entry_p[b, None] * m.n_states + image[t]) + flat[t])
 
-    # every slot's Cayley table is closed, and every node's restricted row
-    # has the rank of its u
-    squares = count * count
-    pair_slot = np.repeat(slots, squares)
-    row_of, col_of = np.divmod(np.arange(pair_slot.size) - (np.cumsum(squares) - squares)[pair_slot], count[pair_slot])
-    a, c = start[pair_slot] + row_of, start[pair_slot] + col_of
-    product = np.empty(pair_slot.size, dtype=np.intp)
-    for b in _blocks(pair_slot.size, e.size // table.shape[1]):
-        query = np.column_stack([pair_slot[b], np.take(e, restricted[c[b]] + (node[a[b]] * m.n_states)[:, None])])
-        product[b] = row_positions(table, query, order, bound)
-    ok[pair_slot[product < 0]] = False
-    spread = np.sort(restricted, axis=1)
-    ranks = 1 + np.count_nonzero(spread[:, 1:] != spread[:, :-1], axis=1)
-    ok[node_slot[ranks != column[node_slot, -1] + 1]] = False
-    return pu_ok, ok
+    # u∘u = u, and a∘u = a on whole rows, which needs a test only where
+    # p∘u != p for some p of M (else a∘u = u∘p∘u = a)
+    bad = np.flatnonzero(~pu_ok[entry_slot])
+    for b in _blocks(bad.size, size):
+        ur = urows[entry_slot[bad[b]]]
+        a = compose_rows(ur, e[entry_p[bad[b]]])
+        ok[entry_slot[bad[b]][(compose_rows(a, ur) != a).any(axis=1)]] = False
+
+    # the nodes of every uM, sorted by key; the identity columns among them
+    keys = sorted_unique(_row_keys(cells, bound))
+    nodes = keys.view(cells.dtype).reshape(keys.size, -1).astype(np.intp)
+    node_slot, rows = nodes[:, 0], nodes[:, 1:]
+    width = np.arange(rows.shape[1])
+    identity = _row_keys(np.column_stack([slots, np.where(width < rank[:, None], width, 0)]), bound)
+    unit = np.minimum(np.searchsorted(keys, identity), keys.size - 1)
+    ok &= keys[unit] == identity
+    seen = np.zeros(rows.shape, dtype=bool)
+    seen[np.arange(len(rows))[:, None], rows] = True
+    ok[node_slot[np.count_nonzero(seen, axis=1) != rank[node_slot]]] = False
+
+    # closure on a growing generating set, every slot's round at once
+    reached = np.zeros(keys.size, dtype=bool)
+    reached[unit[ok]] = True
+    levels = (int(np.bincount(node_slot).max()) - 1).bit_length()
+    steps = np.empty((0, keys.size), dtype=np.intp)
+    while True:
+        todo = np.flatnonzero(ok[node_slot] & ~reached)
+        if not todo.size:
+            return pu_ok, ok
+        x = np.full(us.size, -1)
+        todo = todo[_run_starts(node_slot[todo])]  # each slot's first node not reached
+        x[node_slot[todo]] = todo
+        a = np.flatnonzero(x[node_slot] >= 0)
+        products = np.take(rows, rows[x[node_slot[a]]] + a[:, None] * rows.shape[1])
+        query = _row_keys(np.column_stack([node_slot[a], products]), bound)
+        found = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+        hit = keys[found] == query
+        ok[node_slot[a[~hit]]] = False
+        succ = np.arange(keys.size)
+        succ[a[hit]] = found[hit]
+        steps = np.concatenate([steps, _step_powers(succ[None], levels)])
+        count = 0
+        while count < (count := np.count_nonzero(reached)):
+            reached[steps[:, reached]] = True
 
 
 def almost_periodic_pairs(gens: np.ndarray, n: int) -> np.ndarray:
@@ -387,7 +457,7 @@ def invertible_image_check(ax: FlowAnalysis, candidates: Candidates,
     candidate order, then generator order."""
     name = "invertible_generator_image_of_proximal_set_proximal"
     n = ax.n_states
-    gens = np.array(ax.flow.generators)
+    gens = ax.generators
     invertible = gens[(np.sort(gens, axis=1) == np.arange(n)).all(axis=1)]
     if not invertible.size:
         return CheckResult(name, True)
@@ -436,44 +506,70 @@ def validate_partitions(ax: FlowAnalysis) -> CheckResult:
     first), then for the refinement.
 
     The partitions are read as the structure's first-occurrence
-    ``labels``, so class c has the c-th least member; each per-class test
-    is a reduction over the columns grouped by label (``_any_by_label``),
-    and the refinement is compared with the kernels along one
-    lexicographic sort of the states: no ``(n, n)`` array.  Label classes
-    are disjoint by construction.
+    ``labels``, so class c has the c-th least member, and all ideals are
+    tested in one pass.  Distinct images: every member's images of its
+    ideal's class representatives are sorted once, keyed (member, image,
+    class), so equal neighbours share an image; each ideal's least such
+    class pair (c1 < c2), and the first member sharing it, is the first
+    collision in row-major order, in O(members · classes) memory with no
+    (members, classes, classes) array.  Each per-class test is a
+    reduction over the columns grouped by (idempotent or ideal, label)
+    (``_any_by_label``), and the refinement is compared with the kernels
+    along one lexicographic sort of the states: no ``(n, n)`` array.
+    Label classes are disjoint by construction.
     """
     name = "per_ideal_partitions_valid"
     st = ax.structure
     e = ax.monoid.elements
+    n = ax.n_states
     labels = st.labels
-    least = [np.array([c[0] for c in classes]) for classes in st.classes]  # each class's least member
-    for k, (kernel, firsts, classes) in enumerate(zip(labels[:-1], least, st.classes)):
-        members, js = st.kernel_elements[st.member_ideals == k], st.all_idempotents[st.idempotent_ideals == k]
-        images = e[np.ix_(members, firsts)]
-        shared = images[:, :, None] == images[:, None, :]
-        pairs = upper_pairs(shared.any(axis=0), 1)
-        if pairs.size:
-            p = members[shared[:, pairs[0][0], pairs[0][1]].argmax()]
-            return CheckResult(name, False, f"distinct ideal-proximal classes share an image under element {p}")
-        idem_rows = e[js]
-        periodic = _any_by_label((idem_rows == np.arange(ax.n_states)).any(axis=0, keepdims=True), kernel)[0]
-        leaves = _any_by_label(kernel[idem_rows] != kernel, kernel)  # u(x) outside the class of x
-        bad = np.flatnonzero(~periodic | leaves.any(axis=0))
-        if bad.size:
-            cols = list(classes[bad[0]])
-            if not periodic[bad[0]]:
-                return CheckResult(name, False, f"class {cols} has no almost periodic point")
-            return CheckResult(name, False, f"class {cols} not closed under idempotent {js[leaves[:, bad[0]].argmax()]}")
+    kernels, refinement = labels[:-1], labels[-1]
+    count = labels.max(axis=1) + 1  # classes per row
+    lead = np.ones(labels.shape, dtype=bool)  # each class's least member
+    lead[:, 1:] = labels[:, 1:] > np.maximum.accumulate(labels, axis=1)[:, :-1]
+    least = np.flatnonzero(lead) % n  # row by row, class by class
+    offset = np.cumsum(count) - count
+
+    members, ideal = st.kernel_elements, st.member_ideals
+    classes = count[ideal]
+    entry = np.repeat(np.arange(members.size), classes)
+    cls = _ragged(np.zeros(members.size, dtype=np.intp), classes)
+    images = np.take(e, np.repeat(members * n, classes) + least[np.repeat(offset[ideal], classes) + cls])
+    c = int(count.max())
+    keys = np.sort((entry * n + images) * c + cls)
+    pair = np.flatnonzero(keys[1:] // c == keys[:-1] // c)
+    hit = keys[pair] // (n * c)
+    hit = hit[np.lexsort((hit, (keys[pair] % c) * c + keys[pair + 1] % c, ideal[hit]))]
+    hit = hit[_run_starts(ideal[hit])]  # each ideal's least pair, its first member
+    shared = np.full(len(kernels), -1)
+    shared[ideal[hit]] = members[hit]
+
+    us, u_ideal = st.all_idempotents, st.idempotent_ideals
+    idem_rows = e[us]
+    own = kernels[u_ideal]  # each idempotent's ideal kernel
+    leaves = _any_by_label(np.take_along_axis(own, idem_rows, axis=1) != own, own, c)  # u(x) outside x's class
+    periodic = _any_by_label(idem_rows == np.arange(n), own, c, u_ideal, len(kernels))
+    escaped = _any_by_label(leaves, np.arange(c), c, u_ideal, len(kernels))
+    bad = (~periodic | escaped) & (np.arange(c) < count[:-1, None])
+    failed = np.flatnonzero((shared >= 0) | bad.any(axis=1))
+    if failed.size:
+        k = failed[0]
+        if shared[k] >= 0:
+            return CheckResult(name, False, f"distinct ideal-proximal classes share an image under element {shared[k]}")
+        first = bad[k].argmax()
+        cols = list(st.classes[k][first])
+        if not periodic[k, first]:
+            return CheckResult(name, False, f"class {cols} has no almost periodic point")
+        u = us[np.flatnonzero((u_ideal == k) & leaves[:, first])[0]]
+        return CheckResult(name, False, f"class {cols} not closed under idempotent {u}")
     # the refinement is constant on each run of equal kernel labels and has
     # as many classes as there are runs
-    kernels, refinement = labels[:-1], labels[-1]
     order = np.lexsort(kernels)
     runs = (np.diff(kernels[:, order], axis=1) != 0).any(axis=0)
     splits = np.diff(refinement[order]) != 0
     if (splits & ~runs).any() or np.count_nonzero(runs) != refinement.max():
         return CheckResult(name, False, "refinement class is not the intersection of per-ideal classes")
-    idem_rows = e[st.all_idempotents]
-    spread = _any_by_label(idem_rows != idem_rows[:, least[-1][refinement]], refinement)
+    spread = _any_by_label(idem_rows != idem_rows[:, least[offset[-1]:][refinement]], refinement)
     bad = np.flatnonzero(spread.any(axis=0))
     if bad.size:
         u = st.all_idempotents[spread[:, bad[0]].argmax()]
@@ -481,14 +577,17 @@ def validate_partitions(ax: FlowAnalysis) -> CheckResult:
     return CheckResult(name, True)
 
 
-def _any_by_label(mask: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """For a ``(k, n)`` boolean array and first-occurrence labels of the n
-    columns, the ``(k, classes)`` array saying whether row i is True at
-    some column of each class: one ``bincount`` of (row, label) over the
-    True entries."""
-    rows, classes = len(mask), int(labels.max()) + 1
-    hits = (np.arange(rows)[:, None] * classes + labels)[mask]
-    return np.bincount(hits, minlength=rows * classes).reshape(rows, classes) > 0
+def _any_by_label(mask: np.ndarray, labels: np.ndarray, classes: int | None = None,
+                  groups: np.ndarray | None = None, group_count: int | None = None) -> np.ndarray:
+    """For a ``(k, n)`` boolean array and labels of its columns (one row
+    for all rows, or one row per row), whether row i is True at some
+    column of each class: a ``(k, classes)`` array from one ``bincount``
+    of (row, label) over the True entries.  With ``groups``, the group of
+    each row, the rows of a group are merged: ``(group_count, classes)``."""
+    classes = int(labels.max()) + 1 if classes is None else classes
+    rows, count = (np.arange(len(mask)), len(mask)) if groups is None else (groups, group_count)
+    hits = (rows[:, None] * classes + labels)[mask]
+    return np.bincount(hits, minlength=count * classes).reshape(count, classes) > 0
 
 
 def sp_matches_class_squares(ax: FlowAnalysis) -> CheckResult:

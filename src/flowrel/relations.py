@@ -146,7 +146,7 @@ def verify_relation_forms(ax: FlowAnalysis) -> None:
     since each pair of forms is provably equal.
     """
     p, sp = ax.proximal, ax.strongly_proximal
-    gens = np.array(ax.flow.generators)
+    gens = ax.generators
     direct = pairs_reaching(gens, diagonal(ax.n_states))
     if not np.array_equal(direct, p):
         raise AssertionError(
@@ -166,9 +166,10 @@ class FlowAnalysis:
     WD are the complements of P and SP).  Every check reads these fields,
     so an analysis changed with ``dataclasses.replace`` reaches all of
     them.  Equality and hashing are by identity: comparing array fields
-    has no single truth value.  Whether P and SP are equivalence relations,
-    and which idempotents are equivalent, is computed at most once per
-    analysis (a replaced copy computes its own)."""
+    has no single truth value.  Whether P and SP are equivalence
+    relations, and which idempotents are equivalent, is computed at most
+    once per analysis (a replaced copy computes its own); the generator
+    array is the monoid's, built once."""
 
     flow: FiniteFlow
     monoid: TransMonoid
@@ -190,6 +191,11 @@ class FlowAnalysis:
     @property
     def weakly_distal(self) -> np.ndarray:
         return ~self.strongly_proximal
+
+    @property
+    def generators(self) -> np.ndarray:
+        """The flow's maps as one ``(k, n)`` int array (``TransMonoid.generators``)."""
+        return self.monoid.generators
 
     @cached_property
     def p_is_equivalence(self) -> bool:

@@ -76,6 +76,14 @@ proximal-set candidates are the references for their array forms:
 tuples sorted in Python, the reference for ``fuzz.proximal_candidates``,
 and ``candidate_tuples`` reads the candidates' members back as tuples.
 
+The minimal-ideal passes keep their earlier forms as references:
+``reference_kernel_labels`` labels each row by one stable argsort (for
+``finflow.kernel_labels``' scatter), ``reference_left_action_counterexamples``
+grows the S¹p = M reach one edge step per pass (for the step powers of
+``fuzz.left_action_counterexamples``), and ``reference_ideal_group_tests``
+gathers and looks up every slot's whole uM Cayley table (for the
+generating-set closure of ``fuzz.ideal_group_tests``).
+
 ``structure_from_lists`` builds an ``IdealStructure`` from per-ideal
 lists, and ``ideal_lists`` reads them back: the per-ideal form of the
 structure's flat arrays, in which the references read it and the tests
@@ -114,10 +122,13 @@ from flowrel.finflow import (
     MonoidTooLarge,
     NotAFactorMap,
     TransMonoid,
+    _row_keys,
+    compose_rows,
     element_cap,
     ideal_structure,
     kernel_labels,
     row_positions,
+    sorted_unique,
 )
 from flowrel.fuzz import CheckResult
 from flowrel.relations import product_flow, reaching
@@ -1124,3 +1135,104 @@ def build_parser() -> argparse.ArgumentParser:
     out_and_cap(p, cap=False)
     p.set_defaults(func=cli.cmd_classify_pair)
     return top
+
+
+# -- the minimal-ideal checks, one step or one product at a time -------------------
+
+
+def reference_kernel_labels(rows: np.ndarray) -> np.ndarray:
+    """``finflow.kernel_labels`` by one stable argsort of each row: the sort
+    puts every kernel class in one run, led by its least member, and the
+    label of x numbers the least member of x's class among all least
+    members, which is its order of first appearance."""
+    k, n = rows.shape
+    flat = np.arange(0, k * n, n)[:, None]
+    order = np.argsort(rows, axis=1, kind="stable")
+    ranked = np.take(rows, order + flat)
+    starts = np.ones(rows.shape, dtype=bool)
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    run_start = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
+    least = np.empty_like(order)
+    least.ravel()[order + flat] = np.take(order, run_start + flat)
+    return np.take(np.cumsum(least == np.arange(n), axis=1) - 1, least + flat)
+
+
+def reference_left_action_counterexamples(m, members, owner) -> list[int | None]:
+    """``fuzz.left_action_counterexamples`` with the forward and backward
+    reach grown one edge step per pass, over the generators' successor
+    table alone."""
+    flat, owner = np.asarray(members, dtype=np.intp), np.asarray(owner, dtype=np.intp)
+    ids = np.arange(owner[-1] + 1)
+    firsts = flat[np.searchsorted(owner, ids)]
+    keys = sorted_unique(owner * m.size + flat)
+    node_list, node_p = np.divmod(keys, m.size)
+    gens = np.array(m.flow.generators, dtype=m.elements.dtype)
+    to = node_list * m.size + m.positions(gens[:, m.elements[node_p]])
+    succ = np.minimum(np.searchsorted(keys, to), keys.size - 1)
+    stays = keys[succ] == to
+    succ = np.where(stays, succ, np.arange(keys.size))
+    start = np.zeros(keys.size, dtype=bool)
+    start[np.searchsorted(keys, ids * m.size + firsts)] = True
+    ahead, back, count = start.copy(), start, 0
+    while count < (count := np.count_nonzero(ahead) + np.count_nonzero(back)):
+        ahead[succ[:, ahead]] = True
+        back = back | back[succ].any(axis=0)
+    whole = np.logical_and.reduceat(stays.all(axis=0) & ahead, np.searchsorted(node_list, ids))
+    whole[owner[1:][(flat[1:] <= flat[:-1]) & (owner[1:] == owner[:-1])]] = False
+    stuck = np.flatnonzero(~back)[::-1]
+    first_stuck = dict(zip(node_list[stuck].tolist(), node_p[stuck].tolist()))
+    return [first_stuck.get(b) if ok else int(firsts[b]) for b, ok in enumerate(whole.tolist())]
+
+
+def reference_ideal_group_tests(m, members, owner, us, slot_list) -> tuple[np.ndarray, np.ndarray]:
+    """``fuzz.ideal_group_tests`` with every slot's whole uM Cayley table:
+    the |uM|² products of each slot's nodes, on rows restricted to the
+    image of u, gathered in blocks and looked up among the restricted rows
+    by their keys, the slot prefixed; p∘u = p and the whole-row identity
+    tests member by member."""
+    e, size = m.elements, m.size
+    slots = np.arange(us.size)
+    if not us.size:
+        return np.ones(0, dtype=bool), np.ones(0, dtype=bool)
+    sizes = np.bincount(owner, minlength=slot_list.max() + 1)
+    entry_slot = np.repeat(slots, sizes[slot_list])
+    entry_p = np.asarray(members, dtype=np.intp)[fuzz._ragged((np.cumsum(sizes) - sizes)[slot_list], sizes[slot_list])]
+    pu_bad = np.zeros(entry_p.size, dtype=bool)
+    up = np.empty(entry_p.size, dtype=np.intp)
+    for b in fuzz._blocks(entry_p.size, size):
+        rows, urows = e[entry_p[b]], e[us[entry_slot[b]]]
+        pu_bad[b] = (compose_rows(rows, urows) != rows).any(axis=1)
+        up[b] = m.positions(compose_rows(urows, rows))
+    pu_ok = np.bincount(entry_slot[pu_bad], minlength=us.size) == 0
+    keys = sorted_unique(entry_slot * size + up)
+    node_slot, node = np.divmod(keys, size)
+    start = np.searchsorted(node_slot, slots)
+    count = np.diff(np.append(start, keys.size))
+    ok = keys[np.minimum(np.searchsorted(keys, slots * size + us), keys.size - 1)] == slots * size + us
+    for b in fuzz._blocks(keys.size, size):
+        rows, urows = e[node[b]], e[us[node_slot[b]]]
+        moved = (compose_rows(urows, rows) != rows) | (compose_rows(rows, urows) != rows)
+        ok[node_slot[b][moved.any(axis=1)]] = False
+    ranked = np.sort(e[us], axis=1)
+    first = np.ones(ranked.shape, dtype=bool)
+    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    column = np.cumsum(first, axis=1) - 1
+    image = np.repeat(ranked[:, :1], column[:, -1].max() + 1, axis=1)
+    image[slots[:, None], column] = ranked
+    restricted = e[node[:, None], image[node_slot]]
+    table = np.column_stack([node_slot, restricted])
+    bound = max(m.n_states, us.size)
+    order = np.argsort(_row_keys(table, bound))
+    squares = count * count
+    pair_slot = np.repeat(slots, squares)
+    row_of, col_of = np.divmod(np.arange(pair_slot.size) - (np.cumsum(squares) - squares)[pair_slot], count[pair_slot])
+    a, c = start[pair_slot] + row_of, start[pair_slot] + col_of
+    product = np.empty(pair_slot.size, dtype=np.intp)
+    for b in fuzz._blocks(pair_slot.size, e.size // table.shape[1]):
+        query = np.column_stack([pair_slot[b], np.take(e, restricted[c[b]] + (node[a[b]] * m.n_states)[:, None])])
+        product[b] = row_positions(table, query, order, bound)
+    ok[pair_slot[product < 0]] = False
+    spread = np.sort(restricted, axis=1)
+    ranks = 1 + np.count_nonzero(spread[:, 1:] != spread[:, :-1], axis=1)
+    ok[node_slot[ranks != column[node_slot, -1] + 1]] = False
+    return pu_ok, ok

@@ -38,7 +38,7 @@ from flowrel.finflow import (
     kernel_labels,
     sorted_unique,
 )
-from flowrel.fuzz import TWO_IDEAL_FLOW, ideal_group_tests, proxset_check_suite, random_flow
+from flowrel.fuzz import TWO_IDEAL_FLOW, ideal_group_tests, proxset_check_suite, random_flow, relation_check_suite
 from flowrel.relations import analyze_flow, sp_witnesses
 from flowrel.reports import RecordMap, flow_report
 from oracles import (
@@ -414,7 +414,23 @@ def test_flat_lists_take_one_pass_and_differing_records_the_general_path(monkeyp
     calls.clear()
     mixed = [checks[0], {"name": "c", "pass": True}]
     assert dump(mixed) == json.dumps(mixed, indent=2, sort_keys=True) + "\n"
-    assert len(calls) == 1 + 2 + 5  # the list, each record and each value
+    assert len(calls) == 1 + 2  # the list and each record, each record one join
+    calls.clear()
+    nested = [{"name": "c", "inner": {"pass": True}}]
+    assert dump(nested) == json.dumps(nested, indent=2, sort_keys=True) + "\n"
+    assert len(calls) == 1 + 1 + 2  # the list, the record, and each of its values
+
+
+def test_a_dict_of_flat_scalars_takes_no_per_value_write(monkeypatch):
+    # a symbolic report's params: str keys, str, int, bool and None values
+    calls = []
+    real = cli._write
+    monkeypatch.setattr(cli, "_write", lambda value, *args: calls.append(value) or real(value, *args))
+    params = {"depth": 6, "gap": None, "horizon": 200000, "system": "chacon", "dual": False, "é": "\u00e9\n"}
+    value = {"params": params, "floats": {"x": 0.5}, "ints": {3: 1, 1: 2}}
+    assert dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert [call is params for call in calls].count(True) == 1
+    assert len(calls) == 1 + 3 + 1 + 2  # the report, each dict, the float, the int-keyed dict's two values
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int64])
@@ -461,6 +477,24 @@ def test_array_writer_temporaries_stay_within_a_multiple_of_the_array():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * len(text) + 4 * value.nbytes
+
+
+def test_both_suites_stay_within_a_few_times_the_monoid_rows_on_a_wide_flow():
+    # x -> x - (x mod 2) and the rotation on 300 states: 900 elements, two
+    # ideals of 300 members with 150 classes each.  No check builds a
+    # (members, classes, classes) array (6.75 MB per ideal here, 21.7 times
+    # the bound's unit) or a |uM|² Cayley table; the largest arrays left are
+    # the pair graph's k·n² successors, about 8 times the unit
+    n = 300
+    ax = analyze_flow(FiniteFlow(n, (tuple((x + 1) % n for x in range(n)), tuple(x - x % 2 for x in range(n)))))
+    tracemalloc.start()
+    try:
+        relation_check_suite(ax)
+        proxset_check_suite(ax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * (ax.monoid.elements.nbytes + n * n)
 
 
 def test_analyze_report_keeps_monoid_rows_and_pairs_as_arrays():
@@ -565,3 +599,16 @@ def test_one_analyze_computes_each_minimal_ideal_fact_once(monkeypatch, capsys, 
     assert counts["equivalence_matrix"] == 1
     assert counts["kernel_labels"] <= 2
     assert counts["label_classes"] == 0
+
+
+def test_one_analysis_builds_its_generator_array_once(monkeypatch):
+    # the closure's key-cell copy and the monoid's one cached array: the
+    # relation forms and the report with both suites read that array
+    flow = wide_flow(64, 3)
+    real = np.array
+    built = []
+    monkeypatch.setattr(np, "array", lambda *a, **k: (built.append(a[0] is flow.generators), real(*a, **k))[1])
+    ax = analyze_flow(flow)
+    flow_report(ax)
+    assert built.count(True) == 2
+    assert ax.generators is ax.monoid.generators

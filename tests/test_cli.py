@@ -296,6 +296,25 @@ def test_fuzz_500_bytes_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_500_SHA256
 
 
+@pytest.mark.parametrize("argv", [
+    "classify-pair --system morse --x a --y b --depth 8 --horizon 2000",
+    "classify-pair --system chacon --x x1 --y x2 --depth 4 --horizon 2000",
+    "classify-pair --system ternary --x pat:0120:-2:01:2 --y shift:3:z",
+    "classify-pair --system cc --x C:2:0.5 --y center",
+    "reproduce mt", "reproduce chacon", "reproduce ternary", "reproduce cc",
+])
+def test_every_symbolic_report_is_written_as_json_does(capsys, monkeypatch, argv):
+    # every classify-pair system and the four golden scenarios: the dicts
+    # of flat scalars in them (params, proximal, inner) are one join each
+    reports = []
+    real = cli.dump
+    monkeypatch.setattr(cli, "dump", lambda report: reports.append(report) or real(report))
+    code, out, _ = run(capsys, *shlex.split(argv))
+    assert code == 0, out
+    (report,) = reports
+    assert real(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("example", ["mt", "chacon", "ternary", "cc"])
 def test_reproduce_matches_golden(capsys, example):
     code, out, _ = run(capsys, "reproduce", example)

@@ -1,6 +1,9 @@
 """The row lookup and the array-gather forms of the minimal-ideal algebra:
 each gather against its one-element-at-a-time reference in ``oracles``,
-and each ideal-algebra check of the relation suite broken in turn."""
+each ideal-algebra check of the relation suite broken in turn, and the
+minimal-ideal passes (kernel labels by one scatter, the S¹p = M search
+over step powers, uM closure on a generating set, the partitions by one
+sort) against their one-step and whole-table forms."""
 
 import random
 import re
@@ -20,6 +23,7 @@ from flowrel.finflow import (
     equivalent_idempotents,
     format_flow,
     induced_theta,
+    kernel_labels,
     row_positions,
 )
 from flowrel.fuzz import (
@@ -51,11 +55,14 @@ from oracles import (
     reference_equivalent_idempotents,
     reference_ideal_algebra_details,
     reference_ideal_structure,
+    reference_ideal_group_tests,
     reference_idempotent_power,
     reference_idempotents,
     reference_induced_theta,
     reference_is_group,
     reference_is_minimal_flow,
+    reference_kernel_labels,
+    reference_left_action_counterexamples,
     reference_mp_counterexample,
     reference_omega,
     reference_right_identity,
@@ -565,3 +572,93 @@ def test_fiber_check_fails_when_the_section_is_no_idempotent(monkeypatch):
                         lambda self, idx: np.full(len(idx), element_of(self, (1, 3, 3, 1))) if self.n_states == 4 else np.asarray(idx))
     (after,) = [r for r in check_factor_theorems(point, src, tgt) if r.name == "factor_fiber_contains_ap_set"]
     assert not after.passed and after.detail == "u.fiber not an almost periodic subset of fiber over 0"
+
+
+# -- the minimal-ideal passes against their one-step and whole-table forms ----------
+
+
+def assert_passes_match_references(ax):
+    """``kernel_labels`` on the minimum-rank rows and on the structure's
+    labels, the S¹p = M search, the slot pass and the partition check, each
+    against its reference, on the analysis' own lists."""
+    m, st_ = ax.monoid, ax.structure
+    ranks = m.ranks()
+    for rows in (m.elements[ranks == ranks.min()], st_.labels):
+        assert np.array_equal(kernel_labels(rows), reference_kernel_labels(rows))
+    lists = (st_.kernel_elements, st_.member_ideals)
+    assert left_action_counterexamples(m, *lists) == reference_left_action_counterexamples(m, *lists)
+    slots = (*lists, st_.all_idempotents, st_.idempotent_ideals)
+    for got, want in zip(ideal_group_tests(m, *slots), reference_ideal_group_tests(m, *slots)):
+        assert np.array_equal(got, want)
+    assert validate_partitions(ax) == reference_validate_partitions(ax)
+
+
+def test_minimal_ideal_passes_match_references_on_random_flows():
+    # 1500 seeded flows, each with a seeded break of its lists or slots
+    # and one of its partitions: every pass against its reference, the
+    # verdicts and the first counterexamples alike
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(1500):
+        try:
+            ax = analyze_flow(random_flow(rng), cap=3000)
+        except MonoidTooLarge:
+            continue
+        for case in [ax, rng.choice(seeded_slot_breaks(ax, rng)), rng.choice(seeded_partition_breaks(ax, rng)[1:])]:
+            assert_passes_match_references(case)
+            seen.add(validate_partitions(case).passed)
+            seen.update(left_action_counterexamples(case.monoid, case.structure.kernel_elements,
+                                                    case.structure.member_ideals))
+    assert {True, False, None} <= seen
+
+
+BREAKERS = [
+    (TWO_IDEAL_FLOW, broken_mp), (TWO_IDEAL_FLOW, broken_pu), (TWO_IDEAL_FLOW, broken_um),
+    (FiniteFlow(4, ((1, 2, 3, 0),)), unclosed_um), (TWO_IDEAL_FLOW, broken_omega), (ROTATION3_FLOW, broken_p),
+    (TWO_IDEAL_FLOW, mp_action_leaves), (TWO_IDEAL_FLOW, mp_least_reaches_part),
+    (SWAP_CONSTANT_FLOW, mp_later_member_stuck), (TWO_IDEAL_FLOW, fake_identity_um),
+    (ROTATION3_FLOW, rotation_as_idempotent), (CONSTANTS_FLOW, identity_without_inverses),
+    (TWO_IDEAL_FLOW, split_kernel), (TWO_IDEAL_FLOW, merged_refinement), (SINGLE_IDEAL_SEED_FLOW, regrouped_refinement),
+    (TWO_IDEAL_FLOW, relabelled_refinement), (CONSTANTS_FLOW, identity_as_idempotent),
+    (TWO_IDEAL_FLOW, foreign_idempotents((7,))), (TWO_IDEAL_FLOW, foreign_idempotents((1, 2))),
+]
+
+
+@pytest.mark.parametrize("flow, breaker", BREAKERS, ids=lambda v: getattr(v, "__name__", None))
+def test_minimal_ideal_passes_match_references_on_every_breaker(flow, breaker):
+    assert_passes_match_references(breaker(analyze_flow(flow)))
+
+
+def wide(n: int, step: int) -> FiniteFlow:
+    """The rotation and x -> x - (x mod step) on n states."""
+    return FiniteFlow(n, (tuple((x + 1) % n for x in range(n)), tuple(x - x % step for x in range(n))))
+
+
+@pytest.mark.parametrize("n", [16, 48, 128])
+@pytest.mark.parametrize("step", [2, 4])
+def test_minimal_ideal_passes_match_references_on_wide_flows(n, step):
+    ax = analyze_flow(wide(n, step))
+    assert ax.structure.ideal_count == step
+    assert_passes_match_references(ax)
+    # one member of the last ideal moved to the end of the first: the
+    # action then leaves both lists, so each names its first member
+    members = ideal_lists(ax.structure)["members"]
+    moved = with_structure(ax, members=[members[0] + members[-1][-1:], *members[1:-1], members[-1][:-1]])
+    assert_passes_match_references(moved)
+    st_ = moved.structure
+    found = left_action_counterexamples(moved.monoid, st_.kernel_elements, st_.member_ideals)
+    assert (found[0], found[-1]) == (members[0][0], members[-1][0])
+
+
+def test_kernel_labels_match_the_argsort_form():
+    # 3000 seeded arrays, a third of each integer type, with negative
+    # entries and with values past the row width
+    rng = np.random.default_rng(29)
+    for t in range(3000):
+        k, n = rng.integers(1, 12), rng.integers(1, 30)
+        rows = rng.integers(-3 if t % 5 == 0 else 0, rng.integers(1, 40), size=(k, n))
+        rows = rows.astype((np.int16, np.int32, np.intp)[t % 3])
+        assert np.array_equal(kernel_labels(rows), reference_kernel_labels(rows))
+    # the int16 extremes: the slots are counted in index width, not int16
+    rows = np.array([[32767, -3, 32767, 5, -3], [-32768, 0, 32767, 0, -32768]], dtype=np.int16)
+    assert kernel_labels(rows).tolist() == [[0, 1, 0, 2, 1], [0, 1, 2, 1, 0]]
