@@ -532,9 +532,9 @@ DEFAULTS = {
     "count": 100,
     "seed": 1,
     "max_states": 6,
-    "depth": 8,
-    "gap": None,  # min(DEFAULT_GAP, horizon), set once the horizon is known
-    "horizon": 4096,
+    "depth": ClassifyParams().depth,
+    "gap": None,  # min(ClassifyParams().gap, horizon), set once the horizon is known
+    "horizon": ClassifyParams().horizon,
     "format": "json",
     "out": None,
     "cap": None,
@@ -545,7 +545,6 @@ DEFAULTS = {
 CONFIG_TYPES = {key: (int,) for key in ("count", "seed", "max_states", "depth", "gap", "horizon")}
 CONFIG_TYPES.update(format=(str,), out=(str, type(None)))
 FORMATS = ("json", "text")
-DEFAULT_GAP = 256
 
 CONFIG = Arg("config", help="JSON file supplying defaults for any flag")
 OUT = Arg("out", help="also write the report to this path")
@@ -672,7 +671,7 @@ def apply_config(args: SimpleNamespace) -> SimpleNamespace:
     if hasattr(args, "cap"):
         args.cap = element_cap() if args.cap is None else checked_cap(args.cap, "cap")
     if hasattr(args, "gap") and args.gap is None:
-        args.gap = min(DEFAULT_GAP, args.horizon)
+        args.gap = min(ClassifyParams().gap, args.horizon)
     return args
 
 

@@ -136,15 +136,20 @@ def _cell_code(bound: int) -> str:
     return "u1" if bound <= 256 else ">u2" if bound <= 2**16 else ">u4"
 
 
+def find(keys: np.ndarray, query, order: np.ndarray | None = None) -> np.ndarray:
+    """The index in the nonempty ``keys`` (sorted, or sorted by ``order``)
+    of each entry of ``query``, or -1 where it is absent."""
+    at = np.minimum(np.searchsorted(keys, query, sorter=order), keys.size - 1)
+    at = at if order is None else order[at]
+    return np.where(keys[at] == query, at, -1)
+
+
 def row_positions(table: np.ndarray, rows, order: np.ndarray | None = None, bound: int | None = None) -> np.ndarray:
-    """The index in ``table`` of each row (last axis) of ``rows``, or -1
-    where it is not a row of ``table``; ``order`` sorts the row keys of
-    ``table`` when the caller keeps it, and ``bound`` is ``_row_keys``'."""
+    """``find`` on row keys: the index in ``table`` of each row (last axis)
+    of ``rows``, or -1; ``order`` sorts the row keys of ``table`` when the
+    caller keeps it, and ``bound`` is ``_row_keys``'."""
     keys = _row_keys(table, bound)
-    order = np.argsort(keys) if order is None else order
-    query = _row_keys(rows, bound)
-    found = order[np.minimum(np.searchsorted(keys, query, sorter=order), keys.size - 1)]
-    return np.where(keys[found] == query, found, -1)
+    return find(keys, _row_keys(rows, bound), np.argsort(keys) if order is None else order)
 
 
 def compose_rows(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -214,10 +219,9 @@ def _state_sets(sets) -> np.ndarray:
     return np.array([r + r[:1] * (width - len(r)) for r in rows], dtype=np.intp).reshape(len(rows), width)
 
 
-def first_rows(elements: np.ndarray, rows: np.ndarray, sets: np.ndarray, collapsed: bool) -> np.ndarray:
-    """For each state set (a row of ``sets``), the first position i in
-    ``rows`` whose element ``elements[rows[i]]`` maps the set to one point
-    (to two or more points when ``collapsed`` is False), or -1.
+def first_rows(elements: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """For each state set (a row of ``sets``), the first row of
+    ``elements`` that maps the set to one point, or -1.
 
     The images are gathered for blocks of element rows and of sets, sized
     from the inputs so that no gathered array has more entries than
@@ -227,7 +231,7 @@ def first_rows(elements: np.ndarray, rows: np.ndarray, sets: np.ndarray, collaps
     member axis of the gathered layout costs many times more."""
     out = np.full(len(sets), -1, dtype=np.intp)
     width = sets.shape[1]
-    rows = np.asarray(rows)[:, None]
+    rows = np.arange(len(elements))[:, None]
     columns = sets.T[:, None]  # (width, 1, sets)
     chunk = max(1, elements.size // width)
     for lo in range(0, len(sets), chunk):
@@ -236,10 +240,9 @@ def first_rows(elements: np.ndarray, rows: np.ndarray, sets: np.ndarray, collaps
         while todo.size and start < len(rows):
             stop = start + max(1, elements.size // (todo.size * width))
             images = elements[rows[start:stop], columns[:, :, todo]]  # (width, rows, sets)
-            same = np.ones(images.shape[1:], dtype=bool)
+            hit = np.ones(images.shape[1:], dtype=bool)
             for slab in images[1:]:
-                same &= slab == images[0]
-            hit = same == collapsed
+                hit &= slab == images[0]
             found = hit.any(axis=0)
             out[todo[found]] = start + hit.argmax(axis=0)[found]
             todo, start = todo[~found], stop
@@ -311,7 +314,7 @@ def first_collapsers(m: TransMonoid, sets) -> np.ndarray:
     """For each state set, the first element index that collapses it to a
     single point, or -1 where none does (the set is not proximal): one
     blocked scan of the monoid for all the sets (``first_rows``)."""
-    return first_rows(m.elements, np.arange(m.size), _state_sets(sets), True)
+    return first_rows(m.elements, _state_sets(sets))
 
 
 def close(flow: FiniteFlow, cap: int | None = None) -> TransMonoid:

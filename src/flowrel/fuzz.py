@@ -14,7 +14,8 @@ idempotents, in ideal order, each with the number of its ideal), each run
 a small number of times, not once per step of a path or per product of a
 table: one S¹p = M search over every ideal's members
 (``left_action_counterexamples``), whose passes cross many steps of a
-generator at once through the generators' step powers; "pu = p" and "uM
+generator at once through the generators' step powers
+(``relations.step_powers``); "pu = p" and "uM
 is a group" for every idempotent of every ideal in one pass
 (``ideal_group_tests``), p∘u = p read from each ideal's common kernel and
 uM's closure tested on a generating set that at least doubles what it
@@ -28,6 +29,7 @@ one label comparison.  Each keeps the first counterexample of the
 per-ideal, per-idempotent, member-by-member, class-by-class or
 per-candidate loop it replaced; those loops, the one-step search and the
 whole-table group test are the references in ``tests/oracles.py``.
+Every graph search here is a ``relations.reach`` call.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .finflow import (
     _cell_code,
     _row_keys,
     compose_rows,
+    find,
     format_flow,
     idempotent_mask,
     induced_theta,
@@ -62,7 +65,8 @@ from .relations import (
     product_flow,
     proximal_sets,
     quotient_by_icer,
-    transitive_closure,
+    reach,
+    step_powers,
     upper_pairs,
 )
 
@@ -174,7 +178,7 @@ def relation_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
 
     # Omega agrees with the product-flow definition: its pairs are the
     # almost periodic points of the squared flow (skipped on wide state
-    # sets, where the (n², n²) reach matrix of the pair graph is large)
+    # sets, where the reach from every pair-graph node is (n², n²))
     gens = ax.generators
     if n <= 12:
         out.append(_result("omega_agrees_with_product_flow", np.array_equal(om, almost_periodic_pairs(gens, n))))
@@ -227,7 +231,7 @@ def left_action_counterexamples(m: TransMonoid, members: np.ndarray, owner: np.n
     so lists that share or repeat a member stay apart; one ``positions``
     gather finds every g∘p, and an edge leaving its list becomes a loop.
     The forward reach from each list's first member and the backward
-    reach into it grow together, one pass over ``_step_powers`` tables:
+    reach into it are two ``reach`` calls over ``step_powers`` tables:
     each generator's steps and their powers g^2, g^4, ... up to the
     longest list, so a pass crosses up to that many steps of one
     generator (a rotation's cycle of length L takes about log₂ L passes,
@@ -238,17 +242,14 @@ def left_action_counterexamples(m: TransMonoid, members: np.ndarray, owner: np.n
     keys = sorted_unique(owner * m.size + flat)
     node_list, node_p = np.divmod(keys, m.size)
     to = node_list * m.size + m.positions(m.generators.take(m.elements[node_p], axis=1))  # (k, nodes): the key of g∘p
-    succ = np.minimum(np.searchsorted(keys, to), keys.size - 1)
-    stays = keys[succ] == to
+    succ = find(keys, to)
+    stays = succ >= 0
     succ = np.where(stays, succ, np.arange(keys.size))
     longest = int(np.bincount(node_list).max())
-    steps = _step_powers(succ, min((longest - 1).bit_length(), m.elements.size // succ.size))
+    steps = step_powers(succ, min((longest - 1).bit_length(), m.elements.size // succ.size))
     start = np.zeros(keys.size, dtype=bool)
     start[np.searchsorted(keys, ids * m.size + firsts)] = True
-    ahead, back, count = start.copy(), start, 0
-    while count < (count := np.count_nonzero(ahead) + np.count_nonzero(back)):  # until neither grows
-        ahead[steps[:, ahead]] = True
-        back = back | back[steps].any(axis=0)
+    ahead, back = reach(steps, start), reach(steps, start, backward=True)
     # the first member's test: the list is closed, reached, and increasing
     whole = np.logical_and.reduceat(stays.all(axis=0) & ahead, np.searchsorted(node_list, ids))
     whole[owner[1:][(flat[1:] <= flat[:-1]) & (owner[1:] == owner[:-1])]] = False
@@ -260,18 +261,6 @@ def left_action_counterexamples(m: TransMonoid, members: np.ndarray, owner: np.n
 def _run_starts(values: np.ndarray) -> np.ndarray:
     """Where each run of equal entries of ``values`` starts."""
     return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1]))) if values.size else values
-
-
-def _step_powers(succ: np.ndarray, count: int) -> np.ndarray:
-    """The successor tables ``succ`` (one row per kind of step, each a map
-    of the nodes) and their powers 2, 4, ..., 2^(count - 1), squared one
-    from the last: a search over all of them crosses up to 2^count - 1
-    steps of one kind in one pass.  At least ``succ`` itself."""
-    rows, nodes = succ.shape
-    tables = [succ]
-    for _ in range(count - 1):
-        tables.append(np.take(tables[-1], tables[-1] + np.arange(0, rows * nodes, nodes)[:, None]))
-    return np.concatenate(tables)
 
 
 def _blocks(total: int, size: int):
@@ -318,11 +307,11 @@ def ideal_group_tests(m: TransMonoid, members: np.ndarray, owner: np.ndarray, us
     by X reaches all of uM from u (each node is then u∘x1∘...∘xm, and
     a∘u∘x1∘...∘xm stays in uM one factor at a time).  X grows greedily,
     each slot adding its first node not yet reached, in one round for all
-    slots: a lookup of every product a∘x among the sorted keys, then the
-    reach over the successor tables of the chosen x and their powers
-    (``_step_powers``).  What is reached is the subgroup X generates, so
-    each new x at least doubles it (Lagrange): at most log₂|uM| + 1
-    rounds."""
+    slots: a lookup of every product a∘x among the sorted keys, then a
+    ``reach`` over the successor tables of the chosen x and their powers
+    (``relations.step_powers``).  What is reached is the subgroup X
+    generates, so each new x at least doubles it (Lagrange): at most
+    log₂|uM| + 1 rounds."""
     e, size = m.elements, m.size
     if not us.size:
         return np.ones(0, dtype=bool), np.ones(0, dtype=bool)
@@ -378,8 +367,8 @@ def ideal_group_tests(m: TransMonoid, members: np.ndarray, owner: np.ndarray, us
     node_slot, rows = nodes[:, 0], nodes[:, 1:]
     width = np.arange(rows.shape[1])
     identity = _row_keys(np.column_stack([slots, np.where(width < rank[:, None], width, 0)]), bound)
-    unit = np.minimum(np.searchsorted(keys, identity), keys.size - 1)
-    ok &= keys[unit] == identity
+    unit = find(keys, identity)
+    ok &= unit >= 0
     seen = np.zeros(rows.shape, dtype=bool)
     seen[np.arange(len(rows))[:, None], rows] = True
     ok[node_slot[np.count_nonzero(seen, axis=1) != rank[node_slot]]] = False
@@ -399,15 +388,13 @@ def ideal_group_tests(m: TransMonoid, members: np.ndarray, owner: np.ndarray, us
         a = np.flatnonzero(x[node_slot] >= 0)
         products = np.take(rows, rows[x[node_slot[a]]] + a[:, None] * rows.shape[1])
         query = _row_keys(np.column_stack([node_slot[a], products]), bound)
-        found = np.minimum(np.searchsorted(keys, query), keys.size - 1)
-        hit = keys[found] == query
+        found = find(keys, query)
+        hit = found >= 0
         ok[node_slot[a[~hit]]] = False
         succ = np.arange(keys.size)
         succ[a[hit]] = found[hit]
-        steps = np.concatenate([steps, _step_powers(succ[None], levels)])
-        count = 0
-        while count < (count := np.count_nonzero(reached)):
-            reached[steps[:, reached]] = True
+        steps = np.concatenate([steps, step_powers(succ[None], levels)])
+        reached = reach(steps, reached)
 
 
 def almost_periodic_pairs(gens: np.ndarray, n: int) -> np.ndarray:
@@ -415,11 +402,10 @@ def almost_periodic_pairs(gens: np.ndarray, n: int) -> np.ndarray:
     pair relation.  A point of a finite flow is almost periodic iff its
     orbit closure is minimal, that is iff it lies in a bottom strongly
     connected component of its orbit graph: every node it reaches reaches
-    it back.  Read from the reach matrix of the pair graph."""
-    edges = diagonal(n * n)
-    edges[np.arange(n * n), pair_graph(gens, n)] = True
-    reach = transitive_closure(edges)
-    return ~(reach & ~reach.T).any(axis=1).reshape(n, n)
+    it back.  Read from one backward ``reach`` in the pair graph from
+    every node: row w holds the nodes that reach w."""
+    reached_by = reach(pair_graph(gens, n), diagonal(n * n), backward=True)
+    return ~(reached_by & ~reached_by.T).any(axis=0).reshape(n, n)
 
 
 # proximal-set suite -------------------------------------------------------
@@ -972,20 +958,23 @@ def check_factor_theorems(f: FactorMap, src: FlowAnalysis, tgt: FlowAnalysis) ->
 
 
 def saturate_icer(flow: FiniteFlow, seed_pairs) -> np.ndarray:
-    """Smallest icer containing the seed pairs: alternate symmetric,
-    transitive and generator-invariant closure until stable."""
+    """The smallest icer (closed invariant equivalence relation) holding
+    the seed pairs.  A forward ``reach`` in the pair graph from the seeds,
+    their swaps and the diagonal gives E, the least invariant relation
+    holding them; E is symmetric, as the swap commutes with the action on
+    pairs and fixes the start set.  A backward ``reach`` from every state
+    over E's edges, each state's padded to n successors with self-loops,
+    gives E's transitive closure T (row w: the states that reach w).  T is
+    invariant, since a generator maps a chain x E z1 E ... E y to a chain
+    from g(x) to g(y), so T is an icer holding the seeds; and any icer
+    holding them holds E (reflexive, symmetric, invariant), hence T."""
     n = flow.n_states
-    mat = diagonal(n).copy()
-    for x, y in seed_pairs:
-        mat[x, y] = mat[y, x] = True
-    gens = np.array(flow.generators)
-    while True:
-        closed = transitive_closure(mat | mat.T)
-        xs, ys = np.nonzero(closed)
-        closed[gens[:, xs], gens[:, ys]] = True
-        if np.array_equal(closed, mat):
-            return mat
-        mat = closed
+    start = diagonal(n)
+    seeds = np.asarray(seed_pairs, dtype=np.intp).reshape(-1, 2)
+    start[seeds[:, 0], seeds[:, 1]] = start[seeds[:, 1], seeds[:, 0]] = True
+    rel = reach(pair_graph(np.array(flow.generators), n), start.reshape(-1)).reshape(n, n)
+    succ = np.where(rel.T, np.arange(n)[:, None], np.arange(n))  # succ[i, v] = i if v E i, else v
+    return reach(succ, diagonal(n), backward=True)
 
 
 def random_icer(rng: random.Random, ax: FlowAnalysis) -> np.ndarray:

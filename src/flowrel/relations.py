@@ -16,16 +16,17 @@ included".  Invariance is therefore checked one generator at a time
 are read in the pair graph, whose edges are (x, y) -> (g(x), g(y)) for
 each generator g: P's element form is "the diagonal is reachable" and
 SP's translate form is the complement of the pairs that reach ~P, a
-forward closure.  Neither builds an array of shape ``(size, n, n)``; the
-tensor forms live on in ``tests/oracles.py`` as their references, and
-set proximality is read from the minimal ideals' kernels
-(``proximal_sets``), not from a scan of the monoid.
+forward closure, each one ``reach``, the package's one graph search.
+Neither builds an array of shape ``(size, n, n)``; the tensor forms live
+on in ``tests/oracles.py`` as their references, and set proximality is
+read from the minimal ideals' kernels (``proximal_sets``), not from a
+scan of the monoid.
 
 The report's witnesses are batched: the P witness of every pair is
 ``finflow.first_collapsers`` on all pairs at once, and ``sp_witnesses``
-finds the first separating ideal and member of every pair out of SP with
-one blocked scan of all the ideals' members, and the idempotent powers of
-all distinct separators together, as int columns; the per-pair loops and
+reads the first separating ideal and member of every pair out of SP from
+the ideals' kernel labels, and the idempotent powers of all distinct
+separators together, as int columns; the per-pair loops and
 their dicts are references in ``tests/oracles.py``.  Whether P and SP are
 equivalence relations is read once per analysis
 (``FlowAnalysis.p_is_equivalence``, ``sp_is_equivalence``).
@@ -55,7 +56,6 @@ from .finflow import (
     close,
     equivalence_matrix,
     equivalent_idempotents,
-    first_rows,
     ideal_structure,
 )
 
@@ -90,26 +90,33 @@ def diagonal(n: int) -> np.ndarray:
     return np.eye(n, dtype=bool)
 
 
-def reaching(succ: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """The nodes from which some path along the edges v -> succ[i, v], the
-    empty path included, leads into the node set ``target``: a fixed-point
-    iteration, O(k N) a pass over the k rows of ``succ`` on N nodes, with
-    as many passes as the longest shortest path into ``target``."""
-    reached = target.copy()
-    while True:
-        grown = reached | reached[succ].any(axis=0)
-        if np.array_equal(grown, reached):
-            return reached
-        reached = grown
+def reach(steps: np.ndarray, start: np.ndarray, backward: bool = False) -> np.ndarray:
+    """The nodes reached from the boolean node set ``start`` along the
+    edges v -> steps[i, v] (one successor table per row), the empty path
+    included; with ``backward``, the nodes with such a path into
+    ``start``, which may then hold one set per row of its leading axes.
+    One gather over all k tables a pass, O(k N) on N nodes, until the
+    count of reached nodes stops growing."""
+    reached = start.copy()
+    count = -1
+    while count < (count := np.count_nonzero(reached)):
+        if backward:
+            reached |= reached.take(steps, axis=-1).any(axis=-2)
+        else:
+            reached[steps[:, reached]] = True
+    return reached
 
 
-def transitive_closure(rel: np.ndarray) -> np.ndarray:
-    """The transitive closure of a boolean ``(N, N)`` relation, squared
-    until stable in float32 matmuls: BLAS, exact below N = 2**24, and at
-    N = 144 about 20 times faster than numpy's boolean matmul."""
-    f = rel.astype(np.float32)
-    closed = rel | (f @ f > 0)
-    return closed if np.array_equal(closed, rel) else transitive_closure(closed)
+def step_powers(succ: np.ndarray, count: int) -> np.ndarray:
+    """The successor tables ``succ`` (one row per kind of step, each a map
+    of the nodes) and their powers 2, 4, ..., 2^(count - 1), squared one
+    from the last: a search over all of them crosses up to 2^count - 1
+    steps of one kind in one pass.  At least ``succ`` itself."""
+    rows, nodes = succ.shape
+    tables = [succ]
+    for _ in range(count - 1):
+        tables.append(np.take(tables[-1], tables[-1] + np.arange(0, rows * nodes, nodes)[:, None]))
+    return np.concatenate(tables)
 
 
 def pair_graph(gens: np.ndarray, n: int) -> np.ndarray:
@@ -122,9 +129,9 @@ def pair_graph(gens: np.ndarray, n: int) -> np.ndarray:
 def pairs_reaching(gens: np.ndarray, target: np.ndarray) -> np.ndarray:
     """The state pairs from which some word in the generators (rows of
     ``gens``), the empty word included, leads into the pair set ``target``:
-    ``reaching`` in the pair graph, O(k n²) a pass."""
+    a backward ``reach`` in the pair graph, O(k n²) a pass."""
     n = target.shape[0]
-    return reaching(pair_graph(gens, n), target.reshape(-1)).reshape(n, n)
+    return reach(pair_graph(gens, n), target.reshape(-1), backward=True).reshape(n, n)
 
 
 def invariance_violation(gens: np.ndarray, rel: np.ndarray) -> tuple[int, int, int] | None:
@@ -282,22 +289,23 @@ def sp_witnesses(ax: FlowAnalysis, pairs: np.ndarray) -> dict[str, np.ndarray]:
     ``fixing_idempotent``, that element's idempotent power, which fixes
     the separated images (an almost periodic non-diagonal limit of the
     pair).  A pair in SP, which every minimal ideal collapses, reads -1 in
-    all three.  One blocked scan (``first_rows``) of the structure's
-    ``kernel_elements``, every ideal's members in ideal order, finds every
-    separator: its first hit is the first member of the first separating
-    ideal.  The idempotent powers of all distinct separators come from one
-    ``idempotent_powers`` call."""
+    all three.  Every member of a minimal left ideal has the ideal's
+    kernel (q = s∘p and p = t∘q for members p, q), so the first
+    separating ideal is the first whose kernel labels differ on the pair,
+    and its first member separates it.  The idempotent powers of all
+    distinct separators come from one ``idempotent_powers`` call."""
     m, st = ax.monoid, ax.structure
-    members, owner = st.kernel_elements, st.member_ideals
-    hit = first_rows(m.elements, members, pairs, collapsed=False)
-    out = hit >= 0
-    separator = members[hit[out]]
+    labels = st.labels[:-1]
+    split = labels[:, pairs[:, 0]] != labels[:, pairs[:, 1]]  # (ideal, pair)
+    out = split.any(axis=0)
+    ideal = split.argmax(axis=0)[out]
+    separator = st.kernel_elements[np.searchsorted(st.member_ideals, ideal)]
     fixing = m.idempotent_powers(separator)
     images = m.elements[separator[:, None], pairs[out]]
     if (m.elements[fixing[:, None], images] != images).any():
         raise AssertionError("idempotent power failed to fix the image pair")
-    found = np.full((3, len(hit)), -1, dtype=np.intp)
-    found[:, out] = owner[hit[out]], separator, fixing
+    found = np.full((3, len(pairs)), -1, dtype=np.intp)
+    found[:, out] = ideal, separator, fixing
     return dict(zip(("ideal", "separator", "fixing_idempotent"), found))
 
 

@@ -47,8 +47,11 @@ reference for the row gather of ``fuzz.invertible_image_check``, and
 ``fuzz.sp_matches_class_squares``.  The
 squared flow's monoid (``square_monoid``) and its minimal idempotents are
 the product-flow reference for Omega read from the pair graph
-(``fuzz.almost_periodic_pairs``), one ``reaching`` call per node is the
-reference for ``relations.transitive_closure``, and the closure by
+(``fuzz.almost_periodic_pairs``).  ``reference_reaching``, one edge step
+a pass until a pass changes nothing, is the reference for
+``relations.reach``, and one such call per node
+(``reference_transitive_closure``) for the closure that
+``fuzz.saturate_icer`` reads from a backward ``reach``; the closure by
 boolean squaring with one generator at a time is the reference for
 ``fuzz.saturate_icer``.
 
@@ -131,7 +134,7 @@ from flowrel.finflow import (
     sorted_unique,
 )
 from flowrel.fuzz import CheckResult
-from flowrel.relations import product_flow, reaching
+from flowrel.relations import product_flow
 from flowrel.subshift import (
     AdicImage,
     ChaconPoint,
@@ -797,14 +800,27 @@ def reference_omega_via_square(m) -> np.ndarray:
     return (idem == np.arange(n * n)).any(axis=0).reshape(n, n)
 
 
+def reference_reaching(succ: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The nodes from which some path along the edges v -> succ[i, v], the
+    empty path included, leads into the node set ``target``: one edge step
+    a pass, until a pass changes nothing.  The reference for a backward
+    ``relations.reach``."""
+    reached = target.copy()
+    while True:
+        grown = reached | reached[succ].any(axis=0)
+        if np.array_equal(grown, reached):
+            return reached
+        reached = grown
+
+
 def reference_transitive_closure(rel) -> np.ndarray:
     """Column w of the closure holds the nodes with an edge into a node
-    that reaches w, the empty path included: one ``reaching`` call per w.
-    Each node's edges are padded to N successors with self-loops, which
-    change no reachability."""
+    that reaches w, the empty path included: one ``reference_reaching``
+    call per w.  Each node's edges are padded to N successors with
+    self-loops, which change no reachability."""
     n = len(rel)
     succ = np.where(rel.T, np.arange(n)[:, None], np.arange(n))  # succ[i, v] = i if v -> i, else v
-    reach = np.array([reaching(succ, np.arange(n) == w) for w in range(n)]).T
+    reach = np.array([reference_reaching(succ, np.arange(n) == w) for w in range(n)]).T
     return (rel.astype(np.int64) @ reach.astype(np.int64)) > 0
 
 

@@ -189,7 +189,7 @@ def test_blocked_scan_gathers_no_more_than_the_monoid_rows(size, n, count, width
     elements[0] = np.arange(n)
     sets = rng.integers(0, n, size=(count, width))
     Recorded.sizes = []
-    got = first_rows(elements.view(Recorded), np.arange(size), sets, True)
+    got = first_rows(elements.view(Recorded), sets)
     assert max(Recorded.sizes) <= elements.size
     images = elements[:, sets]
     hit = (images == images[:, :, :1]).all(axis=2)

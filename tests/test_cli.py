@@ -27,6 +27,7 @@ from flowrel.cli import (
 from flowrel.finflow import FiniteFlow
 from flowrel.relations import analyze_flow
 from flowrel.reports import RecordMap, flow_report
+from flowrel.subshift import ClassifyParams
 
 FLOWS = Path(__file__).resolve().parent.parent / "flows"
 SRC = FLOWS.parent / "src"
@@ -296,6 +297,39 @@ def test_fuzz_500_bytes_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_500_SHA256
 
 
+# the rotation with x -> x - (x mod 2) on 64 states: 192 elements, 2 minimal
+# ideals, 4 idempotents, so the S¹p search and the uM closure each run on
+# two ideals; sha256 of `flowrel analyze` stdout, recorded before every
+# reachability search became one `relations.reach`
+WIDE2_64_FLOW = "states: 64\n{}\n{}\n".format(
+    " ".join(str((x + 1) % 64) for x in range(64)),
+    " ".join(str(x - x % 2) for x in range(64)),
+)
+WIDE2_64_SHA256 = "72419b734b87144e1fab5faaef9adac32bcb9366a08b988f6ef1959f313d80ed"
+
+# sha256 of `flowrel fuzz --count 200 --seed 2 --max-states 8` stdout: the
+# Omega product-flow check on every flow, up to 64 pair-graph nodes
+FUZZ_200_MAX8_SHA256 = "542a4ea4b579cd1e50c32643b87030252fee05983d7bd269644c2962744f86ce"
+
+
+def test_analyze_two_ideal_wide_report_bytes_pinned(capsys, tmp_path):
+    flow = tmp_path / "wide2_64.flow"
+    flow.write_text(WIDE2_64_FLOW)
+    code, out, _ = run(capsys, "analyze", str(flow))
+    assert code == 0
+    monoid = json.loads(out)["monoid"]
+    assert monoid["size"] == 192
+    assert len(monoid["minimal_ideals"]) == 2
+    assert sum(map(len, monoid["idempotents_by_ideal"])) == 4
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDE2_64_SHA256
+
+
+def test_fuzz_200_max_states_8_bytes_pinned(capsys):
+    code, out, _ = run(capsys, "fuzz", "--count", "200", "--seed", "2", "--max-states", "8")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_200_MAX8_SHA256
+
+
 @pytest.mark.parametrize("argv", [
     "classify-pair --system morse --x a --y b --depth 8 --horizon 2000",
     "classify-pair --system chacon --x x1 --y x2 --depth 4 --horizon 2000",
@@ -353,6 +387,15 @@ def test_default_gap_follows_a_short_horizon(capsys, extra, gap):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert json.loads(out)["params"]["gap"] == gap
+
+
+def test_flag_free_classify_pair_reads_its_defaults_from_classify_params(capsys):
+    code, out, _ = run(capsys, "classify-pair", "--system", "morse", "--x", "a", "--y", "b")
+    defaults = ClassifyParams()
+    params = json.loads(out)["params"]
+    assert code == 0
+    assert (params["depth"], params["horizon"]) == (defaults.depth, defaults.horizon)
+    assert params["gap"] == min(defaults.gap, defaults.horizon)
 
 
 def test_config_gap_wins_over_the_horizon_default(capsys, tmp_path):

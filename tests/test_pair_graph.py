@@ -1,8 +1,10 @@
 """The pair-graph forms of the relations and the per-generator invariance
 checks, each against its ``(size, n, n)`` tensor reference in ``oracles``;
-Omega read from the pair graph's bottom strongly connected components
-against the squared flow's monoid, and the transitive closure against one
-``reaching`` call per node; the S¹p check read from the generators' left
+``relations.reach``, forward and backward, on one or many start sets and
+on step-power tables, against the one-step ``reference_reaching``, and the
+transitive closure it gives against one such call per node; Omega read
+from the pair graph's bottom strongly connected components against the
+squared flow's monoid; the S¹p check read from the generators' left
 action, for many member lists in one search, against the per-member loop;
 and each replaced invariance check broken in turn."""
 
@@ -27,10 +29,9 @@ from flowrel.relations import (
     analyze_flow,
     diagonal,
     invariance_violation,
-    pair_graph,
     pairs_reaching,
-    reaching,
-    transitive_closure,
+    reach,
+    step_powers,
 )
 from oracles import (
     flat_lists,
@@ -42,6 +43,7 @@ from oracles import (
     reference_left_ideal_of,
     reference_mp_counterexample,
     reference_omega_via_square,
+    reference_reaching,
     reference_saturate_icer,
     reference_some_translate_in,
     reference_transitive_closure,
@@ -126,10 +128,44 @@ def test_pair_graph_forms_on_one_state_and_identity_flows():
 
 
 def test_reaching_follows_paths_backwards():
-    # edges 0 -> 1 -> 2 -> 2 and 3 -> 3: only 0, 1 and 2 reach 2
+    # edges 0 -> 1 -> 2 -> 2 and 3 -> 3: only 0, 1 and 2 reach 2, and 0
+    # reaches 0, 1 and 2
     succ = np.array([[1, 2, 2, 3]])
-    assert reaching(succ, np.array([False, False, True, False])).tolist() == [True, True, True, False]
-    assert reaching(succ, np.zeros(4, dtype=bool)).tolist() == [False] * 4
+    assert reach(succ, np.array([False, False, True, False]), backward=True).tolist() == [True, True, True, False]
+    assert reach(succ, np.zeros(4, dtype=bool), backward=True).tolist() == [False] * 4
+    assert reach(succ, np.array([True, False, False, False])).tolist() == [True, True, True, False]
+
+
+def reference_reach(succ, start, backward):
+    """``reach`` from one start set by ``reference_reaching``: forward, v is
+    reached iff some node of ``start`` reaches v."""
+    if backward:
+        return reference_reaching(succ, start)
+    nodes = np.arange(len(start))
+    return np.array([(reference_reaching(succ, nodes == v) & start).any() for v in nodes])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_reach_matches_the_one_step_reference(nodes, kinds, seed, backward):
+    # seeded successor tables with self-loops, four start sets (the first
+    # empty) searched one at a time and, backward, as one 2-D start, over
+    # the raw tables and over their step powers
+    rng = np.random.default_rng(seed)
+    succ = rng.integers(0, nodes, size=(kinds, nodes))
+    loops = rng.random(succ.shape) < 0.3
+    succ[loops] = np.nonzero(loops)[1]
+    starts = rng.random((4, nodes)) < 0.15
+    starts[0] = False
+    given_starts = starts.copy()
+    expected = np.array([reference_reach(succ, s, backward) for s in starts])
+    for tables in (succ, step_powers(succ, 3)):
+        for s, want in zip(starts, expected):
+            assert np.array_equal(reach(tables, s, backward), want)
+        if backward:
+            assert np.array_equal(reach(tables, starts, backward), expected)
+    assert np.array_equal(starts, given_starts)
 
 
 def test_pairs_reaching_leaves_its_target_alone():
@@ -145,9 +181,6 @@ def test_pairs_reaching_leaves_its_target_alone():
 
 def assert_pair_graph_omega_matches_square(ax):
     n, gens = ax.n_states, np.array(ax.flow.generators)
-    edges = diagonal(n * n)
-    edges[np.arange(n * n), pair_graph(gens, n)] = True
-    assert np.array_equal(transitive_closure(edges), reference_transitive_closure(edges))
     omega = almost_periodic_pairs(gens, n)
     assert np.array_equal(omega, reference_omega_via_square(ax.monoid))
     assert np.array_equal(omega, ax.omega)
@@ -179,11 +212,15 @@ def test_omega_check_fails_on_a_pair_that_is_not_almost_periodic():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=1, max_value=40), st.floats(min_value=0, max_value=0.3),
        st.integers(min_value=0, max_value=2**32 - 1))
-def test_transitive_closure_matches_per_node_reaching(n, density, seed):
+def test_reach_from_every_node_gives_the_transitive_closure(n, density, seed):
+    # saturate_icer's closure: each node's edges padded to n successors with
+    # self-loops, then row w of the backward reach from every node holds
+    # the nodes that reach w
     rel = np.random.default_rng(seed).random((n, n)) < density
-    closed = transitive_closure(rel)
-    assert np.array_equal(closed, reference_transitive_closure(rel))
-    assert closed is not rel and np.array_equal(rel, np.random.default_rng(seed).random((n, n)) < density)
+    nodes = np.arange(n)
+    succ = np.where(rel.T, nodes[:, None], nodes)
+    reached_by = reach(succ, diagonal(n), backward=True)
+    assert np.array_equal(reached_by.T, reference_transitive_closure(rel) | diagonal(n))
 
 
 @settings(max_examples=80, deadline=None)
@@ -194,10 +231,15 @@ def test_saturate_icer_matches_the_boolean_squaring_reference(flow, seeds):
     assert np.array_equal(saturate_icer(flow, seeds), reference_saturate_icer(flow, seeds))
 
 
-def test_transitive_closure_of_a_long_path():
-    # 0 -> 1 -> ... -> 39 takes six squarings; no loops, so no node reaches itself
-    path = np.eye(40, k=1, dtype=bool)
-    assert np.array_equal(transitive_closure(path), np.triu(np.ones((40, 40), dtype=bool), 1))
+def test_reach_along_a_long_path():
+    # 0 -> 1 -> ... -> 39 -> 39 is 39 steps, one a pass over the table and
+    # up to 63 a pass over its powers up to 32: node 0 reaches every node,
+    # and from every node at once, backward, w is reached from the nodes
+    # up to w
+    succ = np.minimum(np.arange(1, 41), 39)[None]
+    for tables in (succ, step_powers(succ, 6)):
+        assert reach(tables, np.arange(40) == 0).all()
+        assert np.array_equal(reach(tables, diagonal(40), backward=True), np.tril(np.ones((40, 40), dtype=bool)))
 
 
 # -- S¹p from the generators' left action against the per-member loop -------------
