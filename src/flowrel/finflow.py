@@ -390,12 +390,27 @@ class IdealStructure:
         return len(self.labels) - 1
 
     @cached_property
+    def class_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The classes of every row of ``labels`` as two flat arrays: the
+        states class by class, each class's in increasing order and the
+        rows one after another (one stable argsort of ``labels``, row by
+        row), and the start of each class in it.  Row r's classes fill
+        positions r·n to (r + 1)·n, in order of least member."""
+        order = np.argsort(self.labels, axis=1, kind="stable")
+        ranked = np.sort(self.labels, axis=1)
+        lead = np.ones(order.shape, dtype=bool)
+        lead[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+        return order.ravel(), np.flatnonzero(lead)
+
+    @cached_property
     def classes(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """The classes of each row of ``labels`` in order, each listing its
-        states in increasing order: the runs of one stable argsort."""
-        order = np.argsort(self.labels, axis=1, kind="stable").tolist()
-        ends = [np.cumsum(np.bincount(row)).tolist() for row in self.labels]
-        return tuple(tuple(tuple(o[a:b]) for a, b in zip([0, *e], e)) for o, e in zip(order, ends))
+        states in increasing order, read from ``class_arrays``."""
+        states, starts = self.class_arrays
+        flat, ends = states.tolist(), [*starts[1:].tolist(), states.size]
+        sets = [tuple(flat[a:b]) for a, b in zip(starts.tolist(), ends)]
+        rows = np.searchsorted(starts, np.arange(1, len(self.labels) + 1) * self.labels.shape[1]).tolist()
+        return tuple(tuple(sets[a:b]) for a, b in zip([0, *rows], rows))
 
 
 def ideal_structure(m: TransMonoid) -> IdealStructure:

@@ -23,12 +23,15 @@ reaches each round; the intra-ideal equivalences read from the diagonal
 blocks of the analysis' ``idempotent_equivalence``; and the partitions
 (``validate_partitions``) by one sort of every member's images of the
 class representatives and label-array reductions.  The proximal-set suite
-gathers its candidate sets under every invertible generator at once
-(``invertible_image_check``) and compares SP with its class squares as
-one label comparison.  Each keeps the first counterexample of the
-per-ideal, per-idempotent, member-by-member, class-by-class or
-per-candidate loop it replaced; those loops, the one-step search and the
-whole-table group test are the references in ``tests/oracles.py``.
+reads the r(A) biconditional and the invertible-image lemma on the
+per-ideal classes alone, the maximal proximal sets, which decides both
+for every proximal set (``relations.first_nonproximal_image``), and
+compares SP with its class squares as one label comparison.  Each keeps
+the first counterexample of the per-ideal, per-idempotent,
+member-by-member or class-by-class loop it replaced; those loops, the
+all-candidates forms of the two proximal-set checks, the one-step search
+and the whole-table group test are the references in
+``tests/oracles.py``.
 Every graph search here is a ``relations.reach`` call.
 """
 
@@ -36,8 +39,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,11 +60,11 @@ from .relations import (
     FlowAnalysis,
     analyze_flow,
     diagonal,
+    first_nonproximal_image,
     invariance_violation,
     pair_graph,
     pairs_reaching,
     product_flow,
-    proximal_sets,
     quotient_by_icer,
     reach,
     step_powers,
@@ -413,70 +414,25 @@ def almost_periodic_pairs(gens: np.ndarray, n: int) -> np.ndarray:
 
 def proxset_check_suite(ax: FlowAnalysis) -> list[CheckResult]:
     """The proximal-set suite: refinement structure, SP decomposition, the
-    r(A) biconditional and the invertible-image check.  The small subsets
-    are tested once, for both checks that enumerate them."""
-    subsets = proximal_subsets(ax)
-    candidates = proximal_candidates(ax, subsets)
-    return [
-        validate_partitions(ax),
-        sp_matches_class_squares(ax),
-        check_rA_proximal_equiv(ax, candidates),
-        invertible_image_check(ax, candidates, subsets),
-    ]
+    r(A) biconditional and the invertible-image check."""
+    return [check(ax) for check in (validate_partitions, sp_matches_class_squares, check_rA_proximal_equiv,
+                                    invertible_image_check)]
 
 
-def invertible_image_check(ax: FlowAnalysis, candidates: Candidates,
-                           subsets: dict[tuple[int, ...], bool]) -> CheckResult:
+def invertible_image_check(ax: FlowAnalysis) -> CheckResult:
     """The image of a proximal set under an invertible generator stays
     proximal (the translate lemma; its proof needs the inverse, and it
-    genuinely fails for non-invertible monoid generators); checked on the
-    ``candidates`` of at most 3 states and on every per-ideal class.
-
-    The chosen candidates become rows padded with their least member
-    (``_set_rows``), the classes of more than 3 states apart from the
-    rest, so that no small set is padded to a class's width, and each
-    group is gathered under every invertible generator at once.  An
-    invertible map keeps a set's size, so the images of 3- and 4-sets are
-    read from ``subsets`` (``proximal_subsets``) when it lists them, and
-    every other image of a group is tested in one ``proximal_sets`` call.
-    The counterexample is the first failing (candidate, generator) in
-    candidate order, then generator order."""
-    name = "invertible_generator_image_of_proximal_set_proximal"
-    n = ax.n_states
+    genuinely fails for non-invertible monoid generators).  Checked on the
+    per-ideal classes, the maximal proximal sets, under every invertible
+    generator at once (``relations.first_nonproximal_image``), which
+    decides it for every proximal set.  The counterexample is the first
+    failing (class, generator) in (ideal, label) order, then generator
+    order."""
     gens = ax.generators
-    invertible = gens[(np.sort(gens, axis=1) == np.arange(n)).all(axis=1)]
-    if not invertible.size:
-        return CheckResult(name, True)
-    members, sizes, classes = candidates
-    starts = np.cumsum(sizes) - sizes
-    proximal = np.ones((len(sizes), len(invertible)), dtype=bool)  # candidates left out stay True
-    for group in (np.flatnonzero(sizes <= 3), np.flatnonzero(classes & (sizes > 3))):
-        if not group.size:
-            continue
-        rows = _set_rows(members, starts[group], sizes[group])
-        images = invertible[:, rows].transpose(1, 0, 2)  # (candidate, generator, member)
-        tested = np.ones(len(group), dtype=bool)
-        for k in (3, 4) if subsets else ():
-            sized = sizes[group] == k
-            tested &= ~sized
-            sets = np.sort(images[sized, :, :k], axis=2).reshape(-1, k).tolist()
-            proximal[group[sized]] = np.reshape([subsets[t] for t in map(tuple, sets)], (-1, len(invertible)))
-        flat = images[tested].reshape(-1, rows.shape[1])
-        proximal[group[tested]] = proximal_sets(ax, flat).reshape(-1, len(invertible))
-    if proximal.all():
-        return CheckResult(name, True)
-    c, g = np.argwhere(~proximal)[0]
-    cols = members[starts[c]:starts[c] + sizes[c]]
-    return CheckResult(name, False, f"tA not proximal: A={cols.tolist()} g={tuple(invertible[g].tolist())}")
-
-
-def proximal_subsets(ax: FlowAnalysis) -> dict[tuple[int, ...], bool]:
-    """Whether each state set of size 3 or 4 is proximal, all tested in one
-    ``proximal_sets`` call; empty above 12 states, where the subset count
-    is no longer small."""
-    n = ax.n_states
-    sets = [c for k in (3, 4) for c in combinations(range(n), k)] if n <= 12 else []
-    return dict(zip(sets, proximal_sets(ax, sets).tolist()))
+    invertible = gens[(np.sort(gens, axis=1) == np.arange(ax.n_states)).all(axis=1)]
+    found = first_nonproximal_image(ax, invertible)
+    detail = "" if found is None else f"tA not proximal: A={found[0].tolist()} g={tuple(invertible[found[1]].tolist())}"
+    return _result("invertible_generator_image_of_proximal_set_proximal", found is None, detail)
 
 
 def validate_partitions(ax: FlowAnalysis) -> CheckResult:
@@ -510,11 +466,10 @@ def validate_partitions(ax: FlowAnalysis) -> CheckResult:
     n = ax.n_states
     labels = st.labels
     kernels, refinement = labels[:-1], labels[-1]
-    count = labels.max(axis=1) + 1  # classes per row
-    lead = np.ones(labels.shape, dtype=bool)  # each class's least member
-    lead[:, 1:] = labels[:, 1:] > np.maximum.accumulate(labels, axis=1)[:, :-1]
-    least = np.flatnonzero(lead) % n  # row by row, class by class
-    offset = np.cumsum(count) - count
+    states, starts = st.class_arrays
+    least = states[starts]  # each class's least member, row by row, class by class
+    offset = np.searchsorted(starts, np.arange(0, labels.size, n))  # each row's first class
+    count = np.diff(offset, append=starts.size)  # classes per row
 
     members, ideal = st.kernel_elements, st.member_ideals
     classes = count[ideal]
@@ -620,95 +575,20 @@ def max_sp_sets_fixed_by_all_idempotents(ax: FlowAnalysis) -> CheckResult:
     return CheckResult("max_sp_class_fixed_by_all_idempotents", True)
 
 
-class Candidates(NamedTuple):
-    """State sets in the order of their sorted tuples, each once: every
-    set's members in increasing order, concatenated (``members``), the
-    sets' ``sizes``, and whether each is a per-ideal class
-    (``classes``)."""
-
-    members: np.ndarray
-    sizes: np.ndarray
-    classes: np.ndarray
-
-
-def _set_rows(members: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The sets of ``sizes[i]`` members from ``members[starts[i]]`` on, as
-    the rows of an int array padded with each set's least member
-    (``finflow._state_sets``' form).  On sorted members the rows compare
-    as the sets' tuples do: where the shorter set's padding starts, the
-    longer one holds a member above the least."""
-    cols = np.arange(int(sizes.max(initial=1)))
-    return members[starts[:, None] + np.where(cols < sizes[:, None], cols, 0)]
-
-
-def proximal_candidates(ax: FlowAnalysis, subsets: dict[tuple[int, ...], bool]) -> Candidates:
-    """Structured proximal-set candidates: every singleton, every per-ideal
-    class, every proximal pair, and every proximal set among the tested
-    ``subsets`` (``proximal_subsets``: all of sizes 3 and 4 on small state
-    sets, where the subset count stays polynomial in practice).
-
-    The pair family alone makes the r(A)-image biconditional exact in the
-    converse direction, which only ever needs two-element sets.
-
-    The classes of ideal k are the runs of one stable argsort of its kernel
-    labels.  Every set's key (``_row_keys``) is its first five members
-    (``_set_rows``), then, for a set of more than five members (only
-    classes of different ideals can share five), its rank among those
-    sets' full rows; one sort of the keys orders the sets and merges
-    equal ones.  So no set is padded to the widest class's width but the
-    long ones."""
-    n = ax.n_states
-    kernels = ax.structure.labels[:-1]
-    counts = np.bincount((kernels + n * np.arange(len(kernels))[:, None]).ravel(), minlength=kernels.size)
-    fixed = [np.arange(n)[:, None], upper_pairs(ax.proximal, 1)]
-    fixed += [np.array([c for c, ok in subsets.items() if ok and len(c) == k], dtype=np.intp).reshape(-1, k)
-              for k in (3, 4)]
-    members = np.concatenate([f.ravel() for f in fixed] + [np.argsort(kernels, axis=1, kind="stable").ravel()])
-    sizes = np.concatenate((np.repeat(np.arange(1, 5), [len(f) for f in fixed]), counts[counts > 0]))
-    classes = np.arange(len(sizes)) >= len(sizes) - np.count_nonzero(counts)
-    starts = np.cumsum(sizes) - sizes
-    rank = np.zeros(len(sizes), dtype=np.intp)
-    long = np.flatnonzero(sizes > 5)
-    if long.size:
-        full = _row_keys(_set_rows(members, starts[long], sizes[long]), n)
-        rank[long] = np.searchsorted(sorted_unique(full), full) + 1
-    keys = _row_keys(np.column_stack((_set_rows(members, starts, np.minimum(sizes, 5)), rank)), max(n, long.size + 1))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))  # each run of equal sets
-    kept = order[first]
-    return Candidates(members[_ragged(starts[kept], sizes[kept])], sizes[kept],
-                      np.logical_or.reduceat(classes[order], first))
-
-
-def check_rA_proximal_equiv(ax: FlowAnalysis, candidates: Candidates) -> CheckResult:
+def check_rA_proximal_equiv(ax: FlowAnalysis) -> CheckResult:
     """P is an equivalence relation iff r(A) is proximal for every
-    (enumerated) proximal set A and every monoid element r; ``candidates``
-    is ``proximal_candidates(ax, proximal_subsets(ax))``.
-
-    The forward direction is sound for any enumeration; the converse needs
-    only two-element sets, which the enumeration always includes.
-    """
-    m = ax.monoid
-    p_equiv = ax.p_is_equivalence
-    all_images_proximal = True
+    proximal set A and every monoid element r.  Read on the per-ideal
+    classes (``relations.first_nonproximal_image``), which decides it for
+    every proximal set A: every proximal pair lies in a class, so the
+    converse, which needs only two-element sets, is covered too."""
+    p_equiv, e = ax.p_is_equivalence, ax.monoid.elements
+    found = first_nonproximal_image(ax, e)
     witness = ""
-    members, sizes, _ = candidates
-    ends = np.cumsum(sizes).tolist()
-    for lo, hi in zip([0, *ends], ends):
-        cols = members[lo:hi]
-        images = m.elements[:, cols]
-        ok = proximal_sets(ax, images)
-        if not ok.all():
-            r = int(np.nonzero(~ok)[0][0])
-            all_images_proximal = False
-            witness = f"A={cols.tolist()} r={tuple(m.elements[r].tolist())} rA={sorted(set(images[r].tolist()))}"
-            break
-    return _result(
-        "rA_proximal_iff_p_equivalence",
-        p_equiv == all_images_proximal,
-        f"p_equiv={p_equiv} but all r(A) proximal={all_images_proximal}; {witness}",
-    )
+    if found is not None:
+        cols, row = found[0], e[found[1]]
+        witness = f"A={cols.tolist()} r={tuple(row.tolist())} rA={sorted(set(row[cols].tolist()))}"
+    return _result("rA_proximal_iff_p_equivalence", p_equiv == (found is None),
+                   f"p_equiv={p_equiv} but all r(A) proximal={found is None}; {witness}")
 
 
 # product theorems ---------------------------------------------------------

@@ -3,12 +3,12 @@ proximal sets on finite flows.
 
 A set is proximal when some monoid element collapses it to a point, that
 is when some minimal ideal's kernel labels are constant on it
-(``relations.proximal_sets`` tests many sets at once).  For each minimal
-ideal I the maximal I-collapsed sets are exactly the classes of the
-relation "p(x) = p(y) for all p in I", and the maximal strongly proximal
-sets are the classes of the common refinement over all minimal ideals;
-both are read from ``IdealStructure.classes``, the classes of its label
-rows (the refinement in the last row).  Set proximality is never
+(``relations.first_nonproximal_image`` reads this on class images).  For
+each minimal ideal I the maximal I-collapsed sets are exactly the classes
+of the relation "p(x) = p(y) for all p in I", and the maximal strongly
+proximal sets are the classes of the common refinement over all minimal
+ideals; both are read from ``IdealStructure.classes``, the classes of its
+label rows (the refinement in the last row).  Set proximality is never
 inferred from pairwise proximality.  The checks of this structure live in
 ``fuzz``.
 """

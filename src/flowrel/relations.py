@@ -19,8 +19,8 @@ SP's translate form is the complement of the pairs that reach ~P, a
 forward closure, each one ``reach``, the package's one graph search.
 Neither builds an array of shape ``(size, n, n)``; the tensor forms live
 on in ``tests/oracles.py`` as their references, and set proximality is
-read from the minimal ideals' kernels (``proximal_sets``), not from a
-scan of the monoid.
+read from the minimal ideals' kernels (``first_nonproximal_image``, on
+the per-ideal classes), not from a scan of the monoid.
 
 The report's witnesses are batched: the P witness of every pair is
 ``finflow.first_collapsers`` on all pairs at once, and ``sp_witnesses``
@@ -52,11 +52,11 @@ from .finflow import (
     FiniteFlow,
     IdealStructure,
     TransMonoid,
-    _state_sets,
     close,
     equivalence_matrix,
     equivalent_idempotents,
     ideal_structure,
+    sorted_unique,
 )
 
 
@@ -269,13 +269,56 @@ def is_minimal_flow(m: TransMonoid) -> bool:
     return bool(reached.all())
 
 
-def proximal_sets(ax: FlowAnalysis, sets) -> np.ndarray:
-    """Whether each state set (``finflow.first_collapsers``' input) is
-    proximal.  If s collapses A so does p∘s for p in a minimal ideal, and
-    p∘s lies in a minimal ideal, whose members share one kernel: A is
-    proximal iff some minimal ideal's kernel labels are constant on A."""
-    labels = ax.structure.labels[:-1, _state_sets(sets).T]
-    return (labels == labels[:, :1]).all(axis=1).any(axis=0)  # (ideal, member, set)
+def first_nonproximal_image(ax: FlowAnalysis, maps: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """The first per-ideal class C and map r (a row of the ``(k, n)`` array
+    ``maps``) such that r(C) is not a proximal set, as (C's states in
+    increasing order, r's row), or None: the classes in (ideal, label)
+    order (``IdealStructure.class_arrays``), then the maps in row order.
+
+    A set is proximal iff some minimal ideal's kernel labels are constant
+    on it: if s collapses A so does p∘s for p in a minimal ideal, and p∘s
+    lies in a minimal ideal, whose members share one kernel.  So the
+    proximal sets are exactly the subsets of the per-ideal classes, and
+    the classes are the maximal proximal sets.  If A ⊆ C then r(A) ⊆ r(C),
+    and a subset of a proximal set is proximal, so "r(A) is proximal for
+    every proximal set A" holds iff it holds for every class: read on the
+    classes it is exact for all proximal sets, with no enumeration.
+
+    A point's image is a point, so only the classes of two or more states
+    are read.  A pass takes whole classes, up to ``width`` image entries
+    (maps × states), 4,096 at first and doubling up to ``budget``, so a
+    failing flow stops after a small gather and a passing one makes
+    O(log n) passes; a single class past the budget takes the maps in
+    blocks of rows.  The classes of one size are gathered together as an
+    ``(ideal, state, class, map)`` label array, so no class is padded, and
+    r(C) is proximal where some ideal's labels all equal those of C's
+    least member.  The temporaries stay within a small multiple of
+    ``maps.nbytes``."""
+    kernels = ax.structure.labels[:-1].astype(maps.dtype)  # labels are states, so they fit
+    states, starts = ax.structure.class_arrays
+    starts = starts[:np.searchsorted(starts, kernels.size)]
+    sizes = np.diff(starts, append=kernels.size)
+    starts, sizes = starts[sizes > 1], sizes[sizes > 1]
+    reach = np.concatenate(([0], np.cumsum(sizes)))  # a map's image entries up to each class
+    k = len(maps)
+    budget = max(4096, maps.nbytes // (10 + 3 * len(kernels)))  # an entry: its index as intp, labels, mask
+    width, a = 4096, 0
+    while a < sizes.size and k:
+        b = max(a + 1, int(np.searchsorted(reach, reach[a] + width // k, side="right")) - 1)
+        step = max(1, budget // int(reach[b] - reach[a]))
+        for lo in range(0, k, step):
+            rows = maps[lo:lo + step].T
+            ok = np.empty((b - a, rows.shape[1]), dtype=bool)  # (class, map)
+            for size in sorted_unique(sizes[a:b]).tolist():
+                group = np.flatnonzero(sizes[a:b] == size)
+                cells = states[starts[a + group] + np.arange(size)[:, None]]  # (state, class)
+                labels = kernels.take(rows[cells], axis=1)  # (ideal, state, class, map)
+                ok[group] = (labels == labels[:, :1]).all(axis=1).any(axis=0)
+            if not ok.all():
+                c, r = np.argwhere(~ok)[0].tolist()
+                return states[starts[a + c]:starts[a + c] + sizes[a + c]], lo + r
+        a, width = b, min(2 * width, budget)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -598,8 +598,9 @@ def agreement_times(x: BiSeq, y: BiSeq, n: int, horizon: int) -> tuple[np.ndarra
     freed once the mask is set.
     """
     lo, hi = -horizon - n, horizon + n
+    xs, ys = x.pieces(lo, hi), y.pieces(lo, hi)  # their letter guards run before the mask is spent
     acc = np.zeros(hi - lo + 3, dtype=bool)
-    _equal_into(acc[1:-1], x.pieces(lo, hi), y.pieces(lo, hi))
+    _equal_into(acc[1:-1], xs, ys)
     width, span = 2 * n + 1, 1
     while 2 * span <= width:
         acc[:-span] &= acc[span:]  # numpy reads overlapping operands as if copied

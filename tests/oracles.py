@@ -40,9 +40,15 @@ search over every member list (``fuzz.left_action_counterexamples``).
 ``reference_validate_partitions`` tests the partitions one class at a
 time and is the reference for the label-array reductions of
 ``fuzz.validate_partitions``; ``reference_invertible_image_check``
-sorts each (candidate, generator) image into a dict and is the
-reference for the row gather of ``fuzz.invertible_image_check``, and
-``reference_sp_matches_class_squares`` builds SP's class squares one
+and ``reference_rA_proximal_equiv`` test each (candidate, map) image on
+its own and are the references for the class pass
+(``relations.first_nonproximal_image``) of ``fuzz.invertible_image_check``
+and ``fuzz.check_rA_proximal_equiv``: given every proximal set of up to
+four states and every per-ideal class (``reference_proximal_candidates``)
+they must reach the verdict the pass reaches on the classes alone, and
+given the classes in the pass's order its counterexample, and the pass
+itself reads one class at a time in ``reference_first_nonproximal_image``;
+and ``reference_sp_matches_class_squares`` builds SP's class squares one
 ``np.ix_`` block at a time, the reference for the label comparison of
 ``fuzz.sp_matches_class_squares``.  The
 squared flow's monoid (``square_monoid``) and its minimal idempotents are
@@ -66,18 +72,16 @@ idempotent) slot and for ``finflow.ideal_structure``;
 ``reference_is_equivalence`` (one boolean matmul) is the reference for
 the O(n²) ``relations.is_equivalence``;
 ``first_collapsers``' whole-monoid scan is in turn the reference for the
-kernel-label set test ``relations.proximal_sets``;
+kernel-label set test ``reference_proximal_sets``, which those two
+references read;
 ``kernel_signature`` labels one row at a time and is the reference for
 ``finflow.kernel_labels`` and the refinement row of ``IdealStructure.labels``, and
 ``label_classes``, a dict loop over the states, is the reference for the
 class lists of ``IdealStructure.classes``.
 
-The report's per-pair witness dicts and the sorted tuples of the
-proximal-set candidates are the references for their array forms:
-``sp_witness_dicts`` reads ``sp_witnesses``' int columns as the dicts of
-``reference_sp_witness``, ``reference_proximal_candidates`` is the set of
-tuples sorted in Python, the reference for ``fuzz.proximal_candidates``,
-and ``candidate_tuples`` reads the candidates' members back as tuples.
+The report's per-pair witness dicts are the references for its array
+form: ``sp_witness_dicts`` reads ``sp_witnesses``' int columns as the
+dicts of ``reference_sp_witness``.
 
 The minimal-ideal passes keep their earlier forms as references:
 ``reference_kernel_labels`` labels each row by one stable argsort (for
@@ -126,6 +130,7 @@ from flowrel.finflow import (
     NotAFactorMap,
     TransMonoid,
     _row_keys,
+    _state_sets,
     compose_rows,
     element_cap,
     ideal_structure,
@@ -692,10 +697,29 @@ def sp_witness_dicts(columns: dict[str, np.ndarray], ideal_count: int) -> list[d
     return [dict(zip(SP_WITNESS_FIELDS, row)) if row[0] >= 0 else {"collapsing_ideals": ideal_count} for row in rows]
 
 
+def reference_proximal_sets(ax, sets) -> np.ndarray:
+    """Whether each state set (``finflow.first_collapsers``' input) is
+    proximal: some minimal ideal's kernel labels are constant on it."""
+    labels = ax.structure.labels[:-1, _state_sets(sets).T]
+    return (labels == labels[:, :1]).all(axis=1).any(axis=0)  # (ideal, member, set)
+
+
+def reference_first_nonproximal_image(ax, maps) -> tuple[list[int], int] | None:
+    """``relations.first_nonproximal_image`` one per-ideal class at a time,
+    every map's image of it tested in one ``reference_proximal_sets``
+    call."""
+    for kernel in ideal_lists(ax.structure)["kernels"]:
+        for cols in (sorted(c) for c in label_classes(kernel)):
+            ok = reference_proximal_sets(ax, np.asarray(maps)[:, cols])
+            if not ok.all():
+                return cols, int(np.argmin(ok))
+    return None
+
+
 def reference_proximal_candidates(ax, subsets) -> list[tuple[int, ...]]:
-    """``fuzz.proximal_candidates`` as a set of tuples sorted in Python:
-    every singleton, every per-ideal class, every proximal pair and every
-    proximal set among ``subsets``."""
+    """The sorted tuples of every singleton, every per-ideal class, every
+    proximal pair and every proximal set among ``subsets`` (a dict from
+    sorted tuples to whether each is proximal), sorted in Python."""
     n = ax.n_states
     found = {(x,) for x in range(n)} | {c for c, proximal in subsets.items() if proximal}
     found.update(map(tuple, np.argwhere(np.triu(ax.proximal, 1)).tolist()))
@@ -705,13 +729,12 @@ def reference_proximal_candidates(ax, subsets) -> list[tuple[int, ...]]:
 
 def reference_rA_proximal_equiv(ax, candidates) -> CheckResult:
     """``fuzz.check_rA_proximal_equiv`` on candidates given as tuples, one
-    ``fuzz.proximal_sets`` call per candidate (looked up through the
-    module, so a patched test reaches this form too)."""
+    ``reference_proximal_sets`` call per candidate."""
     m = ax.monoid
     witness = ""
     for cols in candidates:
         images = m.elements[:, list(cols)]
-        ok = fuzz.proximal_sets(ax, images)
+        ok = reference_proximal_sets(ax, images)
         if not ok.all():
             r = int(np.nonzero(~ok)[0][0])
             witness = f"A={list(cols)} r={tuple(m.elements[r].tolist())} rA={sorted(set(int(v) for v in images[r]))}"
@@ -723,12 +746,6 @@ def reference_rA_proximal_equiv(ax, candidates) -> CheckResult:
         "" if ax.p_is_equivalence == all_images_proximal
         else f"p_equiv={ax.p_is_equivalence} but all r(A) proximal={all_images_proximal}; {witness}",
     )
-
-
-def candidate_tuples(candidates) -> list[tuple[int, ...]]:
-    """The candidates' sets as tuples, in their order."""
-    members, sizes, _ = candidates
-    return [tuple(s.tolist()) for s in np.split(members, np.cumsum(sizes)[:-1])]
 
 
 def reference_induced_theta(f, sm, tm) -> list[int]:
@@ -898,17 +915,17 @@ def reference_validate_partitions(ax) -> CheckResult:
 
 
 def reference_invertible_image_check(ax, candidates, subsets) -> CheckResult:
-    """``fuzz.invertible_image_check`` one (candidate, generator) at a time:
-    each image set is sorted into a dict, the images not among ``subsets``
-    are tested in one call of ``fuzz.proximal_sets`` (looked up through
-    the module, so a patched test reaches this form too), and the first
-    failing key in insertion order is the counterexample."""
+    """``fuzz.invertible_image_check`` one (candidate, generator) at a time,
+    on the candidates of at most 3 states and the per-ideal classes: each
+    image set is sorted into a dict, the images not among ``subsets`` are
+    tested in one ``reference_proximal_sets`` call, and the first failing
+    key in insertion order is the counterexample."""
     invertible = [g for g in ax.flow.generators if len(set(g)) == ax.n_states]
     classes = {tuple(sorted(c)) for kernel in ideal_lists(ax.structure)["kernels"] for c in label_classes(kernel)}
     small = [c for c in candidates if len(c) <= 3 or c in classes]
     image = {(cols, g): tuple(sorted({g[x] for x in cols})) for cols in small for g in invertible}
     rest = sorted(set(image.values()) - subsets.keys())
-    proximal = {**subsets, **dict(zip(rest, fuzz.proximal_sets(ax, rest).tolist()))}
+    proximal = {**subsets, **dict(zip(rest, reference_proximal_sets(ax, rest).tolist()))}
     detail = next((f"tA not proximal: A={list(cols)} g={g}" for (cols, g), t in image.items() if not proximal[t]), "")
     return CheckResult("invertible_generator_image_of_proximal_set_proximal", not detail, detail)
 

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -201,12 +202,28 @@ def test_config_null_out_and_string_format_accepted(capsys, tmp_path):
     assert code == 0 and "distal=yes" in out
 
 
-def test_morse_horizon_past_the_letter_guard_exits_2(capsys):
+@pytest.mark.parametrize("argv", [
+    ("morse", "--horizon", "100000000"),
+    ("morse", "--horizon", "1000000000"),
+    ("morse", "--horizon", str(10**18)),
+    ("morse", "--depth", str(10**18)),
+    ("chacon", "--horizon", str(10**18)),
+], ids=["morse-horizon-1e8", "morse-horizon-1e9", "morse-horizon-1e18", "morse-depth-1e18", "chacon-horizon-1e18"])
+def test_morse_horizon_past_the_letter_guard_exits_2(capsys, argv):
+    # the guards run before the agreement mask, a byte a letter of the
+    # window, is allocated: no traceback, and nothing near the window's size
+    system, flag, value = argv
+    x, y = ("a", "b") if system == "morse" else ("x1", "x2")
     start = time.perf_counter()
-    code, out, err = run(capsys, "classify-pair", "--system", "morse", "--x", "a", "--y", "b",
-                         "--horizon", "100000000")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "classify-pair", "--system", system, "--x", x, "--y", y, flag, value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert time.perf_counter() - start < 5
     assert code == 2 and out == "" and "letter guard" in err
+    assert peak < 10**8
 
 
 @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])

@@ -4,38 +4,39 @@ from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowrel import fuzz
 from flowrel.finflow import FiniteFlow, MonoidTooLarge, close, first_collapsers
 from flowrel.fuzz import (
     CONSTANTS_FLOW,
+    CheckResult,
     ROTATION3_FLOW,
     SINGLE_IDEAL_SEED_FLOW,
     TWO_IDEAL_FLOW,
     check_rA_proximal_equiv,
     invertible_image_check,
     max_sp_sets_fixed_by_all_idempotents,
-    proximal_candidates,
-    proximal_subsets,
     proxset_check_suite,
     random_flow,
     sp_matches_class_squares,
     validate_partitions,
 )
 from flowrel.proxsets import i_proximal_partition, max_strongly_proximal_sets
-from flowrel.relations import analyze_flow, proximal_sets
+from flowrel.relations import analyze_flow, first_nonproximal_image
 from flowrel.reports import flow_report
 from oracles import (
     apply,
     element_of,
     ideal_lists,
-    candidate_tuples,
     image_tuple,
-    label_classes,
+    kernel_signature,
+    reference_first_nonproximal_image,
     reference_invertible_image_check,
     reference_minimal_ideal_collapse,
     reference_proximal_candidates,
+    reference_proximal_sets,
     reference_rA_proximal_equiv,
     reference_sp_matches_class_squares,
     structure_from_lists,
@@ -108,7 +109,7 @@ def test_sp_equals_union_of_class_squares():
 def test_rA_biconditional():
     for flow in (CONSTANTS_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW, TWO_IDEAL_FLOW):
         ax = analyze_flow(flow)
-        r = check_rA_proximal_equiv(ax, proximal_candidates(ax, proximal_subsets(ax)))
+        r = check_rA_proximal_equiv(ax)
         assert r.passed, r.detail
 
 
@@ -118,7 +119,7 @@ def test_rA_counterexample_exists_when_p_not_equivalence():
     # biconditional are false together
     ax = analyze_flow(TWO_IDEAL_FLOW)
     m = ax.monoid
-    r = check_rA_proximal_equiv(ax, proximal_candidates(ax, proximal_subsets(ax)))
+    r = check_rA_proximal_equiv(ax)
     assert r.passed
     # explicit witness: {0,1} is collapsed by the first ideal, its image
     # under the idempotent (0,2,2,0) is {0,2}, which nothing collapses
@@ -168,19 +169,17 @@ def test_validate_partitions_rejects_a_split_kernel():
     assert [r for r in proxset_check_suite(ax) if r.name == "per_ideal_partitions_valid"] == [result]
 
 
-def test_invertible_image_check_reports_the_first_counterexample(monkeypatch):
-    # with two candidate images rejected, the detail names the first
-    # (candidate, generator) in scan order, not the last
+def test_invertible_image_check_reports_the_first_counterexample():
+    # a kernel row claiming {0, 1} on the rotation: the class {0, 1} is
+    # carried to {1, 2}, which the row splits, while {2} stays a point
     ax = analyze_flow(ROTATION3_FLOW)
     check = "invertible_generator_image_of_proximal_set_proximal"
     assert [r.passed for r in proxset_check_suite(ax) if r.name == check] == [True]
-    real = fuzz.proximal_sets
-    rejected = [{1}, {2}]  # images of (0,) and (1,) under the rotation
-    monkeypatch.setattr(fuzz, "proximal_sets", lambda ax, sets: np.array(
-        [ok and set(s) not in rejected for s, ok in zip(sets, real(ax, sets).tolist())]))
+    lists = ideal_lists(ax.structure)
+    ax = replace(ax, structure=structure_from_lists(**{**lists, "kernels": [(0, 0, 1)]}))
     (result,) = [r for r in proxset_check_suite(ax) if r.name == check]
     assert not result.passed
-    assert result.detail == "tA not proximal: A=[0] g=(1, 2, 0)"
+    assert result.detail == "tA not proximal: A=[0, 1] g=(1, 2, 0)"
 
 
 # -- the suite's array passes against their loop forms ------------------------------
@@ -208,13 +207,33 @@ def seeded_analyses(count: int, seed: int):
         yield ax
 
 
-def assert_candidates_match(ax, candidates, expected):
-    # the rows hold the sorted tuples, in their order, each with its size
-    # and whether it is a per-ideal class
-    classes = {tuple(sorted(c)) for kernel in ideal_lists(ax.structure)["kernels"] for c in label_classes(kernel)}
-    assert candidate_tuples(candidates) == expected
-    assert candidates.sizes.tolist() == list(map(len, expected))
-    assert candidates.classes.tolist() == [c in classes for c in expected]
+def subset_table(ax) -> dict[tuple[int, ...], bool]:
+    """Whether each state set of 3 or 4 states is proximal, on at most 12
+    states (empty above)."""
+    n = ax.n_states
+    sets = [c for k in (3, 4) for c in combinations(range(n), k)] if n <= 12 else []
+    return dict(zip(sets, reference_proximal_sets(ax, sets).tolist()))
+
+
+def pass_order_classes(ax) -> list[tuple[int, ...]]:
+    """The per-ideal classes in (ideal, label) order, the class pass's."""
+    return [c for row in ax.structure.classes[:-1] for c in row]
+
+
+def assert_checks_match_the_candidate_oracles(ax) -> tuple[CheckResult, CheckResult]:
+    # on the classes alone the checks reach the all-candidates verdicts,
+    # and each names the first counterexample of its reference run on the
+    # classes in the pass's order
+    subsets = subset_table(ax)
+    candidates = reference_proximal_candidates(ax, subsets)
+    classes = pass_order_classes(ax)
+    image = invertible_image_check(ax)
+    assert image.passed == reference_invertible_image_check(ax, candidates, subsets).passed
+    assert image == reference_invertible_image_check(ax, classes, {})
+    ra = check_rA_proximal_equiv(ax)
+    assert ra.passed == reference_rA_proximal_equiv(ax, candidates).passed
+    assert ra == reference_rA_proximal_equiv(ax, classes)
+    return image, ra
 
 
 def test_image_and_class_square_checks_match_their_loop_forms():
@@ -223,13 +242,8 @@ def test_image_and_class_square_checks_match_their_loop_forms():
         gens = ax.flow.generators
         kinds["invertible"] += any(len(set(g)) == ax.n_states for g in gens)
         kinds["repeated"] += len(set(gens)) < len(gens)
-        subsets = proximal_subsets(ax)
-        kinds["subsets" if subsets else "no subsets"] += 1
-        candidates = proximal_candidates(ax, subsets)
-        expected = reference_proximal_candidates(ax, subsets)
-        assert_candidates_match(ax, candidates, expected)
-        assert invertible_image_check(ax, candidates, subsets) == reference_invertible_image_check(ax, expected, subsets)
-        assert check_rA_proximal_equiv(ax, candidates) == reference_rA_proximal_equiv(ax, expected)
+        kinds["subsets" if 3 <= ax.n_states <= 12 else "no subsets"] += 1
+        assert_checks_match_the_candidate_oracles(ax)
         assert sp_matches_class_squares(ax) == reference_sp_matches_class_squares(ax)
         if ax.n_states > 1:  # one off-diagonal SP entry flipped fails both forms
             sp = ax.strongly_proximal.copy()
@@ -240,31 +254,40 @@ def test_image_and_class_square_checks_match_their_loop_forms():
     assert min(kinds.values()) >= 100, kinds
 
 
-def test_injected_image_failures_match_the_loop_form(monkeypatch):
-    # every set whose members sum to 1 mod 3 is rejected, in the subset
-    # table and in the image tests alike; both forms of the image check
-    # name the same first (candidate, generator) and the same detail text,
-    # and both forms of the r(A) check the same first (candidate, element)
-    real = fuzz.proximal_sets
+def rejecting_both(ax, x: int, y: int):
+    """The analysis with every set that holds both x and y made not
+    proximal, and nothing else: each kernel row collapsing x and y becomes
+    two rows, one with x split off its class and one with y, and (x, y)
+    leaves P.  Non-proximality stays upward-closed, as it is in a flow."""
+    lists = ideal_lists(ax.structure)
+    kernels, members, idempotents = [], [], []
+    for row, ms, us in zip(lists["kernels"], lists["members"], lists["idempotents"]):
+        split = [row] if row[x] != row[y] else [tuple(-1 if s == z else v for s, v in enumerate(row)) for z in (x, y)]
+        kernels += split
+        members += [ms] * len(split)
+        idempotents += [us] * len(split)
+    p = ax.proximal.copy()
+    p[x, y] = p[y, x] = False
+    refinement = kernel_signature(list(zip(*kernels)))
+    return replace(ax, proximal=p, structure=structure_from_lists(members, idempotents, kernels, refinement))
 
-    def rejecting(ax, sets):
-        rows = sets.tolist() if isinstance(sets, np.ndarray) else sets
-        return real(ax, sets) & np.array([sum(set(s)) % 3 != 1 for s in rows], dtype=bool)
 
-    monkeypatch.setattr(fuzz, "proximal_sets", rejecting)
+def test_injected_image_failures_match_the_loop_form():
+    # two seeded states, a proximal pair where there is one, are never
+    # together in a proximal set; both checks still reach the verdicts of
+    # their all-candidates references and name the first counterexample
+    # of the reference run on the classes in the pass's order
+    rng = random.Random(7)
     failed = ra_failed = 0
     for ax in seeded_analyses(300, 7):
-        subsets = proximal_subsets(ax)
-        candidates = proximal_candidates(ax, subsets)
-        expected = reference_proximal_candidates(ax, subsets)
-        assert_candidates_match(ax, candidates, expected)
-        result = invertible_image_check(ax, candidates, subsets)
-        assert result == reference_invertible_image_check(ax, expected, subsets)
-        failed += not result.passed
-        ra_result = check_rA_proximal_equiv(ax, candidates)
-        assert ra_result == reference_rA_proximal_equiv(ax, expected)
-        ra_failed += not ra_result.passed
-    assert failed >= 30 and ra_failed >= 30
+        if ax.n_states < 2:
+            continue
+        pairs = np.argwhere(np.triu(ax.proximal, 1)).tolist()
+        x, y = rng.choice(pairs) if pairs else rng.sample(range(ax.n_states), 2)
+        image, ra = assert_checks_match_the_candidate_oracles(rejecting_both(ax, x, y))
+        failed += not image.passed
+        ra_failed += not ra.passed
+    assert failed >= 30 and ra_failed >= 30, (failed, ra_failed)
 
 
 # -- the kernel-label set test against the whole-monoid scan -----------------------
@@ -275,11 +298,11 @@ def assert_proximal_sets_match_the_monoid_scan(ax, rng):
     subsets = [c for k in (3, 4) for c in combinations(range(n), k)]
     sets = subsets + [rng.sample(range(n), rng.randint(1, n)) for _ in range(20)]
     expected = (first_collapsers(ax.monoid, sets) >= 0).tolist()
-    assert proximal_sets(ax, sets).tolist() == expected
-    assert [bool(proximal_sets(ax, [s])[0]) for s in sets] == expected
-    assert proximal_subsets(ax) == dict(zip(subsets, expected))
-    images = ax.monoid.elements[:, sorted(sets[-1])]  # the r(A) check's input: one row per element
-    assert proximal_sets(ax, images).tolist() == (first_collapsers(ax.monoid, images) >= 0).tolist()
+    assert reference_proximal_sets(ax, sets).tolist() == expected
+    assert [bool(reference_proximal_sets(ax, [s])[0]) for s in sets] == expected
+    assert subset_table(ax) == dict(zip(subsets, expected))
+    images = ax.monoid.elements[:, sorted(sets[-1])]  # one row per element
+    assert reference_proximal_sets(ax, images).tolist() == (first_collapsers(ax.monoid, images) >= 0).tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,32 +320,40 @@ def test_proximal_sets_on_the_fixtures_and_t5():
     t5 = FiniteFlow(5, ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (0, 0, 2, 3, 4)))
     for flow in (CONSTANTS_FLOW, ROTATION3_FLOW, SINGLE_IDEAL_SEED_FLOW, TWO_IDEAL_FLOW, t5):
         assert_proximal_sets_match_the_monoid_scan(analyze_flow(flow), random.Random(0))
-    assert proximal_sets(analyze_flow(TWO_IDEAL_FLOW), []).tolist() == []
+    assert reference_proximal_sets(analyze_flow(TWO_IDEAL_FLOW), []).tolist() == []
 
 
-def test_candidates_order_long_classes_as_tuples():
-    # seeded kernel rows on 6-12 states drawn from two or three labels, so
-    # that classes of six or more states share their first five members
-    # across ideals, or repeat whole; the proximal relation is a seeded
-    # symmetric one, and the subsets a seeded table
-    rng = random.Random(26)
-    ties = 0
-    for _ in range(300):
-        n = rng.randint(6, 12)
-        rows = []
-        for _ in range(rng.randint(2, 4)):
-            values = rng.sample(range(5), rng.randint(2, 3))
-            rows.append(tuple(rng.choice(values) if rng.random() < 0.3 else values[0] for _ in range(n)))
-        lists = {"members": [()] * len(rows), "idempotents": [()] * len(rows), "kernels": rows, "refinement": rows[0]}
-        proximal = np.triu(np.array([[rng.random() < 0.3 for _ in range(n)] for _ in range(n)]))
-        ax = replace(analyze_flow(FiniteFlow(n, (tuple(range(n)),))), structure=structure_from_lists(**lists),
-                     proximal=proximal | proximal.T)
-        subsets = {c: rng.random() < 0.5 for k in (3, 4) for c in combinations(range(n), k)}
-        expected = reference_proximal_candidates(ax, subsets)
-        assert_candidates_match(ax, proximal_candidates(ax, subsets), expected)
-        long = [c for c in expected if len(c) > 5]
-        ties += len({c[:5] for c in long}) < len(long)
-    assert ties >= 30
+def test_class_pass_matches_the_one_class_reference():
+    # seeded kernel rows on 2-80 states from 1-12 labels, so classes run
+    # wide, and up to 400 maps, each the identity or a constant (images
+    # of classes stay proximal), rarely with one entry changed: the first
+    # failure falls anywhere from the first pass to past the last, across
+    # passes of several classes and classes split into blocks of maps
+    rng = random.Random(31)
+    kinds = {"none": 0, "first pass": 0, "later": 0, "blocks": 0}
+    for _ in range(500):
+        n = rng.randint(2, 80)
+        rows = [tuple(rng.choices(range(rng.randint(1, 12)), k=n)) for _ in range(rng.randint(1, 3))]
+        refinement = kernel_signature(list(zip(*rows)))
+        ax = replace(analyze_flow(FiniteFlow(n, (tuple(range(n)),))),
+                     structure=structure_from_lists([()] * len(rows), [()] * len(rows), rows, refinement))
+        k = rng.choice((1, 3, rng.randint(100, 400), rng.randint(100, 400)))
+        bad = rng.choice((0.0, 1 / k, 2 / k, 0.05))
+        maps = np.array([[rng.randrange(n)] * n if rng.random() < 0.5 else list(range(n)) for _ in range(k)])
+        for r in [r for r in range(k) if rng.random() < bad]:
+            maps[r, rng.randrange(n)] = rng.randrange(n)  # fails on the classes holding that state at most
+        maps = maps.astype(rng.choice((np.int16, np.intp)))
+        found = first_nonproximal_image(ax, maps)
+        expected = reference_first_nonproximal_image(ax, maps)
+        assert (found if found is None else (found[0].tolist(), found[1])) == expected
+        classes = pass_order_classes(ax)
+        if found is None:
+            kinds["none"] += 1
+        else:  # the image entries of the wide classes before the failing one
+            before = k * sum(len(c) for c in classes[:classes.index(tuple(expected[0]))] if len(c) > 1)
+            kinds["first pass" if before < 4096 else "later"] += 1
+        kinds["blocks"] += k * max(map(len, classes)) > max(4096, maps.nbytes // (10 + 3 * len(rows)))
+    assert min(kinds.values()) >= 10, kinds
 
 
 def test_proxset_suite_pads_no_pair_to_a_class_width():
@@ -339,3 +370,22 @@ def test_proxset_suite_pads_no_pair_to_a_class_width():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 8 * n * n
+
+
+@pytest.mark.parametrize("name", ["T_6", "wide4_300"])
+def test_class_pass_stays_within_twice_the_monoid_rows(name):
+    # both checks read the class images under every element (or invertible
+    # generator) in passes whose temporaries stay within a small multiple
+    # of elements.nbytes: T_6 has one class of all 6 states and 46,656
+    # elements, the wide flow 4 ideals of 75 classes each
+    n = 6 if name == "T_6" else 300
+    gens = [tuple((x + 1) % n for x in range(n))]
+    gens += [(1, 0, *range(2, n)), (0, 0, *range(2, n))] if name == "T_6" else [tuple(x - x % 4 for x in range(n))]
+    ax = analyze_flow(FiniteFlow(n, tuple(gens)))
+    tracemalloc.start()
+    try:
+        assert check_rA_proximal_equiv(ax).passed and invertible_image_check(ax).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * ax.monoid.elements.nbytes + 8 * n * n
