@@ -7,15 +7,17 @@ Commands:
   classify-pair          evidence verdict for a pair of symbolic points
 
 Reports are JSON with sorted keys; identical (config, seed) gives
-byte-identical bytes.  Each command takes only the flags it reads:
-``--format text`` on analyze, ``--out FILE`` on analyze, fuzz and
-classify-pair, ``--cap N`` on analyze and fuzz.  ``--config FILE``
-supplies defaults for any flag; explicit flags win.  The closure cap of
-analyze and fuzz honors the FLOWREL_ELEMENT_CAP environment variable; a
-cap that is not an integer of at least 1, from any source, is a usage
-error.  An argv in exact form (full flag names, no value starting with
-``-``) is read directly from the command table; any other argv goes to
-argparse, built from the same table.
+byte-identical bytes.  analyze, fuzz and classify-pair write a report
+piece by piece into stdout and the --out file (``emit``); reproduce diffs
+the same writer's whole text (``dump``) with its golden file.  Each
+command takes only the flags it reads: ``--format text`` on analyze,
+``--out FILE`` on analyze, fuzz and classify-pair, ``--cap N`` on analyze
+and fuzz.  ``--config FILE`` supplies defaults for any flag; explicit
+flags win.  The closure cap of analyze and fuzz honors the
+FLOWREL_ELEMENT_CAP environment variable; a cap that is not an integer of
+at least 1, from any source, is a usage error.  An argv in exact form
+(full flag names, no value starting with ``-``) is read directly from the
+command table; any other argv goes to argparse, built from the same table.
 
 Exit codes: 0 success, 1 failed checks or golden mismatch, 2 usage, parse or
 unwritable --out error, 3 monoid too large.
@@ -26,6 +28,7 @@ from __future__ import annotations
 import difflib
 import functools
 import gc
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -59,27 +62,29 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_TOO_LARGE = 3
-EMIT_SLICE = 1 << 20  # characters per write of ``emit``
 DIGIT_CHUNK = 4  # digits per gather of ``_cell_digits``
+
+Write = Callable[[str], object]  # a sink: takes each piece of a report's text, in order
 
 
 def dump(report: dict) -> str:
     """``json.dumps(report, indent=2, sort_keys=True)`` and a newline, byte
-    for byte.  json turns its C encoder off whenever ``indent`` is set, and
-    its pure-Python one spends most of a large report on lists of ints, one
-    per line.  This writer writes each non-empty 2-D integer ndarray with
-    non-negative entries (monoid rows, relation pairs) in one array pass
-    per row block (``_write_rows``), reads any other ndarray as its
-    ``tolist()``, writes a witness map (``reports.RecordMap``) in one pass
-    from its columns (``_write_record_map``), joins each list of ints, of
-    int lists or of flat records in one pass (``_flat_list``) and each
-    flat record alone (``_flat_record``), writes strings and keys with
-    json's own C quoting function, None, True and False from a table, and
-    leaves every other scalar to ``json.dumps``."""
-    out: list[str] = []
-    _write(report, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    for byte: the writer that ``emit`` streams, run into one string.  json
+    turns its C encoder off whenever ``indent`` is set, and its pure-Python
+    one spends most of a large report on lists of ints, one per line.  This
+    writer writes each non-empty 2-D integer ndarray with non-negative
+    entries (monoid rows, relation pairs) in one array pass per row block
+    (``_write_rows``), reads any other ndarray as its ``tolist()``, writes
+    a witness map (``reports.RecordMap``) in one pass from its columns
+    (``_write_record_map``), joins each list of ints, of int lists or of
+    flat records in one pass (``_flat_list``) and each flat record alone
+    (``_flat_record``), writes strings and keys with json's own C quoting
+    function, None, True and False from a table, and leaves every other
+    scalar to ``json.dumps``."""
+    text = io.StringIO()
+    _write(report, "\n", text.write)
+    text.write("\n")
+    return text.getvalue()
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -88,45 +93,45 @@ _FLAT = {str: encode_basestring_ascii, int: int.__repr__, bool: _CONSTANTS.__get
          type(None): _CONSTANTS.__getitem__}
 
 
-def _write(value, newline: str, out: list[str]) -> None:
+def _write(value, newline: str, write: Write) -> None:
     inner = newline + "  "
     if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
+        write(encode_basestring_ascii(value))
     elif type(value) is int:
-        out.append(str(value))
+        write(str(value))
     elif value is None or type(value) is bool:
-        out.append(_CONSTANTS[value])
+        write(_CONSTANTS[value])
     elif isinstance(value, dict) and value:
         text = _flat_record(value, newline)
         if text is not None:
-            out.append(text)
+            write(text)
             return
         sep = "{" + inner
         for key, item in sorted(value.items()):
-            out.append(sep + encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key)) + ": ")
-            _write(item, inner, out)
+            write(sep + encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key)) + ": ")
+            _write(item, inner, write)
             sep = "," + inner
-        out.append(newline + "}")
+        write(newline + "}")
     elif isinstance(value, np.ndarray):
         if value.ndim == 2 and value.size and value.dtype.kind in "iu" and value.min() >= 0:
-            _write_rows(value, newline, out)
+            _write_rows(value, newline, write)
         else:
-            _write(value.tolist(), newline, out)
+            _write(value.tolist(), newline, write)
     elif isinstance(value, reports.RecordMap):
-        _write_record_map(value, newline, out)
+        _write_record_map(value, newline, write)
     elif isinstance(value, (list, tuple)) and value:
         text = _flat_list(value, newline)
         if text is not None:
-            out.append(text)
+            write(text)
             return
         sep = "[" + inner
         for item in value:
-            out.append(sep)
-            _write(item, inner, out)
+            write(sep)
+            _write(item, inner, write)
             sep = "," + inner
-        out.append(newline + "]")
+        write(newline + "]")
     else:
-        out.append(json.dumps(value))
+        write(json.dumps(value))
 
 
 def _flat_record(value: dict, newline: str) -> str | None:
@@ -174,7 +179,7 @@ def _flat_list(value: list | tuple, newline: str) -> str | None:
     return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
-def _write_record_map(value: reports.RecordMap, newline: str, out: list[str]) -> None:
+def _write_record_map(value: reports.RecordMap, newline: str, write: Write) -> None:
     """json's text of a record map's plain form at indent ``newline``, from
     its columns.  json sorts the keys "x,y" as strings ("10,3" before
     "2,5"), and since "," sorts before every digit that is the order of
@@ -183,22 +188,22 @@ def _write_record_map(value: reports.RecordMap, newline: str, out: list[str]) ->
     table of cells, each record one row of ``_write_table``; a map with a
     negative entry is written as its ``tolist()``."""
     if not len(value.pairs):
-        out.append("{}")
+        write("{}")
         return
     names = sorted(value.columns)
     xs, ys = value.pairs.T
     order = np.lexsort(_string_order(ys) + _string_order(xs))
     table = np.column_stack([value.pairs[order], *(value.columns[name][order] for name in names)])
     if table.min() < 0:
-        _write(value.tolist(), newline, out)
+        _write(value.tolist(), newline, write)
         return
     inner = newline + "  "
     deeper = inner + "  "
     keys = [encode_basestring_ascii(name) + ": " for name in names]
-    out.append("{")
+    write("{")
     _write_table(table, [inner + '"', ",", '": {' + deeper + keys[0], *("," + deeper + key for key in keys[1:]),
-                         inner + "},"], out)
-    out.append(newline + "}")
+                         inner + "},"], write)
+    write(newline + "}")
 
 
 def _string_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,17 +260,17 @@ def _block_rows(value: np.ndarray, row_bytes: int) -> int:
     return max(1, value.nbytes // row_bytes)
 
 
-def _write_rows(value: np.ndarray, newline: str, out: list[str]) -> None:
+def _write_rows(value: np.ndarray, newline: str, write: Write) -> None:
     """json's text of a non-empty ``(rows, cols)`` array of non-negative
     integers at indent ``newline``: each row one row of ``_write_table``."""
     inner = newline + "  "
     deeper = inner + "  "
-    out.append("[")
-    _write_table(value, [inner + "[" + deeper, *["," + deeper] * (value.shape[1] - 1), inner + "],"], out)
-    out.append(newline + "]")
+    write("[")
+    _write_table(value, [inner + "[" + deeper, *["," + deeper] * (value.shape[1] - 1), inner + "],"], write)
+    write(newline + "]")
 
 
-def _write_table(value: np.ndarray, pieces: list[str], out: list[str]) -> None:
+def _write_table(value: np.ndarray, pieces: list[str], write: Write) -> None:
     """The text of every row of a non-empty ``(rows, cols)`` array of
     non-negative integers: ``pieces[0]``, then each cell's digits followed
     by the next of the ``cols`` further pieces, of which the last ends with
@@ -300,28 +305,49 @@ def _write_table(value: np.ndarray, pieces: list[str], out: list[str]) -> None:
             slots.view(f"V{width}")[..., 0] = digits[:, first:first + count]
         if lo + step >= rows:
             buf[-1, -1] = 0  # no comma after the last row
-        out.append(buf.tobytes().replace(b"\0", b"").decode("ascii"))
+        write(buf.tobytes().replace(b"\0", b"").decode("ascii"))
 
 
-def emit(payload: str, out: str | None) -> bool:
-    """Write ``payload`` to the ``--out`` path, when there is one, and to
-    stdout; False, with an error line and nothing on stdout, when the path
-    cannot be written.  Both are written in slices of ``EMIT_SLICE``
-    characters, so no encoded copy of the whole payload is ever held."""
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as sink:
-                _write_slices(payload, sink)
-        except OSError as exc:
-            print(f"error: cannot write --out: {exc}", file=sys.stderr)
-            return False
-    _write_slices(payload, sys.stdout)
+def emit(report: dict | str, out: str | None) -> bool:
+    """Write the report's JSON text (``dump``'s bytes), or a text form as
+    it is, to the ``--out`` path, when there is one, and to stdout.  Each
+    piece goes out as the writer makes it, to the file and then to
+    ``sys.stdout``, so no text of the whole report is ever held.  False,
+    with an error line, when the path cannot be opened, and stdout is then
+    empty; or when a write to the file or its close fails (a full disk),
+    and stdout may then hold a prefix of the report."""
+    stdout = sys.stdout.write
+    if not out:
+        _write_report(report, stdout)
+        return True
+    in_file = True  # whether an OSError now comes from the file, not stdout
+
+    def write(piece: str) -> None:
+        nonlocal in_file
+        in_file = True
+        sink.write(piece)
+        in_file = False
+        stdout(piece)
+
+    try:
+        with open(out, "w", encoding="utf-8") as sink:
+            _write_report(report, write)
+            in_file = True  # the close flushes the file's last piece
+    except OSError as exc:
+        if not in_file:
+            raise
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+        return False
     return True
 
 
-def _write_slices(payload: str, sink) -> None:
-    for lo in range(0, len(payload), EMIT_SLICE):
-        sink.write(payload[lo:lo + EMIT_SLICE])
+def _write_report(report: dict | str, write: Write) -> None:
+    """A JSON report's text and a newline, or a text form as it is."""
+    if isinstance(report, str):
+        write(report)
+    else:
+        _write(report, "\n", write)
+        write("\n")
 
 
 # --------------------------------------------------------------------------
@@ -406,7 +432,7 @@ def cmd_analyze(args) -> int:
     except MonoidTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    if not emit(reports.flow_report_text(report) if args.format == "text" else dump(report), args.out):
+    if not emit(reports.flow_report_text(report) if args.format == "text" else report, args.out):
         return EXIT_PARSE
     failed = [c for c in report["checks"] if not c["pass"]]
     if failed:
@@ -422,7 +448,7 @@ def cmd_fuzz(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if not emit(dump(summary), args.out):
+    if not emit(summary, args.out):
         return EXIT_PARSE
     return EXIT_OK if not summary["failures"] else EXIT_CHECK_FAILED
 
@@ -461,42 +487,27 @@ def cmd_reproduce(args) -> int:
 
 def cmd_classify_pair(args) -> int:
     params = ClassifyParams(depth=args.depth, gap=args.gap, horizon=args.horizon)
+    parse = {"morse": parse_morse_point, "chacon": parse_chacon_point,
+             "ternary": parse_ternary_point, "cc": parse_circle_point}[args.system]
     try:
+        x, y = parse(args.x), parse(args.y)
         if args.system in ("morse", "chacon"):
-            parser = parse_morse_point if args.system == "morse" else parse_chacon_point
-            x, y = parser(args.x), parser(args.y)
             rep = classify_pair(x, y, params)
-            report = {"schema": reports.SCHEMA, "kind": "pair_classification",
-                      "system": args.system, **rep.as_json()}
+            verdicts, labels = rep.as_json(), list(rep.labels)
         elif args.system == "ternary":
-            x, y = parse_ternary_point(args.x), parse_ternary_point(args.y)
             verdict = sp_classify(x, y)
-            report = {
-                "schema": reports.SCHEMA, "kind": "pair_classification",
-                "system": "ternary", "x": x.describe(), "y": y.describe(),
-                "params": params.as_json(), "verdicts": verdict.as_json(),
-                "labels": [verdict.label],
-            }
-        elif args.system == "cc":
-            x, y = parse_circle_point(args.x), parse_circle_point(args.y)
-            pc = pair_class(x, y)
-            report = {
-                "schema": reports.SCHEMA, "kind": "pair_classification",
-                "system": "cc", "x": x.describe(), "y": y.describe(),
-                "params": params.as_json(), "verdicts": {
-                    "pair": pc,
-                    "x_asymptotics": asymptotic_class(x).as_json(),
-                    "y_asymptotics": asymptotic_class(y).as_json(),
-                },
-                "labels": [pc["label"]],
-            }
+            verdicts, labels = {"verdicts": verdict.as_json()}, [verdict.label]
         else:
-            print(f"error: unknown system {args.system!r}", file=sys.stderr)
-            return EXIT_PARSE
+            pc = pair_class(x, y)
+            verdicts = {"verdicts": {"pair": pc, "x_asymptotics": asymptotic_class(x).as_json(),
+                                     "y_asymptotics": asymptotic_class(y).as_json()}}
+            labels = [pc["label"]]
+        report = {"schema": reports.SCHEMA, "kind": "pair_classification", "system": args.system,
+                  "x": x.describe(), "y": y.describe(), "params": params.as_json(), "labels": labels, **verdicts}
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    return EXIT_OK if emit(dump(report), args.out) else EXIT_PARSE
+    return EXIT_OK if emit(report, args.out) else EXIT_PARSE
 
 
 # --------------------------------------------------------------------------

@@ -147,8 +147,7 @@ def mt_report(params: ClassifyParams = ClassifyParams()) -> dict:
                 "x": names[i],
                 "y": names[j],
                 "labels": list(rep.labels),
-                "proximal": rep.proximal.as_json(),
-                "syndetic": rep.syndetic.as_json() if rep.syndetic else None,
+                **rep.as_json(),
             })
     return {
         "schema": SCHEMA,
@@ -178,11 +177,7 @@ def chacon_report() -> dict:
         "recursion_ok": recursion_ok,
         "b2": chacon_block(2),
         "x2_center_window": x2.segment(-13, 13),
-        "pair_x1_x2": {
-            "labels": list(rep.labels),
-            "proximal": rep.proximal.as_json(),
-            "syndetic": rep.syndetic.as_json() if rep.syndetic else None,
-        },
+        "pair_x1_x2": {"labels": list(rep.labels), **rep.as_json()},
         "density_of_proximal_pairs": "out of evidence at finite horizon",
     }
 

@@ -683,22 +683,14 @@ class ClassifyParams:
 
 @dataclass(frozen=True)
 class PairReport:
-    x: dict
-    y: dict
-    params: ClassifyParams
     proximal: EvidenceVerdict
     syndetic: EvidenceVerdict | None
     labels: tuple[str, ...]
 
     def as_json(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "params": self.params.as_json(),
-            "proximal": self.proximal.as_json(),
-            "syndetic": self.syndetic.as_json() if self.syndetic else None,
-            "labels": list(self.labels),
-        }
+        """The verdict fields of a report: the two evidence blocks."""
+        return {"proximal": self.proximal.as_json(),
+                "syndetic": self.syndetic.as_json() if self.syndetic else None}
 
 
 def classify_pair(x: BiSeq, y: BiSeq, params: ClassifyParams = ClassifyParams()) -> PairReport:
@@ -715,7 +707,7 @@ def classify_pair(x: BiSeq, y: BiSeq, params: ClassifyParams = ClassifyParams())
     """
     proof = _distal_verdict(x, y, params.depth, params.horizon)
     if proof is not None:
-        return PairReport(x.describe(), y.describe(), params, proof, None, ("proven-D",))
+        return PairReport(proof, None, ("proven-D",))
     _check_gap_bound(params.gap, params.horizon)
     runs = agreement_times(x, y, params.depth, params.horizon)
     pw = _witness_verdict(runs, params.depth, params.horizon)
@@ -727,4 +719,4 @@ def classify_pair(x: BiSeq, y: BiSeq, params: ClassifyParams = ClassifyParams())
             labels.append("evidence-not-SP")
     else:
         labels.append("inconclusive")
-    return PairReport(x.describe(), y.describe(), params, pw, syn, tuple(labels))
+    return PairReport(pw, syn, tuple(labels))

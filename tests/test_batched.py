@@ -466,8 +466,8 @@ def test_array_writer_blocks_fit_in_the_array_bytes(shape, dtype):
 
 
 def test_array_writer_temporaries_stay_within_a_multiple_of_the_array():
-    # the text itself is held twice (the pieces and their join); the row
-    # blocks keep everything else within a few times the array's bytes
+    # the text itself is held twice (the StringIO buffer and its value);
+    # the row blocks keep everything else within a few times the array's bytes
     value = np.random.default_rng(0).integers(0, 7, size=(50_000, 7)).astype(np.int16)
     tracemalloc.start()
     try:

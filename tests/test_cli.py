@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +26,7 @@ from flowrel.cli import (
     parse_morse_point,
     parse_ternary_point,
 )
-from flowrel.finflow import FiniteFlow
+from flowrel.finflow import FiniteFlow, parse_flow
 from flowrel.relations import analyze_flow
 from flowrel.reports import RecordMap, flow_report
 from flowrel.subshift import ClassifyParams
@@ -356,10 +357,13 @@ def test_fuzz_200_max_states_8_bytes_pinned(capsys):
 ])
 def test_every_symbolic_report_is_written_as_json_does(capsys, monkeypatch, argv):
     # every classify-pair system and the four golden scenarios: the dicts
-    # of flat scalars in them (params, proximal, inner) are one join each
+    # of flat scalars in them (params, proximal, inner) are one join each;
+    # classify-pair streams its report (emit), reproduce diffs its text (dump)
     reports = []
     real = cli.dump
     monkeypatch.setattr(cli, "dump", lambda report: reports.append(report) or real(report))
+    real_emit = cli.emit
+    monkeypatch.setattr(cli, "emit", lambda report, out: reports.append(report) or real_emit(report, out))
     code, out, _ = run(capsys, *shlex.split(argv))
     assert code == 0, out
     (report,) = reports
@@ -607,30 +611,89 @@ def test_out_writes_the_printed_report(capsys, tmp_path):
         assert code == 0 and path.read_text() == out
 
 
-def test_emit_writes_a_payload_of_several_slices(capsys, tmp_path, monkeypatch):
-    # a report cut into many slices reaches stdout and --out as the same
-    # bytes as one whole write; a payload of several default slices, with
-    # non-ASCII text across the cuts, arrives whole, a slice a write at most
-    flow, path = str(FLOWS / "two_ideal.flow"), tmp_path / "report.out"
-    code, whole, _ = run(capsys, "analyze", flow)
-    monkeypatch.setattr(cli, "EMIT_SLICE", 1000)
-    code, out, _ = run(capsys, "analyze", flow, "--out", str(path))
-    assert code == 0 and len(whole) > 3000 and out == whole and path.read_bytes() == whole.encode("utf-8")
-    monkeypatch.undo()
+def wide300_report():
+    return flow_report(analyze_flow(parse_flow(WIDE300_FLOW)))
 
-    writes = []
 
-    class Sink(io.StringIO):
+def report_arrays(value):
+    """Every ndarray of a report, the columns of its record maps included."""
+    if isinstance(value, RecordMap):
+        return [value.pairs, *value.columns.values()]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [array for item in value for array in report_arrays(item)]
+    return [value] if hasattr(value, "nbytes") else []
+
+
+class Recorder(io.StringIO):
+    """A text sink that keeps each piece it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return super().write(text)
+
+
+def test_emit_streams_the_writer_pieces_to_both_sinks(monkeypatch, tmp_path):
+    # stdout and --out get dump's bytes, as the writer's pieces in order,
+    # none longer than one row block (at most the array's own bytes), on a
+    # report whose arrays span several blocks
+    report = wide300_report()
+    whole = dump(report)
+    pieces = []
+    cli._write(report, "\n", pieces.append)
+    pieces.append("\n")
+    assert "".join(pieces) == whole
+    assert max(map(len, pieces)) <= max(array.nbytes for array in report_arrays(report))
+    assert len(whole) > 5 * max(map(len, pieces))
+    path = tmp_path / "report.json"
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert cli.emit(report, str(path))
+    assert sys.stdout.pieces == pieces and path.read_bytes() == whole.encode("ascii")
+    files = []
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: files.append(Recorder()) or files[-1], raising=False)
+    assert cli.emit(report, str(path))
+    assert [file.pieces for file in files] == [pieces]
+
+
+def test_emit_keeps_non_ascii_text(monkeypatch, tmp_path):
+    # a JSON report escapes it as json does; a text form reaches both sinks
+    # as it is, encoded as UTF-8 in the file
+    path = tmp_path / "report.out"
+    for report in ({"name": "é∘", "rows": np.arange(6).reshape(3, 2)}, "pair é∘ ok\n" * 3):
+        expected = report if isinstance(report, str) else dump(report)
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert cli.emit(report, str(path))
+        assert sys.stdout.getvalue() == expected and path.read_bytes() == expected.encode("utf-8")
+    assert '"\\u00e9\\u2218"' in dump({"name": "é∘"})
+
+
+def test_emit_holds_no_more_than_one_block_of_text(monkeypatch):
+    # into a sink that keeps nothing, emit allocates at most the report's
+    # own arrays' bytes (the sorted witness tables are copies of them) and
+    # one block's text; the whole text, 11 MB here, is never held
+    report = wide300_report()
+    pieces = []
+    cli._write(report, "\n", pieces.append)
+    text_bytes = sum(map(len, pieces))
+
+    class Null:
         def write(self, text):
-            writes.append(len(text))
-            return super().write(text)
+            pass
 
-    payload = "".join(f"{i}:é∘\n" for i in range(cli.EMIT_SLICE // 2))
-    assert len(payload) > 3 * cli.EMIT_SLICE
-    monkeypatch.setattr(sys, "stdout", Sink())
-    assert cli.emit(payload, str(path))
-    assert sys.stdout.getvalue() == payload and path.read_bytes() == payload.encode("utf-8")
-    assert max(writes) == cli.EMIT_SLICE and sum(writes) == len(payload)
+    monkeypatch.setattr(sys, "stdout", Null())
+    tracemalloc.start()
+    try:
+        assert cli.emit(report, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = sum(array.nbytes for array in report_arrays(report)) + max(map(len, pieces))
+    assert peak <= bound < text_bytes / 2
 
 
 def test_analyze_non_utf8_flow_file_exits_2(capsys, tmp_path):
@@ -652,6 +715,21 @@ def test_unwritable_out_exits_2(capsys, tmp_path, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write --out:") and str(target) in err
     assert not target.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["analyze", str(FLOWS / "two_ideal.flow")],
+    ["fuzz", "--count", "2"],
+    MORSE_PAIR,
+], ids=["analyze", "fuzz", "classify-pair"])
+def test_out_on_a_full_device_exits_2(capsys, argv):
+    # a write to the opened --out file, or its close, fails: exit 2 with
+    # the error line and no traceback; stdout holds a prefix of the report
+    _, whole, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--out", "/dev/full")
+    assert code == 2 and whole.startswith(out)
+    assert err.startswith("error: cannot write --out:") and "Traceback" not in err
 
 
 def test_ternary_z_descriptor_is_the_sample_point():
