@@ -21,6 +21,12 @@ adds one to the position, ... D5, D3, C2, C4, ... with the radius rising
 and ... C3, C1, D4, D6, ... with it falling; ``asymptotic_class`` finds
 the crossing step by binary search over the positions, in O(log max_iter)
 radius evaluations.
+
+``pair_class`` gives one pair's verdict dict; ``pair_labels`` gives a
+grid's labels from the same clauses, each point's family read once.
+``round_trip_angles`` steps a point forward and back (and back and
+forward) as (tier, angle) values, with the float expressions of ``step``
+and ``step_back``.
 """
 
 from __future__ import annotations
@@ -259,21 +265,10 @@ def pair_class(p: CirclePoint, q: CirclePoint) -> dict:
     migrating family (both rimward or both centerward), or one point is
     the center and the other migrates.  Points of the fixed rim are
     proximal to nothing but themselves.  The verdict carries the matched
-    clause and both family labels.
+    clause (``_pair_clause``) and both family labels.
     """
     fp, fq = family_label(p), family_label(q)
-    same_point = (
-        p.family == q.family and p.index == q.index
-        and abs(p.angle - q.angle) < ANGLE_TOL
-    )
-    if same_point:
-        clause = "diagonal"
-    elif fp == fq and fp in (RIMWARD, CENTERWARD):
-        clause = "shared_family"
-    elif {fp, fq} in ({FIXED_CENTER, RIMWARD}, {FIXED_CENTER, CENTERWARD}):
-        clause = "migrating_with_center"
-    else:
-        clause = None
+    clause = _pair_clause(p, q, fp, fq)
     return {
         "x": p.describe(),
         "y": q.describe(),
@@ -281,6 +276,48 @@ def pair_class(p: CirclePoint, q: CirclePoint) -> dict:
         "label": EVIDENCE_P if clause else EVIDENCE_D,
         "clause": clause,
     }
+
+
+def pair_labels(rows: list[CirclePoint], columns: list[CirclePoint]) -> list[list[str]]:
+    """The grid of ``pair_class(p, q)["label"]``, a row per p in ``rows``
+    and a column per q in ``columns``, from the same clauses, with each
+    point's family label read once and no dicts built."""
+    column_families = [family_label(q) for q in columns]
+    grid = []
+    for p in rows:
+        fp = family_label(p)
+        grid.append([EVIDENCE_P if _pair_clause(p, q, fp, fq) else EVIDENCE_D
+                     for q, fq in zip(columns, column_families)])
+    return grid
+
+
+def _pair_clause(p: CirclePoint, q: CirclePoint, fp: str, fq: str) -> str | None:
+    """The clause that makes p and q proximal, given their family labels
+    fp and fq; None when none does."""
+    if p.family == q.family and p.index == q.index and abs(p.angle - q.angle) < ANGLE_TOL:
+        return "diagonal"
+    if fp == fq and fp in (RIMWARD, CENTERWARD):
+        return "shared_family"
+    if {fp, fq} in ({FIXED_CENTER, RIMWARD}, {FIXED_CENTER, CENTERWARD}):
+        return "migrating_with_center"
+    return None
+
+
+def round_trip_angles(p: CirclePoint) -> tuple[float, float]:
+    """The angles of ``step_back(step(p))`` and ``step(step_back(p))``,
+    stepped as (tier, angle) values with the same float expressions, the
+    ``% pi`` of ``CirclePoint`` included, and no point built per step.
+    The step from p's tier and the step back to it share one coefficient,
+    as do the step back from it and the step forward again."""
+    place = _chain_position(p.family, p.index)
+    if place is None:
+        return p.angle, p.angle
+    chain, pos = place
+    coeff = _coefficient(p.family, p.index)
+    forward = (p.angle + coeff * math.sin(p.angle)) % math.pi
+    back_coeff = _coefficient(*_chain_tier(chain, pos - 1))
+    back = _invert_angle(p.angle, back_coeff) % math.pi
+    return _invert_angle(forward, coeff) % math.pi, (back + back_coeff * math.sin(back)) % math.pi
 
 
 def trajectory_rows(p: CirclePoint, steps: int, backward: bool = False) -> list[dict]:

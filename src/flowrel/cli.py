@@ -19,8 +19,8 @@ at least 1, from any source, is a usage error.  An argv in exact form
 (full flag names, no value starting with ``-``) is read directly from the
 command table; any other argv goes to argparse, built from the same table.
 
-Exit codes: 0 success, 1 failed checks or golden mismatch, 2 usage, parse or
-unwritable --out error, 3 monoid too large.
+Exit codes: 0 success, 1 failed checks or golden mismatch, 2 usage, parse,
+unwritable --out or closed stdout error, 3 monoid too large.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ import functools
 import gc
 import io
 import json
+import math
+import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -76,11 +78,12 @@ def dump(report: dict) -> str:
     entries (monoid rows, relation pairs) in one array pass per row block
     (``_write_rows``), reads any other ndarray as its ``tolist()``, writes
     a witness map (``reports.RecordMap``) in one pass from its columns
-    (``_write_record_map``), joins each list of ints, of int lists or of
-    flat records in one pass (``_flat_list``) and each flat record alone
-    (``_flat_record``), writes strings and keys with json's own C quoting
-    function, None, True and False from a table, and leaves every other
-    scalar to ``json.dumps``."""
+    (``_write_record_map``), joins each list of ints, of strings, of int
+    lists or of records in one pass (``_flat_list``) and each small record
+    alone (``_small_record``: flat values, lists of them, small records),
+    writes strings and keys with json's own C quoting function, None, True
+    and False from a table, and leaves every other scalar to
+    ``json.dumps``."""
     text = io.StringIO()
     _write(report, "\n", text.write)
     text.write("\n")
@@ -88,9 +91,16 @@ def dump(report: dict) -> str:
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _float_text(value: float) -> str:
+    """json's text of a float: its repr, or NaN and the infinities."""
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
 # the text of each flat value by its type; bools are not ints here
 _FLAT = {str: encode_basestring_ascii, int: int.__repr__, bool: _CONSTANTS.__getitem__,
-         type(None): _CONSTANTS.__getitem__}
+         type(None): _CONSTANTS.__getitem__, float: _float_text}
 
 
 def _write(value, newline: str, write: Write) -> None:
@@ -102,10 +112,11 @@ def _write(value, newline: str, write: Write) -> None:
     elif value is None or type(value) is bool:
         write(_CONSTANTS[value])
     elif isinstance(value, dict) and value:
-        text = _flat_record(value, newline)
-        if text is not None:
-            write(text)
+        try:
+            write(_small_record(value, newline))
             return
+        except (KeyError, TypeError):  # a value that is no small value, or a key that is no string
+            pass
         sep = "{" + inner
         for key, item in sorted(value.items()):
             write(sep + encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key)) + ": ")
@@ -134,49 +145,76 @@ def _write(value, newline: str, write: Write) -> None:
         write(json.dumps(value))
 
 
-def _flat_record(value: dict, newline: str) -> str | None:
-    """json's text at indent ``newline`` of a non-empty dict whose keys are
-    all strings and whose values are all str, int, bool or None (a
-    symbolic report's ``params``, ``proximal``, ``inner``): one join.
-    None, with nothing kept, for any other dict."""
-    inner = newline + "  "
-    try:
-        cells = [encode_basestring_ascii(key) + ": " + _FLAT[type(item)](item) for key, item in sorted(value.items())]
-    except (KeyError, TypeError):  # a value that is no flat value, or a key that is no string
-        return None
-    return "{" + inner + ("," + inner).join(cells) + newline + "}"
-
-
 def _flat_list(value: list | tuple, newline: str) -> str | None:
     """json's text at indent ``newline`` of a non-empty list whose items
-    are all ints, all lists of ints (partitions, ideals, idempotents), or
-    all flat records: dicts with one and the same non-empty set of string
-    keys and only str, int, bool or None values (the checks, the ternary
-    pairs).  Each is one join; a record list fills one template, its keys
-    sorted once.  None, with nothing built, for any other list."""
+    are all ints, all strings (a grid row, a list of labels), all lists of
+    ints (partitions, ideals, idempotents), or all records: dicts with
+    string keys.  Each is one join.  A list of flat records with one and
+    the same set of keys (the checks, the ternary pairs) fills one
+    template, its keys sorted once; any other list of records is one join
+    of ``_small_record``'s texts (the mt pairs, the cc asymptotics).  None,
+    with nothing built, for any other list."""
     inner = newline + "  "
     deeper = inner + "  "
     kinds = set(map(type, value))
     if kinds == {int}:
         items = map(str, value)
+    elif kinds == {str}:
+        items = map(encode_basestring_ascii, value)
     elif kinds <= {list, tuple}:
         if not {int}.issuperset(map(type, chain.from_iterable(value))):
             return None
         items = ("[" + deeper + ("," + deeper).join(map(str, item)) + inner + "]" if item else "[]" for item in value)
     elif kinds == {dict}:
-        fields = value[0].keys()
-        if not fields or not {str}.issuperset(map(type, fields)) or any(item.keys() != fields for item in value):
-            return None
-        names = sorted(fields)
-        try:
-            cells = [_FLAT[type(v)](v) for item in value for v in map(item.__getitem__, names)]
-        except KeyError:  # a value that is no flat value
-            return None
-        body = ("," + deeper).join(encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in names)
-        items = map(("{" + deeper + body + inner + "}").__mod__, zip(*[iter(cells)] * len(names)))
+        items = _record_template(value, inner)
+        if items is None:
+            try:
+                items = [_small_record(item, inner) for item in value]
+            except (KeyError, TypeError):  # a value that is no small value, or a key that is no string
+                return None
     else:
         return None
     return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def _record_template(value: list[dict], newline: str):
+    """The texts at indent ``newline`` of a list of non-empty dicts with
+    one and the same set of string keys and only flat values, from one
+    template; None, with nothing built, for any other list."""
+    fields = value[0].keys()
+    if not fields or not {str}.issuperset(map(type, fields)) or any(item.keys() != fields for item in value):
+        return None
+    names = sorted(fields)
+    try:
+        cells = [_FLAT[type(v)](v) for item in value for v in map(item.__getitem__, names)]
+    except KeyError:  # a value that is no flat value
+        return None
+    inner = newline + "  "
+    body = ("," + inner).join(encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in names)
+    return map(("{" + inner + body + newline + "}").__mod__, zip(*[iter(cells)] * len(names)))
+
+
+def _small_record(value: dict, newline: str) -> str:
+    """json's text at indent ``newline`` of a small record: a dict with
+    string keys whose values are flat values, lists of flat values or
+    small records (a classify-pair report, a symbolic report's
+    ``params``, ``proximal``, ``x``), in one join; a KeyError or TypeError
+    for any other dict."""
+    if not value:
+        return "{}"
+    inner = newline + "  "
+    cells = []
+    for key, item in sorted(value.items()):
+        kind = type(item)
+        if kind is dict:
+            text = _small_record(item, inner)
+        elif kind is list or kind is tuple:
+            text = ("[" + (inner + "  ") + ("," + inner + "  ").join(_FLAT[type(v)](v) for v in item) + inner + "]"
+                    if item else "[]")
+        else:
+            text = _FLAT[kind](item)
+        cells.append(encode_basestring_ascii(key) + ": " + text)
+    return "{" + inner + ("," + inner).join(cells) + newline + "}"
 
 
 def _write_record_map(value: reports.RecordMap, newline: str, write: Write) -> None:
@@ -315,7 +353,8 @@ def emit(report: dict | str, out: str | None) -> bool:
     ``sys.stdout``, so no text of the whole report is ever held.  False,
     with an error line, when the path cannot be opened, and stdout is then
     empty; or when a write to the file or its close fails (a full disk),
-    and stdout may then hold a prefix of the report."""
+    and stdout may then hold a prefix of the report.  An OSError from
+    stdout itself propagates (``main`` turns a broken pipe into exit 2)."""
     stdout = sys.stdout.write
     if not out:
         _write_report(report, stdout)
@@ -398,9 +437,8 @@ def parse_ternary_point(desc: str) -> EventuallyPeriodic:
             raise ValueError("pattern form is pat:CENTER:START:LEFT:RIGHT")
         center_word, start, left, right = parts
         return ternary(center_word, int(start), left, right)
-    sample = reports.ternary_sample()
-    if desc in sample:
-        return sample[desc]
+    if desc in reports.TERNARY_SAMPLE:
+        return ternary(*reports.TERNARY_SAMPLE[desc])
     raise ValueError(f"unknown point {desc!r}; use const:C, z, a sample name, or pat:...")
 
 
@@ -695,7 +733,9 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.  The first call of a
     process moves every object alive after the imports (numpy's and the
     package's) into the collector's permanent generation, so no collection
-    inside a command walks them again; later calls freeze nothing."""
+    inside a command walks them again; later calls freeze nothing.  A
+    closed stdout (a broken pipe, met by a write or the final flush) is an
+    error line and exit 2; any other OSError propagates."""
     _freeze_imports()
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
@@ -706,7 +746,25 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    return COMMANDS[args.command].run(args)
+    try:
+        code = COMMANDS[args.command].run(args)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:  # stdout's reader has gone
+        _drop_stdout()
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return code
+
+
+def _drop_stdout() -> None:
+    """Point stdout's file descriptor at os.devnull, so that no later
+    flush, the interpreter's last one included, meets the closed pipe
+    again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        os.close(devnull)
 
 
 if __name__ == "__main__":

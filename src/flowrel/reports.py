@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import proxsets
-from .circles import CirclePoint, asymptotic_class, center, pair_class, step, step_back
+from .circles import CirclePoint, asymptotic_class, center, pair_labels, round_trip_angles
 from .finflow import first_collapsers
 from .fuzz import proxset_check_suite, relation_check_suite
 from .relations import FlowAnalysis, is_equivalence, sp_witnesses, upper_pairs
@@ -28,9 +28,10 @@ from .subshift import (
     Shift,
     chacon_block,
     classify_pair,
+    classify_pairs,
     morse_fixed_points,
 )
-from .ternary import constant, sp_classify, ternary
+from .ternary import IN_SP, SPVerdict, pair_types, ternary
 
 SCHEMA = 1
 
@@ -136,19 +137,15 @@ def _mt_points():
 
 def mt_report(params: ClassifyParams = ClassifyParams()) -> dict:
     """All 15 unordered pairs among the four fixed points and the shifts
-    of the first two, classified at the default evidence parameters."""
+    of the first two, classified at the default evidence parameters in one
+    batch."""
     pts = _mt_points()
     names = list(pts)
-    rows = []
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            rep = classify_pair(pts[names[i]], pts[names[j]], params)
-            rows.append({
-                "x": names[i],
-                "y": names[j],
-                "labels": list(rep.labels),
-                **rep.as_json(),
-            })
+    pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
+    rows = [
+        {"x": names[i], "y": names[j], "labels": list(rep.labels), **rep.as_json()}
+        for (i, j), rep in zip(pairs, classify_pairs(list(pts.values()), pairs, params))
+    ]
     return {
         "schema": SCHEMA,
         "kind": "reproduction",
@@ -182,41 +179,42 @@ def chacon_report() -> dict:
     }
 
 
+_Z = "11000110001110001111"
+# The ternary sample's points by name, as ``ternary.ternary``'s arguments
+# (center, start, left period, right period); "z_shift2" is z shifted by 2
+# (value(i) = z(i + 2)), so its center starts 2 earlier.
+TERNARY_SAMPLE = {
+    "c0": ("", 0, "0", "0"),
+    "c1": ("", 0, "1", "1"),
+    "c2": ("", 0, "2", "2"),
+    "z": (_Z, -5, "0", "0"),
+    "z_shift2": (_Z, -7, "0", "0"),
+    "z_shift40": (_Z, -45, "0", "0"),
+    "z_flip": ("11000110001110001112", -5, "0", "0"),
+    "alt01": ("", 0, "01", "01"),
+    "alt01_shift": ("", -1, "01", "01"),
+    "mix01": ("2", 0, "0", "1"),
+    "mix10": ("0", 0, "1", "0"),
+    "per012": ("", 0, "012", "012"),
+}
+
+
 def ternary_sample() -> dict[str, EventuallyPeriodic]:
-    z = ternary("11000110001110001111", -5, "0", "0")
-    return {
-        "c0": constant("0"),
-        "c1": constant("1"),
-        "c2": constant("2"),
-        "z": z,
-        "z_shift2": z.shifted(2),
-        "z_shift40": z.shifted(40),
-        "z_flip": ternary("11000110001110001112", -5, "0", "0"),
-        "alt01": ternary("", 0, "01", "01"),
-        "alt01_shift": ternary("", 0, "01", "01").shifted(1),
-        "mix01": ternary("2", 0, "0", "1"),
-        "mix10": ternary("0", 0, "1", "0"),
-        "per012": ternary("", 0, "012", "012"),
-    }
+    return {name: ternary(*args) for name, args in TERNARY_SAMPLE.items()}
 
 
 def ternary_report() -> dict:
-    """Pairwise classification of the 12-point sample, plus transitivity
-    of the strongly-proximal verdict over the sample."""
+    """Pairwise classification of the 12-point sample in one batch, plus
+    transitivity of the strongly-proximal verdict over the sample."""
     pts = ternary_sample()
     names = list(pts)
+    pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
     rows = []
     in_sp = np.eye(len(names), dtype=bool)  # reflexive and symmetric by construction
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            verdict = sp_classify(pts[names[i]], pts[names[j]])
-            rows.append({
-                "x": names[i],
-                "y": names[j],
-                "pair_type": verdict.pair_type,
-                "sp": verdict.label,
-            })
-            in_sp[i, j] = in_sp[j, i] = verdict.label == "InSP"
+    for (i, j), kind in zip(pairs, pair_types(list(pts.values()), pairs)):
+        verdict = SPVerdict.of(kind)
+        rows.append({"x": names[i], "y": names[j], "pair_type": verdict.pair_type, "sp": verdict.label})
+        in_sp[i, j] = in_sp[j, i] = verdict.label == IN_SP
     return {
         "schema": SCHEMA,
         "kind": "reproduction",
@@ -247,14 +245,14 @@ def cc_report() -> dict:
 
     rows = [CirclePoint(fam, idx, 0.7) for fam, idx in CC_GRID_TIERS]
     columns = [CirclePoint(fam, idx, 2.1) for fam, idx in CC_GRID_TIERS]
-    grid = [[pair_class(p, q)["label"] for q in columns] for p in rows]
+    grid = pair_labels(rows, columns)
 
     worst = 0.0
     for fam, idx in CC_GRID_TIERS:
         for alpha in (0.0, 0.3, 1.1, 2.9):
             p = CirclePoint(fam, idx, alpha)
-            for q in (step_back(step(p)), step(step_back(p))):
-                worst = max(worst, abs(q.angle - p.angle))
+            for angle in round_trip_angles(p):
+                worst = max(worst, abs(angle - p.angle))
     return {
         "schema": SCHEMA,
         "kind": "reproduction",

@@ -20,19 +20,26 @@ letter-equality mask with one comparison per overlap of the two pairs of
 pieces, so no window is joined or decoded, and returns the
 agreement times on [-H, H] as maximal runs.  It ANDs the mask over each
 window by doubling, ceil(log2(2n + 1)) bool passes, and peaks at about 2
-bytes per letter; the verdicts cost O(runs) on top.
+bytes per letter; the verdicts cost O(runs) on top.  ``classify_pairs``
+classifies a list of pairs over a list of points in one call: each
+point's normal form, its dual's and its pieces are computed once, and
+one scan fills a mask row per scanned pair, in blocks of rows, so that
+the doubling and the run reads are one array pass per block.
+``classify_pair`` is its one-pair case, a one-row block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice
+from itertools import chain, count, islice
 from threading import Lock
 
 import numpy as np
 
 MAX_BLOCK_LENGTH = 10**7
+MASK_BLOCK_BYTES = 2**18  # the agreement mask's rows per block: see agreement_times
+Runs = tuple[np.ndarray, np.ndarray]  # maximal runs of shift times: (starts, ends), inclusive
 
 
 @dataclass(frozen=True)
@@ -541,10 +548,16 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def is_dual_pair(x: BiSeq, y: BiSeq) -> bool:
     """Structural proof that y is the 0/1 interchange of x; such pairs
     differ at every coordinate at every shift."""
+    return _dual_form(x) == y.normalized().describe()
+
+
+def _dual_form(x: BiSeq) -> dict | None:
+    """The normal form of x's dual, the record that ``is_dual_pair``
+    compares; None off the binary alphabet."""
     try:
-        return Dual(x).normalized().describe() == y.normalized().describe()
+        return Dual(x).normalized().describe()
     except ValueError:
-        return False
+        return None
 
 
 # --------------------------------------------------------------------------
@@ -571,11 +584,13 @@ class EvidenceVerdict:
         return {k: v for k, v in d.items() if v is not None}
 
 
-def agreement_times(x: BiSeq, y: BiSeq, n: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+def agreement_times(x: BiSeq | list[BiSeq], y: BiSeq | list[BiSeq], n: int, horizon: int) -> Runs | list[Runs]:
     """The shift times t in [-H, H] at which the radius-n windows of the
     two shifted sequences coincide, as maximal runs: sorted int64 arrays
     ``(starts, ends)``, inclusive, with a disagreeing time between any two
-    runs.
+    runs.  ``x`` and ``y`` may also be equal-length lists of sequences,
+    the first and the second points of a list of pairs; the result is then
+    the list of each pair's runs.
 
     t agrees when all 2n + 1 letters of its window are equal, so the
     agreement mask is the AND of the letter-equality mask over windows of
@@ -586,30 +601,59 @@ def agreement_times(x: BiSeq, y: BiSeq, n: int, horizon: int) -> tuple[np.ndarra
     2(H + n) + 1 letters and no counts.  A False entry padded at each end
     makes every run open and close with a flip of the mask.
 
-    The mask is filled in place from the pieces of the two windows, one
-    ``np.equal`` per overlap of a piece of x with a piece of y, so on the
-    fixed points and the Chacon points, whose pieces are views of their
-    cores, no window is copied.
+    Each point's pieces are cut once per call, all of them before any mask
+    is allocated, so every letter guard runs first.  The pairs then share
+    one flat bool mask per block of rows, a row per pair with its two
+    False ends, filled in place from the pieces, one ``np.equal`` per
+    overlap of a piece of x with a piece of y; on the fixed points and the
+    Chacon points, whose pieces are views of their cores, no window is
+    copied.  The doubling and the last AND run over the whole block as
+    over one row: an entry of the flat mask then holds the AND of the w
+    entries from it on.  For the 2H + 3 times of a row that window lies in
+    the row; each later entry of the row reaches the next row's first
+    False end (or the block's last), so it is False and no run starts
+    there.  One ``flatnonzero`` of the block's flips thus gives every
+    row's runs, in row order, each opened and closed in its row.  A block
+    holds at most max(1, MASK_BLOCK_BYTES // (2(H + n) + 3)) rows, so one
+    row (one pair's mask, as alone) once a row passes 2^17 bytes, at
+    H + n >= 65,535.
 
-    Memory: about 2 bytes per letter at the peak (the mask and its flips),
-    measured with tracemalloc at horizon 10^6 on the Chacon points, plus
-    at most 32 bytes per run; the pieces of a dual, an adjacent-sum image
-    or an eventually periodic point are new arrays, one byte per letter,
-    freed once the mask is set.
+    Memory: about 2 bytes per letter of a block at the peak (the mask and
+    its flips), measured with tracemalloc at horizon 10^6 on the Chacon
+    points, plus at most 32 bytes per run; the pieces of a dual, an
+    adjacent-sum image or an eventually periodic point are new arrays, one
+    byte per letter, held for the call.
     """
+    if isinstance(x, BiSeq):
+        return agreement_times([x], [y], n, horizon)[0]
     lo, hi = -horizon - n, horizon + n
-    xs, ys = x.pieces(lo, hi), y.pieces(lo, hi)  # their letter guards run before the mask is spent
-    acc = np.zeros(hi - lo + 3, dtype=bool)
-    _equal_into(acc[1:-1], xs, ys)
-    width, span = 2 * n + 1, 1
-    while 2 * span <= width:
-        acc[:-span] &= acc[span:]  # numpy reads overlapping operands as if copied
-        span *= 2
-    agree = acc[:2 * horizon + 3]
-    if span < width:
-        agree &= acc[width - span:width - span + agree.size]
-    flips = np.flatnonzero(agree[1:] != agree[:-1])
-    return flips[0::2] - horizon, flips[1::2] - (horizon + 1)
+    cut: dict[int, list[np.ndarray]] = {}
+    for point in chain.from_iterable(zip(x, y)):
+        if id(point) not in cut:
+            cut[id(point)] = point.pieces(lo, hi)
+    size = hi - lo + 3  # a row: its letters and a False end on each side
+    step = max(1, MASK_BLOCK_BYTES // size)
+    width = 2 * n + 1
+    runs = []
+    for first in range(0, len(x), step):
+        block = range(first, min(first + step, len(x)))
+        acc = np.zeros(len(block) * size, dtype=bool)
+        for row, k in enumerate(block):
+            _equal_into(acc[row * size + 1:(row + 1) * size - 1], cut[id(x[k])], cut[id(y[k])])
+        span = 1
+        while 2 * span <= width:
+            acc[:-span] &= acc[span:]  # numpy reads overlapping operands as if copied
+            span *= 2
+        agree = acc[:acc.size - (width - span)]
+        if span < width:
+            agree &= acc[width - span:]
+        flips = np.flatnonzero(agree[1:] != agree[:-1])
+        bounds = flips.searchsorted(np.arange(len(block) + 1) * size).tolist()
+        for row in range(len(block)):
+            row_flips = flips[bounds[row]:bounds[row + 1]]
+            offset = row * size + horizon
+            runs.append((row_flips[0::2] - offset, row_flips[1::2] - (offset + 1)))
+    return runs
 
 
 def _equal_into(out: np.ndarray, xs: list[np.ndarray], ys: list[np.ndarray]) -> None:
@@ -628,19 +672,12 @@ def _equal_into(out: np.ndarray, xs: list[np.ndarray], ys: list[np.ndarray]) -> 
         a, b, pos = a[m:], b[m:], pos + m
 
 
-def _distal_verdict(x: BiSeq, y: BiSeq, n: int, horizon: int) -> EvidenceVerdict | None:
-    """Validate depth and horizon; the proof of distality for a dual pair."""
-    if n < 0 or horizon < 0:
-        raise ValueError("depth and horizon must be nonnegative")
-    return EvidenceVerdict("distal_at_all_shifts", n, horizon) if is_dual_pair(x, y) else None
-
-
 def _check_gap_bound(gap_bound: int, horizon: int) -> None:
     if not (0 < gap_bound <= horizon):
         raise ValueError("need 0 < gap_bound <= horizon")
 
 
-def _witness_verdict(runs: tuple[np.ndarray, np.ndarray], n: int, horizon: int) -> EvidenceVerdict:
+def _witness_verdict(runs: Runs, n: int, horizon: int) -> EvidenceVerdict:
     """The agreement time of smallest absolute value, positive preferred:
     the smaller of the first time >= 0 and the last time <= 0."""
     starts, ends = runs
@@ -653,7 +690,7 @@ def _witness_verdict(runs: tuple[np.ndarray, np.ndarray], n: int, horizon: int) 
                            witness_time=min(nearest, key=lambda t: (abs(t), t < 0)))
 
 
-def _gap_verdict(runs: tuple[np.ndarray, np.ndarray], n: int, gap_bound: int,
+def _gap_verdict(runs: Runs, n: int, gap_bound: int,
                  horizon: int) -> EvidenceVerdict:
     """From the agreement runs on [-H, H]: the first stretch of
     ``gap_bound`` shifts free of agreement, or else the largest gap
@@ -694,29 +731,63 @@ class PairReport:
 
 
 def classify_pair(x: BiSeq, y: BiSeq, params: ClassifyParams = ClassifyParams()) -> PairReport:
-    """Bundle witness scan, gap scan and dual detection into one verdict.
+    """The verdict of one pair: ``classify_pairs``' one-pair case."""
+    return classify_pairs([x, y], [(0, 1)], params)[0]
+
+
+def classify_pairs(points: list[BiSeq], pairs: list[tuple[int, int]],
+                   params: ClassifyParams = ClassifyParams()) -> list[PairReport]:
+    """The verdict of each pair (i, j) of ``points[i]`` and ``points[j]``,
+    in the order of ``pairs``: witness scan, gap scan and dual detection.
 
     Labels: proven-D for structural dual pairs; evidence-P when a witness
     exists, plus evidence-not-SP when the agreement times also violate the
     gap bound; inconclusive otherwise.  Nothing stronger than the computed
     evidence is ever claimed.
 
-    One ``agreement_times`` scan serves both verdicts: the witness is read
-    from the runs on either side of t = 0, the gap verdict from the gaps
-    between consecutive runs and the two ends of [-H, H].
+    The checks run in the order a pair-by-pair loop would meet them:
+    depth and horizon, then for each pair in turn the dual proof and, when
+    it fails, the gap bound, and last the pieces' letter guards, before
+    any mask.  Each point's normal form, and that of its dual, is computed
+    once, for the points that stand first and second in some pair; a pair
+    is dual when they match, as ``is_dual_pair`` compares them.  One
+    ``agreement_times`` call scans every other pair, cutting each point's
+    pieces once; each pair's witness is read from its runs on either side
+    of t = 0, its gap verdict from the gaps between consecutive runs and
+    the two ends of [-H, H].
     """
-    proof = _distal_verdict(x, y, params.depth, params.horizon)
-    if proof is not None:
-        return PairReport(proof, None, ("proven-D",))
-    _check_gap_bound(params.gap, params.horizon)
-    runs = agreement_times(x, y, params.depth, params.horizon)
-    pw = _witness_verdict(runs, params.depth, params.horizon)
-    syn = _gap_verdict(runs, params.depth, params.gap, params.horizon)
-    labels: list[str] = []
-    if pw.outcome == "proximal_witness":
-        labels.append("evidence-P")
-        if syn.outcome == "gap_violation":
-            labels.append("evidence-not-SP")
-    else:
-        labels.append("inconclusive")
-    return PairReport(pw, syn, tuple(labels))
+    n, horizon = params.depth, params.horizon
+    if n < 0 or horizon < 0:
+        raise ValueError("depth and horizon must be nonnegative")
+    forms: dict[int, dict] = {}
+    dual_forms: dict[int, dict | None] = {}
+    out: list[PairReport | None] = []
+    scanned: list[int] = []
+    for i, j in pairs:
+        if i not in dual_forms:
+            dual_forms[i] = _dual_form(points[i])
+        if j not in forms:
+            forms[j] = points[j].normalized().describe()
+        if dual_forms[i] == forms[j]:
+            out.append(PairReport(EvidenceVerdict("distal_at_all_shifts", n, horizon), None, ("proven-D",)))
+            continue
+        _check_gap_bound(params.gap, horizon)
+        scanned.append(len(out))
+        out.append(None)
+    if scanned:
+        xs = [points[pairs[k][0]] for k in scanned]
+        ys = [points[pairs[k][1]] for k in scanned]
+        for k, runs in zip(scanned, agreement_times(xs, ys, n, horizon)):
+            out[k] = _evidence_report(runs, n, params.gap, horizon)
+    return out
+
+
+def _evidence_report(runs: Runs, n: int, gap: int, horizon: int) -> PairReport:
+    """The witness and gap verdicts of a scanned pair, and its labels."""
+    pw = _witness_verdict(runs, n, horizon)
+    syn = _gap_verdict(runs, n, gap, horizon)
+    if pw.outcome != "proximal_witness":
+        return PairReport(pw, syn, ("inconclusive",))
+    if syn.outcome == "gap_violation":
+        return PairReport(pw, syn, ("evidence-P", "evidence-not-SP"))
+    return PairReport(pw, syn, ("evidence-P",))

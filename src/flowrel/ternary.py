@@ -5,7 +5,10 @@ that mutual agreeability determines.
 Points are ``subshift.EventuallyPeriodic`` sequences over "012" (a center
 word with periodic tails), built by ``ternary`` and ``constant``, so the
 difference set of any pair is eventually periodic and the classification
-is exact, not horizon-bounded.  The acting group itself is never
+is exact, not horizon-bounded.  ``pair_types`` types a list of pairs over
+a list of points at once: every point is read once, on one bounded read
+set around all their centers, and one 2-D equality compares every pair;
+``pair_type`` is its one-pair case.  The acting group itself is never
 enumerated.
 """
 
@@ -13,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+
+import numpy as np
 
 from .subshift import EventuallyPeriodic
 
@@ -40,32 +45,65 @@ def constant(c: str) -> EventuallyPeriodic:
 
 def pair_type(x: EventuallyPeriodic, y: EventuallyPeriodic) -> str:
     """Edge when the points differ at every coordinate, agreeable when
-    they differ at finitely many, opposed otherwise.
+    they differ at finitely many, opposed otherwise: ``pair_types``'
+    one-pair case."""
+    return pair_types([x, y], [(0, 1)])[0]
 
-    The four center boundaries cut the line into five regions.  A region
-    inside a center is no longer than that center; in any other both
-    points read tails, and the difference pattern repeats with their
-    joint period.  So no more than ``span`` letters of any region need be
-    read: the ``span`` letters on either side of the boundaries, which
-    decide agreeability, and the first ``span`` letters of each region
-    between, which with them decide the edge case, exactly and however far
-    apart the centers are.  Contiguous windows are read as one stretch.
+
+def pair_types(points: list[EventuallyPeriodic], pairs: list[tuple[int, int]]) -> list[str]:
+    """The type of each pair (i, j) of ``points[i]`` and ``points[j]``,
+    in the order of ``pairs``, all read from one shared read set.
+
+    Let S be the largest span of a pair, its longer center or the joint
+    period lcm(|p|, |q|) of a tail of each point, and cut the line at every
+    point's center boundaries.  The read set is the S letters before the
+    first cut and the S letters from the last cut on, read first, then
+    the first S letters of each stretch between two consecutive cuts (all
+    of it when it is no longer).  Every point is read on it once, as one
+    row of a (points, letters) uint8 matrix, and one 2-D equality compares
+    the two rows of every pair.
+
+    This is exact for each pair.  Its own four boundaries cut the line
+    into regions.  A region inside a center is no longer than that center,
+    so no longer than S, and in any other both points read tails, so its
+    difference pattern repeats with their joint period, at most S.  Each
+    region is read whole or in S consecutive letters.  Its first letters
+    after a boundary of the pair are read up to the next shared cut, then
+    the first letters after that cut, and so on, so the read set holds
+    the region's first min(S, length) letters in a row; the region left of
+    the pair's first boundary holds the S letters before the first shared
+    cut.  An agreeing coordinate anywhere thus has one of the same
+    difference phase in the read set, and every letter read is a real
+    coordinate: the pair is an edge exactly when its rows differ
+    everywhere.  The first 2S letters, the two outer windows, lie in the
+    left and right tails of both points and read a whole joint period of
+    each: the pair is agreeable exactly when its rows agree on them.
+
+    Centers far apart stay cheap: a cut adds at most S letters to the read
+    set, so it has at most (2 * points + 1) * S letters, however far apart
+    the centers are.
     """
-    span = max(len(x.center), len(y.center),
-               *(lcm(len(p), len(q)) for p in (x.left, x.right) for q in (y.left, y.right)))
-    cuts = sorted((x.start, x.end, y.start, y.end))
-    stretches = [[cuts[0] - span, cuts[0]]]
+    if not pairs:
+        return []
+    span = max(max(len(points[i].center), len(points[j].center),
+                   *(lcm(len(p), len(q)) for p in (points[i].left, points[i].right)
+                     for q in (points[j].left, points[j].right)))
+               for i, j in pairs)
+    cuts = sorted({c for x in points for c in (x.start, x.end)})
+    stretches = [[cuts[0] - span, cuts[0]], [cuts[-1], cuts[-1] + span], [cuts[0], cuts[0]]]
     for lo, hi in zip(cuts, cuts[1:]):
         if hi - lo > span:
             stretches[-1][1] = lo + span
             stretches.append([hi, hi])
         else:
             stretches[-1][1] = hi
-    stretches[-1][1] = cuts[-1] + span
-    a, b = ("".join(s.segment(lo, hi - 1) for lo, hi in stretches) for s in (x, y))
-    if a[:span] == b[:span] and a[-span:] == b[-span:]:
-        return AGREEABLE
-    return OPPOSED if any(map(str.__eq__, a, b)) else EDGE
+    text = "".join(x.segment(lo, hi - 1) for x in points for lo, hi in stretches)
+    letters = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(len(points), -1)
+    first, second = np.array(pairs, dtype=np.intp).T
+    equal = letters[first] == letters[second]
+    agreeable = equal[:, :2 * span].all(axis=1)
+    opposed = equal.any(axis=1)
+    return [AGREEABLE if a else OPPOSED if o else EDGE for a, o in zip(agreeable.tolist(), opposed.tolist())]
 
 
 @dataclass(frozen=True)
@@ -73,11 +111,15 @@ class SPVerdict:
     label: str
     pair_type: str
 
+    @classmethod
+    def of(cls, kind: str) -> "SPVerdict":
+        """Strongly proximal exactly when the points are mutually agreeable."""
+        return cls(IN_SP if kind == AGREEABLE else NOT_IN_SP, kind)
+
     def as_json(self) -> dict:
         return {"label": self.label, "pair_type": self.pair_type}
 
 
 def sp_classify(x: EventuallyPeriodic, y: EventuallyPeriodic) -> SPVerdict:
-    """Strongly proximal exactly when the points are mutually agreeable."""
-    kind = pair_type(x, y)
-    return SPVerdict(IN_SP if kind == AGREEABLE else NOT_IN_SP, kind)
+    """The strongly-proximal verdict of one pair (``SPVerdict.of``)."""
+    return SPVerdict.of(pair_type(x, y))

@@ -11,8 +11,13 @@ eventually periodic point through ``periodic_at``), and
 ``reference_segment`` cuts them by ``str`` slicing from whole cores, the
 reference for the views that ``BiSeq.pieces`` hands out;
 ``reference_pair_type``, a coordinate loop over the centers plus one
-joint period on each side, is the reference for ``ternary.pair_type``'s
-bounded windows; with the gather
+joint period on each side, is the reference for ``ternary.pair_types``'
+shared read set; ``reference_classify_pair`` classifies one pair at a
+time through the gather form of the scan, the reference for the batch
+``subshift.classify_pairs``; ``reference_pair_grid`` (one ``pair_class``
+dict per cell) and ``reference_round_trip_angles`` (a ``CirclePoint``
+per step) are the references for ``circles.pair_labels`` and
+``circles.round_trip_angles``; with the gather
 form of the agreement scan (its times, which
 ``times_to_runs`` turns into the library's runs) and the asymptotic
 class read off a walk that carries the angle (the reference for the
@@ -120,8 +125,11 @@ from flowrel.circles import (
     TO_CENTER,
     AsymptoticReport,
     CirclePoint,
+    pair_class,
     radius,
     rim_distance,
+    step,
+    step_back,
 )
 from flowrel.finflow import (
     FiniteFlow,
@@ -147,8 +155,10 @@ from flowrel.subshift import (
     Dual,
     EventuallyPeriodic,
     EvidenceVerdict,
+    PairReport,
     Shift,
     SubstFixed,
+    is_dual_pair,
 )
 
 # -- ternary 12-point sample ------------------------------------------------
@@ -413,6 +423,27 @@ def reference_gap_verdict(ts, n: int, gap_bound: int, horizon: int) -> EvidenceV
     )
 
 
+def reference_classify_pair(x, y, params) -> PairReport:
+    """``subshift.classify_pair`` one pair at a time, as it was before the
+    batch: the depth and horizon check, the dual proof, the gap bound,
+    then one scan, here the gather form of the agreement times read by
+    the reference witness and gap walks."""
+    n, horizon = params.depth, params.horizon
+    if n < 0 or horizon < 0:
+        raise ValueError("depth and horizon must be nonnegative")
+    if is_dual_pair(x, y):
+        return PairReport(EvidenceVerdict("distal_at_all_shifts", n, horizon), None, ("proven-D",))
+    if not 0 < params.gap <= horizon:
+        raise ValueError("need 0 < gap_bound <= horizon")
+    ts = reference_agreement_times(x, y, n, horizon).tolist()
+    syndetic = reference_gap_verdict(ts, n, params.gap, horizon)
+    witness = reference_witness_time(ts)
+    if witness is None:
+        return PairReport(EvidenceVerdict("inconclusive", n, horizon), syndetic, ("inconclusive",))
+    labels = ("evidence-P", "evidence-not-SP") if syndetic.outcome == "gap_violation" else ("evidence-P",)
+    return PairReport(EvidenceVerdict("proximal_witness", n, horizon, witness_time=witness), syndetic, labels)
+
+
 # -- the circle cascade's asymptotics, one point at a time ------------------------
 
 
@@ -492,6 +523,19 @@ def reference_asymptotic_class(p, max_iter: int = 10**4, eps: float = 1e-3):
         return INCONCLUSIVE, None
 
     return AsymptoticReport(*direction(reference_step), *direction(reference_step_back))
+
+
+def reference_pair_grid(rows, columns) -> list[list[str]]:
+    """The cascade's pair grid one ``pair_class`` dict at a time, the
+    reference for ``circles.pair_labels``."""
+    return [[pair_class(p, q)["label"] for q in columns] for p in rows]
+
+
+def reference_round_trip_angles(p) -> tuple[float, float]:
+    """The angles of ``step_back(step(p))`` and ``step(step_back(p))``,
+    a ``CirclePoint`` built per step: the reference for
+    ``circles.round_trip_angles``."""
+    return step_back(step(p)).angle, step(step_back(p)).angle
 
 
 def reference_invert_angle(alpha: float, coeff: float) -> float:

@@ -413,11 +413,17 @@ def test_flat_lists_take_one_pass_and_differing_records_the_general_path(monkeyp
     calls.clear()
     mixed = [checks[0], {"name": "c", "pass": True}]
     assert dump(mixed) == json.dumps(mixed, indent=2, sort_keys=True) + "\n"
-    assert len(calls) == 1 + 2  # the list and each record, each record one join
+    assert len(calls) == 1  # records of differing keys and small values: one join of small records
     calls.clear()
     nested = [{"name": "c", "inner": {"pass": True}}]
     assert dump(nested) == json.dumps(nested, indent=2, sort_keys=True) + "\n"
-    assert len(calls) == 1 + 1 + 2  # the list, the record, and each of its values
+    assert len(calls) == 1  # a record inside a record is still a small record
+    calls.clear()
+    deep = [checks[0], {"name": "c", "ideals": [[0, 1]]}]
+    assert dump(deep) == json.dumps(deep, indent=2, sort_keys=True) + "\n"
+    # a list of int lists is no small value: the list and each record, the
+    # first one join, the second through each of its values
+    assert len(calls) == 1 + 2 + 2
 
 
 def test_a_dict_of_flat_scalars_takes_no_per_value_write(monkeypatch):
@@ -429,7 +435,7 @@ def test_a_dict_of_flat_scalars_takes_no_per_value_write(monkeypatch):
     value = {"params": params, "floats": {"x": 0.5}, "ints": {3: 1, 1: 2}}
     assert dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
     assert [call is params for call in calls].count(True) == 1
-    assert len(calls) == 1 + 3 + 1 + 2  # the report, each dict, the float, the int-keyed dict's two values
+    assert len(calls) == 1 + 3 + 2  # the report, each dict (a float is flat), the int-keyed dict's two values
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int64])

@@ -8,6 +8,7 @@ from oracles import (
     forward_tier,
     reference_asymptotic_class,
     reference_invert_angle,
+    reference_pair_grid,
     reference_step,
     reference_step_back,
 )
@@ -287,10 +288,12 @@ def test_trajectory_rows():
 
 def test_cc_grid_builds_one_point_per_row_and_column_tier(monkeypatch):
     # 100 cells from 10 row points and 10 column points, each cell still
-    # decided by pair_class
-    cells = []
-    real = reports.pair_class
-    monkeypatch.setattr(reports, "pair_class", lambda p, q: cells.append((p, q)) or real(p, q))
+    # decided as pair_class decides it
+    grids = []
+    real = reports.pair_labels
+    monkeypatch.setattr(reports, "pair_labels", lambda rows, columns: grids.append((rows, columns)) or real(rows, columns))
     grid = reports.cc_report()["pair_grid"]
-    assert len(cells) == 100 and sum(map(len, grid)) == 100
-    assert len({id(p) for p, _ in cells}) == len({id(q) for _, q in cells}) == len(reports.CC_GRID_TIERS)
+    ((rows, columns),) = grids
+    assert sum(map(len, grid)) == 100
+    assert len({id(p) for p in rows}) == len({id(q) for q in columns}) == len(reports.CC_GRID_TIERS)
+    assert grid == reference_pair_grid(rows, columns)

@@ -732,6 +732,51 @@ def test_out_on_a_full_device_exits_2(capsys, argv):
     assert err.startswith("error: cannot write --out:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", str(FLOWS / "two_ideal.flow")],
+    ["analyze", str(FLOWS / "two_ideal.flow"), "--format", "text"],
+    ["fuzz", "--count", "2"],
+    MORSE_PAIR,
+    ["reproduce", "cc"],
+], ids=["analyze", "analyze-text", "fuzz", "classify-pair", "reproduce"])
+def test_a_closed_stdout_exits_2(argv):
+    # stdout is a pipe whose reader has already gone: the first write or
+    # the last flush meets a broken pipe; an error line and exit 2, and no
+    # traceback, also from the interpreter's own last flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "flowrel", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write to stdout: [Errno 32] Broken pipe")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_stdout_errors_other_than_a_broken_pipe_propagate(monkeypatch):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    with pytest.raises(OSError, match="No space left"):
+        main(MORSE_PAIR)
+
+
+def test_ternary_names_build_only_the_named_point(monkeypatch):
+    from flowrel import reports
+
+    sample = reports.ternary_sample()
+    monkeypatch.setattr(reports, "ternary_sample", None)
+    for name, point in sample.items():
+        assert parse_ternary_point(name) == point
+    with pytest.raises(ValueError, match=r"^unknown point 'nope'; use const:C, z, a sample name, or pat:\.\.\.$"):
+        parse_ternary_point("nope")
+
+
 def test_ternary_z_descriptor_is_the_sample_point():
     from flowrel import reports
 
@@ -808,6 +853,42 @@ def test_witness_maps_are_written_as_json_sorts_their_keys():
 int_records = st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True).flatmap(
     lambda fields: st.dictionaries(st.text(max_size=5), st.fixed_dictionaries(
         {field: st.one_of(st.integers(), st.integers(min_value=-2**70, max_value=2**70)) for field in fields})))
+
+
+flat_values = st.one_of(json_scalars, st.text(max_size=4))
+flat_records = st.dictionaries(st.text(max_size=4), flat_values, max_size=4)
+small_values = st.one_of(flat_values, flat_records, st.lists(flat_values, max_size=4),
+                         st.lists(flat_values, max_size=3).map(tuple))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.text(max_size=6), min_size=1, max_size=8))
+def test_dump_writes_lists_of_strings_as_json_does(strings):
+    # a cc pair-grid row, an mt label list
+    for value in (strings, {"rows": [strings, strings[::-1]], "labels": strings}):
+        assert dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.lists(st.fixed_dictionaries({key: small_values for key in keys}), min_size=1, max_size=5)),
+    st.lists(st.dictionaries(st.text(max_size=3), small_values, max_size=4), min_size=1, max_size=4))
+def test_dump_writes_lists_of_nested_records_as_json_does(same_keys, mixed_keys):
+    # rows sharing one key set with flat values, flat records or lists of
+    # flat values as theirs (the mt pairs), and rows whose key sets differ
+    # (the cc asymptotics), each list inside a report as a record's value
+    for rows in (same_keys, mixed_keys, same_keys + mixed_keys):
+        value = {"pairs": rows, "params": {"depth": 8}, "records": rows[0]}
+        assert dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_small_records_leave_other_values_to_the_general_path():
+    # a non-string key, a nested list of lists, an ndarray: each row falls
+    # back to the writer's general path and still writes json's text
+    rows = [{"a": [[1, 2]], "b": "x"}, {1: "one", 2: [1.5, None]}, {"x": {"y": {"z": [True]}}}]
+    plain = [{"m": np.arange(3)}]
+    assert dump(rows) == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    assert dump(plain) == json.dumps([{"m": [0, 1, 2]}], indent=2, sort_keys=True) + "\n"
 
 
 @settings(max_examples=80, deadline=None)
