@@ -25,8 +25,8 @@ radius evaluations.
 ``pair_class`` gives one pair's verdict dict; ``pair_labels`` gives a
 grid's labels from the same clauses, each point's family read once.
 ``round_trip_angles`` steps a point forward and back (and back and
-forward) as (tier, angle) values, with the float expressions of ``step``
-and ``step_back``.
+forward) as (tier, angle) values, through the angle functions of
+``step`` and ``step_back``.
 """
 
 from __future__ import annotations
@@ -113,8 +113,19 @@ def step(p: CirclePoint) -> CirclePoint:
     if place is None:
         return p
     chain, pos = place
-    angle = p.angle + _coefficient(p.family, p.index) * math.sin(p.angle)
-    return CirclePoint(*_chain_tier(chain, pos + 1), angle)
+    return CirclePoint(*_chain_tier(chain, pos + 1), _forward_angle(p.family, p.index, p.angle))
+
+
+def _forward_angle(f: str, n: int, angle: float) -> float:
+    """The angle after a step from tier (f, n), taken mod pi as
+    ``CirclePoint`` takes it."""
+    return (angle + _coefficient(f, n) * math.sin(angle)) % math.pi
+
+
+def _back_angle(f: str, n: int, angle: float) -> float:
+    """The angle after a step back to tier (f, n), taken mod pi as
+    ``CirclePoint`` takes it."""
+    return _invert_angle(angle, _coefficient(f, n)) % math.pi
 
 
 def _invert_angle(alpha: float, coeff: float) -> float:
@@ -149,7 +160,7 @@ def step_back(p: CirclePoint) -> CirclePoint:
         return p
     chain, pos = place
     f, n = _chain_tier(chain, pos - 1)
-    return CirclePoint(f, n, _invert_angle(p.angle, _coefficient(f, n)))
+    return CirclePoint(f, n, _back_angle(f, n, p.angle))
 
 
 def iterate(p: CirclePoint, count: int) -> CirclePoint:
@@ -305,19 +316,18 @@ def _pair_clause(p: CirclePoint, q: CirclePoint, fp: str, fq: str) -> str | None
 
 def round_trip_angles(p: CirclePoint) -> tuple[float, float]:
     """The angles of ``step_back(step(p))`` and ``step(step_back(p))``,
-    stepped as (tier, angle) values with the same float expressions, the
-    ``% pi`` of ``CirclePoint`` included, and no point built per step.
-    The step from p's tier and the step back to it share one coefficient,
-    as do the step back from it and the step forward again."""
+    stepped as (tier, angle) values through ``step``'s and ``step_back``'s
+    angle functions, with no point built per step.  The step from p's
+    tier and the step back to it share one coefficient, as do the step
+    back from it and the step forward again."""
     place = _chain_position(p.family, p.index)
     if place is None:
         return p.angle, p.angle
     chain, pos = place
-    coeff = _coefficient(p.family, p.index)
-    forward = (p.angle + coeff * math.sin(p.angle)) % math.pi
-    back_coeff = _coefficient(*_chain_tier(chain, pos - 1))
-    back = _invert_angle(p.angle, back_coeff) % math.pi
-    return _invert_angle(forward, coeff) % math.pi, (back + back_coeff * math.sin(back)) % math.pi
+    forward = _forward_angle(p.family, p.index, p.angle)
+    before = _chain_tier(chain, pos - 1)
+    back = _back_angle(*before, p.angle)
+    return _back_angle(p.family, p.index, forward), _forward_angle(*before, back)
 
 
 def trajectory_rows(p: CirclePoint, steps: int, backward: bool = False) -> list[dict]:

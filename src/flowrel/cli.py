@@ -113,10 +113,12 @@ def _write(value, newline: str, write: Write) -> None:
         write(_CONSTANTS[value])
     elif isinstance(value, dict) and value:
         try:
-            write(_small_record(value, newline))
-            return
+            text = _small_record(value, newline)
         except (KeyError, TypeError):  # a value that is no small value, or a key that is no string
             pass
+        else:
+            write(text)
+            return
         sep = "{" + inner
         for key, item in sorted(value.items()):
             write(sep + encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key)) + ": ")
@@ -148,12 +150,10 @@ def _write(value, newline: str, write: Write) -> None:
 def _flat_list(value: list | tuple, newline: str) -> str | None:
     """json's text at indent ``newline`` of a non-empty list whose items
     are all ints, all strings (a grid row, a list of labels), all lists of
-    ints (partitions, ideals, idempotents), or all records: dicts with
-    string keys.  Each is one join.  A list of flat records with one and
-    the same set of keys (the checks, the ternary pairs) fills one
-    template, its keys sorted once; any other list of records is one join
-    of ``_small_record``'s texts (the mt pairs, the cc asymptotics).  None,
-    with nothing built, for any other list."""
+    ints (partitions, ideals, idempotents), or all small records (the
+    checks, the ternary and mt pairs, the cc asymptotics), each one
+    ``_small_record`` text.  Each is one join.  None for any other
+    list."""
     inner = newline + "  "
     deeper = inner + "  "
     kinds = set(map(type, value))
@@ -166,32 +166,13 @@ def _flat_list(value: list | tuple, newline: str) -> str | None:
             return None
         items = ("[" + deeper + ("," + deeper).join(map(str, item)) + inner + "]" if item else "[]" for item in value)
     elif kinds == {dict}:
-        items = _record_template(value, inner)
-        if items is None:
-            try:
-                items = [_small_record(item, inner) for item in value]
-            except (KeyError, TypeError):  # a value that is no small value, or a key that is no string
-                return None
+        try:
+            items = [_small_record(item, inner) for item in value]
+        except (KeyError, TypeError):  # a value that is no small value, or a key that is no string
+            return None
     else:
         return None
     return "[" + inner + ("," + inner).join(items) + newline + "]"
-
-
-def _record_template(value: list[dict], newline: str):
-    """The texts at indent ``newline`` of a list of non-empty dicts with
-    one and the same set of string keys and only flat values, from one
-    template; None, with nothing built, for any other list."""
-    fields = value[0].keys()
-    if not fields or not {str}.issuperset(map(type, fields)) or any(item.keys() != fields for item in value):
-        return None
-    names = sorted(fields)
-    try:
-        cells = [_FLAT[type(v)](v) for item in value for v in map(item.__getitem__, names)]
-    except KeyError:  # a value that is no flat value
-        return None
-    inner = newline + "  "
-    body = ("," + inner).join(encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in names)
-    return map(("{" + inner + body + newline + "}").__mod__, zip(*[iter(cells)] * len(names)))
 
 
 def _small_record(value: dict, newline: str) -> str:
@@ -750,19 +731,22 @@ def main(argv: list[str] | None = None) -> int:
         code = COMMANDS[args.command].run(args)
         sys.stdout.flush()
     except BrokenPipeError as exc:  # stdout's reader has gone
-        _drop_stdout()
-        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        _drop(sys.stdout)
+        try:
+            print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        except BrokenPipeError:  # stderr is the same closed pipe (2>&1)
+            _drop(sys.stderr)
         return EXIT_PARSE
     return code
 
 
-def _drop_stdout() -> None:
-    """Point stdout's file descriptor at os.devnull, so that no later
+def _drop(stream) -> None:
+    """Point the stream's file descriptor at os.devnull, so that no later
     flush, the interpreter's last one included, meets the closed pipe
     again."""
     devnull = os.open(os.devnull, os.O_WRONLY)
     try:
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
     finally:
         os.close(devnull)
 

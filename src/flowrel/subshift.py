@@ -548,7 +548,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def is_dual_pair(x: BiSeq, y: BiSeq) -> bool:
     """Structural proof that y is the 0/1 interchange of x; such pairs
     differ at every coordinate at every shift."""
-    return _dual_form(x) == y.normalized().describe()
+    dual = _dual_form(x)
+    return dual is not None and dual == y.normalized().describe()
 
 
 def _dual_form(x: BiSeq) -> dict | None:
@@ -584,13 +585,12 @@ class EvidenceVerdict:
         return {k: v for k, v in d.items() if v is not None}
 
 
-def agreement_times(x: BiSeq | list[BiSeq], y: BiSeq | list[BiSeq], n: int, horizon: int) -> Runs | list[Runs]:
-    """The shift times t in [-H, H] at which the radius-n windows of the
-    two shifted sequences coincide, as maximal runs: sorted int64 arrays
+def agreement_times(x: list[BiSeq], y: list[BiSeq], n: int, horizon: int) -> list[Runs]:
+    """For each pair (x[k], y[k]) of two equal-length lists of sequences,
+    the shift times t in [-H, H] at which the radius-n windows of the two
+    shifted sequences coincide, as maximal runs: sorted int64 arrays
     ``(starts, ends)``, inclusive, with a disagreeing time between any two
-    runs.  ``x`` and ``y`` may also be equal-length lists of sequences,
-    the first and the second points of a list of pairs; the result is then
-    the list of each pair's runs.
+    runs.
 
     t agrees when all 2n + 1 letters of its window are equal, so the
     agreement mask is the AND of the letter-equality mask over windows of
@@ -613,7 +613,8 @@ def agreement_times(x: BiSeq | list[BiSeq], y: BiSeq | list[BiSeq], n: int, hori
     the row; each later entry of the row reaches the next row's first
     False end (or the block's last), so it is False and no run starts
     there.  One ``flatnonzero`` of the block's flips thus gives every
-    row's runs, in row order, each opened and closed in its row.  A block
+    row's runs, in row order, each opened and closed in its row; a
+    one-row block's flips are all its row's, with nothing to split.  A block
     holds at most max(1, MASK_BLOCK_BYTES // (2(H + n) + 3)) rows, so one
     row (one pair's mask, as alone) once a row passes 2^17 bytes, at
     H + n >= 65,535.
@@ -624,8 +625,6 @@ def agreement_times(x: BiSeq | list[BiSeq], y: BiSeq | list[BiSeq], n: int, hori
     adjacent-sum image or an eventually periodic point are new arrays, one
     byte per letter, held for the call.
     """
-    if isinstance(x, BiSeq):
-        return agreement_times([x], [y], n, horizon)[0]
     lo, hi = -horizon - n, horizon + n
     cut: dict[int, list[np.ndarray]] = {}
     for point in chain.from_iterable(zip(x, y)):
@@ -648,7 +647,10 @@ def agreement_times(x: BiSeq | list[BiSeq], y: BiSeq | list[BiSeq], n: int, hori
         if span < width:
             agree &= acc[width - span:]
         flips = np.flatnonzero(agree[1:] != agree[:-1])
-        bounds = flips.searchsorted(np.arange(len(block) + 1) * size).tolist()
+        if len(block) == 1:
+            bounds = [0, flips.size]
+        else:
+            bounds = flips.searchsorted(np.arange(len(block) + 1) * size).tolist()
         for row in range(len(block)):
             row_flips = flips[bounds[row]:bounds[row + 1]]
             offset = row * size + horizon
@@ -766,11 +768,12 @@ def classify_pairs(points: list[BiSeq], pairs: list[tuple[int, int]],
     for i, j in pairs:
         if i not in dual_forms:
             dual_forms[i] = _dual_form(points[i])
-        if j not in forms:
-            forms[j] = points[j].normalized().describe()
-        if dual_forms[i] == forms[j]:
-            out.append(PairReport(EvidenceVerdict("distal_at_all_shifts", n, horizon), None, ("proven-D",)))
-            continue
+        if dual_forms[i] is not None:  # off the binary alphabet no pair is dual
+            if j not in forms:
+                forms[j] = points[j].normalized().describe()
+            if dual_forms[i] == forms[j]:
+                out.append(PairReport(EvidenceVerdict("distal_at_all_shifts", n, horizon), None, ("proven-D",)))
+                continue
         _check_gap_bound(params.gap, horizon)
         scanned.append(len(out))
         out.append(None)

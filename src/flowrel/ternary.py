@@ -6,9 +6,9 @@ Points are ``subshift.EventuallyPeriodic`` sequences over "012" (a center
 word with periodic tails), built by ``ternary`` and ``constant``, so the
 difference set of any pair is eventually periodic and the classification
 is exact, not horizon-bounded.  ``pair_types`` types a list of pairs over
-a list of points at once: every point is read once, on one bounded read
-set around all their centers, and one 2-D equality compares every pair;
-``pair_type`` is its one-pair case.  The acting group itself is never
+a list of points at once: every point is read once, as one string on
+one bounded read set around all their centers, and each pair compares
+two such strings; ``pair_type`` is its one-pair case.  The acting group itself is never
 enumerated.
 """
 
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-
-import numpy as np
 
 from .subshift import EventuallyPeriodic
 
@@ -56,12 +54,12 @@ def pair_types(points: list[EventuallyPeriodic], pairs: list[tuple[int, int]]) -
 
     Let S be the largest span of a pair, its longer center or the joint
     period lcm(|p|, |q|) of a tail of each point, and cut the line at every
-    point's center boundaries.  The read set is the S letters before the
-    first cut and the S letters from the last cut on, read first, then
-    the first S letters of each stretch between two consecutive cuts (all
-    of it when it is no longer).  Every point is read on it once, as one
-    row of a (points, letters) uint8 matrix, and one 2-D equality compares
-    the two rows of every pair.
+    point's center boundaries.  The read set is, from left to right, the
+    S letters before the first cut, the first S letters of each stretch
+    between two consecutive cuts (all of it when it is no longer) and the
+    S letters from the last cut on; adjacent windows join into one
+    stretch.  Every point is read on it once, as one string, its row, and
+    each pair compares its two rows (``_row_type``).
 
     This is exact for each pair.  Its own four boundaries cut the line
     into regions.  A region inside a center is no longer than that center,
@@ -75,9 +73,10 @@ def pair_types(points: list[EventuallyPeriodic], pairs: list[tuple[int, int]]) -
     cut.  An agreeing coordinate anywhere thus has one of the same
     difference phase in the read set, and every letter read is a real
     coordinate: the pair is an edge exactly when its rows differ
-    everywhere.  The first 2S letters, the two outer windows, lie in the
-    left and right tails of both points and read a whole joint period of
-    each: the pair is agreeable exactly when its rows agree on them.
+    everywhere.  The first and the last S letters, the two outer windows,
+    lie in the left and right tails of both points and read a whole joint
+    period of each: the pair is agreeable exactly when its rows agree on
+    them.  For one pair this is the read set of its own four boundaries.
 
     Centers far apart stay cheap: a cut adds at most S letters to the read
     set, so it has at most (2 * points + 1) * S letters, however far apart
@@ -85,25 +84,28 @@ def pair_types(points: list[EventuallyPeriodic], pairs: list[tuple[int, int]]) -
     """
     if not pairs:
         return []
-    span = max(max(len(points[i].center), len(points[j].center),
-                   *(lcm(len(p), len(q)) for p in (points[i].left, points[i].right)
-                     for q in (points[j].left, points[j].right)))
-               for i, j in pairs)
+    periods = [(len(x.left), len(x.right)) for x in points]
+    span = max(max(len(points[k].center) for pair in pairs for k in pair),
+               *(lcm(p, q) for a, b in {(periods[i], periods[j]) for i, j in pairs} for p in a for q in b))
     cuts = sorted({c for x in points for c in (x.start, x.end)})
-    stretches = [[cuts[0] - span, cuts[0]], [cuts[-1], cuts[-1] + span], [cuts[0], cuts[0]]]
+    stretches = [[cuts[0] - span, cuts[0]]]
     for lo, hi in zip(cuts, cuts[1:]):
         if hi - lo > span:
             stretches[-1][1] = lo + span
             stretches.append([hi, hi])
         else:
             stretches[-1][1] = hi
-    text = "".join(x.segment(lo, hi - 1) for x in points for lo, hi in stretches)
-    letters = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(len(points), -1)
-    first, second = np.array(pairs, dtype=np.intp).T
-    equal = letters[first] == letters[second]
-    agreeable = equal[:, :2 * span].all(axis=1)
-    opposed = equal.any(axis=1)
-    return [AGREEABLE if a else OPPOSED if o else EDGE for a, o in zip(agreeable.tolist(), opposed.tolist())]
+    stretches[-1][1] = cuts[-1] + span
+    rows = ["".join(x.segment(lo, hi - 1) for lo, hi in stretches) for x in points]
+    return [_row_type(rows[i], rows[j], span) for i, j in pairs]
+
+
+def _row_type(a: str, b: str, span: int) -> str:
+    """The type of a pair from its two rows on the read set, whose first
+    and last ``span`` letters are the two outer windows."""
+    if a[:span] == b[:span] and a[-span:] == b[-span:]:
+        return AGREEABLE
+    return OPPOSED if any(map(str.__eq__, a, b)) else EDGE
 
 
 @dataclass(frozen=True)

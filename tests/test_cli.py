@@ -739,21 +739,26 @@ def test_out_on_a_full_device_exits_2(capsys, argv):
     MORSE_PAIR,
     ["reproduce", "cc"],
 ], ids=["analyze", "analyze-text", "fuzz", "classify-pair", "reproduce"])
-def test_a_closed_stdout_exits_2(argv):
+@pytest.mark.parametrize("merged", [False, True], ids=["stderr-apart", "stderr-too"])
+def test_a_closed_stdout_exits_2(argv, merged):
     # stdout is a pipe whose reader has already gone: the first write or
     # the last flush meets a broken pipe; an error line and exit 2, and no
-    # traceback, also from the interpreter's own last flush
+    # traceback, also from the interpreter's own last flush.  With stderr
+    # the same closed pipe (2>&1) the error line is lost, and the exit
+    # code is still 2: an escaping exception would give 1, an error in the
+    # last flush 120
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "flowrel", *argv],
-                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": str(SRC)})
+                              stdout=write_end, stderr=write_end if merged else subprocess.PIPE, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
     finally:
         os.close(write_end)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: cannot write to stdout: [Errno 32] Broken pipe")
-    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    if not merged:
+        assert proc.stderr.startswith("error: cannot write to stdout: [Errno 32] Broken pipe")
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_stdout_errors_other_than_a_broken_pipe_propagate(monkeypatch):
@@ -889,6 +894,21 @@ def test_small_records_leave_other_values_to_the_general_path():
     plain = [{"m": np.arange(3)}]
     assert dump(rows) == json.dumps(rows, indent=2, sort_keys=True) + "\n"
     assert dump(plain) == json.dumps([{"m": [0, 1, 2]}], indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError])
+def test_a_sink_error_on_a_small_record_propagates(error):
+    # the writer falls back to its general path only for a record that is
+    # no small record, never for an error of the sink it writes to
+    pieces = []
+
+    def sink(text):
+        pieces.append(text)
+        raise error("sink")
+
+    with pytest.raises(error, match="sink"):
+        cli._write({"a": 1, "b": [2, 3]}, "\n", sink)
+    assert len(pieces) == 1
 
 
 @settings(max_examples=80, deadline=None)

@@ -27,6 +27,12 @@ from flowrel.subshift import (
     morse_square,
 )
 
+
+def pair_runs(x, y, n: int, horizon: int):
+    """The agreement runs of the one pair (x, y)."""
+    return agreement_times([x], [y], n, horizon)[0]
+
+
 # --- independent oracles -----------------------------------------------
 
 
@@ -225,7 +231,7 @@ def test_chacon_itineraries():
 
 def test_witness_on_diagonal():
     a = morse_fixed_points()["a"]
-    v = _witness_verdict(agreement_times(a, a, 6, 100), 6, 100)
+    v = _witness_verdict(pair_runs(a, a, 6, 100), 6, 100)
     assert v.outcome == "proximal_witness" and v.witness_time == 0
 
 
@@ -239,36 +245,36 @@ def test_witness_tie_break_prefers_positive():
     # agreement zones: (a, b) agree on [0, inf), so the first depth-8
     # witness is t = 8; (a, bbar) agree on (-inf, -1], giving t = -9
     fp = morse_fixed_points()
-    assert _witness_verdict(agreement_times(fp["a"], fp["b"], 8, 4096), 8, 4096).witness_time == 8
-    assert _witness_verdict(agreement_times(fp["a"], fp["bbar"], 8, 4096), 8, 4096).witness_time == -9
+    assert _witness_verdict(pair_runs(fp["a"], fp["b"], 8, 4096), 8, 4096).witness_time == 8
+    assert _witness_verdict(pair_runs(fp["a"], fp["bbar"], 8, 4096), 8, 4096).witness_time == -9
     x = EventuallyPeriodic("1", start=0)
     y = EventuallyPeriodic("1", start=0)
-    v = _witness_verdict(agreement_times(x, y, 2, 10), 2, 10)
+    v = _witness_verdict(pair_runs(x, y, 2, 10), 2, 10)
     assert v.witness_time == 0
 
 
 def test_witness_monotone_in_depth():
     fp = morse_fixed_points()
     for n in (1, 2, 4, 8):
-        v = _witness_verdict(agreement_times(fp["a"], fp["b"], n, 4096), n, 4096)
+        v = _witness_verdict(pair_runs(fp["a"], fp["b"], n, 4096), n, 4096)
         assert v.outcome == "proximal_witness"
 
 
 def test_agreement_times_structure():
     fp = morse_fixed_points()
-    starts, ends = agreement_times(fp["a"], fp["b"], 4, 64)
+    starts, ends = pair_runs(fp["a"], fp["b"], 4, 64)
     assert starts.tolist() == [4] and ends.tolist() == [64]
 
 
 def test_syndetic_check_identical():
     a = morse_fixed_points()["a"]
-    v = _gap_verdict(agreement_times(a, a, 4, 64), 4, 16, 64)
+    v = _gap_verdict(pair_runs(a, a, 4, 64), 4, 16, 64)
     assert v.outcome == "syndetic_up_to_horizon" and v.max_gap == 1
 
 
 def test_syndetic_gap_violation():
     fp = morse_fixed_points()
-    v = _gap_verdict(agreement_times(fp["a"], fp["b"], 4, 4096), 4, 256, 4096)
+    v = _gap_verdict(pair_runs(fp["a"], fp["b"], 4, 4096), 4, 256, 4096)
     assert v.outcome == "gap_violation"
     lo, hi = v.interval
     assert hi - lo + 1 == 256
@@ -335,7 +341,7 @@ def test_two_shift_truncations_pairwise_evidence_only():
     members = [EventuallyPeriodic("1" * m, start=0) for m in (1, 3, 5)]
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
-            v = _witness_verdict(agreement_times(members[i], members[j], 4, 64), 4, 64)
+            v = _witness_verdict(pair_runs(members[i], members[j], 4, 64), 4, 64)
             assert v.outcome == "proximal_witness"
             # far enough left, both windows are all zeros
             t = v.witness_time

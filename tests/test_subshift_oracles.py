@@ -40,6 +40,11 @@ from flowrel.subshift import (
 THREE_LETTERS = Substitution("abc", {"a": "abca", "b": "cb", "c": "bac"})
 
 
+def pair_runs(x, y, n: int, horizon: int):
+    """The agreement runs of the one pair (x, y)."""
+    return agreement_times([x], [y], n, horizon)[0]
+
+
 def sequences():
     mt = morse_fixed_points()
     x1, x2 = ChaconPoint("x1"), ChaconPoint("x2")
@@ -301,7 +306,7 @@ def test_agreement_times_match_reference(name):
     grid += [(n, rng.randint(0, 400)) for n in range(64)]  # every width 2n + 1 up to 127
     grid += [(rng.randint(0, 16), rng.randint(0, 3000)) for _ in range(12)]
     for n, horizon in grid:
-        runs = agreement_times(x, y, n, horizon)
+        runs = pair_runs(x, y, n, horizon)
         assert_runs_of(runs, reference_agreement_times(x, y, n, horizon))
 
 
@@ -334,14 +339,14 @@ def test_agreement_times_match_reference_on_random_eventually_constant_pairs(see
     for _ in range(50):
         x, y = random_eventually_constant_pair(rng)
         n, horizon = rng.randint(0, 70), rng.randint(0, 400)
-        assert_runs_of(agreement_times(x, y, n, horizon), reference_agreement_times(x, y, n, horizon))
+        assert_runs_of(pair_runs(x, y, n, horizon), reference_agreement_times(x, y, n, horizon))
 
 
 def test_agreement_times_on_the_deep_morse_pairs():
     mt = morse_fixed_points()
     counts = []
     for x, y in ((mt["a"], mt["b"]), (Shift(mt["a"], 7), Shift(mt["b"], 12))):
-        runs = agreement_times(x, y, 16, 2 * 10**5)
+        runs = pair_runs(x, y, 16, 2 * 10**5)
         assert_runs_of(runs, reference_agreement_times(x, y, 16, 2 * 10**5))
         counts.append(runs[0].size)
     assert counts == [1, 0]
@@ -349,7 +354,7 @@ def test_agreement_times_on_the_deep_morse_pairs():
 
 def test_agreement_times_on_a_deep_chacon_pair_with_many_runs():
     x, y = ChaconXi((1, 2), 2), ChaconPoint("x1")
-    runs = agreement_times(x, y, 6, 2 * 10**5)
+    runs = pair_runs(x, y, 6, 2 * 10**5)
     assert_runs_of(runs, reference_agreement_times(x, y, 6, 2 * 10**5))
     assert runs[0].size == 5476
 
@@ -361,11 +366,11 @@ def test_agreement_times_peak_memory_per_letter():
     grown first: they are memoized once per process."""
     x, y, n, horizon = ChaconXi((1, 2), 2), ChaconPoint("x1"), 6, 10**6
     letters = 2 * (horizon + n) + 1
-    runs = agreement_times(x, y, n, horizon)[0].size
+    runs = pair_runs(x, y, n, horizon)[0].size
     assert runs == 21170
     tracemalloc.start()
     try:
-        agreement_times(x, y, n, horizon)
+        pair_runs(x, y, n, horizon)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -376,9 +381,9 @@ def test_agreement_times_peak_memory_per_letter():
 def test_agreement_times_extremes(n, horizon):
     mt = morse_fixed_points()
     every = np.arange(-horizon, horizon + 1)
-    assert_runs_of(agreement_times(mt["b"], mt["b"], n, horizon), every)
-    assert_runs_of(agreement_times(ChaconPoint("x2"), ChaconPoint("x2"), n, horizon), every)
-    assert_runs_of(agreement_times(mt["a"], mt["abar"], n, horizon), [])
+    assert_runs_of(pair_runs(mt["b"], mt["b"], n, horizon), every)
+    assert_runs_of(pair_runs(ChaconPoint("x2"), ChaconPoint("x2"), n, horizon), every)
+    assert_runs_of(pair_runs(mt["a"], mt["abar"], n, horizon), [])
 
 
 def random_times(rng: random.Random, horizon: int) -> np.ndarray:
@@ -421,7 +426,7 @@ def test_classify_pair_scans_agreements_once(monkeypatch):
     params = ClassifyParams(depth=6, gap=40, horizon=500)
     rep = classify_pair(mt["a"], mt["b"], params)
     assert len(calls) == 1
-    ts = runs_to_times(scan(mt["a"], mt["b"], 6, 500))
+    ts = runs_to_times(scan([mt["a"]], [mt["b"]], 6, 500)[0])
     assert rep.proximal.witness_time == reference_witness_time(ts.tolist())
     assert rep.syndetic == reference_gap_verdict(ts.tolist(), 6, 40, 500)
     calls.clear()
